@@ -97,6 +97,18 @@ class Promise {
     return &*value_;
   }
 
+  // WaitFor for the value's single consumer: moves it out instead of
+  // handing back a reference. nullopt on timeout. The slot stays set
+  // (moved-from), so a late Set is still ignored.
+  template <typename Rep, typename Period>
+  std::optional<T> TakeFor(std::chrono::duration<Rep, Period> timeout) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!cv_.wait_for(lock, timeout, [this] { return value_.has_value(); })) {
+      return std::nullopt;
+    }
+    return std::move(*value_);
+  }
+
   [[nodiscard]] bool Ready() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return value_.has_value();

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -114,22 +115,32 @@ class WireReader {
     return *v != 0;
   }
 
+  // Length checks compare against the bytes remaining, never `pos_ + len`:
+  // a hostile u64 length would wrap that sum past the bounds check.
   Expected<std::string> ReadString() {
     auto len = ReadU32();
     if (!len.ok()) return len.status();
-    if (pos_ + *len > size_) return Truncated("string");
+    if (*len > size_ - pos_) return Truncated("string");
     std::string s(reinterpret_cast<const char*>(data_ + pos_), *len);
     pos_ += *len;
     return s;
   }
 
   Expected<std::vector<std::uint8_t>> ReadByteVector() {
+    auto view = ReadByteView();
+    if (!view.ok()) return view.status();
+    return std::vector<std::uint8_t>(view->begin(), view->end());
+  }
+
+  // Length-prefixed bytes as a view into the decoded span: no copy, valid
+  // only while the underlying bytes live.
+  Expected<std::span<const std::uint8_t>> ReadByteView() {
     auto len = ReadU64();
     if (!len.ok()) return len.status();
-    if (pos_ + *len > size_) return Truncated("bytes");
-    std::vector<std::uint8_t> v(data_ + pos_, data_ + pos_ + *len);
+    if (*len > size_ - pos_) return Truncated("bytes");
+    std::span<const std::uint8_t> view(data_ + pos_, *len);
     pos_ += *len;
-    return v;
+    return view;
   }
 
   template <typename T>

@@ -220,16 +220,17 @@ Status ClusterRuntime::CheckReply(const Expected<Message>& reply,
 }
 
 Expected<Message> ClusterRuntime::CallNode(std::size_t node, MsgType type,
-                                           std::vector<std::uint8_t> payload) {
+                                           std::vector<std::uint8_t> payload,
+                                           std::span<const std::uint8_t> tail) {
   InFlightGuard in_flight(this, node);
-  auto future =
-      nodes_[node]->CallAsync(type, options_.session_id, std::move(payload));
-  const auto* reply = future->WaitFor(options_.rpc_timeout);
-  if (reply == nullptr) {
+  auto future = nodes_[node]->CallAsync(type, options_.session_id,
+                                        std::move(payload), tail);
+  auto reply = future->TakeFor(options_.rpc_timeout);
+  if (!reply.has_value()) {
     return Status(ErrorCode::kNetworkError,
                   std::string("RPC timeout for ") + net::MsgTypeName(type));
   }
-  return *reply;
+  return *std::move(reply);
 }
 
 // ---------------------------------------------------------- Hazard helpers
@@ -684,12 +685,15 @@ Status ClusterRuntime::EnsureRangeOnNodeLocked(BufferId id,
   auto ship_from_host = [&](std::uint64_t run_begin,
                             std::uint64_t run_end) -> Status {
     const std::uint64_t len = run_end - run_begin;
+    // The run is borrowed straight from the shadow as the frame's tail:
+    // the caller holds buffer.mutex across this synchronous call, so the
+    // bytes cannot change before Send returns.
     net::WriteBufferRequest request;
     request.buffer_id = id;
     request.offset = run_begin;
-    request.data.assign(buffer.shadow.begin() + run_begin,
-                        buffer.shadow.begin() + run_end);
-    auto reply = CallNode(node, MsgType::kWriteBuffer, request.Encode());
+    request.data = std::span(buffer.shadow).subspan(run_begin, len);
+    auto reply = CallNode(node, MsgType::kWriteBuffer, request.Encode(),
+                          request.data);
     HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kStatusReply));
     AccountTransfer(buffer, &TransferStats::host_bytes_out, len);
     if (timing == TransferTiming::kPrefetch) {

@@ -583,10 +583,12 @@ class ClusterRuntime {
   // RAII in-flight accounting around a node RPC (feeds the scheduler).
   class InFlightGuard;
 
-  // Sends `payload` through CallAsync and awaits the reply with the
+  // Sends `payload` (and the borrowed `tail` after it, see
+  // net::Message::tail) through CallAsync and awaits the reply with the
   // configured timeout, counting the command against `node`'s depth.
   Expected<net::Message> CallNode(std::size_t node, net::MsgType type,
-                                  std::vector<std::uint8_t> payload);
+                                  std::vector<std::uint8_t> payload,
+                                  std::span<const std::uint8_t> tail = {});
   Status CheckReply(const Expected<net::Message>& reply,
                     net::MsgType expected_type) const;
 

@@ -1,19 +1,34 @@
 #include "net/message.h"
 
+#include <cstring>
+
 #include "common/wire.h"
 
 namespace haocl::net {
 
+Message::HeaderBytes Message::EncodeHeader() const {
+  HeaderBytes header{};
+  std::size_t pos = 0;
+  auto put = [&](auto value) {
+    std::memcpy(header.data() + pos, &value, sizeof(value));
+    pos += sizeof(value);
+  };
+  put(kMagic);
+  put(static_cast<std::uint16_t>(type));
+  put(std::uint16_t{0});  // flags, reserved
+  put(seq);
+  put(session);
+  put(static_cast<std::uint64_t>(payload.size() + tail.size()));
+  return header;
+}
+
 std::vector<std::uint8_t> Message::Serialize() const {
-  WireWriter w(kHeaderSize + payload.size());
-  w.WriteU32(kMagic);
-  w.WriteU16(static_cast<std::uint16_t>(type));
-  w.WriteU16(0);  // flags, reserved
-  w.WriteU64(seq);
-  w.WriteU64(session);
-  w.WriteU64(payload.size());
-  std::vector<std::uint8_t> out = std::move(w).Take();
+  const HeaderBytes header = EncodeHeader();
+  std::vector<std::uint8_t> out;
+  out.reserve(WireSize());
+  out.insert(out.end(), header.begin(), header.end());
   out.insert(out.end(), payload.begin(), payload.end());
+  out.insert(out.end(), tail.begin(), tail.end());
   return out;
 }
 

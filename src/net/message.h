@@ -7,7 +7,9 @@
 // runtime are transport-agnostic.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -75,9 +77,14 @@ struct Message {
   std::uint64_t seq = 0;      // Request/response matching.
   std::uint64_t session = 0;  // Multi-user isolation.
   std::vector<std::uint8_t> payload;
+  // Borrowed bulk bytes that go on the wire right after `payload`, in the
+  // same frame: the receiver gets one payload holding both. Not owned —
+  // the bytes must stay valid and unchanged until Send returns. Lets a
+  // sender ship a large buffer without first copying it into `payload`.
+  std::span<const std::uint8_t> tail;
 
   [[nodiscard]] std::size_t WireSize() const noexcept {
-    return kHeaderSize + payload.size();
+    return kHeaderSize + payload.size() + tail.size();
   }
 
   static constexpr std::uint32_t kMagic = 0x48414F43;  // "HAOC"
@@ -86,7 +93,13 @@ struct Message {
   // length prefix must not make a node try to allocate petabytes).
   static constexpr std::uint64_t kMaxPayload = 1ULL << 32;
 
-  // Serializes header+payload into a flat byte vector (TCP path).
+  // The fixed header of this message's frame; its length field counts
+  // payload and tail.
+  using HeaderBytes = std::array<std::uint8_t, kHeaderSize>;
+  [[nodiscard]] HeaderBytes EncodeHeader() const;
+
+  // Serializes header+payload+tail into one flat byte vector: exactly the
+  // bytes a stream transport puts on the wire.
   [[nodiscard]] std::vector<std::uint8_t> Serialize() const;
 
   // Parses a complete frame. `size` must be exactly one frame.

@@ -93,10 +93,10 @@ Expected<CreateBufferRequest> CreateBufferRequest::Decode(
 }
 
 std::vector<std::uint8_t> WriteBufferRequest::Encode() const {
-  WireWriter w(24 + data.size());
+  WireWriter w(24);
   w.WriteU64(buffer_id);
   w.WriteU64(offset);
-  w.WriteByteVector(data);
+  w.WriteU64(data.size());  // The bytes follow as the frame's tail.
   return std::move(w).Take();
 }
 
@@ -106,11 +106,13 @@ Expected<WriteBufferRequest> WriteBufferRequest::Decode(
   WriteBufferRequest out;
   auto id = r.ReadU64();
   auto offset = r.ReadU64();
-  auto data = r.ReadByteVector();
-  if (!id.ok() || !offset.ok() || !data.ok()) return Malformed("WriteBuffer");
+  auto data = r.ReadByteView();
+  if (!id.ok() || !offset.ok() || !data.ok() || !r.AtEnd()) {
+    return Malformed("WriteBuffer");
+  }
   out.buffer_id = *id;
   out.offset = *offset;
-  out.data = *std::move(data);
+  out.data = *data;
   return out;
 }
 

@@ -53,14 +53,23 @@ struct CreateBufferRequest {
       const std::vector<std::uint8_t>& bytes);
 };
 
+// Bulk payload: `data` is a non-owning view. Encode() writes only the
+// fixed fields and the u64 length prefix; the sender passes `data` as the
+// message's borrowed tail (Message::tail), so the bytes reach the wire
+// without a copy. Decode() returns `data` as a view into `bytes`, valid
+// while `bytes` lives; the length prefix must cover exactly the bytes that
+// follow it.
 struct WriteBufferRequest {
   std::uint64_t buffer_id = 0;
   std::uint64_t offset = 0;
-  std::vector<std::uint8_t> data;
+  std::span<const std::uint8_t> data;
 
   [[nodiscard]] std::vector<std::uint8_t> Encode() const;
   static Expected<WriteBufferRequest> Decode(
       const std::vector<std::uint8_t>& bytes);
+  // A view into a temporary would dangle.
+  static Expected<WriteBufferRequest> Decode(
+      std::vector<std::uint8_t>&& bytes) = delete;
 };
 
 struct ReadBufferRequest {

@@ -22,13 +22,15 @@ void RpcClient::SetCallTimeout(std::chrono::milliseconds timeout) {
 
 RpcClient::ReplyFuture RpcClient::CallAsync(MsgType type,
                                             std::uint64_t session,
-                                            std::vector<std::uint8_t> payload) {
+                                            std::vector<std::uint8_t> payload,
+                                            std::span<const std::uint8_t> tail) {
   auto future = std::make_shared<Promise<Expected<Message>>>();
   Message msg;
   msg.type = type;
   msg.session = session;
   msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   msg.payload = std::move(payload);
+  msg.tail = tail;
   bool armed = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -56,14 +58,15 @@ RpcClient::ReplyFuture RpcClient::CallAsync(MsgType type,
 
 Expected<Message> RpcClient::Call(MsgType type, std::uint64_t session,
                                   std::vector<std::uint8_t> payload,
-                                  std::chrono::milliseconds timeout) {
-  auto future = CallAsync(type, session, std::move(payload));
-  const auto* reply = future->WaitFor(timeout);
-  if (reply == nullptr) {
+                                  std::chrono::milliseconds timeout,
+                                  std::span<const std::uint8_t> tail) {
+  auto future = CallAsync(type, session, std::move(payload), tail);
+  auto reply = future->TakeFor(timeout);
+  if (!reply.has_value()) {
     return Status(ErrorCode::kNetworkError,
                   std::string("RPC timeout for ") + MsgTypeName(type));
   }
-  return *reply;
+  return *std::move(reply);
 }
 
 Status RpcClient::Notify(MsgType type, std::uint64_t session,

@@ -26,7 +26,13 @@ class SimConnection : public Connection {
     }
     bytes_sent_.fetch_add(message.WireSize(), std::memory_order_relaxed);
     messages_sent_.fetch_add(1, std::memory_order_relaxed);
-    tx_->queue.Push(message);
+    // The queued message outlives this call, so a borrowed tail is copied
+    // into its payload here, as the receiver of a TCP frame would see it.
+    Message queued = message;
+    queued.payload.insert(queued.payload.end(), message.tail.begin(),
+                          message.tail.end());
+    queued.tail = {};
+    tx_->queue.Push(std::move(queued));
     return Status::Ok();
   }
 

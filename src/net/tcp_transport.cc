@@ -4,8 +4,10 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <mutex>
@@ -35,18 +37,33 @@ bool ReadAll(int fd, void* buffer, std::size_t size) {
   return true;
 }
 
-bool WriteAll(int fd, const void* buffer, std::size_t size) {
-  const auto* p = static_cast<const std::uint8_t*>(buffer);
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, p + done, size - done);
+// Writes every byte of the `count` iovecs, resuming after partial writes
+// (the kernel takes a large frame in socket-buffer-sized pieces); false on
+// error. Advances the iovecs in place.
+bool WriteAll(int fd, iovec* iov, int count) {
+  for (;;) {
+    while (count > 0 && iov->iov_len == 0) {
+      ++iov;
+      --count;
+    }
+    if (count == 0) return true;
+    const ssize_t n = ::writev(fd, iov, count);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return false;
     }
-    done += static_cast<std::size_t>(n);
+    auto done = static_cast<std::size_t>(n);
+    while (done > 0) {
+      const std::size_t step = std::min(done, iov->iov_len);
+      iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + step;
+      iov->iov_len -= step;
+      done -= step;
+      if (iov->iov_len == 0) {
+        ++iov;
+        --count;
+      }
+    }
   }
-  return true;
 }
 
 class TcpConnection : public Connection {
@@ -58,16 +75,24 @@ class TcpConnection : public Connection {
 
   ~TcpConnection() override { Close(); }
 
+  // One gathered write straight from the message's own buffers: header,
+  // payload and borrowed tail are never concatenated in user space.
   Status Send(const Message& message) override {
-    const std::vector<std::uint8_t> frame = message.Serialize();
+    Message::HeaderBytes header = message.EncodeHeader();
+    iovec iov[3] = {
+        {header.data(), header.size()},
+        {const_cast<std::uint8_t*>(message.payload.data()),
+         message.payload.size()},
+        {const_cast<std::uint8_t*>(message.tail.data()), message.tail.size()},
+    };
     std::lock_guard<std::mutex> lock(write_mutex_);
     if (closed_.load(std::memory_order_acquire)) {
       return Status(ErrorCode::kNodeUnreachable, "connection closed");
     }
-    if (!WriteAll(fd_, frame.data(), frame.size())) {
+    if (!WriteAll(fd_, iov, 3)) {
       return Errno("send failed");
     }
-    bytes_sent_.fetch_add(frame.size(), std::memory_order_relaxed);
+    bytes_sent_.fetch_add(message.WireSize(), std::memory_order_relaxed);
     messages_sent_.fetch_add(1, std::memory_order_relaxed);
     return Status::Ok();
   }
@@ -75,7 +100,6 @@ class TcpConnection : public Connection {
   void Start(MessageHandler handler) override {
     reader_ = std::thread([this, handler = std::move(handler)] {
       std::uint8_t header[Message::kHeaderSize];
-      std::vector<std::uint8_t> frame;
       while (!closed_.load(std::memory_order_acquire)) {
         if (!ReadAll(fd_, header, sizeof(header))) break;
         auto parsed = Message::ParseHeader(header, sizeof(header));
@@ -84,19 +108,17 @@ class TcpConnection : public Connection {
                      << parsed.status().ToString();
           break;
         }
-        frame.assign(header, header + sizeof(header));
-        frame.resize(sizeof(header) + parsed->payload_size);
-        if (parsed->payload_size != 0 &&
-            !ReadAll(fd_, frame.data() + sizeof(header),
-                     parsed->payload_size)) {
+        // The payload lands directly in the message handed to the handler.
+        Message msg;
+        msg.type = parsed->type;
+        msg.seq = parsed->seq;
+        msg.session = parsed->session;
+        msg.payload.resize(parsed->payload_size);
+        if (!msg.payload.empty() &&
+            !ReadAll(fd_, msg.payload.data(), msg.payload.size())) {
           break;
         }
-        auto msg = Message::Deserialize(frame.data(), frame.size());
-        if (!msg.ok()) {
-          HAOCL_WARN << "bad frame: " << msg.status().ToString();
-          break;
-        }
-        handler(*std::move(msg));
+        handler(std::move(msg));
       }
     });
   }

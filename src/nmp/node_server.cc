@@ -296,12 +296,16 @@ Message NodeServer::HandleMessage(const Message& request) {
                         name_ + " has no link to peer node " +
                             std::to_string(peer));
         }
+        // The slice goes out as the frame's borrowed tail: `data` outlives
+        // the synchronous Call.
         net::WriteBufferRequest write;
         write.buffer_id = buffer_id;
         write.offset = offset;
-        write.data = std::move(data);
+        write.data = data;
         auto reply = client->Call(MsgType::kWriteBuffer, session_id,
-                                  write.Encode());
+                                  write.Encode(),
+                                  net::RpcClient::kDefaultCallTimeout,
+                                  write.data);
         if (!reply.ok()) return reply.status();
         auto status = net::StatusReply::Decode(reply->payload);
         if (!status.ok()) return status.status();

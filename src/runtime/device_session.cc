@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/wire.h"
+
 namespace haocl::runtime {
 namespace {
 
@@ -37,17 +39,17 @@ Status DeviceSession::CreateBuffer(std::uint64_t buffer_id,
 
 Status DeviceSession::WriteBuffer(std::uint64_t buffer_id,
                                   std::uint64_t offset,
-                                  const std::vector<std::uint8_t>& data) {
+                                  std::span<const std::uint8_t> data) {
   std::lock_guard<std::mutex> lock(mutex_);
   return WriteBufferLocked(buffer_id, offset, data);
 }
 
-Status DeviceSession::WriteBufferLocked(
-    std::uint64_t buffer_id, std::uint64_t offset,
-    const std::vector<std::uint8_t>& data) {
+Status DeviceSession::WriteBufferLocked(std::uint64_t buffer_id,
+                                        std::uint64_t offset,
+                                        std::span<const std::uint8_t> data) {
   auto it = buffers_.find(buffer_id);
   if (it == buffers_.end()) return NoSuchBuffer(buffer_id);
-  if (offset + data.size() > it->second.size()) {
+  if (RangeExceeds(offset, data.size(), it->second.size())) {
     return Status(ErrorCode::kInvalidValue,
                   "write beyond buffer end: offset " + std::to_string(offset) +
                       " + " + std::to_string(data.size()) + " > " +
@@ -73,7 +75,7 @@ Expected<std::vector<std::uint8_t>> DeviceSession::ReadBufferLocked(
     std::uint64_t buffer_id, std::uint64_t offset, std::uint64_t size) {
   auto it = buffers_.find(buffer_id);
   if (it == buffers_.end()) return NoSuchBuffer(buffer_id);
-  if (offset + size > it->second.size()) {
+  if (RangeExceeds(offset, size, it->second.size())) {
     return Status(ErrorCode::kInvalidValue, "read beyond buffer end");
   }
   return std::vector<std::uint8_t>(it->second.begin() + offset,
@@ -86,8 +88,8 @@ Status DeviceSession::CopyBuffer(const net::CopyBufferRequest& request) {
   if (src == buffers_.end()) return NoSuchBuffer(request.src_buffer_id);
   auto dst = buffers_.find(request.dst_buffer_id);
   if (dst == buffers_.end()) return NoSuchBuffer(request.dst_buffer_id);
-  if (request.src_offset + request.size > src->second.size() ||
-      request.dst_offset + request.size > dst->second.size()) {
+  if (RangeExceeds(request.src_offset, request.size, src->second.size()) ||
+      RangeExceeds(request.dst_offset, request.size, dst->second.size())) {
     return Status(ErrorCode::kInvalidValue, "copy out of range");
   }
   HAOCL_RETURN_IF_ERROR(ledger_->Reserve(request.dst_buffer_id,
@@ -114,7 +116,7 @@ Status DeviceSession::MemoryNotice(const net::MemoryNoticeRequest& request) {
   if (it == buffers_.end()) return NoSuchBuffer(request.buffer_id);
   for (const net::MemoryRegion& region : request.regions) {
     if (region.size == 0 ||
-        region.offset + region.size > it->second.size()) {
+        RangeExceeds(region.offset, region.size, it->second.size())) {
       return Status(ErrorCode::kInvalidValue,
                     "memory notice region beyond buffer end");
     }
@@ -366,7 +368,7 @@ Status DeviceSession::PullSlice(const net::PullSliceRequest& request,
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = buffers_.find(request.buffer_id);
     if (it == buffers_.end()) return NoSuchBuffer(request.buffer_id);
-    if (request.offset + request.size > it->second.size()) {
+    if (RangeExceeds(request.offset, request.size, it->second.size())) {
       return Status(ErrorCode::kInvalidValue, "pull slice out of range");
     }
   }

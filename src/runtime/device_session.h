@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -51,7 +52,7 @@ class DeviceSession {
   // ---- Buffers ----------------------------------------------------------
   Status CreateBuffer(std::uint64_t buffer_id, std::uint64_t size);
   Status WriteBuffer(std::uint64_t buffer_id, std::uint64_t offset,
-                     const std::vector<std::uint8_t>& data);
+                     std::span<const std::uint8_t> data);
   Expected<std::vector<std::uint8_t>> ReadBuffer(std::uint64_t buffer_id,
                                                  std::uint64_t offset,
                                                  std::uint64_t size);
@@ -158,7 +159,7 @@ class DeviceSession {
 
   // Require mutex_ held.
   Status WriteBufferLocked(std::uint64_t buffer_id, std::uint64_t offset,
-                           const std::vector<std::uint8_t>& data);
+                           std::span<const std::uint8_t> data);
   Expected<std::vector<std::uint8_t>> ReadBufferLocked(std::uint64_t buffer_id,
                                                        std::uint64_t offset,
                                                        std::uint64_t size);

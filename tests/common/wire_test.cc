@@ -77,6 +77,36 @@ TEST(WireTest, TruncatedByteVectorFails) {
   EXPECT_FALSE(r.ReadByteVector().ok());
 }
 
+TEST(WireTest, WrappingLengthsFail) {
+  // A u64 length of 2^64-1 makes `position + length` wrap to a small value:
+  // the bounds check must not be fooled into reading from a wrapped pointer.
+  WireWriter bytes;
+  bytes.WriteU64(~0ULL);
+  bytes.WriteU64(0);
+  EXPECT_FALSE(WireReader(bytes.bytes()).ReadByteVector().ok());
+  EXPECT_FALSE(WireReader(bytes.bytes()).ReadByteView().ok());
+
+  WireWriter string;
+  string.WriteU32(0xFFFFFFFF);
+  string.WriteU32(0);
+  EXPECT_FALSE(WireReader(string.bytes()).ReadString().ok());
+}
+
+TEST(WireTest, ByteViewBorrowsTheInput) {
+  WireWriter w;
+  const std::vector<std::uint8_t> blob = {4, 5, 6};
+  w.WriteByteVector(blob);
+  w.WriteU8(9);
+  const std::vector<std::uint8_t>& encoded = w.bytes();
+  WireReader r(encoded);
+  auto view = r.ReadByteView();
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(view->data(), encoded.data() + 8);
+  EXPECT_EQ(std::vector<std::uint8_t>(view->begin(), view->end()), blob);
+  EXPECT_EQ(*r.ReadU8(), 9);
+  EXPECT_TRUE(r.AtEnd());
+}
+
 TEST(WireTest, OversizedVectorCountFails) {
   WireWriter w;
   w.WriteU32(0xFFFFFFFF);

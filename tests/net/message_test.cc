@@ -22,6 +22,26 @@ TEST(MessageTest, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(parsed->payload, msg.payload);
 }
 
+TEST(MessageTest, TailIsPartOfThePayload) {
+  const std::vector<std::uint8_t> bulk = {7, 8, 9, 10};
+  Message borrowed;
+  borrowed.type = MsgType::kWriteBuffer;
+  borrowed.seq = 3;
+  borrowed.payload = {1, 2};
+  borrowed.tail = bulk;
+  Message flat = borrowed;
+  flat.tail = {};
+  flat.payload.insert(flat.payload.end(), bulk.begin(), bulk.end());
+
+  EXPECT_EQ(borrowed.WireSize(), flat.WireSize());
+  EXPECT_EQ(borrowed.Serialize(), flat.Serialize());
+  auto frame = borrowed.Serialize();
+  auto parsed = Message::Deserialize(frame.data(), frame.size());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->payload, flat.payload);
+  EXPECT_TRUE(parsed->tail.empty());
+}
+
 TEST(MessageTest, EmptyPayload) {
   Message msg;
   msg.type = MsgType::kQueryLoad;
@@ -103,14 +123,20 @@ TEST(ProtocolTest, BufferRequestsRoundTrip) {
   EXPECT_EQ(c->buffer_id, 11u);
   EXPECT_EQ(c->size, 4096u);
 
+  // The data bytes travel as the frame's tail, after the encoded fields;
+  // the decoded data is a view into the received payload.
+  const std::vector<std::uint8_t> bytes = {9, 8, 7};
   WriteBufferRequest write;
   write.buffer_id = 11;
   write.offset = 128;
-  write.data = {9, 8, 7};
-  auto w = WriteBufferRequest::Decode(write.Encode());
+  write.data = bytes;
+  std::vector<std::uint8_t> payload = write.Encode();
+  payload.insert(payload.end(), bytes.begin(), bytes.end());
+  auto w = WriteBufferRequest::Decode(payload);
   ASSERT_TRUE(w.ok());
   EXPECT_EQ(w->offset, 128u);
-  EXPECT_EQ(w->data, write.data);
+  EXPECT_EQ(std::vector<std::uint8_t>(w->data.begin(), w->data.end()), bytes);
+  EXPECT_EQ(w->data.data(), payload.data() + payload.size() - bytes.size());
 
   ReadBufferRequest read{11, 0, 256};
   auto r = ReadBufferRequest::Decode(read.Encode());
@@ -121,6 +147,33 @@ TEST(ProtocolTest, BufferRequestsRoundTrip) {
   auto cp = CopyBufferRequest::Decode(copy.Encode());
   ASSERT_TRUE(cp.ok());
   EXPECT_EQ(cp->dst_offset, 20u);
+}
+
+TEST(ProtocolTest, WriteBufferLengthMustMatchRemainingBytes) {
+  const std::vector<std::uint8_t> bytes = {1, 2, 3, 4};
+  WriteBufferRequest write;
+  write.buffer_id = 3;
+  write.data = bytes;
+  const std::vector<std::uint8_t> fields = write.Encode();
+
+  std::vector<std::uint8_t> exact = fields;
+  exact.insert(exact.end(), bytes.begin(), bytes.end());
+  EXPECT_TRUE(WriteBufferRequest::Decode(exact).ok());
+
+  // Prefix claims more bytes than follow it.
+  std::vector<std::uint8_t> short_frame(exact.begin(), exact.end() - 1);
+  EXPECT_EQ(WriteBufferRequest::Decode(short_frame).code(),
+            ErrorCode::kProtocolError);
+  // Prefix claims fewer bytes than follow it.
+  std::vector<std::uint8_t> long_frame = exact;
+  long_frame.push_back(5);
+  EXPECT_EQ(WriteBufferRequest::Decode(long_frame).code(),
+            ErrorCode::kProtocolError);
+  // A length near 2^64 must not wrap the bounds check.
+  std::vector<std::uint8_t> hostile = exact;
+  for (std::size_t i = 16; i < 24; ++i) hostile[i] = 0xFF;
+  EXPECT_EQ(WriteBufferRequest::Decode(hostile).code(),
+            ErrorCode::kProtocolError);
 }
 
 TEST(ProtocolTest, LaunchKernelRoundTrip) {

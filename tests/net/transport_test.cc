@@ -1,7 +1,12 @@
 // Transport tests: the in-process channel and the real TCP loopback path
 // must behave identically (ordering, large frames, clean shutdown).
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -59,6 +64,28 @@ TEST(SimTransportTest, CountsBytesAndMessages) {
                    std::vector<std::uint8_t>(1000, 0xAB));
   ASSERT_TRUE(a->Send(m).ok());
   EXPECT_EQ(a->messages_sent(), 1u);
+  EXPECT_EQ(a->bytes_sent(), m.WireSize());
+  a->Close();
+  b->Close();
+}
+
+TEST(SimTransportTest, BorrowedTailIsCopiedAtSend) {
+  auto [a, b] = CreateSimChannel();
+  BlockingQueue<Message> got;
+  b->Start([&](Message m) { got.Push(std::move(m)); });
+  a->Start([](Message) {});
+  std::vector<std::uint8_t> bulk(4096, 0x11);
+  Message m = Make(MsgType::kWriteBuffer, 1, {1, 2});
+  m.tail = bulk;
+  ASSERT_TRUE(a->Send(m).ok());
+  // The tail only has to live until Send returns: reusing the buffer
+  // afterwards must not reach the queued message.
+  std::fill(bulk.begin(), bulk.end(), 0x22);
+  auto received = got.Pop();
+  ASSERT_TRUE(received.has_value());
+  std::vector<std::uint8_t> expected = {1, 2};
+  expected.insert(expected.end(), 4096, 0x11);
+  EXPECT_EQ(received->payload, expected);
   EXPECT_EQ(a->bytes_sent(), m.WireSize());
   a->Close();
   b->Close();
@@ -139,16 +166,79 @@ TEST_F(TcpTransportTest, LargeFrameSurvives) {
   (*server)->Start([&](Message m) { at_server.Push(std::move(m)); });
   (*client)->Start([](Message) {});
 
-  std::vector<std::uint8_t> big(8 << 20);  // 8 MB.
+  // 64 MiB in the borrowed tail: far more than a socket buffer takes at
+  // once, so the gathered write resumes after partial writes.
+  std::vector<std::uint8_t> big(64 << 20);
   for (std::size_t i = 0; i < big.size(); ++i) {
     big[i] = static_cast<std::uint8_t>(i * 2654435761u >> 24);
   }
-  ASSERT_TRUE((*client)->Send(Make(MsgType::kWriteBuffer, 1, big)).ok());
+  Message msg = Make(MsgType::kWriteBuffer, 1, {0xA0, 0xA1, 0xA2});
+  msg.tail = big;
+  ASSERT_TRUE((*client)->Send(msg).ok());
+  EXPECT_EQ((*client)->bytes_sent(), msg.WireSize());
   auto got = at_server.Pop();
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->payload, big);
+  ASSERT_EQ(got->payload.size(), 3 + big.size());
+  EXPECT_EQ(got->payload[0], 0xA0);
+  EXPECT_EQ(got->payload[2], 0xA2);
+  EXPECT_TRUE(std::equal(big.begin(), big.end(), got->payload.begin() + 3));
   (*client)->Close();
   (*server)->Close();
+}
+
+TEST_F(TcpTransportTest, BorrowedTailFrameMatchesSerialize) {
+  // A raw socket stands in for the fixture's peer so the test sees the
+  // exact bytes the connection writes.
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listen_fd, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                          &len),
+            0);
+  auto client = TcpConnect("127.0.0.1", ntohs(addr.sin_port));
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const int peer_fd = ::accept(listen_fd, nullptr, nullptr);
+  ASSERT_GE(peer_fd, 0);
+
+  std::vector<std::uint8_t> bulk(100000);
+  for (std::size_t i = 0; i < bulk.size(); ++i) {
+    bulk[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  Message borrowed = Make(MsgType::kWriteBuffer, 77, {1, 2, 3});
+  borrowed.session = 5;
+  borrowed.tail = bulk;
+  Message flat = borrowed;
+  flat.tail = {};
+  flat.payload.insert(flat.payload.end(), bulk.begin(), bulk.end());
+  const std::vector<std::uint8_t> expected = flat.Serialize();
+
+  // Sent from another thread: the frame exceeds what the socket buffers
+  // hold before this thread reads.
+  Status sent;
+  std::thread sender([&] { sent = (*client)->Send(borrowed); });
+  std::vector<std::uint8_t> wire(expected.size());
+  std::size_t done = 0;
+  while (done < wire.size()) {
+    const ssize_t n = ::read(peer_fd, wire.data() + done, wire.size() - done);
+    if (n <= 0) break;
+    done += static_cast<std::size_t>(n);
+  }
+  sender.join();
+  ASSERT_TRUE(sent.ok()) << sent.ToString();
+  EXPECT_EQ(done, wire.size());
+  EXPECT_EQ(wire, expected);
+
+  (*client)->Close();
+  ::close(peer_fd);
+  ::close(listen_fd);
 }
 
 TEST_F(TcpTransportTest, ManyMessagesStayOrdered) {

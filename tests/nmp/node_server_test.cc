@@ -92,6 +92,63 @@ TEST_F(NodeServerTest, SessionsAreIndependent) {
   EXPECT_TRUE(net::StatusReply::Decode(r4->payload)->ToStatus().ok());
 }
 
+TEST_F(NodeServerTest, WrappingOffsetsRejectedWithoutCrash) {
+  // offset + size wraps to a small value for these frames; the node must
+  // answer kInvalidValue instead of touching memory out of bounds.
+  constexpr std::uint64_t kHostile = ~0ULL - 1;
+  for (std::uint64_t id : {1, 2}) {
+    net::CreateBufferRequest create{id, 64};
+    ASSERT_TRUE(client_->Call(MsgType::kCreateBuffer, 1, create.Encode()).ok());
+  }
+  auto status_of = [](const Expected<Message>& reply) {
+    EXPECT_TRUE(reply.ok());
+    EXPECT_EQ(reply->type, MsgType::kStatusReply);
+    return net::StatusReply::Decode(reply->payload)->ToStatus().code();
+  };
+
+  const std::vector<std::uint8_t> bytes(4, 0xEE);
+  net::WriteBufferRequest write;
+  write.buffer_id = 1;
+  write.offset = kHostile;
+  write.data = bytes;
+  EXPECT_EQ(status_of(client_->Call(MsgType::kWriteBuffer, 1, write.Encode(),
+                                    net::RpcClient::kDefaultCallTimeout,
+                                    write.data)),
+            ErrorCode::kInvalidValue);
+
+  net::ReadBufferRequest read{1, kHostile, 4};
+  EXPECT_EQ(status_of(client_->Call(MsgType::kReadBuffer, 1, read.Encode())),
+            ErrorCode::kInvalidValue);
+
+  net::CopyBufferRequest copy_src{1, 2, kHostile, 0, 4};
+  EXPECT_EQ(
+      status_of(client_->Call(MsgType::kCopyBuffer, 1, copy_src.Encode())),
+      ErrorCode::kInvalidValue);
+  net::CopyBufferRequest copy_dst{1, 2, 0, kHostile, 4};
+  EXPECT_EQ(
+      status_of(client_->Call(MsgType::kCopyBuffer, 1, copy_dst.Encode())),
+      ErrorCode::kInvalidValue);
+
+  net::MemoryNoticeRequest notice;
+  notice.buffer_id = 1;
+  notice.reserve = true;
+  notice.regions = {{kHostile, 4}};
+  EXPECT_EQ(
+      status_of(client_->Call(MsgType::kMemoryNotice, 1, notice.Encode())),
+      ErrorCode::kInvalidValue);
+
+  net::PullSliceRequest pull{1, kHostile, 4, 0};
+  EXPECT_EQ(status_of(client_->Call(MsgType::kPullSlice, 1, pull.Encode())),
+            ErrorCode::kInvalidValue);
+
+  // The node is still serving and the buffer is untouched.
+  net::ReadBufferRequest whole{1, 0, 64};
+  auto data = client_->Call(MsgType::kReadBuffer, 1, whole.Encode());
+  ASSERT_TRUE(data.ok());
+  ASSERT_EQ(data->type, MsgType::kReadReply);
+  EXPECT_EQ(data->payload, std::vector<std::uint8_t>(64, 0));
+}
+
 TEST_F(NodeServerTest, QueryLoadCounters) {
   auto reply = client_->Call(MsgType::kQueryLoad, 1, {});
   ASSERT_TRUE(reply.ok());
@@ -154,11 +211,14 @@ TEST(NodeServerTcpTest, FullProtocolOverRealSockets) {
   ASSERT_TRUE(created.ok());
   EXPECT_TRUE(net::StatusReply::Decode(created->payload)->ToStatus().ok());
 
+  const std::vector<std::uint8_t> bytes(1024, 0x5A);
   net::WriteBufferRequest write;
   write.buffer_id = 1;
-  write.data = std::vector<std::uint8_t>(1024, 0x5A);
-  auto written = client.Call(MsgType::kWriteBuffer, 1, write.Encode());
+  write.data = bytes;
+  auto written = client.Call(MsgType::kWriteBuffer, 1, write.Encode(),
+                             net::RpcClient::kDefaultCallTimeout, write.data);
   ASSERT_TRUE(written.ok());
+  EXPECT_TRUE(net::StatusReply::Decode(written->payload)->ToStatus().ok());
 
   net::ReadBufferRequest read;
   read.buffer_id = 1;
@@ -166,7 +226,7 @@ TEST(NodeServerTcpTest, FullProtocolOverRealSockets) {
   auto got = client.Call(MsgType::kReadBuffer, 1, read.Encode());
   ASSERT_TRUE(got.ok());
   ASSERT_EQ(got->type, MsgType::kReadReply);
-  EXPECT_EQ(got->payload, write.data);
+  EXPECT_EQ(got->payload, bytes);
 
   client.Close();
   (*server)->Shutdown();

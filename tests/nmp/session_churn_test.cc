@@ -4,8 +4,10 @@
 // or a long-lived node leaks a tenant per departed user.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "host/cluster_runtime.h"
@@ -68,7 +70,16 @@ TEST(SessionChurnTest, ThousandSessionsDrainBrokerAndLedger) {
   }
 
   // The daemon outlived 1000 tenants: nothing left in the broker, nothing
-  // resident in any session ledger.
+  // resident in any session ledger. Disconnect closes a session with
+  // one-way messages, so the node may still be tearing down the last one
+  // when Disconnect returns; give it a bounded moment.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (((*server)->broker().AllTenants().size() != 0 ||
+          (*server)->bytes_resident() != 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_EQ((*server)->broker().AllTenants().size(), 0u)
       << "broker leaked tenant entries across session churn";
   EXPECT_EQ((*server)->bytes_resident(), 0u)

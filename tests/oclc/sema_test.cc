@@ -179,9 +179,14 @@ TEST(SemaTest, TernaryBranchTypeMismatch) {
 
 // Type-inference spot checks across the numeric lattice.
 struct PromotionCase {
+  const char* name;
   const char* expr;
   const char* comment;
 };
+
+// Printed as its expression so the listed test names do not depend on where
+// the string literals happen to be loaded.
+void PrintTo(const PromotionCase& c, std::ostream* os) { *os << c.expr; }
 
 class SemaPromotionTest : public ::testing::TestWithParam<PromotionCase> {};
 
@@ -198,16 +203,20 @@ TEST_P(SemaPromotionTest, WellTypedArithmeticAccepted) {
 INSTANTIATE_TEST_SUITE_P(
     Promotions, SemaPromotionTest,
     ::testing::Values(
-        PromotionCase{"i + u", "int + uint -> uint"},
-        PromotionCase{"i + l", "int + long -> long"},
-        PromotionCase{"u + ul", "uint + ulong -> ulong"},
-        PromotionCase{"i + f", "int + float -> float"},
-        PromotionCase{"f + d", "float + double -> double"},
-        PromotionCase{"c + s", "char + short -> int"},
-        PromotionCase{"uc + c", "uchar + char -> int"},
-        PromotionCase{"l + f", "long + float -> float"},
-        PromotionCase{"(i << 2) + (u >> 1)", "shift keeps promoted lhs"},
-        PromotionCase{"i % 3 + u % 2u", "mod on integers"}));
+        PromotionCase{"IntUint", "i + u", "int + uint -> uint"},
+        PromotionCase{"IntLong", "i + l", "int + long -> long"},
+        PromotionCase{"UintUlong", "u + ul", "uint + ulong -> ulong"},
+        PromotionCase{"IntFloat", "i + f", "int + float -> float"},
+        PromotionCase{"FloatDouble", "f + d", "float + double -> double"},
+        PromotionCase{"CharShort", "c + s", "char + short -> int"},
+        PromotionCase{"UcharChar", "uc + c", "uchar + char -> int"},
+        PromotionCase{"LongFloat", "l + f", "long + float -> float"},
+        PromotionCase{"Shifts", "(i << 2) + (u >> 1)",
+                      "shift keeps promoted lhs"},
+        PromotionCase{"Mod", "i % 3 + u % 2u", "mod on integers"}),
+    [](const ::testing::TestParamInfo<PromotionCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace haocl::oclc

@@ -11,6 +11,8 @@
 namespace haocl::runtime {
 namespace {
 
+using Bytes = std::vector<std::uint8_t>;
+
 class DeviceSessionTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -38,7 +40,7 @@ TEST_F(DeviceSessionTest, BufferLifecycle) {
   EXPECT_EQ(*read, data);
 
   // Partial read/write with offsets.
-  ASSERT_TRUE(session_->WriteBuffer(1, 60, {9, 9, 9, 9}).ok());
+  ASSERT_TRUE(session_->WriteBuffer(1, 60, Bytes{9, 9, 9, 9}).ok());
   auto tail = session_->ReadBuffer(1, 60, 4);
   ASSERT_TRUE(tail.ok());
   EXPECT_EQ(*tail, (std::vector<std::uint8_t>{9, 9, 9, 9}));
@@ -53,9 +55,9 @@ TEST_F(DeviceSessionTest, BufferErrors) {
             ErrorCode::kInvalidBufferSize);
   ASSERT_TRUE(session_->CreateBuffer(1, 16).ok());
   EXPECT_FALSE(session_->CreateBuffer(1, 16).ok());  // Duplicate id.
-  EXPECT_EQ(session_->WriteBuffer(2, 0, {1}).code(),
+  EXPECT_EQ(session_->WriteBuffer(2, 0, Bytes{1}).code(),
             ErrorCode::kInvalidMemObject);
-  EXPECT_EQ(session_->WriteBuffer(1, 15, {1, 2}).code(),
+  EXPECT_EQ(session_->WriteBuffer(1, 15, Bytes{1, 2}).code(),
             ErrorCode::kInvalidValue);  // Past the end.
   EXPECT_FALSE(session_->ReadBuffer(1, 8, 9).ok());
 }
@@ -63,7 +65,7 @@ TEST_F(DeviceSessionTest, BufferErrors) {
 TEST_F(DeviceSessionTest, CopyBuffer) {
   ASSERT_TRUE(session_->CreateBuffer(1, 16).ok());
   ASSERT_TRUE(session_->CreateBuffer(2, 16).ok());
-  ASSERT_TRUE(session_->WriteBuffer(1, 0, {1, 2, 3, 4}).ok());
+  ASSERT_TRUE(session_->WriteBuffer(1, 0, Bytes{1, 2, 3, 4}).ok());
   net::CopyBufferRequest copy;
   copy.src_buffer_id = 1;
   copy.dst_buffer_id = 2;
@@ -130,7 +132,7 @@ TEST_F(DeviceSessionTest, PullSliceStoresPeerBytes) {
 
 TEST_F(DeviceSessionTest, PushSliceSendsLocalBytes) {
   ASSERT_TRUE(session_->CreateBuffer(1, 16).ok());
-  ASSERT_TRUE(session_->WriteBuffer(1, 8, {5, 6, 7, 8}).ok());
+  ASSERT_TRUE(session_->WriteBuffer(1, 8, Bytes{5, 6, 7, 8}).ok());
   net::PushSliceRequest push;
   push.buffer_id = 1;
   push.offset = 8;

@@ -30,7 +30,7 @@ void BM_WireEncodeLaunchRequest(benchmark::State& state) {
     request.args.push_back(arg);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(request.Encode());
+    benchmark::DoNotOptimize(haocl::net::Encode(request));
   }
 }
 BENCHMARK(BM_WireEncodeLaunchRequest);
@@ -42,10 +42,10 @@ void BM_WireDecodeLaunchRequest(benchmark::State& state) {
   arg.kind = haocl::net::WireKernelArg::Kind::kScalar;
   arg.scalar_bytes = {1, 2, 3, 4};
   request.args = {arg, arg, arg};
-  const auto bytes = request.Encode();
+  const auto bytes = haocl::net::Encode(request);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        haocl::net::LaunchKernelRequest::Decode(bytes));
+        haocl::net::Decode<haocl::net::LaunchKernelRequest>(bytes));
   }
 }
 BENCHMARK(BM_WireDecodeLaunchRequest);
@@ -61,7 +61,7 @@ void BM_WireDataPackage(benchmark::State& state) {
     request.data = data;
     Message msg;
     msg.type = MsgType::kWriteBuffer;
-    msg.payload = request.Encode();
+    msg.payload = haocl::net::Encode(request);
     msg.tail = request.data;
     benchmark::DoNotOptimize(msg.Serialize());
   }

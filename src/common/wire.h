@@ -6,10 +6,17 @@
 // containers. The format is deliberately simple so both the real TCP
 // transport and the simulated transport share one codec, and so a truncated
 // or corrupted frame is detected instead of read out of bounds.
+//
+// A message struct lists its fields once, in wire order, in a member
+// `template <class Ar> void Fields(Ar& ar) { ar(a, b, c); }`. WireWriter and
+// WireReader are both such an `ar`: one walk of that list encodes, the other
+// decodes. The field kinds and their encodings are tabled in
+// docs/wire_protocol.md.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -28,6 +35,19 @@ namespace haocl {
                                           std::uint64_t total) {
   return offset > total || size > total - offset;
 }
+
+// The largest valid value of an enum field; values run 0..max. Specialise
+// it for every enum a message carries. An enum without a specialisation
+// never decodes (fails closed).
+template <class E>
+inline constexpr std::optional<E> kWireEnumMax = std::nullopt;
+
+namespace wire_detail {
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+}  // namespace wire_detail
 
 // Append-only encoder.
 class WireWriter {
@@ -67,11 +87,10 @@ class WireWriter {
     WriteBytes(v.data(), v.size());
   }
 
-  template <typename T>
-  void WriteFixedVector(const std::vector<T>& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    WriteU32(static_cast<std::uint32_t>(v.size()));
-    for (const T& item : v) WriteFixed(item);
+  // Schema walk: appends each field in order.
+  template <typename... Fields>
+  void operator()(const Fields&... fields) {
+    (Write(fields), ...);
   }
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const& {
@@ -81,6 +100,32 @@ class WireWriter {
   [[nodiscard]] std::size_t size() const noexcept { return bytes_.size(); }
 
  private:
+  template <typename T>
+  void Write(const T& field) {
+    if constexpr (std::is_same_v<T, bool>) {
+      WriteBool(field);
+    } else if constexpr (std::is_enum_v<T>) {
+      WriteFixed(static_cast<std::underlying_type_t<T>>(field));
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      WriteFixed(field);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      WriteString(field);
+    } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
+      WriteByteVector(field);
+    } else if constexpr (std::is_same_v<T, std::span<const std::uint8_t>>) {
+      // The last field: the bytes follow as the frame's tail.
+      WriteU64(field.size());
+    } else if constexpr (wire_detail::kIsVector<T>) {
+      WriteU32(static_cast<std::uint32_t>(field.size()));
+      for (const auto& item : field) Write(item);
+    } else if constexpr (std::is_array_v<T>) {
+      for (const auto& item : field) Write(item);
+    } else {
+      // Fields() only hands the members to this writer, which reads them.
+      const_cast<T&>(field).Fields(*this);
+    }
+  }
+
   std::vector<std::uint8_t> bytes_;
 };
 
@@ -143,21 +188,14 @@ class WireReader {
     return view;
   }
 
-  template <typename T>
-  Expected<std::vector<T>> ReadFixedVector() {
-    auto count = ReadU32();
-    if (!count.ok()) return count.status();
-    if (pos_ + static_cast<std::size_t>(*count) * sizeof(T) > size_) {
-      return Truncated("vector");
-    }
-    std::vector<T> v;
-    v.reserve(*count);
-    for (std::uint32_t i = 0; i < *count; ++i) {
-      v.push_back(ReadFixed<T>().value());
-    }
-    return v;
+  // Schema walk: reads each field in order. The first failure sticks:
+  // later fields are left as they were and status() reports it.
+  template <typename... Fields>
+  void operator()(Fields&... fields) {
+    (Read(fields), ...);
   }
 
+  [[nodiscard]] const Status& status() const noexcept { return status_; }
   [[nodiscard]] std::size_t remaining() const noexcept { return size_ - pos_; }
   [[nodiscard]] bool AtEnd() const noexcept { return pos_ == size_; }
 
@@ -167,9 +205,68 @@ class WireReader {
                   std::string("truncated wire data reading ") + what);
   }
 
+  template <typename T>
+  void Read(T& field) {
+    if (!status_.ok()) return;
+    if constexpr (std::is_same_v<T, bool>) {
+      Assign(field, ReadBool());
+    } else if constexpr (std::is_enum_v<T>) {
+      using Raw = std::underlying_type_t<T>;
+      using Unsigned = std::make_unsigned_t<Raw>;
+      auto raw = ReadFixed<Raw>();
+      if (!raw.ok()) {
+        status_ = raw.status();
+      } else if (!kWireEnumMax<T> ||
+                 static_cast<Unsigned>(*raw) >
+                     static_cast<Unsigned>(*kWireEnumMax<T>)) {
+        status_ = Status(ErrorCode::kProtocolError,
+                         "enum value " + std::to_string(*raw) +
+                             " out of range");
+      } else {
+        field = static_cast<T>(*raw);
+      }
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      Assign(field, ReadFixed<T>());
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      Assign(field, ReadString());
+    } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
+      Assign(field, ReadByteVector());
+    } else if constexpr (std::is_same_v<T, std::span<const std::uint8_t>>) {
+      Assign(field, ReadByteView());
+    } else if constexpr (wire_detail::kIsVector<T>) {
+      // Every element takes at least one byte, so a count above the bytes
+      // remaining is a lie; it is refused before anything is allocated.
+      auto count = ReadU32();
+      if (!count.ok()) {
+        status_ = count.status();
+      } else if (*count > remaining()) {
+        status_ = Truncated("vector");
+      } else {
+        field.clear();
+        for (std::uint32_t i = 0; i < *count && status_.ok(); ++i) {
+          Read(field.emplace_back());
+        }
+      }
+    } else if constexpr (std::is_array_v<T>) {
+      for (auto& item : field) Read(item);
+    } else {
+      field.Fields(*this);
+    }
+  }
+
+  template <typename T>
+  void Assign(T& field, Expected<T> value) {
+    if (value.ok()) {
+      field = *std::move(value);
+    } else {
+      status_ = value.status();
+    }
+  }
+
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
+  Status status_;
 };
 
 }  // namespace haocl

@@ -12,6 +12,7 @@
 
 namespace haocl::host {
 
+using net::CheckReply;
 using net::Message;
 using net::MsgType;
 
@@ -102,19 +103,24 @@ Expected<std::unique_ptr<ClusterRuntime>> ClusterRuntime::Connect(
     hello.host_name = runtime->options_.host_name;
     auto reply = runtime->nodes_[i]->Call(MsgType::kHelloRequest,
                                           runtime->options_.session_id,
-                                          hello.Encode(),
+                                          net::Encode(hello),
                                           runtime->options_.rpc_timeout);
     if (!reply.ok()) {
       return Status(ErrorCode::kNodeUnreachable,
                     "handshake with node " + std::to_string(i) +
                         " failed: " + reply.status().message());
     }
-    if (reply->type != MsgType::kHelloReply) {
-      return Status(ErrorCode::kProtocolError,
-                    "unexpected handshake reply type");
-    }
-    auto decoded = net::HelloReply::Decode(reply->payload);
+    // A node refusing the hello (say, for its version) sends a status.
+    HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kHelloReply));
+    auto decoded = net::Decode<net::HelloReply>(reply->payload);
     if (!decoded.ok()) return decoded.status();
+    if (decoded->protocol_version != net::kProtocolVersion) {
+      return Status(ErrorCode::kProtocolError,
+                    "node " + std::to_string(i) + " speaks protocol version " +
+                        std::to_string(decoded->protocol_version) +
+                        ", host speaks " +
+                        std::to_string(net::kProtocolVersion));
+    }
     DeviceInfo info;
     info.name = decoded->node_name;
     info.type = decoded->device_type;
@@ -156,7 +162,7 @@ Expected<std::unique_ptr<ClusterRuntime>> ClusterRuntime::Connect(
   for (std::size_t i = 0; i < runtime->nodes_.size(); ++i) {
     auto configured = runtime->nodes_[i]->Call(
         MsgType::kConfigureSession, runtime->options_.session_id,
-        tenant.Encode(), runtime->options_.rpc_timeout);
+        net::Encode(tenant), runtime->options_.rpc_timeout);
     if (!configured.ok()) {
       return Status(ErrorCode::kNodeUnreachable,
                     "tenant registration with node " + std::to_string(i) +
@@ -166,7 +172,7 @@ Expected<std::unique_ptr<ClusterRuntime>> ClusterRuntime::Connect(
                                          runtime->options_.session_id, {},
                                          runtime->options_.rpc_timeout);
     if (!load.ok() || load->type != MsgType::kLoadReply) continue;
-    auto decoded = net::LoadReply::Decode(load->payload);
+    auto decoded = net::Decode<net::LoadReply>(load->payload);
     if (!decoded.ok()) continue;
     for (const net::WireKernelRate& rate : decoded->kernel_rates) {
       runtime->rate_table_->Seed(i, rate.kernel, rate.seconds_per_flop,
@@ -194,29 +200,6 @@ std::vector<std::size_t> ClusterRuntime::DevicesOfType(NodeType type) const {
     if (devices_[i].type == type) out.push_back(i);
   }
   return out;
-}
-
-Status ClusterRuntime::CheckReply(const Expected<Message>& reply,
-                                  MsgType expected_type) const {
-  if (!reply.ok()) return reply.status();
-  if (reply->type == MsgType::kStatusReply) {
-    auto status = net::StatusReply::Decode(reply->payload);
-    if (!status.ok()) return status.status();
-    if (expected_type == MsgType::kStatusReply) return status->ToStatus();
-    // Status where data was expected: it must be an error report.
-    Status s = status->ToStatus();
-    if (s.ok()) {
-      return Status(ErrorCode::kProtocolError,
-                    "node sent OK status where data was expected");
-    }
-    return s;
-  }
-  if (reply->type != expected_type) {
-    return Status(ErrorCode::kProtocolError,
-                  std::string("unexpected reply type ") +
-                      net::MsgTypeName(reply->type));
-  }
-  return Status::Ok();
 }
 
 Expected<Message> ClusterRuntime::CallNode(std::size_t node, MsgType type,
@@ -620,7 +603,7 @@ Status ClusterRuntime::EnsureHostRangeLocked(BufferId id,
         request.offset = run_begin;
         request.size = run_end - run_begin;
         auto reply = CallNode(source, MsgType::kReadBuffer,
-                              request.Encode());
+                              net::Encode(request));
         HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kReadReply));
         if (reply->payload.size() != request.size) {
           return Status(ErrorCode::kProtocolError, "short slice read");
@@ -644,7 +627,7 @@ Status ClusterRuntime::PeerTransferLocked(BufferId id, std::size_t src,
     request.offset = begin;
     request.size = end - begin;
     request.source_node = static_cast<std::uint32_t>(src);
-    auto reply = CallNode(dst, MsgType::kPullSlice, request.Encode());
+    auto reply = CallNode(dst, MsgType::kPullSlice, net::Encode(request));
     return CheckReply(reply, MsgType::kStatusReply);
   }
   net::PushSliceRequest request;
@@ -652,7 +635,7 @@ Status ClusterRuntime::PeerTransferLocked(BufferId id, std::size_t src,
   request.offset = begin;
   request.size = end - begin;
   request.target_node = static_cast<std::uint32_t>(dst);
-  auto reply = CallNode(src, MsgType::kPushSlice, request.Encode());
+  auto reply = CallNode(src, MsgType::kPushSlice, net::Encode(request));
   return CheckReply(reply, MsgType::kStatusReply);
 }
 
@@ -672,7 +655,7 @@ Status ClusterRuntime::EnsureRangeOnNodeLocked(BufferId id,
     net::CreateBufferRequest create;
     create.buffer_id = id;
     create.size = buffer.size;
-    auto reply = CallNode(node, MsgType::kCreateBuffer, create.Encode());
+    auto reply = CallNode(node, MsgType::kCreateBuffer, net::Encode(create));
     HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kStatusReply));
     buffer.allocated_on[node] = true;
   }
@@ -692,7 +675,7 @@ Status ClusterRuntime::EnsureRangeOnNodeLocked(BufferId id,
     request.buffer_id = id;
     request.offset = run_begin;
     request.data = std::span(buffer.shadow).subspan(run_begin, len);
-    auto reply = CallNode(node, MsgType::kWriteBuffer, request.Encode(),
+    auto reply = CallNode(node, MsgType::kWriteBuffer, net::Encode(request),
                           request.data);
     HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kStatusReply));
     AccountTransfer(buffer, &TransferStats::host_bytes_out, len);
@@ -821,7 +804,7 @@ Status ClusterRuntime::SpillSoleRangesToHostLocked(BufferId id,
     request.buffer_id = id;
     request.offset = run_begin;
     request.size = run_end - run_begin;
-    auto reply = CallNode(node, MsgType::kReadBuffer, request.Encode());
+    auto reply = CallNode(node, MsgType::kReadBuffer, net::Encode(request));
     HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kReadReply));
     if (reply->payload.size() != request.size) {
       return Status(ErrorCode::kProtocolError, "short spill read");
@@ -863,7 +846,7 @@ void ClusterRuntime::NotifyMemory(
   for (const runtime::MemoryPool::Span& span : spans) {
     notice.regions.push_back({span.begin, span.end - span.begin});
   }
-  auto reply = CallNode(node, MsgType::kMemoryNotice, notice.Encode());
+  auto reply = CallNode(node, MsgType::kMemoryNotice, net::Encode(notice));
   Status status = CheckReply(reply, MsgType::kStatusReply);
   if (!status.ok()) {
     HAOCL_WARN << "memory notice for buffer " << id << " on node " << node
@@ -1008,7 +991,8 @@ Status ClusterRuntime::ReleaseBuffer(BufferId id) {
           if (!buffer->allocated_on[i]) continue;
           net::ReleaseBufferRequest request;
           request.buffer_id = id;
-          auto reply = CallNode(i, MsgType::kReleaseBuffer, request.Encode());
+          auto reply =
+              CallNode(i, MsgType::kReleaseBuffer, net::Encode(request));
           Status status = CheckReply(reply, MsgType::kStatusReply);
           if (!status.ok()) {
             HAOCL_WARN << "release of buffer " << id << " on node " << i
@@ -1097,7 +1081,7 @@ Status ClusterRuntime::ReleaseProgram(ProgramId id) {
           net::ReleaseProgramRequest request;
           request.program_id = id;
           auto reply = CallNode(i, MsgType::kReleaseProgram,
-                                request.Encode());
+                                net::Encode(request));
           Status status = CheckReply(reply, MsgType::kStatusReply);
           if (!status.ok()) {
             HAOCL_WARN << "release of program " << id << " on node " << i
@@ -1119,9 +1103,9 @@ Status ClusterRuntime::EnsureProgramOnNode(ProgramId id,
   net::BuildProgramRequest request;
   request.program_id = id;
   request.source = program.source;
-  auto reply = CallNode(node, MsgType::kBuildProgram, request.Encode());
+  auto reply = CallNode(node, MsgType::kBuildProgram, net::Encode(request));
   HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kBuildReply));
-  auto decoded = net::BuildProgramReply::Decode(reply->payload);
+  auto decoded = net::Decode<net::BuildProgramReply>(reply->payload);
   if (!decoded.ok()) return decoded.status();
   if (decoded->status_code != 0) {
     return Status(static_cast<ErrorCode>(decoded->status_code),
@@ -1962,9 +1946,9 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
   }
 
   // ---- Execute (overlapped RPC: only this command's worker blocks) -------
-  auto reply = CallNode(node, MsgType::kLaunchKernel, request.Encode());
+  auto reply = CallNode(node, MsgType::kLaunchKernel, net::Encode(request));
   HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kLaunchReply));
-  auto decoded = net::LaunchKernelReply::Decode(reply->payload);
+  auto decoded = net::Decode<net::LaunchKernelReply>(reply->payload);
   if (!decoded.ok()) return decoded.status();
   // Cache the broker snapshot piggybacked on every launch reply (also on
   // failed/backpressured ones — a rejection is exactly when the view of
@@ -2177,7 +2161,7 @@ Status ClusterRuntime::ExecMigrate(BufferId id, const BufferPtr& buffer,
           create.buffer_id = id;
           create.size = buffer->size;
           auto reply = CallNode(node, MsgType::kCreateBuffer,
-                                create.Encode());
+                                net::Encode(create));
           HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kStatusReply));
           buffer->allocated_on[node] = true;
         }
@@ -2444,7 +2428,7 @@ Expected<sched::ClusterView> ClusterRuntime::QueryClusterView() {
             ? Status(ErrorCode::kNetworkError, "load query timeout")
             : CheckReply(*reply, MsgType::kLoadReply);
     if (status.ok()) {
-      auto load = net::LoadReply::Decode((*reply)->payload);
+      auto load = net::Decode<net::LoadReply>((*reply)->payload);
       if (load.ok()) {
         // Fold the broker's shared rates in first (only seeds kernels this
         // session has no local samples for) so the view below reflects
@@ -2480,7 +2464,7 @@ Expected<net::BrokerStatsReply> ClusterRuntime::QueryBrokerStats(
   }
   auto reply = CallNode(node, MsgType::kQueryBroker, {});
   HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kBrokerReply));
-  return net::BrokerStatsReply::Decode(reply->payload);
+  return net::Decode<net::BrokerStatsReply>(reply->payload);
 }
 
 double ClusterRuntime::SchedulerBacklogSeconds(std::size_t node) const {
@@ -2641,7 +2625,7 @@ Status ClusterRuntime::ProbeNode(std::size_t node) {
   // command queue, so a node busy with a long kernel still answers.
   auto reply = CallNode(node, MsgType::kHeartbeat, {});
   HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kStatusReply));
-  auto decoded = net::StatusReply::Decode(reply->payload);
+  auto decoded = net::Decode<net::StatusReply>(reply->payload);
   if (!decoded.ok()) return decoded.status();
   return decoded->ToStatus();
 }

@@ -589,8 +589,6 @@ class ClusterRuntime {
   Expected<net::Message> CallNode(std::size_t node, net::MsgType type,
                                   std::vector<std::uint8_t> payload,
                                   std::span<const std::uint8_t> tail = {});
-  Status CheckReply(const Expected<net::Message>& reply,
-                    net::MsgType expected_type) const;
 
   // Command bodies (run on graph workers). *Locked variants require the
   // buffer's own mutex held.

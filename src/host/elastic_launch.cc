@@ -93,7 +93,7 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
     // Best-effort: a failed revoke only risks wasted duplicate work on a
     // node we may be about to declare dead anyway.
     (void)runtime_->CallNode(node, net::MsgType::kRevokeChunk,
-                             request.Encode());
+                             net::Encode(request));
   }
 
   Status Probe(std::size_t node) override {

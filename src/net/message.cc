@@ -106,7 +106,6 @@ const char* MsgTypeName(MsgType type) noexcept {
     case MsgType::kShutdown: return "Shutdown";
     case MsgType::kConfigureSession: return "ConfigureSession";
     case MsgType::kStatusReply: return "StatusReply";
-    case MsgType::kHelloReplyData: return "HelloReplyData";
     case MsgType::kReadReply: return "ReadReply";
     case MsgType::kBuildReply: return "BuildReply";
     case MsgType::kLaunchReply: return "LaunchReply";

@@ -64,7 +64,6 @@ enum class MsgType : std::uint16_t {
   kConfigureSession = 43,
   // Replies.
   kStatusReply = 100,  // status only
-  kHelloReplyData = 101,
   kReadReply = 102,    // status + bytes
   kBuildReply = 103,   // status + build log + kernel names
   kLaunchReply = 104,  // status + modeled timing

@@ -1,30 +1,47 @@
-// Typed request/reply payloads of the host <-> NMP protocol, with wire
-// codecs. One struct per message type keeps the NMP's dispatch readable and
-// gives the fuzz/failure tests a precise surface.
+// Typed request/reply payloads of the host <-> NMP protocol. One struct per
+// message type keeps the NMP's dispatch readable and gives the fuzz/failure
+// tests a precise surface. Each struct names its MsgType and lists its
+// fields once, in wire order, in Fields(ar); the generic Encode()/Decode()
+// below walk that list (docs/wire_protocol.md).
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/config.h"
 #include "common/status.h"
 #include "common/wire.h"
+#include "net/message.h"
 #include "oclc/vm.h"
 
 namespace haocl::net {
 
+// Sent by both ends in the handshake; each refuses a peer speaking another
+// version. The bytes of every message are pinned by golden rows
+// (tests/net/protocol_fuzz_test.cc): changing one bumps this.
+inline constexpr std::uint32_t kProtocolVersion = 1;
+
+// True for a message whose decoded form views the payload bytes (a span
+// field), so it must not be decoded from a temporary.
+template <class T>
+inline constexpr bool kViewsPayload = false;
+
 // ---------------------------------------------------------------- Handshake
 
 struct HelloRequest {
+  static constexpr MsgType kType = MsgType::kHelloRequest;
   std::string host_name;
-  std::uint32_t protocol_version = 1;
+  std::uint32_t protocol_version = kProtocolVersion;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<HelloRequest> Decode(const std::vector<std::uint8_t>& bytes);
+  template <class Ar>
+  void Fields(Ar& ar) { ar(host_name, protocol_version); }
 };
 
 struct HelloReply {
+  static constexpr MsgType kType = MsgType::kHelloReply;
   std::string node_name;
   NodeType device_type = NodeType::kCpu;
   std::string device_model;
@@ -36,21 +53,24 @@ struct HelloReply {
   // Native SIMD/SIMT width in 32-bit lanes (1 = scalar); schedulers prefer
   // vector-width-multiple partition sizes.
   std::uint32_t simd_width = 1;
-  std::uint32_t protocol_version = 1;
+  std::uint32_t protocol_version = kProtocolVersion;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<HelloReply> Decode(const std::vector<std::uint8_t>& bytes);
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar(node_name, device_type, device_model, compute_gflops,
+       mem_bandwidth_gbps, mem_capacity_bytes, simd_width, protocol_version);
+  }
 };
 
 // ------------------------------------------------------------------ Buffers
 
 struct CreateBufferRequest {
+  static constexpr MsgType kType = MsgType::kCreateBuffer;
   std::uint64_t buffer_id = 0;
   std::uint64_t size = 0;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<CreateBufferRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  template <class Ar>
+  void Fields(Ar& ar) { ar(buffer_id, size); }
 };
 
 // Bulk payload: `data` is a non-owning view. Encode() writes only the
@@ -60,46 +80,47 @@ struct CreateBufferRequest {
 // while `bytes` lives; the length prefix must cover exactly the bytes that
 // follow it.
 struct WriteBufferRequest {
+  static constexpr MsgType kType = MsgType::kWriteBuffer;
   std::uint64_t buffer_id = 0;
   std::uint64_t offset = 0;
   std::span<const std::uint8_t> data;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<WriteBufferRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
-  // A view into a temporary would dangle.
-  static Expected<WriteBufferRequest> Decode(
-      std::vector<std::uint8_t>&& bytes) = delete;
+  template <class Ar>
+  void Fields(Ar& ar) { ar(buffer_id, offset, data); }
 };
+template <>
+inline constexpr bool kViewsPayload<WriteBufferRequest> = true;
 
 struct ReadBufferRequest {
+  static constexpr MsgType kType = MsgType::kReadBuffer;
   std::uint64_t buffer_id = 0;
   std::uint64_t offset = 0;
   std::uint64_t size = 0;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<ReadBufferRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  template <class Ar>
+  void Fields(Ar& ar) { ar(buffer_id, offset, size); }
 };
 
 struct ReleaseBufferRequest {
+  static constexpr MsgType kType = MsgType::kReleaseBuffer;
   std::uint64_t buffer_id = 0;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<ReleaseBufferRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  template <class Ar>
+  void Fields(Ar& ar) { ar(buffer_id); }
 };
 
 struct CopyBufferRequest {
+  static constexpr MsgType kType = MsgType::kCopyBuffer;
   std::uint64_t src_buffer_id = 0;
   std::uint64_t dst_buffer_id = 0;
   std::uint64_t src_offset = 0;
   std::uint64_t dst_offset = 0;
   std::uint64_t size = 0;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<CopyBufferRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar(src_buffer_id, dst_buffer_id, src_offset, dst_offset, size);
+  }
 };
 
 // ------------------------------------------------- Node-to-node exchange
@@ -109,28 +130,28 @@ struct CopyBufferRequest {
 // a node without a link to the peer replies kPeerUnreachable and the host
 // falls back to relaying the bytes itself.
 struct PullSliceRequest {
+  static constexpr MsgType kType = MsgType::kPullSlice;
   std::uint64_t buffer_id = 0;
   std::uint64_t offset = 0;
   std::uint64_t size = 0;
   std::uint32_t source_node = 0;  // Host-assigned peer index.
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<PullSliceRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  template <class Ar>
+  void Fields(Ar& ar) { ar(buffer_id, offset, size, source_node); }
 };
 
 // Host -> node: send [offset, offset+size) of the local replica of
 // `buffer_id` to peer node `target_node` (which must already hold an
 // allocation of the buffer). Mirror image of PullSliceRequest.
 struct PushSliceRequest {
+  static constexpr MsgType kType = MsgType::kPushSlice;
   std::uint64_t buffer_id = 0;
   std::uint64_t offset = 0;
   std::uint64_t size = 0;
   std::uint32_t target_node = 0;  // Host-assigned peer index.
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<PushSliceRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  template <class Ar>
+  void Fields(Ar& ar) { ar(buffer_id, offset, size, target_node); }
 };
 
 // ------------------------------------------------------------ Memory notices
@@ -139,6 +160,9 @@ struct PushSliceRequest {
 struct MemoryRegion {
   std::uint64_t offset = 0;
   std::uint64_t size = 0;
+
+  template <class Ar>
+  void Fields(Ar& ar) { ar(offset, size); }
 };
 
 // Host -> node: align the node's memory-pool ledger with the host's
@@ -148,42 +172,42 @@ struct MemoryRegion {
 // already demoted ownership in the region directory, spilling any sole
 // copy to its shadow first).
 struct MemoryNoticeRequest {
+  static constexpr MsgType kType = MsgType::kMemoryNotice;
   std::uint64_t buffer_id = 0;
   bool reserve = false;
   std::vector<MemoryRegion> regions;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<MemoryNoticeRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  template <class Ar>
+  void Fields(Ar& ar) { ar(buffer_id, reserve, regions); }
 };
 
 // ----------------------------------------------------------------- Programs
 
 struct BuildProgramRequest {
+  static constexpr MsgType kType = MsgType::kBuildProgram;
   std::uint64_t program_id = 0;
   std::string source;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<BuildProgramRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  template <class Ar>
+  void Fields(Ar& ar) { ar(program_id, source); }
 };
 
 struct BuildProgramReply {
+  static constexpr MsgType kType = MsgType::kBuildReply;
   std::int32_t status_code = 0;  // ErrorCode as int.
   std::string build_log;
   std::vector<std::string> kernel_names;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<BuildProgramReply> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  template <class Ar>
+  void Fields(Ar& ar) { ar(status_code, build_log, kernel_names); }
 };
 
 struct ReleaseProgramRequest {
+  static constexpr MsgType kType = MsgType::kReleaseProgram;
   std::uint64_t program_id = 0;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<ReleaseProgramRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  template <class Ar>
+  void Fields(Ar& ar) { ar(program_id); }
 };
 
 // ------------------------------------------------------------------ Kernels
@@ -202,9 +226,20 @@ struct WireKernelArg {
   // the same range the host charges in its per-node ledger.
   std::uint64_t written_begin = 0;            // kBuffer
   std::uint64_t written_end = 0;              // kBuffer
+
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar(kind);
+    switch (kind) {
+      case Kind::kBuffer: ar(buffer_id, written_begin, written_end); break;
+      case Kind::kScalar: ar(scalar_bytes); break;
+      case Kind::kLocalSize: ar(local_size); break;
+    }
+  }
 };
 
 struct LaunchKernelRequest {
+  static constexpr MsgType kType = MsgType::kLaunchKernel;
   std::uint64_t program_id = 0;
   std::string kernel_name;
   std::vector<WireKernelArg> args;
@@ -234,12 +269,19 @@ struct LaunchKernelRequest {
   std::uint64_t elastic_launch_id = 0;
   std::uint64_t elastic_chunk_id = 0;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<LaunchKernelRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar(program_id, kernel_name, args, work_dim, global, local, global_offset,
+       local_specified, has_cost_hint);
+    if (has_cost_hint) {
+      ar(hint_flops, hint_bytes, hint_work_items, hint_irregular);
+    }
+    ar(elastic_launch_id, elastic_chunk_id);
+  }
 };
 
 struct LaunchKernelReply {
+  static constexpr MsgType kType = MsgType::kLaunchReply;
   std::int32_t status_code = 0;
   std::string error_message;
   double modeled_seconds = 0.0;   // Device-model execution time.
@@ -252,9 +294,11 @@ struct LaunchKernelReply {
   double node_backlog_seconds = 0.0;  // Admitted-but-unfinished, all tenants.
   double active_weight = 0.0;         // Σ weights of backlogged tenants.
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<LaunchKernelReply> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar(status_code, error_message, modeled_seconds, modeled_joules, flops,
+       bytes_accessed, node_backlog_seconds, active_weight);
+  }
 };
 
 // Host -> node: the steal coordinator re-targeted these chunks of an
@@ -263,12 +307,12 @@ struct LaunchKernelReply {
 // requests are already queued; it skips each with kChunkRevoked. The NMP
 // answers this on its receive path, ahead of queued data-plane work.
 struct RevokeChunkRequest {
+  static constexpr MsgType kType = MsgType::kRevokeChunk;
   std::uint64_t launch_id = 0;
   std::vector<std::uint64_t> chunk_ids;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<RevokeChunkRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  template <class Ar>
+  void Fields(Ar& ar) { ar(launch_id, chunk_ids); }
 };
 
 // --------------------------------------------------------------- Monitoring
@@ -281,9 +325,13 @@ struct WireKernelRate {
   std::string kernel;
   double seconds_per_flop = 0.0;
   std::uint64_t samples = 0;
+
+  template <class Ar>
+  void Fields(Ar& ar) { ar(kernel, seconds_per_flop, samples); }
 };
 
 struct LoadReply {
+  static constexpr MsgType kType = MsgType::kLoadReply;
   std::uint32_t queue_depth = 0;       // Commands waiting on the node.
   std::uint64_t buffers_held = 0;
   std::uint64_t bytes_allocated = 0;
@@ -301,8 +349,13 @@ struct LoadReply {
   double active_weight = 0.0;              // Σ weights, backlogged tenants.
   std::vector<WireKernelRate> kernel_rates;  // Shared observed rates.
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<LoadReply> Decode(const std::vector<std::uint8_t>& bytes);
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar(queue_depth, buffers_held, bytes_allocated, bytes_resident,
+       mem_capacity_bytes, busy_seconds_total, kernels_executed,
+       node_resident_bytes, node_backlog_seconds, tenant_backlog_seconds,
+       active_weight, kernel_rates);
+  }
 };
 
 // ------------------------------------------------------------ Multi-tenancy
@@ -311,13 +364,13 @@ struct LoadReply {
 // the node broker with its fair-share weight and memory quota. A session
 // that never configures runs with weight 1 and no quota.
 struct ConfigureSessionRequest {
+  static constexpr MsgType kType = MsgType::kConfigureSession;
   std::string tenant_name;
   double weight = 1.0;
   std::uint64_t mem_quota_bytes = 0;  // 0 = no per-tenant cap.
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<ConfigureSessionRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  template <class Ar>
+  void Fields(Ar& ar) { ar(tenant_name, weight, mem_quota_bytes); }
 };
 
 // One tenant's serving stats in a BrokerStatsReply.
@@ -332,11 +385,19 @@ struct BrokerTenantEntry {
   std::uint64_t launches_admitted = 0;
   std::uint64_t launches_rejected = 0;
   std::uint64_t kernels_completed = 0;
+
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar(session, name, weight, mem_quota_bytes, resident_bytes,
+       backlog_seconds, served_seconds, launches_admitted, launches_rejected,
+       kernels_completed);
+  }
 };
 
 // Reply to kQueryBroker: the node's shared ledger, admission state,
 // per-tenant serving stats, and the shared kernel-rate table.
 struct BrokerStatsReply {
+  static constexpr MsgType kType = MsgType::kBrokerReply;
   std::uint64_t mem_capacity_bytes = 0;
   std::uint64_t resident_bytes = 0;    // All sessions.
   double backlog_seconds = 0.0;        // All tenants.
@@ -345,20 +406,20 @@ struct BrokerStatsReply {
   std::vector<BrokerTenantEntry> tenants;
   std::vector<WireKernelRate> kernel_rates;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<BrokerStatsReply> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar(mem_capacity_bytes, resident_bytes, backlog_seconds, active_weight,
+       max_backlog_seconds, tenants, kernel_rates);
+  }
 };
 
 // ------------------------------------------------------------ Status replies
 
 // Generic status reply used by buffer/session commands.
 struct StatusReply {
+  static constexpr MsgType kType = MsgType::kStatusReply;
   std::int32_t status_code = 0;
   std::string message;
-
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<StatusReply> Decode(const std::vector<std::uint8_t>& bytes);
 
   static StatusReply FromStatus(const Status& status) {
     return StatusReply{static_cast<std::int32_t>(status.code()),
@@ -367,6 +428,62 @@ struct StatusReply {
   [[nodiscard]] Status ToStatus() const {
     return Status(static_cast<ErrorCode>(status_code), message);
   }
+
+  template <class Ar>
+  void Fields(Ar& ar) { ar(status_code, message); }
 };
 
+// ------------------------------------------------------------------- Codec
+
+// The message's fields in wire order. A span field contributes only its
+// length prefix: the sender passes the bytes as the Message::tail.
+template <class T>
+[[nodiscard]] std::vector<std::uint8_t> Encode(const T& message) {
+  WireWriter writer(64);  // Holds any fixed-size message without regrowing.
+  writer(message);
+  return std::move(writer).Take();
+}
+
+// Decodes a whole payload. A truncated field, an enum above its max, an
+// element count larger than the bytes remaining and trailing bytes are all
+// kProtocolError. A span field is a view into `bytes`.
+template <class T>
+Expected<T> Decode(const std::vector<std::uint8_t>& bytes) {
+  WireReader reader(bytes);
+  T message;
+  reader(message);
+  Status status = reader.status();
+  if (status.ok() && !reader.AtEnd()) {
+    status = Status(ErrorCode::kProtocolError,
+                    std::to_string(reader.remaining()) + " trailing bytes");
+  }
+  if (!status.ok()) {
+    return Status(ErrorCode::kProtocolError,
+                  std::string("malformed ") + MsgTypeName(T::kType) +
+                      " payload: " + status.message());
+  }
+  return message;
+}
+
+// A view into a temporary would dangle.
+template <class T>
+  requires kViewsPayload<T>
+Expected<T> Decode(std::vector<std::uint8_t>&& bytes) = delete;
+
+// Checks an RPC reply: transport errors pass through, a StatusReply yields
+// its status (an OK one where `expected_type` data was due is a protocol
+// error), and any type other than `expected_type` is a protocol error.
+Status CheckReply(const Expected<Message>& reply, MsgType expected_type);
+
 }  // namespace haocl::net
+
+// The enums the messages above carry.
+namespace haocl {
+template <>
+inline constexpr std::optional<NodeType> kWireEnumMax<NodeType> =
+    NodeType::kFpga;
+template <>
+inline constexpr std::optional<net::WireKernelArg::Kind>
+    kWireEnumMax<net::WireKernelArg::Kind> =
+        net::WireKernelArg::Kind::kLocalSize;
+}  // namespace haocl

@@ -10,6 +10,36 @@ namespace haocl::nmp {
 using net::Message;
 using net::MsgType;
 
+namespace {
+
+// The request type a one-argument handler lambda takes.
+template <class Handler>
+struct RequestOf : RequestOf<decltype(&Handler::operator())> {};
+template <class Lambda, class Request>
+struct RequestOf<void (Lambda::*)(const Request&) const> {
+  using type = Request;
+};
+
+// The node's one decode: parses the request payload as the type `handle`
+// takes and runs `handle` on it, or answers a malformed payload with its
+// kProtocolError status.
+template <class Handler>
+void DecodeAndHandle(const std::string& node, const Message& request,
+                     Message& reply, Handler handle) {
+  auto decoded =
+      net::Decode<typename RequestOf<Handler>::type>(request.payload);
+  if (!decoded.ok()) {
+    HAOCL_WARN << "NMP " << node << ": " << decoded.status().ToString();
+    reply.type = MsgType::kStatusReply;
+    reply.payload =
+        net::Encode(net::StatusReply::FromStatus(decoded.status()));
+    return;
+  }
+  handle(*decoded);
+}
+
+}  // namespace
+
 // One served connection: its queue and worker thread.
 struct NodeServer::Channel {
   net::ConnectionPtr connection;
@@ -127,27 +157,25 @@ Message NodeServer::HandleControlMessage(const Message& request) {
   switch (request.type) {
     case MsgType::kHeartbeat: {
       // Liveness only: answering at all is the signal.
-      reply.payload = net::StatusReply::FromStatus(Status::Ok()).Encode();
+      reply.payload = net::Encode(net::StatusReply::FromStatus(Status::Ok()));
       break;
     }
     case MsgType::kRevokeChunk: {
-      auto decoded = net::RevokeChunkRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        reply.payload = net::StatusReply::FromStatus(decoded.status()).Encode();
-        break;
-      }
-      SessionFor(request.session)
-          .RevokeChunks(decoded->launch_id, decoded->chunk_ids);
-      reply.payload = net::StatusReply::FromStatus(Status::Ok()).Encode();
+      DecodeAndHandle(
+          name_, request, reply,
+          [&](const net::RevokeChunkRequest& decoded) {
+            SessionFor(request.session)
+                .RevokeChunks(decoded.launch_id, decoded.chunk_ids);
+            reply.payload =
+                net::Encode(net::StatusReply::FromStatus(Status::Ok()));
+          });
       break;
     }
     default: {
-      reply.payload =
-          net::StatusReply::FromStatus(
-              Status(ErrorCode::kProtocolError,
-                     std::string("not a control message: ") +
-                         net::MsgTypeName(request.type)))
-              .Encode();
+      reply.payload = net::Encode(net::StatusReply::FromStatus(
+          Status(ErrorCode::kProtocolError,
+                 std::string("not a control message: ") +
+                     net::MsgTypeName(request.type))));
       break;
     }
   }
@@ -160,237 +188,186 @@ Message NodeServer::HandleMessage(const Message& request) {
 
   auto status_reply = [&reply](const Status& status) {
     reply.type = MsgType::kStatusReply;
-    reply.payload = net::StatusReply::FromStatus(status).Encode();
+    reply.payload = net::Encode(net::StatusReply::FromStatus(status));
   };
   auto protocol_error = [&](const Status& status) {
     HAOCL_WARN << "NMP " << name_ << ": " << status.ToString();
     status_reply(status);
   };
+  auto on = [&](auto handle) {
+    DecodeAndHandle(name_, request, reply, handle);
+  };
 
   runtime::DeviceSession& session = SessionFor(request.session);
 
   switch (request.type) {
-    case MsgType::kHelloRequest: {
-      auto decoded = net::HelloRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
-      }
-      net::HelloReply hello;
-      hello.node_name = name_;
-      hello.device_type = type_;
-      hello.device_model = driver_->spec().model_name;
-      hello.compute_gflops = driver_->spec().compute_gflops;
-      hello.mem_bandwidth_gbps = driver_->spec().mem_bandwidth_gbps;
-      hello.mem_capacity_bytes = driver_->spec().mem_capacity_bytes;
-      hello.simd_width = driver_->spec().simd_width > 0
-                             ? static_cast<std::uint32_t>(
-                                   driver_->spec().simd_width)
-                             : 1;
-      reply.type = MsgType::kHelloReply;
-      reply.payload = hello.Encode();
-      break;
-    }
-    case MsgType::kCreateBuffer: {
-      auto decoded = net::CreateBufferRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
-      }
-      status_reply(session.CreateBuffer(decoded->buffer_id, decoded->size));
-      break;
-    }
-    case MsgType::kWriteBuffer: {
-      auto decoded = net::WriteBufferRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
-      }
-      status_reply(session.WriteBuffer(decoded->buffer_id, decoded->offset,
-                                       decoded->data));
-      break;
-    }
-    case MsgType::kReadBuffer: {
-      auto decoded = net::ReadBufferRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
-      }
-      auto data = session.ReadBuffer(decoded->buffer_id, decoded->offset,
-                                     decoded->size);
-      if (!data.ok()) {
-        status_reply(data.status());
-        break;
-      }
-      reply.type = MsgType::kReadReply;
-      reply.payload = *std::move(data);
-      break;
-    }
-    case MsgType::kCopyBuffer: {
-      auto decoded = net::CopyBufferRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
-      }
-      status_reply(session.CopyBuffer(*decoded));
-      break;
-    }
-    case MsgType::kPullSlice: {
-      auto decoded = net::PullSliceRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
-      }
-      // The fetch reuses the ordinary ReadBuffer protocol against the peer,
-      // carrying the requesting session id so the peer resolves the same
-      // logical buffer namespace.
-      const std::uint64_t session_id = request.session;
-      auto fetch = [this, session_id](
-                       std::uint32_t peer, std::uint64_t buffer_id,
-                       std::uint64_t offset, std::uint64_t size)
-          -> Expected<std::vector<std::uint8_t>> {
-        net::RpcClient* client = PeerClient(peer);
-        if (client == nullptr) {
-          return Status(ErrorCode::kPeerUnreachable,
-                        name_ + " has no link to peer node " +
-                            std::to_string(peer));
+    case MsgType::kHelloRequest:
+      on([&](const net::HelloRequest& decoded) {
+        if (decoded.protocol_version != net::kProtocolVersion) {
+          protocol_error(Status(
+              ErrorCode::kProtocolError,
+              "host speaks protocol version " +
+                  std::to_string(decoded.protocol_version) + ", node " +
+                  name_ + " speaks " +
+                  std::to_string(net::kProtocolVersion)));
+          return;
         }
-        net::ReadBufferRequest read;
-        read.buffer_id = buffer_id;
-        read.offset = offset;
-        read.size = size;
-        auto reply = client->Call(MsgType::kReadBuffer, session_id,
-                                  read.Encode());
-        if (!reply.ok()) return reply.status();
-        if (reply->type == MsgType::kStatusReply) {
-          auto status = net::StatusReply::Decode(reply->payload);
-          if (!status.ok()) return status.status();
-          Status s = status->ToStatus();
-          return s.ok() ? Status(ErrorCode::kProtocolError,
-                                 "peer sent OK status for a slice read")
-                        : s;
+        net::HelloReply hello;
+        hello.node_name = name_;
+        hello.device_type = type_;
+        hello.device_model = driver_->spec().model_name;
+        hello.compute_gflops = driver_->spec().compute_gflops;
+        hello.mem_bandwidth_gbps = driver_->spec().mem_bandwidth_gbps;
+        hello.mem_capacity_bytes = driver_->spec().mem_capacity_bytes;
+        hello.simd_width = driver_->spec().simd_width > 0
+                               ? static_cast<std::uint32_t>(
+                                     driver_->spec().simd_width)
+                               : 1;
+        reply.type = MsgType::kHelloReply;
+        reply.payload = net::Encode(hello);
+      });
+      break;
+    case MsgType::kCreateBuffer:
+      on([&](const net::CreateBufferRequest& decoded) {
+        status_reply(session.CreateBuffer(decoded.buffer_id, decoded.size));
+      });
+      break;
+    case MsgType::kWriteBuffer:
+      on([&](const net::WriteBufferRequest& decoded) {
+        status_reply(session.WriteBuffer(decoded.buffer_id, decoded.offset,
+                                         decoded.data));
+      });
+      break;
+    case MsgType::kReadBuffer:
+      on([&](const net::ReadBufferRequest& decoded) {
+        auto data = session.ReadBuffer(decoded.buffer_id, decoded.offset,
+                                       decoded.size);
+        if (!data.ok()) {
+          status_reply(data.status());
+          return;
         }
-        if (reply->type != MsgType::kReadReply) {
-          return Status(ErrorCode::kProtocolError,
-                        "unexpected peer reply to slice read");
+        reply.type = MsgType::kReadReply;
+        reply.payload = *std::move(data);
+      });
+      break;
+    case MsgType::kCopyBuffer:
+      on([&](const net::CopyBufferRequest& decoded) {
+        status_reply(session.CopyBuffer(decoded));
+      });
+      break;
+    case MsgType::kPullSlice:
+      on([&](const net::PullSliceRequest& decoded) {
+        // The fetch reuses the ordinary ReadBuffer protocol against the
+        // peer, carrying the requesting session id so the peer resolves the
+        // same logical buffer namespace.
+        const std::uint64_t session_id = request.session;
+        auto fetch = [this, session_id](
+                         std::uint32_t peer, std::uint64_t buffer_id,
+                         std::uint64_t offset, std::uint64_t size)
+            -> Expected<std::vector<std::uint8_t>> {
+          net::RpcClient* client = PeerClient(peer);
+          if (client == nullptr) {
+            return Status(ErrorCode::kPeerUnreachable,
+                          name_ + " has no link to peer node " +
+                              std::to_string(peer));
+          }
+          net::ReadBufferRequest read;
+          read.buffer_id = buffer_id;
+          read.offset = offset;
+          read.size = size;
+          auto reply = client->Call(MsgType::kReadBuffer, session_id,
+                                    net::Encode(read));
+          HAOCL_RETURN_IF_ERROR(net::CheckReply(reply, MsgType::kReadReply));
+          return std::move(reply->payload);
+        };
+        status_reply(session.PullSlice(decoded, fetch));
+      });
+      break;
+    case MsgType::kPushSlice:
+      on([&](const net::PushSliceRequest& decoded) {
+        const std::uint64_t session_id = request.session;
+        auto store = [this, session_id](std::uint32_t peer,
+                                        std::uint64_t buffer_id,
+                                        std::uint64_t offset,
+                                        std::vector<std::uint8_t> data) {
+          net::RpcClient* client = PeerClient(peer);
+          if (client == nullptr) {
+            return Status(ErrorCode::kPeerUnreachable,
+                          name_ + " has no link to peer node " +
+                              std::to_string(peer));
+          }
+          // The slice goes out as the frame's borrowed tail: `data`
+          // outlives the synchronous Call.
+          net::WriteBufferRequest write;
+          write.buffer_id = buffer_id;
+          write.offset = offset;
+          write.data = data;
+          auto reply = client->Call(MsgType::kWriteBuffer, session_id,
+                                    net::Encode(write),
+                                    net::RpcClient::kDefaultCallTimeout,
+                                    write.data);
+          return net::CheckReply(reply, MsgType::kStatusReply);
+        };
+        status_reply(session.PushSlice(decoded, store));
+      });
+      break;
+    case MsgType::kMemoryNotice:
+      on([&](const net::MemoryNoticeRequest& decoded) {
+        status_reply(session.MemoryNotice(decoded));
+      });
+      break;
+    case MsgType::kReleaseBuffer:
+      on([&](const net::ReleaseBufferRequest& decoded) {
+        status_reply(session.ReleaseBuffer(decoded.buffer_id));
+      });
+      break;
+    case MsgType::kBuildProgram:
+      on([&](const net::BuildProgramRequest& decoded) {
+        reply.type = MsgType::kBuildReply;
+        reply.payload = net::Encode(
+            session.BuildProgram(decoded.program_id, decoded.source));
+      });
+      break;
+    case MsgType::kReleaseProgram:
+      on([&](const net::ReleaseProgramRequest& decoded) {
+        status_reply(session.ReleaseProgram(decoded.program_id));
+      });
+      break;
+    case MsgType::kLaunchKernel:
+      on([&](const net::LaunchKernelRequest& decoded) {
+        // Every launch passes through the broker gate: admission control
+        // may reject it (kBackpressure travels back as an ordinary launch
+        // reply), and weighted fair queuing decides when an admitted
+        // launch runs relative to other tenants' backlogs.
+        const sim::DeviceSpec& spec = driver_->spec();
+        double predicted_seconds = 0.0;
+        if (decoded.has_cost_hint && spec.compute_gflops > 0.0) {
+          predicted_seconds = static_cast<double>(decoded.hint_flops) /
+                              (spec.compute_gflops * 1e9);
         }
-        return std::move(reply->payload);
-      };
-      status_reply(session.PullSlice(*decoded, fetch));
-      break;
-    }
-    case MsgType::kPushSlice: {
-      auto decoded = net::PushSliceRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
-      }
-      const std::uint64_t session_id = request.session;
-      auto store = [this, session_id](std::uint32_t peer,
-                                      std::uint64_t buffer_id,
-                                      std::uint64_t offset,
-                                      std::vector<std::uint8_t> data) {
-        net::RpcClient* client = PeerClient(peer);
-        if (client == nullptr) {
-          return Status(ErrorCode::kPeerUnreachable,
-                        name_ + " has no link to peer node " +
-                            std::to_string(peer));
+        auto grant = broker_.AcquireLaunchSlot(request.session,
+                                               predicted_seconds);
+        net::LaunchKernelReply launch;
+        if (!grant.ok()) {
+          launch.status_code =
+              static_cast<std::int32_t>(grant.status().code());
+          launch.error_message = grant.status().message();
+        } else {
+          launch = session.LaunchKernel(decoded);
+          const double sample_flops =
+              decoded.has_cost_hint ? static_cast<double>(decoded.hint_flops)
+                                    : static_cast<double>(launch.flops);
+          broker_.CompleteLaunch(request.session, *grant,
+                                 launch.status_code == 0,
+                                 launch.modeled_seconds, decoded.kernel_name,
+                                 sample_flops);
         }
-        // The slice goes out as the frame's borrowed tail: `data` outlives
-        // the synchronous Call.
-        net::WriteBufferRequest write;
-        write.buffer_id = buffer_id;
-        write.offset = offset;
-        write.data = data;
-        auto reply = client->Call(MsgType::kWriteBuffer, session_id,
-                                  write.Encode(),
-                                  net::RpcClient::kDefaultCallTimeout,
-                                  write.data);
-        if (!reply.ok()) return reply.status();
-        auto status = net::StatusReply::Decode(reply->payload);
-        if (!status.ok()) return status.status();
-        return status->ToStatus();
-      };
-      status_reply(session.PushSlice(*decoded, store));
+        launch.node_backlog_seconds = broker_.backlog_seconds();
+        launch.active_weight = broker_.active_weight();
+        reply.type = MsgType::kLaunchReply;
+        reply.payload = net::Encode(launch);
+      });
       break;
-    }
-    case MsgType::kMemoryNotice: {
-      auto decoded = net::MemoryNoticeRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
-      }
-      status_reply(session.MemoryNotice(*decoded));
-      break;
-    }
-    case MsgType::kReleaseBuffer: {
-      auto decoded = net::ReleaseBufferRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
-      }
-      status_reply(session.ReleaseBuffer(decoded->buffer_id));
-      break;
-    }
-    case MsgType::kBuildProgram: {
-      auto decoded = net::BuildProgramRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
-      }
-      reply.type = MsgType::kBuildReply;
-      reply.payload =
-          session.BuildProgram(decoded->program_id, decoded->source).Encode();
-      break;
-    }
-    case MsgType::kReleaseProgram: {
-      auto decoded = net::ReleaseProgramRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
-      }
-      status_reply(session.ReleaseProgram(decoded->program_id));
-      break;
-    }
-    case MsgType::kLaunchKernel: {
-      auto decoded = net::LaunchKernelRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
-      }
-      // Every launch passes through the broker gate: admission control
-      // may reject it (kBackpressure travels back as an ordinary launch
-      // reply), and weighted fair queuing decides when an admitted launch
-      // runs relative to other tenants' backlogs.
-      const sim::DeviceSpec& spec = driver_->spec();
-      double predicted_seconds = 0.0;
-      if (decoded->has_cost_hint && spec.compute_gflops > 0.0) {
-        predicted_seconds = static_cast<double>(decoded->hint_flops) /
-                            (spec.compute_gflops * 1e9);
-      }
-      auto grant = broker_.AcquireLaunchSlot(request.session,
-                                             predicted_seconds);
-      net::LaunchKernelReply launch;
-      if (!grant.ok()) {
-        launch.status_code =
-            static_cast<std::int32_t>(grant.status().code());
-        launch.error_message = grant.status().message();
-      } else {
-        launch = session.LaunchKernel(*decoded);
-        const double sample_flops =
-            decoded->has_cost_hint ? static_cast<double>(decoded->hint_flops)
-                                   : static_cast<double>(launch.flops);
-        broker_.CompleteLaunch(request.session, *grant,
-                               launch.status_code == 0,
-                               launch.modeled_seconds, decoded->kernel_name,
-                               sample_flops);
-      }
-      launch.node_backlog_seconds = broker_.backlog_seconds();
-      launch.active_weight = broker_.active_weight();
-      reply.type = MsgType::kLaunchReply;
-      reply.payload = launch.Encode();
-      break;
-    }
     case MsgType::kQueryLoad: {
       net::LoadReply load = session.Load();
       load.queue_depth = queue_depth_.load(std::memory_order_relaxed);
@@ -404,23 +381,19 @@ Message NodeServer::HandleMessage(const Message& request) {
             {rate.kernel, rate.seconds_per_flop, rate.samples});
       }
       reply.type = MsgType::kLoadReply;
-      reply.payload = load.Encode();
+      reply.payload = net::Encode(load);
       break;
     }
-    case MsgType::kConfigureSession: {
-      auto decoded = net::ConfigureSessionRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
-      }
-      broker::TenantConfig config;
-      config.name = decoded->tenant_name;
-      config.weight = decoded->weight;
-      config.mem_quota_bytes = decoded->mem_quota_bytes;
-      broker_.RegisterTenant(request.session, std::move(config));
-      status_reply(Status::Ok());
+    case MsgType::kConfigureSession:
+      on([&](const net::ConfigureSessionRequest& decoded) {
+        broker::TenantConfig config;
+        config.name = decoded.tenant_name;
+        config.weight = decoded.weight;
+        config.mem_quota_bytes = decoded.mem_quota_bytes;
+        broker_.RegisterTenant(request.session, std::move(config));
+        status_reply(Status::Ok());
+      });
       break;
-    }
     case MsgType::kQueryBroker: {
       net::BrokerStatsReply stats;
       stats.mem_capacity_bytes = broker_.capacity();
@@ -447,7 +420,7 @@ Message NodeServer::HandleMessage(const Message& request) {
             {rate.kernel, rate.seconds_per_flop, rate.samples});
       }
       reply.type = MsgType::kBrokerReply;
-      reply.payload = stats.Encode();
+      reply.payload = net::Encode(stats);
       break;
     }
     case MsgType::kOpenSession:

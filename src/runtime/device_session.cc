@@ -206,6 +206,13 @@ net::LaunchKernelReply DeviceSession::LaunchKernel(
     return reply;
   };
 
+  // The driver indexes global/local/offset[3] by work_dim, and a native
+  // twin skips the VM that would otherwise reject it.
+  if (request.work_dim < 1 || request.work_dim > 3) {
+    return fail(Status(ErrorCode::kInvalidWorkDimension,
+                       "work_dim " + std::to_string(request.work_dim) +
+                           " is not 1..3"));
+  }
   auto program = programs_.find(request.program_id);
   if (program == programs_.end()) {
     return fail(Status(ErrorCode::kInvalidProgram,

@@ -49,9 +49,11 @@ TEST(WireTest, StringAndBytesRoundTrip) {
 TEST(WireTest, FixedVectorRoundTrip) {
   WireWriter w;
   std::vector<std::uint64_t> sizes = {1024, 1, 7};
-  w.WriteFixedVector(sizes);
+  w(sizes);
   WireReader r(w.bytes());
-  EXPECT_EQ(*r.ReadFixedVector<std::uint64_t>(), sizes);
+  std::vector<std::uint64_t> decoded;
+  r(decoded);
+  EXPECT_EQ(decoded, sizes);
 }
 
 TEST(WireTest, TruncatedFixedFails) {
@@ -111,7 +113,9 @@ TEST(WireTest, OversizedVectorCountFails) {
   WireWriter w;
   w.WriteU32(0xFFFFFFFF);
   WireReader r(w.bytes());
-  EXPECT_FALSE(r.ReadFixedVector<std::uint64_t>().ok());
+  std::vector<std::uint64_t> decoded;
+  r(decoded);
+  EXPECT_FALSE(r.status().ok());
 }
 
 TEST(WireTest, EmptyReaderAtEnd) {

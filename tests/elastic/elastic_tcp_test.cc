@@ -187,9 +187,10 @@ TEST(ElasticTcpTest, RevokeAndHeartbeatOvertakeBusyWorker) {
   net::RevokeChunkRequest revoke;
   revoke.launch_id = 99;
   revoke.chunk_ids = {3, 4};
-  auto reply = client.Call(net::MsgType::kRevokeChunk, 7, revoke.Encode());
+  auto reply =
+      client.Call(net::MsgType::kRevokeChunk, 7, net::Encode(revoke));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  auto decoded = net::StatusReply::Decode(reply->payload);
+  auto decoded = net::Decode<net::StatusReply>(reply->payload);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->status_code, 0);
 

@@ -1516,5 +1516,36 @@ TEST(ClusterRuntimeErrorsTest, DeadNodeFailsHandshake) {
   node_end->Close();
 }
 
+TEST(ClusterRuntimeErrorsTest, HelloWithOtherProtocolVersionFails) {
+  // A node that answers the handshake speaking another protocol version.
+  auto [host_end, node_end] = net::CreateSimChannel();
+  net::Connection* node = node_end.get();
+  node_end->Start([node](net::Message request) {
+    net::HelloReply hello;
+    hello.protocol_version = net::kProtocolVersion + 1;
+    net::Message reply;
+    reply.type = net::MsgType::kHelloReply;
+    reply.seq = request.seq;
+    reply.session = request.session;
+    reply.payload = net::Encode(hello);
+    (void)node->Send(reply);
+  });
+  std::vector<net::ConnectionPtr> connections;
+  connections.push_back(std::move(host_end));
+  auto runtime = ClusterRuntime::Connect(std::move(connections), {});
+  ASSERT_FALSE(runtime.ok());
+  EXPECT_EQ(runtime.code(), ErrorCode::kProtocolError);
+  const std::string message = runtime.status().message();
+  EXPECT_NE(message.find("version " +
+                         std::to_string(net::kProtocolVersion + 1)),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("host speaks " +
+                         std::to_string(net::kProtocolVersion)),
+            std::string::npos)
+      << message;
+  node_end->Close();
+}
+
 }  // namespace
 }  // namespace haocl::host

@@ -93,7 +93,7 @@ TEST(MessageTest, AbsurdPayloadLengthRejected) {
 TEST(ProtocolTest, HelloRoundTrip) {
   HelloRequest req;
   req.host_name = "host-A";
-  auto decoded = HelloRequest::Decode(req.Encode());
+  auto decoded = Decode<HelloRequest>(Encode(req));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->host_name, "host-A");
 
@@ -103,7 +103,7 @@ TEST(ProtocolTest, HelloRoundTrip) {
   reply.device_model = "Tesla P4";
   reply.compute_gflops = 5500;
   reply.simd_width = 32;
-  auto r = HelloReply::Decode(reply.Encode());
+  auto r = Decode<HelloReply>(Encode(reply));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->node_name, "gpu3");
   EXPECT_EQ(r->device_type, NodeType::kGpu);
@@ -111,14 +111,14 @@ TEST(ProtocolTest, HelloRoundTrip) {
   EXPECT_EQ(r->simd_width, 32u);
 
   HelloReply scalar_reply;  // Default: scalar device, width 1.
-  auto sr = HelloReply::Decode(scalar_reply.Encode());
+  auto sr = Decode<HelloReply>(Encode(scalar_reply));
   ASSERT_TRUE(sr.ok());
   EXPECT_EQ(sr->simd_width, 1u);
 }
 
 TEST(ProtocolTest, BufferRequestsRoundTrip) {
   CreateBufferRequest create{11, 4096};
-  auto c = CreateBufferRequest::Decode(create.Encode());
+  auto c = Decode<CreateBufferRequest>(Encode(create));
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c->buffer_id, 11u);
   EXPECT_EQ(c->size, 4096u);
@@ -130,21 +130,21 @@ TEST(ProtocolTest, BufferRequestsRoundTrip) {
   write.buffer_id = 11;
   write.offset = 128;
   write.data = bytes;
-  std::vector<std::uint8_t> payload = write.Encode();
+  std::vector<std::uint8_t> payload = Encode(write);
   payload.insert(payload.end(), bytes.begin(), bytes.end());
-  auto w = WriteBufferRequest::Decode(payload);
+  auto w = Decode<WriteBufferRequest>(payload);
   ASSERT_TRUE(w.ok());
   EXPECT_EQ(w->offset, 128u);
   EXPECT_EQ(std::vector<std::uint8_t>(w->data.begin(), w->data.end()), bytes);
   EXPECT_EQ(w->data.data(), payload.data() + payload.size() - bytes.size());
 
   ReadBufferRequest read{11, 0, 256};
-  auto r = ReadBufferRequest::Decode(read.Encode());
+  auto r = Decode<ReadBufferRequest>(Encode(read));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size, 256u);
 
   CopyBufferRequest copy{1, 2, 10, 20, 30};
-  auto cp = CopyBufferRequest::Decode(copy.Encode());
+  auto cp = Decode<CopyBufferRequest>(Encode(copy));
   ASSERT_TRUE(cp.ok());
   EXPECT_EQ(cp->dst_offset, 20u);
 }
@@ -154,25 +154,25 @@ TEST(ProtocolTest, WriteBufferLengthMustMatchRemainingBytes) {
   WriteBufferRequest write;
   write.buffer_id = 3;
   write.data = bytes;
-  const std::vector<std::uint8_t> fields = write.Encode();
+  const std::vector<std::uint8_t> fields = Encode(write);
 
   std::vector<std::uint8_t> exact = fields;
   exact.insert(exact.end(), bytes.begin(), bytes.end());
-  EXPECT_TRUE(WriteBufferRequest::Decode(exact).ok());
+  EXPECT_TRUE(Decode<WriteBufferRequest>(exact).ok());
 
   // Prefix claims more bytes than follow it.
   std::vector<std::uint8_t> short_frame(exact.begin(), exact.end() - 1);
-  EXPECT_EQ(WriteBufferRequest::Decode(short_frame).code(),
+  EXPECT_EQ(Decode<WriteBufferRequest>(short_frame).code(),
             ErrorCode::kProtocolError);
   // Prefix claims fewer bytes than follow it.
   std::vector<std::uint8_t> long_frame = exact;
   long_frame.push_back(5);
-  EXPECT_EQ(WriteBufferRequest::Decode(long_frame).code(),
+  EXPECT_EQ(Decode<WriteBufferRequest>(long_frame).code(),
             ErrorCode::kProtocolError);
   // A length near 2^64 must not wrap the bounds check.
   std::vector<std::uint8_t> hostile = exact;
   for (std::size_t i = 16; i < 24; ++i) hostile[i] = 0xFF;
-  EXPECT_EQ(WriteBufferRequest::Decode(hostile).code(),
+  EXPECT_EQ(Decode<WriteBufferRequest>(hostile).code(),
             ErrorCode::kProtocolError);
 }
 
@@ -199,7 +199,7 @@ TEST(ProtocolTest, LaunchKernelRoundTrip) {
   req.local[1] = 8;
   req.local_specified = true;
 
-  auto decoded = LaunchKernelRequest::Decode(req.Encode());
+  auto decoded = Decode<LaunchKernelRequest>(Encode(req));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->kernel_name, "matmul_partition");
   ASSERT_EQ(decoded->args.size(), 3u);
@@ -218,7 +218,7 @@ TEST(ProtocolTest, LaunchKernelRoundTrip) {
   req.hint_bytes = 1e6;
   req.hint_work_items = 256;
   req.hint_irregular = true;
-  auto hinted = LaunchKernelRequest::Decode(req.Encode());
+  auto hinted = Decode<LaunchKernelRequest>(Encode(req));
   ASSERT_TRUE(hinted.ok()) << hinted.status().ToString();
   ASSERT_TRUE(hinted->has_cost_hint);
   EXPECT_DOUBLE_EQ(hinted->hint_flops, 2.5e9);
@@ -232,7 +232,7 @@ TEST(ProtocolTest, MemoryNoticeRoundTrip) {
   notice.buffer_id = 9;
   notice.reserve = true;
   notice.regions = {{0, 4096}, {8192, 1024}};
-  auto decoded = MemoryNoticeRequest::Decode(notice.Encode());
+  auto decoded = Decode<MemoryNoticeRequest>(Encode(notice));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->buffer_id, 9u);
   EXPECT_TRUE(decoded->reserve);
@@ -242,12 +242,12 @@ TEST(ProtocolTest, MemoryNoticeRoundTrip) {
 
   notice.reserve = false;
   notice.regions.clear();
-  auto evict = MemoryNoticeRequest::Decode(notice.Encode());
+  auto evict = Decode<MemoryNoticeRequest>(Encode(notice));
   ASSERT_TRUE(evict.ok());
   EXPECT_FALSE(evict->reserve);
   EXPECT_TRUE(evict->regions.empty());
 
-  EXPECT_FALSE(MemoryNoticeRequest::Decode({1, 2, 3}).ok());
+  EXPECT_FALSE(Decode<MemoryNoticeRequest>({1, 2, 3}).ok());
 }
 
 TEST(ProtocolTest, HelloAndLoadCarryMemoryCapacity) {
@@ -255,14 +255,14 @@ TEST(ProtocolTest, HelloAndLoadCarryMemoryCapacity) {
   hello.node_name = "gpu0";
   hello.device_type = NodeType::kGpu;
   hello.mem_capacity_bytes = 8ull << 30;
-  auto decoded = HelloReply::Decode(hello.Encode());
+  auto decoded = Decode<HelloReply>(Encode(hello));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->mem_capacity_bytes, 8ull << 30);
 
   LoadReply load;
   load.bytes_resident = 12345;
   load.mem_capacity_bytes = 65536;
-  auto load_decoded = LoadReply::Decode(load.Encode());
+  auto load_decoded = Decode<LoadReply>(Encode(load));
   ASSERT_TRUE(load_decoded.ok());
   EXPECT_EQ(load_decoded->bytes_resident, 12345u);
   EXPECT_EQ(load_decoded->mem_capacity_bytes, 65536u);
@@ -275,20 +275,55 @@ TEST(ProtocolTest, TruncatedPayloadsRejected) {
   arg.kind = WireKernelArg::Kind::kBuffer;
   arg.buffer_id = 1;
   req.args = {arg};
-  auto bytes = req.Encode();
+  auto bytes = Encode(req);
   for (std::size_t cut : {std::size_t{1}, bytes.size() / 2,
                           bytes.size() - 1}) {
     std::vector<std::uint8_t> truncated(bytes.begin(),
                                         bytes.begin() + cut);
-    EXPECT_FALSE(LaunchKernelRequest::Decode(truncated).ok())
+    EXPECT_FALSE(Decode<LaunchKernelRequest>(truncated).ok())
         << "cut=" << cut;
   }
+}
+
+TEST(ProtocolTest, HostileElementCountsRejected) {
+  // A u32 count of 2^32-1 with nothing behind it: refused before any
+  // element is allocated, wherever the vector sits in the message.
+  auto with_count_at = [](std::vector<std::uint8_t> bytes, std::size_t at) {
+    for (std::size_t i = at; i < at + 4; ++i) bytes[i] = 0xFF;
+    return bytes;
+  };
+  const std::vector<std::uint8_t> load = Encode(LoadReply{});
+  EXPECT_EQ(Decode<LoadReply>(with_count_at(load, load.size() - 4)).code(),
+            ErrorCode::kProtocolError);
+
+  const std::vector<std::uint8_t> broker = Encode(BrokerStatsReply{});
+  // Tenants count after two u64 and three f64 fields; rates count last.
+  EXPECT_EQ(Decode<BrokerStatsReply>(with_count_at(broker, 40)).code(),
+            ErrorCode::kProtocolError);
+  EXPECT_EQ(
+      Decode<BrokerStatsReply>(with_count_at(broker, broker.size() - 4))
+          .code(),
+      ErrorCode::kProtocolError);
+}
+
+TEST(ProtocolTest, EnumsAboveTheirMaxRejected) {
+  HelloReply hello;
+  std::vector<std::uint8_t> bytes = Encode(hello);
+  bytes[4] = 3;  // device_type, after the empty node name.
+  EXPECT_EQ(Decode<HelloReply>(bytes).code(), ErrorCode::kProtocolError);
+
+  LaunchKernelRequest launch;
+  launch.args.resize(1);
+  bytes = Encode(launch);
+  bytes[16] = 3;  // args[0].kind, after program id, name and arg count.
+  EXPECT_EQ(Decode<LaunchKernelRequest>(bytes).code(),
+            ErrorCode::kProtocolError);
 }
 
 TEST(ProtocolTest, StatusReplyConveysErrors) {
   StatusReply reply = StatusReply::FromStatus(
       Status(ErrorCode::kInvalidMemObject, "no buffer 9"));
-  auto decoded = StatusReply::Decode(reply.Encode());
+  auto decoded = Decode<StatusReply>(Encode(reply));
   ASSERT_TRUE(decoded.ok());
   Status status = decoded->ToStatus();
   EXPECT_EQ(status.code(), ErrorCode::kInvalidMemObject);

@@ -51,7 +51,7 @@ TEST(RpcDeadlineTest, AnsweredCallUnaffectedByDeadline) {
     reply.type = MsgType::kStatusReply;
     reply.session = msg.session;
     reply.seq = msg.seq;
-    reply.payload = ok_reply.Encode();
+    reply.payload = Encode(ok_reply);
     (void)node_end->Send(reply);
   });
   RpcClient client(std::move(host_end));

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/sync.h"
+#include "driver/native_registry.h"
 #include "host/cluster_runtime.h"
 #include "net/protocol.h"
 #include "net/rpc.h"
@@ -40,10 +41,10 @@ class NodeServerTest : public ::testing::Test {
 TEST_F(NodeServerTest, HelloReportsDevice) {
   net::HelloRequest hello;
   hello.host_name = "test-host";
-  auto reply = client_->Call(MsgType::kHelloRequest, 1, hello.Encode());
+  auto reply = client_->Call(MsgType::kHelloRequest, 1, net::Encode(hello));
   ASSERT_TRUE(reply.ok());
   ASSERT_EQ(reply->type, MsgType::kHelloReply);
-  auto decoded = net::HelloReply::Decode(reply->payload);
+  auto decoded = net::Decode<net::HelloReply>(reply->payload);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->node_name, "gpu0");
   EXPECT_EQ(decoded->device_type, NodeType::kGpu);
@@ -58,7 +59,7 @@ TEST_F(NodeServerTest, MalformedPayloadGetsProtocolError) {
   auto reply = client_->Call(MsgType::kCreateBuffer, 1, bad.payload);
   ASSERT_TRUE(reply.ok());
   ASSERT_EQ(reply->type, MsgType::kStatusReply);
-  auto status = net::StatusReply::Decode(reply->payload);
+  auto status = net::Decode<net::StatusReply>(reply->payload);
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(status->ToStatus().code(), ErrorCode::kProtocolError);
 }
@@ -66,7 +67,7 @@ TEST_F(NodeServerTest, MalformedPayloadGetsProtocolError) {
 TEST_F(NodeServerTest, UnknownMessageTypeRejected) {
   auto reply = client_->Call(static_cast<MsgType>(999), 1, {});
   ASSERT_TRUE(reply.ok());
-  auto status = net::StatusReply::Decode(reply->payload);
+  auto status = net::Decode<net::StatusReply>(reply->payload);
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(status->ToStatus().code(), ErrorCode::kProtocolError);
 }
@@ -77,19 +78,19 @@ TEST_F(NodeServerTest, SessionsAreIndependent) {
   create.size = 64;
   // Session 1 creates buffer 5; creating it again in session 1 fails, but
   // session 2 may use the same id freely.
-  auto r1 = client_->Call(MsgType::kCreateBuffer, 1, create.Encode());
+  auto r1 = client_->Call(MsgType::kCreateBuffer, 1, net::Encode(create));
   ASSERT_TRUE(r1.ok());
-  EXPECT_TRUE(net::StatusReply::Decode(r1->payload)->ToStatus().ok());
-  auto r2 = client_->Call(MsgType::kCreateBuffer, 1, create.Encode());
-  EXPECT_FALSE(net::StatusReply::Decode(r2->payload)->ToStatus().ok());
-  auto r3 = client_->Call(MsgType::kCreateBuffer, 2, create.Encode());
-  EXPECT_TRUE(net::StatusReply::Decode(r3->payload)->ToStatus().ok());
+  EXPECT_TRUE(net::Decode<net::StatusReply>(r1->payload)->ToStatus().ok());
+  auto r2 = client_->Call(MsgType::kCreateBuffer, 1, net::Encode(create));
+  EXPECT_FALSE(net::Decode<net::StatusReply>(r2->payload)->ToStatus().ok());
+  auto r3 = client_->Call(MsgType::kCreateBuffer, 2, net::Encode(create));
+  EXPECT_TRUE(net::Decode<net::StatusReply>(r3->payload)->ToStatus().ok());
 
   // Closing session 2 frees its resources; the id becomes reusable.
   auto closed = client_->Call(MsgType::kCloseSession, 2, {});
   ASSERT_TRUE(closed.ok());
-  auto r4 = client_->Call(MsgType::kCreateBuffer, 2, create.Encode());
-  EXPECT_TRUE(net::StatusReply::Decode(r4->payload)->ToStatus().ok());
+  auto r4 = client_->Call(MsgType::kCreateBuffer, 2, net::Encode(create));
+  EXPECT_TRUE(net::Decode<net::StatusReply>(r4->payload)->ToStatus().ok());
 }
 
 TEST_F(NodeServerTest, WrappingOffsetsRejectedWithoutCrash) {
@@ -98,12 +99,13 @@ TEST_F(NodeServerTest, WrappingOffsetsRejectedWithoutCrash) {
   constexpr std::uint64_t kHostile = ~0ULL - 1;
   for (std::uint64_t id : {1, 2}) {
     net::CreateBufferRequest create{id, 64};
-    ASSERT_TRUE(client_->Call(MsgType::kCreateBuffer, 1, create.Encode()).ok());
+    ASSERT_TRUE(
+        client_->Call(MsgType::kCreateBuffer, 1, net::Encode(create)).ok());
   }
   auto status_of = [](const Expected<Message>& reply) {
     EXPECT_TRUE(reply.ok());
     EXPECT_EQ(reply->type, MsgType::kStatusReply);
-    return net::StatusReply::Decode(reply->payload)->ToStatus().code();
+    return net::Decode<net::StatusReply>(reply->payload)->ToStatus().code();
   };
 
   const std::vector<std::uint8_t> bytes(4, 0xEE);
@@ -111,22 +113,24 @@ TEST_F(NodeServerTest, WrappingOffsetsRejectedWithoutCrash) {
   write.buffer_id = 1;
   write.offset = kHostile;
   write.data = bytes;
-  EXPECT_EQ(status_of(client_->Call(MsgType::kWriteBuffer, 1, write.Encode(),
+  EXPECT_EQ(status_of(client_->Call(MsgType::kWriteBuffer, 1,
+                                    net::Encode(write),
                                     net::RpcClient::kDefaultCallTimeout,
                                     write.data)),
             ErrorCode::kInvalidValue);
 
   net::ReadBufferRequest read{1, kHostile, 4};
-  EXPECT_EQ(status_of(client_->Call(MsgType::kReadBuffer, 1, read.Encode())),
-            ErrorCode::kInvalidValue);
+  EXPECT_EQ(
+      status_of(client_->Call(MsgType::kReadBuffer, 1, net::Encode(read))),
+      ErrorCode::kInvalidValue);
 
   net::CopyBufferRequest copy_src{1, 2, kHostile, 0, 4};
   EXPECT_EQ(
-      status_of(client_->Call(MsgType::kCopyBuffer, 1, copy_src.Encode())),
+      status_of(client_->Call(MsgType::kCopyBuffer, 1, net::Encode(copy_src))),
       ErrorCode::kInvalidValue);
   net::CopyBufferRequest copy_dst{1, 2, 0, kHostile, 4};
   EXPECT_EQ(
-      status_of(client_->Call(MsgType::kCopyBuffer, 1, copy_dst.Encode())),
+      status_of(client_->Call(MsgType::kCopyBuffer, 1, net::Encode(copy_dst))),
       ErrorCode::kInvalidValue);
 
   net::MemoryNoticeRequest notice;
@@ -134,35 +138,99 @@ TEST_F(NodeServerTest, WrappingOffsetsRejectedWithoutCrash) {
   notice.reserve = true;
   notice.regions = {{kHostile, 4}};
   EXPECT_EQ(
-      status_of(client_->Call(MsgType::kMemoryNotice, 1, notice.Encode())),
+      status_of(client_->Call(MsgType::kMemoryNotice, 1, net::Encode(notice))),
       ErrorCode::kInvalidValue);
 
   net::PullSliceRequest pull{1, kHostile, 4, 0};
-  EXPECT_EQ(status_of(client_->Call(MsgType::kPullSlice, 1, pull.Encode())),
+  EXPECT_EQ(status_of(client_->Call(MsgType::kPullSlice, 1, net::Encode(pull))),
             ErrorCode::kInvalidValue);
 
   // The node is still serving and the buffer is untouched.
   net::ReadBufferRequest whole{1, 0, 64};
-  auto data = client_->Call(MsgType::kReadBuffer, 1, whole.Encode());
+  auto data = client_->Call(MsgType::kReadBuffer, 1, net::Encode(whole));
   ASSERT_TRUE(data.ok());
   ASSERT_EQ(data->type, MsgType::kReadReply);
   EXPECT_EQ(data->payload, std::vector<std::uint8_t>(64, 0));
+}
+
+TEST_F(NodeServerTest, HostileElementCountRejectedWithoutCrash) {
+  // Launch id 1, then a chunk count of 2^32-1 with no chunk ids behind it:
+  // decoded on the receive path, it must not size anything from the count.
+  WireWriter revoke;
+  revoke.WriteU64(1);
+  revoke.WriteU32(0xFFFFFFFF);
+  auto reply = client_->Call(MsgType::kRevokeChunk, 1, revoke.bytes());
+  ASSERT_TRUE(reply.ok());
+  ASSERT_EQ(reply->type, MsgType::kStatusReply);
+  EXPECT_EQ(net::Decode<net::StatusReply>(reply->payload)->ToStatus().code(),
+            ErrorCode::kProtocolError);
+
+  net::HelloRequest hello;
+  auto after = client_->Call(MsgType::kHelloRequest, 1, net::Encode(hello));
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->type, MsgType::kHelloReply);
+}
+
+TEST_F(NodeServerTest, HelloWithOtherProtocolVersionRejected) {
+  net::HelloRequest hello;
+  hello.protocol_version = net::kProtocolVersion + 1;
+  auto reply = client_->Call(MsgType::kHelloRequest, 1, net::Encode(hello));
+  ASSERT_TRUE(reply.ok());
+  ASSERT_EQ(reply->type, MsgType::kStatusReply);
+  EXPECT_EQ(net::Decode<net::StatusReply>(reply->payload)->ToStatus().code(),
+            ErrorCode::kProtocolError);
+}
+
+TEST_F(NodeServerTest, InvalidWorkDimensionRejected) {
+  // A native twin skips the VM and its 1..3 check; the session must catch
+  // the bad work_dim before the driver indexes global[work_dim - 1].
+  driver::NativeKernelRegistry::Instance().Register(
+      "work_dim_probe",
+      [](const std::vector<oclc::ArgBinding>&, const oclc::NDRange&) {
+        return Status::Ok();
+      });
+  net::BuildProgramRequest build;
+  build.program_id = 1;
+  build.source = "__kernel void work_dim_probe(__global int* d) { d[0] = 1; }";
+  auto built = client_->Call(MsgType::kBuildProgram, 1, net::Encode(build));
+  ASSERT_TRUE(built.ok());
+  ASSERT_EQ(net::Decode<net::BuildProgramReply>(built->payload)->status_code,
+            0);
+  net::CreateBufferRequest create{1, 64};
+  ASSERT_TRUE(
+      client_->Call(MsgType::kCreateBuffer, 1, net::Encode(create)).ok());
+
+  net::LaunchKernelRequest launch;
+  launch.program_id = 1;
+  launch.kernel_name = "work_dim_probe";
+  net::WireKernelArg arg;
+  arg.kind = net::WireKernelArg::Kind::kBuffer;
+  arg.buffer_id = 1;
+  launch.args = {arg};
+  launch.work_dim = 0xFFFFFFFF;
+  auto reply = client_->Call(MsgType::kLaunchKernel, 1, net::Encode(launch));
+  driver::NativeKernelRegistry::Instance().Unregister("work_dim_probe");
+  ASSERT_TRUE(reply.ok());
+  ASSERT_EQ(reply->type, MsgType::kLaunchReply);
+  EXPECT_EQ(net::Decode<net::LaunchKernelReply>(reply->payload)->status_code,
+            static_cast<std::int32_t>(ErrorCode::kInvalidWorkDimension));
 }
 
 TEST_F(NodeServerTest, QueryLoadCounters) {
   auto reply = client_->Call(MsgType::kQueryLoad, 1, {});
   ASSERT_TRUE(reply.ok());
   ASSERT_EQ(reply->type, MsgType::kLoadReply);
-  auto load = net::LoadReply::Decode(reply->payload);
+  auto load = net::Decode<net::LoadReply>(reply->payload);
   ASSERT_TRUE(load.ok());
   EXPECT_EQ(load->kernels_executed, 0u);
 
   net::CreateBufferRequest create;
   create.buffer_id = 1;
   create.size = 4096;
-  ASSERT_TRUE(client_->Call(MsgType::kCreateBuffer, 1, create.Encode()).ok());
+  ASSERT_TRUE(
+      client_->Call(MsgType::kCreateBuffer, 1, net::Encode(create)).ok());
   reply = client_->Call(MsgType::kQueryLoad, 1, {});
-  load = net::LoadReply::Decode(reply->payload);
+  load = net::Decode<net::LoadReply>(reply->payload);
   ASSERT_TRUE(load.ok());
   EXPECT_EQ(load->buffers_held, 1u);
   EXPECT_EQ(load->bytes_allocated, 4096u);
@@ -198,32 +266,32 @@ TEST(NodeServerTcpTest, FullProtocolOverRealSockets) {
   net::RpcClient client(*std::move(client_conn));
   net::HelloRequest hello;
   hello.host_name = "tcp-host";
-  auto reply = client.Call(MsgType::kHelloRequest, 1, hello.Encode());
+  auto reply = client.Call(MsgType::kHelloRequest, 1, net::Encode(hello));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  auto decoded = net::HelloReply::Decode(reply->payload);
+  auto decoded = net::Decode<net::HelloReply>(reply->payload);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->device_type, NodeType::kFpga);
 
   net::CreateBufferRequest create;
   create.buffer_id = 1;
   create.size = 1024;
-  auto created = client.Call(MsgType::kCreateBuffer, 1, create.Encode());
+  auto created = client.Call(MsgType::kCreateBuffer, 1, net::Encode(create));
   ASSERT_TRUE(created.ok());
-  EXPECT_TRUE(net::StatusReply::Decode(created->payload)->ToStatus().ok());
+  EXPECT_TRUE(net::Decode<net::StatusReply>(created->payload)->ToStatus().ok());
 
   const std::vector<std::uint8_t> bytes(1024, 0x5A);
   net::WriteBufferRequest write;
   write.buffer_id = 1;
   write.data = bytes;
-  auto written = client.Call(MsgType::kWriteBuffer, 1, write.Encode(),
+  auto written = client.Call(MsgType::kWriteBuffer, 1, net::Encode(write),
                              net::RpcClient::kDefaultCallTimeout, write.data);
   ASSERT_TRUE(written.ok());
-  EXPECT_TRUE(net::StatusReply::Decode(written->payload)->ToStatus().ok());
+  EXPECT_TRUE(net::Decode<net::StatusReply>(written->payload)->ToStatus().ok());
 
   net::ReadBufferRequest read;
   read.buffer_id = 1;
   read.size = 1024;
-  auto got = client.Call(MsgType::kReadBuffer, 1, read.Encode());
+  auto got = client.Call(MsgType::kReadBuffer, 1, net::Encode(read));
   ASSERT_TRUE(got.ok());
   ASSERT_EQ(got->type, MsgType::kReadReply);
   EXPECT_EQ(got->payload, bytes);
@@ -318,8 +386,8 @@ TEST(NodeServerLifecycleTest, ShutdownIsIdempotentAndServesMultiple) {
   net::RpcClient c1(std::move(h1));
   net::RpcClient c2(std::move(h2));
   net::HelloRequest hello;
-  EXPECT_TRUE(c1.Call(MsgType::kHelloRequest, 1, hello.Encode()).ok());
-  EXPECT_TRUE(c2.Call(MsgType::kHelloRequest, 2, hello.Encode()).ok());
+  EXPECT_TRUE(c1.Call(MsgType::kHelloRequest, 1, net::Encode(hello)).ok());
+  EXPECT_TRUE(c2.Call(MsgType::kHelloRequest, 2, net::Encode(hello)).ok());
   c1.Close();
   c2.Close();
   (*server)->Shutdown();

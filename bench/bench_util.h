@@ -74,10 +74,21 @@ inline double ComputeSeconds(const workloads::RunReport& report,
              : report.virtual_seconds;
 }
 
-// Back-compat alias used by the figure harnesses.
-inline double SteadyStateSeconds(const workloads::RunReport& report,
-                                 const Amplification& amp) {
-  return ComputeSeconds(report, amp);
-}
+// Exit-code gates: each Check names one target the bench must hit and
+// reports a miss on stderr; ExitCode() is nonzero when any missed. Benches
+// check every target and still write their BENCH_*.json before exiting,
+// so a CI failure comes with the numbers that caused it.
+class Gates {
+ public:
+  void Check(bool ok, const std::string& target) {
+    if (ok) return;
+    std::fprintf(stderr, "BENCH GATE MISSED: %s\n", target.c_str());
+    missed_ = true;
+  }
+  [[nodiscard]] int ExitCode() const { return missed_ ? 1 : 0; }
+
+ private:
+  bool missed_ = false;
+};
 
 }  // namespace haocl::bench

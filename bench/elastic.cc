@@ -11,12 +11,14 @@
 //     the chunks whose outputs died with the node.
 //
 // All times are modeled (virtual) seconds, so the numbers are
-// deterministic; emits BENCH_elastic.json.
+// deterministic; emits BENCH_elastic.json, and exits nonzero if a run
+// fails or a target is missed.
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "driver/native_registry.h"
 #include "elastic/fault_injector.h"
 #include "host/cluster_runtime.h"
@@ -152,6 +154,7 @@ struct Harness {
 }  // namespace
 
 int main() {
+  haocl::bench::Gates gates;
   // ---- 1) Straggler rescue ------------------------------------------------
   const std::vector<double> kStraggler = {0.2, 1.0, 1.0};
   double oracle = 0.0;
@@ -167,12 +170,12 @@ int main() {
     ClusterRuntime::ElasticOptions options;
     options.chunk_rows = kChunkRows;
     auto result = h.cluster->runtime().LaunchElastic(h.Spec(kRows), options);
-    if (!result.ok() || !h.Doubled(kRows, 2)) {
-      std::fprintf(stderr, "straggler steal run failed\n");
-      return 1;
+    gates.Check(result.ok() && h.Doubled(kRows, 2),
+                "straggler steal run completes bit-identical");
+    if (result.ok()) {
+      with_steal = result->makespan_seconds;
+      stolen = result->chunks_stolen;
     }
-    with_steal = result->makespan_seconds;
-    stolen = result->chunks_stolen;
   }
   double no_steal = 0.0;
   {
@@ -181,11 +184,9 @@ int main() {
     options.chunk_rows = kChunkRows;
     options.stealing = false;
     auto result = h.cluster->runtime().LaunchElastic(h.Spec(kRows), options);
-    if (!result.ok() || !h.Doubled(kRows, 2)) {
-      std::fprintf(stderr, "straggler static run failed\n");
-      return 1;
-    }
-    no_steal = result->makespan_seconds;
+    gates.Check(result.ok() && h.Doubled(kRows, 2),
+                "straggler static run completes bit-identical");
+    if (result.ok()) no_steal = result->makespan_seconds;
   }
   const double steal_ratio = with_steal / oracle;
   const double static_ratio = no_steal / oracle;
@@ -252,11 +253,9 @@ int main() {
     std::fclose(json);
     std::printf("\nwrote BENCH_elastic.json\n");
   }
-  const bool pass = steal_ratio <= 1.15 && static_ratio >= 1.6 &&
-                    kill_completed && bit_identical;
-  if (!pass) {
-    std::fprintf(stderr, "ELASTIC BENCH TARGETS MISSED\n");
-    return 1;
-  }
-  return 0;
+  gates.Check(steal_ratio <= 1.15, "steal_vs_oracle <= 1.15");
+  gates.Check(static_ratio >= 1.6, "static_vs_oracle >= 1.6");
+  gates.Check(kill_completed && bit_identical,
+              "node kill completes bit-identical");
+  return gates.ExitCode();
 }

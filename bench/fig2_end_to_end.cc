@@ -17,9 +17,9 @@
 namespace {
 
 using haocl::bench::Amplification;
+using haocl::bench::ComputeSeconds;
 using haocl::bench::MustRun;
 using haocl::bench::PaperScale;
-using haocl::bench::SteadyStateSeconds;
 
 struct SeriesPoint {
   double steady;
@@ -45,7 +45,7 @@ int main() {
 
     // Baseline: single GPU node.
     auto base = MustRun(*workload, 1, 0, scale, amp);
-    const double base_steady = SteadyStateSeconds(base, amp);
+    const double base_steady = ComputeSeconds(base, amp);
     const double base_e2e = base.virtual_seconds;
 
     std::printf("\n%s (paper size %.0f MB; modeled at paper scale)\n",
@@ -76,7 +76,7 @@ int main() {
         }
         auto report = MustRun(*workload, gpus, fpgas, scale, amp);
         const double steady =
-            base_steady / SteadyStateSeconds(report, amp);
+            base_steady / ComputeSeconds(report, amp);
         const double e2e = base_e2e / report.virtual_seconds;
         std::printf(" %5.2f/%5.2f", steady, e2e);
       }

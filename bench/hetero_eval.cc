@@ -14,8 +14,12 @@
 //   - Out-of-core staging: a working set ~4x the device's memory tier,
 //     decomposed into pipelined stages (stage k+1's transfer overlaps
 //     stage k's compute) vs naive serial staging; emits BENCH_ooc.json.
+// Exits nonzero if a chained launch moves any host payload bytes in the
+// steady state or pipelined staging beats serial staging by less than
+// 1.4x.
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -96,7 +100,7 @@ double RunSpmvStagedSeconds(std::size_t gpus, std::size_t fpgas,
     std::fprintf(stderr, "SpMV staged failed\n");
     std::exit(1);
   }
-  return haocl::bench::SteadyStateSeconds(*report, amp);
+  return haocl::bench::ComputeSeconds(*report, amp);
 }
 
 // Chained partitioned launches over ONE buffer: even iterations run the
@@ -290,7 +294,7 @@ int main() {
   for (const Config& config : configs) {
     auto report = haocl::bench::MustRun(*matmul, config.gpus, config.fpgas,
                                         scale, mm_amp);
-    const double seconds = haocl::bench::SteadyStateSeconds(report, mm_amp);
+    const double seconds = haocl::bench::ComputeSeconds(report, mm_amp);
     mm_seconds.push_back(seconds);
     if (std::string(config.label) == "1 GPU") mm_gpu1 = seconds;
     if (std::string(config.label) == "1 FPGA") mm_fpga1 = seconds;
@@ -379,12 +383,16 @@ int main() {
               " bytes and modeled seconds)\n");
   std::printf("%-12s %12s %12s %12s %12s %8s\n", "cluster", "p2p:hostB",
               "p2p:moved", "star:hostB", "p2p(s)", "speedup");
+  haocl::bench::Gates gates;
   FILE* p2p_json = std::fopen("BENCH_p2p.json", "w");
   if (p2p_json != nullptr) std::fprintf(p2p_json, "{\n  \"scenarios\": [\n");
   for (std::size_t i = 0; i < std::size(coexec_shapes); ++i) {
     const CoexecShape& shape = coexec_shapes[i];
     const ChainedResult p2p = RunChainedOnce(shape.shape, true);
     const ChainedResult star = RunChainedOnce(shape.shape, false);
+    gates.Check(p2p.host_payload == 0,
+                std::string("BENCH_p2p ") + shape.label +
+                    ": p2p_host_payload_bytes == 0");
     std::printf("%-12s %12llu %12llu %12llu %12.4f %7.2fx\n", shape.label,
                 static_cast<unsigned long long>(p2p.host_payload),
                 static_cast<unsigned long long>(p2p.p2p_bytes),
@@ -422,6 +430,8 @@ int main() {
   const OocResult serial = RunOocOnce(/*pipelined=*/false);
   const OocResult pipelined = RunOocOnce(/*pipelined=*/true);
   const double speedup = serial.virtual_seconds / pipelined.virtual_seconds;
+  gates.Check(speedup >= 1.4,
+              "BENCH_ooc: pipelined-vs-serial staging speedup >= 1.4");
   std::printf("%-10s %8s %12s %12s %8s\n", "cluster", "stages",
               "pipelined(s)", "serial(s)", "speedup");
   std::printf("%-10s %8u %12.4f %12.4f %7.2fx\n", "1G(256KiB)",
@@ -444,5 +454,5 @@ int main() {
     std::fclose(ooc_json);
     std::printf("\nwrote BENCH_ooc.json\n");
   }
-  return 0;
+  return gates.ExitCode();
 }

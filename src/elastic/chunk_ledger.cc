@@ -7,8 +7,9 @@ namespace haocl::elastic {
 
 Status ChunkLedger::Init(const sched::PlacementPlan& plan,
                          std::uint64_t align, std::uint64_t chunk_rows) {
+  const std::vector<std::uint64_t> shard_rows(plan.shards.size(), chunk_rows);
   std::vector<sched::ChunkSpan> spans =
-      sched::ChunkifyPlan(plan, align, chunk_rows);
+      sched::ChunkifyPlan(plan, align, shard_rows);
   if (spans.empty()) {
     return Status(ErrorCode::kInvalidValue,
                   "elastic launch needs a non-empty placement plan");

@@ -1024,16 +1024,18 @@ Expected<ProgramId> ClusterRuntime::BuildProgram(const std::string& source) {
   // clSetKernelArg validation and the coherence protocol's constness.
   oclc::CompileResult compiled = oclc::CompileWithLog(source);
   std::lock_guard<std::mutex> lock(state_mutex_);
+  // A failed build still consumes its id (so a stale id never names a
+  // later program) but registers nothing: every ProgramState has a module.
   const ProgramId id = next_program_id_++;
+  if (compiled.module == nullptr) {
+    return Status(ErrorCode::kBuildProgramFailure, compiled.build_log);
+  }
   auto program = std::make_shared<ProgramState>();
   program->source = source;
   program->module = compiled.module;
   program->build_log = compiled.build_log;
   program->built_on.assign(nodes_.size(), false);
   programs_.emplace(id, std::move(program));
-  if (compiled.module == nullptr) {
-    return Status(ErrorCode::kBuildProgramFailure, compiled.build_log);
-  }
   return id;
 }
 
@@ -1047,7 +1049,7 @@ Expected<const oclc::CompiledFunction*> ClusterRuntime::FindKernel(
     ProgramId id, const std::string& kernel_name) const {
   std::lock_guard<std::mutex> lock(state_mutex_);
   auto it = programs_.find(id);
-  if (it == programs_.end() || it->second->module == nullptr) {
+  if (it == programs_.end()) {
     return Status(ErrorCode::kInvalidProgram, "no such program");
   }
   const oclc::CompiledFunction* kernel =
@@ -1138,15 +1140,6 @@ struct ClusterRuntime::LaunchWork {
                     // global_offset[0] includes the shard offset.
   ProgramId program_id = 0;
   ProgramPtr program;
-  const oclc::CompiledFunction* kernel = nullptr;
-  struct BufferArg {
-    std::size_t arg_index = 0;
-    BufferId id = 0;
-    BufferPtr buffer;
-    bool written = false;  // Bound to a non-const pointer parameter.
-    bool partitioned = false;  // kPartitionedDim0 annotation.
-    std::uint64_t stride = 0;  // Bytes per dim-0 index (partitioned).
-  };
   std::vector<BufferArg> buffers;
   std::size_t node = 0;  // Placement decided at submit.
   std::shared_ptr<LaunchPlan> plan;
@@ -1235,21 +1228,19 @@ Status ClusterRuntime::ExecStagePrefetch(
   return Status::Ok();
 }
 
-Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
-    const LaunchSpec& spec, std::vector<CommandHandle> deps,
-    std::vector<CommandHandle> order_after) {
-  std::lock_guard<std::mutex> lock(state_mutex_);
+Expected<ClusterRuntime::ResolvedLaunch> ClusterRuntime::ResolveLaunchLocked(
+    const LaunchSpec& spec) const {
   if (disconnected_) {
     return Status(ErrorCode::kInvalidOperation, "runtime disconnected");
   }
   auto program_it = programs_.find(spec.program);
-  if (program_it == programs_.end() ||
-      program_it->second->module == nullptr) {
+  if (program_it == programs_.end()) {
     return Status(ErrorCode::kInvalidProgram, "no such program");
   }
-  const ProgramPtr program = program_it->second;
-  const oclc::CompiledFunction* kernel =
-      program->module->FindKernel(spec.kernel_name);
+  ResolvedLaunch launch;
+  launch.program = program_it->second;
+  const oclc::Module& module = *launch.program->module;
+  const oclc::CompiledFunction* kernel = module.FindKernel(spec.kernel_name);
   if (kernel == nullptr) {
     return Status(ErrorCode::kInvalidKernelName,
                   "no kernel '" + spec.kernel_name + "' in program");
@@ -1262,9 +1253,8 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
   }
 
   // Resolve buffer args once; every shard shares the pins and metadata.
-  std::vector<LaunchWork::BufferArg> buffer_args;
   std::vector<oclc::ArgBinding> fake_bindings;
-  sched::TaskInfo task;
+  sched::TaskInfo& task = launch.task;
   task.kernel_name = spec.kernel_name;
   task.user_id = options_.session_id;
   task.preferred_node = spec.preferred_node;
@@ -1279,8 +1269,7 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
   // nominal slice (grid-stride loops), so partitioned annotations are not
   // trustworthy for region-granular coherence either — degrade every
   // buffer arg to whole-buffer treatment below.
-  const bool range_free =
-      !KernelMayQueryLaunchRange(*program->module, *kernel);
+  const bool range_free = !KernelMayQueryLaunchRange(module, *kernel);
   task.splittable = spec.work_dim >= 1 && spec.global[0] > 0 && range_free;
   for (std::size_t i = 0; i < spec.args.size(); ++i) {
     const KernelArgValue& arg = spec.args[i];
@@ -1293,8 +1282,7 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
       return Status(ErrorCode::kInvalidMemObject,
                     "arg " + std::to_string(i) + ": no such buffer");
     }
-    LaunchWork::BufferArg buffer_arg;
-    buffer_arg.arg_index = i;
+    BufferArg buffer_arg;
     buffer_arg.id = arg.buffer;
     buffer_arg.buffer = it->second;
     buffer_arg.written = !kernel->params[i].pointee_const;
@@ -1329,10 +1317,10 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
     }
     // Partitioned args ship only the launch's partition window — count
     // that, not the whole buffer, so the cost model's transfer term and
-    // the residency discount below measure the same bytes.
-    task.input_bytes += buffer_arg.partitioned
-                            ? spec.global[0] * buffer_arg.stride
-                            : it->second->size;
+    // the residency discount measure the same bytes.
+    const auto [begin, end] =
+        buffer_arg.Window(spec.global_offset[0], spec.global[0]);
+    task.input_bytes += end - begin;
     // Memory-footprint decomposition for the capacity checks: replicated
     // args cost every shard their full size; partitioned args cost their
     // stride per dim-0 index.
@@ -1341,7 +1329,7 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
     } else {
       task.replicated_bytes += it->second->size;
     }
-    buffer_args.push_back(std::move(buffer_arg));
+    launch.buffers.push_back(std::move(buffer_arg));
     oclc::ArgBinding binding;
     binding.kind = oclc::ArgBinding::Kind::kBuffer;
     binding.size = it->second->size;
@@ -1358,10 +1346,42 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
       range.offset[d] = spec.global_offset[d];
     }
     range.local_specified = spec.local_specified;
-    task.cost = driver::EstimateKernelCost(*program->module, *kernel,
-                                           fake_bindings, range);
+    task.cost =
+        driver::EstimateKernelCost(module, *kernel, fake_bindings, range);
   }
+  return launch;
+}
 
+sched::ClusterView ClusterRuntime::ClusterViewLocked(
+    const std::string& kernel_name) const {
+  sched::ClusterView view;
+  view.nodes.reserve(devices_.size());
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    sched::NodeView node;
+    node.name = devices_[i].name;
+    node.type = devices_[i].type;
+    node.spec = sim::SpecForType(devices_[i].type);
+    node.link = options_.link;
+    node.queue_depth = in_flight_[i];
+    node.busy_seconds_ahead = node_busy_ahead_[i];
+    node.observed_seconds_per_flop = rate_table_->NodeAverage(i);
+    const sched::KernelRateTable::Rate rate =
+        rate_table_->Lookup(i, kernel_name);
+    node.kernel_seconds_per_flop = rate.seconds_per_flop;
+    node.kernel_rate_samples = rate.samples;
+    node.mem_capacity_bytes = node_pools_[i]->capacity();
+    node.mem_free_bytes = node_pools_[i]->free_bytes();
+    node.node_backlog_seconds = node_broker_backlog_[i];
+    node.tenant_weight = options_.tenant_weight;
+    node.active_weight = node_active_weight_[i];
+    node.alive = !node_dead_[i];
+    view.nodes.push_back(std::move(node));
+  }
+  return view;
+}
+
+Expected<ClusterRuntime::Placement> ClusterRuntime::PlanLaunchLocked(
+    const LaunchSpec& spec, const ResolvedLaunch& launch) {
   // Locality hints from the region directories: how many of this launch's
   // input bytes each node already owns, and the first dim-0 index of
   // partitioned input resident there. Policies use these to source shards
@@ -1370,13 +1390,9 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
   std::vector<std::uint64_t> resident_bytes(nodes_.size(), 0);
   std::vector<std::uint64_t> resident_begin(
       nodes_.size(), std::numeric_limits<std::uint64_t>::max());
-  for (const auto& buffer_arg : buffer_args) {
-    std::uint64_t begin = 0;
-    std::uint64_t end = buffer_arg.buffer->size;
-    if (buffer_arg.partitioned) {
-      begin = spec.global_offset[0] * buffer_arg.stride;
-      end = begin + spec.global[0] * buffer_arg.stride;
-    }
+  for (const BufferArg& buffer_arg : launch.buffers) {
+    const auto [begin, end] =
+        buffer_arg.Window(spec.global_offset[0], spec.global[0]);
     // try_lock, never block: this runs under state_mutex_, and a buffer
     // amid a slice transfer holds its mutex across node RPCs — waiting
     // here would stall every other submit in the runtime. A missed hint
@@ -1397,80 +1413,51 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
     }
   }
 
-  // Ask the policy for the placement plan (live in-flight depth feeds the
-  // view, so the decision sees the cluster as of this submit).
-  sched::PlacementPlan placement;
-  std::vector<double> shard_charges;
-  {
-    std::lock_guard<std::mutex> sched_lock(sched_mutex_);
-    sched::ClusterView view;
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-      sched::NodeView node;
-      node.name = devices_[i].name;
-      node.type = devices_[i].type;
-      node.spec = sim::SpecForType(devices_[i].type);
-      node.link = options_.link;
-      node.queue_depth = in_flight_[i];
-      node.busy_seconds_ahead = node_busy_ahead_[i];
-      node.observed_seconds_per_flop = rate_table_->NodeAverage(i);
-      const sched::KernelRateTable::Rate rate =
-          rate_table_->Lookup(i, spec.kernel_name);
-      node.kernel_seconds_per_flop = rate.seconds_per_flop;
-      node.kernel_rate_samples = rate.samples;
-      node.resident_input_bytes = resident_bytes[i];
-      node.resident_dim0_begin = resident_begin[i];
-      node.mem_capacity_bytes = node_pools_[i]->capacity();
-      node.mem_free_bytes = node_pools_[i]->free_bytes();
-      node.node_backlog_seconds = node_broker_backlog_[i];
-      node.tenant_weight = options_.tenant_weight;
-      node.active_weight = node_active_weight_[i];
-      node.alive = !node_dead_[i];
-      view.nodes.push_back(std::move(node));
-    }
-    if (spec.force_node >= 0) {
-      // Elastic chunk sub-launch: placement was decided chunk-by-chunk by
-      // the coordinator, so bypass the policy — one shard, that node.
-      const auto forced = static_cast<std::size_t>(spec.force_node);
-      if (forced >= devices_.size()) {
-        return Status(ErrorCode::kInvalidValue,
-                      "force_node " + std::to_string(spec.force_node) +
-                          " out of range");
-      }
-      if (node_dead_[forced]) {
-        return Status(ErrorCode::kNodeLost,
-                      "node " + std::to_string(forced) +
-                          " is marked dead; chunk must be re-queued");
-      }
-      sched::PlacementShard shard;
-      shard.node = forced;
-      shard.global_offset = 0;
-      shard.global_count = task.dim0_extent;
-      placement.shards.push_back(shard);
-      HAOCL_RETURN_IF_ERROR(sched::ValidatePlan(placement, task, view));
-    } else {
-      auto planned = policy_->PlanLaunch(task, view);
-      if (!planned.ok()) return planned.status();
-      HAOCL_RETURN_IF_ERROR(sched::ValidatePlan(*planned, task, view));
-      placement = *std::move(planned);
-    }
-    // Charge each shard's predicted compute seconds against its node's
-    // backlog estimate NOW, so load-aware policies see work that is
-    // submitted but not yet complete; the shard refunds the same amount
-    // when it retires. (The old code instead accumulated completed
-    // seconds forever, starving the historically-fast node.)
-    const double extent_units = static_cast<double>(
-        std::max<std::uint64_t>(1, task.dim0_extent));
-    shard_charges.reserve(placement.shards.size());
-    for (const sched::PlacementShard& shard : placement.shards) {
-      sched::TaskInfo shard_task = task;
-      shard_task.cost = task.cost.Scaled(
-          static_cast<double>(shard.global_count) / extent_units);
-      const double charge =
-          sched::PredictComputeSeconds(shard_task, view.nodes[shard.node]);
-      shard_charges.push_back(charge);
-      node_busy_ahead_[shard.node] += charge;
-    }
+  // Plan against the live view (in-flight depth and backlog as of now).
+  Placement placement;
+  std::lock_guard<std::mutex> sched_lock(sched_mutex_);
+  placement.view = ClusterViewLocked(spec.kernel_name);
+  for (std::size_t i = 0; i < placement.view.nodes.size(); ++i) {
+    placement.view.nodes[i].resident_input_bytes = resident_bytes[i];
+    placement.view.nodes[i].resident_dim0_begin = resident_begin[i];
   }
+  if (spec.force_node >= 0) {
+    // Elastic chunk sub-launch: placement was decided chunk-by-chunk by
+    // the coordinator, so bypass the policy — one shard, that node.
+    const auto forced = static_cast<std::size_t>(spec.force_node);
+    if (forced >= placement.view.nodes.size()) {
+      return Status(ErrorCode::kInvalidValue,
+                    "force_node " + std::to_string(spec.force_node) +
+                        " out of range");
+    }
+    if (!placement.view.nodes[forced].alive) {
+      return Status(ErrorCode::kNodeLost,
+                    "node " + std::to_string(forced) +
+                        " is marked dead; chunk must be re-queued");
+    }
+    placement.plan =
+        sched::PlacementPlan::SingleNode(forced, launch.task.dim0_extent);
+  } else {
+    auto planned = policy_->PlanLaunch(launch.task, placement.view);
+    if (!planned.ok()) return planned.status();
+    placement.plan = *std::move(planned);
+  }
+  HAOCL_RETURN_IF_ERROR(
+      sched::ValidatePlan(placement.plan, launch.task, placement.view));
+  return placement;
+}
+
+Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
+    const LaunchSpec& spec, std::vector<CommandHandle> deps,
+    std::vector<CommandHandle> order_after) {
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  auto resolved = ResolveLaunchLocked(spec);
+  if (!resolved.ok()) return resolved.status();
+  const ResolvedLaunch& launch = *resolved;
+  const sched::TaskInfo& task = launch.task;
+  auto placed = PlanLaunchLocked(spec, launch);
+  if (!placed.ok()) return placed.status();
+  const sched::PlacementPlan& placement = placed->plan;
   const std::size_t shard_total = placement.shards.size();
 
   // Decompose oversubscribed shards into out-of-core stages: a shard
@@ -1478,21 +1465,13 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
   // serial chain of sub-range launches with a double-buffered stage
   // budget, so two stages fit at once and stage k+1's slice prefetch can
   // overlap stage k's compute (libhclooc's staging pattern, expressed as
-  // command-graph edges below).
-  struct SubLaunch {
-    std::size_t shard = 0;     // Index into placement.shards.
-    std::uint64_t offset = 0;  // Plan-relative dim-0 offset.
-    std::uint64_t count = 0;
-    std::uint32_t stage = 0;         // Stage index within the shard.
-    std::uint32_t stage_total = 1;   // 1 = runs in-core, unstaged.
-  };
-  std::vector<SubLaunch> subs;
+  // command-graph edges below). In-core shards get budget 0: one stage.
   const std::uint64_t stage_align =
       std::max<std::uint64_t>(1, task.dim0_align);
+  std::vector<std::uint64_t> stage_rows(shard_total, 0);
   for (std::size_t s = 0; s < shard_total; ++s) {
     const sched::PlacementShard& shard = placement.shards[s];
     const std::uint64_t capacity = node_pools_[shard.node]->capacity();
-    std::uint64_t stage_rows = shard.global_count;
     if (capacity != 0 && task.splittable && task.bytes_per_index > 0) {
       const std::uint64_t working_set =
           task.replicated_bytes + shard.global_count * task.bytes_per_index;
@@ -1501,9 +1480,9 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
             capacity > task.replicated_bytes
                 ? (capacity - task.replicated_bytes) / 2
                 : 0;
-        stage_rows =
+        stage_rows[s] =
             budget / task.bytes_per_index / stage_align * stage_align;
-        if (stage_rows == 0) {
+        if (stage_rows[s] == 0) {
           // ValidatePlan admits only stageable shards, but a policy could
           // hand us a hand-built plan through a custom registry entry.
           return Status(ErrorCode::kMemObjectAllocationFailure,
@@ -1513,60 +1492,52 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
         }
       }
     }
-    const auto stages = static_cast<std::uint32_t>(
-        (shard.global_count + stage_rows - 1) / stage_rows);
-    for (std::uint32_t k = 0; k < stages; ++k) {
-      SubLaunch sub;
-      sub.shard = s;
-      sub.offset = shard.global_offset + k * stage_rows;
-      sub.count = std::min<std::uint64_t>(
-          stage_rows, shard.global_offset + shard.global_count - sub.offset);
-      sub.stage = k;
-      sub.stage_total = stages;
-      subs.push_back(sub);
-    }
   }
+  const std::vector<sched::ChunkSpan> subs =
+      sched::ChunkifyPlan(placement, stage_align, stage_rows);
+  std::vector<std::uint32_t> stages_of(shard_total, 0);
+  for (const sched::ChunkSpan& sub : subs) ++stages_of[sub.shard];
   const std::size_t launch_total = subs.size();
   const bool region_mode = launch_total > 1;
 
-  // Shared dependency context for every shard.
+  // Charge each shard's predicted compute seconds against its node's
+  // backlog estimate NOW, so load-aware policies see work that is
+  // submitted but not yet complete; the shard refunds the same amount
+  // when it retires. Charged only once staging cannot fail any more:
+  // LaunchWork's destructor refunds only what a submitted shard holds.
+  std::vector<double> shard_charges;
+  shard_charges.reserve(shard_total);
+  {
+    std::lock_guard<std::mutex> sched_lock(sched_mutex_);
+    const double extent_units = static_cast<double>(
+        std::max<std::uint64_t>(1, task.dim0_extent));
+    for (const sched::PlacementShard& shard : placement.shards) {
+      sched::TaskInfo shard_task = task;
+      shard_task.cost = task.cost.Scaled(
+          static_cast<double>(shard.global_count) / extent_units);
+      const double charge = sched::PredictComputeSeconds(
+          shard_task, placed->view.nodes[shard.node]);
+      shard_charges.push_back(charge);
+      node_busy_ahead_[shard.node] += charge;
+    }
+  }
+
+  // Shared dependency context for every shard. Hazard ranges are
+  // region-granular: a partitioned arg conflicts only on the launch's
+  // partition window, so launches over disjoint windows of one buffer
+  // pipeline freely.
   std::vector<CommandId> dep_ids;
   std::vector<CommandId> hazards;
   CollectDepIds(deps, &dep_ids);
   CollectDepIds(order_after, &hazards);
-  // Hazard ranges are region-granular: a partitioned arg conflicts only on
-  // the launch's partition window, so launches over disjoint windows of
-  // one buffer pipeline freely.
-  struct HazardTarget {
-    BufferPtr buffer;
-    bool written;
-    bool partitioned;
-    std::uint64_t stride;
-    std::uint64_t begin;
-    std::uint64_t end;
-  };
-  std::vector<HazardTarget> targets;
-  targets.reserve(buffer_args.size());
-  for (const auto& buffer_arg : buffer_args) {
-    HazardTarget target;
-    target.buffer = buffer_arg.buffer;
-    target.written = buffer_arg.written;
-    target.partitioned = buffer_arg.partitioned;
-    target.stride = buffer_arg.stride;
-    target.begin = 0;
-    target.end = buffer_arg.buffer->size;
-    if (buffer_arg.partitioned) {
-      target.begin = spec.global_offset[0] * buffer_arg.stride;
-      target.end = target.begin + spec.global[0] * buffer_arg.stride;
-    }
+  for (const BufferArg& buffer_arg : launch.buffers) {
+    const auto [begin, end] =
+        buffer_arg.Window(spec.global_offset[0], spec.global[0]);
     if (buffer_arg.written) {
-      AddWriteHazardLocked(*buffer_arg.buffer, target.begin, target.end,
-                           &hazards);
+      AddWriteHazardLocked(*buffer_arg.buffer, begin, end, &hazards);
     } else {
-      AddReadHazardLocked(*buffer_arg.buffer, target.begin, target.end,
-                          &hazards);
+      AddReadHazardLocked(*buffer_arg.buffer, begin, end, &hazards);
     }
-    targets.push_back(std::move(target));
   }
 
   // Fan out the sub-launch commands. Shards are mutually independent (the
@@ -1586,8 +1557,12 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
   CommandId prev_launch = kNullCommand;
   CommandId prev_prev_launch = kNullCommand;
   CommandId prev_prefetch = kNullCommand;
-  for (const SubLaunch& sub : subs) {
-    if (sub.stage == 0) {
+  std::uint32_t stage = 0;  // Index of `sub` within its shard's stages.
+  for (std::size_t i = 0; i < launch_total; ++i) {
+    const sched::ChunkSpan& sub = subs[i];
+    const std::uint32_t stage_total = stages_of[sub.shard];
+    stage = i > 0 && subs[i - 1].shard == sub.shard ? stage + 1 : 0;
+    if (stage == 0) {
       prev_launch = prev_prev_launch = prev_prefetch = kNullCommand;
     }
     const sched::PlacementShard& shard = placement.shards[sub.shard];
@@ -1601,9 +1576,8 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
           static_cast<double>(sub.count) / extent);
     }
     work->program_id = spec.program;
-    work->program = program;
-    work->kernel = kernel;
-    work->buffers = buffer_args;
+    work->program = launch.program;
+    work->buffers = launch.buffers;
     work->node = shard.node;
     work->owner = this;
     work->backlog_charge =
@@ -1620,9 +1594,9 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
                std::to_string(shard_total) + "]";
     }
     std::vector<CommandId> launch_deps;
-    if (sub.stage_total > 1) {
-      label += ":stage" + std::to_string(sub.stage + 1) + "/" +
-               std::to_string(sub.stage_total);
+    if (stage_total > 1) {
+      label += ":stage" + std::to_string(stage + 1) + "/" +
+               std::to_string(stage_total);
       // Prefetch command: reserves + pins the stage's working set and
       // ships its slices ahead of the compute. Pipelined wiring lets
       // prefetch k+1 run while compute k is still in flight, gated on
@@ -1634,20 +1608,14 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
       prefetch->node = shard.node;
       prefetch->pipelined = options_.stage_pipeline;
       prefetch->link = link;
-      for (const auto& buffer_arg : buffer_args) {
-        StagePrefetchWork::Range range;
-        range.id = buffer_arg.id;
-        range.buffer = buffer_arg.buffer;
-        range.begin = 0;
-        range.end = buffer_arg.buffer->size;
-        if (buffer_arg.partitioned) {
-          range.begin = work->spec.global_offset[0] * buffer_arg.stride;
-          range.end = range.begin + sub.count * buffer_arg.stride;
-        }
-        prefetch->ranges.push_back(std::move(range));
+      for (const BufferArg& buffer_arg : launch.buffers) {
+        const auto [begin, end] =
+            buffer_arg.Window(work->spec.global_offset[0], sub.count);
+        prefetch->ranges.push_back(
+            {buffer_arg.id, buffer_arg.buffer, begin, end});
       }
       std::vector<CommandId> prefetch_deps;
-      if (sub.stage == 0) {
+      if (stage == 0) {
         prefetch_deps = dep_ids;
       } else if (options_.stage_pipeline) {
         prefetch_deps.push_back(prev_prefetch);
@@ -1690,7 +1658,7 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
           return ExecLaunch(work, e);
         },
         std::move(launch_deps), label,
-        sub.stage_total > 1 ? std::vector<CommandId>{} : hazards);
+        stage_total > 1 ? std::vector<CommandId>{} : hazards);
     prev_launch = launch_cmd;
     shard_ids.push_back(launch_cmd);
   }
@@ -1785,12 +1753,17 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
   // shards also register individually — a failed sibling makes the join
   // terminal while other shards still run, and teardown/write hazards
   // must not overtake them.
-  for (const auto& target : targets) {
-    if (target.written) {
-      RecordWriteLocked(*target.buffer, target.begin, target.end, cmd);
-    } else {
-      RecordReadLocked(*target.buffer, target.begin, target.end, cmd);
-    }
+  for (const BufferArg& buffer_arg : launch.buffers) {
+    const auto record = [&](std::uint64_t first, std::uint64_t count,
+                            CommandId id) {
+      const auto [begin, end] = buffer_arg.Window(first, count);
+      if (buffer_arg.written) {
+        RecordWriteLocked(*buffer_arg.buffer, begin, end, id);
+      } else {
+        RecordReadLocked(*buffer_arg.buffer, begin, end, id);
+      }
+    };
+    record(spec.global_offset[0], spec.global[0], cmd);
     if (region_mode) {
       // Each sub-launch registers over its own slice of partitioned args
       // (its full range for replicated ones) — as a WRITER where it
@@ -1799,24 +1772,15 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
       // join terminal early (reads collect only writers, and terminal
       // commands impose no order).
       for (std::size_t s = 0; s < shard_ids.size(); ++s) {
-        std::uint64_t begin = target.begin;
-        std::uint64_t end = target.end;
-        if (target.partitioned) {
-          begin = (spec.global_offset[0] + subs[s].offset) * target.stride;
-          end = begin + subs[s].count * target.stride;
-        }
-        if (target.written) {
-          RecordWriteLocked(*target.buffer, begin, end, shard_ids[s]);
-        } else {
-          RecordReadLocked(*target.buffer, begin, end, shard_ids[s]);
-        }
+        record(spec.global_offset[0] + subs[s].offset, subs[s].count,
+               shard_ids[s]);
       }
     }
   }
   // Prune retired launches so long-lived programs do not accumulate one
   // id per launch forever (mirrors PruneRetiredReadersLocked). Reclaimed
   // records (!ok) retired by definition.
-  auto& uses = program->uses;
+  auto& uses = launch.program->uses;
   uses.erase(std::remove_if(uses.begin(), uses.end(),
                             [this](CommandId id) {
                               auto state = graph_->QueryState(id);
@@ -1838,8 +1802,8 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
                                   CommandGraph::Execution& e) {
   const LaunchSpec& spec = work->spec;
   const std::size_t node = work->node;  // Placement decided at submit.
-  // Byte range of this shard's slice in partitioned buffers: dim-0
-  // indices [global_offset[0], global_offset[0] + global[0]).
+  // This shard's dim-0 indices: [global_offset[0], global_offset[0] +
+  // global[0]). BufferArg::Window turns them into each arg's byte range.
   const std::uint64_t slice_first = spec.global_offset[0];
   const std::uint64_t slice_count = spec.global[0];
 
@@ -1854,13 +1818,8 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
       launch_epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
   std::vector<runtime::MemoryPool::BufferRange> working_set;
   working_set.reserve(work->buffers.size());
-  for (const auto& buffer_arg : work->buffers) {
-    std::uint64_t begin = 0;
-    std::uint64_t end = buffer_arg.buffer->size;
-    if (buffer_arg.partitioned) {
-      begin = slice_first * buffer_arg.stride;
-      end = begin + slice_count * buffer_arg.stride;
-    }
+  for (const BufferArg& buffer_arg : work->buffers) {
+    const auto [begin, end] = buffer_arg.Window(slice_first, slice_count);
     working_set.push_back({buffer_arg.id, begin, end});
     pins.Pin(buffer_arg.buffer, node, epoch);
   }
@@ -1908,18 +1867,14 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
     net::WireKernelArg wire;
     switch (arg.kind) {
       case KernelArgValue::Kind::kBuffer: {
-        LaunchWork::BufferArg& buffer_arg = *buffer_arg_it++;
+        const BufferArg& buffer_arg = *buffer_arg_it++;
         std::lock_guard<std::mutex> lock(buffer_arg.buffer->mutex);
         // Partitioned args need only this shard's slice on the node (a
         // single-shard launch's "slice" is its whole partition window);
         // replicated args need the full buffer. The directory ships just
         // the stale sub-ranges, sourcing peers directly where possible.
-        std::uint64_t begin = 0;
-        std::uint64_t end = buffer_arg.buffer->size;
-        if (buffer_arg.partitioned) {
-          begin = slice_first * buffer_arg.stride;
-          end = begin + slice_count * buffer_arg.stride;
-        }
+        const auto [begin, end] =
+            buffer_arg.Window(slice_first, slice_count);
         HAOCL_RETURN_IF_ERROR(EnsureRangeOnNodeLocked(
             buffer_arg.id, *buffer_arg.buffer, node, begin, end,
             &result.bytes_shipped));
@@ -1971,15 +1926,10 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
   // host shadow and every other replica are stale for those ranges until a
   // read, a migration, or a downstream launch pulls them — which a chained
   // consumer does node-to-node, without touching the host.
-  for (const auto& buffer_arg : work->buffers) {
+  for (const BufferArg& buffer_arg : work->buffers) {
     if (!buffer_arg.written) continue;
     std::lock_guard<std::mutex> lock(buffer_arg.buffer->mutex);
-    std::uint64_t begin = 0;
-    std::uint64_t end = buffer_arg.buffer->size;
-    if (buffer_arg.partitioned) {
-      begin = slice_first * buffer_arg.stride;
-      end = begin + slice_count * buffer_arg.stride;
-    }
+    const auto [begin, end] = buffer_arg.Window(slice_first, slice_count);
     buffer_arg.buffer->dir.MarkWritten(
         begin, end, static_cast<RegionDirectory::Owner>(node));
   }
@@ -2016,11 +1966,10 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
   // to the host shadow (the out-of-core writeback, spill-bucketed), and
   // input slices just drop ownership — at most two stages stay resident.
   if (work->stage_link != nullptr) {
-    for (const auto& buffer_arg : work->buffers) {
+    for (const BufferArg& buffer_arg : work->buffers) {
       if (!buffer_arg.partitioned) continue;
       std::lock_guard<std::mutex> lock(buffer_arg.buffer->mutex);
-      const std::uint64_t begin = slice_first * buffer_arg.stride;
-      const std::uint64_t end = begin + slice_count * buffer_arg.stride;
+      const auto [begin, end] = buffer_arg.Window(slice_first, slice_count);
       HAOCL_RETURN_IF_ERROR(EvictRangeFromNodeLocked(
           buffer_arg.id, *buffer_arg.buffer, node, begin, end));
     }
@@ -2413,45 +2362,35 @@ Expected<sched::ClusterView> ClusterRuntime::QueryClusterView() {
     futures.push_back(nodes_[i]->CallAsync(MsgType::kQueryLoad,
                                            options_.session_id, {}));
   }
-  sched::ClusterView view;
+  std::vector<std::optional<net::LoadReply>> loads(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    sched::NodeView node;
-    node.name = devices_[i].name;
-    node.type = devices_[i].type;
-    node.spec = sim::SpecForType(devices_[i].type);
-    node.link = options_.link;
-    node.mem_capacity_bytes = node_pools_[i]->capacity();
-    node.mem_free_bytes = node_pools_[i]->free_bytes();
     const auto* reply = futures[i]->WaitFor(options_.rpc_timeout);
-    Status status =
-        reply == nullptr
-            ? Status(ErrorCode::kNetworkError, "load query timeout")
-            : CheckReply(*reply, MsgType::kLoadReply);
-    if (status.ok()) {
-      auto load = net::Decode<net::LoadReply>((*reply)->payload);
-      if (load.ok()) {
-        // Fold the broker's shared rates in first (only seeds kernels this
-        // session has no local samples for) so the view below reflects
-        // them.
-        for (const net::WireKernelRate& rate : load->kernel_rates) {
-          rate_table_->Seed(i, rate.kernel, rate.seconds_per_flop,
-                            rate.samples);
-        }
-        std::lock_guard<std::mutex> lock(sched_mutex_);
-        node.queue_depth = load->queue_depth + in_flight_[i];
-        node.busy_seconds_ahead = node_busy_ahead_[i];
-        node.kernels_executed = load->kernels_executed;
-        node.observed_seconds_per_flop = rate_table_->NodeAverage(i);
-        node_broker_backlog_[i] = load->node_backlog_seconds;
-        node_active_weight_[i] = load->active_weight;
-        node.node_backlog_seconds = node_broker_backlog_[i];
-        node.tenant_weight = options_.tenant_weight;
-        node.active_weight = node_active_weight_[i];
-      }
-    } else {
-      node.alive = false;
+    if (reply == nullptr || !CheckReply(*reply, MsgType::kLoadReply).ok()) {
+      continue;
     }
-    view.nodes.push_back(std::move(node));
+    auto load = net::Decode<net::LoadReply>((*reply)->payload);
+    if (!load.ok()) continue;
+    // Fold the broker's shared rates in first (only seeds kernels this
+    // session has no local samples for) so the view below reflects them.
+    for (const net::WireKernelRate& rate : load->kernel_rates) {
+      rate_table_->Seed(i, rate.kernel, rate.seconds_per_flop, rate.samples);
+    }
+    loads[i] = *std::move(load);
+  }
+  std::lock_guard<std::mutex> lock(sched_mutex_);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (!loads[i].has_value()) continue;
+    node_broker_backlog_[i] = loads[i]->node_backlog_seconds;
+    node_active_weight_[i] = loads[i]->active_weight;
+  }
+  sched::ClusterView view = ClusterViewLocked(/*kernel_name=*/"");
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (!loads[i].has_value()) {
+      view.nodes[i].alive = false;  // Silent or garbled: not schedulable.
+      continue;
+    }
+    view.nodes[i].queue_depth += loads[i]->queue_depth;
+    view.nodes[i].kernels_executed = loads[i]->kernels_executed;
   }
   return view;
 }
@@ -2481,132 +2420,6 @@ std::uint64_t ClusterRuntime::TotalBytesSent() const {
   std::uint64_t total = 0;
   for (const auto& node : nodes_) total += node->bytes_sent();
   return total;
-}
-
-Expected<ClusterRuntime::ElasticPreview> ClusterRuntime::PreviewPlacement(
-    const LaunchSpec& spec) {
-  std::lock_guard<std::mutex> state_lock(state_mutex_);
-  auto program_it = programs_.find(spec.program);
-  if (program_it == programs_.end()) {
-    return Status(ErrorCode::kInvalidProgram,
-                  "no program " + std::to_string(spec.program));
-  }
-  const ProgramPtr program = program_it->second;
-  const oclc::CompiledFunction* kernel =
-      program->module->FindKernel(spec.kernel_name);
-  if (kernel == nullptr) {
-    return Status(ErrorCode::kInvalidKernelName,
-                  "no kernel '" + spec.kernel_name + "' in program");
-  }
-  if (kernel->params.size() != spec.args.size()) {
-    return Status(ErrorCode::kInvalidKernelArgs,
-                  "kernel '" + spec.kernel_name + "' takes " +
-                      std::to_string(kernel->params.size()) + " args, got " +
-                      std::to_string(spec.args.size()));
-  }
-  // Condensed TaskInfo build (SubmitLaunch's accounting, minus the
-  // per-buffer locality hints — the coordinator rebalances dynamically,
-  // so the initial split need not be locality-perfect).
-  sched::TaskInfo task;
-  task.kernel_name = spec.kernel_name;
-  task.user_id = options_.session_id;
-  task.preferred_node = spec.preferred_node;
-  task.fpga_binary_available =
-      driver::NativeKernelRegistry::Instance().Contains(spec.kernel_name);
-  task.dim0_extent = spec.global[0];
-  task.dim0_align =
-      spec.local_specified ? std::max<std::uint64_t>(1, spec.local[0]) : 1;
-  const bool range_free =
-      !KernelMayQueryLaunchRange(*program->module, *kernel);
-  task.splittable = spec.work_dim >= 1 && spec.global[0] > 0 && range_free;
-  std::vector<oclc::ArgBinding> fake_bindings;
-  for (std::size_t i = 0; i < spec.args.size(); ++i) {
-    const KernelArgValue& arg = spec.args[i];
-    if (arg.kind != KernelArgValue::Kind::kBuffer) {
-      fake_bindings.push_back(oclc::ArgBinding{});
-      continue;
-    }
-    auto it = buffers_.find(arg.buffer);
-    if (it == buffers_.end()) {
-      return Status(ErrorCode::kInvalidMemObject,
-                    "arg " + std::to_string(i) + ": no such buffer");
-    }
-    const bool written = !kernel->params[i].pointee_const;
-    const bool partitioned =
-        arg.access == KernelArgValue::Access::kPartitionedDim0 && range_free;
-    if (partitioned && arg.partition_stride == 0) {
-      return Status(ErrorCode::kInvalidValue,
-                    "arg " + std::to_string(i) +
-                        ": partitioned access needs a non-zero stride");
-    }
-    if (written && !partitioned) task.splittable = false;
-    task.input_bytes += partitioned ? spec.global[0] * arg.partition_stride
-                                    : it->second->size;
-    if (partitioned) {
-      task.bytes_per_index += arg.partition_stride;
-    } else {
-      task.replicated_bytes += it->second->size;
-    }
-    oclc::ArgBinding binding;
-    binding.kind = oclc::ArgBinding::Kind::kBuffer;
-    binding.size = it->second->size;
-    fake_bindings.push_back(binding);
-  }
-  if (!task.splittable) {
-    return Status(
-        ErrorCode::kInvalidOperation,
-        "kernel '" + spec.kernel_name +
-            "' is not splittable (elastic execution re-targets chunks "
-            "freely: the kernel must be range-free and every written "
-            "buffer annotated kPartitionedDim0)");
-  }
-  if (spec.cost_hint.has_value()) {
-    task.cost = *spec.cost_hint;
-  } else {
-    oclc::NDRange range;
-    range.work_dim = spec.work_dim;
-    for (int d = 0; d < 3; ++d) {
-      range.global[d] = spec.global[d];
-      range.local[d] = spec.local[d];
-      range.offset[d] = spec.global_offset[d];
-    }
-    range.local_specified = spec.local_specified;
-    task.cost = driver::EstimateKernelCost(*program->module, *kernel,
-                                           fake_bindings, range);
-  }
-
-  std::lock_guard<std::mutex> sched_lock(sched_mutex_);
-  sched::ClusterView view;
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    sched::NodeView node;
-    node.name = devices_[i].name;
-    node.type = devices_[i].type;
-    node.spec = sim::SpecForType(devices_[i].type);
-    node.link = options_.link;
-    node.queue_depth = in_flight_[i];
-    node.busy_seconds_ahead = node_busy_ahead_[i];
-    node.observed_seconds_per_flop = rate_table_->NodeAverage(i);
-    const sched::KernelRateTable::Rate rate =
-        rate_table_->Lookup(i, spec.kernel_name);
-    node.kernel_seconds_per_flop = rate.seconds_per_flop;
-    node.kernel_rate_samples = rate.samples;
-    node.mem_capacity_bytes = node_pools_[i]->capacity();
-    node.mem_free_bytes = node_pools_[i]->free_bytes();
-    node.node_backlog_seconds = node_broker_backlog_[i];
-    node.tenant_weight = options_.tenant_weight;
-    node.active_weight = node_active_weight_[i];
-    node.alive = !node_dead_[i];
-    view.nodes.push_back(std::move(node));
-  }
-  auto planned = policy_->PlanLaunch(task, view);
-  if (!planned.ok()) return planned.status();
-  HAOCL_RETURN_IF_ERROR(sched::ValidatePlan(*planned, task, view));
-  ElasticPreview preview;
-  preview.plan = *std::move(planned);
-  preview.align = task.dim0_align;
-  preview.flops_total = task.cost.flops;
-  preview.cost = task.cost;
-  return preview;
 }
 
 Status ClusterRuntime::ProbeNode(std::size_t node) {

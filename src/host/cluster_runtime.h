@@ -38,6 +38,12 @@
 // input slice and gathers its output slice back into the host shadow, so
 // one kernel co-executes across heterogeneous nodes bit-identically to
 // the single-node run.
+//
+// One launch front end: SubmitLaunch and LaunchElastic both resolve the
+// spec (ResolveLaunchLocked), build the scheduler's view (ClusterViewLocked)
+// and plan (PlanLaunchLocked) through the same private steps, and both cut
+// their plan with sched::ChunkifyPlan — into out-of-core stages for
+// SubmitLaunch, into steal-able chunks for LaunchElastic.
 #pragma once
 
 #include <atomic>
@@ -49,6 +55,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
@@ -606,21 +613,48 @@ class ClusterRuntime {
                   std::uint64_t src_offset, BufferId dst_id,
                   const BufferPtr& dst, std::uint64_t dst_offset,
                   std::uint64_t size);
-  // Elastic planning: asks the policy for the initial shard split the
-  // chunk ledger is cut from, without submitting anything. Fails unless
-  // the launch is splittable (range-free kernel, every written buffer
-  // kPartitionedDim0) — elastic execution re-targets chunks freely, which
-  // only a splittable launch tolerates.
-  struct ElasticPreview {
-    sched::PlacementPlan plan;
-    std::uint64_t align = 1;
-    double flops_total = 0.0;   // Cost-model flops for the whole launch.
-    sim::KernelCost cost;       // Full-launch analytic cost; chunks carry
-                                // this (row-scaled) as their hint so a
-                                // chunk is billed its rows, not a cold
-                                // pass over the node's whole allocation.
+  // ---- Launch front end (SubmitLaunch and LaunchElastic) ------------------
+  // One buffer argument of a launch, resolved at submit; every shard,
+  // stage and chunk of the launch shares it.
+  struct BufferArg {
+    BufferId id = 0;
+    BufferPtr buffer;
+    bool written = false;      // Bound to a non-const pointer parameter.
+    bool partitioned = false;  // kPartitionedDim0 on a range-free kernel.
+    std::uint64_t stride = 0;  // Bytes per dim-0 index (partitioned).
+    // The bytes dim-0 indices [first, first + count) touch: that slice of
+    // a partitioned arg, the whole buffer otherwise.
+    [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> Window(
+        std::uint64_t first, std::uint64_t count) const {
+      if (!partitioned) return {0, buffer->size};
+      return {first * stride, (first + count) * stride};
+    }
   };
-  Expected<ElasticPreview> PreviewPlacement(const LaunchSpec& spec);
+  // A validated launch: its program, buffer args in argument order, and
+  // the scheduler's TaskInfo with its cost.
+  struct ResolvedLaunch {
+    ProgramPtr program;
+    std::vector<BufferArg> buffers;
+    sched::TaskInfo task;
+  };
+  // Checks the spec against the object tables — program, kernel, arity,
+  // buffers, and every partition window against its buffer's size — and
+  // derives the task. Requires state_mutex_ held; touches nothing.
+  Expected<ResolvedLaunch> ResolveLaunchLocked(const LaunchSpec& spec) const;
+  // The scheduler's view of every node from host-side accounting, with
+  // `kernel_name`'s observed rates. Requires sched_mutex_ held.
+  [[nodiscard]] sched::ClusterView ClusterViewLocked(
+      const std::string& kernel_name) const;
+  // The launch's plan — force_node's single shard, or the policy's plan
+  // over a view with this launch's locality hints — checked by
+  // ValidatePlan. Charges no backlog. Requires state_mutex_ held; takes
+  // sched_mutex_.
+  struct Placement {
+    sched::PlacementPlan plan;
+    sched::ClusterView view;  // What the plan was made against.
+  };
+  Expected<Placement> PlanLaunchLocked(const LaunchSpec& spec,
+                                       const ResolvedLaunch& launch);
 
   struct LaunchPlan;  // Queryable residue (LaunchResult) per launch.
   struct LaunchWork;  // Heavy captures owned by the command body.

@@ -1,14 +1,16 @@
 // Elastic launch: ClusterRuntime::LaunchElastic and the adapter that
 // bridges the StealCoordinator's ChunkExecutor interface onto the runtime.
 //
-// The flow: PreviewPlacement asks the session's scheduling policy for the
-// initial shard split; the ChunkLedger cuts it into steal-able chunks;
-// the StealCoordinator drains the ledger, running each chunk as an
-// ordinary force_node sub-launch through the full coherence machinery
-// (slice prologue, directory epilogue, rate feedback). Work stealing and
-// failure recovery are entirely ledger-side re-targeting — the chunk
-// sub-launch path is oblivious to both, which is what keeps the result
-// bit-identical to the single-node run.
+// The flow: SubmitLaunch's own front end resolves the spec (program,
+// kernel, args, every partition window) and plans the initial shard
+// split, so nothing runs that an ordinary launch would reject; the
+// ChunkLedger cuts the plan into steal-able chunks (sched::ChunkifyPlan,
+// the cutter out-of-core stages use too); the StealCoordinator drains the
+// ledger, running each chunk as an ordinary force_node sub-launch through
+// the full coherence machinery (slice prologue, directory epilogue, rate
+// feedback). Work stealing and failure recovery are entirely ledger-side
+// re-targeting — the chunk sub-launch path is oblivious to both, which is
+// what keeps the result bit-identical to the single-node run.
 #include <algorithm>
 #include <atomic>
 #include <limits>
@@ -24,24 +26,19 @@ namespace haocl::host {
 // either public API or read under the runtime's own locks (friend).
 class RuntimeChunkExecutor : public elastic::ChunkExecutor {
  public:
-  // Per-buffer-arg facts the executor needs for locality ranking and
-  // lost-row conversion (precomputed by LaunchElastic from kernel params).
-  struct PartArg {
-    BufferId id = 0;
-    std::uint64_t stride = 0;
-    bool written = false;
-  };
-
+  // `buffers` are the launch's resolved buffer args: the partitioned ones
+  // drive locality ranking, the written partitioned ones lost-row
+  // conversion.
   RuntimeChunkExecutor(ClusterRuntime* runtime,
                        const ClusterRuntime::LaunchSpec& spec,
                        std::uint64_t launch_id, double flops_total,
-                       std::vector<PartArg> part_args,
+                       std::vector<ClusterRuntime::BufferArg> buffers,
                        elastic::FaultInjector* faults)
       : runtime_(runtime),
         spec_(spec),
         launch_id_(launch_id),
         faults_(faults),
-        part_args_(std::move(part_args)),
+        buffers_(std::move(buffers)),
         flops_total_(flops_total),
         rows_total_(static_cast<double>(
             std::max<std::uint64_t>(1, spec.global[0]))),
@@ -127,25 +124,17 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
   std::uint64_t ResidentRowsOn(std::size_t node, std::uint64_t offset,
                                std::uint64_t count) override {
     // The first partitioned arg stands in for the chunk's input locality.
-    for (const PartArg& arg : part_args_) {
-      if (arg.stride == 0) continue;
-      ClusterRuntime::BufferPtr buffer;
-      {
-        std::lock_guard<std::mutex> state_lock(runtime_->state_mutex_);
-        auto it = runtime_->buffers_.find(arg.id);
-        if (it == runtime_->buffers_.end()) return 0;
-        buffer = it->second;
-      }
-      const std::uint64_t begin =
-          (spec_.global_offset[0] + offset) * arg.stride;
-      const std::uint64_t end = begin + count * arg.stride;
+    for (const ClusterRuntime::BufferArg& arg : buffers_) {
+      if (!arg.partitioned) continue;
+      const auto [begin, end] =
+          arg.Window(spec_.global_offset[0] + offset, count);
       // Advisory only — never block on a buffer amid a transfer.
-      std::unique_lock<std::mutex> buffer_lock(buffer->mutex,
+      std::unique_lock<std::mutex> buffer_lock(arg.buffer->mutex,
                                                std::try_to_lock);
       if (!buffer_lock.owns_lock()) return 0;
       std::uint64_t bytes = 0;
       for (const RegionDirectory::Region& region :
-           buffer->dir.Query(begin, end)) {
+           arg.buffer->dir.Query(begin, end)) {
         for (RegionDirectory::Owner owner : region.owners) {
           if (owner == node) bytes += region.end - region.begin;
         }
@@ -167,8 +156,8 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
     const std::uint64_t first = spec_.global_offset[0];
     const std::uint64_t extent = spec_.global[0];
     for (const ClusterRuntime::LostRange& range : *lost) {
-      for (const PartArg& arg : part_args_) {
-        if (!arg.written || arg.id != range.buffer || arg.stride == 0) {
+      for (const ClusterRuntime::BufferArg& arg : buffers_) {
+        if (!arg.written || !arg.partitioned || arg.id != range.buffer) {
           continue;
         }
         std::uint64_t row_begin = range.begin / arg.stride;
@@ -187,7 +176,7 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
   const ClusterRuntime::LaunchSpec spec_;
   const std::uint64_t launch_id_;
   elastic::FaultInjector* faults_;
-  const std::vector<PartArg> part_args_;
+  const std::vector<ClusterRuntime::BufferArg> buffers_;
   const double flops_total_;
   const double rows_total_;
   std::mutex mutex_;
@@ -206,8 +195,31 @@ Expected<ClusterRuntime::ElasticResult> ClusterRuntime::LaunchElastic(
                   "LaunchElastic drives its own chunk placement; do not set "
                   "force_node or elastic tags on the spec");
   }
-  auto preview = PreviewPlacement(spec);
-  if (!preview.ok()) return preview.status();
+  // SubmitLaunch's front end, minus the fan-out: nothing is charged or
+  // submitted, and a spec an ordinary launch would reject fails here
+  // before any chunk runs.
+  ResolvedLaunch launch;
+  sched::PlacementPlan plan;
+  {
+    std::lock_guard<std::mutex> state_lock(state_mutex_);
+    auto resolved = ResolveLaunchLocked(spec);
+    if (!resolved.ok()) return resolved.status();
+    if (!resolved->task.splittable) {
+      // Elastic execution re-targets chunks freely, which only a
+      // splittable launch tolerates.
+      return Status(
+          ErrorCode::kInvalidOperation,
+          "kernel '" + spec.kernel_name +
+              "' is not splittable (elastic execution re-targets chunks "
+              "freely: the kernel must be range-free and every written "
+              "buffer annotated kPartitionedDim0)");
+    }
+    auto placed = PlanLaunchLocked(spec, *resolved);
+    if (!placed.ok()) return placed.status();
+    launch = *std::move(resolved);
+    plan = std::move(placed->plan);
+  }
+  const std::uint64_t align = launch.task.dim0_align;
 
   // Chunk granularity: explicit rows, or cut the largest shard into
   // kDefaultChunksPerShard pieces so even a one-node plan yields work the
@@ -215,51 +227,20 @@ Expected<ClusterRuntime::ElasticResult> ClusterRuntime::LaunchElastic(
   std::uint64_t chunk_rows = options.chunk_rows;
   if (chunk_rows == 0) {
     std::uint64_t max_shard = 0;
-    for (const sched::PlacementShard& shard : preview->plan.shards) {
+    for (const sched::PlacementShard& shard : plan.shards) {
       max_shard = std::max(max_shard, shard.global_count);
     }
     chunk_rows = std::max<std::uint64_t>(
-        preview->align,
-        (max_shard + ElasticOptions::kDefaultChunksPerShard - 1) /
-            ElasticOptions::kDefaultChunksPerShard);
+        align, (max_shard + ElasticOptions::kDefaultChunksPerShard - 1) /
+                   ElasticOptions::kDefaultChunksPerShard);
   }
 
   elastic::ChunkLedger ledger;
-  HAOCL_RETURN_IF_ERROR(ledger.Init(preview->plan, preview->align, chunk_rows));
+  HAOCL_RETURN_IF_ERROR(ledger.Init(plan, align, chunk_rows));
 
   static std::atomic<std::uint64_t> next_launch_id{1};
   const std::uint64_t launch_id =
       next_launch_id.fetch_add(1, std::memory_order_relaxed);
-
-  // Partitioned-arg metadata for the executor (written-ness from the
-  // kernel's parameter constness, as SubmitLaunch determines it).
-  std::vector<RuntimeChunkExecutor::PartArg> part_args;
-  {
-    std::lock_guard<std::mutex> state_lock(state_mutex_);
-    auto program_it = programs_.find(spec.program);
-    if (program_it == programs_.end()) {
-      return Status(ErrorCode::kInvalidProgram,
-                    "no program " + std::to_string(spec.program));
-    }
-    const oclc::CompiledFunction* kernel =
-        program_it->second->module->FindKernel(spec.kernel_name);
-    if (kernel == nullptr) {
-      return Status(ErrorCode::kInvalidKernelName,
-                    "no kernel '" + spec.kernel_name + "'");
-    }
-    for (std::size_t i = 0; i < spec.args.size(); ++i) {
-      const KernelArgValue& arg = spec.args[i];
-      if (arg.kind != KernelArgValue::Kind::kBuffer ||
-          arg.access != KernelArgValue::Access::kPartitionedDim0) {
-        continue;
-      }
-      RuntimeChunkExecutor::PartArg part;
-      part.id = arg.buffer;
-      part.stride = arg.partition_stride;
-      part.written = !kernel->params[i].pointee_const;
-      part_args.push_back(part);
-    }
-  }
 
   // Chunks carry the full launch's analytic cost scaled to their rows: a
   // re-chunked device-side estimate would re-charge every chunk a cold
@@ -268,10 +249,11 @@ Expected<ClusterRuntime::ElasticResult> ClusterRuntime::LaunchElastic(
   // steal loop needs to see.
   ClusterRuntime::LaunchSpec chunk_spec = spec;
   if (!chunk_spec.cost_hint.has_value()) {
-    chunk_spec.cost_hint = preview->cost;
+    chunk_spec.cost_hint = launch.task.cost;
   }
   RuntimeChunkExecutor executor(this, chunk_spec, launch_id,
-                                preview->flops_total, std::move(part_args),
+                                launch.task.cost.flops,
+                                std::move(launch.buffers),
                                 options.fault_injector);
 
   // Every live node participates — idle nodes outside the plan start with
@@ -310,7 +292,7 @@ Expected<ClusterRuntime::ElasticResult> ClusterRuntime::LaunchElastic(
   result.launch.modeled_seconds = report.makespan_seconds;
   result.launch.bytes_shipped = report.bytes_shipped;
   result.launch.shard_count =
-      static_cast<std::uint32_t>(preview->plan.shards.size());
+      static_cast<std::uint32_t>(plan.shards.size());
   result.launch.stage_count = static_cast<std::uint32_t>(report.chunks_total);
   // Report the busiest node as "the" node, like a multi-shard aggregate.
   double busiest = -1.0;

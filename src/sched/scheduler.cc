@@ -494,15 +494,14 @@ bool ShardFitsOrStages(const TaskInfo& task, const NodeView& node,
 
 std::vector<ChunkSpan> ChunkifyPlan(const PlacementPlan& plan,
                                     std::uint64_t align,
-                                    std::uint64_t chunk_rows) {
+                                    std::span<const std::uint64_t> shard_rows) {
   if (align == 0) align = 1;
-  // Round the chunk size up to the alignment so every chunk boundary is a
-  // legal shard boundary.
-  std::uint64_t rows = chunk_rows == 0 ? 0 : (chunk_rows + align - 1) /
-                                                 align * align;
   std::vector<ChunkSpan> chunks;
   for (std::size_t s = 0; s < plan.shards.size(); ++s) {
     const PlacementShard& shard = plan.shards[s];
+    // Round the chunk size up to the alignment so every chunk boundary is
+    // a legal shard boundary.
+    const std::uint64_t rows = (shard_rows[s] + align - 1) / align * align;
     const std::uint64_t step =
         rows == 0 ? std::max<std::uint64_t>(1, shard.global_count) : rows;
     for (std::uint64_t off = 0; off < shard.global_count; off += step) {

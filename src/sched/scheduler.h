@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -193,21 +194,25 @@ bool ShardFitsOrStages(const TaskInfo& task, const NodeView& node,
 // at plan-relative `offset`, initially owned by `plan.shards[shard].node`.
 // The elastic runtime's ChunkLedger tracks these pending -> running ->
 // done; a chunk is the revocation granule work stealing and failure
-// recovery re-target.
+// recovery re-target. SubmitLaunch runs an oversubscribed shard's
+// out-of-core stages as ChunkSpans too.
 struct ChunkSpan {
   std::size_t shard = 0;      // Index into plan.shards.
   std::uint64_t offset = 0;   // Plan-relative dim-0 offset.
   std::uint64_t count = 0;
 };
 
-// Decomposes every shard of `plan` into chunks of at most `chunk_rows`
+// Decomposes shard s of `plan` into chunks of at most `shard_rows[s]`
 // dim-0 indices (rounded up to a multiple of `align`; the last chunk of a
 // shard is the short remainder). Chunks tile each shard in offset order, so
 // [shard begin, shard end) == the union of its chunks, gap-free. A zero
-// `chunk_rows` yields one chunk per shard (chunking disabled).
+// budget yields one chunk for that shard. `shard_rows` holds one budget
+// per shard. The one cutter behind both an elastic launch's steal-able
+// chunks (one budget for every shard) and an oversubscribed shard's
+// out-of-core stages (a capacity budget for that shard alone).
 std::vector<ChunkSpan> ChunkifyPlan(const PlacementPlan& plan,
                                     std::uint64_t align,
-                                    std::uint64_t chunk_rows);
+                                    std::span<const std::uint64_t> shard_rows);
 
 class SchedulingPolicy {
  public:

@@ -237,6 +237,44 @@ TEST(ElasticLaunchTest, NonSplittableKernelRejected) {
   EXPECT_EQ(result.status().code(), ErrorCode::kInvalidOperation);
 }
 
+TEST(ElasticLaunchTest, FailedBuildProgramIdRejected) {
+  Fixture f = Fixture::Make();
+  ClusterRuntime& runtime = f.cluster->runtime();
+  ASSERT_FALSE(runtime.BuildProgram("__kernel void broken(").ok());
+  auto good = runtime.BuildProgram(kDoubler);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  // The failed build's id names no program: both entry points say so.
+  ClusterRuntime::LaunchSpec spec = f.Spec();
+  spec.program = *good - 1;
+  auto launched = runtime.LaunchKernel(spec);
+  ASSERT_FALSE(launched.ok());
+  EXPECT_EQ(launched.status().code(), ErrorCode::kInvalidProgram);
+  auto elastic = runtime.LaunchElastic(spec);
+  ASSERT_FALSE(elastic.ok());
+  EXPECT_EQ(elastic.status().code(), ErrorCode::kInvalidProgram);
+}
+
+TEST(ElasticLaunchTest, OutOfRangePartitionRejectedBeforeAnyChunk) {
+  Fixture f = Fixture::Make();
+  ClusterRuntime& runtime = f.cluster->runtime();
+  constexpr int kRows = 1 << 16;
+  auto buffer = runtime.CreateBuffer(kRows * 4);
+  ASSERT_TRUE(buffer.ok());
+  std::vector<std::int32_t> values(kRows);
+  std::iota(values.begin(), values.end(), 1);
+  ASSERT_TRUE(runtime.WriteBuffer(*buffer, 0, values.data(), kRows * 4).ok());
+  ClusterRuntime::LaunchSpec spec = f.Spec();
+  spec.args[0] = KernelArgValue::PartitionedBuffer(*buffer, 4);
+  spec.global[0] = 2 * kRows;  // The window runs past the buffer's end.
+  auto result = runtime.LaunchElastic(spec);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), ErrorCode::kInvalidValue);
+  // Rejected up front, as LaunchKernel rejects it: no chunk ran.
+  std::vector<std::int32_t> got(kRows);
+  ASSERT_TRUE(runtime.ReadBuffer(*buffer, 0, got.data(), kRows * 4).ok());
+  EXPECT_EQ(got, values);
+}
+
 TEST(ElasticLaunchTest, ElasticTagsOnSpecRejected) {
   Fixture f = Fixture::Make();
   ClusterRuntime::LaunchSpec spec = f.Spec();

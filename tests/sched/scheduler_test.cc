@@ -7,6 +7,7 @@
 #include <cmath>
 #include <map>
 #include <random>
+#include <tuple>
 
 namespace haocl::sched {
 namespace {
@@ -663,6 +664,70 @@ TEST(HeteroSplitTest, ClusterWideShortfallLeavesStagedRemainder) {
     total += shard.global_count;
   }
   EXPECT_EQ(total, task.dim0_extent);
+}
+
+// ---- ChunkifyPlan: the one cutter behind elastic chunks and OOC stages ----
+
+// [0, 40) on node 0, [40, 70) on node 1, [70, 100) on node 2.
+PlacementPlan ThreeShardPlan() {
+  PlacementPlan plan;
+  plan.shards = {{0, 0, 40, 0.4}, {1, 40, 30, 0.3}, {2, 70, 30, 0.3}};
+  return plan;
+}
+
+// (shard, offset, count) per chunk, for whole-list comparisons.
+using Span = std::tuple<std::size_t, std::uint64_t, std::uint64_t>;
+std::vector<Span> Spans(const std::vector<ChunkSpan>& chunks) {
+  std::vector<Span> out;
+  for (const ChunkSpan& chunk : chunks) {
+    out.emplace_back(chunk.shard, chunk.offset, chunk.count);
+  }
+  return out;
+}
+
+TEST(ChunkifyPlanTest, EachShardIsCutAtItsOwnBudget) {
+  const std::vector<std::uint64_t> rows = {20, 15, 10};
+  const std::vector<Span> want = {{0, 0, 20},  {0, 20, 20}, {1, 40, 15},
+                                  {1, 55, 15}, {2, 70, 10}, {2, 80, 10},
+                                  {2, 90, 10}};
+  EXPECT_EQ(Spans(ChunkifyPlan(ThreeShardPlan(), 1, rows)), want);
+}
+
+TEST(ChunkifyPlanTest, BudgetRoundsUpToTheAlignment) {
+  // A 5-row budget under 8-row alignment cuts 8-row chunks: every chunk
+  // boundary stays a legal work-group boundary.
+  const std::vector<std::uint64_t> rows = {5};
+  const std::vector<ChunkSpan> chunks =
+      ChunkifyPlan(PlacementPlan::SingleNode(0, 40), 8, rows);
+  ASSERT_EQ(chunks.size(), 5u);
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    EXPECT_EQ(chunks[i].offset, 8 * i);
+    EXPECT_EQ(chunks[i].count, 8u);
+  }
+}
+
+TEST(ChunkifyPlanTest, ZeroBudgetGivesOneChunkPerShard) {
+  const std::vector<std::uint64_t> rows = {0, 0, 0};
+  const std::vector<Span> want = {{0, 0, 40}, {1, 40, 30}, {2, 70, 30}};
+  EXPECT_EQ(Spans(ChunkifyPlan(ThreeShardPlan(), 1, rows)), want);
+  // Zero mixes with real budgets: only the budgeted shard is cut.
+  const std::vector<std::uint64_t> mixed = {0, 10, 0};
+  EXPECT_EQ(ChunkifyPlan(ThreeShardPlan(), 1, mixed).size(), 5u);
+}
+
+TEST(ChunkifyPlanTest, LastChunkIsTheShortRemainder) {
+  const std::vector<std::uint64_t> rows = {30};
+  const std::vector<Span> want = {
+      {0, 0, 30}, {0, 30, 30}, {0, 60, 30}, {0, 90, 10}};
+  EXPECT_EQ(Spans(ChunkifyPlan(PlacementPlan::SingleNode(0, 100), 1, rows)),
+            want);
+  // With alignment the budget rounds up (30 -> 32) and the remainder is
+  // what is left: 100 = 3 x 32 + 4.
+  const std::vector<ChunkSpan> aligned =
+      ChunkifyPlan(PlacementPlan::SingleNode(0, 100), 4, rows);
+  ASSERT_EQ(aligned.size(), 4u);
+  EXPECT_EQ(aligned.back().offset, 96u);
+  EXPECT_EQ(aligned.back().count, 4u);
 }
 
 }  // namespace

@@ -18,6 +18,12 @@ struct Case {
   std::size_t fpga_nodes;
 };
 
+// Printed as its cluster shape (e.g. "2G+2F") so the listed test names do
+// not depend on where the app-name literal happens to be loaded.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.gpu_nodes << "G+" << c.fpga_nodes << "F";
+}
+
 std::unique_ptr<Workload> MakeByName(const std::string& name) {
   for (auto& w : AllWorkloads()) {
     if (w->name() == name) return std::move(w);

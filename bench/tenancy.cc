@@ -4,7 +4,9 @@
 //     seven-session hog flood, with fair-share arbitration and with the
 //     FIFO baseline. Fair share must keep the light tenant within 2x of
 //     its solo latency (it waits out at most the launch in service);
-//     FIFO makes it queue behind the whole hog fleet.
+//     FIFO makes it queue behind the whole hog fleet. Gate (exit 1 on a
+//     miss): fair-share latency below FIFO's; when FIFO is no slower,
+//     the flood no longer tells the two policies apart.
 //  2) Aggregate throughput — eight concurrent sessions must sustain at
 //     least 0.9x the single-session kernel rate through one shared node
 //     (the gate serializes kernels, so fair-sharing may not tax the
@@ -12,11 +14,13 @@
 //
 // Wall-clock measured (the broker gate schedules real execution, not the
 // virtual timeline); emits BENCH_tenancy.json.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "broker/node_broker.h"
 #include "host/cluster_runtime.h"
 #include "host/sim_cluster.h"
@@ -40,6 +44,7 @@ constexpr char kDoubler[] = R"(
 constexpr int kLightInts = 262144;
 constexpr int kHogInts = 16384;
 constexpr int kLatencySamples = 20;
+constexpr int kContendedRounds = 5;
 constexpr int kHogFlood = 60;  // Per hog session: enough to outlast the
                                // light tenant's measured window.
 
@@ -48,6 +53,12 @@ struct Tenant {
   ClusterRuntime* rt = nullptr;
   ClusterRuntime::LaunchSpec spec;
 };
+
+double Median(std::vector<double> values) {
+  std::nth_element(values.begin(), values.begin() + values.size() / 2,
+                   values.end());
+  return values[values.size() / 2];
+}
 
 double Seconds(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -214,13 +225,22 @@ double MeasureThroughput(std::size_t sessions, int per_session) {
 int main() {
   constexpr std::size_t kHogSessions = 7;  // + light = 8 sessions total.
 
-  std::printf("Tenancy: light-tenant latency (mean over %d launches)\n",
-              kLatencySamples);
+  std::printf("Tenancy: light-tenant latency (mean over %d launches; "
+              "contended: median of %d rounds)\n",
+              kLatencySamples, kContendedRounds);
   const double solo = RunSolo();
-  const double fair = RunContended(
-      haocl::broker::BrokerLimits::Arbitration::kFairShare, kHogSessions);
-  const double fifo = RunContended(
-      haocl::broker::BrokerLimits::Arbitration::kFifo, kHogSessions);
+  // Fair share and FIFO take turns, and each reports its median round, so
+  // a slow spell on a shared machine cannot decide the comparison.
+  std::vector<double> fair_rounds;
+  std::vector<double> fifo_rounds;
+  for (int round = 0; round < kContendedRounds; ++round) {
+    fair_rounds.push_back(RunContended(
+        haocl::broker::BrokerLimits::Arbitration::kFairShare, kHogSessions));
+    fifo_rounds.push_back(RunContended(
+        haocl::broker::BrokerLimits::Arbitration::kFifo, kHogSessions));
+  }
+  const double fair = Median(fair_rounds);
+  const double fifo = Median(fifo_rounds);
   std::printf("  solo            %8.3f ms\n", solo * 1e3);
   std::printf("  fair-share      %8.3f ms  (%.2fx solo, %zu hog sessions)\n",
               fair * 1e3, fair / solo, kHogSessions);
@@ -245,7 +265,8 @@ int main() {
         "    \"solo_latency_ms\": %.4f, \"fair_latency_ms\": %.4f,"
         " \"fifo_latency_ms\": %.4f,\n"
         "    \"fair_vs_solo\": %.4f, \"fifo_vs_solo\": %.4f,\n"
-        "    \"target\": \"fair_vs_solo <= 2.0\"\n"
+        "    \"target\": \"fair_vs_solo <= 2.0\",\n"
+        "    \"gate\": \"fair_latency_ms < fifo_latency_ms\"\n"
         "  },\n"
         "  \"throughput\": {\n"
         "    \"sessions\": 8, \"solo_kernels_per_s\": %.2f,"
@@ -258,5 +279,7 @@ int main() {
     std::fclose(json);
     std::printf("\nwrote BENCH_tenancy.json\n");
   }
-  return 0;
+  haocl::bench::Gates gates;
+  gates.Check(fair < fifo, "fair-share light-tenant latency below FIFO's");
+  return gates.ExitCode();
 }

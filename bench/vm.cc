@@ -6,13 +6,17 @@
 // across all three — a speedup that changes bits is a bug, and the harness
 // exits nonzero.
 //
-// Emits BENCH_vm.json with one ablation row per kernel family. Gates:
+// Emits BENCH_vm.json with one ablation row per kernel family. The three
+// engines run in turn for at least kMinRounds rounds and kMinSeconds, and
+// each is timed by its best run, so a slow spell on a busy machine cannot
+// move a ratio. Gates (bench::Gates, exit 1 on a miss):
 //  - every engine's outputs byte-identical (always),
 //  - matmul SIMD >= 20x interpreter and >= 2x the scalar batch engine
 //    (only when the build has a vector backend),
 //  - bfs_frontier completes with ZERO whole-group bail-outs (the masked
 //    divergence path; independent of SIMD, so enforced even on the
 //    forced-scalar build).
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -21,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/simd.h"
 #include "oclc/program.h"
 #include "oclc/vm.h"
@@ -38,6 +43,9 @@ struct BenchCase {
   std::vector<oclc::ArgBinding> scalar_tail;
   oclc::NDRange range;
 };
+
+constexpr int kMinRounds = 7;
+constexpr double kMinSeconds = 0.5;
 
 struct BenchResult {
   std::string name;
@@ -73,41 +81,36 @@ std::vector<std::uint8_t> RandomBits(std::mt19937& rng, std::size_t count) {
   return bytes;
 }
 
-// Runs one engine config over private copies of the case's buffers;
-// returns the best-of-3 wall seconds and leaves the mutated buffers in
-// `out`.
-double TimeEngine(const oclc::Module& module, const BenchCase& bench,
-                  const oclc::LaunchOptions& base_options,
-                  oclc::VmStats* stats,
-                  std::vector<std::vector<std::uint8_t>>* out) {
+// Runs one engine config once over private copies of the case's buffers;
+// returns the wall seconds and leaves the mutated buffers in `out`.
+double RunEngine(const oclc::Module& module, const BenchCase& bench,
+                 const oclc::LaunchOptions& base_options,
+                 oclc::VmStats* stats,
+                 std::vector<std::vector<std::uint8_t>>* out) {
   const oclc::CompiledFunction* fn = module.FindKernel(bench.kernel);
   if (fn == nullptr) {
     std::fprintf(stderr, "no kernel '%s'\n", bench.kernel.c_str());
     std::exit(1);
   }
-  double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    std::vector<std::vector<std::uint8_t>> buffers = bench.buffers;
-    std::vector<oclc::ArgBinding> args;
-    for (auto& b : buffers) {
-      args.push_back(oclc::ArgBinding::Buffer(b.data(), b.size()));
-    }
-    for (const auto& s : bench.scalar_tail) args.push_back(s);
-    oclc::LaunchOptions options = base_options;
-    options.num_threads = 1;
-    const auto t0 = Clock::now();
-    Status s = LaunchKernel(module, *fn, args, bench.range, options, stats);
-    const double seconds = std::chrono::duration<double>(Clock::now() - t0)
-                               .count();
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s: %s\n", bench.name.c_str(),
-                   s.ToString().c_str());
-      std::exit(1);
-    }
-    if (seconds < best) best = seconds;
-    if (rep == 2) *out = std::move(buffers);
+  std::vector<std::vector<std::uint8_t>> buffers = bench.buffers;
+  std::vector<oclc::ArgBinding> args;
+  for (auto& b : buffers) {
+    args.push_back(oclc::ArgBinding::Buffer(b.data(), b.size()));
   }
-  return best;
+  for (const auto& s : bench.scalar_tail) args.push_back(s);
+  oclc::LaunchOptions options = base_options;
+  options.num_threads = 1;
+  const auto t0 = Clock::now();
+  Status s = LaunchKernel(module, *fn, args, bench.range, options, stats);
+  const double seconds =
+      std::chrono::duration<double>(Clock::now() - t0).count();
+  if (!s.ok()) {
+    std::fprintf(stderr, "%s: %s\n", bench.name.c_str(),
+                 s.ToString().c_str());
+    std::exit(1);
+  }
+  *out = std::move(buffers);
+  return seconds;
 }
 
 BenchResult RunCase(const BenchCase& bench) {
@@ -131,12 +134,22 @@ BenchResult RunCase(const BenchCase& bench) {
 
   std::vector<std::vector<std::uint8_t>> interp_out, scalar_out, simd_out;
   oclc::VmStats interp_stats, scalar_stats, simd_stats;
-  result.interp_seconds =
-      TimeEngine(**module, bench, interp, &interp_stats, &interp_out);
-  result.scalar_seconds =
-      TimeEngine(**module, bench, scalar, &scalar_stats, &scalar_out);
-  result.simd_seconds =
-      TimeEngine(**module, bench, simd, &simd_stats, &simd_out);
+  // The engines take turns, so a slow spell on a shared machine hits all
+  // three alike, and each keeps its best run of the rounds.
+  result.interp_seconds = result.scalar_seconds = result.simd_seconds = 1e300;
+  double elapsed = 0.0;
+  for (int round = 0; round < kMinRounds || elapsed < kMinSeconds; ++round) {
+    const double i = RunEngine(**module, bench, interp, &interp_stats,
+                               &interp_out);
+    const double c = RunEngine(**module, bench, scalar, &scalar_stats,
+                               &scalar_out);
+    const double v =
+        RunEngine(**module, bench, simd, &simd_stats, &simd_out);
+    result.interp_seconds = std::min(result.interp_seconds, i);
+    result.scalar_seconds = std::min(result.scalar_seconds, c);
+    result.simd_seconds = std::min(result.simd_seconds, v);
+    elapsed += i + c + v;
+  }
   result.speedup_vs_interp = result.interp_seconds / result.simd_seconds;
   result.speedup_vs_scalar = result.scalar_seconds / result.simd_seconds;
   result.instructions = simd_stats.instructions;
@@ -326,32 +339,18 @@ int main() {
   std::fclose(json);
   std::printf("wrote BENCH_vm.json (backend %s)\n", simd::kIsaName);
 
-  if (!all_identical) {
-    std::fprintf(stderr, "FAIL: engine outputs diverged\n");
-    return 1;
-  }
-  if (bfs_bailouts != 0) {
-    std::fprintf(stderr,
-                 "FAIL: bfs_frontier took %llu whole-group bail-outs "
-                 "(masked path expected)\n",
-                 static_cast<unsigned long long>(bfs_bailouts));
-    return 1;
-  }
+  bench::Gates gates;
+  gates.Check(all_identical, "every engine's outputs bit-identical");
+  gates.Check(bfs_bailouts == 0,
+              "bfs_frontier takes 0 whole-group bail-outs (got " +
+                  std::to_string(bfs_bailouts) + ")");
   if (simd::kEnabled) {
-    if (matmul_vs_interp < 20.0) {
-      std::fprintf(stderr,
-                   "FAIL: matmul SIMD speedup %.2fx below the 20x "
-                   "interpreter gate\n",
-                   matmul_vs_interp);
-      return 1;
-    }
-    if (matmul_vs_scalar < 2.0) {
-      std::fprintf(stderr,
-                   "FAIL: matmul SIMD speedup %.2fx below the 2x "
-                   "scalar-batch gate\n",
-                   matmul_vs_scalar);
-      return 1;
-    }
+    gates.Check(matmul_vs_interp >= 20.0,
+                "matmul SIMD >= 20x the interpreter (got " +
+                    std::to_string(matmul_vs_interp) + "x)");
+    gates.Check(matmul_vs_scalar >= 2.0,
+                "matmul SIMD >= 2x the scalar batch engine (got " +
+                    std::to_string(matmul_vs_scalar) + "x)");
   }
-  return 0;
+  return gates.ExitCode();
 }

@@ -139,9 +139,7 @@ class SimulatedDriver : public DeviceDriver {
       profile->vm_batch_steps = vm_stats.batch_steps;
       profile->vm_fused_steps = vm_stats.fused_steps;
       profile->vm_simd_steps = vm_stats.simd_steps;
-      profile->vm_masked_steps = vm_stats.masked_steps;
       profile->vm_bailouts = vm_stats.bailouts;
-      profile->vm_threads_used = vm_stats.threads_used;
     }
     return Status::Ok();
   }

@@ -33,9 +33,7 @@ struct LaunchProfile {
   std::uint64_t vm_batch_steps = 0;   // Batched dispatches (per group).
   std::uint64_t vm_fused_steps = 0;   // Dispatches through fused ops.
   std::uint64_t vm_simd_steps = 0;    // Dispatches that took a vector path.
-  std::uint64_t vm_masked_steps = 0;  // Instructions run under a lane mask.
   std::uint64_t vm_bailouts = 0;      // Groups that diverged to the oracle.
-  int vm_threads_used = 0;            // Work-group pool width.
 };
 
 class DeviceDriver {

@@ -585,6 +585,22 @@ Status ClusterRuntime::TransferMissingRunsLocked(
   return Status::Ok();
 }
 
+Status ClusterRuntime::ReadIntoShadowLocked(BufferId id,
+                                            LogicalBuffer& buffer,
+                                            std::size_t node,
+                                            std::uint64_t begin,
+                                            std::uint64_t end) {
+  const net::ReadBufferRequest request{id, begin, end - begin};
+  auto reply = CallNode(node, MsgType::kReadBuffer, net::Encode(request));
+  HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kReadReply));
+  if (reply->payload.size() != request.size) {
+    return Status(ErrorCode::kProtocolError, "short slice read");
+  }
+  std::copy(reply->payload.begin(), reply->payload.end(),
+            buffer.shadow.begin() + begin);
+  return Status::Ok();
+}
+
 Status ClusterRuntime::EnsureHostRangeLocked(BufferId id,
                                              LogicalBuffer& buffer,
                                              std::uint64_t begin,
@@ -598,47 +614,27 @@ Status ClusterRuntime::EnsureHostRangeLocked(BufferId id,
       },
       [&](std::size_t source, std::uint64_t run_begin,
           std::uint64_t run_end) -> Status {
-        net::ReadBufferRequest request;
-        request.buffer_id = id;
-        request.offset = run_begin;
-        request.size = run_end - run_begin;
-        auto reply = CallNode(source, MsgType::kReadBuffer,
-                              net::Encode(request));
-        HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kReadReply));
-        if (reply->payload.size() != request.size) {
-          return Status(ErrorCode::kProtocolError, "short slice read");
-        }
-        std::copy(reply->payload.begin(), reply->payload.end(),
-                  buffer.shadow.begin() + run_begin);
+        HAOCL_RETURN_IF_ERROR(
+            ReadIntoShadowLocked(id, buffer, source, run_begin, run_end));
         AccountTransfer(buffer, &TransferStats::host_bytes_in,
-                        request.size);
-        timeline_->RecordTransferFromNode(source, request.size);
+                        run_end - run_begin);
+        timeline_->RecordTransferFromNode(source, run_end - run_begin);
         return Status::Ok();
       });
 }
 
-Status ClusterRuntime::PeerTransferLocked(BufferId id, std::size_t src,
-                                          std::size_t dst,
-                                          std::uint64_t begin,
-                                          std::uint64_t end, PeerMode mode) {
-  if (mode == PeerMode::kPull) {
-    net::PullSliceRequest request;
-    request.buffer_id = id;
-    request.offset = begin;
-    request.size = end - begin;
-    request.source_node = static_cast<std::uint32_t>(src);
-    auto reply = CallNode(dst, MsgType::kPullSlice, net::Encode(request));
-    return CheckReply(reply, MsgType::kStatusReply);
-  }
-  net::PushSliceRequest request;
-  request.buffer_id = id;
-  request.offset = begin;
-  request.size = end - begin;
-  request.target_node = static_cast<std::uint32_t>(dst);
-  auto reply = CallNode(src, MsgType::kPushSlice, net::Encode(request));
-  return CheckReply(reply, MsgType::kStatusReply);
+Status ClusterRuntime::AllocateOnNodeLocked(BufferId id,
+                                            LogicalBuffer& buffer,
+                                            std::size_t node) {
+  if (buffer.allocated_on[node]) return Status::Ok();
+  // Full-size remote allocation: the kernel indexes with its global ids,
+  // so every slice must live at its natural offset.
+  const net::CreateBufferRequest create{id, buffer.size};
+  auto reply = CallNode(node, MsgType::kCreateBuffer, net::Encode(create));
+  HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kStatusReply));
+  buffer.allocated_on[node] = true;
+  return Status::Ok();
 }
-
 
 Status ClusterRuntime::EnsureRangeOnNodeLocked(BufferId id,
                                                LogicalBuffer& buffer,
@@ -646,22 +642,12 @@ Status ClusterRuntime::EnsureRangeOnNodeLocked(BufferId id,
                                                std::uint64_t begin,
                                                std::uint64_t end,
                                                std::uint64_t* bytes_shipped,
-                                               PeerMode mode,
                                                TransferTiming timing,
                                                sim::SimTime* ready_at) {
-  if (!buffer.allocated_on[node]) {
-    // Full-size remote allocation: the kernel indexes with its global ids,
-    // so every slice must live at its natural offset.
-    net::CreateBufferRequest create;
-    create.buffer_id = id;
-    create.size = buffer.size;
-    auto reply = CallNode(node, MsgType::kCreateBuffer, net::Encode(create));
-    HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kStatusReply));
-    buffer.allocated_on[node] = true;
-  }
+  HAOCL_RETURN_IF_ERROR(AllocateOnNodeLocked(id, buffer, node));
   // Ship a run from the host shadow when it is fresh (one hop, no peer
-  // round-trip), else node-to-node from an owning peer with a host-relay
-  // fallback.
+  // round-trip), else pull it node-to-node from an owning peer with a
+  // host-relay fallback.
   auto note_arrival = [&](sim::SimTime arrival) {
     if (ready_at != nullptr) *ready_at = std::max(*ready_at, arrival);
   };
@@ -721,11 +707,14 @@ Status ClusterRuntime::EnsureRangeOnNodeLocked(BufferId id,
         if (source == nodes_.size()) {
           HAOCL_RETURN_IF_ERROR(ship_from_host(run_begin, run_end));
         } else {
-          Status peer = options_.peer_transfers
-                            ? PeerTransferLocked(id, source, node,
-                                                 run_begin, run_end, mode)
-                            : Status(ErrorCode::kPeerUnreachable,
-                                     "peer transfers disabled");
+          Status peer(ErrorCode::kPeerUnreachable, "peer transfers disabled");
+          if (options_.peer_transfers) {
+            const net::PullSliceRequest pull{
+                id, run_begin, len, static_cast<std::uint32_t>(source)};
+            peer = CheckReply(
+                CallNode(node, MsgType::kPullSlice, net::Encode(pull)),
+                MsgType::kStatusReply);
+          }
           if (peer.ok()) {
             AccountTransfer(buffer, &TransferStats::p2p_transfers, 1);
             AccountTransfer(buffer, &TransferStats::p2p_bytes, len);
@@ -800,21 +789,12 @@ Status ClusterRuntime::SpillSoleRangesToHostLocked(BufferId id,
   std::uint64_t run_end = 0;
   auto flush = [&]() -> Status {
     if (run_begin == run_end) return Status::Ok();
-    net::ReadBufferRequest request;
-    request.buffer_id = id;
-    request.offset = run_begin;
-    request.size = run_end - run_begin;
-    auto reply = CallNode(node, MsgType::kReadBuffer, net::Encode(request));
-    HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kReadReply));
-    if (reply->payload.size() != request.size) {
-      return Status(ErrorCode::kProtocolError, "short spill read");
-    }
-    std::copy(reply->payload.begin(), reply->payload.end(),
-              buffer.shadow.begin() + run_begin);
+    HAOCL_RETURN_IF_ERROR(
+        ReadIntoShadowLocked(id, buffer, node, run_begin, run_end));
     buffer.dir.AddOwner(run_begin, run_end, HostOwner());
-    AccountTransfer(buffer, &TransferStats::spill_bytes, request.size);
+    AccountTransfer(buffer, &TransferStats::spill_bytes, run_end - run_begin);
     AccountTransfer(buffer, &TransferStats::spill_transfers, 1);
-    timeline_->RecordSpillFromNode(node, request.size);
+    timeline_->RecordSpillFromNode(node, run_end - run_begin);
     run_begin = run_end = 0;
     return Status::Ok();
   };
@@ -963,6 +943,50 @@ Status ClusterRuntime::ReserveWorkingSet(
                 "cannot free enough device memory on node " +
                     std::to_string(node) +
                     " (working sets of concurrent launches are pinned)");
+}
+
+Status ClusterRuntime::StageWorkingSet(
+    std::size_t node, const std::vector<WorkingRange>& ranges,
+    WorkingSetPin& pins, const Staging& staging) {
+  const std::uint64_t epoch =
+      launch_epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
+  std::vector<runtime::MemoryPool::BufferRange> reservation;
+  reservation.reserve(ranges.size());
+  for (const WorkingRange& range : ranges) {
+    pins.Pin(range.buffer, node, epoch);
+    reservation.push_back({range.id, range.begin, range.end});
+  }
+  // Inputs AND outputs reserve up front: a command's writes materialize
+  // device memory too, and failing before any transfer beats failing with
+  // half a working set shipped.
+  if (staging.reserve) {
+    HAOCL_RETURN_IF_ERROR(ReserveWorkingSet(node, reservation));
+  }
+  if (staging.program != nullptr) {
+    HAOCL_RETURN_IF_ERROR(
+        EnsureProgramOnNode(staging.program_id, *staging.program, node));
+  }
+  for (const WorkingRange& range : ranges) {
+    std::lock_guard<std::mutex> lock(range.buffer->mutex);
+    if (staging.discard_contents) {
+      // No bytes move: the node becomes the exclusive owner of whatever
+      // its allocation holds (contents undefined, per
+      // CL_MIGRATE_MEM_OBJECT_CONTENT_UNDEFINED). No payload makes this
+      // residency change visible to the node, so an explicit reservation
+      // notice keeps its ledger in step.
+      HAOCL_RETURN_IF_ERROR(
+          AllocateOnNodeLocked(range.id, *range.buffer, node));
+      range.buffer->dir.MarkWritten(
+          range.begin, range.end, static_cast<RegionDirectory::Owner>(node));
+      NotifyMemory(node, range.id, /*reserve=*/true,
+                   {{range.begin, range.end}});
+    } else {
+      HAOCL_RETURN_IF_ERROR(EnsureRangeOnNodeLocked(
+          range.id, *range.buffer, node, range.begin, range.end,
+          staging.bytes_shipped, staging.timing, staging.ready_at));
+    }
+  }
+  return Status::Ok();
 }
 
 Status ClusterRuntime::ReleaseBuffer(BufferId id) {
@@ -1184,44 +1208,22 @@ struct ClusterRuntime::StageLink {
 
 // Captures of one stage's prefetch command.
 struct ClusterRuntime::StagePrefetchWork {
-  ClusterRuntime* owner = nullptr;
   std::size_t node = 0;
-  struct Range {
-    BufferId id = 0;
-    BufferPtr buffer;
-    std::uint64_t begin = 0;
-    std::uint64_t end = 0;
-  };
-  std::vector<Range> ranges;  // Stage slices + replicated args.
+  std::vector<WorkingRange> ranges;  // Stage slices + replicated args.
   bool pipelined = true;
   std::shared_ptr<StageLink> link;
 };
 
 Status ClusterRuntime::ExecStagePrefetch(
     const std::shared_ptr<StagePrefetchWork>& work) {
-  const std::size_t node = work->node;
-  const std::uint64_t epoch =
-      launch_epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::vector<runtime::MemoryPool::BufferRange> ranges;
-  ranges.reserve(work->ranges.size());
-  for (const StagePrefetchWork::Range& range : work->ranges) {
-    work->link->pins.Pin(range.buffer, node, epoch);
-    ranges.push_back({range.id, range.begin, range.end});
-  }
-  // Inputs AND outputs reserve up front: the stage's writes materialize
-  // device memory too, and failing before any transfer beats failing with
-  // half a stage shipped.
-  HAOCL_RETURN_IF_ERROR(ReserveWorkingSet(node, ranges));
   sim::SimTime ready = 0.0;
   std::uint64_t shipped = 0;
-  for (const StagePrefetchWork::Range& range : work->ranges) {
-    std::lock_guard<std::mutex> lock(range.buffer->mutex);
-    HAOCL_RETURN_IF_ERROR(EnsureRangeOnNodeLocked(
-        range.id, *range.buffer, node, range.begin, range.end, &shipped,
-        PeerMode::kPull,
-        work->pipelined ? TransferTiming::kPrefetch : TransferTiming::kDemand,
-        &ready));
-  }
+  HAOCL_RETURN_IF_ERROR(StageWorkingSet(
+      work->node, work->ranges, work->link->pins,
+      {.timing = work->pipelined ? TransferTiming::kPrefetch
+                                 : TransferTiming::kDemand,
+       .bytes_shipped = &shipped,
+       .ready_at = &ready}));
   std::lock_guard<std::mutex> link_lock(work->link->mutex);
   work->link->ready_at = ready;
   work->link->prefetched_bytes = shipped;
@@ -1604,7 +1606,6 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
       // baseline chains each prefetch behind the previous compute.
       auto link = std::make_shared<StageLink>();
       auto prefetch = std::make_shared<StagePrefetchWork>();
-      prefetch->owner = this;
       prefetch->node = shard.node;
       prefetch->pipelined = options_.stage_pipeline;
       prefetch->link = link;
@@ -1635,7 +1636,7 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
       // dependent is submitted (end of this function): a fast-failing
       // prefetch reclaimed before its compute's Submit would resolve the
       // dependency edge as "already retired OK" and swallow the failure.
-      for (const StagePrefetchWork::Range& range : prefetch->ranges) {
+      for (const WorkingRange& range : prefetch->ranges) {
         RecordReadLocked(*range.buffer, range.begin, range.end,
                          prefetch_cmd);
       }
@@ -1807,32 +1808,30 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
   const std::uint64_t slice_first = spec.global_offset[0];
   const std::uint64_t slice_count = spec.global[0];
 
-  // ---- Working-set reservation (tiered memory) ---------------------------
-  // Pin + LRU-stamp the working set so the eviction policy cannot reclaim
-  // it mid-launch, then reserve its ranges in the node's ledger — evicting
-  // colder buffers when the pool is full. A staged launch's prefetch
-  // command already reserved and pinned (its StageLink holds the pins);
-  // the compute side re-pins cheaply and skips the reservation.
-  WorkingSetPin pins;
-  const std::uint64_t epoch =
-      launch_epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::vector<runtime::MemoryPool::BufferRange> working_set;
+  // ---- Working set, program and data (tiered memory, per-object locks) ---
+  // Partitioned args need only this shard's slice on the node (a
+  // single-shard launch's "slice" is its whole partition window);
+  // replicated args need the full buffer. The directory ships just the
+  // stale sub-ranges, sourcing peers directly where possible. A staged
+  // launch's prefetch command already reserved and pinned (its StageLink
+  // holds the pins); the compute side re-pins cheaply and skips the
+  // reservation.
+  LaunchResult result;
+  result.node = node;
+  std::vector<WorkingRange> working_set;
   working_set.reserve(work->buffers.size());
   for (const BufferArg& buffer_arg : work->buffers) {
     const auto [begin, end] = buffer_arg.Window(slice_first, slice_count);
-    working_set.push_back({buffer_arg.id, begin, end});
-    pins.Pin(buffer_arg.buffer, node, epoch);
+    working_set.push_back({buffer_arg.id, buffer_arg.buffer, begin, end});
   }
-  if (work->stage_link == nullptr) {
-    HAOCL_RETURN_IF_ERROR(ReserveWorkingSet(node, working_set));
-  }
-
-  // ---- Stage program + data (per-command prologue, per-object locks) -----
+  WorkingSetPin pins;
   HAOCL_RETURN_IF_ERROR(
-      EnsureProgramOnNode(work->program_id, *work->program, node));
+      StageWorkingSet(node, working_set, pins,
+                      {.reserve = work->stage_link == nullptr,
+                       .program_id = work->program_id,
+                       .program = work->program.get(),
+                       .bytes_shipped = &result.bytes_shipped}));
 
-  LaunchResult result;
-  result.node = node;
   const double compute_amp = timeline_->compute_amplification();
   net::LaunchKernelRequest request;
   request.program_id = work->program_id;
@@ -1861,30 +1860,21 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
     request.hint_irregular = spec.cost_hint->irregular;
   }
 
-  auto buffer_arg_it = work->buffers.begin();
+  std::size_t next_buffer = 0;  // Buffer args in order: work->buffers.
   for (std::size_t i = 0; i < spec.args.size(); ++i) {
     const KernelArgValue& arg = spec.args[i];
     net::WireKernelArg wire;
     switch (arg.kind) {
       case KernelArgValue::Kind::kBuffer: {
-        const BufferArg& buffer_arg = *buffer_arg_it++;
-        std::lock_guard<std::mutex> lock(buffer_arg.buffer->mutex);
-        // Partitioned args need only this shard's slice on the node (a
-        // single-shard launch's "slice" is its whole partition window);
-        // replicated args need the full buffer. The directory ships just
-        // the stale sub-ranges, sourcing peers directly where possible.
-        const auto [begin, end] =
-            buffer_arg.Window(slice_first, slice_count);
-        HAOCL_RETURN_IF_ERROR(EnsureRangeOnNodeLocked(
-            buffer_arg.id, *buffer_arg.buffer, node, begin, end,
-            &result.bytes_shipped));
+        const WorkingRange& range = working_set[next_buffer];
+        const bool written = work->buffers[next_buffer++].written;
         wire.kind = net::WireKernelArg::Kind::kBuffer;
-        wire.buffer_id = buffer_arg.id;
-        if (buffer_arg.written) {
+        wire.buffer_id = range.id;
+        if (written) {
           // The node's session pool charges the written range at launch —
           // the same range this epilogue charges in the host ledger.
-          wire.written_begin = begin;
-          wire.written_end = end;
+          wire.written_begin = range.begin;
+          wire.written_end = range.end;
         }
         break;
       }
@@ -2077,63 +2067,30 @@ Expected<CommandHandle> ClusterRuntime::SubmitMigrate(
 Status ClusterRuntime::ExecMigrate(BufferId id, const BufferPtr& buffer,
                                    const std::vector<MigrateRegion>& regions,
                                    int target_node, bool discard_contents) {
-  // Node-bound migrations reserve their regions in the target's ledger
-  // first (evicting colder buffers as needed), exactly like a launch
-  // prologue — a prefetch must not overflow the tier it prefetches into.
-  WorkingSetPin pins;
-  if (target_node != kMigrateToHost) {
-    const auto node = static_cast<std::size_t>(target_node);
-    const std::uint64_t epoch =
-        launch_epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-    pins.Pin(buffer, node, epoch);
-    std::vector<runtime::MemoryPool::BufferRange> ranges;
-    ranges.reserve(regions.size());
+  if (target_node == kMigrateToHost) {
+    std::lock_guard<std::mutex> lock(buffer->mutex);
     for (const MigrateRegion& region : regions) {
-      ranges.push_back({id, region.offset, region.offset + region.size});
-    }
-    HAOCL_RETURN_IF_ERROR(ReserveWorkingSet(node, ranges));
-  }
-  std::lock_guard<std::mutex> lock(buffer->mutex);
-  for (const MigrateRegion& region : regions) {
-    const std::uint64_t begin = region.offset;
-    const std::uint64_t end = region.offset + region.size;
-    if (discard_contents) {
-      // No bytes move: the target simply becomes the exclusive owner of
-      // whatever its local allocation holds (contents undefined, per
-      // CL_MIGRATE_MEM_OBJECT_CONTENT_UNDEFINED).
-      if (target_node == kMigrateToHost) {
-        buffer->dir.MarkWritten(begin, end, HostOwner());
+      const std::uint64_t end = region.offset + region.size;
+      if (discard_contents) {
+        buffer->dir.MarkWritten(region.offset, end, HostOwner());
       } else {
-        const auto node = static_cast<std::size_t>(target_node);
-        if (!buffer->allocated_on[node]) {
-          net::CreateBufferRequest create;
-          create.buffer_id = id;
-          create.size = buffer->size;
-          auto reply = CallNode(node, MsgType::kCreateBuffer,
-                                net::Encode(create));
-          HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kStatusReply));
-          buffer->allocated_on[node] = true;
-        }
-        buffer->dir.MarkWritten(begin, end,
-                                static_cast<RegionDirectory::Owner>(node));
-        // No payload made this residency change visible to the node:
-        // send an explicit reservation notice so its ledger follows.
-        NotifyMemory(node, id, /*reserve=*/true, {{begin, end}});
+        HAOCL_RETURN_IF_ERROR(
+            EnsureHostRangeLocked(id, *buffer, region.offset, end));
       }
-      continue;
     }
-    if (target_node == kMigrateToHost) {
-      HAOCL_RETURN_IF_ERROR(EnsureHostRangeLocked(id, *buffer, begin, end));
-    } else {
-      // Prefer pushes (the owner sends) for migrations: the prefetch's
-      // cost lands on the node already holding the data, symmetric with
-      // the pull-based launch prologue.
-      HAOCL_RETURN_IF_ERROR(EnsureRangeOnNodeLocked(
-          id, *buffer, static_cast<std::size_t>(target_node), begin, end,
-          nullptr, PeerMode::kPush));
-    }
+    return Status::Ok();
   }
-  return Status::Ok();
+  // A node-bound migration runs a launch's working-set prologue: a
+  // prefetch must not overflow the tier it prefetches into, and peer-owned
+  // ranges are pulled by the target like a launch's inputs.
+  std::vector<WorkingRange> ranges;
+  ranges.reserve(regions.size());
+  for (const MigrateRegion& region : regions) {
+    ranges.push_back({id, buffer, region.offset, region.offset + region.size});
+  }
+  WorkingSetPin pins;
+  return StageWorkingSet(static_cast<std::size_t>(target_node), ranges, pins,
+                         {.discard_contents = discard_contents});
 }
 
 // ---------------------------------------------- Directory introspection

@@ -164,9 +164,10 @@ struct LaunchResult {
 struct RuntimeOptions {
   std::string scheduler = "user";   // Policy name (sched registry).
   // Node-to-node slice exchange: when true (default), launch prologues and
-  // migrations source peer-owned ranges with kPullSlice/kPushSlice and only
-  // relay through the host when a node link is missing or fails. False
-  // forces the classic gather-through-host star (the bench baseline).
+  // migrations have the destination pull peer-owned ranges (kPullSlice)
+  // and only relay through the host when a node link is missing or fails.
+  // False forces the classic gather-through-host star (the bench
+  // baseline).
   bool peer_transfers = true;
   // Out-of-core staging: when true (default), an oversubscribed shard's
   // stage k+1 slice transfer is expressed as a DMA prefetch overlapping
@@ -177,7 +178,8 @@ struct RuntimeOptions {
   sim::LinkSpec link = sim::GigabitEthernet();
   std::uint64_t session_id = 1;
   std::string host_name = "haocl-host";
-  // Per-RPC deadline; a silent node turns into kNodeUnreachable.
+  // Per-RPC deadline: a call a node leaves unanswered this long fails with
+  // kNetworkError.
   std::chrono::milliseconds rpc_timeout{30000};
   // Command-graph worker pool size; 0 picks max(4, nodes + 2).
   std::size_t dispatch_workers = 0;
@@ -210,7 +212,7 @@ struct MigrateRegion {
 struct TransferStats {
   std::uint64_t host_bytes_out = 0;  // Host shadow -> node.
   std::uint64_t host_bytes_in = 0;   // Node -> host shadow (lazy gathers).
-  std::uint64_t p2p_bytes = 0;       // Node -> node direct (pull/push).
+  std::uint64_t p2p_bytes = 0;       // Node -> node direct (pulls).
   std::uint64_t relay_bytes = 0;     // Peer miss relayed through the host.
   std::uint64_t p2p_transfers = 0;
   std::uint64_t relay_transfers = 0;
@@ -383,9 +385,9 @@ class ClusterRuntime {
   // traffic off the critical path (clEnqueueMigrateMemObjects). Content is
   // preserved — the target joins each region's owner set; existing owners
   // stay valid. `target_node` == kMigrateToHost gathers into the host
-  // shadow (the lazy gather, forced early). Peer-owned ranges move
-  // node-to-node via kPushSlice when possible, relaying through the host
-  // otherwise. With `discard_contents` no bytes move at all: the target
+  // shadow (the lazy gather, forced early). The target pulls peer-owned
+  // ranges node-to-node (kPullSlice) when possible, relaying through the
+  // host otherwise. With `discard_contents` no bytes move at all: the target
   // becomes the exclusive owner and prior contents become undefined
   // (CL_MIGRATE_MEM_OBJECT_CONTENT_UNDEFINED).
   static constexpr int kMigrateToHost = -1;
@@ -664,6 +666,13 @@ class ClusterRuntime {
   Status ExecLaunch(const std::shared_ptr<LaunchWork>& work,
                     CommandGraph::Execution& e);
   Status ExecStagePrefetch(const std::shared_ptr<StagePrefetchWork>& work);
+  // One buffer range a node-bound command needs on its node.
+  struct WorkingRange {
+    BufferId id = 0;
+    BufferPtr buffer;
+    std::uint64_t begin = 0;
+    std::uint64_t end = 0;
+  };
   // Subtracts a shard's submit-time backlog charge from the node's
   // estimate (clamped at zero). Called from the launch epilogue on
   // success and from ~LaunchWork for every other retirement path.
@@ -680,6 +689,34 @@ class ClusterRuntime {
   Status ReserveWorkingSet(std::size_t node,
                            const std::vector<runtime::MemoryPool::BufferRange>&
                                ranges);
+  // How a transfer charges virtual time: kDemand chains on the node's
+  // command order (the classic prologue transfer); kPrefetch rides the
+  // DMA chain so it overlaps the node's compute — the staged pipeline's
+  // stage-(k+1)-transfer-during-stage-k-compute edge.
+  enum class TransferTiming { kDemand, kPrefetch };
+  // How a command runs the working-set prologue (StageWorkingSet).
+  struct Staging {
+    // False for a staged launch: its prefetch command already reserved.
+    bool reserve = true;
+    // A launch's program, built after the reservation and its spills and
+    // before the transfers (the virtual-timeline order).
+    ProgramId program_id = 0;
+    ProgramState* program = nullptr;
+    // A discard migration: the node claims each range without any bytes
+    // moving (contents undefined).
+    bool discard_contents = false;
+    TransferTiming timing = TransferTiming::kDemand;
+    std::uint64_t* bytes_shipped = nullptr;  // See EnsureRangeOnNodeLocked.
+    sim::SimTime* ready_at = nullptr;
+  };
+  // The working-set prologue of every node-bound command (launch, stage
+  // prefetch, migration): pins and LRU-stamps each range's buffer on
+  // `node` into `pins`, reserves the ranges in the node's ledger (evicting
+  // colder buffers), builds the program, then makes `node` a fresh owner
+  // of each range. Call WITHOUT any buffer mutex held.
+  Status StageWorkingSet(std::size_t node,
+                         const std::vector<WorkingRange>& ranges,
+                         WorkingSetPin& pins, const Staging& staging);
   // Evicts least-recently-launched buffers from `node` until ~`needed`
   // bytes are freed; returns the bytes actually freed.
   std::uint64_t EvictFromNode(std::size_t node, std::uint64_t needed);
@@ -725,30 +762,28 @@ class ClusterRuntime {
   // a current owner node (the lazy gather).
   Status EnsureHostRangeLocked(BufferId id, LogicalBuffer& buffer,
                                std::uint64_t begin, std::uint64_t end);
-  // How peer-owned ranges reach the destination of a transfer.
-  enum class PeerMode { kPull, kPush };
-  // How a transfer charges virtual time: kDemand chains on the node's
-  // command order (the classic prologue transfer); kPrefetch rides the
-  // DMA chain so it overlaps the node's compute — the staged pipeline's
-  // stage-(k+1)-transfer-during-stage-k-compute edge.
-  enum class TransferTiming { kDemand, kPrefetch };
+  // Reads [begin, end) of `node`'s replica into the host shadow: the one
+  // node->host byte path, shared by the lazy gather and the eviction
+  // spill (each accounts its own bucket).
+  Status ReadIntoShadowLocked(BufferId id, LogicalBuffer& buffer,
+                              std::size_t node, std::uint64_t begin,
+                              std::uint64_t end);
+  // Allocates the full buffer on `node` unless it already holds one.
+  Status AllocateOnNodeLocked(BufferId id, LogicalBuffer& buffer,
+                              std::size_t node);
   // Makes `node` a fresh owner of [begin, end): allocates the full buffer
   // remotely on first touch, then sources each missing range — host shadow
-  // ranges ship host->node; peer-owned ranges move node-to-node (pull by
-  // the destination or push by the source per `mode`), falling back to a
-  // host relay when the peer path is unavailable. Adjacent missing ranges
-  // with a common source coalesce into single wire transfers.
+  // ranges ship host->node; the node pulls peer-owned ranges directly,
+  // falling back to a host relay when the peer path is unavailable.
+  // Adjacent missing ranges with a common source coalesce into single wire
+  // transfers. Adds the moved bytes to `*bytes_shipped` and the latest
+  // modeled arrival to `*ready_at` (either may be null).
   Status EnsureRangeOnNodeLocked(BufferId id, LogicalBuffer& buffer,
                                  std::size_t node, std::uint64_t begin,
                                  std::uint64_t end,
                                  std::uint64_t* bytes_shipped,
-                                 PeerMode mode = PeerMode::kPull,
-                                 TransferTiming timing = TransferTiming::kDemand,
-                                 sim::SimTime* ready_at = nullptr);
-  // One node-to-node transfer attempt (no fallback).
-  Status PeerTransferLocked(BufferId id, std::size_t src, std::size_t dst,
-                            std::uint64_t begin, std::uint64_t end,
-                            PeerMode mode);
+                                 TransferTiming timing,
+                                 sim::SimTime* ready_at);
   // Folds a per-buffer counter delta into the runtime-wide totals.
   void AccountTransfer(LogicalBuffer& buffer, std::uint64_t TransferStats::*counter,
                        std::uint64_t delta);

@@ -90,9 +90,7 @@ const char* MsgTypeName(MsgType type) noexcept {
     case MsgType::kWriteBuffer: return "WriteBuffer";
     case MsgType::kReadBuffer: return "ReadBuffer";
     case MsgType::kReleaseBuffer: return "ReleaseBuffer";
-    case MsgType::kCopyBuffer: return "CopyBuffer";
     case MsgType::kPullSlice: return "PullSlice";
-    case MsgType::kPushSlice: return "PushSlice";
     case MsgType::kMemoryNotice: return "MemoryNotice";
     case MsgType::kBuildProgram: return "BuildProgram";
     case MsgType::kReleaseProgram: return "ReleaseProgram";

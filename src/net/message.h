@@ -26,11 +26,10 @@ enum class MsgType : std::uint16_t {
   kWriteBuffer = 11,
   kReadBuffer = 12,
   kReleaseBuffer = 13,
-  kCopyBuffer = 14,
   // Node-to-node slice exchange (region directory): the host instructs a
-  // node to pull a byte range from a peer / push one to a peer.
+  // node to pull a byte range from a peer. 14 and 16 are retired numbers
+  // (protocol version 1's node-side copy and peer push): never reuse them.
   kPullSlice = 15,
-  kPushSlice = 16,
   // Tiered-memory reservation/eviction notice: keeps the node's memory
   // pool in lock-step with the host's per-node ledger for residency
   // changes no data transfer makes visible (evictions, discard

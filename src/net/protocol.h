@@ -22,7 +22,7 @@ namespace haocl::net {
 // Sent by both ends in the handshake; each refuses a peer speaking another
 // version. The bytes of every message are pinned by golden rows
 // (tests/net/protocol_fuzz_test.cc): changing one bumps this.
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 // True for a message whose decoded form views the payload bytes (a span
 // field), so it must not be decoded from a temporary.
@@ -109,20 +109,6 @@ struct ReleaseBufferRequest {
   void Fields(Ar& ar) { ar(buffer_id); }
 };
 
-struct CopyBufferRequest {
-  static constexpr MsgType kType = MsgType::kCopyBuffer;
-  std::uint64_t src_buffer_id = 0;
-  std::uint64_t dst_buffer_id = 0;
-  std::uint64_t src_offset = 0;
-  std::uint64_t dst_offset = 0;
-  std::uint64_t size = 0;
-
-  template <class Ar>
-  void Fields(Ar& ar) {
-    ar(src_buffer_id, dst_buffer_id, src_offset, dst_offset, size);
-  }
-};
-
 // ------------------------------------------------- Node-to-node exchange
 
 // Host -> node: fetch [offset, offset+size) of `buffer_id` from peer node
@@ -138,20 +124,6 @@ struct PullSliceRequest {
 
   template <class Ar>
   void Fields(Ar& ar) { ar(buffer_id, offset, size, source_node); }
-};
-
-// Host -> node: send [offset, offset+size) of the local replica of
-// `buffer_id` to peer node `target_node` (which must already hold an
-// allocation of the buffer). Mirror image of PullSliceRequest.
-struct PushSliceRequest {
-  static constexpr MsgType kType = MsgType::kPushSlice;
-  std::uint64_t buffer_id = 0;
-  std::uint64_t offset = 0;
-  std::uint64_t size = 0;
-  std::uint32_t target_node = 0;  // Host-assigned peer index.
-
-  template <class Ar>
-  void Fields(Ar& ar) { ar(buffer_id, offset, size, target_node); }
 };
 
 // ------------------------------------------------------------ Memory notices

@@ -250,11 +250,6 @@ Message NodeServer::HandleMessage(const Message& request) {
         reply.payload = *std::move(data);
       });
       break;
-    case MsgType::kCopyBuffer:
-      on([&](const net::CopyBufferRequest& decoded) {
-        status_reply(session.CopyBuffer(decoded));
-      });
-      break;
     case MsgType::kPullSlice:
       on([&](const net::PullSliceRequest& decoded) {
         // The fetch reuses the ordinary ReadBuffer protocol against the
@@ -281,34 +276,6 @@ Message NodeServer::HandleMessage(const Message& request) {
           return std::move(reply->payload);
         };
         status_reply(session.PullSlice(decoded, fetch));
-      });
-      break;
-    case MsgType::kPushSlice:
-      on([&](const net::PushSliceRequest& decoded) {
-        const std::uint64_t session_id = request.session;
-        auto store = [this, session_id](std::uint32_t peer,
-                                        std::uint64_t buffer_id,
-                                        std::uint64_t offset,
-                                        std::vector<std::uint8_t> data) {
-          net::RpcClient* client = PeerClient(peer);
-          if (client == nullptr) {
-            return Status(ErrorCode::kPeerUnreachable,
-                          name_ + " has no link to peer node " +
-                              std::to_string(peer));
-          }
-          // The slice goes out as the frame's borrowed tail: `data`
-          // outlives the synchronous Call.
-          net::WriteBufferRequest write;
-          write.buffer_id = buffer_id;
-          write.offset = offset;
-          write.data = data;
-          auto reply = client->Call(MsgType::kWriteBuffer, session_id,
-                                    net::Encode(write),
-                                    net::RpcClient::kDefaultCallTimeout,
-                                    write.data);
-          return net::CheckReply(reply, MsgType::kStatusReply);
-        };
-        status_reply(session.PushSlice(decoded, store));
       });
       break;
     case MsgType::kMemoryNotice:
@@ -439,9 +406,11 @@ Message NodeServer::HandleMessage(const Message& request) {
       break;
     }
     default:
-      protocol_error(Status(ErrorCode::kProtocolError,
-                            std::string("unexpected message type ") +
-                                net::MsgTypeName(request.type)));
+      protocol_error(Status(
+          ErrorCode::kProtocolError,
+          "unexpected message type " +
+              std::to_string(static_cast<unsigned>(request.type)) + " (" +
+              net::MsgTypeName(request.type) + ")"));
       break;
   }
   return reply;
@@ -501,7 +470,7 @@ void NodeServer::Shutdown() {
   // and join below.
   broker_.Shutdown();
   {
-    // Close peer links first: a worker blocked inside a pull/push fails
+    // Close peer links first: a worker blocked inside a pull fails
     // fast instead of waiting out its RPC timeout.
     std::lock_guard<std::mutex> lock(peers_mutex_);
     for (auto& [index, client] : peers_) client->Close();

@@ -50,9 +50,9 @@ class NodeServer {
   void Serve(net::ConnectionPtr connection);
 
   // Registers a direct link to peer node `peer_index` (the host's node
-  // numbering) used to serve kPullSlice / kPushSlice without routing the
-  // payload through the host. The other end of the connection is Serve()d
-  // by the peer. Pull/push requests naming an unregistered peer fail with
+  // numbering) used to serve kPullSlice without routing the payload
+  // through the host. The other end of the connection is Serve()d by the
+  // peer. Pull requests naming an unregistered peer fail with
   // kPeerUnreachable, which makes the host fall back to relaying.
   void ConnectPeer(std::size_t peer_index, net::ConnectionPtr connection);
 

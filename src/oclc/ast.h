@@ -65,6 +65,9 @@ struct Expr {
 
   // Children: operands / call args / [base, index] / [cond, then, else].
   std::vector<ExprPtr> children;
+  // Levels from this node down to its deepest leaf (1 for a leaf); the
+  // parser bounds it (kMaxNestingDepth).
+  int height = 1;
 
   // kCast target.
   Type cast_type;

@@ -1,5 +1,6 @@
 #include "oclc/parser.h"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -61,6 +62,34 @@ class Parser {
     return Error(std::string("expected ") + TokenKindName(kind) + ", found " +
                  TokenKindName(Peek().kind) +
                  (Peek().text.empty() ? "" : " '" + Peek().text + "'"));
+  }
+
+  // ---------------------------------------------------------------- Nesting
+
+  Status TooDeep() const {
+    return Error("nesting deeper than the limit of " +
+                 std::to_string(kMaxNestingDepth) + " levels");
+  }
+
+  // Runs `parse` one nesting level deeper.
+  template <class T>
+  Expected<T> Nested(Expected<T> (Parser::*parse)()) {
+    if (depth_ >= kMaxNestingDepth) return TooDeep();
+    ++depth_;
+    Expected<T> result = (this->*parse)();
+    --depth_;
+    return result;
+  }
+
+  // Every operator node passes through here: its height is one more than
+  // its tallest operand's, and it may not reach past the nesting limit
+  // below the levels open around it.
+  Expected<ExprPtr> Finish(std::unique_ptr<Expr> expr) {
+    for (const ExprPtr& child : expr->children) {
+      expr->height = std::max(expr->height, child->height + 1);
+    }
+    if (depth_ + expr->height > kMaxNestingDepth) return TooDeep();
+    return ExprPtr(std::move(expr));
   }
 
   // ------------------------------------------------------------------ Types
@@ -204,7 +233,7 @@ class Parser {
     HAOCL_RETURN_IF_ERROR(Expect(TokenKind::kLBrace));
     while (!At(TokenKind::kRBrace)) {
       if (At(TokenKind::kEnd)) return Error("unterminated block");
-      auto child = ParseStatement();
+      auto child = Nested(&Parser::ParseStatement);
       if (!child.ok()) return child.status();
       stmt->body.push_back(*std::move(child));
     }
@@ -287,11 +316,11 @@ class Parser {
     if (!cond.ok()) return cond.status();
     stmt->cond = *std::move(cond);
     HAOCL_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
-    auto then_branch = ParseStatement();
+    auto then_branch = Nested(&Parser::ParseStatement);
     if (!then_branch.ok()) return then_branch.status();
     stmt->body.push_back(*std::move(then_branch));
     if (MatchKeyword("else")) {
-      auto else_branch = ParseStatement();
+      auto else_branch = Nested(&Parser::ParseStatement);
       if (!else_branch.ok()) return else_branch.status();
       stmt->body.push_back(*std::move(else_branch));
     }
@@ -330,7 +359,7 @@ class Parser {
       stmt->step = *std::move(step);
     }
     HAOCL_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
-    auto body = ParseStatement();
+    auto body = Nested(&Parser::ParseStatement);
     if (!body.ok()) return body.status();
     stmt->body.push_back(*std::move(body));
     return stmt;
@@ -346,7 +375,7 @@ class Parser {
     if (!cond.ok()) return cond.status();
     stmt->cond = *std::move(cond);
     HAOCL_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
-    auto body = ParseStatement();
+    auto body = Nested(&Parser::ParseStatement);
     if (!body.ok()) return body.status();
     stmt->body.push_back(*std::move(body));
     return stmt;
@@ -357,7 +386,7 @@ class Parser {
     stmt->kind = StmtKind::kDoWhile;
     stmt->loc = Peek().loc;
     Advance();  // do
-    auto body = ParseStatement();
+    auto body = Nested(&Parser::ParseStatement);
     if (!body.ok()) return body.status();
     stmt->body.push_back(*std::move(body));
     if (!MatchKeyword("while")) return Error("expected 'while' after do-body");
@@ -392,63 +421,48 @@ class Parser {
     auto lhs = ParseTernary();
     if (!lhs.ok()) return lhs;
 
-    struct CompoundMap {
+    struct AssignOp {
       TokenKind token;
+      bool compound;  // op= rather than plain =.
       BinaryOp op;
     };
-    static constexpr CompoundMap kCompound[] = {
-        {TokenKind::kPlusAssign, BinaryOp::kAdd},
-        {TokenKind::kMinusAssign, BinaryOp::kSub},
-        {TokenKind::kStarAssign, BinaryOp::kMul},
-        {TokenKind::kSlashAssign, BinaryOp::kDiv},
-        {TokenKind::kPercentAssign, BinaryOp::kMod},
-        {TokenKind::kAmpAssign, BinaryOp::kBitAnd},
-        {TokenKind::kPipeAssign, BinaryOp::kBitOr},
-        {TokenKind::kCaretAssign, BinaryOp::kBitXor},
-        {TokenKind::kShlAssign, BinaryOp::kShl},
-        {TokenKind::kShrAssign, BinaryOp::kShr},
+    static constexpr AssignOp kAssignOps[] = {
+        {TokenKind::kAssign, false, BinaryOp::kAdd},
+        {TokenKind::kPlusAssign, true, BinaryOp::kAdd},
+        {TokenKind::kMinusAssign, true, BinaryOp::kSub},
+        {TokenKind::kStarAssign, true, BinaryOp::kMul},
+        {TokenKind::kSlashAssign, true, BinaryOp::kDiv},
+        {TokenKind::kPercentAssign, true, BinaryOp::kMod},
+        {TokenKind::kAmpAssign, true, BinaryOp::kBitAnd},
+        {TokenKind::kPipeAssign, true, BinaryOp::kBitOr},
+        {TokenKind::kCaretAssign, true, BinaryOp::kBitXor},
+        {TokenKind::kShlAssign, true, BinaryOp::kShl},
+        {TokenKind::kShrAssign, true, BinaryOp::kShr},
     };
-
-    if (At(TokenKind::kAssign)) {
-      SourceLocation loc = Peek().loc;
-      Advance();
-      auto rhs = ParseAssignment();
-      if (!rhs.ok()) return rhs;
-      auto expr = std::make_unique<Expr>();
-      expr->kind = ExprKind::kAssign;
-      expr->loc = loc;
-      expr->compound = false;
-      expr->children.push_back(*std::move(lhs));
-      expr->children.push_back(*std::move(rhs));
-      return ExprPtr(std::move(expr));
-    }
-    for (const auto& [token, op] : kCompound) {
-      if (At(token)) {
-        SourceLocation loc = Peek().loc;
-        Advance();
-        auto rhs = ParseAssignment();
-        if (!rhs.ok()) return rhs;
-        auto expr = std::make_unique<Expr>();
-        expr->kind = ExprKind::kAssign;
-        expr->loc = loc;
-        expr->compound = true;
-        expr->binary_op = op;
-        expr->children.push_back(*std::move(lhs));
-        expr->children.push_back(*std::move(rhs));
-        return ExprPtr(std::move(expr));
-      }
-    }
-    return lhs;
+    const AssignOp* assign =
+        std::find_if(std::begin(kAssignOps), std::end(kAssignOps),
+                     [&](const AssignOp& a) { return At(a.token); });
+    if (assign == std::end(kAssignOps)) return lhs;
+    auto expr = std::make_unique<Expr>();
+    expr->kind = ExprKind::kAssign;
+    expr->loc = Advance().loc;
+    expr->compound = assign->compound;
+    expr->binary_op = assign->op;
+    auto rhs = Nested(&Parser::ParseAssignment);
+    if (!rhs.ok()) return rhs;
+    expr->children.push_back(*std::move(lhs));
+    expr->children.push_back(*std::move(rhs));
+    return Finish(std::move(expr));
   }
 
   Expected<ExprPtr> ParseTernary() {
     auto cond = ParseBinary(0);
     if (!cond.ok()) return cond;
     if (!Match(TokenKind::kQuestion)) return cond;
-    auto then_expr = ParseExpression();
+    auto then_expr = Nested(&Parser::ParseExpression);
     if (!then_expr.ok()) return then_expr;
     HAOCL_RETURN_IF_ERROR(Expect(TokenKind::kColon));
-    auto else_expr = ParseTernary();
+    auto else_expr = Nested(&Parser::ParseTernary);
     if (!else_expr.ok()) return else_expr;
     auto expr = std::make_unique<Expr>();
     expr->kind = ExprKind::kTernary;
@@ -456,7 +470,7 @@ class Parser {
     expr->children.push_back(*std::move(cond));
     expr->children.push_back(*std::move(then_expr));
     expr->children.push_back(*std::move(else_expr));
-    return ExprPtr(std::move(expr));
+    return Finish(std::move(expr));
   }
 
   struct OpInfo {
@@ -509,70 +523,46 @@ class Parser {
       expr->binary_op = info->op;
       expr->children.push_back(*std::move(lhs));
       expr->children.push_back(*std::move(rhs));
-      lhs = ExprPtr(std::move(expr));
+      lhs = Finish(std::move(expr));
+      if (!lhs.ok()) return lhs;
     }
   }
 
   Expected<ExprPtr> ParseUnary() {
-    SourceLocation loc = Peek().loc;
-    auto make_unary = [&](UnaryOp op, ExprPtr operand) {
-      auto expr = std::make_unique<Expr>();
-      expr->kind = ExprKind::kUnary;
-      expr->loc = loc;
-      expr->unary_op = op;
-      expr->children.push_back(std::move(operand));
-      return ExprPtr(std::move(expr));
+    static constexpr std::pair<TokenKind, UnaryOp> kPrefix[] = {
+        {TokenKind::kMinus, UnaryOp::kNeg},
+        {TokenKind::kPlus, UnaryOp::kPlus},
+        {TokenKind::kBang, UnaryOp::kLogicalNot},
+        {TokenKind::kTilde, UnaryOp::kBitNot},
+        {TokenKind::kPlusPlus, UnaryOp::kPreInc},
+        {TokenKind::kMinusMinus, UnaryOp::kPreDec},
     };
-
-    if (Match(TokenKind::kMinus)) {
-      auto operand = ParseUnary();
-      if (!operand.ok()) return operand;
-      return make_unary(UnaryOp::kNeg, *std::move(operand));
-    }
-    if (Match(TokenKind::kPlus)) {
-      auto operand = ParseUnary();
-      if (!operand.ok()) return operand;
-      return make_unary(UnaryOp::kPlus, *std::move(operand));
-    }
-    if (Match(TokenKind::kBang)) {
-      auto operand = ParseUnary();
-      if (!operand.ok()) return operand;
-      return make_unary(UnaryOp::kLogicalNot, *std::move(operand));
-    }
-    if (Match(TokenKind::kTilde)) {
-      auto operand = ParseUnary();
-      if (!operand.ok()) return operand;
-      return make_unary(UnaryOp::kBitNot, *std::move(operand));
-    }
-    if (Match(TokenKind::kPlusPlus)) {
-      auto operand = ParseUnary();
-      if (!operand.ok()) return operand;
-      return make_unary(UnaryOp::kPreInc, *std::move(operand));
-    }
-    if (Match(TokenKind::kMinusMinus)) {
-      auto operand = ParseUnary();
-      if (!operand.ok()) return operand;
-      return make_unary(UnaryOp::kPreDec, *std::move(operand));
-    }
+    const auto* prefix =
+        std::find_if(std::begin(kPrefix), std::end(kPrefix),
+                     [&](const auto& p) { return At(p.first); });
     // Cast: '(' type ')' unary. Distinguishable because type names are
     // keywords in the subset (no typedefs).
-    if (At(TokenKind::kLParen) && Peek(1).kind == TokenKind::kKeyword &&
+    const bool cast =
+        At(TokenKind::kLParen) && Peek(1).kind == TokenKind::kKeyword &&
         (ScalarKeyword(Peek(1).text).has_value() ||
-         IsSpaceQualifier(Peek(1).text) || Peek(1).text == "const")) {
-      Advance();  // (
+         IsSpaceQualifier(Peek(1).text) || Peek(1).text == "const");
+    if (prefix == std::end(kPrefix) && !cast) return ParsePostfix();
+    auto expr = std::make_unique<Expr>();
+    expr->loc = Advance().loc;  // The operator, or the cast's '('.
+    if (cast) {
       auto pt = ParseType();
       if (!pt.ok()) return pt.status();
       HAOCL_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
-      auto operand = ParseUnary();
-      if (!operand.ok()) return operand;
-      auto expr = std::make_unique<Expr>();
       expr->kind = ExprKind::kCast;
-      expr->loc = loc;
       expr->cast_type = pt->type;
-      expr->children.push_back(*std::move(operand));
-      return ExprPtr(std::move(expr));
+    } else {
+      expr->kind = ExprKind::kUnary;
+      expr->unary_op = prefix->second;
     }
-    return ParsePostfix();
+    auto operand = Nested(&Parser::ParseUnary);
+    if (!operand.ok()) return operand;
+    expr->children.push_back(*std::move(operand));
+    return Finish(std::move(expr));
   }
 
   Expected<ExprPtr> ParsePostfix() {
@@ -580,7 +570,7 @@ class Parser {
     if (!expr.ok()) return expr;
     while (true) {
       if (Match(TokenKind::kLBracket)) {
-        auto index = ParseExpression();
+        auto index = Nested(&Parser::ParseExpression);
         if (!index.ok()) return index;
         HAOCL_RETURN_IF_ERROR(Expect(TokenKind::kRBracket));
         auto sub = std::make_unique<Expr>();
@@ -588,7 +578,7 @@ class Parser {
         sub->loc = (*expr)->loc;
         sub->children.push_back(*std::move(expr));
         sub->children.push_back(*std::move(index));
-        expr = ExprPtr(std::move(sub));
+        expr = Finish(std::move(sub));
       } else if (At(TokenKind::kPlusPlus) || At(TokenKind::kMinusMinus)) {
         UnaryOp op = At(TokenKind::kPlusPlus) ? UnaryOp::kPostInc
                                               : UnaryOp::kPostDec;
@@ -599,10 +589,11 @@ class Parser {
         post->loc = loc;
         post->unary_op = op;
         post->children.push_back(*std::move(expr));
-        expr = ExprPtr(std::move(post));
+        expr = Finish(std::move(post));
       } else {
         return expr;
       }
+      if (!expr.ok()) return expr;
     }
   }
 
@@ -641,20 +632,20 @@ class Parser {
         expr->name = std::move(name);
         if (!At(TokenKind::kRParen)) {
           do {
-            auto arg = ParseAssignment();
+            auto arg = Nested(&Parser::ParseAssignment);
             if (!arg.ok()) return arg;
             expr->children.push_back(*std::move(arg));
           } while (Match(TokenKind::kComma));
         }
         HAOCL_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
-        return ExprPtr(std::move(expr));
+        return Finish(std::move(expr));
       }
       expr->kind = ExprKind::kVarRef;
       expr->name = std::move(name);
       return ExprPtr(std::move(expr));
     }
     if (Match(TokenKind::kLParen)) {
-      auto inner = ParseExpression();
+      auto inner = Nested(&Parser::ParseExpression);
       if (!inner.ok()) return inner;
       HAOCL_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
       return inner;
@@ -665,6 +656,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // Nesting levels open around the current token.
 };
 
 }  // namespace

@@ -12,6 +12,17 @@
 
 namespace haocl::oclc {
 
+// The deepest nesting the parser builds. Each bracket, block, statement
+// body, unary or cast operator, ternary branch and assignment right-hand
+// side opens one level; an expression's operators count the levels they
+// stack below it, so a long `a+a+...` chain counts too. Past the limit the
+// build fails with a log naming it. Every later pass (sema, codegen, the
+// AST destructor) recurses over the tree, so this bound keeps hostile
+// source from overflowing a node's stack. 256 is clang's default bracket
+// depth; parsing 256 nested brackets takes about 3 MB of stack under
+// AddressSanitizer, well inside a default 8 MB thread stack.
+inline constexpr int kMaxNestingDepth = 256;
+
 Expected<std::unique_ptr<TranslationUnit>> Parse(std::string_view source);
 
 }  // namespace haocl::oclc

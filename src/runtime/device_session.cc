@@ -68,11 +68,6 @@ Status DeviceSession::WriteBufferLocked(std::uint64_t buffer_id,
 Expected<std::vector<std::uint8_t>> DeviceSession::ReadBuffer(
     std::uint64_t buffer_id, std::uint64_t offset, std::uint64_t size) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return ReadBufferLocked(buffer_id, offset, size);
-}
-
-Expected<std::vector<std::uint8_t>> DeviceSession::ReadBufferLocked(
-    std::uint64_t buffer_id, std::uint64_t offset, std::uint64_t size) {
   auto it = buffers_.find(buffer_id);
   if (it == buffers_.end()) return NoSuchBuffer(buffer_id);
   if (RangeExceeds(offset, size, it->second.size())) {
@@ -80,24 +75,6 @@ Expected<std::vector<std::uint8_t>> DeviceSession::ReadBufferLocked(
   }
   return std::vector<std::uint8_t>(it->second.begin() + offset,
                                    it->second.begin() + offset + size);
-}
-
-Status DeviceSession::CopyBuffer(const net::CopyBufferRequest& request) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto src = buffers_.find(request.src_buffer_id);
-  if (src == buffers_.end()) return NoSuchBuffer(request.src_buffer_id);
-  auto dst = buffers_.find(request.dst_buffer_id);
-  if (dst == buffers_.end()) return NoSuchBuffer(request.dst_buffer_id);
-  if (RangeExceeds(request.src_offset, request.size, src->second.size()) ||
-      RangeExceeds(request.dst_offset, request.size, dst->second.size())) {
-    return Status(ErrorCode::kInvalidValue, "copy out of range");
-  }
-  HAOCL_RETURN_IF_ERROR(ledger_->Reserve(request.dst_buffer_id,
-                                      request.dst_offset,
-                                      request.dst_offset + request.size));
-  std::memmove(dst->second.data() + request.dst_offset,
-               src->second.data() + request.src_offset, request.size);
-  return Status::Ok();
 }
 
 Status DeviceSession::ReleaseBuffer(std::uint64_t buffer_id) {
@@ -359,11 +336,6 @@ net::LaunchKernelReply DeviceSession::LaunchKernel(
   reply.bytes_accessed = profile.bytes_accessed;
   ++kernels_executed_;
   busy_seconds_total_ += profile.modeled_seconds;
-  vm_instructions_total_ += profile.vm_instructions;
-  vm_batch_steps_total_ += profile.vm_batch_steps;
-  vm_simd_steps_total_ += profile.vm_simd_steps;
-  vm_masked_steps_total_ += profile.vm_masked_steps;
-  vm_bailouts_total_ += profile.vm_bailouts;
   return reply;
 }
 
@@ -392,21 +364,6 @@ Status DeviceSession::PullSlice(const net::PullSliceRequest& request,
   // store.
   std::lock_guard<std::mutex> lock(mutex_);
   return WriteBufferLocked(request.buffer_id, request.offset, *bytes);
-}
-
-Status DeviceSession::PushSlice(const net::PushSliceRequest& request,
-                                const PeerStore& store) {
-  std::vector<std::uint8_t> bytes;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto local = ReadBufferLocked(request.buffer_id, request.offset,
-                                  request.size);
-    if (!local.ok()) return local.status();
-    bytes = *std::move(local);
-  }
-  // Lock dropped across the peer store (see PullSlice).
-  return store(request.target_node, request.buffer_id, request.offset,
-               std::move(bytes));
 }
 
 net::LoadReply DeviceSession::Load() const {

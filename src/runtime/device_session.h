@@ -56,7 +56,6 @@ class DeviceSession {
   Expected<std::vector<std::uint8_t>> ReadBuffer(std::uint64_t buffer_id,
                                                  std::uint64_t offset,
                                                  std::uint64_t size);
-  Status CopyBuffer(const net::CopyBufferRequest& request);
   Status ReleaseBuffer(std::uint64_t buffer_id);
 
   // ---- Programs ---------------------------------------------------------
@@ -81,16 +80,11 @@ class DeviceSession {
   [[nodiscard]] std::size_t revoked_count(std::uint64_t launch_id) const;
 
   // ---- Node-to-node slice exchange --------------------------------------
-  // Transport hooks the NMP supplies: fetch a byte range of a buffer from a
-  // peer node / store one on a peer node. The session itself stays
-  // transport-free.
+  // Transport hook the NMP supplies: fetch a byte range of a buffer from a
+  // peer node. The session itself stays transport-free.
   using PeerFetch = std::function<Expected<std::vector<std::uint8_t>>(
       std::uint32_t peer, std::uint64_t buffer_id, std::uint64_t offset,
       std::uint64_t size)>;
-  using PeerStore =
-      std::function<Status(std::uint32_t peer, std::uint64_t buffer_id,
-                           std::uint64_t offset,
-                           std::vector<std::uint8_t> data)>;
 
   // Pulls [offset, offset+size) of `buffer_id` from the request's source
   // peer into the local replica. The session lock is NOT held across the
@@ -99,10 +93,6 @@ class DeviceSession {
   // fetch.
   Status PullSlice(const net::PullSliceRequest& request,
                    const PeerFetch& fetch);
-  // Sends [offset, offset+size) of the local replica to the request's
-  // target peer (lock dropped during the store, mirroring PullSlice).
-  Status PushSlice(const net::PushSliceRequest& request,
-                   const PeerStore& store);
 
   // ---- Tiered memory ----------------------------------------------------
   // Applies a host reservation/eviction notice to the session's memory
@@ -125,31 +115,6 @@ class DeviceSession {
   [[nodiscard]] std::uint64_t resident_bytes() const {
     return ledger_->resident_bytes();
   }
-  // Cumulative VM execution counters across this session's launches
-  // (exact retired work-item instructions, not the static-mix estimate;
-  // zero contribution from native-binary launches). The batch ratio —
-  // instructions per dispatch — is the amortization the lane-batch
-  // engine achieved.
-  [[nodiscard]] std::uint64_t vm_instructions_total() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return vm_instructions_total_;
-  }
-  [[nodiscard]] std::uint64_t vm_batch_steps_total() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return vm_batch_steps_total_;
-  }
-  [[nodiscard]] std::uint64_t vm_bailouts_total() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return vm_bailouts_total_;
-  }
-  [[nodiscard]] std::uint64_t vm_simd_steps_total() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return vm_simd_steps_total_;
-  }
-  [[nodiscard]] std::uint64_t vm_masked_steps_total() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return vm_masked_steps_total_;
-  }
 
  private:
   struct ProgramEntry {
@@ -157,12 +122,9 @@ class DeviceSession {
     std::string build_log;
   };
 
-  // Require mutex_ held.
+  // Requires mutex_ held.
   Status WriteBufferLocked(std::uint64_t buffer_id, std::uint64_t offset,
                            std::span<const std::uint8_t> data);
-  Expected<std::vector<std::uint8_t>> ReadBufferLocked(std::uint64_t buffer_id,
-                                                       std::uint64_t offset,
-                                                       std::uint64_t size);
 
   driver::DeviceDriver* driver_;
   // Fallback private ledger when none is injected (see ctor).
@@ -187,12 +149,6 @@ class DeviceSession {
   std::uint64_t bytes_allocated_ = 0;
   std::uint64_t kernels_executed_ = 0;
   double busy_seconds_total_ = 0.0;
-  // VM execution totals (see the accessors above).
-  std::uint64_t vm_instructions_total_ = 0;
-  std::uint64_t vm_batch_steps_total_ = 0;
-  std::uint64_t vm_simd_steps_total_ = 0;
-  std::uint64_t vm_masked_steps_total_ = 0;
-  std::uint64_t vm_bailouts_total_ = 0;
 };
 
 }  // namespace haocl::runtime

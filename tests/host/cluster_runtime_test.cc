@@ -1140,6 +1140,54 @@ TEST_F(ClusterRuntimeTest, MigratePrefetchesSoTheLaunchShipsNothing) {
   EXPECT_EQ(after->stats.host_bytes_in, before->stats.host_bytes_in);
 }
 
+TEST_F(ClusterRuntimeTest, MigrateOfASoleNodeCopyMovesPeerToPeer) {
+  auto program = runtime().BuildProgram(kDoubler);
+  ASSERT_TRUE(program.ok());
+  const int n = 512;
+  const std::uint64_t bytes = static_cast<std::uint64_t>(n) * 4;
+  auto buffer = runtime().CreateBuffer(bytes);
+  ASSERT_TRUE(buffer.ok());
+  std::vector<std::int32_t> values(n);
+  std::iota(values.begin(), values.end(), 1);
+  ASSERT_TRUE(runtime().WriteBuffer(*buffer, 0, values.data(), bytes).ok());
+  ClusterRuntime::LaunchSpec spec;
+  spec.program = *program;
+  spec.kernel_name = "doubler";
+  spec.args = {KernelArgValue::Buffer(*buffer),
+               KernelArgValue::Scalar<std::int32_t>(n)};
+  spec.global[0] = n;
+  spec.preferred_node = 0;
+  ASSERT_TRUE(runtime().LaunchKernel(spec).ok());
+  auto before = runtime().DirectorySnapshotOf(*buffer);
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(before->regions.size(), 1u);
+  ASSERT_EQ(before->regions[0].owners, (std::vector<std::int32_t>{0}));
+
+  // Node 1 pulls the range straight from node 0: the host neither sends
+  // nor receives a payload byte, and nothing is relayed.
+  auto migrate = runtime().SubmitMigrate(*buffer, {{0, bytes}}, 1);
+  ASSERT_TRUE(migrate.ok());
+  ASSERT_TRUE(runtime().Wait(*migrate).ok());
+  ASSERT_TRUE(runtime().ReleaseCommand(*migrate).ok());
+  auto after = runtime().DirectorySnapshotOf(*buffer);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->stats.p2p_bytes - before->stats.p2p_bytes, bytes);
+  EXPECT_EQ(after->stats.host_payload_bytes(),
+            before->stats.host_payload_bytes());
+  EXPECT_EQ(after->stats.relay_bytes, 0u);
+  ASSERT_EQ(after->regions.size(), 1u);
+  EXPECT_EQ(after->regions[0].owners, (std::vector<std::int32_t>{0, 1}));
+
+  spec.preferred_node = 1;
+  auto launch = runtime().LaunchKernel(spec);
+  ASSERT_TRUE(launch.ok());
+  EXPECT_EQ(launch->node, 1u);
+  EXPECT_EQ(launch->bytes_shipped, 0u);
+  std::vector<std::int32_t> got(n);
+  ASSERT_TRUE(runtime().ReadBuffer(*buffer, 0, got.data(), bytes).ok());
+  for (int i = 0; i < n; ++i) ASSERT_EQ(got[i], 4 * (i + 1)) << i;
+}
+
 TEST_F(ClusterRuntimeTest, MigrateDiscardTransfersNothingAndValidates) {
   const int n = 64;
   auto buffer = runtime().CreateBuffer(static_cast<std::uint64_t>(n) * 4);

@@ -142,11 +142,6 @@ TEST(ProtocolTest, BufferRequestsRoundTrip) {
   auto r = Decode<ReadBufferRequest>(Encode(read));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size, 256u);
-
-  CopyBufferRequest copy{1, 2, 10, 20, 30};
-  auto cp = Decode<CopyBufferRequest>(Encode(copy));
-  ASSERT_TRUE(cp.ok());
-  EXPECT_EQ(cp->dst_offset, 20u);
 }
 
 TEST(ProtocolTest, WriteBufferLengthMustMatchRemainingBytes) {

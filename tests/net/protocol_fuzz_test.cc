@@ -37,7 +37,7 @@ template <>
 std::vector<GoldenRow<HelloRequest>> GoldenRows() {
   HelloRequest m;
   m.host_name = "host-A";
-  return {{m, "06000000686f73742d4101000000"}};
+  return {{m, "06000000686f73742d4102000000"}};
 }
 
 template <>
@@ -52,7 +52,7 @@ std::vector<GoldenRow<HelloReply>> GoldenRows() {
   m.simd_width = 32;
   return {{m,
            "040000006770753301080000005465736c6120503400000000807cb54000000000"
-           "0008684000000000020000002000000001000000"}};
+           "0008684000000000020000002000000002000000"}};
 }
 
 template <>
@@ -80,22 +80,9 @@ std::vector<GoldenRow<ReleaseBufferRequest>> GoldenRows() {
 }
 
 template <>
-std::vector<GoldenRow<CopyBufferRequest>> GoldenRows() {
-  return {{{1, 2, 10, 20, 30},
-           "010000000000000002000000000000000a0000000000000014000000000000001e"
-           "00000000000000"}};
-}
-
-template <>
 std::vector<GoldenRow<PullSliceRequest>> GoldenRows() {
   return {{{15, 32, 512, 1},
            "0f000000000000002000000000000000000200000000000001000000"}};
-}
-
-template <>
-std::vector<GoldenRow<PushSliceRequest>> GoldenRows() {
-  return {{{16, 48, 1024, 2},
-           "10000000000000003000000000000000000400000000000002000000"}};
 }
 
 template <>
@@ -388,8 +375,8 @@ class ProtocolFuzzTest : public ::testing::Test {};
 
 using PayloadTypes = ::testing::Types<
     HelloRequest, HelloReply, CreateBufferRequest, WriteBufferRequest,
-    ReadBufferRequest, ReleaseBufferRequest, CopyBufferRequest,
-    PullSliceRequest, PushSliceRequest, MemoryNoticeRequest,
+    ReadBufferRequest, ReleaseBufferRequest, PullSliceRequest,
+    MemoryNoticeRequest,
     BuildProgramRequest, BuildProgramReply, ReleaseProgramRequest,
     LaunchKernelRequest, LaunchKernelReply, RevokeChunkRequest, LoadReply,
     ConfigureSessionRequest, BrokerStatsReply, StatusReply>;

@@ -65,11 +65,23 @@ TEST_F(NodeServerTest, MalformedPayloadGetsProtocolError) {
 }
 
 TEST_F(NodeServerTest, UnknownMessageTypeRejected) {
-  auto reply = client_->Call(static_cast<MsgType>(999), 1, {});
-  ASSERT_TRUE(reply.ok());
-  auto status = net::Decode<net::StatusReply>(reply->payload);
-  ASSERT_TRUE(status.ok());
-  EXPECT_EQ(status->ToStatus().code(), ErrorCode::kProtocolError);
+  // 14 and 16 are the retired node-side copy and peer push of protocol
+  // version 1: a well-formed v1 payload gets the same answer as garbage.
+  const std::vector<std::uint8_t> v1_payload(40, 0);
+  for (std::uint16_t type : {14, 16, 999}) {
+    SCOPED_TRACE(type);
+    auto reply =
+        client_->Call(static_cast<MsgType>(type), 1, v1_payload);
+    ASSERT_TRUE(reply.ok());
+    auto status = net::Decode<net::StatusReply>(reply->payload);
+    ASSERT_TRUE(status.ok());
+    EXPECT_EQ(status->ToStatus().code(), ErrorCode::kProtocolError);
+  }
+  // The node keeps serving.
+  auto hello = client_->Call(MsgType::kHelloRequest, 1,
+                             net::Encode(net::HelloRequest{}));
+  ASSERT_TRUE(hello.ok());
+  EXPECT_EQ(hello->type, MsgType::kHelloReply);
 }
 
 TEST_F(NodeServerTest, SessionsAreIndependent) {
@@ -122,15 +134,6 @@ TEST_F(NodeServerTest, WrappingOffsetsRejectedWithoutCrash) {
   net::ReadBufferRequest read{1, kHostile, 4};
   EXPECT_EQ(
       status_of(client_->Call(MsgType::kReadBuffer, 1, net::Encode(read))),
-      ErrorCode::kInvalidValue);
-
-  net::CopyBufferRequest copy_src{1, 2, kHostile, 0, 4};
-  EXPECT_EQ(
-      status_of(client_->Call(MsgType::kCopyBuffer, 1, net::Encode(copy_src))),
-      ErrorCode::kInvalidValue);
-  net::CopyBufferRequest copy_dst{1, 2, 0, kHostile, 4};
-  EXPECT_EQ(
-      status_of(client_->Call(MsgType::kCopyBuffer, 1, net::Encode(copy_dst))),
       ErrorCode::kInvalidValue);
 
   net::MemoryNoticeRequest notice;

@@ -62,25 +62,6 @@ TEST_F(DeviceSessionTest, BufferErrors) {
   EXPECT_FALSE(session_->ReadBuffer(1, 8, 9).ok());
 }
 
-TEST_F(DeviceSessionTest, CopyBuffer) {
-  ASSERT_TRUE(session_->CreateBuffer(1, 16).ok());
-  ASSERT_TRUE(session_->CreateBuffer(2, 16).ok());
-  ASSERT_TRUE(session_->WriteBuffer(1, 0, Bytes{1, 2, 3, 4}).ok());
-  net::CopyBufferRequest copy;
-  copy.src_buffer_id = 1;
-  copy.dst_buffer_id = 2;
-  copy.src_offset = 0;
-  copy.dst_offset = 8;
-  copy.size = 4;
-  ASSERT_TRUE(session_->CopyBuffer(copy).ok());
-  auto read = session_->ReadBuffer(2, 8, 4);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(*read, (std::vector<std::uint8_t>{1, 2, 3, 4}));
-
-  copy.size = 100;
-  EXPECT_FALSE(session_->CopyBuffer(copy).ok());
-}
-
 TEST_F(DeviceSessionTest, PullSliceStoresPeerBytes) {
   ASSERT_TRUE(session_->CreateBuffer(1, 16).ok());
   net::PullSliceRequest pull;
@@ -128,42 +109,6 @@ TEST_F(DeviceSessionTest, PullSliceStoresPeerBytes) {
   };
   EXPECT_EQ(session_->PullSlice(pull, truncated).code(),
             ErrorCode::kProtocolError);
-}
-
-TEST_F(DeviceSessionTest, PushSliceSendsLocalBytes) {
-  ASSERT_TRUE(session_->CreateBuffer(1, 16).ok());
-  ASSERT_TRUE(session_->WriteBuffer(1, 8, Bytes{5, 6, 7, 8}).ok());
-  net::PushSliceRequest push;
-  push.buffer_id = 1;
-  push.offset = 8;
-  push.size = 4;
-  push.target_node = 1;
-  std::vector<std::uint8_t> stored;
-  auto store = [&stored](std::uint32_t peer, std::uint64_t buffer,
-                         std::uint64_t offset,
-                         std::vector<std::uint8_t> data) {
-    EXPECT_EQ(peer, 1u);
-    EXPECT_EQ(buffer, 1u);
-    EXPECT_EQ(offset, 8u);
-    stored = std::move(data);
-    return Status::Ok();
-  };
-  ASSERT_TRUE(session_->PushSlice(push, store).ok());
-  EXPECT_EQ(stored, (std::vector<std::uint8_t>{5, 6, 7, 8}));
-
-  push.buffer_id = 99;
-  EXPECT_EQ(session_->PushSlice(push, store).code(),
-            ErrorCode::kInvalidMemObject);
-  push.buffer_id = 1;
-  push.offset = 14;
-  EXPECT_FALSE(session_->PushSlice(push, store).ok());
-  auto rejecting = [](std::uint32_t, std::uint64_t, std::uint64_t,
-                      std::vector<std::uint8_t>) {
-    return Status(ErrorCode::kPeerUnreachable, "no link");
-  };
-  push.offset = 0;
-  EXPECT_EQ(session_->PushSlice(push, rejecting).code(),
-            ErrorCode::kPeerUnreachable);
 }
 
 TEST_F(DeviceSessionTest, BuildAndLaunch) {

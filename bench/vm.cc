@@ -11,8 +11,10 @@
 // each is timed by its best run, so a slow spell on a busy machine cannot
 // move a ratio. Gates (bench::Gates, exit 1 on a miss):
 //  - every engine's outputs byte-identical (always),
-//  - matmul SIMD >= 20x interpreter and >= 2x the scalar batch engine
-//    (only when the build has a vector backend),
+//  - matmul SIMD >= 20x interpreter and >= 2x the scalar batch engine, and
+//    SIMD batch steps per group below n: the k-loop runs as one counted-loop
+//    superop, where stepping needs at least 5 dispatches per trip (only
+//    when the build has a vector backend),
 //  - bfs_frontier completes with ZERO whole-group bail-outs (the masked
 //    divergence path; independent of SIMD, so enforced even on the
 //    forced-scalar build).
@@ -45,6 +47,7 @@ struct BenchCase {
 };
 
 constexpr int kMinRounds = 7;
+constexpr int kMatmulN = 128;
 constexpr double kMinSeconds = 0.5;
 
 struct BenchResult {
@@ -60,6 +63,7 @@ struct BenchResult {
   std::uint64_t simd_steps = 0;
   std::uint64_t masked_steps = 0;
   std::uint64_t bailouts = 0;
+  std::uint64_t groups = 0;
   bool identical = false;
 };
 
@@ -158,6 +162,7 @@ BenchResult RunCase(const BenchCase& bench) {
   result.simd_steps = simd_stats.simd_steps;
   result.masked_steps = simd_stats.masked_steps;
   result.bailouts = simd_stats.bailouts;
+  result.groups = simd_stats.groups;
   result.identical = interp_out.size() == scalar_out.size() &&
                      interp_out.size() == simd_out.size();
   for (std::size_t i = 0; result.identical && i < interp_out.size(); ++i) {
@@ -193,7 +198,7 @@ int main() {
         }
         c[row * n + col] = acc;
       })";
-    const int n = 128;
+    const int n = kMatmulN;
     c.buffers = {RandomFloats(rng, static_cast<std::size_t>(n) * n),
                  RandomFloats(rng, static_cast<std::size_t>(n) * n),
                  std::vector<std::uint8_t>(static_cast<std::size_t>(n) * n * 4,
@@ -283,6 +288,7 @@ int main() {
   bool all_identical = true;
   double matmul_vs_interp = 0.0;
   double matmul_vs_scalar = 0.0;
+  double matmul_steps_per_group = 0.0;
   std::uint64_t bfs_bailouts = ~0ull;
   for (const BenchCase& bench : cases) {
     BenchResult r = RunCase(bench);
@@ -299,6 +305,8 @@ int main() {
     if (r.name == "matmul") {
       matmul_vs_interp = r.speedup_vs_interp;
       matmul_vs_scalar = r.speedup_vs_scalar;
+      matmul_steps_per_group =
+          static_cast<double>(r.batch_steps) / static_cast<double>(r.groups);
     }
     if (r.name == "bfs_frontier") bfs_bailouts = r.bailouts;
     results.push_back(std::move(r));
@@ -320,7 +328,7 @@ int main() {
         "\"speedup_vs_interp\": %.2f, \"speedup_vs_scalar\": %.2f, "
         "\"instructions\": %llu, \"batch_steps\": %llu, "
         "\"fused_steps\": %llu, \"simd_steps\": %llu, "
-        "\"masked_steps\": %llu, \"bailouts\": %llu, "
+        "\"masked_steps\": %llu, \"bailouts\": %llu, \"groups\": %llu, "
         "\"bit_identical\": %s}%s\n",
         r.name.c_str(), r.interp_seconds, r.scalar_seconds, r.simd_seconds,
         r.speedup_vs_interp, r.speedup_vs_scalar,
@@ -330,12 +338,15 @@ int main() {
         static_cast<unsigned long long>(r.simd_steps),
         static_cast<unsigned long long>(r.masked_steps),
         static_cast<unsigned long long>(r.bailouts),
+        static_cast<unsigned long long>(r.groups),
         r.identical ? "true" : "false",
         i + 1 < results.size() ? "," : "");
   }
   std::fprintf(json,
                "  ],\n  \"matmul_interp_gate\": 20.0,\n"
-               "  \"matmul_scalar_gate\": 2.0\n}\n");
+               "  \"matmul_scalar_gate\": 2.0,\n"
+               "  \"matmul_steps_per_group_gate\": %d\n}\n",
+               kMatmulN);
   std::fclose(json);
   std::printf("wrote BENCH_vm.json (backend %s)\n", simd::kIsaName);
 
@@ -351,6 +362,10 @@ int main() {
     gates.Check(matmul_vs_scalar >= 2.0,
                 "matmul SIMD >= 2x the scalar batch engine (got " +
                     std::to_string(matmul_vs_scalar) + "x)");
+    gates.Check(matmul_steps_per_group < kMatmulN,
+                "matmul SIMD batch steps per group < n = " +
+                    std::to_string(kMatmulN) + " (got " +
+                    std::to_string(matmul_steps_per_group) + ")");
   }
   return gates.ExitCode();
 }

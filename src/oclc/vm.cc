@@ -19,7 +19,7 @@ using vmdetail::BatchPlan;
 using vmdetail::GroupContext;
 using vmdetail::InitItem;
 using vmdetail::ItemState;
-using vmdetail::MakeLocalMem;
+using vmdetail::ResetLocalMem;
 using vmdetail::RunItem;
 using vmdetail::RunResult;
 using vmdetail::RunStatesToCompletion;
@@ -32,7 +32,8 @@ Status RunGroup(GroupContext& grp, std::uint64_t* instructions) {
   const std::uint64_t group_size = local[0] * local[1] * local[2];
   const std::uint64_t budget0 = grp.options.max_instructions_per_item;
 
-  auto local_mem = MakeLocalMem(grp.kernel, grp.args);
+  std::vector<std::vector<std::uint8_t>> local_mem;
+  ResetLocalMem(grp.kernel, grp.args, local_mem);
   grp.local_mem = &local_mem;
 
   if (!grp.kernel.uses_barrier) {
@@ -193,6 +194,7 @@ Status LaunchKernel(const Module& module, const CompiledFunction& kernel,
 
   auto worker = [&] {
     VmStats acc;
+    vmdetail::LaneBatch batch;  // Reused by every group this worker runs.
     while (true) {
       const std::uint64_t g =
           next_group.fetch_add(1, std::memory_order_relaxed);
@@ -211,7 +213,7 @@ Status LaunchKernel(const Module& module, const CompiledFunction& kernel,
       Status s;
       if (use_batched) {
         BatchGroupStats gs;
-        s = vmdetail::RunGroupBatched(grp, plan, gs);
+        s = vmdetail::RunGroupBatched(grp, plan, batch, gs);
         acc.instructions += gs.instructions;
         acc.batch_steps += gs.batch_steps;
         acc.fused_steps += gs.fused_steps;

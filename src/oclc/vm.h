@@ -119,13 +119,16 @@ struct LaunchOptions {
   // results are bit-identical either way.
   bool enable_trace_fusion = true;
   // Vectorize per-lane inner loops (uniform arithmetic, fused MAC/indexed
-  // loads/compares) with host SIMD. Batched engine only; bit-identical.
-  // No-op when the build forces the scalar backend (HAOCL_ENABLE_SIMD=OFF).
+  // loads/compares) with host SIMD, and run counted MAC loops as one
+  // dispatch per group. Batched engine only; bit-identical. No-op when the
+  // build forces the scalar backend (HAOCL_ENABLE_SIMD=OFF).
   bool enable_simd = true;
   // Run short straight-line divergent regions (flagged by codegen) under a
   // partial-lane mask instead of bailing the whole group out to the
-  // interpreter. Batched engine only; bit-identical, including trap pcs
-  // and the runaway-budget charge.
+  // interpreter. Batched engine only; bit-identical outputs, the same
+  // runaway-budget charge and trap pc. (Any batched trap has the
+  // interpreter's error code; an out-of-bounds message may name another
+  // lane's offset when lanes leave their buffer at different trips.)
   bool enable_lane_masking = true;
 };
 

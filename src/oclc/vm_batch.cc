@@ -20,42 +20,14 @@
 // step instead of per work-item — in lockstep every lane retires the same
 // instruction count, so one shared counter is exact, and the hot loop pays
 // the check once per GROUP instead of once per item.
+#include <cstdlib>
+#include <type_traits>
+
 #include "common/simd.h"
 #include "oclc/vm_internal.h"
 
 namespace haocl::oclc::vmdetail {
 namespace {
-
-struct PrivateRegion {
-  std::vector<std::uint8_t> data;  // lanes * stride bytes, lane-major.
-  std::uint64_t stride = 0;        // 0 for non-private regions.
-};
-
-struct LaneBatch {
-  std::uint32_t lanes = 0;
-  std::uint32_t pc = 0;
-  std::uint32_t sp = 0;    // Operand-stack height in slots (rows).
-  std::uint32_t base = 0;  // Current frame's locals base row.
-  std::uint64_t budget = 0;  // Shared: lockstep lanes retire in unison.
-  std::vector<Value> stack;   // stack_slots rows of `lanes` values.
-  std::uint32_t stack_slots = 0;
-  std::vector<Value> locals;  // local_rows rows of `lanes` values.
-  std::uint32_t local_rows = 0;
-  std::vector<Frame> frames;  // Shared: uniform while control is uniform.
-  std::vector<PrivateRegion> priv;
-  std::vector<std::uint64_t> gid[3];
-  std::vector<std::uint64_t> lid[3];
-  // Masked-divergence bookkeeping. The shared budget charges a masked
-  // region's whole span up-front; a lane that sat the region out is owed
-  // that span back relative to the shared counter (the interpreter charges
-  // per item). Refunds are applied on bail-out, and has_refund downgrades
-  // the shared budget trap to a bail-out because lanes no longer exhaust
-  // their budgets in unison.
-  std::vector<std::uint64_t> refund;
-  bool has_refund = false;
-  std::vector<std::uint8_t> active;          // Masked-region lane mask.
-  std::vector<std::int32_t> idx_scratch[2];  // Affine-load lane indices.
-};
 
 inline Value* Row(LaneBatch& b, std::uint32_t slot) {
   return b.stack.data() + static_cast<std::size_t>(slot) * b.lanes;
@@ -72,10 +44,13 @@ void EnsureStackRows(LaneBatch& b, std::uint32_t rows) {
   }
 }
 
+// Resets `b` for `grp`, reusing the rows an earlier group left behind.
 void InitBatch(LaneBatch& b, GroupContext& grp, std::uint32_t lanes) {
   const CompiledFunction& kernel = grp.kernel;
+  if (b.lanes != lanes) b.stack_slots = 0;  // Rows are sized per lane count.
   b.lanes = lanes;
   b.pc = kernel.entry_pc;
+  b.jumped_from = ~0u;
   b.sp = 0;
   b.base = 0;
   b.budget = grp.options.max_instructions_per_item;
@@ -91,23 +66,29 @@ void InitBatch(LaneBatch& b, GroupContext& grp, std::uint32_t lanes) {
   b.idx_scratch[1].resize(lanes);
 
   const auto& local = grp.range.local;
+  std::uint64_t first_gid[3];
   for (int d = 0; d < 3; ++d) {
     b.gid[d].resize(lanes);
     b.lid[d].resize(lanes);
+    first_gid[d] = grp.range.offset[d] + grp.group_id[d] * local[d];
   }
-  for (std::uint32_t l = 0; l < lanes; ++l) {
-    const std::uint64_t lin = l;
-    b.lid[0][l] = lin % local[0];
-    b.lid[1][l] = (lin / local[0]) % local[1];
-    b.lid[2][l] = lin / (local[0] * local[1]);
-    for (int d = 0; d < 3; ++d) {
-      b.gid[d][l] = grp.range.offset[d] + grp.group_id[d] * local[d] +
-                    b.lid[d][l];
+  std::uint32_t l = 0;
+  for (std::uint64_t z = 0; z < local[2]; ++z) {
+    for (std::uint64_t y = 0; y < local[1]; ++y) {
+      for (std::uint64_t x = 0; x < local[0]; ++x, ++l) {
+        b.lid[0][l] = x;
+        b.lid[1][l] = y;
+        b.lid[2][l] = z;
+        b.gid[0][l] = first_gid[0] + x;
+        b.gid[1][l] = first_gid[1] + y;
+        b.gid[2][l] = first_gid[2] + z;
+      }
     }
   }
 
   // Private arrays: one contiguous slab per region, lane-major slices.
-  b.priv.assign(kernel.params.size() + kernel.arrays.size(), {});
+  b.priv.resize(kernel.params.size() + kernel.arrays.size());
+  for (PrivateRegion& region : b.priv) region.stride = 0;
   for (std::size_t i = 0; i < kernel.arrays.size(); ++i) {
     if (kernel.arrays[i].space == AddressSpace::kPrivate) {
       PrivateRegion& region = b.priv[kernel.params.size() + i];
@@ -671,8 +652,20 @@ struct LanePlan {
   };
   Kind kind = Kind::kGather;
   const std::int32_t* idx = nullptr;  // Element index per lane, in-bounds.
+  std::int32_t lo = 0;                // Smallest and largest lane index.
+  std::int32_t hi = 0;
   bool ok = false;
 };
+
+// True when elements [lo, hi] (esize bytes each) past the base pointer lie
+// in the buffer and no offset reaches past kPtrOffsetMask.
+inline bool InBounds(const UniformBase& ub, std::uint64_t esize,
+                     std::int64_t lo, std::int64_t hi) {
+  if (lo < 0) return false;
+  const std::uint64_t last =
+      ub.base_off + static_cast<std::uint64_t>(hi) * esize;
+  return last <= kPtrOffsetMask && last + esize <= ub.size;
+}
 
 // One lane's element index with the bytecode's exact i32 wrap arithmetic.
 inline std::int32_t LaneIndex(const IndexRows& rows, std::uint32_t l) {
@@ -711,13 +704,6 @@ LanePlan ClassifyLaneIndices(LaneBatch& b, const IndexedLoad& ld,
   const IndexRows rows = RowsFor(b, ld);
   const std::uint64_t esize = static_cast<std::uint64_t>(ld.esize);
 
-  auto check_range = [&](std::int32_t mn, std::int32_t mx) {
-    if (mn < 0) return false;
-    const std::uint64_t last =
-        ub.base_off + static_cast<std::uint64_t>(mx) * esize;
-    return last <= kPtrOffsetMask && last + esize <= ub.size;
-  };
-
   if (ld.affine) {
     const std::int32_t idx0 = LaneIndex(rows, 0);
     const std::int32_t stride =
@@ -734,8 +720,10 @@ LanePlan ClassifyLaneIndices(LaneBatch& b, const IndexedLoad& ld,
           stride >= 0 ? idx0 : static_cast<std::int32_t>(end);
       const std::int32_t hi =
           stride >= 0 ? static_cast<std::int32_t>(end) : idx0;
-      if (!check_range(lo, hi)) return plan;
+      if (!InBounds(ub, esize, lo, hi)) return plan;
       plan.idx = scratch;
+      plan.lo = lo;
+      plan.hi = hi;
       plan.ok = true;
       if (stride == 0 || stride == 1) {
         // Broadcast/contiguous vector bodies only read idx[0], but the
@@ -792,11 +780,20 @@ LanePlan ClassifyLaneIndices(LaneBatch& b, const IndexedLoad& ld,
     mn = idx < mn ? idx : mn;
     mx = idx > mx ? idx : mx;
   }
-  if (!check_range(mn, mx)) return plan;
+  if (!InBounds(ub, esize, mn, mx)) return plan;
   plan.idx = scratch;
+  plan.lo = mn;
+  plan.hi = mx;
   plan.ok = true;
-  plan.kind =
-      mn == mx ? LanePlan::Kind::kBroadcast : LanePlan::Kind::kGather;
+  // A lane-varying index the analysis could not prove affine may still be
+  // a unit ramp (get_global_id(1) under a {1, N} group): load it whole.
+  bool ramp = static_cast<std::int64_t>(mx) - mn == lanes - 1;
+  for (std::uint32_t l = 0; ramp && l < lanes; ++l) {
+    ramp = scratch[l] == mn + static_cast<std::int32_t>(l);
+  }
+  plan.kind = mn == mx ? LanePlan::Kind::kBroadcast
+              : ramp   ? LanePlan::Kind::kContiguous
+                       : LanePlan::Kind::kGather;
   return plan;
 }
 
@@ -846,12 +843,13 @@ bool SimdIndexedLoad(LaneBatch& b, const IndexedLoad& ld,
   const LanePlan plan =
       ClassifyLaneIndices(b, ld, ub, b.idx_scratch[0].data());
   if (!plan.ok) return false;
+  const std::uint8_t* base = ub.data + ub.base_off;
   const std::uint32_t lanes = b.lanes;
   const std::uint32_t vec = lanes & ~3u;
   if (plan.kind == LanePlan::Kind::kBroadcast) {
     const Value v = LoadScalar(
-        ub.data + static_cast<std::int64_t>(plan.idx[0]) *
-                      static_cast<std::int64_t>(ld.esize),
+        base + static_cast<std::int64_t>(plan.idx[0]) *
+                   static_cast<std::int64_t>(ld.esize),
         ld.elem);
     for (std::uint32_t l = 0; l < lanes; ++l) out[l] = v;
     return true;
@@ -859,53 +857,53 @@ bool SimdIndexedLoad(LaneBatch& b, const IndexedLoad& ld,
   switch (ld.elem) {
     case ScalarType::kF32:
       for (std::uint32_t c = 0; c < vec; c += 4) {
-        simd::ToF64(LoadF32Lanes(ub.data, plan, c)).Store(&out[c].f);
+        simd::ToF64(LoadF32Lanes(base, plan, c)).Store(&out[c].f);
       }
       break;
     case ScalarType::kF64:
       for (std::uint32_t c = 0; c < vec; c += 4) {
-        LoadF64Lanes(ub.data, plan, c).Store(&out[c].f);
+        LoadF64Lanes(base, plan, c).Store(&out[c].f);
       }
       break;
     case ScalarType::kI32:
       if (plan.kind == LanePlan::Kind::kContiguous) {
         const auto* src = reinterpret_cast<const std::int32_t*>(
-            ub.data + static_cast<std::int64_t>(plan.idx[0]) * 4);
+            base + static_cast<std::int64_t>(plan.idx[0]) * 4);
         for (std::uint32_t c = 0; c < vec; c += 4) {
           simd::VecI32::Load(src + c).StoreSignExt64(out + c);
         }
       } else {
         for (std::uint32_t l = 0; l < vec; ++l) {
           out[l] = LoadScalar(
-              ub.data + static_cast<std::int64_t>(plan.idx[l]) * 4, ld.elem);
+              base + static_cast<std::int64_t>(plan.idx[l]) * 4, ld.elem);
         }
       }
       break;
     case ScalarType::kU32:
       if (plan.kind == LanePlan::Kind::kContiguous) {
         const auto* src = reinterpret_cast<const std::int32_t*>(
-            ub.data + static_cast<std::int64_t>(plan.idx[0]) * 4);
+            base + static_cast<std::int64_t>(plan.idx[0]) * 4);
         for (std::uint32_t c = 0; c < vec; c += 4) {
           simd::VecI32::Load(src + c).StoreZeroExt64(out + c);
         }
       } else {
         for (std::uint32_t l = 0; l < vec; ++l) {
           out[l] = LoadScalar(
-              ub.data + static_cast<std::int64_t>(plan.idx[l]) * 4, ld.elem);
+              base + static_cast<std::int64_t>(plan.idx[l]) * 4, ld.elem);
         }
       }
       break;
     default:
       for (std::uint32_t l = 0; l < vec; ++l) {
-        out[l] = LoadScalar(ub.data + static_cast<std::int64_t>(plan.idx[l]) *
-                                          static_cast<std::int64_t>(ld.esize),
+        out[l] = LoadScalar(base + static_cast<std::int64_t>(plan.idx[l]) *
+                                       static_cast<std::int64_t>(ld.esize),
                             ld.elem);
       }
       break;
   }
   for (std::uint32_t l = vec; l < lanes; ++l) {
-    out[l] = LoadScalar(ub.data + static_cast<std::int64_t>(plan.idx[l]) *
-                                      static_cast<std::int64_t>(ld.esize),
+    out[l] = LoadScalar(base + static_cast<std::int64_t>(plan.idx[l]) *
+                                   static_cast<std::int64_t>(ld.esize),
                         ld.elem);
   }
   return true;
@@ -922,6 +920,8 @@ bool SimdMac(LaneBatch& b, const FusedOp& op, const UniformBase& uba,
   const LanePlan pb =
       ClassifyLaneIndices(b, op.ld[1], ubb, b.idx_scratch[1].data());
   if (!pb.ok) return false;
+  const std::uint8_t* abase = uba.data + uba.base_off;
+  const std::uint8_t* bbase = ubb.data + ubb.base_off;
   const std::uint32_t lanes = b.lanes;
   const std::uint32_t vec = lanes & ~3u;
   const bool bca = pa.kind == LanePlan::Kind::kBroadcast;
@@ -930,12 +930,12 @@ bool SimdMac(LaneBatch& b, const FusedOp& op, const UniformBase& uba,
     // Hoist broadcast operands (matmul's A[row*n+k] is one per group) out
     // of the chunk loop.
     const simd::VecF32 ba =
-        bca ? LoadF32Lanes(uba.data, pa, 0) : simd::VecF32::Broadcast(0.0f);
+        bca ? LoadF32Lanes(abase, pa, 0) : simd::VecF32::Broadcast(0.0f);
     const simd::VecF32 bb =
-        bcb ? LoadF32Lanes(ubb.data, pb, 0) : simd::VecF32::Broadcast(0.0f);
+        bcb ? LoadF32Lanes(bbase, pb, 0) : simd::VecF32::Broadcast(0.0f);
     for (std::uint32_t c = 0; c < vec; c += 4) {
-      const simd::VecF32 xa = bca ? ba : LoadF32Lanes(uba.data, pa, c);
-      const simd::VecF32 xb = bcb ? bb : LoadF32Lanes(ubb.data, pb, c);
+      const simd::VecF32 xa = bca ? ba : LoadF32Lanes(abase, pa, c);
+      const simd::VecF32 xb = bcb ? bb : LoadF32Lanes(bbase, pb, c);
       const simd::VecF32 m = simd::Mul(xa, xb);
       const simd::VecF32 r =
           simd::Add(simd::ToF32(simd::VecF64::Load(&acc[c].f)), m);
@@ -944,8 +944,8 @@ bool SimdMac(LaneBatch& b, const FusedOp& op, const UniformBase& uba,
     for (std::uint32_t l = vec; l < lanes; ++l) {
       float xa;
       float xb;
-      std::memcpy(&xa, uba.data + static_cast<std::int64_t>(pa.idx[l]) * 4, 4);
-      std::memcpy(&xb, ubb.data + static_cast<std::int64_t>(pb.idx[l]) * 4, 4);
+      std::memcpy(&xa, abase + static_cast<std::int64_t>(pa.idx[l]) * 4, 4);
+      std::memcpy(&xb, bbase + static_cast<std::int64_t>(pb.idx[l]) * 4, 4);
       const float m = xa * xb;
       const float r = static_cast<float>(acc[l].f) + m;
       acc[l].f = r;
@@ -954,12 +954,12 @@ bool SimdMac(LaneBatch& b, const FusedOp& op, const UniformBase& uba,
   }
   if (op.type == ScalarType::kF64) {
     const simd::VecF64 ba =
-        bca ? LoadF64Lanes(uba.data, pa, 0) : simd::VecF64::Broadcast(0.0);
+        bca ? LoadF64Lanes(abase, pa, 0) : simd::VecF64::Broadcast(0.0);
     const simd::VecF64 bb =
-        bcb ? LoadF64Lanes(ubb.data, pb, 0) : simd::VecF64::Broadcast(0.0);
+        bcb ? LoadF64Lanes(bbase, pb, 0) : simd::VecF64::Broadcast(0.0);
     for (std::uint32_t c = 0; c < vec; c += 4) {
-      const simd::VecF64 xa = bca ? ba : LoadF64Lanes(uba.data, pa, c);
-      const simd::VecF64 xb = bcb ? bb : LoadF64Lanes(ubb.data, pb, c);
+      const simd::VecF64 xa = bca ? ba : LoadF64Lanes(abase, pa, c);
+      const simd::VecF64 xb = bcb ? bb : LoadF64Lanes(bbase, pb, c);
       const simd::VecF64 m = simd::Mul(xa, xb);
       const simd::VecF64 r = simd::Add(simd::VecF64::Load(&acc[c].f), m);
       r.Store(&acc[c].f);
@@ -967,8 +967,8 @@ bool SimdMac(LaneBatch& b, const FusedOp& op, const UniformBase& uba,
     for (std::uint32_t l = vec; l < lanes; ++l) {
       double xa;
       double xb;
-      std::memcpy(&xa, uba.data + static_cast<std::int64_t>(pa.idx[l]) * 8, 8);
-      std::memcpy(&xb, ubb.data + static_cast<std::int64_t>(pb.idx[l]) * 8, 8);
+      std::memcpy(&xa, abase + static_cast<std::int64_t>(pa.idx[l]) * 8, 8);
+      std::memcpy(&xb, bbase + static_cast<std::int64_t>(pb.idx[l]) * 8, 8);
       const double m = xa * xb;
       const double r = acc[l].f + m;
       acc[l].f = r;
@@ -976,6 +976,193 @@ bool SimdMac(LaneBatch& b, const FusedOp& op, const UniformBase& uba,
     return true;
   }
   return false;
+}
+
+// ------------------------------------------------- Counted-loop superop
+
+// True when every lane's i32 row value is the same; stores it in *out.
+inline bool UniformI32(const Value* row, std::uint32_t lanes,
+                       std::int32_t* out) {
+  const auto v = static_cast<std::int32_t>(row[0].i);
+  for (std::uint32_t l = 1; l < lanes; ++l) {
+    if (static_cast<std::int32_t>(row[l].i) != v) return false;
+  }
+  *out = v;
+  return true;
+}
+
+// One load of a counted loop, classified once for all of its trips: at
+// trip t lane l reads element plan.idx[l] + t * step past `base`.
+struct TripLoad {
+  const std::uint8_t* base = nullptr;  // Buffer + the base pointer offset.
+  LanePlan plan;                       // Trip-0 layout and lane indices.
+  std::int64_t step = 0;
+};
+
+// Plans mac.ld[which] over `trips` trips of k += c: k occurs at most once,
+// with a lane-uniform multiplier, so ClassifyLaneIndices' trip-0 precheck
+// extends to the last trip and bounds every trip in between.
+bool PlanTripLoad(LaneBatch& b, GroupContext& grp, const FusedOp& mac,
+                  int which, std::int32_t k, std::int64_t trips,
+                  std::int64_t c, TripLoad* out) {
+  const IndexedLoad& ld = mac.ld[which];
+  const UniformBase ub = ResolveUniformBase(b, grp, ld.base, ld.base_uniform);
+  if (ld.elem != mac.type || !ub.ok ||
+      (ld.s1 == k) + (ld.s2 == k) + (ld.s3 == k) > 1) {
+    return false;
+  }
+  std::int32_t m = 0;  // Elements per unit of k.
+  if (ld.s3 == k || (ld.s1 == k && ld.s2 < 0)) {
+    m = 1;
+  } else if ((ld.s1 == k || ld.s2 == k) &&
+             !UniformI32(LocalRow(b, b.base + (ld.s1 == k ? ld.s2 : ld.s1)),
+                         b.lanes, &m)) {
+    return false;
+  }
+  out->plan = ClassifyLaneIndices(b, ld, ub, b.idx_scratch[which].data());
+  out->step = m * c;
+  if (!out->plan.ok || (trips > 1 && std::abs(out->step) > INT32_MAX)) {
+    return false;
+  }
+  const std::int64_t last = (trips - 1) * out->step;
+  const std::int64_t lo = out->plan.lo + std::min<std::int64_t>(last, 0);
+  const std::int64_t hi = out->plan.hi + std::max<std::int64_t>(last, 0);
+  out->base = ub.data + ub.base_off;
+  return hi <= INT32_MAX && InBounds(ub, ld.esize, lo, hi);
+}
+
+template <class T, class Vec, LanePlan::Kind K>
+inline Vec TripLanes(const TripLoad& ld, std::int64_t t, std::uint32_t c) {
+  const std::int64_t shift = t * ld.step;
+  if constexpr (K == LanePlan::Kind::kBroadcast) {
+    T v;
+    std::memcpy(&v, ld.base + (ld.plan.idx[0] + shift) * sizeof(T),
+                sizeof(T));
+    return Vec::Broadcast(v);
+  } else if constexpr (K == LanePlan::Kind::kContiguous) {
+    return Vec::Load(reinterpret_cast<const T*>(
+        ld.base + (ld.plan.idx[0] + shift + c) * sizeof(T)));
+  } else {
+    return Vec::Gather(
+        reinterpret_cast<const T*>(ld.base),
+        simd::Add(simd::VecI32::Load(ld.plan.idx + c),
+                  simd::VecI32::Broadcast(static_cast<std::int32_t>(shift))));
+  }
+}
+
+// Every trip for lanes [c, c + 4 * NV), accumulators held in registers.
+// Mul then Add, two roundings as kMul then kAdd: never an FMA.
+template <class T, class Vec, int NV, LanePlan::Kind KX, LanePlan::Kind KY>
+void MacTrips(T* acc, std::uint32_t c, std::int64_t trips, const TripLoad& x,
+              const TripLoad& y) {
+  Vec r[NV];
+  for (int v = 0; v < NV; ++v) r[v] = Vec::Load(acc + c + 4 * v);
+  for (std::int64_t t = 0; t < trips; ++t) {
+    for (int v = 0; v < NV; ++v) {
+      const std::uint32_t lane = c + 4 * v;
+      r[v] = simd::Add(r[v], simd::Mul(TripLanes<T, Vec, KX>(x, t, lane),
+                                       TripLanes<T, Vec, KY>(y, t, lane)));
+    }
+  }
+  for (int v = 0; v < NV; ++v) r[v].Store(acc + c + 4 * v);
+}
+
+// Calls f with `kind` as a compile-time constant.
+template <class F>
+void WithKind(LanePlan::Kind kind, F&& f) {
+  using K = LanePlan::Kind;
+  switch (kind) {
+    case K::kBroadcast: return f(std::integral_constant<K, K::kBroadcast>{});
+    case K::kContiguous: return f(std::integral_constant<K, K::kContiguous>{});
+    default: return f(std::integral_constant<K, K::kGather>{});
+  }
+}
+
+// All trips for all lanes: blocks of 8 vectors, then single vectors, then
+// the scalar tail lanes.
+template <class T, class Vec>
+void MacLanes(T* acc, std::uint32_t lanes, std::int64_t trips,
+              const TripLoad& x, const TripLoad& y) {
+  const std::uint32_t vec = lanes & ~3u;
+  WithKind(x.plan.kind, [&](auto kx) {
+    WithKind(y.plan.kind, [&](auto ky) {
+      constexpr LanePlan::Kind kX = decltype(kx)::value;
+      constexpr LanePlan::Kind kY = decltype(ky)::value;
+      std::uint32_t c = 0;
+      for (; c + 32 <= vec; c += 32) {
+        MacTrips<T, Vec, 8, kX, kY>(acc, c, trips, x, y);
+      }
+      for (; c < vec; c += 4) MacTrips<T, Vec, 1, kX, kY>(acc, c, trips, x, y);
+    });
+  });
+  for (std::uint32_t l = vec; l < lanes; ++l) {
+    T r = acc[l];
+    for (std::int64_t t = 0; t < trips; ++t) {
+      T xa;
+      T ya;
+      std::memcpy(&xa, x.base + (x.plan.idx[l] + t * x.step) * sizeof(T),
+                  sizeof(T));
+      std::memcpy(&ya, y.base + (y.plan.idx[l] + t * y.step) * sizeof(T),
+                  sizeof(T));
+      const T m = xa * ya;
+      r = r + m;
+    }
+    acc[l] = r;
+  }
+}
+
+// Runs the counted loop headed by `cmp` (see CountedLoop) in one dispatch
+// when every trip provably does what stepping would (docs/vm.md, "Counted
+// loops"), charging exactly what stepping would. Otherwise returns false
+// having changed nothing, and stepping finds the interpreter's trap. Each
+// reason to decline holds for the rest of the loop, so a header reached by
+// its own back edge is not tried again.
+bool TryCountedLoop(LaneBatch& b, GroupContext& grp, const BatchPlan& plan,
+                    const FusedOp& cmp, BatchGroupStats& stats) {
+  const CountedLoop& loop = plan.loops[cmp.loop];
+  if (b.jumped_from + 1 == loop.exit_pc) return false;
+  const FusedOp& mac = plan.ops[loop.mac];
+  const std::uint32_t lanes = b.lanes;
+  Value* k = LocalRow(b, b.base + cmp.a);
+  std::int32_t k0 = 0;
+  std::int32_t bound = 0;
+  if (!UniformI32(k, lanes, &k0) ||
+      !UniformI32(LocalRow(b, b.base + cmp.b), lanes, &bound) ||
+      k0 >= bound) {
+    return false;
+  }
+  const std::int64_t c =
+      static_cast<std::int32_t>(plan.ops[loop.step].constant.i);
+  const std::int64_t trips = (std::int64_t{bound} - k0 + c - 1) / c;
+  const std::int64_t k_end = k0 + trips * c;
+  const std::uint64_t charge =
+      static_cast<std::uint64_t>(trips) * loop.trip_length + cmp.length + 1;
+  TripLoad x;
+  TripLoad y;
+  if (k_end > INT32_MAX || b.budget < charge ||
+      !PlanTripLoad(b, grp, mac, 0, cmp.a, trips, c, &x) ||
+      !PlanTripLoad(b, grp, mac, 1, cmp.a, trips, c, &y)) {
+    return false;
+  }
+  Value* acc = LocalRow(b, b.base + mac.a);
+  if (mac.type == ScalarType::kF32) {
+    b.acc_f32.resize(lanes);
+    for (std::uint32_t l = 0; l < lanes; ++l) {
+      b.acc_f32[l] = static_cast<float>(acc[l].f);
+    }
+    MacLanes<float, simd::VecF32>(b.acc_f32.data(), lanes, trips, x, y);
+    for (std::uint32_t l = 0; l < lanes; ++l) acc[l].f = b.acc_f32[l];
+  } else {
+    MacLanes<double, simd::VecF64>(&acc[0].f, lanes, trips, x, y);
+  }
+  for (std::uint32_t l = 0; l < lanes; ++l) k[l].i = k_end;
+  b.pc = loop.exit_pc;
+  b.budget -= charge;
+  ++stats.batch_steps;
+  ++stats.fused_steps;
+  ++stats.simd_steps;
+  stats.instructions += charge * lanes;
+  return true;
 }
 
 // Executes one fused superop over all lanes. The caller already charged the
@@ -1525,6 +1712,10 @@ Status RunBatch(LaneBatch& b, GroupContext& grp, const BatchPlan& plan,
     // the trap point matches the interpreter exactly.
     if (b.pc < plan.fused_at.size() && plan.fused_at[b.pc] >= 0) {
       const FusedOp& fop = plan.ops[plan.fused_at[b.pc]];
+      if (fop.loop >= 0 && use_simd &&
+          TryCountedLoop(b, grp, plan, fop, stats)) {
+        continue;
+      }
       if (b.budget >= fop.length) {
         b.budget -= fop.length;
         ++stats.batch_steps;
@@ -1711,6 +1902,7 @@ Status RunBatch(LaneBatch& b, GroupContext& grp, const BatchPlan& plan,
         break;
       }
       case Opcode::kJump:
+        b.jumped_from = b.pc - 1;
         b.pc = static_cast<std::uint32_t>(instr.a);
         break;
       case Opcode::kJumpIfFalse:
@@ -1728,7 +1920,10 @@ Status RunBatch(LaneBatch& b, GroupContext& grp, const BatchPlan& plan,
           }
         }
         if (!divergent) {
-          if (jump0) b.pc = static_cast<std::uint32_t>(instr.a);
+          if (jump0) {
+            b.jumped_from = b.pc - 1;
+            b.pc = static_cast<std::uint32_t>(instr.a);
+          }
           break;
         }
         // Short straight-line guard bodies run under a partial-lane mask;
@@ -1986,17 +2181,24 @@ BatchPlan BuildBatchPlan(const Module& module, const LaunchOptions& options) {
       op.length = 5;
       matched = true;
     }
+    // Without the convert the literal keeps its i64 tag (`k += 2` on an
+    // int): a 32- or 64-bit integer add reads only bits ConvertValue keeps.
+    auto literal_feeds_add = [](ScalarType lit, ScalarType add) {
+      return lit == add || (IsInteger(lit) && IsInteger(add) &&
+                            ScalarSize(add) >= 4);
+    };
     if (!matched && straight(i, 4) && code[i].op == Opcode::kLoadLocal &&
         code[i + 1].op == Opcode::kPushConst &&
         (code[i + 2].op == Opcode::kAdd || code[i + 2].op == Opcode::kSub) &&
-        code[i + 2].type == code[i + 1].type &&
+        literal_feeds_add(code[i + 1].type, code[i + 2].type) &&
         code[i + 3].op == Opcode::kStoreLocal &&
         code[i + 3].a == code[i].a) {
       op.kind = FusedOp::Kind::kLocalAddConst;
       op.op = code[i + 2].op;
       op.type = code[i + 2].type;
       op.a = code[i].a;
-      op.constant = literals[code[i + 1].a];
+      op.constant =
+          ConvertValue(literals[code[i + 1].a], code[i + 1].type, op.type);
       op.length = 4;
       matched = true;
     }
@@ -2058,19 +2260,60 @@ BatchPlan BuildBatchPlan(const Module& module, const LaunchOptions& options) {
       ++i;
     }
   }
+
+  // Counted MAC loops (see CountedLoop), read off the ops matched above.
+  auto op_at = [&](std::size_t pc, FusedOp::Kind kind) -> const FusedOp* {
+    if (pc >= code.size() || plan.fused_at[pc] < 0) return nullptr;
+    const FusedOp* op = &plan.ops[plan.fused_at[pc]];
+    return op->kind == kind ? op : nullptr;
+  };
+  for (std::size_t h = 0; h < code.size(); ++h) {
+    const FusedOp* cmp = op_at(h, FusedOp::Kind::kCompareLocals);
+    const std::size_t jif = h + 3;  // kCompareLocals replaces 3.
+    const FusedOp* mac = op_at(jif + 1, FusedOp::Kind::kMacLocal);
+    if (cmp == nullptr || mac == nullptr || cmp->op != Opcode::kLt ||
+        cmp->type != ScalarType::kI32 || !IsFloat(mac->type) ||
+        code[jif].op != Opcode::kJumpIfFalse) {
+      continue;
+    }
+    const std::size_t step_pc = jif + 1 + mac->length;
+    const FusedOp* step = op_at(step_pc, FusedOp::Kind::kLocalAddConst);
+    const std::size_t back = step_pc + (step != nullptr ? step->length : 0);
+    if (step == nullptr || step->op != Opcode::kAdd ||
+        step->type != ScalarType::kI32 || step->a != cmp->a ||
+        static_cast<std::int32_t>(step->constant.i) <= 0 ||
+        back >= code.size() || code[back].op != Opcode::kJump ||
+        code[back].a != static_cast<std::int32_t>(h) ||
+        code[jif].a != static_cast<std::int32_t>(back + 1)) {
+      continue;
+    }
+    const std::int32_t k = cmp->a;
+    const std::int32_t acc = mac->a;
+    bool disjoint = acc != k && acc != cmp->b;
+    for (const IndexedLoad& ld : mac->ld) {
+      disjoint = disjoint && k != ld.base && acc != ld.base && acc != ld.s1 &&
+                 acc != ld.s2 && acc != ld.s3;
+    }
+    if (!disjoint) continue;
+    plan.ops[plan.fused_at[h]].loop =
+        static_cast<std::int32_t>(plan.loops.size());
+    plan.loops.push_back(CountedLoop{
+        plan.fused_at[jif + 1], plan.fused_at[step_pc],
+        static_cast<std::uint32_t>(back + 1),
+        cmp->length + 1 + mac->length + step->length + 1});
+  }
   return plan;
 }
 
 Status RunGroupBatched(GroupContext& grp, const BatchPlan& plan,
-                       BatchGroupStats& stats) {
+                       LaneBatch& batch, BatchGroupStats& stats) {
   const auto& local = grp.range.local;
   const auto group_size =
       static_cast<std::uint32_t>(local[0] * local[1] * local[2]);
-  auto local_mem = MakeLocalMem(grp.kernel, grp.args);
-  grp.local_mem = &local_mem;
-  LaneBatch b;
-  InitBatch(b, grp, group_size);
-  return RunBatch(b, grp, plan, stats);
+  ResetLocalMem(grp.kernel, grp.args, batch.local_mem);
+  grp.local_mem = &batch.local_mem;
+  InitBatch(batch, grp, group_size);
+  return RunBatch(batch, grp, plan, stats);
 }
 
 }  // namespace haocl::oclc::vmdetail

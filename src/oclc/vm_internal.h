@@ -995,13 +995,14 @@ inline Status RunStatesToCompletion(std::vector<ItemState>& states,
 
 // ----------------------------------------------------------- Group execution
 
-// Builds the per-group local-memory table: slots [0, num_args) for __local
+// Resets the per-group local-memory table: slots [0, num_args) for __local
 // pointer arguments, then one slot per body-declared array (local entries
-// allocated here, private ones per item).
-inline std::vector<std::vector<std::uint8_t>> MakeLocalMem(
-    const CompiledFunction& kernel, const std::vector<ArgBinding>& args) {
-  std::vector<std::vector<std::uint8_t>> mem(kernel.params.size() +
-                                             kernel.arrays.size());
+// zero-filled here, private ones per item). Reuses `mem`'s allocations, so
+// a worker that keeps one table across its groups allocates only once.
+inline void ResetLocalMem(const CompiledFunction& kernel,
+                          const std::vector<ArgBinding>& args,
+                          std::vector<std::vector<std::uint8_t>>& mem) {
+  mem.resize(kernel.params.size() + kernel.arrays.size());
   for (std::size_t i = 0; i < kernel.params.size(); ++i) {
     if (kernel.params[i].IsLocalPointer()) {
       mem[i].assign(args[i].local_size, 0);
@@ -1012,7 +1013,6 @@ inline std::vector<std::vector<std::uint8_t>> MakeLocalMem(
       mem[kernel.params.size() + i].assign(kernel.arrays[i].ByteSize(), 0);
     }
   }
-  return mem;
 }
 
 inline void InitItem(ItemState& st, const CompiledFunction& kernel,
@@ -1122,6 +1122,19 @@ struct FusedOp {
   Value constant{};                          // kLocalAddConst, pre-converted.
   IndexedLoad ld[2];                         // kIndexedLoad / kMacLocal.
   std::uint32_t length = 0;                  // Instructions replaced.
+  std::int32_t loop = -1;  // kCompareLocals: its BatchPlan::loops entry.
+};
+
+// A counted MAC loop read off the plan's fused ops: kCompareLocals(k < n,
+// i32), kJumpIfFalse exit_pc, kMacLocal(acc, f32/f64), kLocalAddConst(k +=
+// c, i32, c > 0), kJump back (exit_pc is the pc after it), with acc none of
+// k, n and the slots either load reads. The SIMD tier may run all of its
+// trips in one dispatch (docs/vm.md, "Counted loops").
+struct CountedLoop {
+  std::int32_t mac = -1;           // ops index of the body's kMacLocal.
+  std::int32_t step = -1;          // ops index of the k += c step.
+  std::uint32_t exit_pc = 0;
+  std::uint32_t trip_length = 0;   // Instructions one trip retires.
 };
 
 struct BatchPlan {
@@ -1129,15 +1142,52 @@ struct BatchPlan {
   // that pc. Empty when fusion is disabled.
   std::vector<std::int32_t> fused_at;
   std::vector<FusedOp> ops;
+  std::vector<CountedLoop> loops;
 };
 
 BatchPlan BuildBatchPlan(const Module& module, const LaunchOptions& options);
 
-// Runs one work-group through the lane-batch engine. grp.local_mem is set
-// up internally (like the interpreter's RunGroup). Bails out to the
-// interpreter sweep on lane divergence; always returns bit-identical
-// results to the interpreter.
+struct PrivateRegion {
+  std::vector<std::uint8_t> data;  // lanes * stride bytes, lane-major.
+  std::uint64_t stride = 0;        // 0 for non-private regions.
+};
+
+// One work-group's SoA machine state. Each LaunchKernel worker owns one for
+// the whole launch and re-initializes it per group, so after the first
+// group a group allocates nothing (the lane count is fixed per launch).
+struct LaneBatch {
+  std::uint32_t lanes = 0;
+  std::uint32_t pc = 0;
+  std::uint32_t sp = 0;    // Operand-stack height in slots (rows).
+  std::uint32_t base = 0;  // Current frame's locals base row.
+  std::uint64_t budget = 0;  // Shared: lockstep lanes retire in unison.
+  std::vector<Value> stack;   // stack_slots rows of `lanes` values.
+  std::uint32_t stack_slots = 0;
+  std::vector<Value> locals;  // local_rows rows of `lanes` values.
+  std::uint32_t local_rows = 0;
+  std::vector<Frame> frames;  // Shared: uniform while control is uniform.
+  std::vector<PrivateRegion> priv;
+  std::vector<std::vector<std::uint8_t>> local_mem;  // grp.local_mem.
+  std::vector<std::uint64_t> gid[3];
+  std::vector<std::uint64_t> lid[3];
+  // Masked-divergence bookkeeping. The shared budget charges a masked
+  // region's whole span up-front; a lane that sat the region out is owed
+  // that span back relative to the shared counter (the interpreter charges
+  // per item). Refunds are applied on bail-out, and has_refund downgrades
+  // the shared budget trap to a bail-out because lanes no longer exhaust
+  // their budgets in unison.
+  std::vector<std::uint64_t> refund;
+  bool has_refund = false;
+  std::vector<std::uint8_t> active;          // Masked-region lane mask.
+  std::vector<std::int32_t> idx_scratch[2];  // Affine-load lane indices.
+  std::vector<float> acc_f32;                // Counted-loop accumulators.
+  std::uint32_t jumped_from = ~0u;           // pc of the last taken jump.
+};
+
+// Runs one work-group through the lane-batch engine in `batch` (whose
+// local_mem becomes grp.local_mem). Bails out to the interpreter sweep on
+// lane divergence; always returns bit-identical results to the interpreter.
 Status RunGroupBatched(GroupContext& grp, const BatchPlan& plan,
-                       BatchGroupStats& stats);
+                       LaneBatch& batch, BatchGroupStats& stats);
 
 }  // namespace haocl::oclc::vmdetail

@@ -1,11 +1,14 @@
 // Lane-batch engine specifics: dispatch amortization visible in VmStats,
 // trace fusion firing on MAC loops, divergence bail-out to the
-// interpreter, budget-trap parity between the engines, the kernel-aware
+// interpreter, budget-trap parity between the engines, the counted-loop
+// superop and the shapes it must leave to stepping, the kernel-aware
 // ChooseLocalSize widening, and the compute-unit -> pool-width mapping.
 // Bit-identity of results is covered exhaustively by vm_differential_test.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstring>
+#include <random>
 #include <vector>
 
 #include "common/simd.h"
@@ -398,6 +401,430 @@ TEST(VmBatchTest, MultiThreadedPoolMatchesSingleThread) {
     EXPECT_GT(stats.groups, 1u);
   }
   EXPECT_EQ(0, std::memcmp(c1.data(), c8.data(), global * 4));
+}
+
+// ------------------------------------------------- Counted-loop superop
+
+// `count` seeded values in [-1, 1) of type T, as raw bytes.
+template <class T = float>
+std::vector<std::uint8_t> RandomBytes(std::size_t count, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<T> val(-1, 1);
+  std::vector<T> v(count);
+  for (T& x : v) x = val(rng);
+  std::vector<std::uint8_t> bytes(count * sizeof(T));
+  std::memcpy(bytes.data(), v.data(), bytes.size());
+  return bytes;
+}
+
+// One launch on private copies of `buffers` (bound in order, then
+// `scalars`), single-threaded.
+struct EngineRun {
+  Status status;
+  std::vector<std::vector<std::uint8_t>> buffers;
+  VmStats stats;
+};
+
+enum class Tier { kInterpreter, kScalarBatch, kSimd };
+
+EngineRun RunOn(Tier tier, const Module& module, const std::string& kernel,
+                std::vector<std::vector<std::uint8_t>> buffers,
+                const std::vector<ArgBinding>& scalars, const NDRange& range,
+                std::uint64_t budget = 1ULL << 33) {
+  LaunchOptions options;
+  options.num_threads = 1;
+  options.max_instructions_per_item = budget;
+  options.engine =
+      tier == Tier::kInterpreter ? VmEngine::kInterpreter : VmEngine::kBatched;
+  options.enable_simd = tier == Tier::kSimd;
+  options.enable_lane_masking = tier == Tier::kSimd;
+  std::vector<ArgBinding> args;
+  for (auto& buf : buffers) {
+    args.push_back(ArgBinding::Buffer(buf.data(), buf.size()));
+  }
+  args.insert(args.end(), scalars.begin(), scalars.end());
+  EngineRun run;
+  const CompiledFunction* fn = module.FindKernel(kernel);
+  run.status = fn == nullptr
+                   ? Status(ErrorCode::kInvalidKernelName, kernel)
+                   : LaunchKernel(module, *fn, args, range, options,
+                                  &run.stats);
+  run.buffers = std::move(buffers);
+  return run;
+}
+
+// Runs all three tiers and demands the interpreter's status (the whole
+// message), output bytes and retired instruction count from the other two.
+// Returns the SIMD tier's stats.
+VmStats ExpectTiersAgree(const Module& module, const std::string& kernel,
+                         const std::vector<std::vector<std::uint8_t>>& buffers,
+                         const std::vector<ArgBinding>& scalars,
+                         const NDRange& range,
+                         std::uint64_t budget = 1ULL << 33) {
+  const EngineRun oracle =
+      RunOn(Tier::kInterpreter, module, kernel, buffers, scalars, range,
+            budget);
+  VmStats simd_stats;
+  for (Tier tier : {Tier::kScalarBatch, Tier::kSimd}) {
+    const EngineRun run =
+        RunOn(tier, module, kernel, buffers, scalars, range, budget);
+    const char* name = tier == Tier::kSimd ? "simd" : "scalar batch";
+    EXPECT_EQ(run.status.ToString(), oracle.status.ToString())
+        << kernel << " on " << name << ", budget " << budget;
+    // A trap leaves engine-specific partial writes: items run one after
+    // another in the interpreter, all at once in a lane batch.
+    if (oracle.status.ok()) {
+      EXPECT_TRUE(run.buffers == oracle.buffers) << kernel << " on " << name;
+      EXPECT_EQ(run.stats.instructions, oracle.stats.instructions)
+          << kernel << " on " << name;
+    }
+    if (tier == Tier::kSimd) simd_stats = run.stats;
+  }
+  return simd_stats;
+}
+
+NDRange Range1D(std::uint64_t global, std::uint64_t local,
+                std::uint64_t offset = 0) {
+  NDRange range;
+  range.global[0] = global;
+  range.local[0] = local;
+  range.offset[0] = offset;
+  range.local_specified = true;
+  return range;
+}
+
+TEST(VmBatchTest, StepByConstantFusesAndRunsAsOneCountedLoop) {
+  // `k += 2` keeps its literal's i64 tag with no convert; the step must
+  // still fuse, so the whole loop becomes one superop dispatch.
+  auto module = MustCompile(R"(
+    __kernel void odd_k(__global const float* a, __global float* c, int n) {
+      int j = get_global_id(0);
+      float acc = 0.0f;
+      for (int k = 1; k < n; k += 2) acc = acc + a[j*n+k] * a[k*n+j];
+      c[j] = acc;
+    })");
+  ASSERT_NE(module, nullptr);
+  const int n = 64;
+  const int trips = n / 2;
+  const VmStats simd = ExpectTiersAgree(
+      *module, "odd_k",
+      {RandomBytes(n * n, 1), std::vector<std::uint8_t>(n * 4)},
+      {ArgBinding::Int(n)}, Range1D(n, 16));
+  ASSERT_EQ(simd.groups, 4u);
+  if (simd::kEnabled) {
+    EXPECT_LT(simd.batch_steps / simd.groups,
+              static_cast<std::uint64_t>(trips));
+  }
+  // Stepping: compare, MAC and step fuse; only the two jumps stay single.
+  const EngineRun scalar =
+      RunOn(Tier::kScalarBatch, *module, "odd_k",
+            {RandomBytes(n * n, 1), std::vector<std::uint8_t>(n * 4)},
+            {ArgBinding::Int(n)}, Range1D(n, 16));
+  ASSERT_TRUE(scalar.status.ok());
+  EXPECT_GE(scalar.stats.fused_steps, scalar.stats.groups * 3 * trips);
+  EXPECT_LT(scalar.stats.batch_steps, scalar.stats.groups * 6 * trips);
+}
+
+TEST(VmBatchTest, CountedLoopBudgetTrapsMatchInterpreterAtEveryCount) {
+  // Every budget from the first instruction through the loop's first trip,
+  // its last trip, its exit and past the kernel's end: the superop may only
+  // fire when the budget covers the whole loop, and stepping must then trap
+  // at the interpreter's pc.
+  auto module = MustCompile(kMacLoop);
+  ASSERT_NE(module, nullptr);
+  const int n = 12;
+  const std::vector<std::vector<std::uint8_t>> buffers = {
+      RandomBytes(16 * n, 2), RandomBytes(n, 3),
+      std::vector<std::uint8_t>(16 * 4)};
+  const EngineRun full = RunOn(Tier::kInterpreter, *module, "mac", buffers,
+                               {ArgBinding::Int(n)}, Range1D(16, 16));
+  ASSERT_TRUE(full.status.ok());
+  const std::uint64_t per_item = full.stats.instructions / 16;
+  for (std::uint64_t budget = 1; budget <= per_item + 1; ++budget) {
+    ExpectTiersAgree(*module, "mac", buffers, {ArgBinding::Int(n)},
+                     Range1D(16, 16), budget);
+  }
+  const VmStats simd = ExpectTiersAgree(*module, "mac", buffers,
+                                        {ArgBinding::Int(n)}, Range1D(16, 16),
+                                        per_item);
+  if (simd::kEnabled) {
+    // Stepping takes at least 5 dispatches per trip.
+    EXPECT_LT(simd.batch_steps, static_cast<std::uint64_t>(5 * n));
+  }
+}
+
+TEST(VmBatchTest, CountedLoopReadingOutOfBoundsLateTrapsLikeInterpreter) {
+  auto module = MustCompile(R"(
+    __kernel void late(__global const float* w, __global const float* x,
+                       __global float* c, int n, int s) {
+      int i = get_global_id(0);
+      float acc = 0.0f;
+      for (int k = 0; k < n; k++) acc = acc + w[k] * x[k * s + i];
+      c[i] = acc;
+    })");
+  ASSERT_NE(module, nullptr);
+  const int n = 24;
+  const std::vector<ArgBinding> scalars = {ArgBinding::Int(n),
+                                           ArgBinding::Int(64)};
+  // In bounds the loop runs as one superop.
+  const VmStats fired = ExpectTiersAgree(
+      *module, "late",
+      {RandomBytes(n, 4), RandomBytes(n * 64, 5),
+       std::vector<std::uint8_t>(64 * 4)},
+      scalars, Range1D(64, 64));
+  if (simd::kEnabled) {
+    EXPECT_LT(fired.batch_steps, 5u * n);
+  }
+  // Every lane reads w[20] first at trip 20: one offset, one message.
+  ExpectTiersAgree(*module, "late",
+                   {RandomBytes(20, 4), RandomBytes(n * 64, 5),
+                    std::vector<std::uint8_t>(64 * 4)},
+                   scalars, Range1D(64, 64));
+  // Lanes 10.. leave x at trip 20, lane 0 only at trip 21. Lockstep
+  // reports lane 10's offset, item order item 0's: the same error code.
+  const std::vector<std::vector<std::uint8_t>> buffers = {
+      RandomBytes(n, 6), RandomBytes(20 * 64 + 10, 7),
+      std::vector<std::uint8_t>(64 * 4)};
+  const EngineRun oracle = RunOn(Tier::kInterpreter, *module, "late", buffers,
+                                 scalars, Range1D(64, 64));
+  ASSERT_FALSE(oracle.status.ok());
+  for (Tier tier : {Tier::kScalarBatch, Tier::kSimd}) {
+    const EngineRun run =
+        RunOn(tier, *module, "late", buffers, scalars, Range1D(64, 64));
+    EXPECT_EQ(run.status.code(), oracle.status.code());
+    EXPECT_NE(run.status.ToString().find("out-of-bounds global access"),
+              std::string::npos)
+        << run.status.ToString();
+  }
+}
+
+constexpr char kLoopShapes[] = R"(
+  __kernel void le_bound(__global const float* a, __global const float* b,
+                         __global float* c, int n) {
+    int i = get_global_id(0);
+    int m = n + 1;
+    float acc = 0.0f;
+    for (int k = 0; k <= n; k++) acc = acc + a[i * m + k] * b[k];
+    c[i] = acc;
+  }
+  __kernel void down(__global const float* a, __global const float* b,
+                     __global float* c, int n) {
+    int i = get_global_id(0);
+    float acc = 0.0f;
+    for (int k = n - 1; k >= 0; k--) acc = acc + a[i * n + k] * b[k];
+    c[i] = acc;
+  }
+  __kernel void from(__global const float* a, __global const float* b,
+                     __global float* c, int n, int k0) {
+    int i = get_global_id(0);
+    float acc = 1.0f;
+    for (int k = k0; k < n; k += 3) acc = acc + a[i * 4 + k] * b[k];
+    c[i] = acc;
+  }
+  __kernel void near_max(__global const float* a, __global const float* b,
+                         __global float* c, int n, int k0) {
+    int i = get_global_id(0);
+    int z = 0;
+    float acc = 0.0f;
+    for (int k = k0; k < n; k += 4) acc = acc + a[i] * b[z];
+    c[i] = acc;
+  }
+  __kernel void varying_bound(__global const float* a, __global const float* b,
+                              __global float* c, int n) {
+    int i = get_global_id(0);
+    int lim = n - (i & 3);
+    float acc = 0.0f;
+    for (int k = 0; k < lim; k++) acc = acc + a[i * n + k] * b[k];
+    c[i] = acc;
+  }
+  __kernel void varying_mult(__global const float* a, __global const float* b,
+                             __global float* c, int n) {
+    int i = get_global_id(0);
+    int s = n + (i & 1);
+    float acc = 0.0f;
+    for (int k = 0; k < n; k++) acc = acc + a[k * s + i] * b[k];
+    c[i] = acc;
+  }
+  __kernel void acc_index(__global const float* a, __global const float* b,
+                          __global float* c, int n) {
+    int i = get_global_id(0);
+    float acc = 0.0f;
+    for (int k = 0; k < n; k++) acc = acc + a[i * n + k] * b[((int)acc) & 7];
+    c[i] = acc;
+  }
+  __kernel void strided(__global const float* a, __global const float* b,
+                        __global float* c, int n, int j) {
+    int i = get_global_id(0);
+    float acc = 0.0f;
+    for (int k = 0; k < n; k++) acc = acc + a[i * n + k] * b[k * n + j];
+    c[i] = acc;
+  }
+  __kernel void offset_base(__global const float* a, __global const float* b,
+                            __global float* c, int n) {
+    int i = get_global_id(0);
+    __global const float* p = a + 3;
+    float acc = 0.0f;
+    for (int k = 0; k < n; k++) acc = acc + p[i * n + k] * b[k];
+    c[i] = acc;
+  }
+  __kernel void swapped(__global const float* a, __global const float* b,
+                        __global float* c, int n) {
+    int i = get_global_id(0);
+    int p = i ^ 1;
+    float acc = 0.0f;
+    for (int k = 0; k < n; k++) acc = acc + a[k * n + p] * b[k];
+    c[i] = acc;
+  }
+  __kernel void k_after(__global const float* a, __global const float* b,
+                        __global float* c, int n) {
+    int i = get_global_id(0);
+    int k;
+    float acc = 0.0f;
+    for (k = 1; k < n; k += 3) acc = acc + a[i * n + k] * b[k];
+    c[i] = acc + (float)k;
+  }
+  __kernel void mac64(__global const double* a, __global const double* b,
+                      __global double* c, int n) {
+    int i = get_global_id(0);
+    int w = get_global_size(0);
+    double acc = 0.5;
+    for (int k = 0; k < n; k++) acc = acc + a[k * w + i] * b[k];
+    c[i] = acc;
+  })";
+
+TEST(VmBatchTest, LoopShapesOutsideTheSuperopStayBitIdentical) {
+  auto module = MustCompile(kLoopShapes);
+  ASSERT_NE(module, nullptr);
+  const int n = 16;
+  const auto a = RandomBytes(128 * (n + 1) + 8, 8);
+  const auto b = RandomBytes(n * n + 1, 9);
+  const std::vector<std::uint8_t> c(128 * 4);
+  const NDRange range = Range1D(128, 64);
+  for (const char* kernel :
+       {"le_bound", "down", "varying_bound", "varying_mult", "acc_index"}) {
+    ExpectTiersAgree(*module, kernel, {a, b, c}, {ArgBinding::Int(n)}, range);
+  }
+  // Loops the superop does run: a strided (gathered) A with a broadcast
+  // B, a pair-swapped lane order that spans a ramp's range but is no ramp,
+  // a base pointer with an offset, k read after the loop, f64.
+  std::vector<VmStats> fired = {
+      ExpectTiersAgree(*module, "strided", {a, b, c},
+                       {ArgBinding::Int(n), ArgBinding::Int(5)}, range),
+      ExpectTiersAgree(*module, "swapped", {a, b, c}, {ArgBinding::Int(n)},
+                       range),
+      ExpectTiersAgree(*module, "offset_base", {a, b, c}, {ArgBinding::Int(n)},
+                       range),
+      ExpectTiersAgree(*module, "k_after", {a, b, c}, {ArgBinding::Int(n)},
+                       range),
+      ExpectTiersAgree(*module, "mac64",
+                       {RandomBytes<double>(128 * n, 10),
+                        RandomBytes<double>(n, 11),
+                        std::vector<std::uint8_t>(128 * 8)},
+                       {ArgBinding::Int(n)}, range)};
+  for (std::size_t i = 0; i < fired.size() && simd::kEnabled; ++i) {
+    EXPECT_LT(fired[i].batch_steps / fired[i].groups, 5u * n) << "case " << i;
+  }
+  // Zero trips (k0 == n and k0 > n) and a short trip count.
+  for (int k0 : {n, n + 5, n - 2}) {
+    ExpectTiersAgree(*module, "from", {a, b, c},
+                     {ArgBinding::Int(n), ArgBinding::Int(k0)}, range);
+  }
+  // Near INT32_MAX: two trips end exactly below it; one more and k would
+  // wrap, so stepping runs on to the budget trap at the interpreter's pc.
+  ExpectTiersAgree(*module, "near_max", {a, b, c},
+                   {ArgBinding::Int(INT_MAX - 1), ArgBinding::Int(INT_MAX - 9)},
+                   range);
+  ExpectTiersAgree(*module, "near_max", {a, b, c},
+                   {ArgBinding::Int(INT_MAX), ArgBinding::Int(INT_MAX - 5)},
+                   range, 4000);
+}
+
+TEST(VmBatchTest, CountedLoopCoversTailLanesAndShardOffsets) {
+  auto module = MustCompile(kMacLoop);
+  ASSERT_NE(module, nullptr);
+  const int n = 9;
+  // Group widths around the 32-lane register block and the 4-lane vector.
+  for (std::uint64_t local : {4u, 6u, 32u, 36u, 38u, 100u}) {
+    const std::uint64_t global = 2 * local;
+    const VmStats simd = ExpectTiersAgree(
+        *module, "mac",
+        {RandomBytes(global * n, 12), RandomBytes(n, 13),
+         std::vector<std::uint8_t>(global * 4)},
+        {ArgBinding::Int(n)}, Range1D(global, local));
+    if (simd::kEnabled) {
+      EXPECT_LT(simd.batch_steps / simd.groups,
+                static_cast<std::uint64_t>(5 * n))
+          << "local " << local;
+    }
+  }
+  // A shard of a larger launch: get_global_id starts at the offset.
+  const std::uint64_t offset = 40;
+  ExpectTiersAgree(*module, "mac",
+                   {RandomBytes((offset + 64) * n, 14),
+                    RandomBytes(n, 15),
+                    std::vector<std::uint8_t>((offset + 64) * 4)},
+                   {ArgBinding::Int(n)}, Range1D(64, 32, offset));
+}
+
+TEST(VmBatchTest, MatmulBatchStepsPerGroupDoNotGrowWithN) {
+  auto module = MustCompile(R"(
+    __kernel void pb_matmul(__global const float* a, __global const float* x,
+                            __global float* y, int n) {
+      int row = get_global_id(0);
+      int col = get_global_id(1);
+      float acc = 0.0f;
+      for (int k = 0; k < n; k++) {
+        acc = acc + a[row * n + k] * x[k * n + col];
+      }
+      y[row * n + col] = acc;
+    })");
+  ASSERT_NE(module, nullptr);
+  std::uint64_t steps_per_group[2] = {0, 0};
+  int idx = 0;
+  for (int n : {64, 256}) {
+    NDRange range;
+    range.work_dim = 2;
+    range.global[0] = 2;
+    range.global[1] = n;
+    range.local[1] = 64;
+    range.local_specified = true;
+    const VmStats simd = ExpectTiersAgree(
+        *module, "pb_matmul",
+        {RandomBytes(n * n, 16), RandomBytes(n * n, 17),
+         std::vector<std::uint8_t>(n * n * 4)},
+        {ArgBinding::Int(n)}, range);
+    steps_per_group[idx++] = simd.batch_steps / simd.groups;
+  }
+  if (simd::kEnabled) {
+    EXPECT_EQ(steps_per_group[0], steps_per_group[1]);
+    EXPECT_LT(steps_per_group[1], 64u);
+  }
+}
+
+TEST(VmBatchTest, PointerWithOffsetBaseReadsFromItsOffset) {
+  // A base pointer local carrying an offset (p = a + 4) must be read from
+  // that offset on every tier, including the vectorized indexed load.
+  auto module = MustCompile(R"(
+    __kernel void shifted(__global const float* a, __global float* out) {
+      int i = get_global_id(0);
+      __global const float* p = a + 4;
+      out[i] = p[i];
+    })");
+  ASSERT_NE(module, nullptr);
+  std::vector<float> a(80);
+  for (int i = 0; i < 80; ++i) a[i] = static_cast<float>(i);
+  std::vector<std::uint8_t> bytes(a.size() * 4);
+  std::memcpy(bytes.data(), a.data(), bytes.size());
+  const EngineRun simd = RunOn(Tier::kSimd, *module, "shifted",
+                               {bytes, std::vector<std::uint8_t>(64 * 4)}, {},
+                               Range1D(64, 64));
+  ASSERT_TRUE(simd.status.ok());
+  float first;
+  std::memcpy(&first, simd.buffers[1].data(), 4);
+  EXPECT_EQ(first, 4.0f);
+  ExpectTiersAgree(*module, "shifted",
+                   {bytes, std::vector<std::uint8_t>(64 * 4)}, {},
+                   Range1D(64, 64));
 }
 
 }  // namespace

@@ -10,11 +10,14 @@
 // sheet; chained partitioned launches under static `hetero_split` vs
 // `adaptive_split`. Emits BENCH_adaptive.json with the per-iteration
 // makespans and the oracle-split ratio — the scheduler-feedback
-// convergence trajectory.
+// convergence trajectory — and exits nonzero (bench::Gates) when adaptive
+// ends above 1.10x the oracle or static below 1.5x.
 #include <cstdio>
 #include <random>
+#include <utility>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "driver/native_registry.h"
 #include "host/sim_cluster.h"
 #include "workloads/workload.h"
@@ -94,7 +97,8 @@ __kernel void resplit_task(__global float* data, int n) {
   return makespans;
 }
 
-void RunAdaptiveResplitScenario() {
+// Returns the adaptive and static final makespans over the oracle's.
+std::pair<double, double> RunAdaptiveResplitScenario() {
   constexpr double kSlowFactor = 1.0 / 3.0;
   constexpr int kIterations = 6;
   double static_fast = 0.0;
@@ -151,6 +155,7 @@ void RunAdaptiveResplitScenario() {
     std::fclose(json);
     std::printf("wrote BENCH_adaptive.json\n");
   }
+  return {adaptive.back() / oracle, statics.back() / oracle};
 }
 
 }  // namespace
@@ -257,6 +262,14 @@ int main() {
       "power trades some makespan for the lowest energy.\n");
   haocl::driver::NativeKernelRegistry::Instance().Unregister("stream_task");
 
-  RunAdaptiveResplitScenario();
-  return 0;
+  // Modeled time, so the ratios are deterministic: adaptive must converge
+  // onto the oracle split, and the static baseline must stay far enough
+  // off it that the scenario still discriminates.
+  const auto [adaptive_ratio, static_ratio] = RunAdaptiveResplitScenario();
+  haocl::bench::Gates gates;
+  gates.Check(adaptive_ratio <= 1.10,
+              "adaptive_split final makespan <= 1.10x oracle");
+  gates.Check(static_ratio >= 1.5,
+              "hetero_split final makespan >= 1.5x oracle");
+  return gates.ExitCode();
 }

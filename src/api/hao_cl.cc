@@ -923,15 +923,9 @@ cl_int clEnqueueWriteBuffer(cl_command_queue queue, cl_mem buffer,
   return EnqueueCommand(
       queue, num_events_in_wait_list, event_wait_list, blocking_write, event,
       [&](auto* runtime, auto deps, auto after) {
-        // Blocking writes outlive the command on the caller's side; skip
-        // the submit-time snapshot copy.
-        return blocking_write != CL_FALSE
-                   ? runtime->SubmitWriteBorrowed(buffer->buffer, offset,
-                                                  ptr, size, std::move(deps),
-                                                  std::move(after))
-                   : runtime->SubmitWrite(buffer->buffer, offset, ptr, size,
-                                          std::move(deps),
-                                          std::move(after));
+        // `ptr` is borrowed until the write completes (OpenCL 1.2 §5.2.2).
+        return runtime->SubmitWrite(buffer->buffer, offset, ptr, size,
+                                    std::move(deps), std::move(after));
       });
 }
 

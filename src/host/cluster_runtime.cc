@@ -204,16 +204,11 @@ std::vector<std::size_t> ClusterRuntime::DevicesOfType(NodeType type) const {
 
 Expected<Message> ClusterRuntime::CallNode(std::size_t node, MsgType type,
                                            std::vector<std::uint8_t> payload,
-                                           std::span<const std::uint8_t> tail) {
+                                           std::span<const std::uint8_t> tail,
+                                           std::span<std::uint8_t> reply_into) {
   InFlightGuard in_flight(this, node);
-  auto future = nodes_[node]->CallAsync(type, options_.session_id,
-                                        std::move(payload), tail);
-  auto reply = future->TakeFor(options_.rpc_timeout);
-  if (!reply.has_value()) {
-    return Status(ErrorCode::kNetworkError,
-                  std::string("RPC timeout for ") + net::MsgTypeName(type));
-  }
-  return *std::move(reply);
+  return nodes_[node]->Call(type, options_.session_id, std::move(payload),
+                            options_.rpc_timeout, tail, reply_into);
 }
 
 // ---------------------------------------------------------- Hazard helpers
@@ -348,56 +343,26 @@ Expected<BufferId> ClusterRuntime::CreateBuffer(std::uint64_t size) {
 Expected<CommandHandle> ClusterRuntime::SubmitWrite(
     BufferId id, std::uint64_t offset, const void* data, std::uint64_t size,
     std::vector<CommandHandle> deps, std::vector<CommandHandle> order_after) {
-  return SubmitWriteImpl(id, offset, data, size, std::move(deps),
-                         std::move(order_after), /*snapshot_data=*/true);
-}
-
-Expected<CommandHandle> ClusterRuntime::SubmitWriteBorrowed(
-    BufferId id, std::uint64_t offset, const void* data, std::uint64_t size,
-    std::vector<CommandHandle> deps, std::vector<CommandHandle> order_after) {
-  return SubmitWriteImpl(id, offset, data, size, std::move(deps),
-                         std::move(order_after), /*snapshot_data=*/false);
-}
-
-Expected<CommandHandle> ClusterRuntime::SubmitWriteImpl(
-    BufferId id, std::uint64_t offset, const void* data, std::uint64_t size,
-    std::vector<CommandHandle> deps, std::vector<CommandHandle> order_after,
-    bool snapshot_data) {
-  BufferPtr buffer;
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (disconnected_) {
-      return Status(ErrorCode::kInvalidOperation, "runtime disconnected");
-    }
-    auto it = buffers_.find(id);
-    if (it == buffers_.end()) {
-      return Status(ErrorCode::kInvalidMemObject, "no such buffer");
-    }
-    buffer = it->second;
-    if (RangeExceeds(offset, size, buffer->size)) {
-      return Status(ErrorCode::kInvalidValue, "write beyond buffer end");
-    }
-  }
-  // Snapshot at submit (outside the lock — a multi-hundred-MB copy must
-  // not stall unrelated submits): non-blocking writers may reuse their
-  // memory immediately. The blocking WriteBuffer wrapper skips the copy —
-  // it keeps the caller's memory alive until the command completes.
-  const auto* src = static_cast<const std::uint8_t*>(data);
-  std::shared_ptr<std::vector<std::uint8_t>> snapshot;
-  if (snapshot_data) {
-    snapshot =
-        std::make_shared<std::vector<std::uint8_t>>(src, src + size);
-    src = snapshot->data();
-  }
   std::lock_guard<std::mutex> lock(state_mutex_);
+  if (disconnected_) {
+    return Status(ErrorCode::kInvalidOperation, "runtime disconnected");
+  }
+  auto it = buffers_.find(id);
+  if (it == buffers_.end()) {
+    return Status(ErrorCode::kInvalidMemObject, "no such buffer");
+  }
+  BufferPtr buffer = it->second;
+  if (RangeExceeds(offset, size, buffer->size)) {
+    return Status(ErrorCode::kInvalidValue, "write beyond buffer end");
+  }
   std::vector<CommandId> dep_ids;
   std::vector<CommandId> hazards;
   CollectDepIds(deps, &dep_ids);
   CollectDepIds(order_after, &hazards);
   AddWriteHazardLocked(*buffer, offset, offset + size, &hazards);
+  const auto* src = static_cast<const std::uint8_t*>(data);
   const CommandId cmd = graph_->Submit(
-      [this, id, buffer, offset, src, size,
-       snapshot](CommandGraph::Execution&) {
+      [this, id, buffer, offset, src, size](CommandGraph::Execution&) {
         return ExecWrite(id, buffer, offset, src, size);
       },
       std::move(dep_ids), "write:buf" + std::to_string(id),
@@ -591,8 +556,15 @@ Status ClusterRuntime::ReadIntoShadowLocked(BufferId id,
                                             std::uint64_t begin,
                                             std::uint64_t end) {
   const net::ReadBufferRequest request{id, begin, end - begin};
-  auto reply = CallNode(node, MsgType::kReadBuffer, net::Encode(request));
+  // The reply lands straight in the shadow range when the transport can
+  // place it; the bytes there are unspecified unless the call succeeds,
+  // and ownership is recorded only after it does.
+  const std::span<std::uint8_t> dest =
+      std::span(buffer.shadow).subspan(begin, request.size);
+  auto reply =
+      CallNode(node, MsgType::kReadBuffer, net::Encode(request), {}, dest);
   HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kReadReply));
+  if (reply->tail.size() == request.size) return Status::Ok();
   if (reply->payload.size() != request.size) {
     return Status(ErrorCode::kProtocolError, "short slice read");
   }
@@ -2268,9 +2240,7 @@ Status ClusterRuntime::CompleteMarker(CommandHandle handle, Status status) {
 
 Status ClusterRuntime::WriteBuffer(BufferId id, std::uint64_t offset,
                                    const void* data, std::uint64_t size) {
-  // Blocking: the caller's memory outlives the command, so skip the
-  // submit-time snapshot and write straight from it.
-  auto handle = SubmitWriteBorrowed(id, offset, data, size);
+  auto handle = SubmitWrite(id, offset, data, size);
   if (!handle.ok()) return handle.status();
   Status status = Wait(*handle);
   (void)ReleaseCommand(*handle);  // Consumed here; reclaim the record.

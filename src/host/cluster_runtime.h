@@ -346,22 +346,14 @@ class ClusterRuntime {
   // `order_after` only sequences (a failed predecessor merely unblocks) —
   // the shim's in-order queue chaining uses the latter.
   //
-  // SubmitWrite snapshots `data` at submit time, so the caller's memory may
-  // be reused immediately. SubmitRead scribbles into `data` when the
-  // command *executes*; the pointer must stay valid until it completes.
+  // Both data pointers are borrowed until the command completes (OpenCL
+  // 1.2 §5.2.2): SubmitWrite reads `data` when the command *executes*, so
+  // the caller must keep it valid and unchanged until then; SubmitRead
+  // scribbles into `data` when it executes.
   Expected<CommandHandle> SubmitWrite(BufferId id, std::uint64_t offset,
                                       const void* data, std::uint64_t size,
                                       std::vector<CommandHandle> deps = {},
                                       std::vector<CommandHandle> order_after = {});
-  // As SubmitWrite but WITHOUT the submit-time snapshot: the caller
-  // guarantees `data` stays valid and unmodified until the command
-  // completes. This is the right call when the submitter waits anyway
-  // (blocking clEnqueueWriteBuffer) — it skips a full copy of the
-  // payload.
-  Expected<CommandHandle> SubmitWriteBorrowed(
-      BufferId id, std::uint64_t offset, const void* data,
-      std::uint64_t size, std::vector<CommandHandle> deps = {},
-      std::vector<CommandHandle> order_after = {});
   Expected<CommandHandle> SubmitRead(BufferId id, std::uint64_t offset,
                                      void* data, std::uint64_t size,
                                      std::vector<CommandHandle> deps = {},
@@ -593,20 +585,16 @@ class ClusterRuntime {
   class InFlightGuard;
 
   // Sends `payload` (and the borrowed `tail` after it, see
-  // net::Message::tail) through CallAsync and awaits the reply with the
-  // configured timeout, counting the command against `node`'s depth.
+  // net::Message::tail) and awaits the reply with the configured timeout,
+  // counting the command against `node`'s depth. A read reply may land in
+  // `reply_into` (see net::RpcClient::Call).
   Expected<net::Message> CallNode(std::size_t node, net::MsgType type,
                                   std::vector<std::uint8_t> payload,
-                                  std::span<const std::uint8_t> tail = {});
+                                  std::span<const std::uint8_t> tail = {},
+                                  std::span<std::uint8_t> reply_into = {});
 
   // Command bodies (run on graph workers). *Locked variants require the
   // buffer's own mutex held.
-  Expected<CommandHandle> SubmitWriteImpl(BufferId id, std::uint64_t offset,
-                                          const void* data,
-                                          std::uint64_t size,
-                                          std::vector<CommandHandle> deps,
-                                          std::vector<CommandHandle> order_after,
-                                          bool snapshot_data);
   Status ExecWrite(BufferId id, const BufferPtr& buffer, std::uint64_t offset,
                    const std::uint8_t* data, std::uint64_t size);
   Status ExecRead(BufferId id, const BufferPtr& buffer, std::uint64_t offset,

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -79,7 +80,12 @@ struct Message {
   // same frame: the receiver gets one payload holding both. Not owned —
   // the bytes must stay valid and unchanged until Send returns. Lets a
   // sender ship a large buffer without first copying it into `payload`.
+  // On receipt `tail` is empty unless a FrameSink landed the bulk bytes
+  // in place (see net/transport.h); it then views them.
   std::span<const std::uint8_t> tail;
+  // Optional owner keeping `tail`'s bytes alive as long as this message:
+  // a reply sent from shared storage pins it until Send returns.
+  std::shared_ptr<const void> tail_owner;
 
   [[nodiscard]] std::size_t WireSize() const noexcept {
     return kHeaderSize + payload.size() + tail.size();

@@ -10,6 +10,11 @@ namespace haocl::net {
 RpcClient::RpcClient(ConnectionPtr connection)
     : connection_(std::move(connection)) {
   monitor_ = std::thread([this] { MonitorLoop(); });
+  connection_->SetSink(
+      {[this](const Message::Header& header, std::span<const std::uint8_t>) {
+         return ClaimReply(header);
+       },
+       [this](const Message::Header& header) { AbandonReply(header); }});
   connection_->Start([this](Message msg) { OnMessage(std::move(msg)); });
 }
 
@@ -24,6 +29,12 @@ RpcClient::ReplyFuture RpcClient::CallAsync(MsgType type,
                                             std::uint64_t session,
                                             std::vector<std::uint8_t> payload,
                                             std::span<const std::uint8_t> tail) {
+  return SendRequest(type, session, std::move(payload), tail, {}).second;
+}
+
+std::pair<std::uint64_t, RpcClient::ReplyFuture> RpcClient::SendRequest(
+    MsgType type, std::uint64_t session, std::vector<std::uint8_t> payload,
+    std::span<const std::uint8_t> tail, std::span<std::uint8_t> reply_into) {
   auto future = std::make_shared<Promise<Expected<Message>>>();
   Message msg;
   msg.type = type;
@@ -37,6 +48,7 @@ RpcClient::ReplyFuture RpcClient::CallAsync(MsgType type,
     PendingCall call;
     call.future = future;
     call.type = type;
+    call.reply_into = reply_into;
     if (call_timeout_.count() > 0) {
       call.has_deadline = true;
       call.deadline = std::chrono::steady_clock::now() + call_timeout_;
@@ -53,16 +65,23 @@ RpcClient::ReplyFuture RpcClient::CallAsync(MsgType type,
     }
     future->Set(Expected<Message>(sent));
   }
-  return future;
+  return {msg.seq, future};
 }
 
 Expected<Message> RpcClient::Call(MsgType type, std::uint64_t session,
                                   std::vector<std::uint8_t> payload,
                                   std::chrono::milliseconds timeout,
-                                  std::span<const std::uint8_t> tail) {
-  auto future = CallAsync(type, session, std::move(payload), tail);
+                                  std::span<const std::uint8_t> tail,
+                                  std::span<std::uint8_t> reply_into) {
+  auto [seq, future] =
+      SendRequest(type, session, std::move(payload), tail, reply_into);
   auto reply = future->TakeFor(timeout);
   if (!reply.has_value()) {
+    // Withdraw the call, first waiting out a reply that is landing in
+    // reply_into: the caller may reuse it as soon as this returns.
+    std::unique_lock<std::mutex> lock(mutex_);
+    landed_cv_.wait(lock, [this, id = seq] { return landing_seq_ != id; });
+    pending_.erase(seq);
     return Status(ErrorCode::kNetworkError,
                   std::string("RPC timeout for ") + MsgTypeName(type));
   }
@@ -79,18 +98,55 @@ Status RpcClient::Notify(MsgType type, std::uint64_t session,
   return connection_->Send(msg);
 }
 
-void RpcClient::OnMessage(Message msg) {
+Landing RpcClient::ClaimReply(const Message::Header& header) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = pending_.find(header.seq);
+  if (it == pending_.end() || header.type != MsgType::kReadReply ||
+      it->second.reply_into.size() != header.payload_size) {
+    return {};
+  }
+  landing_seq_ = header.seq;
+  return {it->second.reply_into, nullptr};
+}
+
+void RpcClient::AbandonReply(const Message::Header& header) {
   ReplyFuture future;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = pending_.find(msg.seq);
-    if (it == pending_.end()) {
-      HAOCL_DEBUG << "orphan reply seq=" << msg.seq << " type="
-                  << MsgTypeName(msg.type);
-      return;
+    landing_seq_ = 0;
+    auto it = pending_.find(header.seq);
+    if (it != pending_.end()) {
+      future = std::move(it->second.future);
+      pending_.erase(it);
     }
-    future = std::move(it->second.future);
-    pending_.erase(it);
+  }
+  landed_cv_.notify_all();
+  if (future != nullptr) {
+    future->Set(Expected<Message>(
+        Status(ErrorCode::kNetworkError,
+               std::string("connection lost mid-reply to ") +
+                   MsgTypeName(header.type))));
+  }
+}
+
+void RpcClient::OnMessage(Message msg) {
+  ReplyFuture future;
+  // A reply that landed is done writing into its call's destination.
+  const bool landed = !msg.tail.empty();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (landed) landing_seq_ = 0;
+    auto it = pending_.find(msg.seq);
+    if (it != pending_.end()) {
+      future = std::move(it->second.future);
+      pending_.erase(it);
+    }
+  }
+  if (landed) landed_cv_.notify_all();
+  if (future == nullptr) {
+    HAOCL_DEBUG << "orphan reply seq=" << msg.seq << " type="
+                << MsgTypeName(msg.type);
+    return;
   }
   future->Set(Expected<Message>(std::move(msg)));
 }
@@ -102,13 +158,15 @@ void RpcClient::MonitorLoop() {
     auto earliest = std::chrono::steady_clock::time_point::max();
     std::vector<std::pair<ReplyFuture, MsgType>> expired;
     for (auto it = pending_.begin(); it != pending_.end();) {
-      if (it->second.has_deadline && it->second.deadline <= now) {
+      // A reply landing in its destination is past the deadline: the
+      // call completes (or fails) when the reader is done writing.
+      const bool armed =
+          it->second.has_deadline && it->first != landing_seq_;
+      if (armed && it->second.deadline <= now) {
         expired.emplace_back(std::move(it->second.future), it->second.type);
         it = pending_.erase(it);
       } else {
-        if (it->second.has_deadline) {
-          earliest = std::min(earliest, it->second.deadline);
-        }
+        if (armed) earliest = std::min(earliest, it->second.deadline);
         ++it;
       }
     }

@@ -51,11 +51,18 @@ class RpcClient {
 
   // Synchronous convenience: send and wait (with timeout). The reply is
   // moved out of the future, not copied. `tail` as for CallAsync.
+  //
+  // A kReadReply of exactly reply_into.size() bytes is received straight
+  // into `reply_into` and arrives with `tail` viewing it; any other reply
+  // arrives in `payload` as usual. The bytes of `reply_into` are
+  // unspecified unless the call succeeds, and Call never returns while
+  // the reader can still write into them (timeout and Close included).
   Expected<Message> Call(MsgType type, std::uint64_t session,
                          std::vector<std::uint8_t> payload,
                          std::chrono::milliseconds timeout =
                              kDefaultCallTimeout,
-                         std::span<const std::uint8_t> tail = {});
+                         std::span<const std::uint8_t> tail = {},
+                         std::span<std::uint8_t> reply_into = {});
 
   // One-way message (no reply expected), e.g. shutdown.
   Status Notify(MsgType type, std::uint64_t session,
@@ -76,8 +83,17 @@ class RpcClient {
     MsgType type = MsgType::kStatusReply;  // For the timeout diagnostic.
     bool has_deadline = false;
     std::chrono::steady_clock::time_point deadline;
+    std::span<std::uint8_t> reply_into;  // Call's reply destination.
   };
 
+  // Registers and sends one request; returns its seq and future.
+  std::pair<std::uint64_t, ReplyFuture> SendRequest(
+      MsgType type, std::uint64_t session, std::vector<std::uint8_t> payload,
+      std::span<const std::uint8_t> tail, std::span<std::uint8_t> reply_into);
+  // The connection's FrameSink: lands a matching kReadReply in its call's
+  // reply_into, and fails the call if the connection drops mid-reply.
+  Landing ClaimReply(const Message::Header& header);
+  void AbandonReply(const Message::Header& header);
   void OnMessage(Message msg);
   void FailAllPending(const Status& status);
   // Deadline monitor: sleeps until the earliest pending deadline and fails
@@ -89,6 +105,10 @@ class RpcClient {
   std::unordered_map<std::uint64_t, PendingCall> pending_;
   std::chrono::milliseconds call_timeout_{0};  // Guarded by mutex_.
   bool stop_monitor_ = false;                  // Guarded by mutex_.
+  // The call whose reply the reader is writing into its reply_into, or 0.
+  // Guarded by mutex_; landed_cv_ signals when it clears.
+  std::uint64_t landing_seq_ = 0;
+  std::condition_variable landed_cv_;
   std::condition_variable monitor_cv_;
   std::thread monitor_;
   std::atomic<std::uint64_t> next_seq_{1};

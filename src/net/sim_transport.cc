@@ -1,5 +1,6 @@
 #include "net/sim_transport.h"
 
+#include <cstring>
 #include <utility>
 
 namespace haocl::net {
@@ -32,13 +33,17 @@ class SimConnection : public Connection {
     queued.payload.insert(queued.payload.end(), message.tail.begin(),
                           message.tail.end());
     queued.tail = {};
+    queued.tail_owner.reset();
     tx_->queue.Push(std::move(queued));
     return Status::Ok();
   }
 
+  void SetSink(FrameSink sink) override { sink_ = std::move(sink); }
+
   void Start(MessageHandler handler) override {
     dispatcher_ = std::thread([this, handler = std::move(handler)] {
       while (auto msg = rx_->queue.Pop()) {
+        Land(*msg);
         handler(*std::move(msg));
       }
     });
@@ -69,8 +74,26 @@ class SimConnection : public Connection {
   }
 
  private:
+  // Moves the bulk bytes of `msg` to where the sink claims them, as the
+  // TCP reader would have read them there.
+  void Land(Message& msg) const {
+    const std::size_t prefix = LandingPrefixSize(msg.type);
+    if (!sink_.claim || msg.payload.size() <= prefix) return;
+    const Message::Header header{msg.type, msg.seq, msg.session,
+                                 msg.payload.size()};
+    Landing landing =
+        sink_.claim(header, std::span(msg.payload).first(prefix));
+    if (landing.bytes.empty()) return;
+    std::memcpy(landing.bytes.data(), msg.payload.data() + prefix,
+                landing.bytes.size());
+    msg.payload.resize(prefix);
+    msg.tail = landing.bytes;
+    msg.tail_owner = std::move(landing.owner);
+  }
+
   std::shared_ptr<Pipe> tx_;
   std::shared_ptr<Pipe> rx_;
+  FrameSink sink_;  // Set before Start; read by the dispatcher only.
   std::thread dispatcher_;
   std::atomic<bool> closed_{false};
   std::atomic<std::uint64_t> bytes_sent_{0};

@@ -97,6 +97,8 @@ class TcpConnection : public Connection {
     return Status::Ok();
   }
 
+  void SetSink(FrameSink sink) override { sink_ = std::move(sink); }
+
   void Start(MessageHandler handler) override {
     reader_ = std::thread([this, handler = std::move(handler)] {
       std::uint8_t header[Message::kHeaderSize];
@@ -108,15 +110,33 @@ class TcpConnection : public Connection {
                      << parsed.status().ToString();
           break;
         }
-        // The payload lands directly in the message handed to the handler.
+        // The payload lands directly in the message handed to the handler,
+        // or its bulk bytes straight in the destination the sink names.
         Message msg;
         msg.type = parsed->type;
         msg.seq = parsed->seq;
         msg.session = parsed->session;
-        msg.payload.resize(parsed->payload_size);
-        if (!msg.payload.empty() &&
-            !ReadAll(fd_, msg.payload.data(), msg.payload.size())) {
-          break;
+        const std::size_t prefix = LandingPrefixSize(parsed->type);
+        Landing landing;
+        if (sink_.claim && parsed->payload_size > prefix) {
+          msg.payload.resize(prefix);
+          if (!ReadAll(fd_, msg.payload.data(), prefix)) break;
+          landing = sink_.claim(*parsed, msg.payload);
+        }
+        if (landing.bytes.empty()) {
+          const std::size_t have = msg.payload.size();
+          msg.payload.resize(parsed->payload_size);
+          if (!ReadAll(fd_, msg.payload.data() + have,
+                       msg.payload.size() - have)) {
+            break;
+          }
+        } else {
+          if (!ReadAll(fd_, landing.bytes.data(), landing.bytes.size())) {
+            sink_.abandon(*parsed);
+            break;
+          }
+          msg.tail = landing.bytes;
+          msg.tail_owner = std::move(landing.owner);
         }
         handler(std::move(msg));
       }
@@ -151,6 +171,7 @@ class TcpConnection : public Connection {
   std::atomic<int> fd_;
   std::mutex write_mutex_;
   std::thread reader_;
+  FrameSink sink_;  // Set before Start; read by the reader only.
   std::atomic<bool> closed_{false};
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<std::uint64_t> messages_sent_{0};

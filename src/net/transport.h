@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "common/status.h"
 #include "net/message.h"
@@ -20,6 +21,40 @@
 namespace haocl::net {
 
 using MessageHandler = std::function<void(Message)>;
+
+// Payload bytes a FrameSink sees before it places the rest of a frame:
+// kWriteBuffer's buffer_id, offset and the u64 length prefix of its data;
+// none for any other type.
+constexpr std::size_t LandingPrefixSize(MsgType type) noexcept {
+  return type == MsgType::kWriteBuffer ? 3 * sizeof(std::uint64_t) : 0;
+}
+
+// Where a claimed frame's remaining payload bytes land. An empty `bytes`
+// declines the frame.
+struct Landing {
+  std::span<std::uint8_t> bytes;
+  std::shared_ptr<const void> owner;  // Keeps `bytes` valid while landing.
+};
+
+// A receiver-registered hook naming where a frame's bulk bytes land, so a
+// large payload is read straight into its destination instead of into a
+// fresh Message::payload.
+struct FrameSink {
+  // Runs on the reader thread once the header and the first
+  // LandingPrefixSize(header.type) payload bytes (`prefix`) are in, when
+  // more bytes follow. Returns where exactly the remaining
+  // header.payload_size - prefix.size() bytes go, or declines: the frame
+  // then arrives with everything in `payload`, as without a sink. A
+  // claimed frame reaches the handler with the prefix as `payload` and the
+  // landed bytes as `tail` (owned by `tail_owner`).
+  std::function<Landing(const Message::Header& header,
+                        std::span<const std::uint8_t> prefix)>
+      claim;
+  // The claimed frame's remaining bytes never arrived (the connection
+  // failed mid-frame): nothing more is written into the landing, and the
+  // frame never reaches the handler.
+  std::function<void(const Message::Header& header)> abandon;
+};
 
 // A bidirectional, ordered, reliable message channel to one peer.
 // Thread-safe for concurrent Send(); the receive handler is invoked from a
@@ -34,6 +69,11 @@ class Connection {
   // Starts asynchronous receipt. Must be called exactly once. The handler
   // runs on the connection's dispatcher thread.
   virtual void Start(MessageHandler handler) = 0;
+
+  // Registers the receiver's FrameSink; call before Start. The default
+  // ignores it, so every frame arrives in `payload` (decorators that do
+  // not forward the sink take that copy path).
+  virtual void SetSink(FrameSink sink) { (void)sink; }
 
   // Closes the channel; pending sends are dropped, the dispatcher drains.
   virtual void Close() = 0;

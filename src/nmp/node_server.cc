@@ -45,6 +45,9 @@ struct NodeServer::Channel {
   net::ConnectionPtr connection;
   BlockingQueue<Message> inbox;
   std::thread worker;
+  // Requests queued, running or awaiting their reply's send. Raised by
+  // the receive path, lowered by the worker once the reply is out.
+  std::atomic<std::uint32_t> unanswered{0};
 };
 
 Expected<std::unique_ptr<NodeServer>> NodeServer::Create(std::string name,
@@ -68,14 +71,26 @@ void NodeServer::Serve(net::ConnectionPtr connection) {
   auto channel = std::make_unique<Channel>();
   channel->connection = std::move(connection);
   Channel* raw = channel.get();
+  raw->connection->SetSink(
+      {[this, raw](const Message::Header& header,
+                   std::span<const std::uint8_t> prefix) {
+         return LandWrite(*raw, header, prefix);
+       },
+       // A write cut off mid-tail leaves its range reserved and its bytes
+       // unspecified; the host never marks this node an owner of a range
+       // whose write call failed.
+       [](const Message::Header&) {}});
   // Asynchronous listener: enqueue and return to listening, exactly the
   // paper's accept-then-listen-again loop. Control-plane messages —
   // chunk revocations and heartbeats — are handled right here on the
   // receive path, BEFORE the inbox: a revocation must overtake the queued
   // launches it revokes, and a heartbeat must get answered even while the
-  // worker is busy executing a long kernel.
+  // worker is busy executing a long kernel. So is a write that landed in
+  // place (non-empty tail): it was the next thing this connection would
+  // run, and its bytes are already in the replica.
   raw->connection->Start([this, raw](Message msg) {
-    if (msg.type == MsgType::kRevokeChunk || msg.type == MsgType::kHeartbeat) {
+    if (msg.type == MsgType::kRevokeChunk ||
+        msg.type == MsgType::kHeartbeat || !msg.tail.empty()) {
       Message reply = HandleControlMessage(msg);
       reply.seq = msg.seq;
       reply.session = msg.session;
@@ -83,6 +98,7 @@ void NodeServer::Serve(net::ConnectionPtr connection) {
       return;
     }
     queue_depth_.fetch_add(1, std::memory_order_relaxed);
+    raw->unanswered.fetch_add(1, std::memory_order_relaxed);
     raw->inbox.Push(std::move(msg));
   });
   raw->worker = std::thread([this, raw] { WorkerLoop(raw); });
@@ -117,13 +133,40 @@ void NodeServer::WorkerLoop(Channel* channel) {
     Message reply = HandleMessage(*msg);
     reply.seq = msg->seq;
     reply.session = msg->session;
-    if (msg->seq == 0) continue;  // One-way message: no reply wanted.
-    Status sent = channel->connection->Send(reply);
+    // One-way messages (seq 0) want no reply.
+    const Status sent =
+        msg->seq == 0 ? Status::Ok() : channel->connection->Send(reply);
+    // Release: a write landing next sees everything this request did.
+    channel->unanswered.fetch_sub(1, std::memory_order_release);
     if (!sent.ok()) {
       HAOCL_WARN << "NMP " << name_ << ": reply failed: " << sent.ToString();
       break;
     }
   }
+}
+
+net::Landing NodeServer::LandWrite(Channel& channel,
+                                   const Message::Header& header,
+                                   std::span<const std::uint8_t> prefix) {
+  // Only the next thing this connection would run may land: anything
+  // queued, running or awaiting its reply's send would see the write too
+  // early. Such a write waits its turn on the copy path.
+  if (header.type != MsgType::kWriteBuffer ||
+      channel.unanswered.load(std::memory_order_acquire) != 0) {
+    return {};
+  }
+  std::uint64_t buffer_id = 0;
+  std::uint64_t offset = 0;
+  std::uint64_t size = 0;
+  WireReader reader(prefix.data(), prefix.size());
+  reader(buffer_id, offset, size);
+  if (!reader.status().ok() || size != header.payload_size - prefix.size()) {
+    return {};
+  }
+  // A failed check fails again on the copy path, which answers it.
+  auto range = SessionFor(header.session).ClaimWrite(buffer_id, offset, size);
+  if (!range.ok()) return {};
+  return {range->bytes, std::move(range->owner)};
 }
 
 void NodeServer::ConnectPeer(std::size_t peer_index,
@@ -157,6 +200,12 @@ Message NodeServer::HandleControlMessage(const Message& request) {
   switch (request.type) {
     case MsgType::kHeartbeat: {
       // Liveness only: answering at all is the signal.
+      reply.payload = net::Encode(net::StatusReply::FromStatus(Status::Ok()));
+      break;
+    }
+    case MsgType::kWriteBuffer: {
+      // Only a write that landed in place comes here (LandWrite claimed
+      // and charged its range): its bytes are already in the replica.
       reply.payload = net::Encode(net::StatusReply::FromStatus(Status::Ok()));
       break;
     }
@@ -240,14 +289,16 @@ Message NodeServer::HandleMessage(const Message& request) {
       break;
     case MsgType::kReadBuffer:
       on([&](const net::ReadBufferRequest& decoded) {
-        auto data = session.ReadBuffer(decoded.buffer_id, decoded.offset,
-                                       decoded.size);
-        if (!data.ok()) {
-          status_reply(data.status());
+        auto range = session.ReadBuffer(decoded.buffer_id, decoded.offset,
+                                        decoded.size);
+        if (!range.ok()) {
+          status_reply(range.status());
           return;
         }
+        // Sent straight from the replica, pinned until Send returns.
         reply.type = MsgType::kReadReply;
-        reply.payload = *std::move(data);
+        reply.tail = range->bytes;
+        reply.tail_owner = std::move(range->owner);
       });
       break;
     case MsgType::kPullSlice:

@@ -1,5 +1,6 @@
 #include "runtime/device_session.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/wire.h"
@@ -27,9 +28,9 @@ Status DeviceSession::CreateBuffer(std::uint64_t buffer_id,
   // A real allocation can fail; surface that as the OpenCL error rather
   // than letting bad_alloc escape across the protocol boundary.
   try {
-    buffers_[buffer_id].resize(size, 0);
+    buffers_.emplace(buffer_id,
+                     std::make_shared<std::vector<std::uint8_t>>(size));
   } catch (const std::bad_alloc&) {
-    buffers_.erase(buffer_id);
     return Status(ErrorCode::kMemObjectAllocationFailure,
                   "cannot allocate " + std::to_string(size) + " bytes");
   }
@@ -37,51 +38,54 @@ Status DeviceSession::CreateBuffer(std::uint64_t buffer_id,
   return Status::Ok();
 }
 
-Status DeviceSession::WriteBuffer(std::uint64_t buffer_id,
-                                  std::uint64_t offset,
-                                  std::span<const std::uint8_t> data) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return WriteBufferLocked(buffer_id, offset, data);
-}
-
-Status DeviceSession::WriteBufferLocked(std::uint64_t buffer_id,
-                                        std::uint64_t offset,
-                                        std::span<const std::uint8_t> data) {
+Expected<DeviceSession::ReplicaRange> DeviceSession::RangeLocked(
+    std::uint64_t buffer_id, std::uint64_t offset, std::uint64_t size,
+    const char* what) {
   auto it = buffers_.find(buffer_id);
   if (it == buffers_.end()) return NoSuchBuffer(buffer_id);
-  if (RangeExceeds(offset, data.size(), it->second.size())) {
+  std::vector<std::uint8_t>& replica = *it->second;
+  if (RangeExceeds(offset, size, replica.size())) {
     return Status(ErrorCode::kInvalidValue,
-                  "write beyond buffer end: offset " + std::to_string(offset) +
-                      " + " + std::to_string(data.size()) + " > " +
-                      std::to_string(it->second.size()));
+                  std::string(what) + " beyond buffer end: offset " +
+                      std::to_string(offset) + " + " + std::to_string(size) +
+                      " > " + std::to_string(replica.size()));
   }
+  return ReplicaRange{std::span(replica).subspan(offset, size), it->second};
+}
+
+Expected<DeviceSession::ReplicaRange> DeviceSession::ClaimWrite(
+    std::uint64_t buffer_id, std::uint64_t offset, std::uint64_t size) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto range = RangeLocked(buffer_id, offset, size, "write");
+  if (!range.ok()) return range;
   // Arriving bytes materialize device memory: charge the pool before
   // touching the replica. The host's per-node ledger charges the same
   // range around this transfer, so a failure here means the host
   // mis-budgeted — surface it as the device OOM it models.
-  HAOCL_RETURN_IF_ERROR(
-      ledger_->Reserve(buffer_id, offset, offset + data.size()));
-  std::memcpy(it->second.data() + offset, data.data(), data.size());
+  HAOCL_RETURN_IF_ERROR(ledger_->Reserve(buffer_id, offset, offset + size));
+  return range;
+}
+
+Status DeviceSession::WriteBuffer(std::uint64_t buffer_id,
+                                  std::uint64_t offset,
+                                  std::span<const std::uint8_t> data) {
+  auto range = ClaimWrite(buffer_id, offset, data.size());
+  if (!range.ok()) return range.status();
+  std::copy(data.begin(), data.end(), range->bytes.begin());
   return Status::Ok();
 }
 
-Expected<std::vector<std::uint8_t>> DeviceSession::ReadBuffer(
+Expected<DeviceSession::ReplicaRange> DeviceSession::ReadBuffer(
     std::uint64_t buffer_id, std::uint64_t offset, std::uint64_t size) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = buffers_.find(buffer_id);
-  if (it == buffers_.end()) return NoSuchBuffer(buffer_id);
-  if (RangeExceeds(offset, size, it->second.size())) {
-    return Status(ErrorCode::kInvalidValue, "read beyond buffer end");
-  }
-  return std::vector<std::uint8_t>(it->second.begin() + offset,
-                                   it->second.begin() + offset + size);
+  return RangeLocked(buffer_id, offset, size, "read");
 }
 
 Status DeviceSession::ReleaseBuffer(std::uint64_t buffer_id) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = buffers_.find(buffer_id);
   if (it == buffers_.end()) return NoSuchBuffer(buffer_id);
-  bytes_allocated_ -= it->second.size();
+  bytes_allocated_ -= it->second->size();
   ledger_->ReleaseBuffer(buffer_id);
   buffers_.erase(it);
   return Status::Ok();
@@ -93,7 +97,7 @@ Status DeviceSession::MemoryNotice(const net::MemoryNoticeRequest& request) {
   if (it == buffers_.end()) return NoSuchBuffer(request.buffer_id);
   for (const net::MemoryRegion& region : request.regions) {
     if (region.size == 0 ||
-        RangeExceeds(region.offset, region.size, it->second.size())) {
+        RangeExceeds(region.offset, region.size, it->second->size())) {
       return Status(ErrorCode::kInvalidValue,
                     "memory notice region beyond buffer end");
     }
@@ -210,9 +214,12 @@ net::LaunchKernelReply DeviceSession::LaunchKernel(
                            std::to_string(request.args.size())));
   }
 
-  // Bind wire arguments to VM bindings.
+  // Bind wire arguments to VM bindings. `held` owns every bound replica
+  // until the driver returns: a release arriving on another connection
+  // mid-launch must not free bytes the kernel is using.
   std::vector<oclc::ArgBinding> bindings;
   bindings.reserve(request.args.size());
+  std::vector<std::shared_ptr<std::vector<std::uint8_t>>> held;
   for (std::size_t i = 0; i < request.args.size(); ++i) {
     const net::WireKernelArg& arg = request.args[i];
     const oclc::KernelArgInfo& param = kernel->params[i];
@@ -225,8 +232,9 @@ net::LaunchKernelReply DeviceSession::LaunchKernel(
         // Kernel outputs materialize device memory with no transfer this
         // session could observe: charge the written range now, mirroring
         // the host ledger's launch-epilogue charge.
+        std::vector<std::uint8_t>& replica = *it->second;
         if (arg.written_end > arg.written_begin) {
-          if (arg.written_end > it->second.size()) {
+          if (arg.written_end > replica.size()) {
             return fail(Status(ErrorCode::kInvalidValue,
                                "written range beyond buffer end"));
           }
@@ -234,8 +242,9 @@ net::LaunchKernelReply DeviceSession::LaunchKernel(
                                           arg.written_end);
           if (!reserved.ok()) return fail(reserved);
         }
-        bindings.push_back(oclc::ArgBinding::Buffer(it->second.data(),
-                                                    it->second.size()));
+        bindings.push_back(
+            oclc::ArgBinding::Buffer(replica.data(), replica.size()));
+        held.push_back(it->second);
         break;
       }
       case net::WireKernelArg::Kind::kScalar: {
@@ -319,10 +328,10 @@ net::LaunchKernelReply DeviceSession::LaunchKernel(
   }
   // Execute WITHOUT the session lock: peer slice exchange (and any other
   // channel sharing this session) must not stall behind a long kernel.
-  // The bindings' buffer pointers stay valid — unordered_map nodes are
-  // stable, and the host's hazard ordering keeps the buffers this kernel
-  // uses alive and unwritten until the launch reply. The module is pinned
-  // by the shared_ptr copy below.
+  // The bindings' buffer pointers stay valid — `held` owns the replicas —
+  // and the host's hazard ordering keeps the ranges this kernel uses
+  // unwritten by others until the launch reply. The module is pinned by
+  // the shared_ptr copy below.
   const std::shared_ptr<const oclc::Module> pinned = program->second.module;
   lock.unlock();
   Status launched = driver_->Launch(*pinned, request.kernel_name, bindings,
@@ -345,11 +354,9 @@ Status DeviceSession::PullSlice(const net::PullSliceRequest& request,
   // missing allocation fails fast without a network round-trip.
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = buffers_.find(request.buffer_id);
-    if (it == buffers_.end()) return NoSuchBuffer(request.buffer_id);
-    if (RangeExceeds(request.offset, request.size, it->second.size())) {
-      return Status(ErrorCode::kInvalidValue, "pull slice out of range");
-    }
+    auto range = RangeLocked(request.buffer_id, request.offset, request.size,
+                             "pull slice");
+    if (!range.ok()) return range.status();
   }
   // Phase 2: fetch WITHOUT the session lock. Two nodes cross-pulling from
   // each other would otherwise each hold their own lock while waiting for
@@ -362,8 +369,7 @@ Status DeviceSession::PullSlice(const net::PullSliceRequest& request,
   }
   // Phase 3: re-validate (the buffer may have been released mid-fetch) and
   // store.
-  std::lock_guard<std::mutex> lock(mutex_);
-  return WriteBufferLocked(request.buffer_id, request.offset, *bytes);
+  return WriteBuffer(request.buffer_id, request.offset, *bytes);
 }
 
 net::LoadReply DeviceSession::Load() const {

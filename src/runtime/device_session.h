@@ -50,12 +50,27 @@ class DeviceSession {
   DeviceSession& operator=(const DeviceSession&) = delete;
 
   // ---- Buffers ----------------------------------------------------------
+  // A range of a replica, pinned: `owner` keeps the bytes alive even when
+  // the buffer is released meanwhile from another connection.
+  struct ReplicaRange {
+    std::span<std::uint8_t> bytes;
+    std::shared_ptr<const void> owner;
+  };
+
   Status CreateBuffer(std::uint64_t buffer_id, std::uint64_t size);
+  // Range-checks [offset, offset + size) and charges it to the ledger,
+  // then hands it out to be filled: the one gate every incoming write
+  // passes, whether copied (WriteBuffer, PullSlice) or received in place
+  // by the NMP.
+  Expected<ReplicaRange> ClaimWrite(std::uint64_t buffer_id,
+                                    std::uint64_t offset, std::uint64_t size);
   Status WriteBuffer(std::uint64_t buffer_id, std::uint64_t offset,
                      std::span<const std::uint8_t> data);
-  Expected<std::vector<std::uint8_t>> ReadBuffer(std::uint64_t buffer_id,
-                                                 std::uint64_t offset,
-                                                 std::uint64_t size);
+  // [offset, offset + size) of the replica itself, not a copy: the NMP
+  // sends it as the reply's tail. The host never has a write to a range
+  // in flight while it reads that range, so the bytes hold still.
+  Expected<ReplicaRange> ReadBuffer(std::uint64_t buffer_id,
+                                    std::uint64_t offset, std::uint64_t size);
   Status ReleaseBuffer(std::uint64_t buffer_id);
 
   // ---- Programs ---------------------------------------------------------
@@ -122,9 +137,11 @@ class DeviceSession {
     std::string build_log;
   };
 
-  // Requires mutex_ held.
-  Status WriteBufferLocked(std::uint64_t buffer_id, std::uint64_t offset,
-                           std::span<const std::uint8_t> data);
+  // [offset, offset + size) of `buffer_id`'s replica, or the error naming
+  // `what` went out of range. Requires mutex_ held.
+  Expected<ReplicaRange> RangeLocked(std::uint64_t buffer_id,
+                                     std::uint64_t offset, std::uint64_t size,
+                                     const char* what);
 
   driver::DeviceDriver* driver_;
   // Fallback private ledger when none is injected (see ctor).
@@ -136,7 +153,11 @@ class DeviceSession {
   // host's channel plus peer slice-exchange channels), so every public
   // entry point locks.
   mutable std::mutex mutex_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> buffers_;
+  // Replicas are shared-owned so a reply being sent, a write landing or a
+  // kernel running keeps its replica alive past a concurrent release.
+  std::unordered_map<std::uint64_t,
+                     std::shared_ptr<std::vector<std::uint8_t>>>
+      buffers_;
   std::unordered_map<std::uint64_t, ProgramEntry> programs_;
 
   // Elastic revocations, guarded by their own leaf mutex so the receive

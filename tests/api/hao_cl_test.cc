@@ -509,7 +509,7 @@ TEST_F(HaoClAsyncTest, UserEventGateDefersNonBlockingRead) {
   TearDownPipeline();
 }
 
-TEST_F(HaoClAsyncTest, NonBlockingWriteSnapshotsSourceAtEnqueue) {
+TEST_F(HaoClAsyncTest, NonBlockingWriteReadsSourceWhenItExecutes) {
   SetUpPipeline();
   cl_int err;
   cl_mem mem = clCreateBuffer(context_, CL_MEM_READ_WRITE, 32, nullptr, &err);
@@ -521,8 +521,9 @@ TEST_F(HaoClAsyncTest, NonBlockingWriteSnapshotsSourceAtEnqueue) {
   ASSERT_EQ(clEnqueueWriteBuffer(queue_, mem, CL_FALSE, 0, 32, source.data(),
                                  1, &gate, nullptr),
             CL_SUCCESS);
-  // Mutate the source AFTER the enqueue but BEFORE execution: the deferred
-  // write must have captured the original contents.
+  // OpenCL 1.2 §5.2.2: `ptr` belongs to the write until it completes, so
+  // the command copies it when it executes, not at enqueue. Bytes changed
+  // before the gate opens are the bytes written.
   std::fill(source.begin(), source.end(), -999);
   ASSERT_EQ(clSetUserEventStatus(gate, CL_COMPLETE), CL_SUCCESS);
   ASSERT_EQ(clFinish(queue_), CL_SUCCESS);
@@ -531,8 +532,7 @@ TEST_F(HaoClAsyncTest, NonBlockingWriteSnapshotsSourceAtEnqueue) {
   ASSERT_EQ(clEnqueueReadBuffer(queue_, mem, CL_TRUE, 0, 32, got.data(), 0,
                                 nullptr, nullptr),
             CL_SUCCESS);
-  EXPECT_EQ(got[0], 55);
-  EXPECT_EQ(got[7], 55);
+  EXPECT_EQ(got, source);
 
   clReleaseEvent(gate);
   clReleaseMemObject(mem);

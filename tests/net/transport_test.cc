@@ -10,8 +10,10 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <tuple>
 
 #include "common/sync.h"
+#include "net/protocol.h"
 #include "net/rpc.h"
 #include "net/sim_transport.h"
 #include "net/tcp_transport.h"
@@ -309,6 +311,103 @@ TEST(RpcTest, TimeoutWhenNodeSilent) {
   client.Close();
   node_end->Close();
 }
+
+// An RpcClient over links of either kind (GetParam: TCP) whose peer
+// answers each request with the frames the test scripted for it.
+class RpcLandingTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    ConnectionPtr host;
+    if (GetParam()) {
+      listener_ = std::make_unique<TcpListener>(0);
+      ASSERT_TRUE(listener_
+                      ->Start([this](ConnectionPtr c) {
+                        accepted_.Push(std::move(c));
+                      })
+                      .ok());
+      auto dialed = TcpConnect("127.0.0.1", listener_->port());
+      ASSERT_TRUE(dialed.ok());
+      host = *std::move(dialed);
+      peer_ = *accepted_.Pop();
+    } else {
+      std::tie(host, peer_) = CreateSimChannel();
+    }
+    peer_->Start([this](Message request) {
+      auto replies = script_.Pop();
+      if (!replies.has_value()) return;
+      // Frames with seq 0 answer this request; others keep their seq.
+      for (Message& reply : *replies) {
+        if (reply.seq == 0) reply.seq = request.seq;
+        (void)peer_->Send(reply);
+      }
+    });
+    client_ = std::make_unique<RpcClient>(std::move(host));
+  }
+
+  void TearDown() override {
+    script_.Close();
+    if (client_ != nullptr) client_->Close();
+    if (peer_ != nullptr) peer_->Close();
+    if (listener_ != nullptr) listener_->Stop();
+  }
+
+  static Message ReadReply(std::vector<std::uint8_t> bytes,
+                           std::uint64_t seq = 0) {
+    return Make(MsgType::kReadReply, seq, std::move(bytes));
+  }
+
+  Expected<Message> CallInto(std::span<std::uint8_t> dest) {
+    return client_->Call(MsgType::kReadBuffer, 1, {},
+                         RpcClient::kDefaultCallTimeout, {}, dest);
+  }
+
+  BlockingQueue<ConnectionPtr> accepted_;  // Outlives the accept thread.
+  std::unique_ptr<TcpListener> listener_;
+  ConnectionPtr peer_;
+  BlockingQueue<std::vector<Message>> script_;
+  std::unique_ptr<RpcClient> client_;
+};
+
+TEST_P(RpcLandingTest, ExactReadReplyLandsInItsDestination) {
+  std::vector<std::uint8_t> dest(8, 0);
+  script_.Push({ReadReply({1, 2, 3, 4, 5, 6, 7, 8})});
+  auto reply = CallInto(dest);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->type, MsgType::kReadReply);
+  EXPECT_TRUE(reply->payload.empty());
+  EXPECT_EQ(reply->tail.data(), dest.data());
+  EXPECT_EQ(reply->tail.size(), dest.size());
+  EXPECT_EQ(dest, (std::vector<std::uint8_t>{1, 2, 3, 4, 5, 6, 7, 8}));
+}
+
+TEST_P(RpcLandingTest, OtherRepliesArriveInPayload) {
+  std::vector<std::uint8_t> dest(8, 0xCC);
+  const std::vector<std::uint8_t> untouched = dest;
+  // An orphan seq of exactly the destination's size first: no call owns
+  // it, so it must not land; then an error status for the call itself.
+  const std::vector<std::uint8_t> error =
+      Encode(StatusReply::FromStatus(Status(ErrorCode::kInvalidValue, "no")));
+  script_.Push({ReadReply(std::vector<std::uint8_t>(8, 0xEE), 999),
+                Make(MsgType::kStatusReply, 0, error)});
+  auto status = CallInto(dest);
+  ASSERT_TRUE(status.ok()) << status.status().ToString();
+  EXPECT_EQ(status->type, MsgType::kStatusReply);
+  EXPECT_EQ(status->payload, error);
+  EXPECT_TRUE(status->tail.empty());
+  EXPECT_EQ(dest, untouched);
+
+  script_.Push({ReadReply({1, 2, 3, 4})});  // Wrong size.
+  auto short_read = CallInto(dest);
+  ASSERT_TRUE(short_read.ok()) << short_read.status().ToString();
+  EXPECT_EQ(short_read->payload, (std::vector<std::uint8_t>{1, 2, 3, 4}));
+  EXPECT_TRUE(short_read->tail.empty());
+  EXPECT_EQ(dest, untouched);
+}
+
+INSTANTIATE_TEST_SUITE_P(Links, RpcLandingTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Tcp" : "Sim";
+                         });
 
 TEST(RpcTest, CloseFailsPendingCalls) {
   auto [host_end, node_end] = CreateSimChannel();

@@ -1,8 +1,17 @@
 // NMP protocol tests: the daemon over a raw connection — malformed frames,
-// unknown message types, one-way traffic, TCP deployment, and shutdown.
+// unknown message types, one-way traffic, TCP deployment, writes received
+// straight into the replica, and shutdown.
 #include "nmp/node_server.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <chrono>
+#include <thread>
 
 #include "common/sync.h"
 #include "driver/native_registry.h"
@@ -377,6 +386,333 @@ TEST(NodeServerTcpTest, PeersDialedFromClusterConfigExchangeSlices) {
   (*s1)->Shutdown();
   l0.Stop();
   l1.Stop();
+}
+
+TEST(NodeServerReleaseTest, ReleaseMidLaunchKeepsReplicaAlive) {
+  // Two links to one node, one session: a release arriving on link B while
+  // link A's kernel still writes the buffer must not free the bytes under
+  // it. The native twin parks mid-launch until the release is answered,
+  // then writes the whole buffer.
+  constexpr std::uint64_t kSession = 7;
+  Promise<bool> started;
+  Promise<bool> released;
+  driver::NativeKernelRegistry::Instance().Register(
+      "scribble",
+      [&](const std::vector<oclc::ArgBinding>& args, const oclc::NDRange&) {
+        started.Set(true);
+        released.Wait();
+        std::fill_n(args[0].data, args[0].size, std::uint8_t{0x5A});
+        return Status::Ok();
+      });
+  auto server = NodeServer::Create("gpu0", NodeType::kGpu);
+  ASSERT_TRUE(server.ok());
+  auto [a_host, a_node] = net::CreateSimChannel();
+  auto [b_host, b_node] = net::CreateSimChannel();
+  (*server)->Serve(std::move(a_node));
+  (*server)->Serve(std::move(b_node));
+  net::RpcClient a(std::move(a_host));
+  net::RpcClient b(std::move(b_host));
+
+  net::BuildProgramRequest build;
+  build.program_id = 1;
+  build.source = "__kernel void scribble(__global int* d) { d[0] = 1; }";
+  ASSERT_TRUE(a.Call(MsgType::kBuildProgram, kSession, net::Encode(build)).ok());
+  const net::CreateBufferRequest create{1, 4096};
+  ASSERT_TRUE(
+      a.Call(MsgType::kCreateBuffer, kSession, net::Encode(create)).ok());
+  net::LaunchKernelRequest launch;
+  launch.program_id = 1;
+  launch.kernel_name = "scribble";
+  net::WireKernelArg arg;
+  arg.kind = net::WireKernelArg::Kind::kBuffer;
+  arg.buffer_id = 1;
+  launch.args = {arg};
+  launch.global[0] = 1;
+  auto launched =
+      a.CallAsync(MsgType::kLaunchKernel, kSession, net::Encode(launch));
+  ASSERT_TRUE(started.Wait());
+
+  const net::ReleaseBufferRequest release{1};
+  auto freed =
+      b.Call(MsgType::kReleaseBuffer, kSession, net::Encode(release));
+  released.Set(true);
+  EXPECT_TRUE(net::CheckReply(freed, MsgType::kStatusReply).ok());
+  const auto& reply = launched->Wait();
+  driver::NativeKernelRegistry::Instance().Unregister("scribble");
+  ASSERT_TRUE(net::CheckReply(reply, MsgType::kLaunchReply).ok());
+  EXPECT_EQ(net::Decode<net::LaunchKernelReply>(reply->payload)->status_code,
+            0);
+  auto hello =
+      a.Call(MsgType::kHelloRequest, kSession, net::Encode(net::HelloRequest{}));
+  ASSERT_TRUE(hello.ok());
+  EXPECT_EQ(hello->type, MsgType::kHelloReply);
+  a.Close();
+  b.Close();
+  (*server)->Shutdown();
+}
+
+// A node behind links of either kind (GetParam: TCP), for the paths that
+// receive a kWriteBuffer straight into the replica.
+class NodeServerLandingTest : public ::testing::TestWithParam<bool> {
+ protected:
+  static constexpr std::uint64_t kSession = 1;
+  using Bytes = std::vector<std::uint8_t>;
+
+  void SetUp() override {
+    auto server = NodeServer::Create("gpu0", NodeType::kGpu);
+    ASSERT_TRUE(server.ok());
+    server_ = *std::move(server);
+    if (GetParam()) {
+      listener_ = std::make_unique<net::TcpListener>(0);
+      ASSERT_TRUE(listener_
+                      ->Start([this](net::ConnectionPtr c) {
+                        server_->Serve(std::move(c));
+                      })
+                      .ok());
+      auto link = net::TcpConnect("127.0.0.1", listener_->port());
+      ASSERT_TRUE(link.ok());
+      client_ = std::make_unique<net::RpcClient>(*std::move(link));
+    } else {
+      auto [host_end, node_end] = net::CreateSimChannel();
+      server_->Serve(std::move(node_end));
+      client_ = std::make_unique<net::RpcClient>(std::move(host_end));
+    }
+  }
+
+  void TearDown() override {
+    if (client_ != nullptr) client_->Close();
+    if (server_ != nullptr) server_->Shutdown();
+    if (listener_ != nullptr) listener_->Stop();
+  }
+
+  Status Call(MsgType type, const Bytes& payload,
+              std::span<const std::uint8_t> tail = {}) {
+    return net::CheckReply(
+        client_->Call(type, kSession, payload,
+                      net::RpcClient::kDefaultCallTimeout, tail),
+        MsgType::kStatusReply);
+  }
+
+  // A kWriteBuffer frame whose length prefix claims `claimed` bytes while
+  // `data` follows it.
+  Status Write(std::uint64_t id, std::uint64_t offset, std::uint64_t claimed,
+               const Bytes& data) {
+    WireWriter prefix;
+    prefix.WriteU64(id);
+    prefix.WriteU64(offset);
+    prefix.WriteU64(claimed);
+    return Call(MsgType::kWriteBuffer, prefix.bytes(), data);
+  }
+
+  Bytes Read(std::uint64_t id, std::uint64_t size) {
+    const net::ReadBufferRequest read{id, 0, size};
+    auto reply =
+        client_->Call(MsgType::kReadBuffer, kSession, net::Encode(read));
+    EXPECT_TRUE(net::CheckReply(reply, MsgType::kReadReply).ok());
+    return reply.ok() ? reply->payload : Bytes{};
+  }
+
+  std::unique_ptr<NodeServer> server_;
+  std::unique_ptr<net::TcpListener> listener_;
+  std::unique_ptr<net::RpcClient> client_;
+};
+
+TEST_P(NodeServerLandingTest, HostileWritesGetTheCopyPathsStatus) {
+  net::ConfigureSessionRequest tenant;
+  tenant.tenant_name = "capped";
+  tenant.mem_quota_bytes = 96;
+  ASSERT_TRUE(Call(MsgType::kConfigureSession, net::Encode(tenant)).ok());
+  for (std::uint64_t id : {1, 2}) {
+    const net::CreateBufferRequest create{id, 64};
+    ASSERT_TRUE(Call(MsgType::kCreateBuffer, net::Encode(create)).ok());
+  }
+  const Bytes before(64, 0x11);
+  ASSERT_TRUE(Write(1, 0, 64, before).ok());
+  ASSERT_EQ(Read(1, 64), before);
+
+  struct Case {
+    const char* what;
+    std::uint64_t id;
+    std::uint64_t offset;
+    std::uint64_t claimed;
+    std::size_t sent;
+    ErrorCode code;
+  };
+  const Case cases[] = {
+      {"unknown buffer", 9, 0, 16, 16, ErrorCode::kInvalidMemObject},
+      {"past the end", 1, 56, 16, 16, ErrorCode::kInvalidValue},
+      {"wrapping offset", 1, ~0ULL - 7, 16, 16, ErrorCode::kInvalidValue},
+      {"prefix above the tail", 1, 0, 17, 16, ErrorCode::kProtocolError},
+      {"prefix below the tail", 1, 0, 15, 16, ErrorCode::kProtocolError},
+      // Buffer 1's 64 resident bytes + 48 exceed the 96-byte quota.
+      {"over the quota", 2, 0, 48, 48,
+       ErrorCode::kMemObjectAllocationFailure},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    EXPECT_EQ(Write(c.id, c.offset, c.claimed, Bytes(c.sent, 0xEE)).code(),
+              c.code);
+    EXPECT_EQ(Read(1, 64), before);
+    EXPECT_EQ(Read(2, 64), Bytes(64, 0));
+    EXPECT_TRUE(Call(MsgType::kHeartbeat, {}).ok());
+  }
+}
+
+TEST_P(NodeServerLandingTest, WriteBehindUnansweredLaunchWaitsItsTurn) {
+  // A peer link the test answers by hand: a PullSlice from it parks this
+  // connection's worker, so what queues behind it is fixed by the queue,
+  // not by timing.
+  auto [node_end, peer_end] = net::CreateSimChannel();
+  server_->ConnectPeer(1, std::move(node_end));
+  BlockingQueue<Message> fetches;
+  peer_end->Start([&](Message m) { fetches.Push(std::move(m)); });
+
+  net::BuildProgramRequest build;
+  build.program_id = 1;
+  build.source = R"(
+    __kernel void copy_words(__global const int* a, __global int* b) {
+      int i = get_global_id(0);
+      b[i] = a[i];
+    })";
+  auto built = client_->Call(MsgType::kBuildProgram, kSession,
+                             net::Encode(build));
+  ASSERT_TRUE(net::CheckReply(built, MsgType::kBuildReply).ok());
+  for (std::uint64_t id : {1, 2, 3}) {
+    const net::CreateBufferRequest create{id, 64};
+    ASSERT_TRUE(Call(MsgType::kCreateBuffer, net::Encode(create)).ok());
+  }
+  const Bytes old_bytes(64, 0x11);
+  ASSERT_TRUE(Write(1, 0, 64, old_bytes).ok());
+
+  const net::PullSliceRequest pull{3, 0, 64, 1};
+  auto pulled =
+      client_->CallAsync(MsgType::kPullSlice, kSession, net::Encode(pull));
+  auto fetch = fetches.Pop();  // The worker is parked in the pull.
+  ASSERT_TRUE(fetch.has_value());
+  net::LaunchKernelRequest launch;
+  launch.program_id = 1;
+  launch.kernel_name = "copy_words";
+  for (std::uint64_t id : {1, 2}) {
+    net::WireKernelArg arg;
+    arg.kind = net::WireKernelArg::Kind::kBuffer;
+    arg.buffer_id = id;
+    launch.args.push_back(arg);
+  }
+  launch.global[0] = 16;
+  auto launched =
+      client_->CallAsync(MsgType::kLaunchKernel, kSession, net::Encode(launch));
+  const Bytes new_bytes(64, 0x22);
+  net::WriteBufferRequest write;
+  write.buffer_id = 1;
+  write.data = new_bytes;
+  auto written = client_->CallAsync(MsgType::kWriteBuffer, kSession,
+                                    net::Encode(write), write.data);
+  // Heartbeats are answered on the receive path: once this one is, the
+  // write frame has been received too.
+  ASSERT_TRUE(Call(MsgType::kHeartbeat, {}).ok());
+
+  Message slice;
+  slice.type = MsgType::kReadReply;
+  slice.seq = fetch->seq;
+  slice.session = fetch->session;
+  slice.payload = Bytes(64, 0x33);
+  ASSERT_TRUE(peer_end->Send(slice).ok());
+  EXPECT_TRUE(net::CheckReply(pulled->Wait(), MsgType::kStatusReply).ok());
+  const auto& ran = launched->Wait();
+  ASSERT_TRUE(net::CheckReply(ran, MsgType::kLaunchReply).ok());
+  EXPECT_EQ(net::Decode<net::LaunchKernelReply>(ran->payload)->status_code, 0);
+  EXPECT_TRUE(net::CheckReply(written->Wait(), MsgType::kStatusReply).ok());
+  // The kernel read buffer 1 before the write queued behind it.
+  EXPECT_EQ(Read(2, 64), old_bytes);
+  EXPECT_EQ(Read(1, 64), new_bytes);
+  EXPECT_EQ(Read(3, 64), Bytes(64, 0x33));
+  peer_end->Close();
+}
+
+INSTANTIATE_TEST_SUITE_P(Links, NodeServerLandingTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Tcp" : "Sim";
+                         });
+
+TEST(NodeServerTcpTest, WriteCutOffMidTailLeavesNodeServing) {
+  constexpr std::uint64_t kSession = 1;
+  auto server = NodeServer::Create("gpu0", NodeType::kGpu);
+  ASSERT_TRUE(server.ok());
+  net::TcpListener listener(0);
+  ASSERT_TRUE(listener
+                  .Start([&](net::ConnectionPtr c) {
+                    (*server)->Serve(std::move(c));
+                  })
+                  .ok());
+  auto link = net::TcpConnect("127.0.0.1", listener.port());
+  ASSERT_TRUE(link.ok());
+  net::RpcClient client(*std::move(link));
+  for (std::uint64_t id : {1, 2}) {
+    const net::CreateBufferRequest create{id, 64};
+    ASSERT_TRUE(net::CheckReply(client.Call(MsgType::kCreateBuffer, kSession,
+                                            net::Encode(create)),
+                                MsgType::kStatusReply)
+                    .ok());
+  }
+
+  // A second connection sends a kWriteBuffer for [16, 48) of buffer 2 and
+  // hangs up halfway through its tail.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(listener.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const std::vector<std::uint8_t> data(32, 0xEE);
+  net::WriteBufferRequest write;
+  write.buffer_id = 2;
+  write.offset = 16;
+  write.data = data;
+  Message frame;
+  frame.type = MsgType::kWriteBuffer;
+  frame.seq = 1;
+  frame.session = kSession;
+  frame.payload = net::Encode(write);
+  frame.tail = data;
+  const Message::HeaderBytes header = frame.EncodeHeader();
+  ASSERT_EQ(::write(fd, header.data(), header.size()),
+            static_cast<ssize_t>(header.size()));
+  ASSERT_EQ(::write(fd, frame.payload.data(), frame.payload.size()),
+            static_cast<ssize_t>(frame.payload.size()));
+  ASSERT_EQ(::write(fd, data.data(), 16), 16);
+  ::close(fd);
+
+  // The claim charged the range before the tail broke off; it stays
+  // reserved, its bytes unspecified.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((*server)->bytes_resident() < 32 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ((*server)->bytes_resident(), 32u);
+  EXPECT_TRUE(net::CheckReply(client.Call(MsgType::kHeartbeat, kSession, {}),
+                              MsgType::kStatusReply)
+                  .ok());
+  net::ReadBufferRequest read{2, 0, 64};
+  auto got = client.Call(MsgType::kReadBuffer, kSession, net::Encode(read));
+  ASSERT_TRUE(net::CheckReply(got, MsgType::kReadReply).ok());
+  ASSERT_EQ(got->payload.size(), 64u);
+  EXPECT_EQ(std::vector<std::uint8_t>(got->payload.begin(),
+                                      got->payload.begin() + 16),
+            std::vector<std::uint8_t>(16, 0));
+  EXPECT_EQ(std::vector<std::uint8_t>(got->payload.begin() + 48,
+                                      got->payload.end()),
+            std::vector<std::uint8_t>(16, 0));
+  read.buffer_id = 1;
+  got = client.Call(MsgType::kReadBuffer, kSession, net::Encode(read));
+  ASSERT_TRUE(net::CheckReply(got, MsgType::kReadReply).ok());
+  EXPECT_EQ(got->payload, std::vector<std::uint8_t>(64, 0));
+  client.Close();
+  (*server)->Shutdown();
+  listener.Stop();
 }
 
 TEST(NodeServerLifecycleTest, ShutdownIsIdempotentAndServesMultiple) {

@@ -37,13 +37,14 @@ TEST_F(DeviceSessionTest, BufferLifecycle) {
   ASSERT_TRUE(session_->WriteBuffer(1, 0, data).ok());
   auto read = session_->ReadBuffer(1, 0, 64);
   ASSERT_TRUE(read.ok());
-  EXPECT_EQ(*read, data);
+  EXPECT_EQ(Bytes(read->bytes.begin(), read->bytes.end()), data);
 
   // Partial read/write with offsets.
   ASSERT_TRUE(session_->WriteBuffer(1, 60, Bytes{9, 9, 9, 9}).ok());
   auto tail = session_->ReadBuffer(1, 60, 4);
   ASSERT_TRUE(tail.ok());
-  EXPECT_EQ(*tail, (std::vector<std::uint8_t>{9, 9, 9, 9}));
+  EXPECT_EQ(Bytes(tail->bytes.begin(), tail->bytes.end()),
+            (std::vector<std::uint8_t>{9, 9, 9, 9}));
 
   ASSERT_TRUE(session_->ReleaseBuffer(1).ok());
   EXPECT_EQ(session_->buffer_count(), 0u);
@@ -84,7 +85,8 @@ TEST_F(DeviceSessionTest, PullSliceStoresPeerBytes) {
   EXPECT_EQ(fetches, 1);
   auto read = session_->ReadBuffer(1, 4, 4);
   ASSERT_TRUE(read.ok());
-  EXPECT_EQ(*read, (std::vector<std::uint8_t>{9, 8, 7, 6}));
+  EXPECT_EQ(Bytes(read->bytes.begin(), read->bytes.end()),
+            (std::vector<std::uint8_t>{9, 8, 7, 6}));
 
   // Out-of-range and missing-buffer pulls fail BEFORE fetching from the
   // peer; fetch failures and short slices propagate.
@@ -149,7 +151,7 @@ TEST_F(DeviceSessionTest, BuildAndLaunch) {
 
   auto read = session_->ReadBuffer(1, 0, n * 4);
   ASSERT_TRUE(read.ok());
-  std::memcpy(values.data(), read->data(), read->size());
+  std::memcpy(values.data(), read->bytes.data(), read->bytes.size());
   for (int i = 0; i < n; ++i) ASSERT_EQ(values[i], 2 * i);
 
   EXPECT_EQ(session_->Load().kernels_executed, 1u);
@@ -236,7 +238,7 @@ TEST_F(DeviceSessionTest, ScalarSignExtension) {
   auto read = session_->ReadBuffer(1, 0, 16);
   ASSERT_TRUE(read.ok());
   std::int64_t out[2];
-  std::memcpy(out, read->data(), 16);
+  std::memcpy(out, read->bytes.data(), 16);
   EXPECT_EQ(out[0], -123456);
   EXPECT_EQ(out[1], -7);
 }

@@ -1,23 +1,23 @@
-// VM engine benchmark: three-way ablation on IDENTICAL bytecode —
-// per-work-item interpreter, lane-batched scalar engine (fusion on, SIMD
-// and lane masking off), and the full SIMD tier (vectorized superops +
-// partial-lane masking). Single-threaded so the numbers are the per-group
-// engine speedup, not pool parallelism. Outputs are compared byte-for-byte
-// across all three — a speedup that changes bits is a bug, and the harness
-// exits nonzero.
+// VM engine benchmark: the per-work-item interpreter against the batched
+// engine (fused superops, the vector tier, partial-lane masking and the
+// counted-loop superop) on IDENTICAL bytecode. Single-threaded so the
+// numbers are the per-group engine speedup, not pool parallelism. Outputs
+// are compared byte-for-byte — a speedup that changes bits is a bug, and
+// the harness exits nonzero.
 //
-// Emits BENCH_vm.json with one ablation row per kernel family. The three
-// engines run in turn for at least kMinRounds rounds and kMinSeconds, and
-// each is timed by its best run, so a slow spell on a busy machine cannot
-// move a ratio. Gates (bench::Gates, exit 1 on a miss):
-//  - every engine's outputs byte-identical (always),
-//  - matmul SIMD >= 20x interpreter and >= 2x the scalar batch engine, and
-//    SIMD batch steps per group below n: the k-loop runs as one counted-loop
-//    superop, where stepping needs at least 5 dispatches per trip (only
-//    when the build has a vector backend),
+// Emits BENCH_vm.json with one row per kernel family. The two engines run
+// in turn for at least kMinRounds rounds and kMinSeconds, and each is
+// timed by its best run, so a slow spell on a busy machine cannot move a
+// ratio. Gates (bench::Gates, exit 1 on a miss):
+//  - both engines' outputs byte-identical,
+//  - matmul takes at least 3 vector-tier dispatches per group, so a
+//    change that stops the vector tier from running misses it, and fewer
+//    than n batch steps per group: the k-loop runs as one counted-loop
+//    superop, where stepping needs at least 5 dispatches per trip,
 //  - bfs_frontier completes with ZERO whole-group bail-outs (the masked
-//    divergence path; independent of SIMD, so enforced even on the
-//    forced-scalar build).
+//    divergence path),
+//  - matmul >= 20x the interpreter (only when the build has a vector
+//    backend).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -48,15 +48,14 @@ struct BenchCase {
 
 constexpr int kMinRounds = 7;
 constexpr int kMatmulN = 128;
+constexpr int kMatmulSimdPerGroup = 3;
 constexpr double kMinSeconds = 0.5;
 
 struct BenchResult {
   std::string name;
   double interp_seconds = 0.0;
-  double scalar_seconds = 0.0;  // Batched, SIMD + masking off (PR-9 engine).
-  double simd_seconds = 0.0;    // Batched, full SIMD tier.
+  double batched_seconds = 0.0;
   double speedup_vs_interp = 0.0;
-  double speedup_vs_scalar = 0.0;
   std::uint64_t instructions = 0;
   std::uint64_t batch_steps = 0;
   std::uint64_t fused_steps = 0;
@@ -129,46 +128,33 @@ BenchResult RunCase(const BenchCase& bench) {
 
   oclc::LaunchOptions interp;
   interp.engine = oclc::VmEngine::kInterpreter;
-  oclc::LaunchOptions scalar;  // The PR-9 batch engine: fusion only.
-  scalar.engine = oclc::VmEngine::kBatched;
-  scalar.enable_simd = false;
-  scalar.enable_lane_masking = false;
-  oclc::LaunchOptions simd;  // Full tier.
-  simd.engine = oclc::VmEngine::kBatched;
+  oclc::LaunchOptions batched;
+  batched.engine = oclc::VmEngine::kBatched;
 
-  std::vector<std::vector<std::uint8_t>> interp_out, scalar_out, simd_out;
-  oclc::VmStats interp_stats, scalar_stats, simd_stats;
-  // The engines take turns, so a slow spell on a shared machine hits all
-  // three alike, and each keeps its best run of the rounds.
-  result.interp_seconds = result.scalar_seconds = result.simd_seconds = 1e300;
+  std::vector<std::vector<std::uint8_t>> interp_out, batched_out;
+  oclc::VmStats interp_stats, batched_stats;
+  // The engines take turns, so a slow spell on a shared machine hits both
+  // alike, and each keeps its best run of the rounds.
+  result.interp_seconds = result.batched_seconds = 1e300;
   double elapsed = 0.0;
   for (int round = 0; round < kMinRounds || elapsed < kMinSeconds; ++round) {
     const double i = RunEngine(**module, bench, interp, &interp_stats,
                                &interp_out);
-    const double c = RunEngine(**module, bench, scalar, &scalar_stats,
-                               &scalar_out);
-    const double v =
-        RunEngine(**module, bench, simd, &simd_stats, &simd_out);
+    const double v = RunEngine(**module, bench, batched, &batched_stats,
+                               &batched_out);
     result.interp_seconds = std::min(result.interp_seconds, i);
-    result.scalar_seconds = std::min(result.scalar_seconds, c);
-    result.simd_seconds = std::min(result.simd_seconds, v);
-    elapsed += i + c + v;
+    result.batched_seconds = std::min(result.batched_seconds, v);
+    elapsed += i + v;
   }
-  result.speedup_vs_interp = result.interp_seconds / result.simd_seconds;
-  result.speedup_vs_scalar = result.scalar_seconds / result.simd_seconds;
-  result.instructions = simd_stats.instructions;
-  result.batch_steps = simd_stats.batch_steps;
-  result.fused_steps = simd_stats.fused_steps;
-  result.simd_steps = simd_stats.simd_steps;
-  result.masked_steps = simd_stats.masked_steps;
-  result.bailouts = simd_stats.bailouts;
-  result.groups = simd_stats.groups;
-  result.identical = interp_out.size() == scalar_out.size() &&
-                     interp_out.size() == simd_out.size();
-  for (std::size_t i = 0; result.identical && i < interp_out.size(); ++i) {
-    result.identical =
-        interp_out[i] == scalar_out[i] && interp_out[i] == simd_out[i];
-  }
+  result.speedup_vs_interp = result.interp_seconds / result.batched_seconds;
+  result.instructions = batched_stats.instructions;
+  result.batch_steps = batched_stats.batch_steps;
+  result.fused_steps = batched_stats.fused_steps;
+  result.simd_steps = batched_stats.simd_steps;
+  result.masked_steps = batched_stats.masked_steps;
+  result.bailouts = batched_stats.bailouts;
+  result.groups = batched_stats.groups;
+  result.identical = interp_out == batched_out;
   return result;
 }
 
@@ -287,16 +273,15 @@ int main() {
   std::vector<BenchResult> results;
   bool all_identical = true;
   double matmul_vs_interp = 0.0;
-  double matmul_vs_scalar = 0.0;
   double matmul_steps_per_group = 0.0;
+  double matmul_simd_per_group = 0.0;
   std::uint64_t bfs_bailouts = ~0ull;
   for (const BenchCase& bench : cases) {
     BenchResult r = RunCase(bench);
-    std::printf("%-16s interp %8.4fs  scalar %8.4fs  simd %8.4fs  "
-                "x-interp %6.2f  x-scalar %5.2f  simd %llu  masked %llu  "
-                "bailouts %llu  %s\n",
-                r.name.c_str(), r.interp_seconds, r.scalar_seconds,
-                r.simd_seconds, r.speedup_vs_interp, r.speedup_vs_scalar,
+    std::printf("%-16s interp %8.4fs  batched %8.4fs  x-interp %6.2f  "
+                "simd %llu  masked %llu  bailouts %llu  %s\n",
+                r.name.c_str(), r.interp_seconds, r.batched_seconds,
+                r.speedup_vs_interp,
                 static_cast<unsigned long long>(r.simd_steps),
                 static_cast<unsigned long long>(r.masked_steps),
                 static_cast<unsigned long long>(r.bailouts),
@@ -304,9 +289,10 @@ int main() {
     all_identical = all_identical && r.identical;
     if (r.name == "matmul") {
       matmul_vs_interp = r.speedup_vs_interp;
-      matmul_vs_scalar = r.speedup_vs_scalar;
       matmul_steps_per_group =
           static_cast<double>(r.batch_steps) / static_cast<double>(r.groups);
+      matmul_simd_per_group =
+          static_cast<double>(r.simd_steps) / static_cast<double>(r.groups);
     }
     if (r.name == "bfs_frontier") bfs_bailouts = r.bailouts;
     results.push_back(std::move(r));
@@ -324,14 +310,13 @@ int main() {
     std::fprintf(
         json,
         "    {\"name\": \"%s\", \"interp_seconds\": %.6f, "
-        "\"scalar_seconds\": %.6f, \"simd_seconds\": %.6f, "
-        "\"speedup_vs_interp\": %.2f, \"speedup_vs_scalar\": %.2f, "
+        "\"batched_seconds\": %.6f, \"speedup_vs_interp\": %.2f, "
         "\"instructions\": %llu, \"batch_steps\": %llu, "
         "\"fused_steps\": %llu, \"simd_steps\": %llu, "
         "\"masked_steps\": %llu, \"bailouts\": %llu, \"groups\": %llu, "
         "\"bit_identical\": %s}%s\n",
-        r.name.c_str(), r.interp_seconds, r.scalar_seconds, r.simd_seconds,
-        r.speedup_vs_interp, r.speedup_vs_scalar,
+        r.name.c_str(), r.interp_seconds, r.batched_seconds,
+        r.speedup_vs_interp,
         static_cast<unsigned long long>(r.instructions),
         static_cast<unsigned long long>(r.batch_steps),
         static_cast<unsigned long long>(r.fused_steps),
@@ -344,28 +329,29 @@ int main() {
   }
   std::fprintf(json,
                "  ],\n  \"matmul_interp_gate\": 20.0,\n"
-               "  \"matmul_scalar_gate\": 2.0,\n"
+               "  \"matmul_simd_per_group_gate\": %d,\n"
                "  \"matmul_steps_per_group_gate\": %d\n}\n",
-               kMatmulN);
+               kMatmulSimdPerGroup, kMatmulN);
   std::fclose(json);
   std::printf("wrote BENCH_vm.json (backend %s)\n", simd::kIsaName);
 
   bench::Gates gates;
-  gates.Check(all_identical, "every engine's outputs bit-identical");
+  gates.Check(all_identical, "both engines' outputs bit-identical");
   gates.Check(bfs_bailouts == 0,
               "bfs_frontier takes 0 whole-group bail-outs (got " +
                   std::to_string(bfs_bailouts) + ")");
+  gates.Check(matmul_simd_per_group >= kMatmulSimdPerGroup,
+              "matmul vector dispatches per group >= " +
+                  std::to_string(kMatmulSimdPerGroup) + " (got " +
+                  std::to_string(matmul_simd_per_group) + ")");
+  gates.Check(matmul_steps_per_group < kMatmulN,
+              "matmul batch steps per group < n = " +
+                  std::to_string(kMatmulN) + " (got " +
+                  std::to_string(matmul_steps_per_group) + ")");
   if (simd::kEnabled) {
     gates.Check(matmul_vs_interp >= 20.0,
-                "matmul SIMD >= 20x the interpreter (got " +
+                "matmul >= 20x the interpreter (got " +
                     std::to_string(matmul_vs_interp) + "x)");
-    gates.Check(matmul_vs_scalar >= 2.0,
-                "matmul SIMD >= 2x the scalar batch engine (got " +
-                    std::to_string(matmul_vs_scalar) + "x)");
-    gates.Check(matmul_steps_per_group < kMatmulN,
-                "matmul SIMD batch steps per group < n = " +
-                    std::to_string(kMatmulN) + " (got " +
-                    std::to_string(matmul_steps_per_group) + ")");
   }
   return gates.ExitCode();
 }

@@ -62,9 +62,10 @@ enum class ErrorCode : std::int32_t {
   // its fair share of the backlog. Transient — resubmit later or steer
   // to another node.
   kBackpressure = -1009,
-  // A node stopped responding (RPC deadline expired, heartbeat missed, or
-  // the liveness layer declared it dead mid-launch). Work targeting it
-  // must be re-queued onto survivors.
+  // A node stopped responding (a timed-out call whose probe also failed,
+  // a missed heartbeat, or a scripted kill), or work was sent to a node
+  // already declared dead. Work targeting it must be re-queued onto
+  // survivors.
   kNodeLost = -1010,
   // A chunk sub-launch was revoked (stolen by a peer or re-queued after
   // its owner died) before the node ran it; the node skipped it.

@@ -24,11 +24,6 @@ StealCoordinator::StealCoordinator(ChunkLedger* ledger, ChunkExecutor* executor,
   last_heartbeat_ = std::chrono::steady_clock::now();
 }
 
-void StealCoordinator::NotifyNodeDead(std::size_t node) {
-  std::lock_guard<std::mutex> lock(dead_mutex_);
-  pending_dead_.push_back(node);
-}
-
 std::vector<std::size_t> StealCoordinator::LiveNodes() const {
   std::vector<std::size_t> live;
   for (const NodeState& node : nodes_) {
@@ -136,19 +131,6 @@ bool StealCoordinator::HandleNodeFailure(NodeState* node,
 CoordinatorReport StealCoordinator::Run() {
   report_.chunks_total = ledger_->stats().total_chunks;
   while (!ledger_->AllDone()) {
-    // Apply out-of-band death notices first.
-    {
-      std::vector<std::size_t> pending;
-      {
-        std::lock_guard<std::mutex> lock(dead_mutex_);
-        pending.swap(pending_dead_);
-      }
-      for (std::size_t index : pending) {
-        for (NodeState& node : nodes_) {
-          if (node.index == index) FailOver(&node);
-        }
-      }
-    }
     // Optional heartbeat sweep between dispatches (real-time interval so
     // quiet launches do not spam probes).
     if (options_.heartbeat) {

@@ -15,12 +15,12 @@
 //     preferring victims whose rows are already resident on the thief.
 //     Stolen chunks are revoked on the victim (Revoke RPC) so a queued
 //     sub-launch on the victim's node skips them.
-//   - Failure recovery: an Execute that fails with kNodeLost (RPC
-//     deadline, heartbeat miss, scripted kill) marks the node dead after
-//     a confirming Probe; OnNodeDead() tells the host which output rows
-//     died with it, and the ledger re-queues the dead node's non-done
-//     chunks — plus done chunks whose outputs were lost — onto survivors
-//     so the launch still completes bit-identical.
+//   - Failure recovery: an Execute that fails with kNodeLost (scripted
+//     kill), or with an RPC timeout or dropped connection that a Probe
+//     confirms, marks the node dead; OnNodeDead() tells the host which
+//     output rows died with it, and the ledger re-queues the dead node's
+//     non-done chunks — plus done chunks whose outputs were lost — onto
+//     survivors so the launch still completes bit-identical.
 #pragma once
 
 #include <chrono>
@@ -105,10 +105,6 @@ class StealCoordinator {
   // progress). Single-threaded; returns the full report.
   CoordinatorReport Run();
 
-  // Out-of-band death notice (e.g. a heartbeat thread in the host layer);
-  // takes effect before the next dispatch.
-  void NotifyNodeDead(std::size_t node);
-
  private:
   struct NodeState {
     std::size_t index = 0;
@@ -131,8 +127,6 @@ class StealCoordinator {
   ChunkExecutor* executor_;
   CoordinatorOptions options_;
   std::vector<NodeState> nodes_;
-  mutable std::mutex dead_mutex_;
-  std::vector<std::size_t> pending_dead_;  // From NotifyNodeDead.
   CoordinatorReport report_;
   std::chrono::steady_clock::time_point last_heartbeat_;
 };

@@ -52,8 +52,8 @@ enum class MsgType : std::uint16_t {
   kQueryBroker = 31,
   // Liveness probe: answered immediately on the node's receive path (never
   // queued behind data-plane work), so a timely reply means the node is
-  // alive even when its command queue is deep. Paired with the RPC call
-  // deadline, a missed reply marks the node dead (kNodeLost).
+  // alive even when its command queue is deep. A failed probe marks the
+  // node dead (kNodeLost).
   kHeartbeat = 32,
   // Session control.
   kOpenSession = 40,

@@ -9,7 +9,6 @@ namespace haocl::net {
 
 RpcClient::RpcClient(ConnectionPtr connection)
     : connection_(std::move(connection)) {
-  monitor_ = std::thread([this] { MonitorLoop(); });
   connection_->SetSink(
       {[this](const Message::Header& header, std::span<const std::uint8_t>) {
          return ClaimReply(header);
@@ -19,11 +18,6 @@ RpcClient::RpcClient(ConnectionPtr connection)
 }
 
 RpcClient::~RpcClient() { Close(); }
-
-void RpcClient::SetCallTimeout(std::chrono::milliseconds timeout) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  call_timeout_ = timeout;
-}
 
 RpcClient::ReplyFuture RpcClient::CallAsync(MsgType type,
                                             std::uint64_t session,
@@ -42,21 +36,10 @@ std::pair<std::uint64_t, RpcClient::ReplyFuture> RpcClient::SendRequest(
   msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   msg.payload = std::move(payload);
   msg.tail = tail;
-  bool armed = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    PendingCall call;
-    call.future = future;
-    call.type = type;
-    call.reply_into = reply_into;
-    if (call_timeout_.count() > 0) {
-      call.has_deadline = true;
-      call.deadline = std::chrono::steady_clock::now() + call_timeout_;
-      armed = true;
-    }
-    pending_[msg.seq] = std::move(call);
+    pending_[msg.seq] = PendingCall{future, reply_into};
   }
-  if (armed) monitor_cv_.notify_one();
   Status sent = connection_->Send(msg);
   if (!sent.ok()) {
     {
@@ -151,45 +134,6 @@ void RpcClient::OnMessage(Message msg) {
   future->Set(Expected<Message>(std::move(msg)));
 }
 
-void RpcClient::MonitorLoop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (!stop_monitor_) {
-    const auto now = std::chrono::steady_clock::now();
-    auto earliest = std::chrono::steady_clock::time_point::max();
-    std::vector<std::pair<ReplyFuture, MsgType>> expired;
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      // A reply landing in its destination is past the deadline: the
-      // call completes (or fails) when the reader is done writing.
-      const bool armed =
-          it->second.has_deadline && it->first != landing_seq_;
-      if (armed && it->second.deadline <= now) {
-        expired.emplace_back(std::move(it->second.future), it->second.type);
-        it = pending_.erase(it);
-      } else {
-        if (armed) earliest = std::min(earliest, it->second.deadline);
-        ++it;
-      }
-    }
-    if (!expired.empty()) {
-      // Fail outside the lock: a waiter's continuation may call back in.
-      lock.unlock();
-      for (auto& [future, type] : expired) {
-        future->Set(Expected<Message>(Status(
-            ErrorCode::kNodeLost,
-            std::string("RPC deadline expired for ") + MsgTypeName(type) +
-                ": node presumed lost")));
-      }
-      lock.lock();
-      continue;
-    }
-    if (earliest == std::chrono::steady_clock::time_point::max()) {
-      monitor_cv_.wait(lock);
-    } else {
-      monitor_cv_.wait_until(lock, earliest);
-    }
-  }
-}
-
 void RpcClient::FailAllPending(const Status& status) {
   std::unordered_map<std::uint64_t, PendingCall> orphaned;
   {
@@ -203,12 +147,6 @@ void RpcClient::FailAllPending(const Status& status) {
 
 void RpcClient::Close() {
   if (closed_.exchange(true)) return;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_monitor_ = true;
-  }
-  monitor_cv_.notify_all();
-  if (monitor_.joinable()) monitor_.join();
   connection_->Close();
   FailAllPending(Status(ErrorCode::kNodeUnreachable, "client closed"));
 }

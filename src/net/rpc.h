@@ -12,7 +12,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 
 #include "common/sync.h"
@@ -31,26 +30,21 @@ class RpcClient {
 
   using ReplyFuture = std::shared_ptr<Promise<Expected<Message>>>;
 
-  // Sends a request and returns a future the caller can Wait() on.
-  // When a call timeout is configured (SetCallTimeout), the future fails
-  // with kNodeLost if no reply arrives within the deadline — a hung or
-  // dead peer can no longer park a CallAsync waiter forever. `tail` is
+  // Sends a request and returns a future the caller can Wait() on. The
+  // future fails when the connection drops or the client closes; it has
+  // no deadline of its own (Call's timeout is the one deadline). `tail` is
   // sent after `payload` in the same frame (see Message::tail); it is
   // borrowed only until CallAsync returns.
   ReplyFuture CallAsync(MsgType type, std::uint64_t session,
                         std::vector<std::uint8_t> payload,
                         std::span<const std::uint8_t> tail = {});
 
-  // Arms a per-call deadline on every subsequent CallAsync/Call: a pending
-  // RPC unanswered for `timeout` fails with kNodeLost (the liveness
-  // layer's signal that the peer is gone). Zero disables (the default, the
-  // legacy wait-forever behaviour for async callers).
-  void SetCallTimeout(std::chrono::milliseconds timeout);
-
   static constexpr std::chrono::milliseconds kDefaultCallTimeout{30000};
 
-  // Synchronous convenience: send and wait (with timeout). The reply is
-  // moved out of the future, not copied. `tail` as for CallAsync.
+  // Synchronous convenience: send and wait. A call unanswered after
+  // `timeout` is withdrawn and fails with kNetworkError naming its message
+  // type. The reply is moved out of the future, not copied. `tail` as for
+  // CallAsync.
   //
   // A kReadReply of exactly reply_into.size() bytes is received straight
   // into `reply_into` and arrives with `tail` viewing it; any other reply
@@ -80,9 +74,6 @@ class RpcClient {
  private:
   struct PendingCall {
     ReplyFuture future;
-    MsgType type = MsgType::kStatusReply;  // For the timeout diagnostic.
-    bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline;
     std::span<std::uint8_t> reply_into;  // Call's reply destination.
   };
 
@@ -96,21 +87,14 @@ class RpcClient {
   void AbandonReply(const Message::Header& header);
   void OnMessage(Message msg);
   void FailAllPending(const Status& status);
-  // Deadline monitor: sleeps until the earliest pending deadline and fails
-  // expired calls with kNodeLost. Parked when nothing has a deadline.
-  void MonitorLoop();
 
   ConnectionPtr connection_;
   std::mutex mutex_;
   std::unordered_map<std::uint64_t, PendingCall> pending_;
-  std::chrono::milliseconds call_timeout_{0};  // Guarded by mutex_.
-  bool stop_monitor_ = false;                  // Guarded by mutex_.
   // The call whose reply the reader is writing into its reply_into, or 0.
   // Guarded by mutex_; landed_cv_ signals when it clears.
   std::uint64_t landing_seq_ = 0;
   std::condition_variable landed_cv_;
-  std::condition_variable monitor_cv_;
-  std::thread monitor_;
   std::atomic<std::uint64_t> next_seq_{1};
   std::atomic<bool> closed_{false};
 };

@@ -181,9 +181,8 @@ Status LaunchKernel(const Module& module, const CompiledFunction& kernel,
   // unknown) cannot be batched; run it through the oracle.
   const bool use_batched =
       options.engine == VmEngine::kBatched && kernel.max_stack_slots > 0;
-  const BatchPlan plan = use_batched
-                             ? vmdetail::BuildBatchPlan(module, options)
-                             : BatchPlan{};
+  const BatchPlan plan =
+      use_batched ? vmdetail::BuildBatchPlan(module) : BatchPlan{};
 
   std::atomic<std::uint64_t> next_group{0};
   std::mutex error_mutex;

@@ -7,9 +7,10 @@
 //  - kBatched (default): the whole group runs in lockstep as one lane
 //    batch — each instruction is dispatched once and applied to every
 //    work-item through a contiguous-lane inner loop over SoA operand
-//    stacks. barrier() is just the end of a batch step. When a branch
-//    condition diverges across lanes the engine bails out to the
-//    interpreter for the rest of the group. See docs/vm.md.
+//    stacks; hot loops run on simd.h's 4-lane vectors (its scalar backend
+//    when the build forces one). barrier() is just the end of a batch
+//    step. When a branch condition diverges across lanes the engine masks
+//    a short guard or bails out to the interpreter. See docs/vm.md.
 //  - kInterpreter: the original one-work-item-at-a-time interpreter; each
 //    item runs until it finishes or reaches a barrier(), where its machine
 //    state (pc, operand stack, locals, frames) is suspended until the whole
@@ -114,22 +115,6 @@ struct LaunchOptions {
   int num_threads = 0;
   std::uint64_t max_instructions_per_item = 1ULL << 33;  // Runaway guard.
   VmEngine engine = VmEngine::kBatched;
-  // Fuse hot straight-line bytecode sequences (indexed loads, MAC pairs,
-  // loop-counter steps) into single batched ops. Batched engine only;
-  // results are bit-identical either way.
-  bool enable_trace_fusion = true;
-  // Vectorize per-lane inner loops (uniform arithmetic, fused MAC/indexed
-  // loads/compares) with host SIMD, and run counted MAC loops as one
-  // dispatch per group. Batched engine only; bit-identical. No-op when the
-  // build forces the scalar backend (HAOCL_ENABLE_SIMD=OFF).
-  bool enable_simd = true;
-  // Run short straight-line divergent regions (flagged by codegen) under a
-  // partial-lane mask instead of bailing the whole group out to the
-  // interpreter. Batched engine only; bit-identical outputs, the same
-  // runaway-budget charge and trap pc. (Any batched trap has the
-  // interpreter's error code; an out-of-bounds message may name another
-  // lane's offset when lanes leave their buffer at different trips.)
-  bool enable_lane_masking = true;
 };
 
 // Execution counters for one launch (filled when the caller passes a stats

@@ -10,6 +10,10 @@
 // lanes arrive at kBarrier in the same batch step, so it is a no-op
 // boundary instead of a per-item suspend/resume.
 //
+// The hot row loops run on simd.h's 4-lane vectors on every build (its
+// scalar backend when the build forces one); each finishes the last
+// lanes % 4 in scalar transcription, so any group width takes the same path.
+//
 // When a branch condition disagrees across lanes (or a callee lacks batch
 // metadata) the engine bails out: it materializes one legacy ItemState per
 // lane from the SoA columns and finishes the group through the interpreter
@@ -216,90 +220,14 @@ Status BailOutUniform(LaneBatch& b, GroupContext& grp, std::uint32_t pc,
   return BailOut(b, grp, pcs.data(), stats);
 }
 
-// Hot arithmetic with the op/type switch hoisted out of the lane loop. Each
+// 64-bit integer add/sub/mul with the op/type switch hoisted out of the
+// lane loop; the vector tier (SimdBinaryRows) covers f32/f64/i32/u32. Each
 // body transcribes EvalBinary's exact expression for that (op, type) so
-// results stay bit-identical; every write covers the full 8-byte union.
-// Returns false for combinations left to the generic per-lane EvalBinary
-// (div/mod traps, shifts, bitwise, narrow ints).
+// results stay bit-identical. Returns false for combinations left to the
+// generic per-lane EvalBinary (div/mod traps, shifts, bitwise, narrow ints).
 bool BinaryFastLoop(Opcode op, ScalarType t, Value* lhs, const Value* rhs,
                     std::uint32_t n) {
   switch (t) {
-    case ScalarType::kF32:
-      switch (op) {
-        case Opcode::kAdd:
-          for (std::uint32_t l = 0; l < n; ++l) {
-            const float r = static_cast<float>(lhs[l].f) +
-                            static_cast<float>(rhs[l].f);
-            lhs[l].f = r;
-          }
-          return true;
-        case Opcode::kSub:
-          for (std::uint32_t l = 0; l < n; ++l) {
-            const float r = static_cast<float>(lhs[l].f) -
-                            static_cast<float>(rhs[l].f);
-            lhs[l].f = r;
-          }
-          return true;
-        case Opcode::kMul:
-          for (std::uint32_t l = 0; l < n; ++l) {
-            const float r = static_cast<float>(lhs[l].f) *
-                            static_cast<float>(rhs[l].f);
-            lhs[l].f = r;
-          }
-          return true;
-        case Opcode::kDiv:
-          for (std::uint32_t l = 0; l < n; ++l) {
-            const float r = static_cast<float>(lhs[l].f) /
-                            static_cast<float>(rhs[l].f);
-            lhs[l].f = r;
-          }
-          return true;
-        default:
-          return false;
-      }
-    case ScalarType::kF64:
-      switch (op) {
-        case Opcode::kAdd:
-          for (std::uint32_t l = 0; l < n; ++l) lhs[l].f = lhs[l].f + rhs[l].f;
-          return true;
-        case Opcode::kSub:
-          for (std::uint32_t l = 0; l < n; ++l) lhs[l].f = lhs[l].f - rhs[l].f;
-          return true;
-        case Opcode::kMul:
-          for (std::uint32_t l = 0; l < n; ++l) lhs[l].f = lhs[l].f * rhs[l].f;
-          return true;
-        case Opcode::kDiv:
-          for (std::uint32_t l = 0; l < n; ++l) lhs[l].f = lhs[l].f / rhs[l].f;
-          return true;
-        default:
-          return false;
-      }
-    case ScalarType::kI32:
-      switch (op) {
-        case Opcode::kAdd:
-          for (std::uint32_t l = 0; l < n; ++l) {
-            lhs[l].i = static_cast<std::int32_t>(
-                static_cast<std::uint32_t>(lhs[l].i) +
-                static_cast<std::uint32_t>(rhs[l].i));
-          }
-          return true;
-        case Opcode::kSub:
-          for (std::uint32_t l = 0; l < n; ++l) {
-            lhs[l].i = static_cast<std::int32_t>(
-                static_cast<std::uint32_t>(lhs[l].i) -
-                static_cast<std::uint32_t>(rhs[l].i));
-          }
-          return true;
-        case Opcode::kMul:
-          for (std::uint32_t l = 0; l < n; ++l) {
-            lhs[l].i = static_cast<std::int32_t>(
-                static_cast<std::uint32_t>(lhs[l].i) *
-                static_cast<std::uint32_t>(rhs[l].i));
-          }
-          return true;
-        default:
-          return false;
-      }
     case ScalarType::kI64:
       switch (op) {
         case Opcode::kAdd:
@@ -326,32 +254,6 @@ bool BinaryFastLoop(Opcode op, ScalarType t, Value* lhs, const Value* rhs,
         default:
           return false;
       }
-    case ScalarType::kU32:
-      switch (op) {
-        case Opcode::kAdd:
-          for (std::uint32_t l = 0; l < n; ++l) {
-            lhs[l].u = static_cast<std::uint32_t>(
-                static_cast<std::uint32_t>(lhs[l].u) +
-                static_cast<std::uint32_t>(rhs[l].u));
-          }
-          return true;
-        case Opcode::kSub:
-          for (std::uint32_t l = 0; l < n; ++l) {
-            lhs[l].u = static_cast<std::uint32_t>(
-                static_cast<std::uint32_t>(lhs[l].u) -
-                static_cast<std::uint32_t>(rhs[l].u));
-          }
-          return true;
-        case Opcode::kMul:
-          for (std::uint32_t l = 0; l < n; ++l) {
-            lhs[l].u = static_cast<std::uint32_t>(
-                static_cast<std::uint32_t>(lhs[l].u) *
-                static_cast<std::uint32_t>(rhs[l].u));
-          }
-          return true;
-        default:
-          return false;
-      }
     case ScalarType::kU64:
       switch (op) {
         case Opcode::kAdd:
@@ -371,13 +273,15 @@ bool BinaryFastLoop(Opcode op, ScalarType t, Value* lhs, const Value* rhs,
   }
 }
 
-// Vectorized twins of BinaryFastLoop's hot bodies, 4 lanes per step with
-// tail lanes in scalar transcription. f32 rows hold widened doubles, so the
-// vector op is a cvt-f64→f32 / op / widen-back sandwich — byte-identical to
-// the scalar static_cast chain because each cvt is one correctly-rounded
-// IEEE operation. i32/u32 wrap in 32 bits and re-canonicalize by sign/zero
-// extension, exactly like the interpreter's storage convention. Returns
-// false for combinations the caller should run through BinaryFastLoop.
+// f32/f64 add/sub/mul/div and i32/u32 add/sub/mul over whole rows, 4 lanes
+// per step with tail lanes in scalar transcription. f32 rows hold widened
+// doubles, so the
+// vector op is a cvt-f64→f32 / op / widen-back sandwich — byte-identical
+// to EvalBinary's static_cast chain because each cvt is one
+// correctly-rounded IEEE operation. i32/u32 wrap in 32 bits and
+// re-canonicalize by sign/zero extension, exactly like the interpreter's
+// storage convention. Returns false for combinations the caller should run
+// through BinaryFastLoop.
 bool SimdBinaryRows(Opcode op, ScalarType t, Value* lhs, const Value* rhs,
                     std::uint32_t n) {
   const std::uint32_t vec = n & ~3u;
@@ -598,12 +502,6 @@ inline UniformBase ResolveUniformBase(LaneBatch& b, GroupContext& grp,
   return out;
 }
 
-// The fast path handles index slots whose canonical Value storage feeds the
-// i64 convert through `.i` unchanged (signed ints are stored sign-extended).
-inline bool FastIndexType(ScalarType t) {
-  return t == ScalarType::kI32 || t == ScalarType::kI64;
-}
-
 struct IndexRows {
   const Value* s1 = nullptr;
   const Value* s2 = nullptr;
@@ -620,26 +518,6 @@ inline IndexRows RowsFor(LaneBatch& b, const IndexedLoad& ld) {
     r.two_term = true;
   }
   return r;
-}
-
-// One lane's element offset: the bytecode's i32 wrap arithmetic for
-// s1*s2+s3, the sign-extending i64 convert, and kPtrAdd's offset masking.
-inline std::uint64_t LaneElemOffset(const UniformBase& ub,
-                                    const IndexRows& rows,
-                                    const IndexedLoad& ld, std::uint32_t l) {
-  std::int64_t idx;
-  if (rows.two_term) {
-    const std::int32_t m = static_cast<std::int32_t>(
-        static_cast<std::uint32_t>(rows.s1[l].i) *
-        static_cast<std::uint32_t>(rows.s2[l].i));
-    idx = static_cast<std::int32_t>(static_cast<std::uint32_t>(m) +
-                                    static_cast<std::uint32_t>(rows.s3[l].i));
-  } else {
-    idx = rows.s1[l].i;
-  }
-  return (ub.base_off + static_cast<std::uint64_t>(idx) *
-                            static_cast<std::uint64_t>(ld.esize)) &
-         kPtrOffsetMask;
 }
 
 // How an IndexedLoad's lane offsets lay out in the uniform base buffer,
@@ -1168,7 +1046,7 @@ bool TryCountedLoop(LaneBatch& b, GroupContext& grp, const BatchPlan& plan,
 // Executes one fused superop over all lanes. The caller already charged the
 // budget and verified the pattern applies at b.pc.
 Status RunFused(LaneBatch& b, GroupContext& grp, const FusedOp& op,
-                bool use_simd, BatchGroupStats& stats) {
+                BatchGroupStats& stats) {
   const std::uint32_t lanes = b.lanes;
   switch (op.kind) {
     case FusedOp::Kind::kLoadLocalPair: {
@@ -1238,24 +1116,22 @@ Status RunFused(LaneBatch& b, GroupContext& grp, const FusedOp& op,
       if (op.type == ScalarType::kI32 &&
           (op.op == Opcode::kAdd || op.op == Opcode::kSub)) {
         const std::uint32_t c = static_cast<std::uint32_t>(op.constant.i);
+        const simd::VecI32 vc =
+            simd::VecI32::Broadcast(static_cast<std::int32_t>(c));
+        const std::uint32_t vec = lanes & ~3u;
         std::uint32_t l = 0;
-        if (use_simd) {
-          const simd::VecI32 vc =
-              simd::VecI32::Broadcast(static_cast<std::int32_t>(c));
-          const std::uint32_t vec = lanes & ~3u;
-          if (op.op == Opcode::kAdd) {
-            for (; l < vec; l += 4) {
-              simd::Add(simd::VecI32::LoadLow64(row + l), vc)
-                  .StoreSignExt64(row + l);
-            }
-          } else {
-            for (; l < vec; l += 4) {
-              simd::Sub(simd::VecI32::LoadLow64(row + l), vc)
-                  .StoreSignExt64(row + l);
-            }
+        if (op.op == Opcode::kAdd) {
+          for (; l < vec; l += 4) {
+            simd::Add(simd::VecI32::LoadLow64(row + l), vc)
+                .StoreSignExt64(row + l);
           }
-          if (vec != 0) ++stats.simd_steps;
+        } else {
+          for (; l < vec; l += 4) {
+            simd::Sub(simd::VecI32::LoadLow64(row + l), vc)
+                .StoreSignExt64(row + l);
+          }
         }
+        ++stats.simd_steps;
         if (op.op == Opcode::kAdd) {
           for (; l < lanes; ++l) {
             row[l].i = static_cast<std::int32_t>(
@@ -1280,23 +1156,8 @@ Status RunFused(LaneBatch& b, GroupContext& grp, const FusedOp& op,
       Value* out = Row(b, b.sp++);
       const UniformBase ub =
           ResolveUniformBase(b, grp, ld.base, ld.base_uniform);
-      if (ub.ok && use_simd && SimdIndexedLoad(b, ld, ub, out)) {
+      if (ub.ok && SimdIndexedLoad(b, ld, ub, out)) {
         ++stats.simd_steps;
-        return Status::Ok();
-      }
-      if (ub.ok && FastIndexType(ld.idx)) {
-        const IndexRows rows = RowsFor(b, ld);
-        const std::uint64_t bytes = ScalarSize(ld.elem);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          const std::uint64_t off = LaneElemOffset(ub, rows, ld, l);
-          if (off + bytes > ub.size) {
-            auto v = IndexedLoadLane(b, grp, ld, l);  // Exact trap message.
-            if (!v.ok()) return v.status();
-            out[l] = *v;
-            continue;
-          }
-          out[l] = LoadScalar(ub.data + off, ld.elem);
-        }
         return Status::Ok();
       }
       for (std::uint32_t l = 0; l < lanes; ++l) {
@@ -1312,49 +1173,13 @@ Status RunFused(LaneBatch& b, GroupContext& grp, const FusedOp& op,
       Value* acc = LocalRow(b, b.base + op.a);
       const IndexedLoad& lda = op.ld[0];
       const IndexedLoad& ldb = op.ld[1];
-      if (use_simd &&
-          (op.type == ScalarType::kF32 || op.type == ScalarType::kF64)) {
+      if (op.type == ScalarType::kF32 || op.type == ScalarType::kF64) {
         const UniformBase sa =
             ResolveUniformBase(b, grp, lda.base, lda.base_uniform);
         const UniformBase sb =
             ResolveUniformBase(b, grp, ldb.base, ldb.base_uniform);
         if (sa.ok && sb.ok && SimdMac(b, op, sa, sb, acc)) {
           ++stats.simd_steps;
-          return Status::Ok();
-        }
-      }
-      if (op.type == ScalarType::kF32 && FastIndexType(lda.idx) &&
-          FastIndexType(ldb.idx)) {
-        const UniformBase uba =
-            ResolveUniformBase(b, grp, lda.base, lda.base_uniform);
-        const UniformBase ubb =
-            ResolveUniformBase(b, grp, ldb.base, ldb.base_uniform);
-        if (uba.ok && ubb.ok) {
-          const IndexRows ra = RowsFor(b, lda);
-          const IndexRows rb = RowsFor(b, ldb);
-          for (std::uint32_t l = 0; l < lanes; ++l) {
-            const std::uint64_t offa = LaneElemOffset(uba, ra, lda, l);
-            const std::uint64_t offb = LaneElemOffset(ubb, rb, ldb, l);
-            if (offa + 4 > uba.size || offb + 4 > ubb.size) {
-              auto x = IndexedLoadLane(b, grp, lda, l);  // Exact trap.
-              if (!x.ok()) return x.status();
-              auto y = IndexedLoadLane(b, grp, ldb, l);
-              if (!y.ok()) return y.status();
-              const float m = static_cast<float>(x->f) *
-                              static_cast<float>(y->f);
-              const float r = static_cast<float>(acc[l].f) + m;
-              acc[l].f = r;
-              continue;
-            }
-            float xa;
-            float xb;
-            std::memcpy(&xa, uba.data + offa, 4);
-            std::memcpy(&xb, ubb.data + offb, 4);
-            // Two separate float roundings, exactly as kMul then kAdd.
-            const float m = xa * xb;
-            const float r = static_cast<float>(acc[l].f) + m;
-            acc[l].f = r;
-          }
           return Status::Ok();
         }
       }
@@ -1397,30 +1222,9 @@ Status RunFused(LaneBatch& b, GroupContext& grp, const FusedOp& op,
       const Value* lhs = LocalRow(b, b.base + op.a);
       const Value* rhs = LocalRow(b, b.base + op.b);
       Value* out = Row(b, b.sp++);
-      if (use_simd && op.type == ScalarType::kI32) {
+      if (op.type == ScalarType::kI32) {
         SimdCompareI32Rows(op.op, lhs, rhs, out, lanes);
         ++stats.simd_steps;
-        return Status::Ok();
-      }
-      // i32 loop conditions (k < n) get op-hoisted loops; EvalCompare's i32
-      // path is cmp((int32)a.i, (int32)b.i), transcribed per opcode.
-      if (op.type == ScalarType::kI32) {
-        auto run = [&](auto cmp) {
-          for (std::uint32_t l = 0; l < lanes; ++l) {
-            out[l].i = cmp(static_cast<std::int32_t>(lhs[l].i),
-                           static_cast<std::int32_t>(rhs[l].i))
-                           ? 1
-                           : 0;
-          }
-        };
-        switch (op.op) {
-          case Opcode::kEq: run([](auto x, auto y) { return x == y; }); break;
-          case Opcode::kNe: run([](auto x, auto y) { return x != y; }); break;
-          case Opcode::kLt: run([](auto x, auto y) { return x < y; }); break;
-          case Opcode::kLe: run([](auto x, auto y) { return x <= y; }); break;
-          case Opcode::kGt: run([](auto x, auto y) { return x > y; }); break;
-          default: run([](auto x, auto y) { return x >= y; }); break;
-        }
         return Status::Ok();
       }
       for (std::uint32_t l = 0; l < lanes; ++l) {
@@ -1664,8 +1468,7 @@ Status TryRunMaskedRegion(LaneBatch& b, GroupContext& grp,
                           BatchGroupStats& stats, bool* masked) {
   *masked = false;
   if (instr.op != Opcode::kJumpIfFalse ||
-      (instr.flags & kInstrFlagMaskedRegion) == 0 ||
-      !grp.options.enable_lane_masking) {
+      (instr.flags & kInstrFlagMaskedRegion) == 0) {
     return Status::Ok();
   }
   const auto& code = grp.module.code;
@@ -1702,9 +1505,6 @@ Status RunBatch(LaneBatch& b, GroupContext& grp, const BatchPlan& plan,
   const auto& code = grp.module.code;
   const auto& literals = grp.module.literals;
   const std::uint32_t lanes = b.lanes;
-  const bool use_simd =
-      simd::kEnabled && grp.options.enable_simd &&
-      lanes >= static_cast<std::uint32_t>(simd::kWidth);
 
   while (true) {
     // Trace-fused superop at this pc? One dispatch covers `length`
@@ -1712,8 +1512,7 @@ Status RunBatch(LaneBatch& b, GroupContext& grp, const BatchPlan& plan,
     // the trap point matches the interpreter exactly.
     if (b.pc < plan.fused_at.size() && plan.fused_at[b.pc] >= 0) {
       const FusedOp& fop = plan.ops[plan.fused_at[b.pc]];
-      if (fop.loop >= 0 && use_simd &&
-          TryCountedLoop(b, grp, plan, fop, stats)) {
+      if (fop.loop >= 0 && TryCountedLoop(b, grp, plan, fop, stats)) {
         continue;
       }
       if (b.budget >= fop.length) {
@@ -1721,7 +1520,7 @@ Status RunBatch(LaneBatch& b, GroupContext& grp, const BatchPlan& plan,
         ++stats.batch_steps;
         ++stats.fused_steps;
         stats.instructions += static_cast<std::uint64_t>(fop.length) * lanes;
-        Status s = RunFused(b, grp, fop, use_simd, stats);
+        Status s = RunFused(b, grp, fop, stats);
         if (!s.ok()) return s;
         b.pc += fop.length;
         continue;
@@ -1813,8 +1612,7 @@ Status RunBatch(LaneBatch& b, GroupContext& grp, const BatchPlan& plan,
       case Opcode::kShr: {
         const Value* rhs = Row(b, b.sp - 1);
         Value* lhs = Row(b, b.sp - 2);
-        if (use_simd && SimdBinaryRows(instr.op, instr.type, lhs, rhs,
-                                       lanes)) {
+        if (SimdBinaryRows(instr.op, instr.type, lhs, rhs, lanes)) {
           ++stats.simd_steps;
         } else if (!BinaryFastLoop(instr.op, instr.type, lhs, rhs, lanes)) {
           for (std::uint32_t l = 0; l < lanes; ++l) {
@@ -1873,7 +1671,7 @@ Status RunBatch(LaneBatch& b, GroupContext& grp, const BatchPlan& plan,
       case Opcode::kGe: {
         const Value* rhs = Row(b, b.sp - 1);
         Value* lhs = Row(b, b.sp - 2);
-        if (use_simd && instr.type == ScalarType::kI32) {
+        if (instr.type == ScalarType::kI32) {
           SimdCompareI32Rows(instr.op, lhs, rhs, lhs, lanes);
           ++stats.simd_steps;
         } else {
@@ -2029,9 +1827,8 @@ Status RunBatch(LaneBatch& b, GroupContext& grp, const BatchPlan& plan,
 
 }  // namespace
 
-BatchPlan BuildBatchPlan(const Module& module, const LaunchOptions& options) {
+BatchPlan BuildBatchPlan(const Module& module) {
   BatchPlan plan;
-  if (!options.enable_trace_fusion) return plan;
   const auto& code = module.code;
   const auto& literals = module.literals;
 

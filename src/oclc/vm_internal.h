@@ -1128,8 +1128,8 @@ struct FusedOp {
 // A counted MAC loop read off the plan's fused ops: kCompareLocals(k < n,
 // i32), kJumpIfFalse exit_pc, kMacLocal(acc, f32/f64), kLocalAddConst(k +=
 // c, i32, c > 0), kJump back (exit_pc is the pc after it), with acc none of
-// k, n and the slots either load reads. The SIMD tier may run all of its
-// trips in one dispatch (docs/vm.md, "Counted loops").
+// k, n and the slots either load reads. The batch engine may run all of
+// its trips in one dispatch (docs/vm.md, "Counted loops").
 struct CountedLoop {
   std::int32_t mac = -1;           // ops index of the body's kMacLocal.
   std::int32_t step = -1;          // ops index of the k += c step.
@@ -1139,13 +1139,13 @@ struct CountedLoop {
 
 struct BatchPlan {
   // code.size() entries: -1 or an index into ops for a fusion starting at
-  // that pc. Empty when fusion is disabled.
+  // that pc.
   std::vector<std::int32_t> fused_at;
   std::vector<FusedOp> ops;
   std::vector<CountedLoop> loops;
 };
 
-BatchPlan BuildBatchPlan(const Module& module, const LaunchOptions& options);
+BatchPlan BuildBatchPlan(const Module& module);
 
 struct PrivateRegion {
   std::vector<std::uint8_t> data;  // lanes * stride bytes, lane-major.

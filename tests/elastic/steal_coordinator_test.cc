@@ -303,21 +303,6 @@ TEST(StealCoordinatorTest, AllNodesDeadReportsNodeLost) {
   EXPECT_EQ(report.dead_nodes.size(), 2u);
 }
 
-TEST(StealCoordinatorTest, NotifyNodeDeadTakesEffectBeforeDispatch) {
-  ChunkLedger ledger;
-  ASSERT_TRUE(ledger.Init(PlanFor({{0, 32}, {1, 32}}), 1, 16).ok());
-  MockExecutor exec({0.001, 0.001});
-  StealCoordinator coordinator(&ledger, &exec, {0, 1}, {});
-  coordinator.NotifyNodeDead(0);
-  const CoordinatorReport report = coordinator.Run();
-  ASSERT_TRUE(report.status.ok());
-  ASSERT_EQ(report.dead_nodes.size(), 1u);
-  EXPECT_EQ(report.dead_nodes[0], 0u);
-  // Node 0 never ran anything; node 1 ran all 64 rows.
-  EXPECT_EQ(exec.executed_on_[0], 0u);
-  EXPECT_TRUE(ledger.AllDone());
-}
-
 TEST(StealCoordinatorTest, RevokedExecutionRetargetsInsteadOfLooping) {
   // An Execute that returns kChunkRevoked (device-side skip) re-queues the
   // chunk; the launch still completes with every row run exactly once.

@@ -76,7 +76,7 @@ TEST(VmBatchTest, TraceFusionFiresOnMacLoopAndPreservesBits) {
   ASSERT_NE(module, nullptr);
   const int n = 32;
   std::vector<float> a(128 * n), b(n), c_fused(128, -1.0f),
-      c_plain(128, -1.0f);
+      c_interp(128, -1.0f);
   for (std::size_t i = 0; i < a.size(); ++i) {
     a[i] = 0.001f * static_cast<float>(i % 97) - 0.3f;
   }
@@ -96,21 +96,20 @@ TEST(VmBatchTest, TraceFusionFiresOnMacLoopAndPreservesBits) {
                   .ok());
   EXPECT_GT(fused_stats.fused_steps, 0u);
 
-  LaunchOptions plain;
-  plain.num_threads = 1;
-  plain.enable_trace_fusion = false;
-  VmStats plain_stats;
+  LaunchOptions interp;
+  interp.num_threads = 1;
+  interp.engine = VmEngine::kInterpreter;
+  VmStats interp_stats;
   ASSERT_TRUE(RunWithStats(*module, "mac",
                            {ArgBinding::Buffer(a.data(), a.size() * 4),
                             ArgBinding::Buffer(b.data(), b.size() * 4),
-                            ArgBinding::Buffer(c_plain.data(), 128 * 4),
+                            ArgBinding::Buffer(c_interp.data(), 128 * 4),
                             ArgBinding::Int(n)},
-                           128, plain, &plain_stats)
+                           128, interp, &interp_stats)
                   .ok());
-  EXPECT_EQ(plain_stats.fused_steps, 0u);
-  // Same retired work either way, and bit-identical floats.
-  EXPECT_EQ(fused_stats.instructions, plain_stats.instructions);
-  EXPECT_EQ(0, std::memcmp(c_fused.data(), c_plain.data(), 128 * 4));
+  // The interpreter's retired work and bit-identical floats.
+  EXPECT_EQ(fused_stats.instructions, interp_stats.instructions);
+  EXPECT_EQ(0, std::memcmp(c_fused.data(), c_interp.data(), 128 * 4));
 }
 
 TEST(VmBatchTest, DivergentBranchBailsOutToInterpreter) {
@@ -145,8 +144,8 @@ TEST(VmBatchTest, DivergentBranchBailsOutToInterpreter) {
 
 TEST(VmBatchTest, MaskedGuardAvoidsBailout) {
   // A divergent straight-line guard (bitwise &, no short-circuit jump)
-  // must run under a partial-lane mask — zero bail-outs — and disabling
-  // masking must force the old whole-group bail-out on the same input.
+  // must run under a partial-lane mask — zero bail-outs — and write what
+  // the interpreter writes.
   auto module = MustCompile(R"(
     __kernel void guard(__global const int* sel, __global int* out, int n) {
       int i = get_global_id(0);
@@ -156,7 +155,7 @@ TEST(VmBatchTest, MaskedGuardAvoidsBailout) {
     })");
   ASSERT_NE(module, nullptr);
   const int n = 256;
-  std::vector<std::int32_t> sel(n), out_masked(n, -1), out_bail(n, -1);
+  std::vector<std::int32_t> sel(n), out_masked(n, -1), out_interp(n, -1);
   for (int i = 0; i < n; ++i) sel[i] = i % 3 == 0 ? 1 : 0;
 
   LaunchOptions masked;
@@ -171,26 +170,24 @@ TEST(VmBatchTest, MaskedGuardAvoidsBailout) {
   EXPECT_EQ(masked_stats.bailouts, 0u);
   EXPECT_GT(masked_stats.masked_steps, 0u);
 
-  LaunchOptions bail;
-  bail.num_threads = 1;
-  bail.enable_lane_masking = false;
-  VmStats bail_stats;
+  LaunchOptions interp;
+  interp.num_threads = 1;
+  interp.engine = VmEngine::kInterpreter;
+  VmStats interp_stats;
   ASSERT_TRUE(RunWithStats(*module, "guard",
                            {ArgBinding::Buffer(sel.data(), n * 4),
-                            ArgBinding::Buffer(out_bail.data(), n * 4),
+                            ArgBinding::Buffer(out_interp.data(), n * 4),
                             ArgBinding::Int(n)},
-                           n, bail, &bail_stats)
+                           n, interp, &interp_stats)
                   .ok());
-  EXPECT_GT(bail_stats.bailouts, 0u);
-  EXPECT_EQ(bail_stats.masked_steps, 0u);
-  EXPECT_EQ(0, std::memcmp(out_masked.data(), out_bail.data(), n * 4));
+  EXPECT_EQ(masked_stats.instructions, interp_stats.instructions);
+  EXPECT_EQ(0, std::memcmp(out_masked.data(), out_interp.data(), n * 4));
 }
 
 TEST(VmBatchTest, MaskedBudgetChargesMatchInterpreterAtEveryTrapPoint) {
-  // The lockstep runaway budget must charge identically whether a
-  // divergent guard ran masked, bailed out, or went through the
-  // interpreter: sweep the budget across the feasible range and demand
-  // the same ok/trap outcome (and message) from every configuration.
+  // The lockstep runaway budget must charge a divergent guard run masked
+  // exactly as the interpreter charges it: sweep the budget across the
+  // feasible range and demand the same ok/trap outcome (and message).
   auto module = MustCompile(R"(
     __kernel void guarded_spin(__global const int* sel, __global int* out,
                                int iters) {
@@ -208,17 +205,13 @@ TEST(VmBatchTest, MaskedBudgetChargesMatchInterpreterAtEveryTrapPoint) {
   for (int i = 0; i < n; ++i) sel[i] = i;  // Half the lanes flip each step.
 
   for (std::uint64_t budget : {60u, 150u, 300u, 450u, 600u, 5000u}) {
-    std::string outcome[3];
+    std::string outcome[2];
     int idx = 0;
-    for (auto [engine, masking] :
-         {std::pair{VmEngine::kBatched, true},
-          std::pair{VmEngine::kBatched, false},
-          std::pair{VmEngine::kInterpreter, true}}) {
+    for (VmEngine engine : {VmEngine::kBatched, VmEngine::kInterpreter}) {
       std::vector<std::int32_t> out(n, 0);
       LaunchOptions options;
       options.num_threads = 1;
       options.engine = engine;
-      options.enable_lane_masking = masking;
       options.max_instructions_per_item = budget;
       Status s = RunWithStats(*module, "guarded_spin",
                               {ArgBinding::Buffer(sel.data(), n * 4),
@@ -228,39 +221,42 @@ TEST(VmBatchTest, MaskedBudgetChargesMatchInterpreterAtEveryTrapPoint) {
       outcome[idx++] = s.ok() ? "ok" : s.ToString();
     }
     EXPECT_EQ(outcome[0], outcome[1]) << "budget " << budget;
-    EXPECT_EQ(outcome[0], outcome[2]) << "budget " << budget;
   }
 }
 
-TEST(VmBatchTest, SimdStepsReportedOnlyWhenEnabled) {
+TEST(VmBatchTest, SimdStepsReportedOnEveryBackend) {
+  // The vector tier runs on every build, the forced-scalar one included,
+  // and writes what the interpreter writes.
   auto module = MustCompile(kMacLoop);
   ASSERT_NE(module, nullptr);
   const int n = 32;
-  std::vector<float> a(128 * n, 0.5f), b(n, 2.0f), c(128, 0.0f);
-  auto args = [&] {
-    return std::vector<ArgBinding>{
-        ArgBinding::Buffer(a.data(), a.size() * 4),
-        ArgBinding::Buffer(b.data(), b.size() * 4),
-        ArgBinding::Buffer(c.data(), c.size() * 4), ArgBinding::Int(n)};
-  };
-  LaunchOptions vector;
-  vector.num_threads = 1;
-  VmStats vector_stats;
-  ASSERT_TRUE(
-      RunWithStats(*module, "mac", args(), 128, vector, &vector_stats).ok());
-  if (simd::kEnabled) {
-    EXPECT_GT(vector_stats.simd_steps, 0u);
-  } else {
-    EXPECT_EQ(vector_stats.simd_steps, 0u);  // Scalar-fallback build.
+  std::vector<float> a(128 * n), b(n);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = 0.01f * static_cast<float>(i % 89) - 0.4f;
   }
-
-  LaunchOptions scalar;
-  scalar.num_threads = 1;
-  scalar.enable_simd = false;
-  VmStats scalar_stats;
-  ASSERT_TRUE(
-      RunWithStats(*module, "mac", args(), 128, scalar, &scalar_stats).ok());
-  EXPECT_EQ(scalar_stats.simd_steps, 0u);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = 0.03f * static_cast<float>(i) - 0.5f;
+  }
+  std::vector<float> c[2] = {std::vector<float>(128, -1.0f),
+                             std::vector<float>(128, -1.0f)};
+  VmStats stats[2];
+  int idx = 0;
+  for (VmEngine engine : {VmEngine::kBatched, VmEngine::kInterpreter}) {
+    LaunchOptions options;
+    options.num_threads = 1;
+    options.engine = engine;
+    ASSERT_TRUE(RunWithStats(*module, "mac",
+                             {ArgBinding::Buffer(a.data(), a.size() * 4),
+                              ArgBinding::Buffer(b.data(), b.size() * 4),
+                              ArgBinding::Buffer(c[idx].data(), 128 * 4),
+                              ArgBinding::Int(n)},
+                             128, options, &stats[idx])
+                    .ok());
+    ++idx;
+  }
+  EXPECT_GT(stats[0].simd_steps, 0u);
+  EXPECT_EQ(stats[0].instructions, stats[1].instructions);
+  EXPECT_EQ(0, std::memcmp(c[0].data(), c[1].data(), 128 * 4));
 }
 
 TEST(VmBatchTest, InterpreterEngineRunsWithoutBatchDispatch) {
@@ -425,19 +421,15 @@ struct EngineRun {
   VmStats stats;
 };
 
-enum class Tier { kInterpreter, kScalarBatch, kSimd };
-
-EngineRun RunOn(Tier tier, const Module& module, const std::string& kernel,
+EngineRun RunOn(VmEngine engine, const Module& module,
+                const std::string& kernel,
                 std::vector<std::vector<std::uint8_t>> buffers,
                 const std::vector<ArgBinding>& scalars, const NDRange& range,
                 std::uint64_t budget = 1ULL << 33) {
   LaunchOptions options;
   options.num_threads = 1;
   options.max_instructions_per_item = budget;
-  options.engine =
-      tier == Tier::kInterpreter ? VmEngine::kInterpreter : VmEngine::kBatched;
-  options.enable_simd = tier == Tier::kSimd;
-  options.enable_lane_masking = tier == Tier::kSimd;
+  options.engine = engine;
   std::vector<ArgBinding> args;
   for (auto& buf : buffers) {
     args.push_back(ArgBinding::Buffer(buf.data(), buf.size()));
@@ -453,34 +445,27 @@ EngineRun RunOn(Tier tier, const Module& module, const std::string& kernel,
   return run;
 }
 
-// Runs all three tiers and demands the interpreter's status (the whole
-// message), output bytes and retired instruction count from the other two.
-// Returns the SIMD tier's stats.
-VmStats ExpectTiersAgree(const Module& module, const std::string& kernel,
-                         const std::vector<std::vector<std::uint8_t>>& buffers,
-                         const std::vector<ArgBinding>& scalars,
-                         const NDRange& range,
-                         std::uint64_t budget = 1ULL << 33) {
-  const EngineRun oracle =
-      RunOn(Tier::kInterpreter, module, kernel, buffers, scalars, range,
-            budget);
-  VmStats simd_stats;
-  for (Tier tier : {Tier::kScalarBatch, Tier::kSimd}) {
-    const EngineRun run =
-        RunOn(tier, module, kernel, buffers, scalars, range, budget);
-    const char* name = tier == Tier::kSimd ? "simd" : "scalar batch";
-    EXPECT_EQ(run.status.ToString(), oracle.status.ToString())
-        << kernel << " on " << name << ", budget " << budget;
-    // A trap leaves engine-specific partial writes: items run one after
-    // another in the interpreter, all at once in a lane batch.
-    if (oracle.status.ok()) {
-      EXPECT_TRUE(run.buffers == oracle.buffers) << kernel << " on " << name;
-      EXPECT_EQ(run.stats.instructions, oracle.stats.instructions)
-          << kernel << " on " << name;
-    }
-    if (tier == Tier::kSimd) simd_stats = run.stats;
+// Runs both engines and demands the interpreter's status (the whole
+// message), output bytes and retired instruction count from the batched
+// one. Returns the batched engine's stats.
+VmStats ExpectEnginesAgree(
+    const Module& module, const std::string& kernel,
+    const std::vector<std::vector<std::uint8_t>>& buffers,
+    const std::vector<ArgBinding>& scalars, const NDRange& range,
+    std::uint64_t budget = 1ULL << 33) {
+  const EngineRun oracle = RunOn(VmEngine::kInterpreter, module, kernel,
+                                 buffers, scalars, range, budget);
+  const EngineRun run = RunOn(VmEngine::kBatched, module, kernel, buffers,
+                              scalars, range, budget);
+  EXPECT_EQ(run.status.ToString(), oracle.status.ToString())
+      << kernel << ", budget " << budget;
+  // A trap leaves engine-specific partial writes: items run one after
+  // another in the interpreter, all at once in a lane batch.
+  if (oracle.status.ok()) {
+    EXPECT_TRUE(run.buffers == oracle.buffers) << kernel;
+    EXPECT_EQ(run.stats.instructions, oracle.stats.instructions) << kernel;
   }
-  return simd_stats;
+  return run.stats;
 }
 
 NDRange Range1D(std::uint64_t global, std::uint64_t local,
@@ -506,23 +491,13 @@ TEST(VmBatchTest, StepByConstantFusesAndRunsAsOneCountedLoop) {
   ASSERT_NE(module, nullptr);
   const int n = 64;
   const int trips = n / 2;
-  const VmStats simd = ExpectTiersAgree(
+  const VmStats batched = ExpectEnginesAgree(
       *module, "odd_k",
       {RandomBytes(n * n, 1), std::vector<std::uint8_t>(n * 4)},
       {ArgBinding::Int(n)}, Range1D(n, 16));
-  ASSERT_EQ(simd.groups, 4u);
-  if (simd::kEnabled) {
-    EXPECT_LT(simd.batch_steps / simd.groups,
-              static_cast<std::uint64_t>(trips));
-  }
-  // Stepping: compare, MAC and step fuse; only the two jumps stay single.
-  const EngineRun scalar =
-      RunOn(Tier::kScalarBatch, *module, "odd_k",
-            {RandomBytes(n * n, 1), std::vector<std::uint8_t>(n * 4)},
-            {ArgBinding::Int(n)}, Range1D(n, 16));
-  ASSERT_TRUE(scalar.status.ok());
-  EXPECT_GE(scalar.stats.fused_steps, scalar.stats.groups * 3 * trips);
-  EXPECT_LT(scalar.stats.batch_steps, scalar.stats.groups * 6 * trips);
+  ASSERT_EQ(batched.groups, 4u);
+  EXPECT_LT(batched.batch_steps / batched.groups,
+            static_cast<std::uint64_t>(trips));
 }
 
 TEST(VmBatchTest, CountedLoopBudgetTrapsMatchInterpreterAtEveryCount) {
@@ -536,21 +511,18 @@ TEST(VmBatchTest, CountedLoopBudgetTrapsMatchInterpreterAtEveryCount) {
   const std::vector<std::vector<std::uint8_t>> buffers = {
       RandomBytes(16 * n, 2), RandomBytes(n, 3),
       std::vector<std::uint8_t>(16 * 4)};
-  const EngineRun full = RunOn(Tier::kInterpreter, *module, "mac", buffers,
+  const EngineRun full = RunOn(VmEngine::kInterpreter, *module, "mac", buffers,
                                {ArgBinding::Int(n)}, Range1D(16, 16));
   ASSERT_TRUE(full.status.ok());
   const std::uint64_t per_item = full.stats.instructions / 16;
   for (std::uint64_t budget = 1; budget <= per_item + 1; ++budget) {
-    ExpectTiersAgree(*module, "mac", buffers, {ArgBinding::Int(n)},
-                     Range1D(16, 16), budget);
+    ExpectEnginesAgree(*module, "mac", buffers, {ArgBinding::Int(n)},
+                       Range1D(16, 16), budget);
   }
-  const VmStats simd = ExpectTiersAgree(*module, "mac", buffers,
-                                        {ArgBinding::Int(n)}, Range1D(16, 16),
-                                        per_item);
-  if (simd::kEnabled) {
-    // Stepping takes at least 5 dispatches per trip.
-    EXPECT_LT(simd.batch_steps, static_cast<std::uint64_t>(5 * n));
-  }
+  const VmStats batched = ExpectEnginesAgree(
+      *module, "mac", buffers, {ArgBinding::Int(n)}, Range1D(16, 16), per_item);
+  // Stepping takes at least 5 dispatches per trip.
+  EXPECT_LT(batched.batch_steps, static_cast<std::uint64_t>(5 * n));
 }
 
 TEST(VmBatchTest, CountedLoopReadingOutOfBoundsLateTrapsLikeInterpreter) {
@@ -567,35 +539,31 @@ TEST(VmBatchTest, CountedLoopReadingOutOfBoundsLateTrapsLikeInterpreter) {
   const std::vector<ArgBinding> scalars = {ArgBinding::Int(n),
                                            ArgBinding::Int(64)};
   // In bounds the loop runs as one superop.
-  const VmStats fired = ExpectTiersAgree(
+  const VmStats fired = ExpectEnginesAgree(
       *module, "late",
       {RandomBytes(n, 4), RandomBytes(n * 64, 5),
        std::vector<std::uint8_t>(64 * 4)},
       scalars, Range1D(64, 64));
-  if (simd::kEnabled) {
-    EXPECT_LT(fired.batch_steps, 5u * n);
-  }
+  EXPECT_LT(fired.batch_steps, 5u * n);
   // Every lane reads w[20] first at trip 20: one offset, one message.
-  ExpectTiersAgree(*module, "late",
-                   {RandomBytes(20, 4), RandomBytes(n * 64, 5),
-                    std::vector<std::uint8_t>(64 * 4)},
-                   scalars, Range1D(64, 64));
+  ExpectEnginesAgree(*module, "late",
+                     {RandomBytes(20, 4), RandomBytes(n * 64, 5),
+                      std::vector<std::uint8_t>(64 * 4)},
+                     scalars, Range1D(64, 64));
   // Lanes 10.. leave x at trip 20, lane 0 only at trip 21. Lockstep
   // reports lane 10's offset, item order item 0's: the same error code.
   const std::vector<std::vector<std::uint8_t>> buffers = {
       RandomBytes(n, 6), RandomBytes(20 * 64 + 10, 7),
       std::vector<std::uint8_t>(64 * 4)};
-  const EngineRun oracle = RunOn(Tier::kInterpreter, *module, "late", buffers,
-                                 scalars, Range1D(64, 64));
+  const EngineRun oracle = RunOn(VmEngine::kInterpreter, *module, "late",
+                                 buffers, scalars, Range1D(64, 64));
   ASSERT_FALSE(oracle.status.ok());
-  for (Tier tier : {Tier::kScalarBatch, Tier::kSimd}) {
-    const EngineRun run =
-        RunOn(tier, *module, "late", buffers, scalars, Range1D(64, 64));
-    EXPECT_EQ(run.status.code(), oracle.status.code());
-    EXPECT_NE(run.status.ToString().find("out-of-bounds global access"),
-              std::string::npos)
-        << run.status.ToString();
-  }
+  const EngineRun run = RunOn(VmEngine::kBatched, *module, "late", buffers,
+                              scalars, Range1D(64, 64));
+  EXPECT_EQ(run.status.code(), oracle.status.code());
+  EXPECT_NE(run.status.ToString().find("out-of-bounds global access"),
+            std::string::npos)
+      << run.status.ToString();
 }
 
 constexpr char kLoopShapes[] = R"(
@@ -702,68 +670,67 @@ TEST(VmBatchTest, LoopShapesOutsideTheSuperopStayBitIdentical) {
   const NDRange range = Range1D(128, 64);
   for (const char* kernel :
        {"le_bound", "down", "varying_bound", "varying_mult", "acc_index"}) {
-    ExpectTiersAgree(*module, kernel, {a, b, c}, {ArgBinding::Int(n)}, range);
+    ExpectEnginesAgree(*module, kernel, {a, b, c}, {ArgBinding::Int(n)}, range);
   }
   // Loops the superop does run: a strided (gathered) A with a broadcast
   // B, a pair-swapped lane order that spans a ramp's range but is no ramp,
   // a base pointer with an offset, k read after the loop, f64.
   std::vector<VmStats> fired = {
-      ExpectTiersAgree(*module, "strided", {a, b, c},
-                       {ArgBinding::Int(n), ArgBinding::Int(5)}, range),
-      ExpectTiersAgree(*module, "swapped", {a, b, c}, {ArgBinding::Int(n)},
-                       range),
-      ExpectTiersAgree(*module, "offset_base", {a, b, c}, {ArgBinding::Int(n)},
-                       range),
-      ExpectTiersAgree(*module, "k_after", {a, b, c}, {ArgBinding::Int(n)},
-                       range),
-      ExpectTiersAgree(*module, "mac64",
-                       {RandomBytes<double>(128 * n, 10),
-                        RandomBytes<double>(n, 11),
-                        std::vector<std::uint8_t>(128 * 8)},
-                       {ArgBinding::Int(n)}, range)};
-  for (std::size_t i = 0; i < fired.size() && simd::kEnabled; ++i) {
+      ExpectEnginesAgree(*module, "strided", {a, b, c},
+                         {ArgBinding::Int(n), ArgBinding::Int(5)}, range),
+      ExpectEnginesAgree(*module, "swapped", {a, b, c}, {ArgBinding::Int(n)},
+                         range),
+      ExpectEnginesAgree(*module, "offset_base", {a, b, c},
+                         {ArgBinding::Int(n)}, range),
+      ExpectEnginesAgree(*module, "k_after", {a, b, c}, {ArgBinding::Int(n)},
+                         range),
+      ExpectEnginesAgree(*module, "mac64",
+                         {RandomBytes<double>(128 * n, 10),
+                          RandomBytes<double>(n, 11),
+                          std::vector<std::uint8_t>(128 * 8)},
+                         {ArgBinding::Int(n)}, range)};
+  for (std::size_t i = 0; i < fired.size(); ++i) {
     EXPECT_LT(fired[i].batch_steps / fired[i].groups, 5u * n) << "case " << i;
   }
   // Zero trips (k0 == n and k0 > n) and a short trip count.
   for (int k0 : {n, n + 5, n - 2}) {
-    ExpectTiersAgree(*module, "from", {a, b, c},
-                     {ArgBinding::Int(n), ArgBinding::Int(k0)}, range);
+    ExpectEnginesAgree(*module, "from", {a, b, c},
+                       {ArgBinding::Int(n), ArgBinding::Int(k0)}, range);
   }
   // Near INT32_MAX: two trips end exactly below it; one more and k would
   // wrap, so stepping runs on to the budget trap at the interpreter's pc.
-  ExpectTiersAgree(*module, "near_max", {a, b, c},
-                   {ArgBinding::Int(INT_MAX - 1), ArgBinding::Int(INT_MAX - 9)},
-                   range);
-  ExpectTiersAgree(*module, "near_max", {a, b, c},
-                   {ArgBinding::Int(INT_MAX), ArgBinding::Int(INT_MAX - 5)},
-                   range, 4000);
+  ExpectEnginesAgree(
+      *module, "near_max", {a, b, c},
+      {ArgBinding::Int(INT_MAX - 1), ArgBinding::Int(INT_MAX - 9)}, range);
+  ExpectEnginesAgree(*module, "near_max", {a, b, c},
+                     {ArgBinding::Int(INT_MAX), ArgBinding::Int(INT_MAX - 5)},
+                     range, 4000);
 }
 
 TEST(VmBatchTest, CountedLoopCoversTailLanesAndShardOffsets) {
   auto module = MustCompile(kMacLoop);
   ASSERT_NE(module, nullptr);
   const int n = 9;
-  // Group widths around the 32-lane register block and the 4-lane vector.
-  for (std::uint64_t local : {4u, 6u, 32u, 36u, 38u, 100u}) {
+  // Group widths narrower than one 4-lane vector, and around it and the
+  // 32-lane register block.
+  for (std::uint64_t local : {1u, 2u, 3u, 4u, 6u, 32u, 36u, 38u, 100u}) {
     const std::uint64_t global = 2 * local;
-    const VmStats simd = ExpectTiersAgree(
+    const VmStats batched = ExpectEnginesAgree(
         *module, "mac",
         {RandomBytes(global * n, 12), RandomBytes(n, 13),
          std::vector<std::uint8_t>(global * 4)},
         {ArgBinding::Int(n)}, Range1D(global, local));
-    if (simd::kEnabled) {
-      EXPECT_LT(simd.batch_steps / simd.groups,
-                static_cast<std::uint64_t>(5 * n))
-          << "local " << local;
-    }
+    EXPECT_LT(batched.batch_steps / batched.groups,
+              static_cast<std::uint64_t>(5 * n))
+        << "local " << local;
   }
   // A shard of a larger launch: get_global_id starts at the offset.
   const std::uint64_t offset = 40;
-  ExpectTiersAgree(*module, "mac",
-                   {RandomBytes((offset + 64) * n, 14),
-                    RandomBytes(n, 15),
-                    std::vector<std::uint8_t>((offset + 64) * 4)},
-                   {ArgBinding::Int(n)}, Range1D(64, 32, offset));
+  ExpectEnginesAgree(*module, "mac",
+                     {RandomBytes((offset + 64) * n, 14),
+                      RandomBytes(n, 15),
+                      std::vector<std::uint8_t>((offset + 64) * 4)},
+                     {ArgBinding::Int(n)}, Range1D(64, 32, offset));
 }
 
 TEST(VmBatchTest, MatmulBatchStepsPerGroupDoNotGrowWithN) {
@@ -788,22 +755,20 @@ TEST(VmBatchTest, MatmulBatchStepsPerGroupDoNotGrowWithN) {
     range.global[1] = n;
     range.local[1] = 64;
     range.local_specified = true;
-    const VmStats simd = ExpectTiersAgree(
+    const VmStats batched = ExpectEnginesAgree(
         *module, "pb_matmul",
         {RandomBytes(n * n, 16), RandomBytes(n * n, 17),
          std::vector<std::uint8_t>(n * n * 4)},
         {ArgBinding::Int(n)}, range);
-    steps_per_group[idx++] = simd.batch_steps / simd.groups;
+    steps_per_group[idx++] = batched.batch_steps / batched.groups;
   }
-  if (simd::kEnabled) {
-    EXPECT_EQ(steps_per_group[0], steps_per_group[1]);
-    EXPECT_LT(steps_per_group[1], 64u);
-  }
+  EXPECT_EQ(steps_per_group[0], steps_per_group[1]);
+  EXPECT_LT(steps_per_group[1], 64u);
 }
 
 TEST(VmBatchTest, PointerWithOffsetBaseReadsFromItsOffset) {
   // A base pointer local carrying an offset (p = a + 4) must be read from
-  // that offset on every tier, including the vectorized indexed load.
+  // that offset by both engines, including the vectorized indexed load.
   auto module = MustCompile(R"(
     __kernel void shifted(__global const float* a, __global float* out) {
       int i = get_global_id(0);
@@ -815,16 +780,16 @@ TEST(VmBatchTest, PointerWithOffsetBaseReadsFromItsOffset) {
   for (int i = 0; i < 80; ++i) a[i] = static_cast<float>(i);
   std::vector<std::uint8_t> bytes(a.size() * 4);
   std::memcpy(bytes.data(), a.data(), bytes.size());
-  const EngineRun simd = RunOn(Tier::kSimd, *module, "shifted",
-                               {bytes, std::vector<std::uint8_t>(64 * 4)}, {},
-                               Range1D(64, 64));
-  ASSERT_TRUE(simd.status.ok());
+  const EngineRun batched = RunOn(VmEngine::kBatched, *module, "shifted",
+                                  {bytes, std::vector<std::uint8_t>(64 * 4)},
+                                  {}, Range1D(64, 64));
+  ASSERT_TRUE(batched.status.ok());
   float first;
-  std::memcpy(&first, simd.buffers[1].data(), 4);
+  std::memcpy(&first, batched.buffers[1].data(), 4);
   EXPECT_EQ(first, 4.0f);
-  ExpectTiersAgree(*module, "shifted",
-                   {bytes, std::vector<std::uint8_t>(64 * 4)}, {},
-                   Range1D(64, 64));
+  ExpectEnginesAgree(*module, "shifted",
+                     {bytes, std::vector<std::uint8_t>(64 * 4)}, {},
+                     Range1D(64, 64));
 }
 
 }  // namespace

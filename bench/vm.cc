@@ -1,9 +1,9 @@
 // VM engine benchmark: the per-work-item interpreter against the batched
-// engine (fused superops, the vector tier, partial-lane masking and the
-// counted-loop superop) on IDENTICAL bytecode. Single-threaded so the
-// numbers are the per-group engine speedup, not pool parallelism. Outputs
-// are compared byte-for-byte — a speedup that changes bits is a bug, and
-// the harness exits nonzero.
+// engine (fused superops, the vector tier, typed rows, partial-lane
+// masking and the counted-loop superop) on IDENTICAL bytecode.
+// Single-threaded so the numbers are the per-group engine speedup, not
+// pool parallelism. Outputs are compared byte-for-byte — a speedup that
+// changes bits is a bug, and the harness exits nonzero.
 //
 // Emits BENCH_vm.json with one row per kernel family. The two engines run
 // in turn for at least kMinRounds rounds and kMinSeconds, and each is
@@ -16,6 +16,9 @@
 //    superop, where stepping needs at least 5 dispatches per trip,
 //  - bfs_frontier completes with ZERO whole-group bail-outs (the masked
 //    divergence path),
+//  - the straight-line saxpy >= 4x the interpreter: no loop, so its
+//    per-lane rows (work-item query, conversions, pointer loads, store)
+//    carry its time,
 //  - matmul >= 20x the interpreter (only when the build has a vector
 //    backend).
 #include <algorithm>
@@ -49,6 +52,8 @@ struct BenchCase {
 constexpr int kMinRounds = 7;
 constexpr int kMatmulN = 128;
 constexpr int kMatmulSimdPerGroup = 3;
+constexpr double kMatmulInterpGate = 20.0;
+constexpr double kSaxpyInterpGate = 4.0;
 constexpr double kMinSeconds = 0.5;
 
 struct BenchResult {
@@ -270,9 +275,32 @@ int main() {
     cases.push_back(std::move(c));
   }
 
+  {
+    // Last, so the cases above draw the same inputs as before it existed.
+    // Straight-line: perfbench's launch_small kernel over 1M items. No
+    // loop, so its cost is the per-lane rows every kernel runs: the
+    // work-item query, the index conversions, the pointer loads and the
+    // store.
+    BenchCase c;
+    c.name = "saxpy";
+    c.kernel = "saxpy";
+    c.source = R"(
+      __kernel void saxpy(__global float* y, __global const float* x,
+                          float a) {
+        int i = get_global_id(0);
+        y[i] = a * x[i] + y[i];
+      })";
+    const int n = 1 << 20;
+    c.buffers = {RandomFloats(rng, n), RandomFloats(rng, n)};
+    c.scalar_tail = {oclc::ArgBinding::Float(1.5f)};
+    c.range.global[0] = n;
+    cases.push_back(std::move(c));
+  }
+
   std::vector<BenchResult> results;
   bool all_identical = true;
   double matmul_vs_interp = 0.0;
+  double saxpy_vs_interp = 0.0;
   double matmul_steps_per_group = 0.0;
   double matmul_simd_per_group = 0.0;
   std::uint64_t bfs_bailouts = ~0ull;
@@ -295,6 +323,7 @@ int main() {
           static_cast<double>(r.simd_steps) / static_cast<double>(r.groups);
     }
     if (r.name == "bfs_frontier") bfs_bailouts = r.bailouts;
+    if (r.name == "saxpy") saxpy_vs_interp = r.speedup_vs_interp;
     results.push_back(std::move(r));
   }
 
@@ -328,10 +357,12 @@ int main() {
         i + 1 < results.size() ? "," : "");
   }
   std::fprintf(json,
-               "  ],\n  \"matmul_interp_gate\": 20.0,\n"
+               "  ],\n  \"matmul_interp_gate\": %.1f,\n"
+               "  \"saxpy_interp_gate\": %.1f,\n"
                "  \"matmul_simd_per_group_gate\": %d,\n"
                "  \"matmul_steps_per_group_gate\": %d\n}\n",
-               kMatmulSimdPerGroup, kMatmulN);
+               kMatmulInterpGate, kSaxpyInterpGate, kMatmulSimdPerGroup,
+               kMatmulN);
   std::fclose(json);
   std::printf("wrote BENCH_vm.json (backend %s)\n", simd::kIsaName);
 
@@ -348,8 +379,11 @@ int main() {
               "matmul batch steps per group < n = " +
                   std::to_string(kMatmulN) + " (got " +
                   std::to_string(matmul_steps_per_group) + ")");
+  gates.Check(saxpy_vs_interp >= kSaxpyInterpGate,
+              "saxpy >= 4x the interpreter (got " +
+                  std::to_string(saxpy_vs_interp) + "x)");
   if (simd::kEnabled) {
-    gates.Check(matmul_vs_interp >= 20.0,
+    gates.Check(matmul_vs_interp >= kMatmulInterpGate,
                 "matmul >= 20x the interpreter (got " +
                     std::to_string(matmul_vs_interp) + "x)");
   }

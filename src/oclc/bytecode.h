@@ -8,12 +8,17 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "oclc/type.h"
 
 namespace haocl::oclc {
+
+namespace vmdetail {
+struct BatchPlan;  // The lane-batch engine's fusion plan (vm_internal.h).
+}  // namespace vmdetail
 
 enum class Opcode : std::uint8_t {
   kNop,
@@ -175,6 +180,8 @@ struct Module {
   std::vector<Instruction> code;
   std::vector<Value> literals;
   std::vector<CompiledFunction> functions;
+  // Built once by Compile and shared read-only by every launch.
+  std::shared_ptr<const vmdetail::BatchPlan> batch_plan;
 
   [[nodiscard]] const CompiledFunction* FindKernel(
       const std::string& name) const {

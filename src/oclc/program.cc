@@ -3,6 +3,7 @@
 #include "oclc/codegen.h"
 #include "oclc/parser.h"
 #include "oclc/sema.h"
+#include "oclc/vm_internal.h"
 
 namespace haocl::oclc {
 
@@ -12,6 +13,8 @@ Expected<std::shared_ptr<const Module>> Compile(const std::string& source) {
   HAOCL_RETURN_IF_ERROR(Analyze(**unit));
   auto module = Generate(**unit);
   if (!module.ok()) return module.status();
+  module->batch_plan = std::make_shared<const vmdetail::BatchPlan>(
+      vmdetail::BuildBatchPlan(*module));
   return std::make_shared<const Module>(*std::move(module));
 }
 

@@ -1,11 +1,16 @@
-// Kernel launch driver: validation, local-size selection, the work-group
-// worker pool, and the legacy per-work-item interpreter (the oracle engine).
-// The default lane-batch engine lives in vm_batch.cc; everything the two
-// engines share is in vm_internal.h.
+// Kernel launch driver: validation, local-size selection, the process-wide
+// exec pool a launch's work-groups run on, and the legacy per-work-item
+// interpreter (the oracle engine). The default lane-batch engine lives in
+// vm_batch.cc; everything the two engines share is in vm_internal.h.
 #include "oclc/vm.h"
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <deque>
+#include <exception>
 #include <mutex>
+#include <system_error>
 #include <thread>
 
 #include "common/simd.h"
@@ -61,6 +66,117 @@ Status RunGroup(GroupContext& grp, std::uint64_t* instructions) {
   for (const auto& st : states) *instructions += budget0 - st.budget;
   return Status::Ok();
 }
+
+// The one exec pool of the process: up to hardware_concurrency() - 1
+// helper threads, started on first need and parked on a condition variable
+// between launches. The pool is never destroyed (like
+// NativeKernelRegistry::Instance), so its helpers are never joined.
+// A launch of width w posts itself with w - 1 seats and wakes one helper;
+// each helper that takes a seat wakes the next. The launching thread runs
+// work() as well; work() claims groups from the launch's atomic counter
+// until none are left. The launch returns once every helper that joined
+// it has left work(). A helper that wakes after the groups ran out finds
+// none and leaves at once, so a launch never waits for a busy pool:
+// concurrent launches share the helpers, and each caller always
+// progresses on its own groups.
+class ExecPool {
+ public:
+  struct Job {
+    void (*work)(void*) = nullptr;
+    void* arg = nullptr;
+    int seats = 0;    // Helpers still wanted; guarded by mutex_.
+    int running = 0;  // Helpers inside work(); guarded by mutex_.
+    std::exception_ptr error;  // First throw from a helper; guarded by mutex_.
+    std::condition_variable left;
+  };
+
+  static ExecPool& Instance() {
+    static auto* pool = new ExecPool();
+    return *pool;
+  }
+
+  // Runs `work` on the calling thread and on up to width - 1 helpers, and
+  // rethrows what a helper's work() threw.
+  template <class F>
+  void Run(F& work, int width) {
+    if (width <= 1 || max_helpers_ == 0) return work();
+    Job job;
+    job.work = [](void* arg) { (*static_cast<F*>(arg))(); };
+    job.arg = &work;
+    Post(job, width - 1);
+    try {
+      work();
+    } catch (...) {
+      Retire(job);  // The helpers use work's state: outlive them first.
+      throw;
+    }
+    Retire(job);
+    if (job.error) std::rethrow_exception(job.error);
+  }
+
+ private:
+  ExecPool() {
+    const unsigned hw = std::thread::hardware_concurrency();
+    max_helpers_ = hw > 1 ? hw - 1 : 0;
+  }
+
+  void Post(Job& job, int seats) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      job.seats = seats;
+      posted_.push_back(&job);
+      while (idle_ < seats && helpers_.size() < max_helpers_) {
+        try {
+          helpers_.emplace_back([this] { Serve(); });
+        } catch (const std::system_error&) {
+          break;  // Out of threads: the launch runs on fewer helpers.
+        }
+        ++idle_;
+      }
+    }
+    wake_.notify_one();  // Each helper that joins wakes the next one.
+  }
+
+  // Takes the job off the board, so no helper joins it any more, and waits
+  // for the helpers already inside it.
+  void Retire(Job& job) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    const auto it = std::find(posted_.begin(), posted_.end(), &job);
+    if (it != posted_.end()) posted_.erase(it);
+    job.left.wait(lock, [&job] { return job.running == 0; });
+  }
+
+  void Serve() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (true) {
+      wake_.wait(lock, [this] { return !posted_.empty(); });
+      Job* job = posted_.front();
+      if (--job->seats == 0) posted_.pop_front();
+      ++job->running;
+      --idle_;
+      const bool more = !posted_.empty() && idle_ > 0;
+      lock.unlock();
+      if (more) wake_.notify_one();
+      std::exception_ptr error;
+      try {
+        job->work(job->arg);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      lock.lock();
+      if (error && !job->error) job->error = error;
+      ++idle_;
+      if (--job->running == 0) job->left.notify_all();
+    }
+  }
+
+  std::size_t max_helpers_ = 0;
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  std::deque<Job*> posted_;  // Launches that still want helpers, oldest first.
+  int idle_ = 0;             // Helpers not inside a job's work().
+  std::vector<std::thread> helpers_;  // Declared last: they use the above.
+};
 
 }  // namespace
 
@@ -172,36 +288,32 @@ Status LaunchKernel(const Module& module, const CompiledFunction& kernel,
     const unsigned hw = std::thread::hardware_concurrency();
     requested = hw != 0 ? static_cast<int>(hw) : 4;
   }
-  const int threads =
+  const int width =
       std::max(1, std::min<int>(requested,
                                 static_cast<int>(std::min<std::uint64_t>(
                                     total_groups, 64))));
 
   // A function compiled before the batch metadata existed (max_stack_slots
-  // unknown) cannot be batched; run it through the oracle.
-  const bool use_batched =
-      options.engine == VmEngine::kBatched && kernel.max_stack_slots > 0;
-  const BatchPlan plan =
-      use_batched ? vmdetail::BuildBatchPlan(module) : BatchPlan{};
+  // unknown), or a module that Compile did not build (no plan), cannot be
+  // batched; run it through the oracle.
+  const BatchPlan* plan = module.batch_plan.get();
+  const bool use_batched = options.engine == VmEngine::kBatched &&
+                           kernel.max_stack_slots > 0 && plan != nullptr;
 
   std::atomic<std::uint64_t> next_group{0};
-  std::mutex error_mutex;
+  std::atomic<bool> abandon{false};  // Set by the first failing group.
+  std::mutex merge_mutex;
   Status first_error;
-  std::mutex stats_mutex;
   VmStats totals;
-  totals.threads_used = threads;
+  totals.threads_used = width;
 
-  auto worker = [&] {
+  auto work = [&] {
     VmStats acc;
-    vmdetail::LaneBatch batch;  // Reused by every group this worker runs.
-    while (true) {
+    vmdetail::LaneBatch batch;  // Reused by every group this thread runs.
+    while (!abandon.load(std::memory_order_relaxed)) {
       const std::uint64_t g =
           next_group.fetch_add(1, std::memory_order_relaxed);
       if (g >= total_groups) break;
-      {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error.ok()) break;  // Abandon after first failure.
-      }
       GroupContext grp{module, kernel, args, run_range, options};
       grp.num_groups[0] = num_groups[0];
       grp.num_groups[1] = num_groups[1];
@@ -212,7 +324,7 @@ Status LaunchKernel(const Module& module, const CompiledFunction& kernel,
       Status s;
       if (use_batched) {
         BatchGroupStats gs;
-        s = vmdetail::RunGroupBatched(grp, plan, batch, gs);
+        s = vmdetail::RunGroupBatched(grp, *plan, batch, gs);
         acc.instructions += gs.instructions;
         acc.batch_steps += gs.batch_steps;
         acc.fused_steps += gs.fused_steps;
@@ -224,12 +336,13 @@ Status LaunchKernel(const Module& module, const CompiledFunction& kernel,
       }
       ++acc.groups;
       if (!s.ok()) {
-        std::lock_guard<std::mutex> lock(error_mutex);
+        std::lock_guard<std::mutex> lock(merge_mutex);
         if (first_error.ok()) first_error = s;
+        abandon.store(true, std::memory_order_relaxed);
         break;
       }
     }
-    std::lock_guard<std::mutex> lock(stats_mutex);
+    std::lock_guard<std::mutex> lock(merge_mutex);
     totals.instructions += acc.instructions;
     totals.batch_steps += acc.batch_steps;
     totals.fused_steps += acc.fused_steps;
@@ -238,15 +351,7 @@ Status LaunchKernel(const Module& module, const CompiledFunction& kernel,
     totals.bailouts += acc.bailouts;
     totals.groups += acc.groups;
   };
-
-  if (threads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (int i = 0; i < threads; ++i) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
+  ExecPool::Instance().Run(work, width);
   if (stats != nullptr) *stats = totals;
   return first_error;
 }

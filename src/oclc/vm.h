@@ -1,8 +1,9 @@
 // Bytecode VM executing compiled kernels over an NDRange.
 //
-// Execution model: work-groups are independent and are distributed across a
-// pool of host threads (this is the "compute unit" parallelism of the
-// simulated device). Within a work-group two engines exist:
+// Execution model: work-groups are independent and run on one process-wide
+// exec pool that the launching thread joins (this is the "compute unit"
+// parallelism of the simulated device). Within a work-group two engines
+// exist:
 //
 //  - kBatched (default): the whole group runs in lockstep as one lane
 //    batch — each instruction is dispatched once and applied to every
@@ -109,16 +110,19 @@ enum class VmEngine : std::uint8_t {
 };
 
 struct LaunchOptions {
-  // Host threads across work-groups. 0 means "auto": one thread per
-  // hardware thread, capped by the number of groups. Device drivers size
-  // this from sim::DeviceSpec::compute_units instead.
+  // The launch's width: how many threads run its work-groups at once — the
+  // calling thread plus up to num_threads - 1 helpers of the process-wide
+  // exec pool, which concurrent launches share (docs/vm.md). 0 means
+  // "auto": one per hardware thread. The width is capped by the number of
+  // groups and by 64. Device drivers size this from
+  // sim::DeviceSpec::compute_units instead.
   int num_threads = 0;
   std::uint64_t max_instructions_per_item = 1ULL << 33;  // Runaway guard.
   VmEngine engine = VmEngine::kBatched;
 };
 
 // Execution counters for one launch (filled when the caller passes a stats
-// out-param; aggregated across the worker pool).
+// out-param; summed over every thread that ran its groups).
 struct VmStats {
   std::uint64_t instructions = 0;  // Work-item instructions executed.
   std::uint64_t batch_steps = 0;   // Batched dispatches (1 per instruction
@@ -130,7 +134,11 @@ struct VmStats {
                                    // lane mask instead of a bail-out.
   std::uint64_t bailouts = 0;      // Groups that diverged to the interpreter.
   std::uint64_t groups = 0;        // Work-groups executed.
-  int threads_used = 0;            // Pool width actually used.
+  int threads_used = 0;            // The launch's width: num_threads (or
+                                   // the hardware threads) capped by the
+                                   // group count and 64. Helpers busy with
+                                   // other launches may leave some seats
+                                   // empty; the caller always runs groups.
 };
 
 // Executes `kernel` from `module` over `range` with `args` bound in

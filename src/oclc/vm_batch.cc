@@ -13,6 +13,9 @@
 // The hot row loops run on simd.h's 4-lane vectors on every build (its
 // scalar backend when the build forces one); each finishes the last
 // lanes % 4 in scalar transcription, so any group width takes the same path.
+// Conversions, work-item queries and memory ops run as typed rows: the
+// shared helper instantiated with compile-time types, its switch hoisted
+// out of the lane loop.
 //
 // When a branch condition disagrees across lanes (or a callee lacks batch
 // metadata) the engine bails out: it materializes one legacy ItemState per
@@ -24,8 +27,10 @@
 // step instead of per work-item — in lockstep every lane retires the same
 // instruction count, so one shared counter is exact, and the hot loop pays
 // the check once per GROUP instead of once per item.
+#include <array>
 #include <cstdlib>
 #include <type_traits>
+#include <utility>
 
 #include "common/simd.h"
 #include "oclc/vm_internal.h"
@@ -63,31 +68,33 @@ void InitBatch(LaneBatch& b, GroupContext& grp, std::uint32_t lanes) {
   b.local_rows = kernel.local_slots;
   b.locals.assign(static_cast<std::size_t>(kernel.local_slots) * lanes,
                   Value{});
-  b.refund.assign(lanes, 0);
+  if (b.has_refund || b.refund.size() != lanes) b.refund.assign(lanes, 0);
   b.has_refund = false;
-  b.active.assign(lanes, 1);
+  b.active.resize(lanes);
   b.idx_scratch[0].resize(lanes);
   b.idx_scratch[1].resize(lanes);
 
+  // lid depends only on the launch's local shape: fill it once.
   const auto& local = grp.range.local;
-  std::uint64_t first_gid[3];
-  for (int d = 0; d < 3; ++d) {
-    b.gid[d].resize(lanes);
-    b.lid[d].resize(lanes);
-    first_gid[d] = grp.range.offset[d] + grp.group_id[d] * local[d];
-  }
-  std::uint32_t l = 0;
-  for (std::uint64_t z = 0; z < local[2]; ++z) {
-    for (std::uint64_t y = 0; y < local[1]; ++y) {
-      for (std::uint64_t x = 0; x < local[0]; ++x, ++l) {
-        b.lid[0][l] = x;
-        b.lid[1][l] = y;
-        b.lid[2][l] = z;
-        b.gid[0][l] = first_gid[0] + x;
-        b.gid[1][l] = first_gid[1] + y;
-        b.gid[2][l] = first_gid[2] + z;
+  if (!std::equal(local, local + 3, b.lid_shape)) {
+    std::copy(local, local + 3, b.lid_shape);
+    for (int d = 0; d < 3; ++d) b.lid[d].resize(lanes);
+    std::uint32_t l = 0;
+    for (std::uint64_t z = 0; z < local[2]; ++z) {
+      for (std::uint64_t y = 0; y < local[1]; ++y) {
+        for (std::uint64_t x = 0; x < local[0]; ++x, ++l) {
+          b.lid[0][l] = x;
+          b.lid[1][l] = y;
+          b.lid[2][l] = z;
+        }
       }
     }
+  }
+  for (int d = 0; d < 3; ++d) {
+    const std::uint64_t first =
+        grp.range.offset[d] + grp.group_id[d] * local[d];
+    b.gid[d].resize(lanes);
+    for (std::uint32_t l = 0; l < lanes; ++l) b.gid[d][l] = first + b.lid[d][l];
   }
 
   // Private arrays: one contiguous slab per region, lane-major slices.
@@ -428,6 +435,193 @@ void SimdCompareI32Rows(Opcode op, const Value* lhs, const Value* rhs,
     v.i = EvalCompare(op, ScalarType::kI32, lhs[l], rhs[l]) ? 1 : 0;
     out[l] = v;
   }
+}
+
+// ----------------------------------------------------------- Typed rows
+//
+// Per-lane ops with the type switch hoisted out of the lane loop. Each row
+// instantiates the shared helper (ConvertValue, LoadScalar, StoreScalar)
+// with compile-time types, so the loop body is that helper's semantics
+// with its switches folded away. Memory rows run only after a whole-row
+// precheck proves every lane in bounds of one region. Only unmasked steps
+// use them; none goes through simd.h, so none counts as a simd step.
+
+using RowFn = void (*)(Value*, std::uint32_t);
+using MemRowFn = void (*)(std::uint8_t*, Value*, const Value*,
+                          std::uint32_t);
+constexpr ScalarType kRowTypes[] = {ScalarType::kI32, ScalarType::kU32,
+                                    ScalarType::kI64, ScalarType::kU64,
+                                    ScalarType::kF32, ScalarType::kF64};
+
+template <ScalarType From, ScalarType To>
+[[gnu::flatten]] void ConvertRowAs(Value* row, std::uint32_t n) {
+  for (std::uint32_t l = 0; l < n; ++l) row[l] = ConvertValue(row[l], From, To);
+}
+
+template <std::size_t... I>
+constexpr std::array<RowFn, sizeof...(I)> ConvertRows(
+    std::index_sequence<I...>) {
+  return {&ConvertRowAs<kRowTypes[I / 6], kRowTypes[I % 6]>...};
+}
+constexpr auto kConvertRows = ConvertRows(std::make_index_sequence<36>{});
+
+// Position of t in kRowTypes (they are kI32..kF64 in enum order), or -1.
+constexpr int RowTypeIndex(ScalarType t) {
+  static_assert(static_cast<int>(ScalarType::kF64) -
+                    static_cast<int>(ScalarType::kI32) == 5);
+  const int i = static_cast<int>(t) - static_cast<int>(ScalarType::kI32);
+  return i >= 0 && i < 6 ? i : -1;
+}
+
+// ConvertValue over a row: typed for pairs of kRowTypes, per lane else.
+void ConvertRow(Value* row, ScalarType from, ScalarType to, std::uint32_t n) {
+  const int f = RowTypeIndex(from);
+  const int t = RowTypeIndex(to);
+  if (f >= 0 && t >= 0) return kConvertRows[f * 6 + t](row, n);
+  for (std::uint32_t l = 0; l < n; ++l) row[l] = ConvertValue(row[l], from, to);
+}
+
+// kLoadMem (value == nullptr: the loaded value replaces the address) or
+// kStoreMem of type T over lanes whose region starts at `data`.
+template <ScalarType T>
+[[gnu::flatten]] void MemRowAs(std::uint8_t* data, Value* addr,
+                               const Value* value, std::uint32_t n) {
+  if (value == nullptr) {
+    for (std::uint32_t l = 0; l < n; ++l) {
+      addr[l] = LoadScalar(data + PointerOffset(addr[l].u), T);
+    }
+  } else {
+    for (std::uint32_t l = 0; l < n; ++l) {
+      StoreScalar(data + PointerOffset(addr[l].u), T, value[l]);
+    }
+  }
+}
+
+template <std::size_t... I>
+constexpr std::array<MemRowFn, sizeof...(I)> MemRows(
+    std::index_sequence<I...>) {
+  return {&MemRowAs<static_cast<ScalarType>(I)>...};
+}
+constexpr auto kMemRows =
+    MemRows(std::make_index_sequence<static_cast<int>(ScalarType::kF64) + 1>{});
+
+// The one global or local region every lane's pointer names, when the
+// highest offset plus `bytes` fits in it; null for mixed regions, private
+// memory, a bad region or any lane out of bounds.
+std::uint8_t* RowRegion(const Value* ptr, std::uint32_t n, std::uint64_t bytes,
+                        GroupContext& grp) {
+  const std::uint64_t tag = ptr[0].u & ~kPtrOffsetMask;
+  std::uint64_t mixed = 0;
+  std::uint64_t hi = 0;
+  for (std::uint32_t l = 0; l < n; ++l) {
+    mixed |= (ptr[l].u & ~kPtrOffsetMask) ^ tag;
+    hi = std::max(hi, PointerOffset(ptr[l].u));
+  }
+  const std::uint64_t region = PointerRegion(tag);
+  if (mixed != 0) return nullptr;
+  if (PointerSpace(tag) == PtrSpace::kGlobal && region < grp.args.size() &&
+      grp.args[region].kind == ArgBinding::Kind::kBuffer &&
+      hi + bytes <= grp.args[region].size) {
+    return grp.args[region].data;
+  }
+  auto& mem = *grp.local_mem;
+  if (PointerSpace(tag) == PtrSpace::kLocal && region < mem.size() &&
+      hi + bytes <= mem[region].size()) {
+    return mem[region].data();
+  }
+  return nullptr;
+}
+
+// kLoadMem (value == nullptr, in place over `addr`) or kStoreMem, in lane
+// order: one typed loop when RowRegion proves the row, else per lane
+// through ResolveLanePtr, which traps at the interpreter's lane.
+Status MemRow(LaneBatch& b, GroupContext& grp, ScalarType t, Value* addr,
+              const Value* value, const std::uint8_t* mask) {
+  const std::uint64_t bytes = ScalarSize(t);
+  std::uint8_t* data =
+      mask == nullptr ? RowRegion(addr, b.lanes, bytes, grp) : nullptr;
+  if (data != nullptr) {
+    kMemRows[static_cast<int>(t)](data, addr, value, b.lanes);
+    return Status::Ok();
+  }
+  for (std::uint32_t l = 0; l < b.lanes; ++l) {
+    if (mask != nullptr && mask[l] == 0) continue;
+    auto mem = ResolveLanePtr(addr[l].u, bytes, l, b, grp);
+    if (!mem.ok()) return mem.status();
+    if (value == nullptr) {
+      addr[l] = LoadScalar(*mem, t);
+    } else {
+      StoreScalar(*mem, t, value[l]);
+    }
+  }
+  return Status::Ok();
+}
+
+// kPtrAdd over a row: ptr += index * esize within the offset bits.
+void PtrAddRow(Value* ptr, const Value* index, std::int32_t esize,
+               const std::uint8_t* mask, std::uint32_t n) {
+  for (std::uint32_t l = 0; l < n; ++l) {
+    if (mask != nullptr && mask[l] == 0) continue;
+    const std::uint64_t offset =
+        PointerOffset(ptr[l].u) + static_cast<std::uint64_t>(index[l].i) *
+                                      static_cast<std::uint64_t>(esize);
+    ptr[l].u = (ptr[l].u & ~kPtrOffsetMask) | (offset & kPtrOffsetMask);
+  }
+}
+
+// kCallBuiltin. A work-item query whose dim row is lane-uniform copies the
+// gid/lid row or broadcasts one EvalWorkItemBuiltin result (which keeps
+// its u32 truncation of dim and its dim >= 3 answers); anything else runs
+// per lane.
+Status BuiltinRow(LaneBatch& b, GroupContext& grp, const Instruction& instr,
+                  const std::uint8_t* mask) {
+  const auto id = static_cast<BuiltinId>(instr.a);
+  const int argc = instr.b;
+  const std::uint32_t lanes = b.lanes;
+  const std::uint32_t abase = b.sp - argc;
+  const bool has_result = instr.type != ScalarType::kVoid;
+  b.sp = abase + (has_result ? 1 : 0);
+  Value* out = Row(b, abase);
+  if (mask == nullptr && IsWorkItemBuiltin(id) && has_result) {
+    std::uint64_t mixed = 0;
+    for (std::uint32_t l = 1; argc != 0 && l < lanes; ++l) {
+      mixed |= out[l].u ^ out[0].u;
+    }
+    if (mixed == 0) {
+      const auto dim = static_cast<std::uint32_t>(argc != 0 ? out[0].u : 0);
+      if ((id == BuiltinId::kGetGlobalId || id == BuiltinId::kGetLocalId) &&
+          dim < 3) {
+        const std::uint64_t* ids =
+            (id == BuiltinId::kGetGlobalId ? b.gid : b.lid)[dim].data();
+        for (std::uint32_t l = 0; l < lanes; ++l) out[l].u = ids[l];
+      } else {
+        const Value v = EvalWorkItemBuiltin(id, nullptr, nullptr, grp, out);
+        for (std::uint32_t l = 0; l < lanes; ++l) out[l] = v;
+      }
+      return Status::Ok();
+    }
+  }
+  for (std::uint32_t l = 0; l < lanes; ++l) {
+    if (mask != nullptr && mask[l] == 0) continue;
+    Value args[4];
+    for (int i = 0; i < argc; ++i) {
+      args[i] = b.stack[static_cast<std::size_t>(abase + i) * lanes + l];
+    }
+    Value result;
+    if (IsWorkItemBuiltin(id)) {
+      const std::uint64_t g[3] = {b.gid[0][l], b.gid[1][l], b.gid[2][l]};
+      const std::uint64_t lo[3] = {b.lid[0][l], b.lid[1][l], b.lid[2][l]};
+      result = EvalWorkItemBuiltin(id, g, lo, grp, args);
+    } else if (IsAtomicBuiltin(id)) {
+      auto mem = ResolveLanePtr(args[0].u, 4, l, b, grp);
+      if (!mem.ok()) return mem.status();
+      result = EvalAtomicAt(id, instr.type, *mem, args, argc);
+    } else {
+      result = EvalPureBuiltin(id, instr.type, args);
+    }
+    if (has_result) out[l] = result;
+  }
+  return Status::Ok();
 }
 
 // One lane of an IndexedLoad: recomputes exactly what the replaced
@@ -1088,26 +1282,14 @@ Status RunFused(LaneBatch& b, GroupContext& grp, const FusedOp& op,
     }
     case FusedOp::Kind::kConvertPtrAddLoad:
     case FusedOp::Kind::kPtrAddLoad: {
+      // The three (or two) replaced instructions, row after row.
       Value* ptr = Row(b, b.sp - 2);
-      Value* idx = Row(b, b.sp - 1);
-      const bool convert = op.kind == FusedOp::Kind::kConvertPtrAddLoad;
-      const std::uint64_t bytes = ScalarSize(op.type);
-      for (std::uint32_t l = 0; l < lanes; ++l) {
-        const Value iv = convert
-                             ? ConvertValue(idx[l], op.idx_type,
-                                            ScalarType::kI64)
-                             : idx[l];
-        const std::uint64_t offset =
-            PointerOffset(ptr[l].u) +
-            static_cast<std::uint64_t>(iv.i) * static_cast<std::uint64_t>(op.a);
-        const std::uint64_t addr =
-            (ptr[l].u & ~kPtrOffsetMask) | (offset & kPtrOffsetMask);
-        auto mem = ResolveLanePtr(addr, bytes, l, b, grp);
-        if (!mem.ok()) return mem.status();
-        ptr[l] = LoadScalar(*mem, op.type);
+      Value* idx = Row(b, --b.sp);
+      if (op.kind == FusedOp::Kind::kConvertPtrAddLoad) {
+        ConvertRow(idx, op.idx_type, ScalarType::kI64, lanes);
       }
-      --b.sp;
-      return Status::Ok();
+      PtrAddRow(ptr, idx, op.a, nullptr, lanes);
+      return MemRow(b, grp, op.type, ptr, nullptr, nullptr);
     }
     case FusedOp::Kind::kLocalAddConst: {
       Value* row = LocalRow(b, b.base + op.a);
@@ -1238,219 +1420,165 @@ Status RunFused(LaneBatch& b, GroupContext& grp, const FusedOp& op,
   return Status(ErrorCode::kInternal, "bad fused op");
 }
 
-// Single-steps the straight-line region [b.pc, target) with b.active as the
-// lane mask. Transient operand-stack traffic (push const/local/dup, pops)
-// runs full-row — inactive lanes' garbage is discarded at re-convergence —
-// but anything with an observable effect (stores, memory ops, builtins) and
-// anything that could trap or hit UB on garbage (pointer decode, EvalBinary,
-// kConvert on an arbitrary double) skips inactive lanes. At return b.pc ==
-// target and all lanes are re-converged.
-Status RunMaskedOps(LaneBatch& b, GroupContext& grp, std::uint32_t target) {
-  const auto& code = grp.module.code;
-  const auto& literals = grp.module.literals;
+// Executes one maskable instruction (IsMaskableOp) over every lane, or,
+// inside a masked region, under `mask`. Transient operand-stack traffic
+// (push const/local/dup, pops) runs full-row — inactive lanes' garbage is
+// discarded at re-convergence — but anything with an observable effect
+// (stores, memory ops, builtins) and anything that could trap or hit UB on
+// garbage (pointer decode, EvalBinary, kConvert on an arbitrary double)
+// skips inactive lanes. The typed and vector rows run only unmasked.
+Status StepOp(LaneBatch& b, GroupContext& grp, const Instruction& instr,
+              const std::uint8_t* mask, BatchGroupStats& stats) {
   const std::uint32_t lanes = b.lanes;
-  const std::uint8_t* active = b.active.data();
-
-  while (b.pc < target) {
-    const Instruction& instr = code[b.pc++];
-    switch (instr.op) {
-      case Opcode::kNop:
-        break;
-      case Opcode::kPushConst: {
-        const Value v = literals[instr.a];
-        Value* row = Row(b, b.sp++);
-        for (std::uint32_t l = 0; l < lanes; ++l) row[l] = v;
-        break;
-      }
-      case Opcode::kLoadLocal:
-        std::memcpy(Row(b, b.sp++), LocalRow(b, b.base + instr.a),
-                    sizeof(Value) * lanes);
-        break;
-      case Opcode::kStoreLocal: {
-        const Value* src = Row(b, --b.sp);
-        Value* dst = LocalRow(b, b.base + instr.a);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          if (active[l]) dst[l] = src[l];
-        }
-        break;
-      }
-      case Opcode::kDup:
-        std::memcpy(Row(b, b.sp), Row(b, b.sp - 1), sizeof(Value) * lanes);
-        ++b.sp;
-        break;
-      case Opcode::kPop:
-        --b.sp;
-        break;
-      case Opcode::kLoadMem: {
-        Value* addr = Row(b, b.sp - 1);
-        const std::uint64_t bytes = ScalarSize(instr.type);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          if (!active[l]) continue;
-          auto mem = ResolveLanePtr(addr[l].u, bytes, l, b, grp);
-          if (!mem.ok()) return mem.status();
-          addr[l] = LoadScalar(*mem, instr.type);
-        }
-        break;
-      }
-      case Opcode::kStoreMem: {
-        const Value* value = Row(b, b.sp - 1);
-        const Value* addr = Row(b, b.sp - 2);
-        const std::uint64_t bytes = ScalarSize(instr.type);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          if (!active[l]) continue;
-          auto mem = ResolveLanePtr(addr[l].u, bytes, l, b, grp);
-          if (!mem.ok()) return mem.status();
-          StoreScalar(*mem, instr.type, value[l]);
-        }
-        b.sp -= 2;
-        break;
-      }
-      case Opcode::kPtrAdd: {
-        const Value* index = Row(b, b.sp - 1);
-        Value* ptr = Row(b, b.sp - 2);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          if (!active[l]) continue;
-          const std::uint64_t offset =
-              PointerOffset(ptr[l].u) +
-              static_cast<std::uint64_t>(index[l].i) *
-                  static_cast<std::uint64_t>(instr.a);
-          ptr[l].u = (ptr[l].u & ~kPtrOffsetMask) | (offset & kPtrOffsetMask);
-        }
-        --b.sp;
-        break;
-      }
-      case Opcode::kAdd:
-      case Opcode::kSub:
-      case Opcode::kMul:
-      case Opcode::kDiv:
-      case Opcode::kMod:
-      case Opcode::kBitAnd:
-      case Opcode::kBitOr:
-      case Opcode::kBitXor:
-      case Opcode::kShl:
-      case Opcode::kShr: {
-        const Value* rhs = Row(b, b.sp - 1);
-        Value* lhs = Row(b, b.sp - 2);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          if (!active[l]) continue;
-          Status s = EvalBinary(instr.op, instr.type, lhs[l], rhs[l],
-                                &lhs[l]);
-          if (!s.ok()) return s;
-        }
-        --b.sp;
-        break;
-      }
-      case Opcode::kNeg: {
-        Value* row = Row(b, b.sp - 1);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          if (!active[l]) continue;
-          Value v = row[l];
-          if (IsFloat(instr.type)) {
-            v.f = instr.type == ScalarType::kF32
-                      ? -static_cast<float>(v.f)
-                      : -v.f;
-          } else if (IsUnsignedInt(instr.type)) {
-            v.u = ScalarSize(instr.type) == 8
-                      ? 0 - v.u
-                      : static_cast<std::uint32_t>(0 - v.u);
-          } else {
-            v.i = ScalarSize(instr.type) == 8
-                      ? -v.i
-                      : static_cast<std::int32_t>(-v.i);
-          }
-          row[l] = v;
-        }
-        break;
-      }
-      case Opcode::kBitNot: {
-        Value* row = Row(b, b.sp - 1);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          if (!active[l]) continue;
-          Value v = row[l];
-          if (IsUnsignedInt(instr.type)) {
-            v.u = ScalarSize(instr.type) == 8
-                      ? ~v.u
-                      : static_cast<std::uint32_t>(~v.u);
-          } else {
-            v.i = ScalarSize(instr.type) == 8
-                      ? ~v.i
-                      : static_cast<std::int32_t>(
-                            ~static_cast<std::int32_t>(v.i));
-          }
-          row[l] = v;
-        }
-        break;
-      }
-      case Opcode::kEq:
-      case Opcode::kNe:
-      case Opcode::kLt:
-      case Opcode::kLe:
-      case Opcode::kGt:
-      case Opcode::kGe: {
-        const Value* rhs = Row(b, b.sp - 1);
-        Value* lhs = Row(b, b.sp - 2);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          if (!active[l]) continue;
-          Value out;
-          out.i = EvalCompare(instr.op, instr.type, lhs[l], rhs[l]) ? 1 : 0;
-          lhs[l] = out;
-        }
-        --b.sp;
-        break;
-      }
-      case Opcode::kLogicalNot: {
-        Value* row = Row(b, b.sp - 1);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          if (active[l]) row[l].i = row[l].i == 0 ? 1 : 0;
-        }
-        break;
-      }
-      case Opcode::kConvert: {
-        // Masked even though the result is transient: converting an
-        // inactive lane's garbage (e.g. a huge double to int) is UB.
-        Value* row = Row(b, b.sp - 1);
-        const auto to = static_cast<ScalarType>(instr.a);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          if (active[l]) row[l] = ConvertValue(row[l], instr.type, to);
-        }
-        break;
-      }
-      case Opcode::kCallBuiltin: {
-        const auto id = static_cast<BuiltinId>(instr.a);
-        const int argc = instr.b;
-        const std::uint32_t abase = b.sp - argc;
-        const bool has_result = instr.type != ScalarType::kVoid;
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          if (!active[l]) continue;
-          Value args[4];
-          for (int i = 0; i < argc; ++i) {
-            args[i] = b.stack[static_cast<std::size_t>(abase + i) * lanes + l];
-          }
-          Value out;
-          if (IsWorkItemBuiltin(id)) {
-            const std::uint64_t g[3] = {b.gid[0][l], b.gid[1][l],
-                                        b.gid[2][l]};
-            const std::uint64_t lo[3] = {b.lid[0][l], b.lid[1][l],
-                                         b.lid[2][l]};
-            out = EvalWorkItemBuiltin(id, g, lo, grp, args);
-          } else if (IsAtomicBuiltin(id)) {
-            auto mem = ResolveLanePtr(args[0].u, 4, l, b, grp);
-            if (!mem.ok()) return mem.status();
-            out = EvalAtomicAt(id, instr.type, *mem, args, argc);
-          } else {
-            out = EvalPureBuiltin(id, instr.type, args);
-          }
-          if (has_result) {
-            b.stack[static_cast<std::size_t>(abase) * lanes + l] = out;
-          }
-        }
-        b.sp = abase + (has_result ? 1 : 0);
-        break;
-      }
-      default:
-        // Unreachable: the caller pre-scanned the region with IsMaskableOp.
-        return Trap(grp, b.pc - 1, "non-maskable op in masked region");
+  auto for_lanes = [mask, lanes](auto&& f) {
+    for (std::uint32_t l = 0; l < lanes; ++l) {
+      if (mask == nullptr || mask[l] != 0) f(l);
     }
+  };
+  switch (instr.op) {
+    case Opcode::kNop:
+      break;
+    case Opcode::kPushConst: {
+      const Value v = grp.module.literals[instr.a];
+      Value* row = Row(b, b.sp++);
+      for (std::uint32_t l = 0; l < lanes; ++l) row[l] = v;
+      break;
+    }
+    case Opcode::kLoadLocal:
+      std::memcpy(Row(b, b.sp++), LocalRow(b, b.base + instr.a),
+                  sizeof(Value) * lanes);
+      break;
+    case Opcode::kStoreLocal: {
+      const Value* src = Row(b, --b.sp);
+      Value* dst = LocalRow(b, b.base + instr.a);
+      if (mask == nullptr) {
+        std::memcpy(dst, src, sizeof(Value) * lanes);
+      } else {
+        for_lanes([&](std::uint32_t l) { dst[l] = src[l]; });
+      }
+      break;
+    }
+    case Opcode::kDup:
+      std::memcpy(Row(b, b.sp), Row(b, b.sp - 1), sizeof(Value) * lanes);
+      ++b.sp;
+      break;
+    case Opcode::kPop:
+      --b.sp;
+      break;
+    case Opcode::kLoadMem:
+      return MemRow(b, grp, instr.type, Row(b, b.sp - 1), nullptr, mask);
+    case Opcode::kStoreMem:
+      b.sp -= 2;
+      return MemRow(b, grp, instr.type, Row(b, b.sp), Row(b, b.sp + 1), mask);
+    case Opcode::kPtrAdd:
+      --b.sp;
+      PtrAddRow(Row(b, b.sp - 1), Row(b, b.sp), instr.a, mask, lanes);
+      break;
+    case Opcode::kAdd:
+    case Opcode::kSub:
+    case Opcode::kMul:
+    case Opcode::kDiv:
+    case Opcode::kMod:
+    case Opcode::kBitAnd:
+    case Opcode::kBitOr:
+    case Opcode::kBitXor:
+    case Opcode::kShl:
+    case Opcode::kShr: {
+      const Value* rhs = Row(b, --b.sp);
+      Value* lhs = Row(b, b.sp - 1);
+      if (mask == nullptr &&
+          SimdBinaryRows(instr.op, instr.type, lhs, rhs, lanes)) {
+        ++stats.simd_steps;
+        break;
+      }
+      if (mask == nullptr &&
+          BinaryFastLoop(instr.op, instr.type, lhs, rhs, lanes)) {
+        break;
+      }
+      for (std::uint32_t l = 0; l < lanes; ++l) {
+        if (mask != nullptr && mask[l] == 0) continue;
+        Status s = EvalBinary(instr.op, instr.type, lhs[l], rhs[l], &lhs[l]);
+        if (!s.ok()) return s;
+      }
+      break;
+    }
+    case Opcode::kNeg: {
+      Value* row = Row(b, b.sp - 1);
+      for_lanes([&](std::uint32_t l) {
+        Value& v = row[l];
+        if (IsFloat(instr.type)) {
+          v.f = instr.type == ScalarType::kF32 ? -static_cast<float>(v.f)
+                                               : -v.f;
+        } else if (IsUnsignedInt(instr.type)) {
+          v.u = ScalarSize(instr.type) == 8
+                    ? 0 - v.u
+                    : static_cast<std::uint32_t>(0 - v.u);
+        } else {
+          v.i = ScalarSize(instr.type) == 8 ? -v.i
+                                            : static_cast<std::int32_t>(-v.i);
+        }
+      });
+      break;
+    }
+    case Opcode::kBitNot: {
+      Value* row = Row(b, b.sp - 1);
+      for_lanes([&](std::uint32_t l) {
+        Value& v = row[l];
+        if (IsUnsignedInt(instr.type)) {
+          v.u = ScalarSize(instr.type) == 8 ? ~v.u
+                                            : static_cast<std::uint32_t>(~v.u);
+        } else {
+          v.i = ScalarSize(instr.type) == 8
+                    ? ~v.i
+                    : static_cast<std::int32_t>(
+                          ~static_cast<std::int32_t>(v.i));
+        }
+      });
+      break;
+    }
+    case Opcode::kEq:
+    case Opcode::kNe:
+    case Opcode::kLt:
+    case Opcode::kLe:
+    case Opcode::kGt:
+    case Opcode::kGe: {
+      const Value* rhs = Row(b, --b.sp);
+      Value* lhs = Row(b, b.sp - 1);
+      if (mask == nullptr && instr.type == ScalarType::kI32) {
+        SimdCompareI32Rows(instr.op, lhs, rhs, lhs, lanes);
+        ++stats.simd_steps;
+        break;
+      }
+      for_lanes([&](std::uint32_t l) {
+        lhs[l].i = EvalCompare(instr.op, instr.type, lhs[l], rhs[l]) ? 1 : 0;
+      });
+      break;
+    }
+    case Opcode::kLogicalNot: {
+      Value* row = Row(b, b.sp - 1);
+      for_lanes([&](std::uint32_t l) { row[l].i = row[l].i == 0 ? 1 : 0; });
+      break;
+    }
+    case Opcode::kConvert: {
+      // Masked even though the result is transient: converting an
+      // inactive lane's garbage (e.g. a huge double to int) is UB.
+      Value* row = Row(b, b.sp - 1);
+      const auto to = static_cast<ScalarType>(instr.a);
+      if (mask == nullptr) {
+        ConvertRow(row, instr.type, to, lanes);
+      } else {
+        for_lanes([&](std::uint32_t l) {
+          row[l] = ConvertValue(row[l], instr.type, to);
+        });
+      }
+      break;
+    }
+    case Opcode::kCallBuiltin:
+      return BuiltinRow(b, grp, instr, mask);
+    default:
+      // Unreachable: RunBatch steps control flow itself, and a masked
+      // region was pre-scanned with IsMaskableOp.
+      return Trap(grp, b.pc - 1, "non-maskable op in masked region");
   }
   return Status::Ok();
 }
@@ -1497,13 +1625,16 @@ Status TryRunMaskedRegion(LaneBatch& b, GroupContext& grp,
   stats.masked_steps += span;
   stats.instructions += span * active_count;
   *masked = true;
-  return RunMaskedOps(b, grp, target);
+  while (b.pc < target) {
+    Status s = StepOp(b, grp, code[b.pc++], b.active.data(), stats);
+    if (!s.ok()) return s;
+  }
+  return Status::Ok();
 }
 
 Status RunBatch(LaneBatch& b, GroupContext& grp, const BatchPlan& plan,
                 BatchGroupStats& stats) {
   const auto& code = grp.module.code;
-  const auto& literals = grp.module.literals;
   const std::uint32_t lanes = b.lanes;
 
   while (true) {
@@ -1542,163 +1673,6 @@ Status RunBatch(LaneBatch& b, GroupContext& grp, const BatchPlan& plan,
     const Instruction& instr = code[b.pc++];
 
     switch (instr.op) {
-      case Opcode::kNop:
-        break;
-      case Opcode::kPushConst: {
-        const Value v = literals[instr.a];
-        Value* row = Row(b, b.sp++);
-        for (std::uint32_t l = 0; l < lanes; ++l) row[l] = v;
-        break;
-      }
-      case Opcode::kLoadLocal:
-        std::memcpy(Row(b, b.sp++), LocalRow(b, b.base + instr.a),
-                    sizeof(Value) * lanes);
-        break;
-      case Opcode::kStoreLocal:
-        std::memcpy(LocalRow(b, b.base + instr.a), Row(b, --b.sp),
-                    sizeof(Value) * lanes);
-        break;
-      case Opcode::kDup:
-        std::memcpy(Row(b, b.sp), Row(b, b.sp - 1), sizeof(Value) * lanes);
-        ++b.sp;
-        break;
-      case Opcode::kPop:
-        --b.sp;
-        break;
-      case Opcode::kLoadMem: {
-        Value* addr = Row(b, b.sp - 1);
-        const std::uint64_t bytes = ScalarSize(instr.type);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          auto mem = ResolveLanePtr(addr[l].u, bytes, l, b, grp);
-          if (!mem.ok()) return mem.status();
-          addr[l] = LoadScalar(*mem, instr.type);
-        }
-        break;
-      }
-      case Opcode::kStoreMem: {
-        const Value* value = Row(b, b.sp - 1);
-        const Value* addr = Row(b, b.sp - 2);
-        const std::uint64_t bytes = ScalarSize(instr.type);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          auto mem = ResolveLanePtr(addr[l].u, bytes, l, b, grp);
-          if (!mem.ok()) return mem.status();
-          StoreScalar(*mem, instr.type, value[l]);
-        }
-        b.sp -= 2;
-        break;
-      }
-      case Opcode::kPtrAdd: {
-        const Value* index = Row(b, b.sp - 1);
-        Value* ptr = Row(b, b.sp - 2);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          const std::uint64_t offset =
-              PointerOffset(ptr[l].u) +
-              static_cast<std::uint64_t>(index[l].i) *
-                  static_cast<std::uint64_t>(instr.a);
-          ptr[l].u = (ptr[l].u & ~kPtrOffsetMask) | (offset & kPtrOffsetMask);
-        }
-        --b.sp;
-        break;
-      }
-      case Opcode::kAdd:
-      case Opcode::kSub:
-      case Opcode::kMul:
-      case Opcode::kDiv:
-      case Opcode::kMod:
-      case Opcode::kBitAnd:
-      case Opcode::kBitOr:
-      case Opcode::kBitXor:
-      case Opcode::kShl:
-      case Opcode::kShr: {
-        const Value* rhs = Row(b, b.sp - 1);
-        Value* lhs = Row(b, b.sp - 2);
-        if (SimdBinaryRows(instr.op, instr.type, lhs, rhs, lanes)) {
-          ++stats.simd_steps;
-        } else if (!BinaryFastLoop(instr.op, instr.type, lhs, rhs, lanes)) {
-          for (std::uint32_t l = 0; l < lanes; ++l) {
-            Status s = EvalBinary(instr.op, instr.type, lhs[l], rhs[l],
-                                  &lhs[l]);
-            if (!s.ok()) return s;
-          }
-        }
-        --b.sp;
-        break;
-      }
-      case Opcode::kNeg: {
-        Value* row = Row(b, b.sp - 1);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          Value v = row[l];
-          if (IsFloat(instr.type)) {
-            v.f = instr.type == ScalarType::kF32
-                      ? -static_cast<float>(v.f)
-                      : -v.f;
-          } else if (IsUnsignedInt(instr.type)) {
-            v.u = ScalarSize(instr.type) == 8
-                      ? 0 - v.u
-                      : static_cast<std::uint32_t>(0 - v.u);
-          } else {
-            v.i = ScalarSize(instr.type) == 8
-                      ? -v.i
-                      : static_cast<std::int32_t>(-v.i);
-          }
-          row[l] = v;
-        }
-        break;
-      }
-      case Opcode::kBitNot: {
-        Value* row = Row(b, b.sp - 1);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          Value v = row[l];
-          if (IsUnsignedInt(instr.type)) {
-            v.u = ScalarSize(instr.type) == 8
-                      ? ~v.u
-                      : static_cast<std::uint32_t>(~v.u);
-          } else {
-            v.i = ScalarSize(instr.type) == 8
-                      ? ~v.i
-                      : static_cast<std::int32_t>(
-                            ~static_cast<std::int32_t>(v.i));
-          }
-          row[l] = v;
-        }
-        break;
-      }
-      case Opcode::kEq:
-      case Opcode::kNe:
-      case Opcode::kLt:
-      case Opcode::kLe:
-      case Opcode::kGt:
-      case Opcode::kGe: {
-        const Value* rhs = Row(b, b.sp - 1);
-        Value* lhs = Row(b, b.sp - 2);
-        if (instr.type == ScalarType::kI32) {
-          SimdCompareI32Rows(instr.op, lhs, rhs, lhs, lanes);
-          ++stats.simd_steps;
-        } else {
-          for (std::uint32_t l = 0; l < lanes; ++l) {
-            Value out;
-            out.i = EvalCompare(instr.op, instr.type, lhs[l], rhs[l]) ? 1 : 0;
-            lhs[l] = out;
-          }
-        }
-        --b.sp;
-        break;
-      }
-      case Opcode::kLogicalNot: {
-        Value* row = Row(b, b.sp - 1);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          row[l].i = row[l].i == 0 ? 1 : 0;
-        }
-        break;
-      }
-      case Opcode::kConvert: {
-        Value* row = Row(b, b.sp - 1);
-        const auto to = static_cast<ScalarType>(instr.a);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          row[l] = ConvertValue(row[l], instr.type, to);
-        }
-        break;
-      }
       case Opcode::kJump:
         b.jumped_from = b.pc - 1;
         b.pc = static_cast<std::uint32_t>(instr.a);
@@ -1767,37 +1741,6 @@ Status RunBatch(LaneBatch& b, GroupContext& grp, const BatchPlan& plan,
         b.pc = callee.entry_pc;
         break;
       }
-      case Opcode::kCallBuiltin: {
-        const auto id = static_cast<BuiltinId>(instr.a);
-        const int argc = instr.b;
-        const std::uint32_t abase = b.sp - argc;
-        const bool has_result = instr.type != ScalarType::kVoid;
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          Value args[4];
-          for (int i = 0; i < argc; ++i) {
-            args[i] = b.stack[static_cast<std::size_t>(abase + i) * lanes + l];
-          }
-          Value out;
-          if (IsWorkItemBuiltin(id)) {
-            const std::uint64_t g[3] = {b.gid[0][l], b.gid[1][l],
-                                        b.gid[2][l]};
-            const std::uint64_t lo[3] = {b.lid[0][l], b.lid[1][l],
-                                         b.lid[2][l]};
-            out = EvalWorkItemBuiltin(id, g, lo, grp, args);
-          } else if (IsAtomicBuiltin(id)) {
-            auto mem = ResolveLanePtr(args[0].u, 4, l, b, grp);
-            if (!mem.ok()) return mem.status();
-            out = EvalAtomicAt(id, instr.type, *mem, args, argc);
-          } else {
-            out = EvalPureBuiltin(id, instr.type, args);
-          }
-          if (has_result) {
-            b.stack[static_cast<std::size_t>(abase) * lanes + l] = out;
-          }
-        }
-        b.sp = abase + (has_result ? 1 : 0);
-        break;
-      }
       case Opcode::kReturn: {
         if (b.frames.empty()) {
           // All lanes finish together (they are in lockstep by definition).
@@ -1821,6 +1764,11 @@ Status RunBatch(LaneBatch& b, GroupContext& grp, const BatchPlan& plan,
           return Trap(grp, b.pc, "barrier in kernel not marked uses_barrier");
         }
         break;
+      default: {
+        Status s = StepOp(b, grp, instr, nullptr, stats);
+        if (!s.ok()) return s;
+        break;
+      }
     }
   }
 }

@@ -1076,7 +1076,7 @@ struct BatchGroupStats {
 };
 
 // Fusion plan over a module's code array (see vm_batch.cc). Built once per
-// launch, shared read-only across the worker pool.
+// module by Compile (Module::batch_plan), shared read-only by every launch.
 // One indexed global/local/private load taken entirely from locals:
 // load(locals[base] + convert(idx)*esize) where idx is either locals[s1]
 // (length 5: load, load, convert, ptradd, loadmem) or the i32 expression
@@ -1152,7 +1152,7 @@ struct PrivateRegion {
   std::uint64_t stride = 0;        // 0 for non-private regions.
 };
 
-// One work-group's SoA machine state. Each LaunchKernel worker owns one for
+// One work-group's SoA machine state. Each thread of a launch owns one for
 // the whole launch and re-initializes it per group, so after the first
 // group a group allocates nothing (the lane count is fixed per launch).
 struct LaneBatch {
@@ -1170,15 +1170,17 @@ struct LaneBatch {
   std::vector<std::vector<std::uint8_t>> local_mem;  // grp.local_mem.
   std::vector<std::uint64_t> gid[3];
   std::vector<std::uint64_t> lid[3];
+  std::uint64_t lid_shape[3] = {0, 0, 0};  // Local shape lid was filled for.
   // Masked-divergence bookkeeping. The shared budget charges a masked
   // region's whole span up-front; a lane that sat the region out is owed
   // that span back relative to the shared counter (the interpreter charges
   // per item). Refunds are applied on bail-out, and has_refund downgrades
   // the shared budget trap to a bail-out because lanes no longer exhaust
-  // their budgets in unison.
+  // their budgets in unison. refund is zero whenever has_refund is false.
   std::vector<std::uint64_t> refund;
   bool has_refund = false;
-  std::vector<std::uint8_t> active;          // Masked-region lane mask.
+  std::vector<std::uint8_t> active;  // Masked-region lane mask; each region
+                                     // entry rewrites every lane.
   std::vector<std::int32_t> idx_scratch[2];  // Affine-load lane indices.
   std::vector<float> acc_f32;                // Counted-loop accumulators.
   std::uint32_t jumped_from = ~0u;           // pc of the last taken jump.

@@ -2,13 +2,17 @@
 // trace fusion firing on MAC loops, divergence bail-out to the
 // interpreter, budget-trap parity between the engines, the counted-loop
 // superop and the shapes it must leave to stepping, the kernel-aware
-// ChooseLocalSize widening, and the compute-unit -> pool-width mapping.
+// ChooseLocalSize widening, the compute-unit -> pool-width mapping, and the
+// shared exec pool under concurrent and trapping launches.
 // Bit-identity of results is covered exhaustively by vm_differential_test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <climits>
 #include <cstring>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "common/simd.h"
@@ -393,10 +397,116 @@ TEST(VmBatchTest, MultiThreadedPoolMatchesSingleThread) {
                               ArgBinding::Int(n)},
                              global, options, &stats)
                     .ok());
-    EXPECT_EQ(stats.threads_used, threads == 1 ? 1 : stats.threads_used);
+    // The launch's width: num_threads capped by its group count.
+    EXPECT_EQ(stats.threads_used,
+              static_cast<int>(std::min<std::uint64_t>(threads, stats.groups)));
     EXPECT_GT(stats.groups, 1u);
   }
   EXPECT_EQ(0, std::memcmp(c1.data(), c8.data(), global * 4));
+}
+
+// Runs kMacLoop over c.size() items in 32-lane groups into `c`.
+Status RunMac(const Module& module, std::vector<float>& a,
+              std::vector<float>& b, std::vector<float>& c, int n,
+              int threads, VmStats* stats = nullptr) {
+  LaunchOptions options;
+  options.num_threads = threads;
+  const std::vector<ArgBinding> args = {
+      ArgBinding::Buffer(a.data(), a.size() * 4),
+      ArgBinding::Buffer(b.data(), b.size() * 4),
+      ArgBinding::Buffer(c.data(), c.size() * 4), ArgBinding::Int(n)};
+  NDRange range;
+  range.global[0] = c.size();
+  range.local[0] = 32;
+  range.local_specified = true;
+  return LaunchKernel(module, *module.FindKernel("mac"), args, range, options,
+                      stats);
+}
+
+TEST(VmBatchTest, ConcurrentLaunchesShareThePoolAndMatchOneThread) {
+  auto module = MustCompile(kMacLoop);
+  ASSERT_NE(module, nullptr);
+  const int n = 24;
+  const std::size_t global = 1024;
+  std::vector<float> a(global * n), b(n), want(global, 0.0f);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = 0.03f * static_cast<float>(i % 41) - 0.5f;
+  }
+  for (int k = 0; k < n; ++k) b[k] = 0.25f * static_cast<float>(k % 7);
+  ASSERT_TRUE(RunMac(*module, a, b, want, n, 1).ok());
+
+  constexpr int kCallers = 4;
+  constexpr int kLaunches = 25;
+  std::vector<int> mismatches(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (int i = 0; i < kLaunches; ++i) {
+        std::vector<float> c(global, -1.0f);
+        VmStats stats;
+        const Status s = RunMac(*module, a, b, c, n, 4, &stats);
+        if (!s.ok() || stats.threads_used != 4 || stats.groups != 32 ||
+            std::memcmp(c.data(), want.data(), global * 4) != 0) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  for (int t = 0; t < kCallers; ++t) EXPECT_EQ(mismatches[t], 0) << t;
+}
+
+TEST(VmBatchTest, TrapInAMiddleGroupReturnsAndThePoolRecovers) {
+  // Group `bad` reads far past `in`; every other group is in bounds.
+  auto module = MustCompile(R"(
+    __kernel void trap_mid(__global float* out, __global const float* in,
+                           int bad) {
+      int i = get_global_id(0);
+      int at = get_group_id(0) == bad ? i + (1 << 20) : i;
+      out[i] = in[at] * 2.0f;
+    })");
+  ASSERT_NE(module, nullptr);
+  const std::size_t global = 2048;
+  std::vector<float> in(global);
+  for (std::size_t i = 0; i < global; ++i) in[i] = static_cast<float>(i);
+  auto launch = [&](int bad, int threads, std::vector<float>* out) {
+    LaunchOptions options;
+    options.num_threads = threads;
+    NDRange range;
+    range.global[0] = global;
+    range.local[0] = 64;
+    range.local_specified = true;
+    return LaunchKernel(*module, *module->FindKernel("trap_mid"),
+                        {ArgBinding::Buffer(out->data(), global * 4),
+                         ArgBinding::Buffer(in.data(), global * 4),
+                         ArgBinding::Int(bad)},
+                        range, options);
+  };
+  std::vector<float> want(global, 0.0f);
+  ASSERT_TRUE(launch(-1, 1, &want).ok());
+  std::vector<float> scratch(global);
+  const Status oracle = launch(13, 1, &scratch);
+  ASSERT_FALSE(oracle.ok());
+
+  // The trapping launch runs beside clean launches from other threads.
+  std::atomic<int> clean_mismatches{0};
+  std::thread neighbour([&] {
+    for (int i = 0; i < 20; ++i) {
+      std::vector<float> out(global, -1.0f);
+      if (!launch(-1, 4, &out).ok() || out != want) ++clean_mismatches;
+    }
+  });
+  for (int i = 0; i < 20; ++i) {
+    std::vector<float> out(global, -1.0f);
+    const Status s = launch(13, 4, &out);
+    EXPECT_EQ(s.ToString(), oracle.ToString());
+  }
+  neighbour.join();
+  EXPECT_EQ(clean_mismatches.load(), 0);
+
+  std::vector<float> after(global, -1.0f);
+  ASSERT_TRUE(launch(-1, 4, &after).ok());
+  EXPECT_EQ(after, want);
 }
 
 // ------------------------------------------------- Counted-loop superop

@@ -924,7 +924,10 @@ cl_int clEnqueueWriteBuffer(cl_command_queue queue, cl_mem buffer,
       queue, num_events_in_wait_list, event_wait_list, blocking_write, event,
       [&](auto* runtime, auto deps, auto after) {
         // `ptr` is borrowed until the write completes (OpenCL 1.2 §5.2.2).
+        // A node's queue ships it to that node; the cluster device (-1)
+        // keeps it in the host shadow until a launch is placed.
         return runtime->SubmitWrite(buffer->buffer, offset, ptr, size,
+                                    queue->device->node_index,
                                     std::move(deps), std::move(after));
       });
 }

@@ -72,6 +72,44 @@ class ClusterRuntime::InFlightGuard {
   std::size_t node_;
 };
 
+// RAII eviction exclusion: while alive, the pinned buffers cannot be
+// chosen as eviction victims on `node` — a launch is between reserving
+// and consuming their ranges. Pins are atomic counters, taken without the
+// buffer mutex; the LRU stamp rides along.
+class ClusterRuntime::WorkingSetPin {
+ public:
+  WorkingSetPin() = default;
+  WorkingSetPin(const WorkingSetPin&) = delete;
+  WorkingSetPin& operator=(const WorkingSetPin&) = delete;
+  ~WorkingSetPin() { Release(); }
+
+  void Pin(const BufferPtr& buffer, std::size_t node, std::uint64_t epoch) {
+    {
+      // The pin must be mutex-synchronized with the eviction policy's
+      // pinned check (which holds the victim's mutex across the whole
+      // eviction): a pin either lands before the check and excludes the
+      // buffer, or blocks until the eviction finishes — after which the
+      // pinner's reservation re-charges and its transfers re-ship. A
+      // lock-free pin could slip between the check and the pool release,
+      // letting the evictor release bytes the pinner just reserved and
+      // desynchronizing the host and node ledgers.
+      std::lock_guard<std::mutex> lock(buffer->mutex);
+      buffer->pinned_on[node].fetch_add(1, std::memory_order_relaxed);
+      buffer->last_use_epoch[node].store(epoch, std::memory_order_relaxed);
+    }
+    pinned_.emplace_back(buffer, node);
+  }
+  void Release() {
+    for (auto& [buffer, node] : pinned_) {
+      buffer->pinned_on[node].fetch_sub(1, std::memory_order_relaxed);
+    }
+    pinned_.clear();
+  }
+
+ private:
+  std::vector<std::pair<BufferPtr, std::size_t>> pinned_;
+};
+
 ClusterRuntime::ClusterRuntime(Options options)
     : options_(std::move(options)) {}
 
@@ -317,11 +355,17 @@ Expected<BufferId> ClusterRuntime::CreateBuffer(std::uint64_t size) {
                       " bytes exceeds the cluster-wide device capacity (" +
                       std::to_string(cluster_capacity) + " bytes)");
   }
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  const BufferId id = next_buffer_id_++;
   auto buffer = std::make_shared<LogicalBuffer>();
   buffer->size = size;
-  buffer->shadow.assign(size, 0);
+  try {
+    buffer->shadow = ZeroedBytes(size);
+  } catch (const std::bad_alloc&) {
+    return Status(ErrorCode::kMemObjectAllocationFailure,
+                  "cannot allocate a host shadow of " + std::to_string(size) +
+                      " bytes");
+  }
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  const BufferId id = next_buffer_id_++;
   // Owner universe: the device nodes plus the host shadow, which starts as
   // the sole owner of the zero-filled buffer.
   buffer->dir = RegionDirectory(
@@ -342,7 +386,8 @@ Expected<BufferId> ClusterRuntime::CreateBuffer(std::uint64_t size) {
 
 Expected<CommandHandle> ClusterRuntime::SubmitWrite(
     BufferId id, std::uint64_t offset, const void* data, std::uint64_t size,
-    std::vector<CommandHandle> deps, std::vector<CommandHandle> order_after) {
+    int node, std::vector<CommandHandle> deps,
+    std::vector<CommandHandle> order_after) {
   std::lock_guard<std::mutex> lock(state_mutex_);
   if (disconnected_) {
     return Status(ErrorCode::kInvalidOperation, "runtime disconnected");
@@ -355,15 +400,21 @@ Expected<CommandHandle> ClusterRuntime::SubmitWrite(
   if (RangeExceeds(offset, size, buffer->size)) {
     return Status(ErrorCode::kInvalidValue, "write beyond buffer end");
   }
+  if (node < kClusterDevice ||
+      node >= static_cast<int>(nodes_.size())) {
+    return Status(ErrorCode::kInvalidValue,
+                  "write to node " + std::to_string(node) + " out of range");
+  }
   std::vector<CommandId> dep_ids;
   std::vector<CommandId> hazards;
   CollectDepIds(deps, &dep_ids);
   CollectDepIds(order_after, &hazards);
   AddWriteHazardLocked(*buffer, offset, offset + size, &hazards);
-  const auto* src = static_cast<const std::uint8_t*>(data);
+  const std::span<const std::uint8_t> src(
+      static_cast<const std::uint8_t*>(data), size);
   const CommandId cmd = graph_->Submit(
-      [this, id, buffer, offset, src, size](CommandGraph::Execution&) {
-        return ExecWrite(id, buffer, offset, src, size);
+      [this, id, buffer, offset, src, node](CommandGraph::Execution&) {
+        return ExecWrite(id, buffer, offset, src, node);
       },
       std::move(dep_ids), "write:buf" + std::to_string(id),
       std::move(hazards));
@@ -391,9 +442,10 @@ Expected<CommandHandle> ClusterRuntime::SubmitRead(
   CollectDepIds(deps, &dep_ids);
   CollectDepIds(order_after, &hazards);
   AddReadHazardLocked(*buffer, offset, offset + size, &hazards);
+  const std::span<std::uint8_t> dst(static_cast<std::uint8_t*>(data), size);
   const CommandId cmd = graph_->Submit(
-      [this, id, buffer, offset, data, size](CommandGraph::Execution& e) {
-        return ExecRead(id, buffer, offset, data, size, e);
+      [this, id, buffer, offset, dst](CommandGraph::Execution&) {
+        return ExecRead(id, buffer, offset, dst);
       },
       std::move(dep_ids), "read:buf" + std::to_string(id),
       std::move(hazards));
@@ -442,30 +494,53 @@ Expected<CommandHandle> ClusterRuntime::SubmitCopy(
 
 Status ClusterRuntime::ExecWrite(BufferId id, const BufferPtr& buffer,
                                  std::uint64_t offset,
-                                 const std::uint8_t* data,
-                                 std::uint64_t size) {
-  (void)id;
+                                 std::span<const std::uint8_t> data,
+                                 int node) {
+  const std::uint64_t end = offset + data.size();
+  if (node != kClusterDevice && NodeAlive(static_cast<std::size_t>(node))) {
+    // A write on a node's queue is one more node-bound command: the
+    // working-set prologue reserves and allocates the range there, the
+    // caller's bytes go out as the frame's tail, and the node becomes the
+    // range's sole owner. A tier that cannot hold the range takes the
+    // write in the shadow instead, like the cluster device.
+    WorkingSetPin pins;
+    const Status staged =
+        StageWorkingSet(static_cast<std::size_t>(node),
+                        {{id, buffer, offset, end}}, pins, {.write = data});
+    if (staged.code() != ErrorCode::kMemObjectAllocationFailure) {
+      return staged;
+    }
+  }
   std::lock_guard<std::mutex> lock(buffer->mutex);
   // Region-granular: only the written range changes owner. The rest of the
   // buffer keeps its current owners — a partial write to a remote-owned
   // buffer no longer forces a full gather.
-  std::memcpy(buffer->shadow.data() + offset, data, size);
-  buffer->dir.MarkWritten(offset, offset + size, HostOwner());
+  std::copy(data.begin(), data.end(), buffer->shadow.begin() + offset);
+  buffer->dir.MarkWritten(offset, end, HostOwner());
   return Status::Ok();
 }
 
 Status ClusterRuntime::ExecRead(BufferId id, const BufferPtr& buffer,
-                                std::uint64_t offset, void* out,
-                                std::uint64_t size,
-                                CommandGraph::Execution& e) {
-  (void)e;
+                                std::uint64_t offset,
+                                std::span<std::uint8_t> out) {
   std::lock_guard<std::mutex> lock(buffer->mutex);
-  // The lazy gather: fetch exactly the stale sub-ranges of the read window
-  // from their current owners.
-  HAOCL_RETURN_IF_ERROR(EnsureHostRangeLocked(id, *buffer, offset,
-                                              offset + size));
-  std::memcpy(out, buffer->shadow.data() + offset, size);
-  return Status::Ok();
+  const std::uint64_t end = offset + out.size();
+  // The runs the host owns come from the shadow...
+  auto from_shadow = [&](std::uint64_t begin, std::uint64_t stop) {
+    std::copy(buffer->shadow.begin() + begin, buffer->shadow.begin() + stop,
+              out.begin() + (begin - offset));
+  };
+  std::uint64_t owned_begin = offset;
+  for (const RegionDirectory::Span& missing :
+       buffer->dir.MissingFor(HostOwner(), offset, end)) {
+    from_shadow(owned_begin, missing.begin);
+    owned_begin = missing.end;
+  }
+  from_shadow(owned_begin, end);
+  // ...and every other run straight from an owning node into `out`. The
+  // directory stays as it was: the shadow never saw these bytes.
+  return ReceiveMissingRunsLocked(id, *buffer, offset, out,
+                                  /*record_owner=*/false);
 }
 
 Status ClusterRuntime::ExecCopy(BufferId src_id, const BufferPtr& src,
@@ -512,7 +587,8 @@ Status ClusterRuntime::TransferMissingRunsLocked(
     const std::function<std::size_t(const RegionDirectory::Region&)>&
         pick_source,
     const std::function<Status(std::size_t source, std::uint64_t begin,
-                               std::uint64_t end)>& transfer) {
+                               std::uint64_t end)>& transfer,
+    bool record_owner) {
   for (const RegionDirectory::Span& span :
        buffer.dir.MissingFor(dst, begin, end)) {
     std::size_t source = nodes_.size() + 1;  // Sentinel: none yet.
@@ -545,40 +621,29 @@ Status ClusterRuntime::TransferMissingRunsLocked(
       run_end = region.end;
     }
     HAOCL_RETURN_IF_ERROR(flush());
-    buffer.dir.AddOwner(span.begin, span.end, dst);
+    if (record_owner) buffer.dir.AddOwner(span.begin, span.end, dst);
   }
   return Status::Ok();
 }
 
-Status ClusterRuntime::ReadIntoShadowLocked(BufferId id,
-                                            LogicalBuffer& buffer,
-                                            std::size_t node,
-                                            std::uint64_t begin,
-                                            std::uint64_t end) {
-  const net::ReadBufferRequest request{id, begin, end - begin};
-  // The reply lands straight in the shadow range when the transport can
-  // place it; the bytes there are unspecified unless the call succeeds,
-  // and ownership is recorded only after it does.
-  const std::span<std::uint8_t> dest =
-      std::span(buffer.shadow).subspan(begin, request.size);
-  auto reply =
-      CallNode(node, MsgType::kReadBuffer, net::Encode(request), {}, dest);
-  HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kReadReply));
-  if (reply->tail.size() == request.size) return Status::Ok();
-  if (reply->payload.size() != request.size) {
-    return Status(ErrorCode::kProtocolError, "short slice read");
-  }
-  std::copy(reply->payload.begin(), reply->payload.end(),
-            buffer.shadow.begin() + begin);
-  return Status::Ok();
+Status ClusterRuntime::ReadFromNodeLocked(BufferId id, std::size_t node,
+                                          std::uint64_t begin,
+                                          std::span<std::uint8_t> into) {
+  // The bytes of `into` are unspecified unless the call succeeds; callers
+  // record ownership only after it does.
+  const net::ReadBufferRequest request{id, begin, into.size()};
+  return net::ReceiveReadReply(
+      CallNode(node, MsgType::kReadBuffer, net::Encode(request), {}, into),
+      into);
 }
 
-Status ClusterRuntime::EnsureHostRangeLocked(BufferId id,
-                                             LogicalBuffer& buffer,
-                                             std::uint64_t begin,
-                                             std::uint64_t end) {
+Status ClusterRuntime::ReceiveMissingRunsLocked(BufferId id,
+                                                LogicalBuffer& buffer,
+                                                std::uint64_t begin,
+                                                std::span<std::uint8_t> into,
+                                                bool record_owner) {
   return TransferMissingRunsLocked(
-      id, buffer, HostOwner(), begin, end,
+      id, buffer, HostOwner(), begin, begin + into.size(),
       [](const RegionDirectory::Region& region) -> std::size_t {
         // The host is missing here by construction, so every owner is a
         // node; any of them is fresh.
@@ -586,13 +651,38 @@ Status ClusterRuntime::EnsureHostRangeLocked(BufferId id,
       },
       [&](std::size_t source, std::uint64_t run_begin,
           std::uint64_t run_end) -> Status {
-        HAOCL_RETURN_IF_ERROR(
-            ReadIntoShadowLocked(id, buffer, source, run_begin, run_end));
+        HAOCL_RETURN_IF_ERROR(ReadFromNodeLocked(
+            id, source, run_begin,
+            into.subspan(run_begin - begin, run_end - run_begin)));
         AccountTransfer(buffer, &TransferStats::host_bytes_in,
                         run_end - run_begin);
         timeline_->RecordTransferFromNode(source, run_end - run_begin);
         return Status::Ok();
-      });
+      },
+      record_owner);
+}
+
+Status ClusterRuntime::EnsureHostRangeLocked(BufferId id,
+                                             LogicalBuffer& buffer,
+                                             std::uint64_t begin,
+                                             std::uint64_t end) {
+  return ReceiveMissingRunsLocked(
+      id, buffer, begin, std::span(buffer.shadow).subspan(begin, end - begin),
+      /*record_owner=*/true);
+}
+
+Status ClusterRuntime::SendToNodeLocked(BufferId id, LogicalBuffer& buffer,
+                                        std::size_t node, std::uint64_t begin,
+                                        std::span<const std::uint8_t> bytes) {
+  net::WriteBufferRequest request;
+  request.buffer_id = id;
+  request.offset = begin;
+  request.data = bytes;
+  auto reply = CallNode(node, MsgType::kWriteBuffer, net::Encode(request),
+                        request.data);
+  HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kStatusReply));
+  AccountTransfer(buffer, &TransferStats::host_bytes_out, bytes.size());
+  return Status::Ok();
 }
 
 Status ClusterRuntime::AllocateOnNodeLocked(BufferId id,
@@ -626,17 +716,9 @@ Status ClusterRuntime::EnsureRangeOnNodeLocked(BufferId id,
   auto ship_from_host = [&](std::uint64_t run_begin,
                             std::uint64_t run_end) -> Status {
     const std::uint64_t len = run_end - run_begin;
-    // The run is borrowed straight from the shadow as the frame's tail:
-    // the caller holds buffer.mutex across this synchronous call, so the
-    // bytes cannot change before Send returns.
-    net::WriteBufferRequest request;
-    request.buffer_id = id;
-    request.offset = run_begin;
-    request.data = std::span(buffer.shadow).subspan(run_begin, len);
-    auto reply = CallNode(node, MsgType::kWriteBuffer, net::Encode(request),
-                          request.data);
-    HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kStatusReply));
-    AccountTransfer(buffer, &TransferStats::host_bytes_out, len);
+    HAOCL_RETURN_IF_ERROR(
+        SendToNodeLocked(id, buffer, node, run_begin,
+                         std::span(buffer.shadow).subspan(run_begin, len)));
     if (timing == TransferTiming::kPrefetch) {
       // Staged-pipeline DMA: lands while the node computes the previous
       // stage; the consuming stage gates on the arrival, not the NIC on
@@ -706,48 +788,11 @@ Status ClusterRuntime::EnsureRangeOnNodeLocked(BufferId id,
         }
         if (bytes_shipped != nullptr) *bytes_shipped += len;
         return Status::Ok();
-      });
+      },
+      /*record_owner=*/true);
 }
 
 // ------------------------------------------------------- Tiered memory
-
-// RAII eviction exclusion: while alive, the pinned buffers cannot be
-// chosen as eviction victims on `node` — a launch is between reserving
-// and consuming their ranges. Pins are atomic counters, taken without the
-// buffer mutex; the LRU stamp rides along.
-class ClusterRuntime::WorkingSetPin {
- public:
-  WorkingSetPin() = default;
-  WorkingSetPin(const WorkingSetPin&) = delete;
-  WorkingSetPin& operator=(const WorkingSetPin&) = delete;
-  ~WorkingSetPin() { Release(); }
-
-  void Pin(const BufferPtr& buffer, std::size_t node, std::uint64_t epoch) {
-    {
-      // The pin must be mutex-synchronized with the eviction policy's
-      // pinned check (which holds the victim's mutex across the whole
-      // eviction): a pin either lands before the check and excludes the
-      // buffer, or blocks until the eviction finishes — after which the
-      // pinner's reservation re-charges and its transfers re-ship. A
-      // lock-free pin could slip between the check and the pool release,
-      // letting the evictor release bytes the pinner just reserved and
-      // desynchronizing the host and node ledgers.
-      std::lock_guard<std::mutex> lock(buffer->mutex);
-      buffer->pinned_on[node].fetch_add(1, std::memory_order_relaxed);
-      buffer->last_use_epoch[node].store(epoch, std::memory_order_relaxed);
-    }
-    pinned_.emplace_back(buffer, node);
-  }
-  void Release() {
-    for (auto& [buffer, node] : pinned_) {
-      buffer->pinned_on[node].fetch_sub(1, std::memory_order_relaxed);
-    }
-    pinned_.clear();
-  }
-
- private:
-  std::vector<std::pair<BufferPtr, std::size_t>> pinned_;
-};
 
 Status ClusterRuntime::SpillSoleRangesToHostLocked(BufferId id,
                                                    LogicalBuffer& buffer,
@@ -761,8 +806,9 @@ Status ClusterRuntime::SpillSoleRangesToHostLocked(BufferId id,
   std::uint64_t run_end = 0;
   auto flush = [&]() -> Status {
     if (run_begin == run_end) return Status::Ok();
-    HAOCL_RETURN_IF_ERROR(
-        ReadIntoShadowLocked(id, buffer, node, run_begin, run_end));
+    HAOCL_RETURN_IF_ERROR(ReadFromNodeLocked(
+        id, node, run_begin,
+        std::span(buffer.shadow).subspan(run_begin, run_end - run_begin)));
     buffer.dir.AddOwner(run_begin, run_end, HostOwner());
     AccountTransfer(buffer, &TransferStats::spill_bytes, run_end - run_begin);
     AccountTransfer(buffer, &TransferStats::spill_transfers, 1);
@@ -938,9 +984,20 @@ Status ClusterRuntime::StageWorkingSet(
     HAOCL_RETURN_IF_ERROR(
         EnsureProgramOnNode(staging.program_id, *staging.program, node));
   }
+  const auto owner = static_cast<RegionDirectory::Owner>(node);
   for (const WorkingRange& range : ranges) {
     std::lock_guard<std::mutex> lock(range.buffer->mutex);
-    if (staging.discard_contents) {
+    if (!staging.write.empty()) {
+      // The write's bytes replace the range wholesale: nothing is sourced
+      // from its owners, and the node is left the only one. Counted as the
+      // prologue counts a host-owned run that no node holds.
+      HAOCL_RETURN_IF_ERROR(
+          AllocateOnNodeLocked(range.id, *range.buffer, node));
+      HAOCL_RETURN_IF_ERROR(SendToNodeLocked(range.id, *range.buffer, node,
+                                             range.begin, staging.write));
+      timeline_->RecordTransferToNode(node, staging.write.size());
+      range.buffer->dir.MarkWritten(range.begin, range.end, owner);
+    } else if (staging.discard_contents) {
       // No bytes move: the node becomes the exclusive owner of whatever
       // its allocation holds (contents undefined, per
       // CL_MIGRATE_MEM_OBJECT_CONTENT_UNDEFINED). No payload makes this
@@ -948,8 +1005,7 @@ Status ClusterRuntime::StageWorkingSet(
       // notice keeps its ledger in step.
       HAOCL_RETURN_IF_ERROR(
           AllocateOnNodeLocked(range.id, *range.buffer, node));
-      range.buffer->dir.MarkWritten(
-          range.begin, range.end, static_cast<RegionDirectory::Owner>(node));
+      range.buffer->dir.MarkWritten(range.begin, range.end, owner);
       NotifyMemory(node, range.id, /*reserve=*/true,
                    {{range.begin, range.end}});
     } else {
@@ -2396,12 +2452,15 @@ Expected<std::vector<ClusterRuntime::LostRange>> ClusterRuntime::MarkNodeLost(
   // the dead node:
   //   - co-owned regions just drop the dead owner (a live replica keeps
   //     the bytes fresh — the chunks that produced them must NOT re-run);
-  //   - sole-owner regions fall back to the host shadow, which physically
-  //     retains the PRE-image bytes of the range (launch epilogues only
-  //     flip directory state, they never scrub the shadow). Marking the
-  //     host fresh there restores the launch's input state, so
-  //     re-executing exactly the chunks that wrote these ranges
-  //     reproduces the lost outputs bit-identically.
+  //   - sole-owner regions fall back to the host shadow. For the buffer
+  //     args of a running LaunchElastic the shadow holds the launch's
+  //     PRE-image: the launch made the host a fresh owner of every arg
+  //     window before its first chunk, and launch epilogues only flip
+  //     directory state, they never scrub the shadow. Marking the host
+  //     fresh there restores the launch's input state, so re-executing
+  //     exactly the chunks that wrote these ranges reproduces the lost
+  //     outputs bit-identically. Any other buffer's sole-owner range
+  //     falls back to whatever bytes the shadow last held.
   std::vector<std::pair<BufferId, BufferPtr>> snapshot;
   {
     std::lock_guard<std::mutex> lock(state_mutex_);

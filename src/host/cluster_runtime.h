@@ -22,13 +22,17 @@
 // range from whichever owner is freshest: straight from the host shadow
 // when the host owns it, otherwise node-to-node (kPullSlice) with a
 // host-relay fallback when the nodes have no direct link. Launch epilogues
-// only update the directory — outputs stay on the executing nodes and the
-// host shadow goes stale until a read (or host-targeted migration) forces
-// a lazy, range-granular gather. Chained partitioned launches therefore
-// move zero payload bytes through the host between producer and consumer
-// (docs/memory_model.md). The bookkeeping lives in per-command prologues
-// under per-buffer locks, ordered by the graph — not under a runtime-wide
-// lock.
+// only update the directory — outputs stay on the executing nodes. A read
+// receives what the host does not own straight from an owning node into
+// the caller's memory and leaves the directory as it was; only host-bound
+// movement (copies, relays, spills, host migrations, elastic pre-images)
+// gathers into the shadow, range by range. A write on a node's queue
+// ships the caller's bytes straight to that node. Chained partitioned
+// launches therefore move zero payload bytes through the host between
+// producer and consumer, and a write or a read moves its bytes once
+// between the caller's pointer and a node (docs/memory_model.md). The
+// bookkeeping lives in per-command prologues under per-buffer locks,
+// ordered by the graph — not under a runtime-wide lock.
 //
 // Placement plans: SubmitLaunch asks the policy's PlanLaunch for an
 // ordered list of {node, offset, count} shards over dimension 0 of the
@@ -53,6 +57,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -60,6 +65,7 @@
 
 #include "common/config.h"
 #include "common/status.h"
+#include "common/zeroed_bytes.h"
 #include "elastic/fault_injector.h"
 #include "host/command_graph.h"
 #include "host/region_directory.h"
@@ -207,11 +213,12 @@ struct MigrateRegion {
 };
 
 // Cumulative payload movement, runtime-wide or per buffer. "Host payload"
-// is every byte that crossed the host NIC as data (writes/reads the app
-// asked for are excluded — these count only coherence traffic).
+// is every byte that crossed the host NIC as data: a write on a node's
+// queue and a read count when they move, a write into the host shadow
+// only once a launch ships it.
 struct TransferStats {
-  std::uint64_t host_bytes_out = 0;  // Host shadow -> node.
-  std::uint64_t host_bytes_in = 0;   // Node -> host shadow (lazy gathers).
+  std::uint64_t host_bytes_out = 0;  // Host -> node (shadow runs, writes).
+  std::uint64_t host_bytes_in = 0;   // Node -> host (reads, gathers).
   std::uint64_t p2p_bytes = 0;       // Node -> node direct (pulls).
   std::uint64_t relay_bytes = 0;     // Peer miss relayed through the host.
   std::uint64_t p2p_transfers = 0;
@@ -350,8 +357,19 @@ class ClusterRuntime {
   // 1.2 §5.2.2): SubmitWrite reads `data` when the command *executes*, so
   // the caller must keep it valid and unchanged until then; SubmitRead
   // scribbles into `data` when it executes.
+  //
+  // `node` is the device of the queue the write was enqueued on. A write
+  // on a live node's queue ships `data` straight to that node, which
+  // becomes the range's sole owner; kClusterDevice (the virtual cluster
+  // device, whose launches the scheduler places later), a dead node, or a
+  // node whose memory tier cannot take the range lands the bytes in the
+  // host shadow instead, and the first launch that needs them ships them.
+  // A read receives what the host does not own straight from an owning
+  // node into `data`; it does not make the host an owner.
+  static constexpr int kClusterDevice = -1;
   Expected<CommandHandle> SubmitWrite(BufferId id, std::uint64_t offset,
                                       const void* data, std::uint64_t size,
+                                      int node = kClusterDevice,
                                       std::vector<CommandHandle> deps = {},
                                       std::vector<CommandHandle> order_after = {});
   Expected<CommandHandle> SubmitRead(BufferId id, std::uint64_t offset,
@@ -468,10 +486,11 @@ class ClusterRuntime {
   Status ProbeNode(std::size_t node);
   // Declares `node` dead: excluded from future plans (NodeView.alive),
   // launches forced onto it fail with kNodeLost, and every buffer region
-  // whose ONLY fresh copy lived there falls back to the host shadow's
-  // retained pre-image. Returns those sole-owner regions — the data that
-  // was actually lost (recovery re-executes exactly the chunks that
-  // produced it).
+  // whose ONLY fresh copy lived there falls back to whatever the host
+  // shadow holds — for the buffer args of a running LaunchElastic, the
+  // pre-image it gathered before its first chunk. Returns those
+  // sole-owner regions — the data that was actually lost (recovery
+  // re-executes exactly the chunks that produced it).
   struct LostRange {
     BufferId buffer = 0;
     std::uint64_t begin = 0;
@@ -541,8 +560,10 @@ class ClusterRuntime {
     // buffers proceed in parallel.
     std::mutex mutex;
     std::uint64_t size = 0;  // Immutable after creation.
-    std::vector<std::uint8_t> shadow;  // Host copy (fresh only where the
-                                       // directory says the host owns).
+    // Host copy, fresh only where the directory says the host owns. Lazily
+    // zeroed: a buffer whose bytes only ever go straight between the
+    // caller and its nodes never makes a page of it resident.
+    ZeroedBytes shadow;
     // Region directory: owners 0..nodes-1 are device nodes, owner `nodes`
     // is the host shadow.
     RegionDirectory dir;
@@ -596,9 +617,9 @@ class ClusterRuntime {
   // Command bodies (run on graph workers). *Locked variants require the
   // buffer's own mutex held.
   Status ExecWrite(BufferId id, const BufferPtr& buffer, std::uint64_t offset,
-                   const std::uint8_t* data, std::uint64_t size);
+                   std::span<const std::uint8_t> data, int node);
   Status ExecRead(BufferId id, const BufferPtr& buffer, std::uint64_t offset,
-                  void* out, std::uint64_t size, CommandGraph::Execution& e);
+                  std::span<std::uint8_t> out);
   Status ExecCopy(BufferId src_id, const BufferPtr& src,
                   std::uint64_t src_offset, BufferId dst_id,
                   const BufferPtr& dst, std::uint64_t dst_offset,
@@ -693,15 +714,19 @@ class ClusterRuntime {
     // A discard migration: the node claims each range without any bytes
     // moving (contents undefined).
     bool discard_contents = false;
+    // A write on the node's queue: the bytes of its one range, sent from
+    // here instead of sourced from the range's owners.
+    std::span<const std::uint8_t> write = {};
     TransferTiming timing = TransferTiming::kDemand;
     std::uint64_t* bytes_shipped = nullptr;  // See EnsureRangeOnNodeLocked.
     sim::SimTime* ready_at = nullptr;
   };
   // The working-set prologue of every node-bound command (launch, stage
-  // prefetch, migration): pins and LRU-stamps each range's buffer on
-  // `node` into `pins`, reserves the ranges in the node's ledger (evicting
-  // colder buffers), builds the program, then makes `node` a fresh owner
-  // of each range. Call WITHOUT any buffer mutex held.
+  // prefetch, migration, node-queue write): pins and LRU-stamps each
+  // range's buffer on `node` into `pins`, reserves the ranges in the
+  // node's ledger (evicting colder buffers), builds the program, then
+  // makes `node` a fresh owner of each range. Call WITHOUT any buffer
+  // mutex held.
   Status StageWorkingSet(std::size_t node,
                          const std::vector<WorkingRange>& ranges,
                          WorkingSetPin& pins, const Staging& staging);
@@ -731,31 +756,49 @@ class ClusterRuntime {
   [[nodiscard]] RegionDirectory::Owner HostOwner() const {
     return static_cast<RegionDirectory::Owner>(nodes_.size());
   }
-  // The core transfer planner both Ensure* entry points share: segments
-  // every sub-range of [begin, end) that `dst` lacks into maximal runs
-  // with a single transfer source — adjacent missing regions whose owner
-  // sets share a source coalesce into one wire transfer — invokes
-  // `transfer(source, run_begin, run_end)` per run, and records `dst` as
-  // a fresh owner of what arrived. `pick_source` chooses a region's
-  // source (node index, or nodes_.size() for the host shadow) whenever
-  // the previous run's source no longer covers it.
+  // The core transfer planner the Ensure* entry points and reads share:
+  // segments every sub-range of [begin, end) that `dst` lacks into maximal
+  // runs with a single transfer source — adjacent missing regions whose
+  // owner sets share a source coalesce into one wire transfer — invokes
+  // `transfer(source, run_begin, run_end)` per run, and, with
+  // `record_owner`, records `dst` as a fresh owner of what arrived.
+  // `pick_source` chooses a region's source (node index, or nodes_.size()
+  // for the host shadow) whenever the previous run's source no longer
+  // covers it.
   Status TransferMissingRunsLocked(
       BufferId id, LogicalBuffer& buffer, RegionDirectory::Owner dst,
       std::uint64_t begin, std::uint64_t end,
       const std::function<std::size_t(const RegionDirectory::Region&)>&
           pick_source,
       const std::function<Status(std::size_t source, std::uint64_t begin,
-                                 std::uint64_t end)>& transfer);
+                                 std::uint64_t end)>& transfer,
+      bool record_owner);
+  // Receives every run of [begin, begin + into.size()) the host does not
+  // own from a current owner node into `into` (host payload in). With
+  // `record_owner` — only when `into` is the shadow's own range — the
+  // host becomes an owner of what arrived.
+  Status ReceiveMissingRunsLocked(BufferId id, LogicalBuffer& buffer,
+                                  std::uint64_t begin,
+                                  std::span<std::uint8_t> into,
+                                  bool record_owner);
   // Gathers every range of [begin, end) the host shadow does not own from
-  // a current owner node (the lazy gather).
+  // a current owner node into the shadow (relays, copies, host migrations
+  // and elastic pre-images).
   Status EnsureHostRangeLocked(BufferId id, LogicalBuffer& buffer,
                                std::uint64_t begin, std::uint64_t end);
-  // Reads [begin, end) of `node`'s replica into the host shadow: the one
-  // node->host byte path, shared by the lazy gather and the eviction
-  // spill (each accounts its own bucket).
-  Status ReadIntoShadowLocked(BufferId id, LogicalBuffer& buffer,
-                              std::size_t node, std::uint64_t begin,
-                              std::uint64_t end);
+  // Reads [begin, begin + into.size()) of `node`'s replica into `into`
+  // (the reply lands there in place when the transport can place it): the
+  // one node->host byte path. Spills and gathers pass a shadow range,
+  // reads the caller's memory; each accounts its own bucket.
+  Status ReadFromNodeLocked(BufferId id, std::size_t node,
+                            std::uint64_t begin, std::span<std::uint8_t> into);
+  // Sends `bytes` to [begin, begin + bytes.size()) of `node`'s replica as
+  // one kWriteBuffer whose tail borrows them, counted as host payload out.
+  // The caller holds buffer.mutex across it, so the bytes cannot change
+  // before Send returns.
+  Status SendToNodeLocked(BufferId id, LogicalBuffer& buffer,
+                          std::size_t node, std::uint64_t begin,
+                          std::span<const std::uint8_t> bytes);
   // Allocates the full buffer on `node` unless it already holds one.
   Status AllocateOnNodeLocked(BufferId id, LogicalBuffer& buffer,
                               std::size_t node);

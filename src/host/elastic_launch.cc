@@ -238,6 +238,22 @@ Expected<ClusterRuntime::ElasticResult> ClusterRuntime::LaunchElastic(
   elastic::ChunkLedger ledger;
   HAOCL_RETURN_IF_ERROR(ledger.Init(plan, align, chunk_rows));
 
+  // The pre-image recovery falls back to: the host becomes a fresh owner
+  // of every buffer arg's window before the first chunk runs, so a node
+  // that dies holding the only copy of a range leaves the launch's input
+  // bytes in the shadow (MarkNodeLost). Ordered after the args' earlier
+  // writers like any host-bound migration; a host-written buffer moves
+  // nothing.
+  for (const BufferArg& arg : launch.buffers) {
+    const auto [begin, end] = arg.Window(spec.global_offset[0], spec.global[0]);
+    auto gathered = SubmitMigrate(arg.id, {{begin, end - begin}},
+                                  kMigrateToHost);
+    if (!gathered.ok()) return gathered.status();
+    const Status status = Wait(*gathered);
+    (void)ReleaseCommand(*gathered);
+    HAOCL_RETURN_IF_ERROR(status);
+  }
+
   static std::atomic<std::uint64_t> next_launch_id{1};
   const std::uint64_t launch_id =
       next_launch_id.fetch_add(1, std::memory_order_relaxed);

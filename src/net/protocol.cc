@@ -1,5 +1,7 @@
 #include "net/protocol.h"
 
+#include <algorithm>
+
 namespace haocl::net {
 
 Status CheckReply(const Expected<Message>& reply, MsgType expected_type) {
@@ -21,6 +23,19 @@ Status CheckReply(const Expected<Message>& reply, MsgType expected_type) {
                   std::string("unexpected reply type ") +
                       MsgTypeName(reply->type));
   }
+  return Status::Ok();
+}
+
+Status ReceiveReadReply(const Expected<Message>& reply,
+                        std::span<std::uint8_t> into) {
+  HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kReadReply));
+  if (reply->tail.size() == into.size()) return Status::Ok();
+  if (reply->payload.size() != into.size()) {
+    return Status(ErrorCode::kProtocolError,
+                  "short read: " + std::to_string(reply->payload.size()) +
+                      " of " + std::to_string(into.size()) + " bytes");
+  }
+  std::copy(reply->payload.begin(), reply->payload.end(), into.begin());
   return Status::Ok();
 }
 

@@ -447,6 +447,13 @@ Expected<T> Decode(std::vector<std::uint8_t>&& bytes) = delete;
 // error), and any type other than `expected_type` is a protocol error.
 Status CheckReply(const Expected<Message>& reply, MsgType expected_type);
 
+// Checks `reply` as the kReadReply to a call whose reply_into was `into`
+// (see RpcClient::Call) and leaves the read bytes there: a reply that
+// landed in place is done, one that arrived in its payload is copied in,
+// and one of any other size is a short read (kProtocolError).
+Status ReceiveReadReply(const Expected<Message>& reply,
+                        std::span<std::uint8_t> into);
+
 }  // namespace haocl::net
 
 // The enums the messages above carry.

@@ -305,26 +305,25 @@ Message NodeServer::HandleMessage(const Message& request) {
       on([&](const net::PullSliceRequest& decoded) {
         // The fetch reuses the ordinary ReadBuffer protocol against the
         // peer, carrying the requesting session id so the peer resolves the
-        // same logical buffer namespace.
+        // same logical buffer namespace. The peer's reply lands straight in
+        // the claimed replica range.
         const std::uint64_t session_id = request.session;
-        auto fetch = [this, session_id](
-                         std::uint32_t peer, std::uint64_t buffer_id,
-                         std::uint64_t offset, std::uint64_t size)
-            -> Expected<std::vector<std::uint8_t>> {
+        auto fetch = [this, session_id](std::uint32_t peer,
+                                        std::uint64_t buffer_id,
+                                        std::uint64_t offset,
+                                        std::span<std::uint8_t> into) {
           net::RpcClient* client = PeerClient(peer);
           if (client == nullptr) {
             return Status(ErrorCode::kPeerUnreachable,
                           name_ + " has no link to peer node " +
                               std::to_string(peer));
           }
-          net::ReadBufferRequest read;
-          read.buffer_id = buffer_id;
-          read.offset = offset;
-          read.size = size;
-          auto reply = client->Call(MsgType::kReadBuffer, session_id,
-                                    net::Encode(read));
-          HAOCL_RETURN_IF_ERROR(net::CheckReply(reply, MsgType::kReadReply));
-          return std::move(reply->payload);
+          const net::ReadBufferRequest read{buffer_id, offset, into.size()};
+          return net::ReceiveReadReply(
+              client->Call(MsgType::kReadBuffer, session_id,
+                           net::Encode(read),
+                           net::RpcClient::kDefaultCallTimeout, {}, into),
+              into);
         };
         status_reply(session.PullSlice(decoded, fetch));
       });

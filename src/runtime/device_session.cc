@@ -28,8 +28,7 @@ Status DeviceSession::CreateBuffer(std::uint64_t buffer_id,
   // A real allocation can fail; surface that as the OpenCL error rather
   // than letting bad_alloc escape across the protocol boundary.
   try {
-    buffers_.emplace(buffer_id,
-                     std::make_shared<std::vector<std::uint8_t>>(size));
+    buffers_.emplace(buffer_id, std::make_shared<ZeroedBytes>(size));
   } catch (const std::bad_alloc&) {
     return Status(ErrorCode::kMemObjectAllocationFailure,
                   "cannot allocate " + std::to_string(size) + " bytes");
@@ -43,7 +42,7 @@ Expected<DeviceSession::ReplicaRange> DeviceSession::RangeLocked(
     const char* what) {
   auto it = buffers_.find(buffer_id);
   if (it == buffers_.end()) return NoSuchBuffer(buffer_id);
-  std::vector<std::uint8_t>& replica = *it->second;
+  ZeroedBytes& replica = *it->second;
   if (RangeExceeds(offset, size, replica.size())) {
     return Status(ErrorCode::kInvalidValue,
                   std::string(what) + " beyond buffer end: offset " +
@@ -219,7 +218,7 @@ net::LaunchKernelReply DeviceSession::LaunchKernel(
   // mid-launch must not free bytes the kernel is using.
   std::vector<oclc::ArgBinding> bindings;
   bindings.reserve(request.args.size());
-  std::vector<std::shared_ptr<std::vector<std::uint8_t>>> held;
+  std::vector<std::shared_ptr<ZeroedBytes>> held;
   for (std::size_t i = 0; i < request.args.size(); ++i) {
     const net::WireKernelArg& arg = request.args[i];
     const oclc::KernelArgInfo& param = kernel->params[i];
@@ -232,7 +231,7 @@ net::LaunchKernelReply DeviceSession::LaunchKernel(
         // Kernel outputs materialize device memory with no transfer this
         // session could observe: charge the written range now, mirroring
         // the host ledger's launch-epilogue charge.
-        std::vector<std::uint8_t>& replica = *it->second;
+        ZeroedBytes& replica = *it->second;
         if (arg.written_end > arg.written_begin) {
           if (arg.written_end > replica.size()) {
             return fail(Status(ErrorCode::kInvalidValue,
@@ -350,26 +349,16 @@ net::LaunchKernelReply DeviceSession::LaunchKernel(
 
 Status DeviceSession::PullSlice(const net::PullSliceRequest& request,
                                 const PeerFetch& fetch) {
-  // Phase 1: validate the local replica before going to the peer, so a
-  // missing allocation fails fast without a network round-trip.
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto range = RangeLocked(request.buffer_id, request.offset, request.size,
-                             "pull slice");
-    if (!range.ok()) return range.status();
-  }
-  // Phase 2: fetch WITHOUT the session lock. Two nodes cross-pulling from
-  // each other would otherwise each hold their own lock while waiting for
-  // the peer's ReadBuffer, which needs that lock — a distributed deadlock.
-  auto bytes = fetch(request.source_node, request.buffer_id, request.offset,
-                     request.size);
-  if (!bytes.ok()) return bytes.status();
-  if (bytes->size() != request.size) {
-    return Status(ErrorCode::kProtocolError, "short peer slice");
-  }
-  // Phase 3: re-validate (the buffer may have been released mid-fetch) and
-  // store.
-  return WriteBuffer(request.buffer_id, request.offset, *bytes);
+  // A missing allocation or a bad range fails here, before any network
+  // round-trip. The claimed range stays pinned across the fetch, so a
+  // release arriving meanwhile cannot free the bytes landing in it.
+  auto range = ClaimWrite(request.buffer_id, request.offset, request.size);
+  if (!range.ok()) return range.status();
+  // Fetch WITHOUT the session lock: two nodes cross-pulling from each
+  // other would otherwise each hold their own lock while waiting for the
+  // peer's ReadBuffer, which needs that lock — a distributed deadlock.
+  return fetch(request.source_node, request.buffer_id, request.offset,
+               range->bytes);
 }
 
 net::LoadReply DeviceSession::Load() const {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/zeroed_bytes.h"
 #include "driver/device_driver.h"
 #include "net/protocol.h"
 #include "runtime/memory_ledger.h"
@@ -60,8 +61,8 @@ class DeviceSession {
   Status CreateBuffer(std::uint64_t buffer_id, std::uint64_t size);
   // Range-checks [offset, offset + size) and charges it to the ledger,
   // then hands it out to be filled: the one gate every incoming write
-  // passes, whether copied (WriteBuffer, PullSlice) or received in place
-  // by the NMP.
+  // passes, whether copied (WriteBuffer) or received in place (a write at
+  // the head of the NMP's queue, a PullSlice's peer reply).
   Expected<ReplicaRange> ClaimWrite(std::uint64_t buffer_id,
                                     std::uint64_t offset, std::uint64_t size);
   Status WriteBuffer(std::uint64_t buffer_id, std::uint64_t offset,
@@ -95,17 +96,20 @@ class DeviceSession {
   [[nodiscard]] std::size_t revoked_count(std::uint64_t launch_id) const;
 
   // ---- Node-to-node slice exchange --------------------------------------
-  // Transport hook the NMP supplies: fetch a byte range of a buffer from a
-  // peer node. The session itself stays transport-free.
-  using PeerFetch = std::function<Expected<std::vector<std::uint8_t>>(
+  // Transport hook the NMP supplies: fetch [offset, offset + into.size())
+  // of a buffer from a peer node straight into `into`. The session itself
+  // stays transport-free.
+  using PeerFetch = std::function<Status(
       std::uint32_t peer, std::uint64_t buffer_id, std::uint64_t offset,
-      std::uint64_t size)>;
+      std::span<std::uint8_t> into)>;
 
   // Pulls [offset, offset+size) of `buffer_id` from the request's source
-  // peer into the local replica. The session lock is NOT held across the
-  // peer fetch, so two nodes cross-pulling from each other cannot deadlock
-  // — the slice range is validated before and re-validated after the
-  // fetch.
+  // peer into the local replica: the range is claimed first (ClaimWrite:
+  // range check, ledger charge, pinned replica range) and the peer's bytes
+  // land in it. The session lock is NOT held across the peer fetch, so two
+  // nodes cross-pulling from each other cannot deadlock. A failed fetch
+  // leaves the range charged and its bytes unspecified, as a write cut off
+  // mid-tail does; the host never marks this node an owner of it.
   Status PullSlice(const net::PullSliceRequest& request,
                    const PeerFetch& fetch);
 
@@ -154,10 +158,9 @@ class DeviceSession {
   // entry point locks.
   mutable std::mutex mutex_;
   // Replicas are shared-owned so a reply being sent, a write landing or a
-  // kernel running keeps its replica alive past a concurrent release.
-  std::unordered_map<std::uint64_t,
-                     std::shared_ptr<std::vector<std::uint8_t>>>
-      buffers_;
+  // kernel running keeps its replica alive past a concurrent release. They
+  // are lazily zeroed: only the ranges that bytes land in become resident.
+  std::unordered_map<std::uint64_t, std::shared_ptr<ZeroedBytes>> buffers_;
   std::unordered_map<std::uint64_t, ProgramEntry> programs_;
 
   // Elastic revocations, guarded by their own leaf mutex so the receive

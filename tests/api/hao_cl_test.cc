@@ -995,6 +995,73 @@ TEST_F(HaoClAsyncTest, PartitionedAnnotationSplitsAcrossNodes) {
   TearDownPipeline();
 }
 
+TEST_F(HaoClAsyncTest, NodeQueueWritePullsPeerToPeerAndReadsOnce) {
+  // A write on node 0's queue goes to node 0; a launch on node 1's queue
+  // pulls that range node-to-node; a read on node 1's queue takes the
+  // result straight back. Host payload: exactly the write and the read.
+  cl_int err;
+  cl_device_id gpus[2] = {};
+  ASSERT_EQ(clGetDeviceIDs(platform_, CL_DEVICE_TYPE_GPU, 2, gpus, nullptr),
+            CL_SUCCESS);
+  context_ = clCreateContext(nullptr, 2, gpus, nullptr, nullptr, &err);
+  ASSERT_EQ(err, CL_SUCCESS);
+  cl_command_queue queues[2] = {};
+  for (int i = 0; i < 2; ++i) {
+    queues[i] = clCreateCommandQueue(context_, gpus[i], 0, &err);
+    ASSERT_EQ(err, CL_SUCCESS);
+  }
+  const char* source = R"(
+    __kernel void axpb(__global int* data, int n) {
+      int i = get_global_id(0);
+      if (i < n) data[i] = 5 * data[i] + 3;
+    })";
+  cl_program program =
+      clCreateProgramWithSource(context_, 1, &source, nullptr, &err);
+  ASSERT_EQ(err, CL_SUCCESS);
+  ASSERT_EQ(clBuildProgram(program, 0, nullptr, nullptr, nullptr, nullptr),
+            CL_SUCCESS);
+  cl_kernel kernel = clCreateKernel(program, "axpb", &err);
+  ASSERT_EQ(err, CL_SUCCESS);
+  const cl_int n = 4096;
+  const std::size_t bytes = n * sizeof(cl_int);
+  cl_mem buffer =
+      clCreateBuffer(context_, CL_MEM_READ_WRITE, bytes, nullptr, &err);
+  ASSERT_EQ(err, CL_SUCCESS);
+  ASSERT_EQ(clSetKernelArg(kernel, 0, sizeof(buffer), &buffer), CL_SUCCESS);
+  ASSERT_EQ(clSetKernelArg(kernel, 1, sizeof(n), &n), CL_SUCCESS);
+
+  auto* runtime = haocl::api::BoundRuntime();
+  const haocl::host::TransferStats before = runtime->transfer_stats();
+  std::vector<cl_int> input(n);
+  for (cl_int i = 0; i < n; ++i) input[i] = i * 7 - 5000;
+  cl_event written = nullptr;
+  ASSERT_EQ(clEnqueueWriteBuffer(queues[0], buffer, CL_FALSE, 0, bytes,
+                                 input.data(), 0, nullptr, &written),
+            CL_SUCCESS);
+  const size_t global = n;
+  ASSERT_EQ(clEnqueueNDRangeKernel(queues[1], kernel, 1, nullptr, &global,
+                                   nullptr, 1, &written, nullptr),
+            CL_SUCCESS);
+  std::vector<cl_int> got(n, 0);
+  ASSERT_EQ(clEnqueueReadBuffer(queues[1], buffer, CL_TRUE, 0, bytes,
+                                got.data(), 0, nullptr, nullptr),
+            CL_SUCCESS);
+  for (cl_int i = 0; i < n; ++i) ASSERT_EQ(got[i], 5 * input[i] + 3) << i;
+
+  const haocl::host::TransferStats after = runtime->transfer_stats();
+  EXPECT_EQ(after.host_bytes_out - before.host_bytes_out, bytes);
+  EXPECT_EQ(after.host_bytes_in - before.host_bytes_in, bytes);
+  EXPECT_EQ(after.p2p_bytes - before.p2p_bytes, bytes);
+  EXPECT_EQ(after.relay_bytes - before.relay_bytes, 0u);
+
+  clReleaseEvent(written);
+  clReleaseMemObject(buffer);
+  clReleaseKernel(kernel);
+  clReleaseProgram(program);
+  for (cl_command_queue queue : queues) clReleaseCommandQueue(queue);
+  TearDownPipeline();
+}
+
 TEST(HaoClUnboundTest, NoPlatformWithoutCluster) {
   UnbindRuntime();
   cl_uint num_platforms = 99;

@@ -91,13 +91,14 @@ struct Fixture {
 
   // Verifies every element equals the doubled input — what a single-node
   // run produces, bit for bit.
-  void ExpectDoubled() {
+  void ExpectDoubled() { ExpectScaledBy(2); }
+  void ExpectScaledBy(int factor) {
     std::vector<std::int32_t> got(kN);
     ASSERT_TRUE(cluster->runtime()
                     .ReadBuffer(buffer, 0, got.data(), kN * 4)
                     .ok());
     for (int i = 0; i < kN; ++i) {
-      ASSERT_EQ(got[i], 2 * (i + 1)) << "element " << i;
+      ASSERT_EQ(got[i], factor * (i + 1)) << "element " << i;
     }
   }
 };
@@ -177,6 +178,28 @@ TEST(ElasticLaunchTest, ScriptedKillCompletesBitIdentical) {
   f.ExpectDoubled();
   // Re-executions shipped their input rows again; the stats say so.
   EXPECT_GT(f.cluster->runtime().transfer_stats().reexec_bytes, 0u);
+}
+
+TEST(ElasticLaunchTest, KillAfterAnOrdinaryLaunchRecoversItsOutput) {
+  // An ordinary launch leaves node 1 the only owner of the doubled buffer,
+  // and the host shadow still holds the initial write. Recovery after node
+  // 1 dies must start from the doubled bytes: the elastic launch gathers
+  // them into the shadow as its pre-image before its first chunk, so rows
+  // node 1 never wrote stay co-owned and the rows it did write fall back
+  // to that pre-image.
+  Fixture f = Fixture::Make();
+  ClusterRuntime::LaunchSpec first = f.Spec();
+  first.force_node = 1;
+  ASSERT_TRUE(f.cluster->runtime().LaunchKernel(first).ok());
+  elastic::FaultInjector faults;
+  faults.ScriptKill(/*node=*/1, /*after_chunks=*/2);
+  ClusterRuntime::ElasticOptions options;
+  options.fault_injector = &faults;
+  auto result = f.cluster->runtime().LaunchElastic(f.Spec(), options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->dead_nodes.size(), 1u);
+  EXPECT_EQ(result->dead_nodes[0], 1u);
+  f.ExpectScaledBy(4);
 }
 
 TEST(ElasticLaunchTest, KillBeforeFirstChunkRecovers) {

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstring>
+#include <fstream>
 #include <numeric>
 #include <random>
 
@@ -311,7 +314,8 @@ TEST_F(ClusterRuntimeTest, MarkerGateDefersSubmittedCommands) {
   ASSERT_TRUE(gate.ok());
 
   const std::int32_t payload[4] = {7, 8, 9, 10};
-  auto write = runtime().SubmitWrite(*buffer, 0, payload, 16, {*gate});
+  auto write = runtime().SubmitWrite(*buffer, 0, payload, 16,
+                                     ClusterRuntime::kClusterDevice, {*gate});
   ASSERT_TRUE(write.ok());
   // Deterministic deferral: the gate is unresolved, so the write cannot
   // leave the queued state no matter how long the dispatcher spins.
@@ -366,7 +370,8 @@ TEST_F(ClusterRuntimeTest, FailedMarkerFailsDependents) {
   auto gate = runtime().SubmitMarker();
   ASSERT_TRUE(gate.ok());
   const std::int32_t payload[4] = {1, 2, 3, 4};
-  auto write = runtime().SubmitWrite(*buffer, 0, payload, 16, {*gate});
+  auto write = runtime().SubmitWrite(*buffer, 0, payload, 16,
+                                     ClusterRuntime::kClusterDevice, {*gate});
   ASSERT_TRUE(write.ok());
 
   ASSERT_TRUE(runtime()
@@ -386,6 +391,11 @@ TEST_F(ClusterRuntimeTest, SubmitValidatesAtEnqueueTime) {
   ASSERT_TRUE(buffer.ok());
   EXPECT_EQ(runtime().SubmitWrite(*buffer, 12, "xxxxxxxx", 8).code(),
             ErrorCode::kInvalidValue);
+  for (int node : {-2, static_cast<int>(runtime().devices().size())}) {
+    EXPECT_EQ(runtime().SubmitWrite(*buffer, 0, "xxxx", 4, node).code(),
+              ErrorCode::kInvalidValue)
+        << "node " << node;
+  }
   std::int32_t sink;
   EXPECT_EQ(runtime().SubmitRead(999, 0, &sink, 4).code(),
             ErrorCode::kInvalidMemObject);
@@ -923,16 +933,128 @@ TEST_F(ClusterRuntimeTest, DirectorySnapshotTracksOwnership) {
   EXPECT_FALSE(snapshot->HostOwns(0, 4));
   const std::uint64_t epoch_after_launch = snapshot->epoch;
 
-  // A partial read gathers just that range; the rest stays remote-only.
+  // A partial read moves just that range, straight into the caller's
+  // memory: the host does not become an owner, so the directory is as the
+  // launch left it.
   std::int32_t head[8];
   ASSERT_TRUE(runtime().ReadBuffer(*buffer, 0, head, sizeof head).ok());
   EXPECT_EQ(head[0], 2);
   snapshot = runtime().DirectorySnapshotOf(*buffer);
   ASSERT_TRUE(snapshot.ok());
-  EXPECT_TRUE(snapshot->HostOwns(0, sizeof head));
-  EXPECT_FALSE(snapshot->HostOwns(0, n * 4));
+  ASSERT_EQ(snapshot->regions.size(), 1u);
+  EXPECT_EQ(snapshot->regions[0].owners, std::vector<std::int32_t>{1});
+  EXPECT_FALSE(snapshot->HostOwns(0, sizeof head));
   EXPECT_EQ(snapshot->epoch, epoch_after_launch);  // Transfers don't dirty.
   EXPECT_EQ(snapshot->stats.host_bytes_in, sizeof head);
+
+  // So a second read of the range moves it again.
+  std::int32_t again[8] = {};
+  ASSERT_TRUE(runtime().ReadBuffer(*buffer, 0, again, sizeof again).ok());
+  EXPECT_EQ(again[7], 2);
+  snapshot = runtime().DirectorySnapshotOf(*buffer);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_FALSE(snapshot->HostOwns(0, sizeof head));
+  EXPECT_EQ(snapshot->stats.host_bytes_in, 2 * sizeof head);
+}
+
+// A write on a node's queue moves its bytes once, from the caller's
+// pointer to that node, which becomes the sole owner: the launch that
+// follows ships nothing, and the read takes the bytes straight back
+// without making the host an owner. A dead node's queue falls back to the
+// host shadow.
+TEST_F(ClusterRuntimeTest, NodeQueueWriteShipsStraightToTheNode) {
+  auto program = runtime().BuildProgram(kDoubler);
+  ASSERT_TRUE(program.ok());
+  const int n = 256;
+  const std::uint64_t bytes = static_cast<std::uint64_t>(n) * 4;
+  auto buffer = runtime().CreateBuffer(bytes);
+  ASSERT_TRUE(buffer.ok());
+  std::vector<std::int32_t> values(n);
+  std::iota(values.begin(), values.end(), -7);
+  auto write = runtime().SubmitWrite(*buffer, 0, values.data(), bytes, 1);
+  ASSERT_TRUE(write.ok());
+  ASSERT_TRUE(runtime().Wait(*write).ok());
+  ASSERT_TRUE(runtime().ReleaseCommand(*write).ok());
+  auto snapshot = runtime().DirectorySnapshotOf(*buffer);
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_EQ(snapshot->regions.size(), 1u);
+  EXPECT_EQ(snapshot->regions[0].owners, std::vector<std::int32_t>{1});
+  EXPECT_EQ(snapshot->stats.host_bytes_out, bytes);
+
+  ClusterRuntime::LaunchSpec spec;
+  spec.program = *program;
+  spec.kernel_name = "doubler";
+  spec.args = {KernelArgValue::Buffer(*buffer),
+               KernelArgValue::Scalar<std::int32_t>(n)};
+  spec.global[0] = n;
+  spec.preferred_node = 1;
+  auto launched = runtime().LaunchKernel(spec);
+  ASSERT_TRUE(launched.ok()) << launched.status().ToString();
+  EXPECT_EQ(launched->bytes_shipped, 0u);
+
+  std::vector<std::int32_t> got(n);
+  ASSERT_TRUE(runtime().ReadBuffer(*buffer, 0, got.data(), bytes).ok());
+  for (int i = 0; i < n; ++i) ASSERT_EQ(got[i], 2 * values[i]) << i;
+  snapshot = runtime().DirectorySnapshotOf(*buffer);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_FALSE(snapshot->HostOwns(0, 4));
+  EXPECT_EQ(snapshot->stats.host_bytes_out, bytes);
+  EXPECT_EQ(snapshot->stats.host_bytes_in, bytes);
+
+  // Node 0 is lost: a write on its queue lands in the shadow instead.
+  ASSERT_TRUE(runtime().MarkNodeLost(0).ok());
+  write = runtime().SubmitWrite(*buffer, 0, values.data(), 16, 0);
+  ASSERT_TRUE(write.ok());
+  ASSERT_TRUE(runtime().Wait(*write).ok());
+  ASSERT_TRUE(runtime().ReleaseCommand(*write).ok());
+  snapshot = runtime().DirectorySnapshotOf(*buffer);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_TRUE(snapshot->HostOwns(0, 16));
+  EXPECT_FALSE(snapshot->HostOwns(0, 20));
+  EXPECT_EQ(snapshot->stats.host_bytes_out, bytes);
+  ASSERT_TRUE(runtime().ReadBuffer(*buffer, 0, got.data(), bytes).ok());
+  for (int i = 0; i < n; ++i) {
+    ASSERT_EQ(got[i], i < 4 ? values[i] : 2 * values[i]) << i;
+  }
+}
+
+// Buffers cost resident memory only where bytes land: the host shadow and
+// the node replica are lazily zeroed, and the write and the read move the
+// page between the caller and the node without touching the shadow.
+TEST_F(ClusterRuntimeTest, GigabyteBufferMakesOnlyWrittenPagesResident) {
+#if defined(__SANITIZE_THREAD__)
+  // TSan's calloc interceptor writes every byte it hands out (gcc 12:
+  // 1 GiB resident right after calloc), so under TSan no buffer is lazily
+  // zeroed and this test would only make 2 GiB resident.
+  GTEST_SKIP() << "calloc is eager under ThreadSanitizer";
+#endif
+  auto resident_bytes = [] {
+    std::ifstream statm("/proc/self/statm");
+    std::int64_t size_pages = 0;
+    std::int64_t resident_pages = 0;
+    statm >> size_pages >> resident_pages;
+    return resident_pages * static_cast<std::int64_t>(sysconf(_SC_PAGESIZE));
+  };
+  constexpr std::uint64_t kGiB = 1ull << 30;
+  std::vector<std::uint8_t> page(4096);
+  std::iota(page.begin(), page.end(), 1);
+  std::vector<std::uint8_t> back(page.size());
+  const std::int64_t before = resident_bytes();
+  auto buffer = runtime().CreateBuffer(kGiB);
+  ASSERT_TRUE(buffer.ok()) << buffer.status().ToString();
+  const std::uint64_t offset = kGiB / 2;
+  auto write =
+      runtime().SubmitWrite(*buffer, offset, page.data(), page.size(), 0);
+  ASSERT_TRUE(write.ok());
+  ASSERT_TRUE(runtime().Wait(*write).ok());
+  ASSERT_TRUE(runtime().ReleaseCommand(*write).ok());
+  ASSERT_TRUE(
+      runtime().ReadBuffer(*buffer, offset, back.data(), back.size()).ok());
+  const std::int64_t grown = resident_bytes() - before;
+  EXPECT_EQ(back, page);
+  EXPECT_LT(grown, 8 << 20) << "resident set grew by " << grown << " bytes";
+  ASSERT_TRUE(runtime().ReleaseBuffer(*buffer).ok());
+  ASSERT_TRUE(runtime().Finish().ok());
 }
 
 // THE acceptance scenario: a chained pair of partitioned launches over the
@@ -1220,9 +1342,9 @@ TEST_F(ClusterRuntimeTest, MigrateDiscardTransfersNothingAndValidates) {
   EXPECT_EQ(snapshot->stats.p2p_bytes, 0u);
 }
 
-// Satellite property test: randomized writes / copies / partitioned
-// launches / migrations / reads, checked bit-identical against a host-only
-// oracle after every read.
+// Satellite property test: randomized writes (on the cluster device's or a
+// node's queue) / copies / partitioned launches / migrations / reads,
+// checked bit-identical against a host-only oracle after every read.
 TEST_F(ClusterRuntimeTest, RandomizedOpsMatchHostOnlyOracle) {
   constexpr char kBump[] = R"(
     __kernel void bump(__global int* data, int n) {
@@ -1245,6 +1367,7 @@ TEST_F(ClusterRuntimeTest, RandomizedOpsMatchHostOnlyOracle) {
   }
 
   std::mt19937 rng(0xD17EC70);
+  std::mt19937 device_rng(0xDE71CE);
   auto range_in = [&rng](std::uint64_t limit) {
     return std::uniform_int_distribution<std::uint64_t>(0, limit)(rng);
   };
@@ -1252,13 +1375,21 @@ TEST_F(ClusterRuntimeTest, RandomizedOpsMatchHostOnlyOracle) {
   for (int op = 0; op < 250; ++op) {
     const std::size_t b = range_in(kBuffers - 1);
     switch (range_in(5)) {
-      case 0: case 1: {  // Byte-granular write.
+      case 0: case 1: {  // Byte-granular write, on a random device's queue.
         const std::uint64_t offset = range_in(kBytes - 1);
         const std::uint64_t size = 1 + range_in(kBytes - offset - 1);
         std::vector<std::uint8_t> data(size);
         for (auto& byte : data) byte = static_cast<std::uint8_t>(rng());
-        ASSERT_TRUE(
-            runtime().WriteBuffer(ids[b], offset, data.data(), size).ok());
+        // Its own stream, so the ops drawn above are the same as without
+        // node-targeted writes.
+        const int device = std::uniform_int_distribution<int>(
+            ClusterRuntime::kClusterDevice,
+            static_cast<int>(runtime().devices().size()) - 1)(device_rng);
+        auto write = runtime().SubmitWrite(ids[b], offset, data.data(), size,
+                                           device);
+        ASSERT_TRUE(write.ok());
+        ASSERT_TRUE(runtime().Wait(*write).ok());
+        ASSERT_TRUE(runtime().ReleaseCommand(*write).ok());
         std::copy(data.begin(), data.end(), oracle[b].begin() + offset);
         break;
       }

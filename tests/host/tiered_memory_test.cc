@@ -91,6 +91,47 @@ TEST(TieredMemoryTest, HandshakeReportsCapacity) {
   EXPECT_FALSE(runtime.NodeMemoryStatsOf(7).ok());
 }
 
+TEST(TieredMemoryTest, NodeQueueWriteLargerThanTheTierLandsInTheShadow) {
+  auto cluster = MakeCluster({.gpu_nodes = 1, .cpu_nodes = 1}, {4096, 0});
+  ASSERT_NE(cluster, nullptr);
+  auto& runtime = cluster->runtime();
+  auto buffer = runtime.CreateBuffer(8192);
+  ASSERT_TRUE(buffer.ok());
+  std::vector<std::int32_t> values(2048);
+  for (int i = 0; i < 2048; ++i) values[i] = 3 * i - 100;
+  auto write_on_node0 = [&](std::uint64_t bytes) {
+    auto write = runtime.SubmitWrite(*buffer, 0, values.data(), bytes, 0);
+    ASSERT_TRUE(write.ok());
+    ASSERT_TRUE(runtime.Wait(*write).ok());
+    ASSERT_TRUE(runtime.ReleaseCommand(*write).ok());
+  };
+  auto expect_reads_back = [&] {
+    std::vector<std::int32_t> got(2048);
+    ASSERT_TRUE(runtime.ReadBuffer(*buffer, 0, got.data(), 8192).ok());
+    EXPECT_EQ(got, values);
+  };
+
+  // 8 KiB cannot fit node 0's 4 KiB tier: the write takes the shadow.
+  write_on_node0(8192);
+  auto snapshot = runtime.DirectorySnapshotOf(*buffer);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_TRUE(snapshot->HostOwns(0, 8192));
+  EXPECT_EQ(snapshot->stats.host_bytes_out, 0u);
+  EXPECT_EQ(runtime.NodeMemoryStatsOf(0)->resident_bytes, 0u);
+  expect_reads_back();
+
+  // 4 KiB fits, so that write goes to the node.
+  write_on_node0(4096);
+  snapshot = runtime.DirectorySnapshotOf(*buffer);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_FALSE(snapshot->HostOwns(0, 4096));
+  EXPECT_TRUE(snapshot->HostOwns(4096, 8192));
+  EXPECT_EQ(snapshot->stats.host_bytes_out, 4096u);
+  EXPECT_EQ(runtime.NodeMemoryStatsOf(0)->resident_bytes, 4096u);
+  EXPECT_EQ(cluster->server(0).bytes_resident(), 4096u);
+  expect_reads_back();
+}
+
 TEST(TieredMemoryTest, LaunchReservesWorkingSetInBothLedgers) {
   auto cluster = MakeCluster({.gpu_nodes = 1}, {8192});
   ASSERT_NE(cluster, nullptr);

@@ -313,52 +313,79 @@ TEST(NodeServerTcpTest, FullProtocolOverRealSockets) {
   listener.Stop();
 }
 
-TEST(NodeServerTcpTest, PeersDialedFromClusterConfigExchangeSlices) {
-  // Two NMP daemons on real TCP sockets dial each other from the cluster
-  // configuration (the multi-machine deployment path), so a host-driven
-  // pull moves the payload node-to-node instead of relaying.
-  auto s0 = NodeServer::Create("gpu0", NodeType::kGpu);
-  auto s1 = NodeServer::Create("cpu0", NodeType::kCpu);
-  ASSERT_TRUE(s0.ok() && s1.ok());
-  net::TcpListener l0(0);
-  net::TcpListener l1(0);
-  ASSERT_TRUE(
-      l0.Start([&](net::ConnectionPtr c) { (*s0)->Serve(std::move(c)); })
-          .ok());
-  ASSERT_TRUE(
-      l1.Start([&](net::ConnectionPtr c) { (*s1)->Serve(std::move(c)); })
-          .ok());
+// Two NMP daemons on real TCP sockets that dial each other from the
+// cluster configuration (the multi-machine deployment path), and a host
+// runtime connected to both over TCP.
+struct TcpPeerPair {
+  std::unique_ptr<NodeServer> servers[2];
+  std::unique_ptr<net::TcpListener> listeners[2];
   ClusterConfig config;
-  config.AddNode({"gpu0", NodeType::kGpu, "127.0.0.1", l0.port()});
-  config.AddNode({"cpu0", NodeType::kCpu, "127.0.0.1", l1.port()});
-  ASSERT_TRUE(ConnectPeersFromConfig(**s0, 0, config).ok());
-  ASSERT_TRUE(ConnectPeersFromConfig(**s1, 1, config).ok());
-  // Self index out of range is rejected.
-  EXPECT_FALSE(ConnectPeersFromConfig(**s0, 5, config).ok());
+  std::unique_ptr<host::ClusterRuntime> runtime;
 
-  // The host connects over TCP too and drives a producer/consumer chain:
-  // node 0 produces the buffer, node 1's launch prologue pulls it
-  // directly over the dialed peer link.
-  std::vector<net::ConnectionPtr> connections;
-  for (std::uint16_t port : {l0.port(), l1.port()}) {
-    auto connection = net::TcpConnect("127.0.0.1", port);
-    ASSERT_TRUE(connection.ok());
-    connections.push_back(*std::move(connection));
+  void Start() {
+    auto s0 = NodeServer::Create("gpu0", NodeType::kGpu);
+    auto s1 = NodeServer::Create("cpu0", NodeType::kCpu);
+    ASSERT_TRUE(s0.ok() && s1.ok());
+    servers[0] = *std::move(s0);
+    servers[1] = *std::move(s1);
+    for (int i = 0; i < 2; ++i) {
+      listeners[i] = std::make_unique<net::TcpListener>(0);
+      NodeServer* server = servers[i].get();
+      ASSERT_TRUE(listeners[i]
+                      ->Start([server](net::ConnectionPtr c) {
+                        server->Serve(std::move(c));
+                      })
+                      .ok());
+    }
+    config.AddNode({"gpu0", NodeType::kGpu, "127.0.0.1", listeners[0]->port()});
+    config.AddNode({"cpu0", NodeType::kCpu, "127.0.0.1", listeners[1]->port()});
+    ASSERT_TRUE(ConnectPeersFromConfig(*servers[0], 0, config).ok());
+    ASSERT_TRUE(ConnectPeersFromConfig(*servers[1], 1, config).ok());
+    std::vector<net::ConnectionPtr> connections;
+    for (const auto& listener : listeners) {
+      auto connection = net::TcpConnect("127.0.0.1", listener->port());
+      ASSERT_TRUE(connection.ok());
+      connections.push_back(*std::move(connection));
+    }
+    auto connected = host::ClusterRuntime::Connect(std::move(connections), {});
+    ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+    runtime = *std::move(connected);
   }
-  auto runtime = host::ClusterRuntime::Connect(std::move(connections), {});
-  ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
-  auto program = (*runtime)->BuildProgram(R"(
-    __kernel void bump(__global int* data, int n) {
-      int i = get_global_id(0);
-      if (i < n) data[i] = data[i] + 1;
-    })");
+
+  ~TcpPeerPair() {
+    if (runtime != nullptr) runtime->Disconnect();
+    for (auto& server : servers) {
+      if (server != nullptr) server->Shutdown();
+    }
+    for (auto& listener : listeners) {
+      if (listener != nullptr) listener->Stop();
+    }
+  }
+};
+
+constexpr char kBumpSource[] = R"(
+  __kernel void bump(__global int* data, int n) {
+    int i = get_global_id(0);
+    if (i < n) data[i] = data[i] + 1;
+  })";
+
+TEST(NodeServerTcpTest, PeersDialedFromClusterConfigExchangeSlices) {
+  TcpPeerPair pair;
+  ASSERT_NO_FATAL_FAILURE(pair.Start());
+  // Self index out of range is rejected.
+  EXPECT_FALSE(ConnectPeersFromConfig(*pair.servers[0], 5, pair.config).ok());
+
+  // The host drives a producer/consumer chain: node 0 produces the
+  // buffer, node 1's launch prologue pulls it directly over the dialed
+  // peer link.
+  host::ClusterRuntime& runtime = *pair.runtime;
+  auto program = runtime.BuildProgram(kBumpSource);
   ASSERT_TRUE(program.ok());
   constexpr int kN = 512;
-  auto buffer = (*runtime)->CreateBuffer(kN * 4);
+  auto buffer = runtime.CreateBuffer(kN * 4);
   ASSERT_TRUE(buffer.ok());
   std::vector<std::int32_t> values(kN, 1);
-  ASSERT_TRUE(
-      (*runtime)->WriteBuffer(*buffer, 0, values.data(), kN * 4).ok());
+  ASSERT_TRUE(runtime.WriteBuffer(*buffer, 0, values.data(), kN * 4).ok());
   for (int node = 0; node < 2; ++node) {
     host::ClusterRuntime::LaunchSpec spec;
     spec.program = *program;
@@ -367,25 +394,73 @@ TEST(NodeServerTcpTest, PeersDialedFromClusterConfigExchangeSlices) {
                  host::KernelArgValue::Scalar<std::int32_t>(kN)};
     spec.global[0] = kN;
     spec.preferred_node = node;
-    auto result = (*runtime)->LaunchKernel(spec);
+    auto result = runtime.LaunchKernel(spec);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
   }
   std::vector<std::int32_t> readback(kN);
-  ASSERT_TRUE(
-      (*runtime)->ReadBuffer(*buffer, 0, readback.data(), kN * 4).ok());
+  ASSERT_TRUE(runtime.ReadBuffer(*buffer, 0, readback.data(), kN * 4).ok());
   for (std::int32_t v : readback) ASSERT_EQ(v, 3);
   // The second launch's input moved node 0 -> node 1 over the peer link:
   // real P2P payload, zero relay fallbacks.
-  const host::TransferStats stats = (*runtime)->transfer_stats();
+  const host::TransferStats stats = runtime.transfer_stats();
   EXPECT_EQ(stats.p2p_bytes, static_cast<std::uint64_t>(kN) * 4);
   EXPECT_EQ(stats.relay_bytes, 0u);
   EXPECT_EQ(stats.relay_transfers, 0u);
+}
 
-  (*runtime)->Disconnect();
-  (*s0)->Shutdown();
-  (*s1)->Shutdown();
-  l0.Stop();
-  l1.Stop();
+TEST(NodeServerTcpTest, BulkBytesMoveBetweenCallerAndNodesInPlace) {
+  // Multi-MiB payloads over real sockets, end to end: a write on node 0's
+  // queue leaves from the caller's pointer and lands in node 0's replica,
+  // a read lands in the caller's buffer, and node 1's launch pulls its
+  // slice from node 0 straight into its own replica.
+  TcpPeerPair pair;
+  ASSERT_NO_FATAL_FAILURE(pair.Start());
+  host::ClusterRuntime& runtime = *pair.runtime;
+  auto program = runtime.BuildProgram(kBumpSource);
+  ASSERT_TRUE(program.ok());
+  constexpr std::uint64_t kN = 1 << 20;  // 4 MiB of ints.
+  constexpr std::uint64_t kBytes = kN * 4;
+  auto buffer = runtime.CreateBuffer(kBytes);
+  ASSERT_TRUE(buffer.ok());
+  std::vector<std::int32_t> values(kN);
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    values[i] = static_cast<std::int32_t>(i * 2654435761u);
+  }
+  auto write = runtime.SubmitWrite(*buffer, 0, values.data(), kBytes, 0);
+  ASSERT_TRUE(write.ok());
+  ASSERT_TRUE(runtime.Wait(*write).ok());
+  ASSERT_TRUE(runtime.ReleaseCommand(*write).ok());
+  std::vector<std::int32_t> whole(kN);
+  ASSERT_TRUE(runtime.ReadBuffer(*buffer, 0, whole.data(), kBytes).ok());
+  EXPECT_EQ(whole, values);
+
+  // Node 1 bumps the second quarter of the rows.
+  constexpr std::uint64_t kFirst = kN / 4;
+  constexpr std::uint64_t kCount = kN / 4;
+  host::ClusterRuntime::LaunchSpec spec;
+  spec.program = *program;
+  spec.kernel_name = "bump";
+  spec.args = {host::KernelArgValue::PartitionedBuffer(*buffer, 4),
+               host::KernelArgValue::Scalar<std::int32_t>(
+                   static_cast<std::int32_t>(kFirst + kCount))};
+  spec.global[0] = kCount;
+  spec.global_offset[0] = kFirst;
+  spec.preferred_node = 1;
+  auto result = runtime.LaunchKernel(spec);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  std::vector<std::int32_t> produced(kCount);
+  ASSERT_TRUE(runtime
+                  .ReadBuffer(*buffer, kFirst * 4, produced.data(),
+                              kCount * 4)
+                  .ok());
+  for (std::uint64_t i = 0; i < kCount; ++i) {
+    ASSERT_EQ(produced[i], values[kFirst + i] + 1) << "row " << kFirst + i;
+  }
+  const host::TransferStats stats = runtime.transfer_stats();
+  EXPECT_EQ(stats.host_bytes_out, kBytes);
+  EXPECT_EQ(stats.host_bytes_in, kBytes + kCount * 4);
+  EXPECT_EQ(stats.p2p_bytes, kCount * 4);
+  EXPECT_EQ(stats.relay_bytes, 0u);
 }
 
 TEST(NodeServerReleaseTest, ReleaseMidLaunchKeepsReplicaAlive) {
@@ -626,6 +701,48 @@ TEST_P(NodeServerLandingTest, WriteBehindUnansweredLaunchWaitsItsTurn) {
   EXPECT_EQ(Read(2, 64), old_bytes);
   EXPECT_EQ(Read(1, 64), new_bytes);
   EXPECT_EQ(Read(3, 64), Bytes(64, 0x33));
+  peer_end->Close();
+}
+
+TEST_P(NodeServerLandingTest, PeerSliceLandsInTheReplicaAndAShortOneFails) {
+  // A peer link the test answers by hand.
+  auto [node_end, peer_end] = net::CreateSimChannel();
+  server_->ConnectPeer(1, std::move(node_end));
+  BlockingQueue<Message> fetches;
+  peer_end->Start([&](Message m) { fetches.Push(std::move(m)); });
+  const net::CreateBufferRequest create{1, 64};
+  ASSERT_TRUE(Call(MsgType::kCreateBuffer, net::Encode(create)).ok());
+
+  auto pull_answered_with = [&](const Bytes& slice) {
+    const net::PullSliceRequest pull{1, 16, 32, 1};
+    auto pulled =
+        client_->CallAsync(MsgType::kPullSlice, kSession, net::Encode(pull));
+    auto fetch = fetches.Pop();
+    EXPECT_TRUE(fetch.has_value());
+    if (!fetch.has_value()) return Status(ErrorCode::kInternal, "no fetch");
+    EXPECT_EQ(fetch->type, MsgType::kReadBuffer);
+    auto read = net::Decode<net::ReadBufferRequest>(fetch->payload);
+    EXPECT_TRUE(read.ok());
+    EXPECT_EQ(read->offset, 16u);
+    EXPECT_EQ(read->size, 32u);
+    Message reply;
+    reply.type = MsgType::kReadReply;
+    reply.seq = fetch->seq;
+    reply.session = fetch->session;
+    reply.payload = slice;
+    EXPECT_TRUE(peer_end->Send(reply).ok());
+    return net::CheckReply(pulled->Wait(), MsgType::kStatusReply);
+  };
+  EXPECT_TRUE(pull_answered_with(Bytes(32, 0x44)).ok());
+  Bytes expected(64, 0);
+  std::fill(expected.begin() + 16, expected.begin() + 48, 0x44);
+  EXPECT_EQ(Read(1, 64), expected);
+  // A short reply cannot land in the claimed range: the pull fails, the
+  // replica keeps its bytes, and the node keeps serving.
+  EXPECT_EQ(pull_answered_with(Bytes(31, 0x55)).code(),
+            ErrorCode::kProtocolError);
+  EXPECT_EQ(Read(1, 64), expected);
+  EXPECT_TRUE(Call(MsgType::kHeartbeat, {}).ok());
   peer_end->Close();
 }
 

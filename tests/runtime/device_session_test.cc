@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 
 #include "driver/icd.h"
 
@@ -72,14 +74,15 @@ TEST_F(DeviceSessionTest, PullSliceStoresPeerBytes) {
   pull.source_node = 2;
   int fetches = 0;
   auto fetch = [&fetches](std::uint32_t peer, std::uint64_t buffer,
-                          std::uint64_t offset, std::uint64_t size)
-      -> Expected<std::vector<std::uint8_t>> {
+                          std::uint64_t offset, std::span<std::uint8_t> into) {
     ++fetches;
     EXPECT_EQ(peer, 2u);
     EXPECT_EQ(buffer, 1u);
     EXPECT_EQ(offset, 4u);
-    EXPECT_EQ(size, 4u);
-    return std::vector<std::uint8_t>{9, 8, 7, 6};
+    EXPECT_EQ(into.size(), 4u);
+    const Bytes slice{9, 8, 7, 6};
+    std::copy(slice.begin(), slice.end(), into.begin());
+    return Status::Ok();
   };
   ASSERT_TRUE(session_->PullSlice(pull, fetch).ok());
   EXPECT_EQ(fetches, 1);
@@ -87,9 +90,13 @@ TEST_F(DeviceSessionTest, PullSliceStoresPeerBytes) {
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(Bytes(read->bytes.begin(), read->bytes.end()),
             (std::vector<std::uint8_t>{9, 8, 7, 6}));
+  // The slice landed in the replica itself and is charged to the ledger.
+  EXPECT_EQ(session_->resident_bytes(), 4u);
 
   // Out-of-range and missing-buffer pulls fail BEFORE fetching from the
-  // peer; fetch failures and short slices propagate.
+  // peer; fetch failures propagate. (A short peer reply is the NMP's
+  // fetch failing: NodeServerLandingTest's
+  // PeerSliceLandsInTheReplicaAndAShortOneFails.)
   pull.offset = 14;
   EXPECT_EQ(session_->PullSlice(pull, fetch).code(),
             ErrorCode::kInvalidValue);
@@ -100,17 +107,11 @@ TEST_F(DeviceSessionTest, PullSliceStoresPeerBytes) {
   EXPECT_EQ(fetches, 1);
   pull.buffer_id = 1;
   auto unreachable = [](std::uint32_t, std::uint64_t, std::uint64_t,
-                        std::uint64_t) -> Expected<std::vector<std::uint8_t>> {
+                        std::span<std::uint8_t>) {
     return Status(ErrorCode::kPeerUnreachable, "no link");
   };
   EXPECT_EQ(session_->PullSlice(pull, unreachable).code(),
             ErrorCode::kPeerUnreachable);
-  auto truncated = [](std::uint32_t, std::uint64_t, std::uint64_t,
-                      std::uint64_t) -> Expected<std::vector<std::uint8_t>> {
-    return std::vector<std::uint8_t>{1};
-  };
-  EXPECT_EQ(session_->PullSlice(pull, truncated).code(),
-            ErrorCode::kProtocolError);
 }
 
 TEST_F(DeviceSessionTest, BuildAndLaunch) {

@@ -5,7 +5,8 @@
 //     static model believes, so the plan overloads it. With stealing the
 //     makespan must land within 15% of the oracle (perfect split by TRUE
 //     rates); without stealing it sits >60% over — the gap the second
-//     scheduling loop closes.
+//     scheduling loop closes. Nothing fails there, so no chunk may run
+//     twice and every input byte ships exactly once.
 //  2) Node-kill recovery — a daemon is scripted dead mid-launch; the
 //     launch must complete with a bit-identical result, re-executing only
 //     the chunks whose outputs died with the node.
@@ -160,6 +161,8 @@ int main() {
   double oracle = 0.0;
   double with_steal = 0.0;
   std::uint64_t stolen = 0;
+  std::uint64_t straggler_reexecuted = 0;
+  std::uint64_t straggler_bytes = 0;
   {
     Harness h = Harness::Make(kStraggler, kRows);
     double inverse_sum = 0.0;
@@ -175,6 +178,8 @@ int main() {
     if (result.ok()) {
       with_steal = result->makespan_seconds;
       stolen = result->chunks_stolen;
+      straggler_reexecuted = result->chunks_reexecuted;
+      straggler_bytes = result->launch.bytes_shipped;
     }
   }
   double no_steal = 0.0;
@@ -197,6 +202,9 @@ int main() {
   std::printf("  with stealing      %10.3f ms  (%.3fx oracle, %llu stolen)\n",
               with_steal * 1e3, steal_ratio,
               static_cast<unsigned long long>(stolen));
+  std::printf("                     %llu re-executed, %llu bytes shipped\n",
+              static_cast<unsigned long long>(straggler_reexecuted),
+              static_cast<unsigned long long>(straggler_bytes));
   std::printf("  static plan        %10.3f ms  (%.3fx oracle)\n",
               no_steal * 1e3, static_ratio);
 
@@ -232,9 +240,10 @@ int main() {
         "    \"rows\": %llu, \"chunk_rows\": %llu, \"slow_factor\": 5.0,\n"
         "    \"oracle_ms\": %.4f, \"steal_ms\": %.4f, \"static_ms\": %.4f,\n"
         "    \"steal_vs_oracle\": %.4f, \"static_vs_oracle\": %.4f,\n"
-        "    \"chunks_stolen\": %llu,\n"
+        "    \"chunks_stolen\": %llu, \"chunks_reexecuted\": %llu,"
+        " \"bytes_shipped\": %llu,\n"
         "    \"target\": \"steal_vs_oracle <= 1.15 and static_vs_oracle >="
-        " 1.6\"\n"
+        " 1.6, chunks_reexecuted == 0 and bytes_shipped == rows * 4\"\n"
         "  },\n"
         "  \"node_kill\": {\n"
         "    \"rows\": %llu, \"killed_node\": 1, \"after_chunks\": 2,\n"
@@ -247,6 +256,8 @@ int main() {
         static_cast<unsigned long long>(kChunkRows), oracle * 1e3,
         with_steal * 1e3, no_steal * 1e3, steal_ratio, static_ratio,
         static_cast<unsigned long long>(stolen),
+        static_cast<unsigned long long>(straggler_reexecuted),
+        static_cast<unsigned long long>(straggler_bytes),
         static_cast<unsigned long long>(kKillRows),
         kill_completed ? "true" : "false", bit_identical ? "true" : "false",
         static_cast<unsigned long long>(reexecuted));
@@ -255,6 +266,10 @@ int main() {
   }
   gates.Check(steal_ratio <= 1.15, "steal_vs_oracle <= 1.15");
   gates.Check(static_ratio >= 1.6, "static_vs_oracle >= 1.6");
+  gates.Check(straggler_reexecuted == 0,
+              "fault-free straggler run re-executes no chunk");
+  gates.Check(straggler_bytes == kRows * 4,
+              "fault-free straggler run ships rows * 4 bytes");
   gates.Check(kill_completed && bit_identical,
               "node kill completes bit-identical");
   return gates.ExitCode();

@@ -165,20 +165,19 @@ double NodeBroker::ActiveWeightLocked(std::uint64_t requester) const {
 }
 
 bool NodeBroker::IsNextLocked(std::uint64_t ticket) const {
-  // Serve the smallest start tag; break ties by weight (heavier first),
-  // then arrival. The weight tie-break matters for latency-sensitive
-  // tenants that keep only ONE request in flight: with equal predictions
-  // their start tag equals the backlogged tenants' (virtual time has
-  // caught up to their idle finish tag), and a pure arrival-order
-  // tie-break would degrade to round-robin — the hogs re-enqueue from
-  // the node worker loop faster than a light tenant's host round trip,
-  // so the light tenant would lose every tie despite its weight.
+  // Serve the smallest finish tag, then arrival. Ordering by FINISH tag
+  // (start tag + predicted_seconds / weight) is what lets the weight
+  // decide for tenants that keep only ONE request in flight. Such a
+  // tenant is absent from the gate during its own round trip, so virtual
+  // time stalls at the start tag the hogs queued at while one of them
+  // runs, and the tenant's next start tag (its previous finish) lands
+  // just above theirs. By start tag it would lose to every hog queued at
+  // the stalled tag; by finish tag its short weighted service still
+  // sorts first, so it is served every time it waits.
   const Waiter* best = nullptr;
   for (const Waiter& w : waiting_) {
-    if (best == nullptr || w.start_tag < best->start_tag ||
-        (w.start_tag == best->start_tag &&
-         (w.weight > best->weight ||
-          (w.weight == best->weight && w.ticket < best->ticket)))) {
+    if (best == nullptr || w.finish_tag < best->finish_tag ||
+        (w.finish_tag == best->finish_tag && w.ticket < best->ticket)) {
       best = &w;
     }
   }
@@ -193,7 +192,7 @@ Expected<NodeBroker::LaunchGrant> NodeBroker::AcquireLaunchSlot(
     return Status(ErrorCode::kDeviceNotAvailable, "node broker shut down");
   }
   double start_tag = 0.0;
-  double arbitration_weight = 1.0;
+  double finish_tag = 0.0;
   {
     Tenant& tenant = TenantForLocked(session);
     if (limits_.max_backlog_seconds > 0.0 &&
@@ -218,13 +217,13 @@ Expected<NodeBroker::LaunchGrant> NodeBroker::AcquireLaunchSlot(
     tenant.backlog_seconds += pred;
     if (limits_.arbitration == BrokerLimits::Arbitration::kFairShare) {
       start_tag = std::max(virtual_now_, tenant.virtual_finish);
-      tenant.virtual_finish =
+      finish_tag =
           start_tag + pred / std::max(tenant.config.weight, kMinWeight);
-      arbitration_weight = std::max(tenant.config.weight, kMinWeight);
+      tenant.virtual_finish = finish_tag;
     }
   }
   const std::uint64_t ticket = next_ticket_++;
-  waiting_.push_back({ticket, session, start_tag, arbitration_weight});
+  waiting_.push_back({ticket, session, start_tag, finish_tag});
   gate_cv_.wait(lock, [&] {
     return shutting_down_ || (!gate_busy_ && IsNextLocked(ticket));
   });

@@ -11,13 +11,14 @@
 //  - Compute: every kernel launch first acquires a launch slot
 //    (AcquireLaunchSlot). The broker admits or rejects it (admission
 //    control, kBackpressure) and then arbitrates the admitted launches
-//    with start-time weighted fair queuing: each launch is tagged with a
-//    virtual start time max(virtual_now, tenant.virtual_finish), the
-//    tenant's virtual finish advances by predicted_seconds / weight, and
-//    the gate always serves the smallest tag. A hog tenant's flood queues
-//    behind its own share of virtual time while a light tenant's next
-//    launch tags near virtual_now — so it waits at most for the kernel in
-//    service, never for the hog's whole backlog.
+//    with weighted fair queuing: each launch starts at virtual time
+//    max(virtual_now, tenant.virtual_finish) and finishes
+//    predicted_seconds / weight later, which becomes the tenant's virtual
+//    finish; the gate always serves the smallest finish tag and
+//    virtual_now advances to the served start tag. A hog tenant's flood
+//    queues behind its own share of virtual time while a light tenant's
+//    next launch tags near virtual_now — so it waits at most for the
+//    kernel in service, never for the hog's whole backlog.
 //  - Rates: completed launches from ALL sessions fold into one shared
 //    per-kernel seconds-per-flop table, shipped to hosts in LoadReply so
 //    a new session's first adaptive launch plans from rates its
@@ -166,8 +167,8 @@ class NodeBroker {
   struct Waiter {
     std::uint64_t ticket = 0;
     std::uint64_t session = 0;
-    double start_tag = 0.0;
-    double weight = 1.0;  // Tie-break: equal start tags serve heavier first.
+    double start_tag = 0.0;   // virtual_now_ advances to it when served.
+    double finish_tag = 0.0;  // Serve order: smallest first, then ticket.
   };
 
   // SessionLedger backends (each takes mutex_).

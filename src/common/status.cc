@@ -46,7 +46,6 @@ const char* ErrorCodeName(ErrorCode code) noexcept {
     case ErrorCode::kPeerUnreachable: return "PEER_UNREACHABLE";
     case ErrorCode::kBackpressure: return "BACKPRESSURE";
     case ErrorCode::kNodeLost: return "NODE_LOST";
-    case ErrorCode::kChunkRevoked: return "CHUNK_REVOKED";
   }
   return "UNKNOWN";
 }

@@ -67,9 +67,6 @@ enum class ErrorCode : std::int32_t {
   // already declared dead. Work targeting it must be re-queued onto
   // survivors.
   kNodeLost = -1010,
-  // A chunk sub-launch was revoked (stolen by a peer or re-queued after
-  // its owner died) before the node ran it; the node skipped it.
-  kChunkRevoked = -1011,
 };
 
 const char* ErrorCodeName(ErrorCode code) noexcept;

@@ -68,7 +68,7 @@ Status ChunkLedger::MarkDone(std::uint64_t chunk_id, std::size_t node) {
   }
   Chunk& chunk = chunks_[chunk_id - 1];
   if (chunk.state != ChunkState::kRunning || chunk.owner != node) {
-    return Status(ErrorCode::kChunkRevoked,
+    return Status(ErrorCode::kInvalidOperation,
                   "chunk " + std::to_string(chunk_id) +
                       " was re-targeted while node " + std::to_string(node) +
                       " ran it");

@@ -41,7 +41,7 @@ struct ChunkLedgerStats {
   std::uint64_t total_chunks = 0;
   std::uint64_t done_chunks = 0;
   std::uint64_t stolen_chunks = 0;     // Chunks that changed owner via steal.
-  std::uint64_t requeued_chunks = 0;   // Chunks re-queued by recovery/revoke.
+  std::uint64_t requeued_chunks = 0;   // Chunks re-queued by retry/recovery.
 };
 
 class ChunkLedger {
@@ -67,9 +67,9 @@ class ChunkLedger {
   std::vector<Chunk> Steal(std::size_t victim, std::size_t thief,
                            std::size_t max_chunks);
 
-  // running -> done by the executing node. Fails if the chunk was revoked
-  // from under the caller (no longer running with this owner) — the
-  // coordinator drops the result and lets the new owner's execution win.
+  // running -> done by the executing node. Fails with kInvalidOperation
+  // if the chunk is no longer running with this owner (it was re-targeted
+  // meanwhile), so a stale completion never counts.
   Status MarkDone(std::uint64_t chunk_id, std::size_t node);
 
   // running -> pending (same owner): the execution failed transiently and

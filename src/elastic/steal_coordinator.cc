@@ -166,16 +166,11 @@ CoordinatorReport StealCoordinator::Run() {
       // advancing its clock past the next-busiest so dispatch moves on.
       if (options_.stealing) {
         NodeState* victim = PickVictim(next);
-        if (victim != nullptr) {
-          std::vector<Chunk> stolen = ledger_->Steal(
-              victim->index, next->index, options_.max_steal_chunks);
-          if (!stolen.empty()) {
-            std::vector<std::uint64_t> ids;
-            ids.reserve(stolen.size());
-            for (const Chunk& s : stolen) ids.push_back(s.id);
-            executor_->Revoke(victim->index, options_.launch_id, ids);
-            continue;  // Re-dispatch; the thief now owns pending work.
-          }
+        if (victim != nullptr &&
+            !ledger_->Steal(victim->index, next->index,
+                            options_.max_steal_chunks)
+                 .empty()) {
+          continue;  // Re-dispatch; the thief now owns pending work.
         }
       }
       // Nothing to steal: everything left is running or owned by busier
@@ -209,22 +204,18 @@ CoordinatorReport StealCoordinator::Run() {
 
     auto outcome = executor_->Execute(*chunk, next->index);
     if (!outcome.ok()) {
-      if (outcome.status().code() == ErrorCode::kChunkRevoked) {
-        // The node skipped a chunk revoked earlier; the new owner runs it.
-        (void)ledger_->Requeue(chunk->id);
-        continue;
-      }
       if (!HandleNodeFailure(next, chunk->id, outcome.status())) {
         report_.status = outcome.status();
         break;
       }
       continue;
     }
+    // Only this thread re-targets chunks, never a running one, so a
+    // refused completion means the ledger broke: end the launch.
     Status done = ledger_->MarkDone(chunk->id, next->index);
     if (!done.ok()) {
-      // Revoked from under us mid-flight; drop the result, the new owner
-      // re-executes. (Single-threaded dispatch makes this rare.)
-      continue;
+      report_.status = std::move(done);
+      break;
     }
     next->clock += outcome.value().modeled_seconds;
     report_.bytes_shipped += outcome.value().bytes_shipped;

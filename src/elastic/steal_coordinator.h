@@ -13,8 +13,8 @@
 //     chunks from the victim with the most remaining virtual work
 //     (pending rows x learned seconds-per-row + broker backlog),
 //     preferring victims whose rows are already resident on the thief.
-//     Stolen chunks are revoked on the victim (Revoke RPC) so a queued
-//     sub-launch on the victim's node skips them.
+//     A steal only re-targets ledger entries: each Execute is one blocking
+//     sub-launch, so the victim never has a stolen chunk queued.
 //   - Failure recovery: an Execute that fails with kNodeLost (scripted
 //     kill), or with an RPC timeout or dropped connection that a Probe
 //     confirms, marks the node dead; OnNodeDead() tells the host which
@@ -45,16 +45,9 @@ class ChunkExecutor {
   virtual ~ChunkExecutor() = default;
 
   // Runs `chunk` on `node` synchronously. kNodeLost / kNodeUnreachable /
-  // kNetworkError signal the node may be dead; kChunkRevoked means the
-  // node skipped a revoked chunk (not an error for the launch).
+  // kNetworkError signal the node may be dead.
   virtual Expected<ChunkOutcome> Execute(const Chunk& chunk,
                                          std::size_t node) = 0;
-
-  // Tells `node` to skip `chunk_ids` of this launch if they are still
-  // queued there. Best-effort: a failure only means wasted duplicate work
-  // is possible, never wrong bytes (MarkDone arbitrates).
-  virtual void Revoke(std::size_t node, std::uint64_t launch_id,
-                      const std::vector<std::uint64_t>& chunk_ids) = 0;
 
   // Liveness probe (heartbeat). Ok = alive.
   virtual Status Probe(std::size_t node) = 0;
@@ -80,7 +73,6 @@ struct CoordinatorOptions {
   std::size_t max_steal_chunks = 2; // Tail chunks per steal attempt.
   bool heartbeat = false;           // Probe idle nodes between dispatches.
   std::chrono::milliseconds heartbeat_interval{50};
-  std::uint64_t launch_id = 0;      // Tag for Revoke RPCs.
 };
 
 struct CoordinatorReport {

@@ -1871,10 +1871,6 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
     request.global_offset[d] = spec.global_offset[d];
   }
   request.local_specified = spec.local_specified;
-  // Elastic tag: lets the node skip this chunk if it was revoked between
-  // submit and execution (stolen by a peer / re-queued after a failure).
-  request.elastic_launch_id = spec.elastic_launch_id;
-  request.elastic_chunk_id = spec.elastic_chunk_id;
   if (spec.cost_hint.has_value()) {
     // Ship the analytic hint (shard-scaled at submit) so the node's
     // timing model profiles the work the scheduler accounts — the static
@@ -2008,13 +2004,6 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
   if (sample_flops > 0.0) {
     rate_table_->Observe(node, spec.kernel_name,
                          result.modeled_seconds / sample_flops);
-  }
-  // Elastic re-executions (recovery re-runs, steal re-targets) account
-  // their input movement to the reexec bucket too: bytes a fault-free run
-  // would not have shipped.
-  if (spec.reexec && result.bytes_shipped > 0) {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    stats_.reexec_bytes += result.bytes_shipped;
   }
   // The shard is complete: refund its submit-time backlog charge (the
   // refund happens-before the command retires, so a waiter that observed
@@ -2452,15 +2441,10 @@ Expected<std::vector<ClusterRuntime::LostRange>> ClusterRuntime::MarkNodeLost(
   // the dead node:
   //   - co-owned regions just drop the dead owner (a live replica keeps
   //     the bytes fresh — the chunks that produced them must NOT re-run);
-  //   - sole-owner regions fall back to the host shadow. For the buffer
-  //     args of a running LaunchElastic the shadow holds the launch's
-  //     PRE-image: the launch made the host a fresh owner of every arg
-  //     window before its first chunk, and launch epilogues only flip
-  //     directory state, they never scrub the shadow. Marking the host
-  //     fresh there restores the launch's input state, so re-executing
-  //     exactly the chunks that wrote these ranges reproduces the lost
-  //     outputs bit-identically. Any other buffer's sole-owner range
-  //     falls back to whatever bytes the shadow last held.
+  //   - sole-owner regions are lost. They keep the dead owner, so whatever
+  //     needs them next fails on the dead node rather than reading the
+  //     shadow, which holds fresh bytes there only where a caller knows it
+  //     does (LaunchElastic's pre-image).
   std::vector<std::pair<BufferId, BufferPtr>> snapshot;
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
@@ -2471,34 +2455,25 @@ Expected<std::vector<ClusterRuntime::LostRange>> ClusterRuntime::MarkNodeLost(
   std::vector<LostRange> lost;
   for (auto& [id, buffer] : snapshot) {
     std::lock_guard<std::mutex> lock(buffer->mutex);
-    struct Pending {
-      std::uint64_t begin;
-      std::uint64_t end;
-      bool sole;
-    };
-    std::vector<Pending> pending;
+    // Query returns a copy, so the directory may change under the loop.
     for (const RegionDirectory::Region& region :
          buffer->dir.Query(0, buffer->size)) {
-      bool has_dead = false;
-      for (RegionDirectory::Owner owner : region.owners) {
-        has_dead |= owner == dead;
+      if (std::find(region.owners.begin(), region.owners.end(), dead) ==
+          region.owners.end()) {
+        continue;
       }
-      if (!has_dead) continue;
-      pending.push_back({region.begin, region.end, region.owners.size() == 1});
-    }
-    for (const Pending& region : pending) {
-      if (region.sole) {
-        buffer->dir.AddOwner(region.begin, region.end, HostOwner());
+      if (region.owners.size() == 1) {
         lost.push_back({id, region.begin, region.end});
+      } else {
+        buffer->dir.RemoveOwner(region.begin, region.end, dead);
       }
-      buffer->dir.RemoveOwner(region.begin, region.end, dead);
     }
     if (node < buffer->allocated_on.size()) {
       buffer->allocated_on[node] = false;
     }
   }
-  HAOCL_INFO << "node " << node << " marked lost; " << lost.size()
-             << " sole-owner regions failed over to the host shadow";
+  HAOCL_INFO << "node " << node << " marked lost with " << lost.size()
+             << " sole-owner regions";
   return lost;
 }
 

@@ -67,6 +67,7 @@
 #include "common/status.h"
 #include "common/zeroed_bytes.h"
 #include "elastic/fault_injector.h"
+#include "elastic/steal_coordinator.h"
 #include "host/command_graph.h"
 #include "host/region_directory.h"
 #include "host/virtual_timeline.h"
@@ -232,10 +233,10 @@ struct TransferStats {
   std::uint64_t spill_bytes = 0;
   std::uint64_t spill_transfers = 0;
   std::uint64_t evicted_bytes = 0;
-  // Elastic-execution buckets: bytes shipped for chunk RE-executions
-  // (recovery re-runs and steal re-targets — movement a fault-free oracle
-  // run would not have paid), and chunks that changed owner via the steal
-  // or recovery path.
+  // Elastic-execution buckets: bytes shipped for chunk RE-executions (a
+  // chunk that ran before, on a node that died or in a failed attempt —
+  // movement a fault-free run would not have paid), and chunks that
+  // changed owner via the steal or recovery path.
   std::uint64_t reexec_bytes = 0;
   std::uint64_t stolen_chunks = 0;
   [[nodiscard]] std::uint64_t host_payload_bytes() const {
@@ -326,16 +327,10 @@ class ClusterRuntime {
     std::uint64_t global_offset[3] = {0, 0, 0};
     bool local_specified = false;
     int preferred_node = -1;  // User instruction; -1 lets the policy pick.
-    // Elastic sub-launch plumbing. force_node >= 0 bypasses the policy
-    // entirely: the whole range runs on that node as one shard (the
-    // coordinator already decided placement chunk by chunk). The tags ride
-    // the wire so the node can skip the chunk if it was revoked after
-    // submit; reexec marks a recovery/steal re-run whose input bytes are
-    // accounted to TransferStats.reexec_bytes.
+    // force_node >= 0 bypasses the policy entirely: the whole range runs
+    // on that node as one shard. An elastic chunk runs this way (the
+    // coordinator already decided placement chunk by chunk).
     int force_node = -1;
-    std::uint64_t elastic_launch_id = 0;
-    std::uint64_t elastic_chunk_id = 0;
-    bool reexec = false;
     // Analytic work estimate. The driver's static estimator cannot see
     // data-dependent loop trip counts (e.g. the N-iteration dot product in
     // naive matmul), so workloads that know their exact flop/byte counts
@@ -455,26 +450,21 @@ class ClusterRuntime {
   // nodes steal tail chunks from the slowest peer, and a node that dies
   // mid-launch has its chunks re-queued onto survivors from directory
   // state — the launch completes bit-identical either way.
-  struct ElasticOptions {
+  //
+  // The coordinator's options (stealing, heartbeat, ...) plus how the
+  // launch is cut into chunks.
+  struct ElasticOptions : elastic::CoordinatorOptions {
     // Dim-0 indices per chunk (aligned up to the launch's dim0_align);
     // 0 = cut each shard into kDefaultChunksPerShard chunks.
     std::uint64_t chunk_rows = 0;
     static constexpr std::uint64_t kDefaultChunksPerShard = 4;
-    bool stealing = true;              // Loop 1 (off = static plan).
-    std::size_t max_steal_chunks = 2;  // Tail chunks per steal.
-    bool heartbeat = false;            // Probe nodes between dispatches.
-    std::chrono::milliseconds heartbeat_interval{50};
     // Deterministic scripted faults (tests/bench); not owned, may be null.
     elastic::FaultInjector* fault_injector = nullptr;
   };
-  struct ElasticResult {
+  // The coordinator's report (chunk counts, makespan, dead nodes; the
+  // status is always ok) plus the aggregate launch result.
+  struct ElasticResult : elastic::CoordinatorReport {
     LaunchResult launch;  // Aggregate, same meaning as LaunchKernel's.
-    std::uint64_t chunks_total = 0;
-    std::uint64_t chunks_stolen = 0;
-    std::uint64_t chunks_reexecuted = 0;
-    double makespan_seconds = 0.0;  // Max per-node modeled busy-seconds.
-    std::vector<double> node_busy_seconds;
-    std::vector<std::size_t> dead_nodes;  // Nodes that died mid-launch.
   };
   Expected<ElasticResult> LaunchElastic(const LaunchSpec& spec,
                                         const ElasticOptions& options);
@@ -484,13 +474,15 @@ class ClusterRuntime {
   // One heartbeat round-trip to `node`; Ok = alive. A node already marked
   // dead fails immediately with kNodeLost.
   Status ProbeNode(std::size_t node);
-  // Declares `node` dead: excluded from future plans (NodeView.alive),
-  // launches forced onto it fail with kNodeLost, and every buffer region
-  // whose ONLY fresh copy lived there falls back to whatever the host
-  // shadow holds — for the buffer args of a running LaunchElastic, the
-  // pre-image it gathered before its first chunk. Returns those
-  // sole-owner regions — the data that was actually lost (recovery
-  // re-executes exactly the chunks that produced it).
+  // Declares `node` dead: excluded from future plans (NodeView.alive) and
+  // launches forced onto it fail with kNodeLost. A region co-owned with
+  // another node or the host just drops the dead owner. A region whose
+  // ONLY fresh copy lived there keeps the dead node as its owner, so a
+  // later read or launch that needs it fails instead of returning stale
+  // shadow bytes. Returns those sole-owner regions — the data that was
+  // actually lost. LaunchElastic's recovery hands the ones inside its
+  // buffer args' windows to the host (the shadow holds its pre-image
+  // there) and re-executes exactly the chunks that produced them.
   struct LostRange {
     BufferId buffer = 0;
     std::uint64_t begin = 0;

@@ -12,7 +12,6 @@
 // re-targeting — the chunk sub-launch path is oblivious to both, which is
 // what keeps the result bit-identical to the single-node run.
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <string>
 
@@ -26,17 +25,16 @@ namespace haocl::host {
 // either public API or read under the runtime's own locks (friend).
 class RuntimeChunkExecutor : public elastic::ChunkExecutor {
  public:
-  // `buffers` are the launch's resolved buffer args: the partitioned ones
-  // drive locality ranking, the written partitioned ones lost-row
-  // conversion.
+  // `buffers` are the launch's resolved buffer args: their windows bound
+  // the lost bytes the host takes over, the partitioned ones drive
+  // locality ranking, the written partitioned ones lost-row conversion.
   RuntimeChunkExecutor(ClusterRuntime* runtime,
                        const ClusterRuntime::LaunchSpec& spec,
-                       std::uint64_t launch_id, double flops_total,
+                       double flops_total,
                        std::vector<ClusterRuntime::BufferArg> buffers,
                        elastic::FaultInjector* faults)
       : runtime_(runtime),
         spec_(spec),
-        launch_id_(launch_id),
         faults_(faults),
         buffers_(std::move(buffers)),
         flops_total_(flops_total),
@@ -55,9 +53,6 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
     sub.global_offset[0] = spec_.global_offset[0] + chunk.offset;
     sub.preferred_node = -1;
     sub.force_node = static_cast<int>(node);
-    sub.elastic_launch_id = launch_id_;
-    sub.elastic_chunk_id = chunk.id;
-    sub.reexec = chunk.stolen || chunk.attempts > 1;
     if (spec_.cost_hint.has_value()) {
       sub.cost_hint = spec_.cost_hint->Scaled(
           static_cast<double>(chunk.count) / rows_total_);
@@ -79,18 +74,14 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
     elastic::ChunkOutcome outcome;
     outcome.modeled_seconds = seconds;
     outcome.bytes_shipped = result->bytes_shipped;
+    if (chunk.attempts > 1) {
+      // The chunk ran before, so its inputs already shipped once: movement
+      // a fault-free run would not have paid. A stolen chunk's first run
+      // ships what its victim would have.
+      std::lock_guard<std::mutex> stats_lock(runtime_->stats_mutex_);
+      runtime_->stats_.reexec_bytes += outcome.bytes_shipped;
+    }
     return outcome;
-  }
-
-  void Revoke(std::size_t node, std::uint64_t launch_id,
-              const std::vector<std::uint64_t>& chunk_ids) override {
-    net::RevokeChunkRequest request;
-    request.launch_id = launch_id;
-    request.chunk_ids = chunk_ids;
-    // Best-effort: a failed revoke only risks wasted duplicate work on a
-    // node we may be about to declare dead anyway.
-    (void)runtime_->CallNode(node, net::MsgType::kRevokeChunk,
-                             net::Encode(request));
   }
 
   Status Probe(std::size_t node) override {
@@ -148,24 +139,31 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
       std::size_t node) override {
     auto lost = runtime_->MarkNodeLost(node);
     if (!lost.ok()) return lost.status();
-    // Byte ranges -> plan-relative dim-0 row spans, via the WRITTEN
-    // partitioned args only: a lost input replica re-ships from its
-    // surviving owners for free, but a lost OUTPUT range means the chunk
-    // that produced it must re-run.
-    std::vector<elastic::ChunkLedger::RowSpan> spans;
     const std::uint64_t first = spec_.global_offset[0];
     const std::uint64_t extent = spec_.global[0];
+    const auto dead = static_cast<RegionDirectory::Owner>(node);
+    // Within a buffer arg's window the shadow holds the launch's
+    // pre-image, so the host takes over the lost bytes there; the rest
+    // stays lost. Then byte ranges -> plan-relative dim-0 row spans, via
+    // the WRITTEN partitioned args only: a lost input replica re-ships
+    // from its surviving owners for free, but a lost OUTPUT range means
+    // the chunk that produced it must re-run.
+    std::vector<elastic::ChunkLedger::RowSpan> spans;
     for (const ClusterRuntime::LostRange& range : *lost) {
       for (const ClusterRuntime::BufferArg& arg : buffers_) {
-        if (!arg.written || !arg.partitioned || arg.id != range.buffer) {
-          continue;
+        if (arg.id != range.buffer) continue;
+        const auto [window_begin, window_end] = arg.Window(first, extent);
+        const std::uint64_t begin = std::max(range.begin, window_begin);
+        const std::uint64_t end = std::min(range.end, window_end);
+        if (begin >= end) continue;
+        {
+          std::lock_guard<std::mutex> lock(arg.buffer->mutex);
+          arg.buffer->dir.AddOwner(begin, end, runtime_->HostOwner());
+          arg.buffer->dir.RemoveOwner(begin, end, dead);
         }
-        std::uint64_t row_begin = range.begin / arg.stride;
-        std::uint64_t row_end = (range.end + arg.stride - 1) / arg.stride;
-        row_begin = std::max(row_begin, first);
-        row_end = std::min(row_end, first + extent);
-        if (row_begin >= row_end) continue;
-        spans.push_back({row_begin - first, row_end - first});
+        if (!arg.written || !arg.partitioned) continue;
+        spans.push_back({begin / arg.stride - first,
+                         (end + arg.stride - 1) / arg.stride - first});
       }
     }
     return spans;
@@ -174,7 +172,6 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
  private:
   ClusterRuntime* runtime_;
   const ClusterRuntime::LaunchSpec spec_;
-  const std::uint64_t launch_id_;
   elastic::FaultInjector* faults_;
   const std::vector<ClusterRuntime::BufferArg> buffers_;
   const double flops_total_;
@@ -190,10 +187,10 @@ Expected<ClusterRuntime::ElasticResult> ClusterRuntime::LaunchElastic(
 
 Expected<ClusterRuntime::ElasticResult> ClusterRuntime::LaunchElastic(
     const LaunchSpec& spec, const ElasticOptions& options) {
-  if (spec.force_node >= 0 || spec.elastic_launch_id != 0) {
+  if (spec.force_node >= 0) {
     return Status(ErrorCode::kInvalidValue,
                   "LaunchElastic drives its own chunk placement; do not set "
-                  "force_node or elastic tags on the spec");
+                  "force_node on the spec");
   }
   // SubmitLaunch's front end, minus the fan-out: nothing is charged or
   // submitted, and a spec an ordinary launch would reject fails here
@@ -241,7 +238,7 @@ Expected<ClusterRuntime::ElasticResult> ClusterRuntime::LaunchElastic(
   // The pre-image recovery falls back to: the host becomes a fresh owner
   // of every buffer arg's window before the first chunk runs, so a node
   // that dies holding the only copy of a range leaves the launch's input
-  // bytes in the shadow (MarkNodeLost). Ordered after the args' earlier
+  // bytes in the shadow (OnNodeDead). Ordered after the args' earlier
   // writers like any host-bound migration; a host-written buffer moves
   // nothing.
   for (const BufferArg& arg : launch.buffers) {
@@ -254,10 +251,6 @@ Expected<ClusterRuntime::ElasticResult> ClusterRuntime::LaunchElastic(
     HAOCL_RETURN_IF_ERROR(status);
   }
 
-  static std::atomic<std::uint64_t> next_launch_id{1};
-  const std::uint64_t launch_id =
-      next_launch_id.fetch_add(1, std::memory_order_relaxed);
-
   // Chunks carry the full launch's analytic cost scaled to their rows: a
   // re-chunked device-side estimate would re-charge every chunk a cold
   // pass over the node's whole resident allocation, billing ~N chunks at
@@ -267,8 +260,7 @@ Expected<ClusterRuntime::ElasticResult> ClusterRuntime::LaunchElastic(
   if (!chunk_spec.cost_hint.has_value()) {
     chunk_spec.cost_hint = launch.task.cost;
   }
-  RuntimeChunkExecutor executor(this, chunk_spec, launch_id,
-                                launch.task.cost.flops,
+  RuntimeChunkExecutor executor(this, chunk_spec, launch.task.cost.flops,
                                 std::move(launch.buffers),
                                 options.fault_injector);
 
@@ -282,47 +274,35 @@ Expected<ClusterRuntime::ElasticResult> ClusterRuntime::LaunchElastic(
     return Status(ErrorCode::kNodeLost, "no live nodes for elastic launch");
   }
 
-  elastic::CoordinatorOptions coordinator_options;
-  coordinator_options.stealing = options.stealing;
-  coordinator_options.max_steal_chunks = options.max_steal_chunks;
-  coordinator_options.heartbeat = options.heartbeat;
-  coordinator_options.heartbeat_interval = options.heartbeat_interval;
-  coordinator_options.launch_id = launch_id;
   elastic::StealCoordinator coordinator(&ledger, &executor, participants,
-                                        coordinator_options);
-  elastic::CoordinatorReport report = coordinator.Run();
-  HAOCL_RETURN_IF_ERROR(report.status);
+                                        options);
+  ElasticResult result;
+  static_cast<elastic::CoordinatorReport&>(result) = coordinator.Run();
+  HAOCL_RETURN_IF_ERROR(result.status);
 
-  if (report.chunks_stolen > 0) {
+  if (result.chunks_stolen > 0) {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    stats_.stolen_chunks += report.chunks_stolen;
+    stats_.stolen_chunks += result.chunks_stolen;
   }
 
-  ElasticResult result;
-  result.chunks_total = report.chunks_total;
-  result.chunks_stolen = report.chunks_stolen;
-  result.chunks_reexecuted = report.chunks_reexecuted;
-  result.makespan_seconds = report.makespan_seconds;
-  result.node_busy_seconds = report.node_busy_seconds;
-  result.dead_nodes = report.dead_nodes;
-  result.launch.modeled_seconds = report.makespan_seconds;
-  result.launch.bytes_shipped = report.bytes_shipped;
+  result.launch.modeled_seconds = result.makespan_seconds;
+  result.launch.bytes_shipped = result.bytes_shipped;
   result.launch.shard_count =
       static_cast<std::uint32_t>(plan.shards.size());
-  result.launch.stage_count = static_cast<std::uint32_t>(report.chunks_total);
+  result.launch.stage_count = static_cast<std::uint32_t>(result.chunks_total);
   // Report the busiest node as "the" node, like a multi-shard aggregate.
   double busiest = -1.0;
   for (std::size_t i = 0; i < participants.size(); ++i) {
-    if (i < report.node_busy_seconds.size() &&
-        report.node_busy_seconds[i] > busiest) {
-      busiest = report.node_busy_seconds[i];
+    if (i < result.node_busy_seconds.size() &&
+        result.node_busy_seconds[i] > busiest) {
+      busiest = result.node_busy_seconds[i];
       result.launch.node = participants[i];
     }
   }
-  HAOCL_DEBUG << "elastic launch " << launch_id << ": "
-              << report.chunks_total << " chunks, " << report.chunks_stolen
-              << " stolen, " << report.chunks_reexecuted << " re-executed, "
-              << report.dead_nodes.size() << " nodes lost";
+  HAOCL_DEBUG << "elastic launch of " << spec.kernel_name << ": "
+              << result.chunks_total << " chunks, " << result.chunks_stolen
+              << " stolen, " << result.chunks_reexecuted << " re-executed, "
+              << result.dead_nodes.size() << " nodes lost";
   return result;
 }
 

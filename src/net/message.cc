@@ -95,7 +95,6 @@ const char* MsgTypeName(MsgType type) noexcept {
     case MsgType::kBuildProgram: return "BuildProgram";
     case MsgType::kReleaseProgram: return "ReleaseProgram";
     case MsgType::kLaunchKernel: return "LaunchKernel";
-    case MsgType::kRevokeChunk: return "RevokeChunk";
     case MsgType::kQueryLoad: return "QueryLoad";
     case MsgType::kQueryBroker: return "QueryBroker";
     case MsgType::kHeartbeat: return "Heartbeat";

@@ -28,8 +28,9 @@ enum class MsgType : std::uint16_t {
   kReadBuffer = 12,
   kReleaseBuffer = 13,
   // Node-to-node slice exchange (region directory): the host instructs a
-  // node to pull a byte range from a peer. 14 and 16 are retired numbers
-  // (protocol version 1's node-side copy and peer push): never reuse them.
+  // node to pull a byte range from a peer. 14, 16 and 23 are retired
+  // numbers (protocol version 1's node-side copy and peer push, version
+  // 2's chunk revocation): never reuse them.
   kPullSlice = 15,
   // Tiered-memory reservation/eviction notice: keeps the node's memory
   // pool in lock-step with the host's per-node ledger for residency
@@ -40,11 +41,6 @@ enum class MsgType : std::uint16_t {
   kBuildProgram = 20,
   kReleaseProgram = 21,
   kLaunchKernel = 22,
-  // Elastic execution: host -> node cancellation of chunk sub-launches the
-  // coordinator re-targeted (stolen by a peer, or re-queued after their
-  // owner died). Intercepted on the node's receive path so revocation
-  // overtakes launches already queued behind long-running work.
-  kRevokeChunk = 23,
   // Monitoring (scheduler's runtime information).
   kQueryLoad = 30,
   // Broker introspection: the node's shared ledger, per-tenant serving

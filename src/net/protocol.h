@@ -22,7 +22,7 @@ namespace haocl::net {
 // Sent by both ends in the handshake; each refuses a peer speaking another
 // version. The bytes of every message are pinned by golden rows
 // (tests/net/protocol_fuzz_test.cc): changing one bumps this.
-inline constexpr std::uint32_t kProtocolVersion = 2;
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 // True for a message whose decoded form views the payload bytes (a span
 // field), so it must not be decoded from a temporary.
@@ -234,12 +234,6 @@ struct LaunchKernelRequest {
   double hint_bytes = 0.0;
   std::uint64_t hint_work_items = 0;
   bool hint_irregular = false;
-  // Elastic-execution tag: non-zero launch id marks this request as one
-  // chunk of a host-coordinated elastic launch. A node checks the pair
-  // against its revoked-chunk set before running — a revoked chunk is
-  // skipped with kChunkRevoked instead of executed twice.
-  std::uint64_t elastic_launch_id = 0;
-  std::uint64_t elastic_chunk_id = 0;
 
   template <class Ar>
   void Fields(Ar& ar) {
@@ -248,7 +242,6 @@ struct LaunchKernelRequest {
     if (has_cost_hint) {
       ar(hint_flops, hint_bytes, hint_work_items, hint_irregular);
     }
-    ar(elastic_launch_id, elastic_chunk_id);
   }
 };
 
@@ -271,20 +264,6 @@ struct LaunchKernelReply {
     ar(status_code, error_message, modeled_seconds, modeled_joules, flops,
        bytes_accessed, node_backlog_seconds, active_weight);
   }
-};
-
-// Host -> node: the steal coordinator re-targeted these chunks of an
-// elastic launch (a peer stole them, or their owner died and survivors
-// take over). The node must not run them even if their kLaunchKernel
-// requests are already queued; it skips each with kChunkRevoked. The NMP
-// answers this on its receive path, ahead of queued data-plane work.
-struct RevokeChunkRequest {
-  static constexpr MsgType kType = MsgType::kRevokeChunk;
-  std::uint64_t launch_id = 0;
-  std::vector<std::uint64_t> chunk_ids;
-
-  template <class Ar>
-  void Fields(Ar& ar) { ar(launch_id, chunk_ids); }
 };
 
 // --------------------------------------------------------------- Monitoring

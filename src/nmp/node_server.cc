@@ -81,16 +81,13 @@ void NodeServer::Serve(net::ConnectionPtr connection) {
        // whose write call failed.
        [](const Message::Header&) {}});
   // Asynchronous listener: enqueue and return to listening, exactly the
-  // paper's accept-then-listen-again loop. Control-plane messages —
-  // chunk revocations and heartbeats — are handled right here on the
-  // receive path, BEFORE the inbox: a revocation must overtake the queued
-  // launches it revokes, and a heartbeat must get answered even while the
-  // worker is busy executing a long kernel. So is a write that landed in
-  // place (non-empty tail): it was the next thing this connection would
-  // run, and its bytes are already in the replica.
+  // paper's accept-then-listen-again loop. A heartbeat is handled right
+  // here on the receive path, BEFORE the inbox, so it gets answered even
+  // while the worker is busy executing a long kernel. So is a write that
+  // landed in place (non-empty tail): it was the next thing this
+  // connection would run, and its bytes are already in the replica.
   raw->connection->Start([this, raw](Message msg) {
-    if (msg.type == MsgType::kRevokeChunk ||
-        msg.type == MsgType::kHeartbeat || !msg.tail.empty()) {
+    if (msg.type == MsgType::kHeartbeat || !msg.tail.empty()) {
       Message reply = HandleControlMessage(msg);
       reply.seq = msg.seq;
       reply.session = msg.session;
@@ -207,17 +204,6 @@ Message NodeServer::HandleControlMessage(const Message& request) {
       // Only a write that landed in place comes here (LandWrite claimed
       // and charged its range): its bytes are already in the replica.
       reply.payload = net::Encode(net::StatusReply::FromStatus(Status::Ok()));
-      break;
-    }
-    case MsgType::kRevokeChunk: {
-      DecodeAndHandle(
-          name_, request, reply,
-          [&](const net::RevokeChunkRequest& decoded) {
-            SessionFor(request.session)
-                .RevokeChunks(decoded.launch_id, decoded.chunk_ids);
-            reply.payload =
-                net::Encode(net::StatusReply::FromStatus(Status::Ok()));
-          });
       break;
     }
     default: {

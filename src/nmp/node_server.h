@@ -85,10 +85,9 @@ class NodeServer {
   net::Landing LandWrite(Channel& channel, const net::Message::Header& header,
                          std::span<const std::uint8_t> prefix);
   net::Message HandleMessage(const net::Message& request);
-  // Control-plane messages (kRevokeChunk, kHeartbeat) answered on the
-  // receive path, ahead of the per-connection inbox, so they overtake
-  // queued launches and get through while the worker is busy; also the
-  // kWriteBuffer that LandWrite already received into the replica.
+  // Messages answered on the receive path, ahead of the per-connection
+  // inbox: kHeartbeat, so it gets through while the worker is busy, and
+  // the kWriteBuffer that LandWrite already received into the replica.
   net::Message HandleControlMessage(const net::Message& request);
   runtime::DeviceSession& SessionFor(std::uint64_t session_id);
   // The RPC client for `peer_index`, or nullptr when no link exists.

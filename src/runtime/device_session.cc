@@ -140,44 +140,8 @@ Status DeviceSession::ReleaseProgram(std::uint64_t program_id) {
   return Status::Ok();
 }
 
-void DeviceSession::RevokeChunks(std::uint64_t launch_id,
-                                 const std::vector<std::uint64_t>& chunk_ids) {
-  if (launch_id == 0) return;
-  std::lock_guard<std::mutex> lock(revoked_mutex_);
-  auto& set = revoked_[launch_id];
-  for (std::uint64_t id : chunk_ids) set.insert(id);
-}
-
-std::size_t DeviceSession::revoked_count(std::uint64_t launch_id) const {
-  std::lock_guard<std::mutex> lock(revoked_mutex_);
-  auto it = revoked_.find(launch_id);
-  return it == revoked_.end() ? 0 : it->second.size();
-}
-
 net::LaunchKernelReply DeviceSession::LaunchKernel(
     const net::LaunchKernelRequest& request) {
-  // Revocation check before any state is touched: a stolen/re-queued chunk
-  // must leave no trace here. The entry is CONSUMED by the skip — a revoke
-  // targets the one execution that was queued when it arrived, so a later
-  // re-targeting of the same chunk back to this node runs normally instead
-  // of being skipped forever.
-  if (request.elastic_launch_id != 0) {
-    std::lock_guard<std::mutex> revoked_lock(revoked_mutex_);
-    auto it = revoked_.find(request.elastic_launch_id);
-    if (it != revoked_.end() &&
-        it->second.count(request.elastic_chunk_id) != 0) {
-      it->second.erase(request.elastic_chunk_id);
-      if (it->second.empty()) revoked_.erase(it);
-      net::LaunchKernelReply reply;
-      reply.status_code = static_cast<std::int32_t>(ErrorCode::kChunkRevoked);
-      reply.error_message = "chunk " +
-                            std::to_string(request.elastic_chunk_id) +
-                            " of launch " +
-                            std::to_string(request.elastic_launch_id) +
-                            " was revoked; skipped";
-      return reply;
-    }
-  }
   std::unique_lock<std::mutex> lock(mutex_);
   net::LaunchKernelReply reply;
   auto fail = [&reply](const Status& status) {

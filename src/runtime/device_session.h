@@ -15,7 +15,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -80,20 +79,7 @@ class DeviceSession {
   Status ReleaseProgram(std::uint64_t program_id);
 
   // ---- Kernels ----------------------------------------------------------
-  // A request tagged with a non-zero elastic_launch_id is a chunk of an
-  // elastic launch: if the host revoked that (launch, chunk) before the
-  // node got to it (stolen by a peer, or re-queued after a failure), the
-  // launch is skipped and the reply carries kChunkRevoked so the caller
-  // knows no bytes were written.
   net::LaunchKernelReply LaunchKernel(const net::LaunchKernelRequest& request);
-
-  // Marks chunks of an elastic launch as revoked so queued-but-unstarted
-  // sub-launches for them are skipped. Safe to call from the connection's
-  // receive path while a launch executes (own mutex, never nested).
-  void RevokeChunks(std::uint64_t launch_id,
-                    const std::vector<std::uint64_t>& chunk_ids);
-  // Revoked chunks recorded for `launch_id` (tests/diagnostics).
-  [[nodiscard]] std::size_t revoked_count(std::uint64_t launch_id) const;
 
   // ---- Node-to-node slice exchange --------------------------------------
   // Transport hook the NMP supplies: fetch [offset, offset + into.size())
@@ -162,12 +148,6 @@ class DeviceSession {
   // are lazily zeroed: only the ranges that bytes land in become resident.
   std::unordered_map<std::uint64_t, std::shared_ptr<ZeroedBytes>> buffers_;
   std::unordered_map<std::uint64_t, ProgramEntry> programs_;
-
-  // Elastic revocations, guarded by their own leaf mutex so the receive
-  // path can record one while mutex_ is held by a running launch.
-  mutable std::mutex revoked_mutex_;
-  std::unordered_map<std::uint64_t, std::unordered_set<std::uint64_t>>
-      revoked_;  // launch_id -> chunk ids.
 
   // Monitor counters the scheduler's resource monitor reads.
   std::uint64_t bytes_allocated_ = 0;

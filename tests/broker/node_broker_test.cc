@@ -8,6 +8,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -152,11 +154,11 @@ TEST(NodeBrokerTest, WeightedFairQueuingServesLightBeforeHogBacklog) {
   std::thread light1(serve, 2, 201);
   while (broker.backlog_seconds_of(2) < 10.0) std::this_thread::yield();
 
-  // Start tags: hog #1 tags at virtual time 0 and advances the hog's
-  // virtual finish to 10/1; hog #2 therefore tags at 10. The light
-  // tenant also tags at 0 (its finish advances only 10/10 = 1) and wins
-  // the tag-0 tie on weight, so the fair order is light, hog #1, hog #2
-  // — the light launch overtakes the hog's whole queued backlog.
+  // Tags: hog #1 starts at virtual time 0 and finishes at 10/1; hog #2
+  // therefore starts at 10 and finishes at 20. The light tenant also
+  // starts at 0 but finishes at 10/10 = 1, the smallest finish tag, so
+  // the fair order is light, hog #1, hog #2 — the light launch overtakes
+  // the hog's whole queued backlog.
   broker.CompleteLaunch(99, *gate, true, 1.0, "k", 0.0);
   hog1.join();
   hog2.join();
@@ -165,6 +167,94 @@ TEST(NodeBrokerTest, WeightedFairQueuingServesLightBeforeHogBacklog) {
   EXPECT_EQ(order[0], 201);
   EXPECT_EQ(order[1], 101);
   EXPECT_EQ(order[2], 102);
+}
+
+TEST(NodeBrokerTest, OneInFlightLightTenantIsServedEveryTimeItWaits) {
+  // The regime of real sessions: each tenant keeps ONE launch in flight
+  // and re-arrives only after its own launch completed, i.e. after the
+  // gate already picked the next launch without it. Four weight-1 hogs
+  // and one weight-10 light tenant, equal predictions; every holder is
+  // back at the gate before the next pick. The light tenant must win
+  // every pick it waits for, so the hogs alternate with it instead of
+  // taking several slots in a row.
+  NodeBroker broker(0);
+  constexpr std::uint64_t kLight = 5;
+  for (std::uint64_t session = 1; session < kLight; ++session) {
+    broker.RegisterTenant(session, {"hog", 1.0, 0});
+  }
+  broker.RegisterTenant(kLight, {"light", 10.0, 0});
+
+  std::mutex mutex;
+  std::condition_variable changed;
+  std::vector<std::uint64_t> order;  // Session of each grant, in order.
+  std::size_t released = 0;  // Grant i may complete once released > i.
+  std::size_t returned = 0;  // Its holder may re-arrive once returned > i.
+  bool stop = false;
+  auto tenant = [&](std::uint64_t session) {
+    while (true) {
+      auto grant = broker.AcquireLaunchSlot(session, 1.0);
+      if (!grant.ok()) return;  // Shut down.
+      std::unique_lock<std::mutex> lock(mutex);
+      const std::size_t index = order.size();
+      order.push_back(session);
+      changed.notify_all();
+      changed.wait(lock, [&] { return stop || released > index; });
+      lock.unlock();
+      broker.CompleteLaunch(session, *grant, true, 1.0, "k", 0.0);
+      lock.lock();
+      changed.wait(lock, [&] { return stop || returned > index; });
+      if (stop) return;
+    }
+  };
+
+  // Queue all five behind a held gate, so the first pick sees everyone.
+  auto gate = broker.AcquireLaunchSlot(99, 1.0);
+  ASSERT_TRUE(gate.ok());
+  std::vector<std::thread> threads;
+  for (std::uint64_t session = 1; session <= kLight; ++session) {
+    threads.emplace_back(tenant, session);
+    while (broker.backlog_seconds_of(session) < 1.0) {
+      std::this_thread::yield();
+    }
+  }
+  broker.CompleteLaunch(99, *gate, true, 1.0, "k", 0.0);
+
+  constexpr std::size_t kGrants = 40;
+  for (std::size_t i = 0; i + 1 < kGrants; ++i) {
+    std::unique_lock<std::mutex> lock(mutex);
+    changed.wait(lock, [&] { return order.size() > i; });
+    const std::uint64_t holder = order[i];
+    released = i + 1;  // Complete grant i: the gate picks grant i + 1.
+    changed.notify_all();
+    changed.wait(lock, [&] { return order.size() > i + 1; });
+    returned = i + 1;  // Only now does grant i's holder re-arrive.
+    changed.notify_all();
+    lock.unlock();
+    while (broker.backlog_seconds_of(holder) < 1.0) {
+      std::this_thread::yield();
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    stop = true;
+  }
+  changed.notify_all();
+  broker.Shutdown();
+  for (auto& thread : threads) thread.join();
+
+  ASSERT_GE(order.size(), kGrants);
+  EXPECT_EQ(order[0], kLight);
+  std::vector<int> hog_grants(kLight - 1, 0);
+  for (std::size_t i = 1; i < kGrants; ++i) {
+    EXPECT_TRUE(order[i - 1] == kLight || order[i] == kLight)
+        << "grants " << i - 1 << " and " << i << " both went to hogs";
+    if (order[i] != kLight) ++hog_grants[order[i] - 1];
+  }
+  // Work-conserving and fair among the hogs: they share the other slots.
+  for (std::uint64_t session = 1; session < kLight; ++session) {
+    EXPECT_EQ(hog_grants[session - 1], static_cast<int>(kGrants / 8))
+        << "hog " << session;
+  }
 }
 
 TEST(NodeBrokerTest, ServedWorkTracksWeightsUnderSaturation) {

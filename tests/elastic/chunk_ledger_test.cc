@@ -1,5 +1,5 @@
-// ChunkLedger unit tests: chunking, acquire order, tail stealing, revoked
-// MarkDone arbitration, and failure re-queue with output-loss dedup.
+// ChunkLedger unit tests: chunking, acquire order, tail stealing, refusal
+// of a stale MarkDone, and failure re-queue with output-loss dedup.
 #include "elastic/chunk_ledger.h"
 
 #include <gtest/gtest.h>
@@ -82,7 +82,7 @@ TEST(ChunkLedgerTest, MarkDoneAfterRetargetIsRevoked) {
   (void)ledger.Steal(0, 1, 4);                          // ...stolen by node 1.
   // Node 0's stale completion must not win.
   const Status late = ledger.MarkDone(chunk->id, 0);
-  EXPECT_EQ(late.code(), ErrorCode::kChunkRevoked);
+  EXPECT_EQ(late.code(), ErrorCode::kInvalidOperation);
   // The new owner completes it for real.
   auto retry = ledger.Acquire(1);
   ASSERT_TRUE(retry.has_value());

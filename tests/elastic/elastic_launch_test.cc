@@ -159,6 +159,22 @@ TEST(ElasticLaunchTest, StealingRescuesStraggler) {
       << "steal=" << makespan_steal << " static=" << makespan_static;
 }
 
+TEST(ElasticLaunchTest, FaultFreeStragglerRunsEveryChunkOnceAndCountsEveryByte) {
+  // Fast peers steal the straggler's tail, and later steals can move a
+  // chunk back to a node it was taken from. Nothing fails, so no chunk
+  // runs twice, and every input byte ships exactly once from the host.
+  Fixture f = Fixture::Make({0.2, 1.0, 1.0});
+  ClusterRuntime::ElasticOptions options;
+  options.chunk_rows = kN / 32;
+  auto result = f.cluster->runtime().LaunchElastic(f.Spec(), options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result->chunks_stolen, 0u);
+  EXPECT_EQ(result->chunks_reexecuted, 0u);
+  EXPECT_EQ(result->launch.bytes_shipped, std::uint64_t{kN} * 4);
+  EXPECT_EQ(f.cluster->runtime().transfer_stats().reexec_bytes, 0u);
+  f.ExpectDoubled();
+}
+
 TEST(ElasticLaunchTest, ScriptedKillCompletesBitIdentical) {
   Fixture f = Fixture::Make();
   elastic::FaultInjector faults;

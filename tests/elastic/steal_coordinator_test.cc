@@ -1,6 +1,6 @@
 // StealCoordinator unit tests against a scripted mock executor: virtual-time
-// dispatch, straggler stealing with revocation, transient-vs-fatal failure
-// triage, mid-launch death recovery, and the all-dead terminal case.
+// dispatch, straggler stealing, transient-vs-fatal failure triage,
+// mid-launch death recovery, and the all-dead terminal case.
 #include "elastic/steal_coordinator.h"
 
 #include <gtest/gtest.h>
@@ -58,13 +58,6 @@ class MockExecutor : public ChunkExecutor {
     return outcome;
   }
 
-  void Revoke(std::size_t node, std::uint64_t launch_id,
-              const std::vector<std::uint64_t>& chunk_ids) override {
-    for (std::uint64_t id : chunk_ids) revokes_[node].insert(id);
-    revoke_order_.push_back(node);
-    last_revoke_launch_ = launch_id;
-  }
-
   Status Probe(std::size_t node) override {
     if (dead_to_probe_.count(node) != 0) {
       return Status(ErrorCode::kNodeLost, "probe: dead");
@@ -111,11 +104,18 @@ class MockExecutor : public ChunkExecutor {
 
   std::vector<Exec> executions_;
   std::map<std::size_t, std::uint64_t> executed_on_;
-  std::map<std::size_t, std::set<std::uint64_t>> revokes_;
-  std::vector<std::size_t> revoke_order_;  // Victims, in steal order.
-  std::uint64_t last_revoke_launch_ = 0;
   std::set<std::size_t> dead_declared_;
 };
+
+// The first chunk `thief` ran; its rows name the victim of the first steal
+// when the thief owned no rows of its own.
+const MockExecutor::Exec* FirstExecOn(const MockExecutor& exec,
+                                      std::size_t thief) {
+  for (const MockExecutor::Exec& e : exec.executions_) {
+    if (e.node == thief) return &e;
+  }
+  return nullptr;
+}
 
 TEST(StealCoordinatorTest, BalancedNodesKeepTheirOwnChunks) {
   ChunkLedger ledger;
@@ -141,16 +141,17 @@ TEST(StealCoordinatorTest, FastNodeStealsStragglerTail) {
   ChunkLedger ledger;
   ASSERT_TRUE(ledger.Init(PlanFor({{0, 64}, {1, 64}}), 1, 16).ok());
   MockExecutor exec({0.005, 0.001});
-  CoordinatorOptions options;
-  options.launch_id = 42;
-  StealCoordinator coordinator(&ledger, &exec, {0, 1}, options);
+  StealCoordinator coordinator(&ledger, &exec, {0, 1}, {});
   const CoordinatorReport report = coordinator.Run();
   ASSERT_TRUE(report.status.ok()) << report.status.ToString();
   EXPECT_GT(report.chunks_stolen, 0u);
   EXPECT_EQ(report.chunks_reexecuted, 0u);  // Stealing never re-runs work.
-  // Stolen chunks were revoked on the victim, tagged with the launch id.
-  EXPECT_FALSE(exec.revokes_[0].empty());
-  EXPECT_EQ(exec.last_revoke_launch_, 42u);
+  // Node 1 ran rows of node 0's range: the steals took its tail.
+  bool ran_victim_rows = false;
+  for (const auto& e : exec.executions_) {
+    ran_victim_rows |= e.node == 1 && e.offset < 64;
+  }
+  EXPECT_TRUE(ran_victim_rows);
   // Every row ran exactly once (no dropped, no duplicated work).
   std::set<std::uint64_t> rows;
   for (const auto& e : exec.executions_) {
@@ -190,9 +191,11 @@ TEST(StealCoordinatorTest, BacklogBiasesVictimChoice) {
   const CoordinatorReport report = coordinator.Run();
   ASSERT_TRUE(report.status.ok());
   ASSERT_GT(report.chunks_stolen, 0u);
-  // The first steal hit the backlogged node.
-  ASSERT_FALSE(exec.revoke_order_.empty());
-  EXPECT_EQ(exec.revoke_order_.front(), 2u);
+  // The first steal hit the backlogged node: node 0's first chunk lies in
+  // node 2's rows [32, 64).
+  const MockExecutor::Exec* first = FirstExecOn(exec, 0);
+  ASSERT_NE(first, nullptr);
+  EXPECT_GE(first->offset, 32u);
 }
 
 TEST(StealCoordinatorTest, LocalityBreaksVictimTies) {
@@ -210,8 +213,9 @@ TEST(StealCoordinatorTest, LocalityBreaksVictimTies) {
   ASSERT_GT(report.chunks_stolen, 0u);
   // The FIRST steal (both victims equally loaded) chose the local one;
   // later steals may legitimately drain the other victim too.
-  ASSERT_FALSE(exec.revoke_order_.empty());
-  EXPECT_EQ(exec.revoke_order_.front(), 2u);
+  const MockExecutor::Exec* first = FirstExecOn(exec, 0);
+  ASSERT_NE(first, nullptr);
+  EXPECT_GE(first->offset, 32u);
 }
 
 TEST(StealCoordinatorTest, TransientErrorRetriesWithoutFailOver) {
@@ -303,35 +307,29 @@ TEST(StealCoordinatorTest, AllNodesDeadReportsNodeLost) {
   EXPECT_EQ(report.dead_nodes.size(), 2u);
 }
 
-TEST(StealCoordinatorTest, RevokedExecutionRetargetsInsteadOfLooping) {
-  // An Execute that returns kChunkRevoked (device-side skip) re-queues the
-  // chunk; the launch still completes with every row run exactly once.
+TEST(StealCoordinatorTest, RefusedCompletionEndsTheLaunch) {
+  // An executor that re-targets the chunk it is running breaks the rule
+  // the coordinator relies on; the ledger refuses the stale completion and
+  // the launch ends with that status instead of counting the result.
   ChunkLedger ledger;
   ASSERT_TRUE(ledger.Init(PlanFor({{0, 32}, {1, 32}}), 1, 16).ok());
-  class RevokeOnce : public MockExecutor {
+  class Retargets : public MockExecutor {
    public:
-    using MockExecutor::MockExecutor;
+    explicit Retargets(ChunkLedger* ledger)
+        : MockExecutor({0.001, 0.001}), ledger_(ledger) {}
     Expected<ChunkOutcome> Execute(const Chunk& chunk,
                                    std::size_t node) override {
-      if (!tripped_ && node == 0) {
-        tripped_ = true;
-        return Status(ErrorCode::kChunkRevoked, "skipped");
-      }
+      EXPECT_TRUE(ledger_->Requeue(chunk.id).ok());
+      EXPECT_FALSE(ledger_->Steal(node, 1 - node, 4).empty());
       return MockExecutor::Execute(chunk, node);
     }
-    bool tripped_ = false;
-  } exec({0.001, 0.001});
+    ChunkLedger* ledger_;
+  } exec(&ledger);
   StealCoordinator coordinator(&ledger, &exec, {0, 1}, {});
   const CoordinatorReport report = coordinator.Run();
-  ASSERT_TRUE(report.status.ok());
-  EXPECT_TRUE(report.dead_nodes.empty());
-  std::set<std::uint64_t> rows;
-  for (const auto& e : exec.executions_) {
-    for (std::uint64_t r = e.offset; r < e.offset + e.count; ++r) {
-      EXPECT_TRUE(rows.insert(r).second);
-    }
-  }
-  EXPECT_EQ(rows.size(), 64u);
+  EXPECT_EQ(report.status.code(), ErrorCode::kInvalidOperation);
+  EXPECT_EQ(exec.executions_.size(), 1u);
+  EXPECT_FALSE(ledger.AllDone());
 }
 
 TEST(FaultInjectorTest, ScriptedKillTripsAfterNChunks) {

@@ -1018,6 +1018,47 @@ TEST_F(ClusterRuntimeTest, NodeQueueWriteShipsStraightToTheNode) {
   }
 }
 
+// A node that dies holding the only fresh copy of a range takes the range
+// with it: a read fails instead of returning the shadow's older bytes, and
+// a write that replaces the range makes the buffer whole again.
+TEST(ClusterRuntimeNodeLossTest, ReadOfARangeOnlyTheDeadNodeHeldFails) {
+  auto cluster = SimCluster::Create({.gpu_nodes = 2});
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  ClusterRuntime& rt = (*cluster)->runtime();
+  auto program = rt.BuildProgram(kDoubler);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  const int n = 64;
+  auto buffer = rt.CreateBuffer(n * 4);
+  ASSERT_TRUE(buffer.ok());
+  std::vector<std::int32_t> values(n);
+  std::iota(values.begin(), values.end(), 1);
+  ASSERT_TRUE(rt.WriteBuffer(*buffer, 0, values.data(), n * 4).ok());
+  ClusterRuntime::LaunchSpec spec;
+  spec.program = *program;
+  spec.kernel_name = "doubler";
+  spec.args = {KernelArgValue::Buffer(*buffer),
+               KernelArgValue::Scalar<std::int32_t>(n)};
+  spec.global[0] = n;
+  spec.preferred_node = 1;
+  ASSERT_TRUE(rt.LaunchKernel(spec).ok());
+
+  auto lost = rt.MarkNodeLost(1);
+  ASSERT_TRUE(lost.ok()) << lost.status().ToString();
+  ASSERT_EQ(lost->size(), 1u);
+  EXPECT_EQ((*lost)[0].buffer, *buffer);
+  EXPECT_EQ((*lost)[0].begin, 0u);
+  EXPECT_EQ((*lost)[0].end, static_cast<std::uint64_t>(n * 4));
+  std::vector<std::int32_t> got(n);
+  const Status read = rt.ReadBuffer(*buffer, 0, got.data(), n * 4);
+  EXPECT_TRUE(read.code() == ErrorCode::kNodeLost ||
+              read.code() == ErrorCode::kNodeUnreachable)
+      << read.ToString() << "; element 0 reads " << got[0];
+
+  ASSERT_TRUE(rt.WriteBuffer(*buffer, 0, values.data(), n * 4).ok());
+  ASSERT_TRUE(rt.ReadBuffer(*buffer, 0, got.data(), n * 4).ok());
+  EXPECT_EQ(got, values);
+}
+
 // Buffers cost resident memory only where bytes land: the host shadow and
 // the node replica are lazily zeroed, and the write and the read move the
 // page between the caller and the node without touching the shadow.

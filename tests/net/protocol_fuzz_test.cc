@@ -37,7 +37,7 @@ template <>
 std::vector<GoldenRow<HelloRequest>> GoldenRows() {
   HelloRequest m;
   m.host_name = "host-A";
-  return {{m, "06000000686f73742d4102000000"}};
+  return {{m, "06000000686f73742d4103000000"}};
 }
 
 template <>
@@ -52,7 +52,7 @@ std::vector<GoldenRow<HelloReply>> GoldenRows() {
   m.simd_width = 32;
   return {{m,
            "040000006770753301080000005465736c6120503400000000807cb54000000000"
-           "0008684000000000020000002000000002000000"}};
+           "0008684000000000020000002000000003000000"}};
 }
 
 template <>
@@ -154,21 +154,19 @@ std::vector<GoldenRow<LaunchKernelRequest>> GoldenRows() {
   hinted.hint_bytes = 1e6;
   hinted.hint_work_items = 256;
   hinted.hint_irregular = true;
-  hinted.elastic_launch_id = 7;
-  hinted.elastic_chunk_id = 9;
   return {{SampleLaunch(),
            "0300000000000000020000006d6d03000000001100000000000000800000000000"
            "000080020000000000000104000000000000000001000002000400000000000002"
            "000000000100000000000080000000000000000100000000000000100000000000"
            "000008000000000000000100000000000000400000000000000000000000000000"
-           "000000000000000000010000000000000000000000000000000000"},
+           "0000000000000000000100"},
           {hinted,
            "0300000000000000020000006d6d03000000001100000000000000800000000000"
            "000080020000000000000104000000000000000001000002000400000000000002"
            "000000000100000000000080000000000000000100000000000000100000000000"
            "000008000000000000000100000000000000400000000000000000000000000000"
            "0000000000000000000101000000205fa0e2410000000080842e41000100000000"
-           "00000107000000000000000900000000000000"}};
+           "000001"}};
 }
 
 template <>
@@ -185,16 +183,6 @@ std::vector<GoldenRow<LaunchKernelReply>> GoldenRows() {
   return {{m,
            "fbffffff040000006f6f7073000000000000c03f0000000000000c40e803000000"
            "000000d007000000000000000000000000e83f0000000000000040"}};
-}
-
-template <>
-std::vector<GoldenRow<RevokeChunkRequest>> GoldenRows() {
-  RevokeChunkRequest m;
-  m.launch_id = 7;
-  m.chunk_ids = {1, 2, 3};
-  return {{m,
-           "070000000000000003000000010000000000000002000000000000000300000000"
-           "000000"}};
 }
 
 template <>
@@ -378,7 +366,7 @@ using PayloadTypes = ::testing::Types<
     ReadBufferRequest, ReleaseBufferRequest, PullSliceRequest,
     MemoryNoticeRequest,
     BuildProgramRequest, BuildProgramReply, ReleaseProgramRequest,
-    LaunchKernelRequest, LaunchKernelReply, RevokeChunkRequest, LoadReply,
+    LaunchKernelRequest, LaunchKernelReply, LoadReply,
     ConfigureSessionRequest, BrokerStatsReply, StatusReply>;
 // Names each case after its message type, e.g. ProtocolFuzzTest/LaunchKernel.
 struct MessageName {

@@ -75,12 +75,13 @@ TEST_F(NodeServerTest, MalformedPayloadGetsProtocolError) {
 
 TEST_F(NodeServerTest, UnknownMessageTypeRejected) {
   // 14 and 16 are the retired node-side copy and peer push of protocol
-  // version 1: a well-formed v1 payload gets the same answer as garbage.
-  const std::vector<std::uint8_t> v1_payload(40, 0);
-  for (std::uint16_t type : {14, 16, 999}) {
+  // version 1, 23 the chunk revocation of version 2: a well-formed old
+  // payload gets the same answer as garbage.
+  const std::vector<std::uint8_t> old_payload(40, 0);
+  for (std::uint16_t type : {14, 16, 23, 999}) {
     SCOPED_TRACE(type);
     auto reply =
-        client_->Call(static_cast<MsgType>(type), 1, v1_payload);
+        client_->Call(static_cast<MsgType>(type), 1, old_payload);
     ASSERT_TRUE(reply.ok());
     auto status = net::Decode<net::StatusReply>(reply->payload);
     ASSERT_TRUE(status.ok());
@@ -166,12 +167,13 @@ TEST_F(NodeServerTest, WrappingOffsetsRejectedWithoutCrash) {
 }
 
 TEST_F(NodeServerTest, HostileElementCountRejectedWithoutCrash) {
-  // Launch id 1, then a chunk count of 2^32-1 with no chunk ids behind it:
-  // decoded on the receive path, it must not size anything from the count.
-  WireWriter revoke;
-  revoke.WriteU64(1);
-  revoke.WriteU32(0xFFFFFFFF);
-  auto reply = client_->Call(MsgType::kRevokeChunk, 1, revoke.bytes());
+  // Buffer id 1 and a reserve flag, then a region count of 2^32-1 with no
+  // regions behind it: the decode must not size anything from the count.
+  WireWriter notice;
+  notice.WriteU64(1);
+  notice.WriteBool(true);
+  notice.WriteU32(0xFFFFFFFF);
+  auto reply = client_->Call(MsgType::kMemoryNotice, 1, notice.bytes());
   ASSERT_TRUE(reply.ok());
   ASSERT_EQ(reply->type, MsgType::kStatusReply);
   EXPECT_EQ(net::Decode<net::StatusReply>(reply->payload)->ToStatus().code(),
@@ -184,13 +186,20 @@ TEST_F(NodeServerTest, HostileElementCountRejectedWithoutCrash) {
 }
 
 TEST_F(NodeServerTest, HelloWithOtherProtocolVersionRejected) {
-  net::HelloRequest hello;
-  hello.protocol_version = net::kProtocolVersion + 1;
-  auto reply = client_->Call(MsgType::kHelloRequest, 1, net::Encode(hello));
-  ASSERT_TRUE(reply.ok());
-  ASSERT_EQ(reply->type, MsgType::kStatusReply);
-  EXPECT_EQ(net::Decode<net::StatusReply>(reply->payload)->ToStatus().code(),
-            ErrorCode::kProtocolError);
+  // An older peer (one that still sends elastic tags) and a newer one.
+  for (std::uint32_t version :
+       {net::kProtocolVersion - 1, net::kProtocolVersion + 1}) {
+    SCOPED_TRACE(version);
+    net::HelloRequest hello;
+    hello.protocol_version = version;
+    auto reply =
+        client_->Call(MsgType::kHelloRequest, 1, net::Encode(hello));
+    ASSERT_TRUE(reply.ok());
+    ASSERT_EQ(reply->type, MsgType::kStatusReply);
+    EXPECT_EQ(
+        net::Decode<net::StatusReply>(reply->payload)->ToStatus().code(),
+        ErrorCode::kProtocolError);
+  }
 }
 
 TEST_F(NodeServerTest, InvalidWorkDimensionRejected) {

@@ -14,9 +14,10 @@
 //   - Out-of-core staging: a working set ~4x the device's memory tier,
 //     decomposed into pipelined stages (stage k+1's transfer overlaps
 //     stage k's compute) vs naive serial staging; emits BENCH_ooc.json.
-// Exits nonzero if a chained launch moves any host payload bytes in the
-// steady state or pipelined staging beats serial staging by less than
-// 1.4x.
+// Exits nonzero if a co-executed launch does not plan one shard per node
+// or is not faster than its single-node run, a chained launch moves any
+// host payload bytes in the steady state, or pipelined staging beats
+// serial staging by less than 1.4x.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -353,6 +354,7 @@ int main() {
       {"2G+2F", {.gpu_nodes = 2, .fpga_nodes = 2}},
       {"4G+4F", {.gpu_nodes = 4, .fpga_nodes = 4}},
   };
+  haocl::bench::Gates gates;
   FILE* json = std::fopen("BENCH_coexec.json", "w");
   if (json != nullptr) std::fprintf(json, "{\n  \"scenarios\": [\n");
   for (std::size_t i = 0; i < std::size(coexec_shapes); ++i) {
@@ -361,6 +363,17 @@ int main() {
     std::uint32_t shards = 0;
     const double coexec =
         RunMatmulOnce(shape.shape, "hetero_split", &shards);
+    // Per shape only: the modeled co-exec seconds move from run to run
+    // (the single-node seconds do not), so the order across shapes is not
+    // a stable target.
+    const std::size_t nodes = shape.shape.gpu_nodes +
+                              shape.shape.fpga_nodes + shape.shape.cpu_nodes;
+    gates.Check(shards == nodes, std::string("BENCH_coexec ") + shape.label +
+                                     ": one shard per node (" +
+                                     std::to_string(nodes) + ")");
+    gates.Check(single / coexec > 1.0,
+                std::string("BENCH_coexec ") + shape.label +
+                    ": co-exec speedup over the single node > 1.0");
     std::printf("%-12s %14.3f %14.3f %8.2fx %7u\n", shape.label, single,
                 coexec, single / coexec, shards);
     if (json != nullptr) {
@@ -383,7 +396,6 @@ int main() {
               " bytes and modeled seconds)\n");
   std::printf("%-12s %12s %12s %12s %12s %8s\n", "cluster", "p2p:hostB",
               "p2p:moved", "star:hostB", "p2p(s)", "speedup");
-  haocl::bench::Gates gates;
   FILE* p2p_json = std::fopen("BENCH_p2p.json", "w");
   if (p2p_json != nullptr) std::fprintf(p2p_json, "{\n  \"scenarios\": [\n");
   for (std::size_t i = 0; i < std::size(coexec_shapes); ++i) {

@@ -2,11 +2,12 @@
 //
 // The batch engine stores a work-group's lanes slot-major, so one bytecode
 // dispatch walks contiguous rows of 8-byte `Value`s. These wrappers give it
-// a portable 4-lane vector tier over those rows: `VecF32`/`VecF64`/`VecI32`
-// with load/store/gather/fma/compare/blend, plus a `LaneMask`. The backend
-// is chosen at compile time — AVX2, then SSE2, then NEON (aarch64), then a
-// plain-scalar fallback — and `-DHAOCL_SIMD_FORCE_SCALAR` (the
-// `HAOCL_ENABLE_SIMD=OFF` CMake option) forces the fallback everywhere.
+// a 4-lane vector tier over those rows: `VecF32`/`VecF64`/`VecI32` with
+// load/store/gather, arithmetic, compare and the conversions the VM calls.
+// Two backends, chosen at compile time: AVX2 when `__AVX2__` is defined,
+// and a plain-scalar backend everywhere else (x86 without `-mavx2`,
+// aarch64 and any other host). `-DHAOCL_SIMD_FORCE_SCALAR` (the
+// `HAOCL_ENABLE_SIMD=OFF` CMake option) forces the scalar backend.
 //
 // Bit-identity contract: every lane of every operation rounds exactly like
 // the scalar code it replaces. f32 work on Value rows is a
@@ -14,29 +15,19 @@
 // `static_cast<float>(v.f)` + float op + implicit widen byte-for-byte
 // (both conversions are single correctly-rounded IEEE operations). i32 ops
 // wrap in 32 bits and re-canonicalize by sign-extension, matching the
-// interpreter's u32-wrap + sign-extend storage. `Fma` is the only
-// single-rounding op here; callers that need the interpreter's two separate
-// roundings (every VM multiply-add) must use Mul then Add.
+// interpreter's u32-wrap + sign-extend storage. There is no fused
+// multiply-add: every VM multiply-add is Mul then Add, two roundings.
 //
-// Width is fixed at 4 logical lanes on every backend so callers never
-// branch on ISA: AVX2 uses 128-bit f32/i32 ops and 256-bit f64 ops, SSE2
-// and NEON split the f64 half into two 128-bit registers.
+// Width is fixed at 4 logical lanes on both backends so callers never
+// branch on ISA: AVX2 uses 128-bit f32/i32 ops and 256-bit f64 ops.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 
-#if !defined(HAOCL_SIMD_FORCE_SCALAR)
-#if defined(__AVX2__)
+#if !defined(HAOCL_SIMD_FORCE_SCALAR) && defined(__AVX2__)
 #define HAOCL_SIMD_AVX2 1
 #include <immintrin.h>
-#elif defined(__SSE2__) || defined(__x86_64__) || defined(_M_X64)
-#define HAOCL_SIMD_SSE2 1
-#include <emmintrin.h>
-#elif defined(__aarch64__) && defined(__ARM_NEON)
-#define HAOCL_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
 #endif
 
 namespace haocl::simd {
@@ -46,12 +37,6 @@ inline constexpr int kWidth = 4;
 #if defined(HAOCL_SIMD_AVX2)
 inline constexpr bool kEnabled = true;
 inline constexpr const char kIsaName[] = "avx2";
-#elif defined(HAOCL_SIMD_SSE2)
-inline constexpr bool kEnabled = true;
-inline constexpr const char kIsaName[] = "sse2";
-#elif defined(HAOCL_SIMD_NEON)
-inline constexpr bool kEnabled = true;
-inline constexpr const char kIsaName[] = "neon";
 #else
 inline constexpr bool kEnabled = false;
 inline constexpr const char kIsaName[] = "scalar";
@@ -93,7 +78,6 @@ inline VecI32 Add(VecI32 a, VecI32 b) { return {_mm_add_epi32(a.v, b.v)}; }
 inline VecI32 Sub(VecI32 a, VecI32 b) { return {_mm_sub_epi32(a.v, b.v)}; }
 inline VecI32 Mul(VecI32 a, VecI32 b) { return {_mm_mullo_epi32(a.v, b.v)}; }
 inline VecI32 And(VecI32 a, VecI32 b) { return {_mm_and_si128(a.v, b.v)}; }
-inline VecI32 Or(VecI32 a, VecI32 b) { return {_mm_or_si128(a.v, b.v)}; }
 inline VecI32 Not(VecI32 a) {
   return {_mm_xor_si128(a.v, _mm_set1_epi32(-1))};
 }
@@ -102,12 +86,6 @@ inline VecI32 CmpLt(VecI32 a, VecI32 b) { return {_mm_cmplt_epi32(a.v, b.v)}; }
 inline VecI32 CmpGt(VecI32 a, VecI32 b) { return {_mm_cmpgt_epi32(a.v, b.v)}; }
 inline VecI32 Min(VecI32 a, VecI32 b) { return {_mm_min_epi32(a.v, b.v)}; }
 inline VecI32 Max(VecI32 a, VecI32 b) { return {_mm_max_epi32(a.v, b.v)}; }
-inline VecI32 Blend(VecI32 mask, VecI32 a, VecI32 b) {
-  return {_mm_blendv_epi8(b.v, a.v, mask.v)};
-}
-inline int MoveMask(VecI32 mask) {
-  return _mm_movemask_ps(_mm_castsi128_ps(mask.v));
-}
 
 struct VecF32 {
   __m128 v;
@@ -126,19 +104,6 @@ inline VecF32 Add(VecF32 a, VecF32 b) { return {_mm_add_ps(a.v, b.v)}; }
 inline VecF32 Sub(VecF32 a, VecF32 b) { return {_mm_sub_ps(a.v, b.v)}; }
 inline VecF32 Mul(VecF32 a, VecF32 b) { return {_mm_mul_ps(a.v, b.v)}; }
 inline VecF32 Div(VecF32 a, VecF32 b) { return {_mm_div_ps(a.v, b.v)}; }
-inline VecF32 Fma(VecF32 a, VecF32 b, VecF32 c) {
-#if defined(__FMA__)
-  return {_mm_fmadd_ps(a.v, b.v, c.v)};
-#else
-  return Add(Mul(a, b), c);
-#endif
-}
-inline VecI32 CmpLt(VecF32 a, VecF32 b) {
-  return {_mm_castps_si128(_mm_cmplt_ps(a.v, b.v))};
-}
-inline VecF32 Blend(VecI32 mask, VecF32 a, VecF32 b) {
-  return {_mm_blendv_ps(b.v, a.v, _mm_castsi128_ps(mask.v))};
-}
 
 struct VecF64 {
   __m256d v;
@@ -157,297 +122,10 @@ inline VecF64 Add(VecF64 a, VecF64 b) { return {_mm256_add_pd(a.v, b.v)}; }
 inline VecF64 Sub(VecF64 a, VecF64 b) { return {_mm256_sub_pd(a.v, b.v)}; }
 inline VecF64 Mul(VecF64 a, VecF64 b) { return {_mm256_mul_pd(a.v, b.v)}; }
 inline VecF64 Div(VecF64 a, VecF64 b) { return {_mm256_div_pd(a.v, b.v)}; }
-inline VecF64 Fma(VecF64 a, VecF64 b, VecF64 c) {
-#if defined(__FMA__)
-  return {_mm256_fmadd_pd(a.v, b.v, c.v)};
-#else
-  return Add(Mul(a, b), c);
-#endif
-}
 inline VecF32 ToF32(VecF64 a) { return {_mm256_cvtpd_ps(a.v)}; }
 inline VecF64 ToF64(VecF32 a) { return {_mm256_cvtps_pd(a.v)}; }
 
-// ---------------------------------------------------------------- SSE2
-
-#elif defined(HAOCL_SIMD_SSE2)
-
-struct VecI32 {
-  __m128i v;
-  static VecI32 Load(const std::int32_t* p) {
-    return {_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))};
-  }
-  static VecI32 Broadcast(std::int32_t x) { return {_mm_set1_epi32(x)}; }
-  static VecI32 LoadLow64(const void* p) {
-    const unsigned char* bytes = reinterpret_cast<const unsigned char*>(p);
-    const __m128i v01 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes));
-    const __m128i v23 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + 16));
-    const __m128i lo01 = _mm_shuffle_epi32(v01, _MM_SHUFFLE(2, 0, 2, 0));
-    const __m128i lo23 = _mm_shuffle_epi32(v23, _MM_SHUFFLE(2, 0, 2, 0));
-    return {_mm_unpacklo_epi64(lo01, lo23)};
-  }
-  void Store(std::int32_t* p) const {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
-  }
-  void StoreSignExt64(void* p) const {
-    unsigned char* bytes = reinterpret_cast<unsigned char*>(p);
-    const __m128i sign = _mm_srai_epi32(v, 31);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(bytes),
-                     _mm_unpacklo_epi32(v, sign));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(bytes + 16),
-                     _mm_unpackhi_epi32(v, sign));
-  }
-  void StoreZeroExt64(void* p) const {
-    unsigned char* bytes = reinterpret_cast<unsigned char*>(p);
-    const __m128i zero = _mm_setzero_si128();
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(bytes),
-                     _mm_unpacklo_epi32(v, zero));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(bytes + 16),
-                     _mm_unpackhi_epi32(v, zero));
-  }
-};
-
-inline VecI32 Add(VecI32 a, VecI32 b) { return {_mm_add_epi32(a.v, b.v)}; }
-inline VecI32 Sub(VecI32 a, VecI32 b) { return {_mm_sub_epi32(a.v, b.v)}; }
-inline VecI32 Mul(VecI32 a, VecI32 b) {
-  // SSE2 has no 32-bit mullo; build it from two widening 32x32->64 muls.
-  const __m128i even = _mm_mul_epu32(a.v, b.v);
-  const __m128i odd =
-      _mm_mul_epu32(_mm_srli_si128(a.v, 4), _mm_srli_si128(b.v, 4));
-  const __m128i even_lo = _mm_shuffle_epi32(even, _MM_SHUFFLE(0, 0, 2, 0));
-  const __m128i odd_lo = _mm_shuffle_epi32(odd, _MM_SHUFFLE(0, 0, 2, 0));
-  return {_mm_unpacklo_epi32(even_lo, odd_lo)};
-}
-inline VecI32 And(VecI32 a, VecI32 b) { return {_mm_and_si128(a.v, b.v)}; }
-inline VecI32 Or(VecI32 a, VecI32 b) { return {_mm_or_si128(a.v, b.v)}; }
-inline VecI32 Not(VecI32 a) {
-  return {_mm_xor_si128(a.v, _mm_set1_epi32(-1))};
-}
-inline VecI32 CmpEq(VecI32 a, VecI32 b) { return {_mm_cmpeq_epi32(a.v, b.v)}; }
-inline VecI32 CmpLt(VecI32 a, VecI32 b) { return {_mm_cmplt_epi32(a.v, b.v)}; }
-inline VecI32 CmpGt(VecI32 a, VecI32 b) { return {_mm_cmpgt_epi32(a.v, b.v)}; }
-inline VecI32 Blend(VecI32 mask, VecI32 a, VecI32 b) {
-  return {_mm_or_si128(_mm_and_si128(mask.v, a.v),
-                       _mm_andnot_si128(mask.v, b.v))};
-}
-inline VecI32 Min(VecI32 a, VecI32 b) { return Blend(CmpLt(a, b), a, b); }
-inline VecI32 Max(VecI32 a, VecI32 b) { return Blend(CmpGt(a, b), a, b); }
-inline int MoveMask(VecI32 mask) {
-  return _mm_movemask_ps(_mm_castsi128_ps(mask.v));
-}
-
-struct VecF32 {
-  __m128 v;
-  static VecF32 Load(const float* p) { return {_mm_loadu_ps(p)}; }
-  static VecF32 Broadcast(float x) { return {_mm_set1_ps(x)}; }
-  static VecF32 Gather(const float* base, VecI32 idx) {
-    alignas(16) std::int32_t e[4];
-    idx.Store(e);
-    alignas(16) float out[4];
-    const unsigned char* bytes = reinterpret_cast<const unsigned char*>(base);
-    for (int i = 0; i < 4; ++i) {
-      std::memcpy(&out[i], bytes + static_cast<std::int64_t>(e[i]) * 4, 4);
-    }
-    return {_mm_load_ps(out)};
-  }
-  void Store(float* p) const { _mm_storeu_ps(p, v); }
-};
-
-inline VecF32 Add(VecF32 a, VecF32 b) { return {_mm_add_ps(a.v, b.v)}; }
-inline VecF32 Sub(VecF32 a, VecF32 b) { return {_mm_sub_ps(a.v, b.v)}; }
-inline VecF32 Mul(VecF32 a, VecF32 b) { return {_mm_mul_ps(a.v, b.v)}; }
-inline VecF32 Div(VecF32 a, VecF32 b) { return {_mm_div_ps(a.v, b.v)}; }
-inline VecF32 Fma(VecF32 a, VecF32 b, VecF32 c) { return Add(Mul(a, b), c); }
-inline VecI32 CmpLt(VecF32 a, VecF32 b) {
-  return {_mm_castps_si128(_mm_cmplt_ps(a.v, b.v))};
-}
-inline VecF32 Blend(VecI32 mask, VecF32 a, VecF32 b) {
-  const __m128 m = _mm_castsi128_ps(mask.v);
-  return {_mm_or_ps(_mm_and_ps(m, a.v), _mm_andnot_ps(m, b.v))};
-}
-
-struct VecF64 {
-  __m128d lo;
-  __m128d hi;
-  static VecF64 Load(const double* p) {
-    return {_mm_loadu_pd(p), _mm_loadu_pd(p + 2)};
-  }
-  static VecF64 Broadcast(double x) {
-    return {_mm_set1_pd(x), _mm_set1_pd(x)};
-  }
-  static VecF64 Gather(const double* base, VecI32 idx) {
-    alignas(16) std::int32_t e[4];
-    idx.Store(e);
-    alignas(16) double out[4];
-    const unsigned char* bytes = reinterpret_cast<const unsigned char*>(base);
-    for (int i = 0; i < 4; ++i) {
-      std::memcpy(&out[i], bytes + static_cast<std::int64_t>(e[i]) * 8, 8);
-    }
-    return Load(out);
-  }
-  void Store(double* p) const {
-    _mm_storeu_pd(p, lo);
-    _mm_storeu_pd(p + 2, hi);
-  }
-};
-
-inline VecF64 Add(VecF64 a, VecF64 b) {
-  return {_mm_add_pd(a.lo, b.lo), _mm_add_pd(a.hi, b.hi)};
-}
-inline VecF64 Sub(VecF64 a, VecF64 b) {
-  return {_mm_sub_pd(a.lo, b.lo), _mm_sub_pd(a.hi, b.hi)};
-}
-inline VecF64 Mul(VecF64 a, VecF64 b) {
-  return {_mm_mul_pd(a.lo, b.lo), _mm_mul_pd(a.hi, b.hi)};
-}
-inline VecF64 Div(VecF64 a, VecF64 b) {
-  return {_mm_div_pd(a.lo, b.lo), _mm_div_pd(a.hi, b.hi)};
-}
-inline VecF64 Fma(VecF64 a, VecF64 b, VecF64 c) { return Add(Mul(a, b), c); }
-inline VecF32 ToF32(VecF64 a) {
-  return {_mm_movelh_ps(_mm_cvtpd_ps(a.lo), _mm_cvtpd_ps(a.hi))};
-}
-inline VecF64 ToF64(VecF32 a) {
-  return {_mm_cvtps_pd(a.v),
-          _mm_cvtps_pd(_mm_movehl_ps(a.v, a.v))};
-}
-
-// ---------------------------------------------------------------- NEON
-
-#elif defined(HAOCL_SIMD_NEON)
-
-struct VecI32 {
-  int32x4_t v;
-  static VecI32 Load(const std::int32_t* p) { return {vld1q_s32(p)}; }
-  static VecI32 Broadcast(std::int32_t x) { return {vdupq_n_s32(x)}; }
-  static VecI32 LoadLow64(const void* p) {
-    // vld2q deinterleaves: val[0] holds elements 0,2,4,6 — the low words
-    // of four little-endian 64-bit lanes.
-    const int32x4x2_t both =
-        vld2q_s32(reinterpret_cast<const std::int32_t*>(p));
-    return {both.val[0]};
-  }
-  void Store(std::int32_t* p) const { vst1q_s32(p, v); }
-  void StoreSignExt64(void* p) const {
-    std::int64_t* out = reinterpret_cast<std::int64_t*>(p);
-    vst1q_s64(out, vmovl_s32(vget_low_s32(v)));
-    vst1q_s64(out + 2, vmovl_s32(vget_high_s32(v)));
-  }
-  void StoreZeroExt64(void* p) const {
-    std::uint64_t* out = reinterpret_cast<std::uint64_t*>(p);
-    const uint32x4_t u = vreinterpretq_u32_s32(v);
-    vst1q_u64(out, vmovl_u32(vget_low_u32(u)));
-    vst1q_u64(out + 2, vmovl_u32(vget_high_u32(u)));
-  }
-};
-
-inline VecI32 Add(VecI32 a, VecI32 b) { return {vaddq_s32(a.v, b.v)}; }
-inline VecI32 Sub(VecI32 a, VecI32 b) { return {vsubq_s32(a.v, b.v)}; }
-inline VecI32 Mul(VecI32 a, VecI32 b) { return {vmulq_s32(a.v, b.v)}; }
-inline VecI32 And(VecI32 a, VecI32 b) { return {vandq_s32(a.v, b.v)}; }
-inline VecI32 Or(VecI32 a, VecI32 b) { return {vorrq_s32(a.v, b.v)}; }
-inline VecI32 Not(VecI32 a) { return {vmvnq_s32(a.v)}; }
-inline VecI32 CmpEq(VecI32 a, VecI32 b) {
-  return {vreinterpretq_s32_u32(vceqq_s32(a.v, b.v))};
-}
-inline VecI32 CmpLt(VecI32 a, VecI32 b) {
-  return {vreinterpretq_s32_u32(vcltq_s32(a.v, b.v))};
-}
-inline VecI32 CmpGt(VecI32 a, VecI32 b) {
-  return {vreinterpretq_s32_u32(vcgtq_s32(a.v, b.v))};
-}
-inline VecI32 Min(VecI32 a, VecI32 b) { return {vminq_s32(a.v, b.v)}; }
-inline VecI32 Max(VecI32 a, VecI32 b) { return {vmaxq_s32(a.v, b.v)}; }
-inline VecI32 Blend(VecI32 mask, VecI32 a, VecI32 b) {
-  return {vbslq_s32(vreinterpretq_u32_s32(mask.v), a.v, b.v)};
-}
-inline int MoveMask(VecI32 mask) {
-  alignas(16) std::int32_t e[4];
-  vst1q_s32(e, mask.v);
-  return ((e[0] < 0) ? 1 : 0) | ((e[1] < 0) ? 2 : 0) | ((e[2] < 0) ? 4 : 0) |
-         ((e[3] < 0) ? 8 : 0);
-}
-
-struct VecF32 {
-  float32x4_t v;
-  static VecF32 Load(const float* p) { return {vld1q_f32(p)}; }
-  static VecF32 Broadcast(float x) { return {vdupq_n_f32(x)}; }
-  static VecF32 Gather(const float* base, VecI32 idx) {
-    alignas(16) std::int32_t e[4];
-    idx.Store(e);
-    alignas(16) float out[4];
-    const unsigned char* bytes = reinterpret_cast<const unsigned char*>(base);
-    for (int i = 0; i < 4; ++i) {
-      std::memcpy(&out[i], bytes + static_cast<std::int64_t>(e[i]) * 4, 4);
-    }
-    return {vld1q_f32(out)};
-  }
-  void Store(float* p) const { vst1q_f32(p, v); }
-};
-
-inline VecF32 Add(VecF32 a, VecF32 b) { return {vaddq_f32(a.v, b.v)}; }
-inline VecF32 Sub(VecF32 a, VecF32 b) { return {vsubq_f32(a.v, b.v)}; }
-inline VecF32 Mul(VecF32 a, VecF32 b) { return {vmulq_f32(a.v, b.v)}; }
-inline VecF32 Div(VecF32 a, VecF32 b) { return {vdivq_f32(a.v, b.v)}; }
-inline VecF32 Fma(VecF32 a, VecF32 b, VecF32 c) {
-  return {vfmaq_f32(c.v, a.v, b.v)};
-}
-inline VecI32 CmpLt(VecF32 a, VecF32 b) {
-  return {vreinterpretq_s32_u32(vcltq_f32(a.v, b.v))};
-}
-inline VecF32 Blend(VecI32 mask, VecF32 a, VecF32 b) {
-  return {vbslq_f32(vreinterpretq_u32_s32(mask.v), a.v, b.v)};
-}
-
-struct VecF64 {
-  float64x2_t lo;
-  float64x2_t hi;
-  static VecF64 Load(const double* p) {
-    return {vld1q_f64(p), vld1q_f64(p + 2)};
-  }
-  static VecF64 Broadcast(double x) {
-    return {vdupq_n_f64(x), vdupq_n_f64(x)};
-  }
-  static VecF64 Gather(const double* base, VecI32 idx) {
-    alignas(16) std::int32_t e[4];
-    idx.Store(e);
-    alignas(16) double out[4];
-    const unsigned char* bytes = reinterpret_cast<const unsigned char*>(base);
-    for (int i = 0; i < 4; ++i) {
-      std::memcpy(&out[i], bytes + static_cast<std::int64_t>(e[i]) * 8, 8);
-    }
-    return Load(out);
-  }
-  void Store(double* p) const {
-    vst1q_f64(p, lo);
-    vst1q_f64(p + 2, hi);
-  }
-};
-
-inline VecF64 Add(VecF64 a, VecF64 b) {
-  return {vaddq_f64(a.lo, b.lo), vaddq_f64(a.hi, b.hi)};
-}
-inline VecF64 Sub(VecF64 a, VecF64 b) {
-  return {vsubq_f64(a.lo, b.lo), vsubq_f64(a.hi, b.hi)};
-}
-inline VecF64 Mul(VecF64 a, VecF64 b) {
-  return {vmulq_f64(a.lo, b.lo), vmulq_f64(a.hi, b.hi)};
-}
-inline VecF64 Div(VecF64 a, VecF64 b) {
-  return {vdivq_f64(a.lo, b.lo), vdivq_f64(a.hi, b.hi)};
-}
-inline VecF64 Fma(VecF64 a, VecF64 b, VecF64 c) {
-  return {vfmaq_f64(c.lo, a.lo, b.lo), vfmaq_f64(c.hi, a.hi, b.hi)};
-}
-inline VecF32 ToF32(VecF64 a) {
-  return {vcombine_f32(vcvt_f32_f64(a.lo), vcvt_f32_f64(a.hi))};
-}
-inline VecF64 ToF64(VecF32 a) {
-  return {vcvt_f64_f32(vget_low_f32(a.v)), vcvt_f64_f32(vget_high_f32(a.v))};
-}
-
-// ------------------------------------------------------ scalar fallback
+// ------------------------------------------------------- plain scalar
 
 #else
 
@@ -513,10 +191,6 @@ inline VecI32 And(VecI32 a, VecI32 b) {
   return detail::Map2I(a, b,
                        [](std::int32_t x, std::int32_t y) { return x & y; });
 }
-inline VecI32 Or(VecI32 a, VecI32 b) {
-  return detail::Map2I(a, b,
-                       [](std::int32_t x, std::int32_t y) { return x | y; });
-}
 inline VecI32 Not(VecI32 a) {
   VecI32 r;
   for (int i = 0; i < 4; ++i) r.e[i] = ~a.e[i];
@@ -541,16 +215,6 @@ inline VecI32 Min(VecI32 a, VecI32 b) {
 inline VecI32 Max(VecI32 a, VecI32 b) {
   return detail::Map2I(
       a, b, [](std::int32_t x, std::int32_t y) { return x > y ? x : y; });
-}
-inline VecI32 Blend(VecI32 mask, VecI32 a, VecI32 b) {
-  VecI32 r;
-  for (int i = 0; i < 4; ++i) r.e[i] = mask.e[i] != 0 ? a.e[i] : b.e[i];
-  return r;
-}
-inline int MoveMask(VecI32 mask) {
-  int bits = 0;
-  for (int i = 0; i < 4; ++i) bits |= (mask.e[i] < 0) ? (1 << i) : 0;
-  return bits;
 }
 
 struct VecF32 {
@@ -590,17 +254,6 @@ inline VecF32 Mul(VecF32 a, VecF32 b) {
 inline VecF32 Div(VecF32 a, VecF32 b) {
   VecF32 r;
   for (int i = 0; i < 4; ++i) r.e[i] = a.e[i] / b.e[i];
-  return r;
-}
-inline VecF32 Fma(VecF32 a, VecF32 b, VecF32 c) { return Add(Mul(a, b), c); }
-inline VecI32 CmpLt(VecF32 a, VecF32 b) {
-  VecI32 r;
-  for (int i = 0; i < 4; ++i) r.e[i] = a.e[i] < b.e[i] ? -1 : 0;
-  return r;
-}
-inline VecF32 Blend(VecI32 mask, VecF32 a, VecF32 b) {
-  VecF32 r;
-  for (int i = 0; i < 4; ++i) r.e[i] = mask.e[i] != 0 ? a.e[i] : b.e[i];
   return r;
 }
 
@@ -643,7 +296,6 @@ inline VecF64 Div(VecF64 a, VecF64 b) {
   for (int i = 0; i < 4; ++i) r.e[i] = a.e[i] / b.e[i];
   return r;
 }
-inline VecF64 Fma(VecF64 a, VecF64 b, VecF64 c) { return Add(Mul(a, b), c); }
 inline VecF32 ToF32(VecF64 a) {
   VecF32 r;
   for (int i = 0; i < 4; ++i) r.e[i] = static_cast<float>(a.e[i]);
@@ -658,28 +310,6 @@ inline VecF64 ToF64(VecF32 a) {
 #endif
 
 // --------------------------------------------------------- shared bits
-
-inline bool AllTrue(VecI32 mask) { return MoveMask(mask) == 0xF; }
-inline bool AnyTrue(VecI32 mask) { return MoveMask(mask) != 0; }
-
-// One bit per logical lane; the engine-facing shape of a vector compare.
-struct LaneMask {
-  std::uint32_t bits = 0;
-  static LaneMask FromVec(VecI32 mask) {
-    return {static_cast<std::uint32_t>(MoveMask(mask))};
-  }
-  static LaneMask All() { return {0xFu}; }
-  [[nodiscard]] bool Test(int lane) const {
-    return (bits >> lane & 1u) != 0;
-  }
-  [[nodiscard]] bool Any() const { return bits != 0; }
-  [[nodiscard]] bool AllSet() const { return bits == 0xFu; }
-  [[nodiscard]] int Count() const {
-    int n = 0;
-    for (std::uint32_t b = bits; b != 0; b &= b - 1) ++n;
-    return n;
-  }
-};
 
 // Horizontal reductions used by whole-chunk bounds prechecks.
 inline std::int32_t HMin(VecI32 v) {

@@ -72,8 +72,9 @@ class ChunkLedger {
   // meanwhile), so a stale completion never counts.
   Status MarkDone(std::uint64_t chunk_id, std::size_t node);
 
-  // running -> pending (same owner): the execution failed transiently and
-  // the chunk goes back in the queue.
+  // running -> pending (same owner): the execution failed and the chunk
+  // goes back in the queue (before an abort, or before ReassignLost moves
+  // a dead node's chunks).
   Status Requeue(std::uint64_t chunk_id);
 
   // Failure recovery: every non-done chunk owned by `dead` — plus every

@@ -111,19 +111,15 @@ bool StealCoordinator::HandleNodeFailure(NodeState* node,
   const bool liveness = code == ErrorCode::kNodeLost ||
                         code == ErrorCode::kNodeUnreachable ||
                         code == ErrorCode::kNetworkError;
-  if (!liveness) {
-    // A genuine execution error: hand the chunk back and abort the launch.
-    (void)ledger_->Requeue(chunk_id);
-    return false;
-  }
-  // Confirm before declaring death: one slow RPC is not a funeral.
-  if (code != ErrorCode::kNodeLost && executor_->Probe(node->index).ok()) {
-    (void)ledger_->Requeue(chunk_id);
-    return true;  // Transient; the chunk re-runs on the next dispatch.
-  }
-  // The chunk was running on the dead node, so Requeue (not MarkDone) puts
-  // it back before ReassignLost rotates ownership.
+  // The chunk did not complete, so Requeue (not MarkDone) hands it back:
+  // for a genuine execution error before the launch aborts, for a
+  // liveness error before ReassignLost rotates ownership.
   (void)ledger_->Requeue(chunk_id);
+  if (!liveness) return false;
+  // Fail over even when the node still answers a probe: after a timed-out
+  // call the request can still be queued or running there, so a retry on
+  // the same node could run beside the late original (an in-place kernel
+  // would apply twice). A survivor re-runs the chunk from the pre-image.
   FailOver(node);
   return true;
 }

@@ -15,10 +15,13 @@
 //     preferring victims whose rows are already resident on the thief.
 //     A steal only re-targets ledger entries: each Execute is one blocking
 //     sub-launch, so the victim never has a stolen chunk queued.
-//   - Failure recovery: an Execute that fails with kNodeLost (scripted
-//     kill), or with an RPC timeout or dropped connection that a Probe
-//     confirms, marks the node dead; OnNodeDead() tells the host which
-//     output rows died with it, and the ledger re-queues the dead node's
+//   - Failure recovery: an Execute that fails with a liveness error
+//     (kNodeLost from a scripted kill, kNodeUnreachable, or kNetworkError
+//     from an RPC timeout or dropped connection) marks the node dead, even
+//     if it still answers a Probe: the timed-out request may yet run
+//     there, so the chunk is never retried on the same node. A failed
+//     heartbeat Probe does the same. OnNodeDead() tells the host which
+//     output rows died with the node, and the ledger re-queues its
 //     non-done chunks — plus done chunks whose outputs were lost — onto
 //     survivors so the launch still completes bit-identical.
 #pragma once
@@ -49,7 +52,7 @@ class ChunkExecutor {
   virtual Expected<ChunkOutcome> Execute(const Chunk& chunk,
                                          std::size_t node) = 0;
 
-  // Liveness probe (heartbeat). Ok = alive.
+  // Liveness probe for heartbeat sweeps. Ok = alive.
   virtual Status Probe(std::size_t node) = 0;
 
   // Learned compute rate for victim ranking; seconds per dim-0 index.
@@ -107,8 +110,8 @@ class StealCoordinator {
   // Picks the steal victim: max remaining virtual work, locality breaking
   // ties. Returns nullptr when nothing is worth stealing.
   NodeState* PickVictim(NodeState* thief);
-  // Handles an Execute failure: confirm death via Probe, fail the node
-  // over, re-queue its chunks. Returns false when the error was not a
+  // Handles an Execute failure: re-queues the chunk and, on a liveness
+  // error, fails the node over. Returns false when the error was not a
   // liveness error (launch must abort).
   bool HandleNodeFailure(NodeState* node, std::uint64_t chunk_id,
                          const Status& error);

@@ -222,9 +222,7 @@ Expected<std::unique_ptr<ClusterRuntime>> ClusterRuntime::Connect(
 
   CommandGraph::Options graph_options;
   graph_options.workers =
-      runtime->options_.dispatch_workers != 0
-          ? runtime->options_.dispatch_workers
-          : std::max<std::size_t>(4, runtime->nodes_.size() + 2);
+      std::max<std::size_t>(4, runtime->nodes_.size() + 2);
   ClusterRuntime* raw = runtime.get();
   // VirtualTimeline is internally synchronized; safe from any worker.
   graph_options.clock = [raw] { return raw->timeline_->Makespan(); };
@@ -597,6 +595,7 @@ Status ClusterRuntime::TransferMissingRunsLocked(
     auto flush = [&]() -> Status {
       if (run_begin == run_end) return Status::Ok();
       HAOCL_RETURN_IF_ERROR(transfer(source, run_begin, run_end));
+      if (record_owner) buffer.dir.AddOwner(run_begin, run_end, dst);
       run_begin = run_end;
       return Status::Ok();
     };
@@ -621,7 +620,6 @@ Status ClusterRuntime::TransferMissingRunsLocked(
       run_end = region.end;
     }
     HAOCL_RETURN_IF_ERROR(flush());
-    if (record_owner) buffer.dir.AddOwner(span.begin, span.end, dst);
   }
   return Status::Ok();
 }
@@ -939,10 +937,11 @@ std::uint64_t ClusterRuntime::EvictFromNode(std::size_t node,
 
 Status ClusterRuntime::ReserveWorkingSet(
     std::size_t node,
-    const std::vector<runtime::MemoryPool::BufferRange>& ranges) {
+    const std::vector<runtime::MemoryPool::BufferRange>& ranges,
+    std::vector<runtime::MemoryPool::BufferRange>* charged) {
   runtime::MemoryPool& pool = *node_pools_[node];
   for (int attempt = 0; attempt < 4; ++attempt) {
-    Status reserved = pool.ReserveAll(ranges);
+    Status reserved = pool.ReserveAll(ranges, charged);
     if (reserved.ok()) return reserved;
     const std::uint64_t needed = pool.NewBytesIn(ranges);
     if (needed > pool.capacity()) {
@@ -977,13 +976,38 @@ Status ClusterRuntime::StageWorkingSet(
   // Inputs AND outputs reserve up front: a command's writes materialize
   // device memory too, and failing before any transfer beats failing with
   // half a working set shipped.
+  std::vector<runtime::MemoryPool::BufferRange> charged;
   if (staging.reserve) {
-    HAOCL_RETURN_IF_ERROR(ReserveWorkingSet(node, reservation));
+    HAOCL_RETURN_IF_ERROR(ReserveWorkingSet(node, reservation, &charged));
   }
   if (staging.program != nullptr) {
     HAOCL_RETURN_IF_ERROR(
         EnsureProgramOnNode(staging.program_id, *staging.program, node));
   }
+  const Status shipped = ShipWorkingSet(node, ranges, staging);
+  if (shipped.code() == ErrorCode::kMemObjectAllocationFailure) {
+    // The node's ledger refused bytes this one admitted (it also enforces
+    // tenant quotas and other sessions' residency). Hand back what this
+    // reservation newly charged and no transfer landed on the node; what
+    // did land stays charged on both sides.
+    const auto owner = static_cast<RegionDirectory::Owner>(node);
+    for (const runtime::MemoryPool::BufferRange& span : charged) {
+      const WorkingRange& range = *std::find_if(
+          ranges.begin(), ranges.end(),
+          [&](const WorkingRange& r) { return r.id == span.buffer; });
+      std::lock_guard<std::mutex> lock(range.buffer->mutex);
+      for (const RegionDirectory::Span& missing :
+           range.buffer->dir.MissingFor(owner, span.begin, span.end)) {
+        node_pools_[node]->Release(span.buffer, missing.begin, missing.end);
+      }
+    }
+  }
+  return shipped;
+}
+
+Status ClusterRuntime::ShipWorkingSet(std::size_t node,
+                                      const std::vector<WorkingRange>& ranges,
+                                      const Staging& staging) {
   const auto owner = static_cast<RegionDirectory::Owner>(node);
   for (const WorkingRange& range : ranges) {
     std::lock_guard<std::mutex> lock(range.buffer->mutex);

@@ -188,8 +188,6 @@ struct RuntimeOptions {
   // Per-RPC deadline: a call a node leaves unanswered this long fails with
   // kNetworkError.
   std::chrono::milliseconds rpc_timeout{30000};
-  // Command-graph worker pool size; 0 picks max(4, nodes + 2).
-  std::size_t dispatch_workers = 0;
   // ---- Multi-tenant serving (node broker) ----
   // Tenant identity registered with every node's broker at Connect
   // (empty = host_name). Weight is the relative fair-share service rate
@@ -684,12 +682,14 @@ class ClusterRuntime {
 
   // ---- Tiered memory (per-node pools, spill/evict, staging) ---------------
   // Reserves `ranges` in `node`'s pool, evicting cold buffers (LRU by
-  // launch epoch, pinned working sets excluded) until they fit. Fails
-  // with kMemObjectAllocationFailure when the ranges can never fit or
-  // eviction stops making progress. Call WITHOUT any buffer mutex held.
-  Status ReserveWorkingSet(std::size_t node,
-                           const std::vector<runtime::MemoryPool::BufferRange>&
-                               ranges);
+  // launch epoch, pinned working sets excluded) until they fit, and adds
+  // the spans it newly charged to `charged`. Fails with
+  // kMemObjectAllocationFailure when the ranges can never fit or eviction
+  // stops making progress. Call WITHOUT any buffer mutex held.
+  Status ReserveWorkingSet(
+      std::size_t node,
+      const std::vector<runtime::MemoryPool::BufferRange>& ranges,
+      std::vector<runtime::MemoryPool::BufferRange>* charged);
   // How a transfer charges virtual time: kDemand chains on the node's
   // command order (the classic prologue transfer); kPrefetch rides the
   // DMA chain so it overlaps the node's compute — the staged pipeline's
@@ -717,11 +717,18 @@ class ClusterRuntime {
   // prefetch, migration, node-queue write): pins and LRU-stamps each
   // range's buffer on `node` into `pins`, reserves the ranges in the
   // node's ledger (evicting colder buffers), builds the program, then
-  // makes `node` a fresh owner of each range. Call WITHOUT any buffer
-  // mutex held.
+  // makes `node` a fresh owner of each range. When the node refuses a
+  // transfer with kMemObjectAllocationFailure, the bytes the reservation
+  // newly charged and the node does not hold go back to the host ledger.
+  // Call WITHOUT any buffer mutex held.
   Status StageWorkingSet(std::size_t node,
                          const std::vector<WorkingRange>& ranges,
                          WorkingSetPin& pins, const Staging& staging);
+  // StageWorkingSet's transfer half: makes `node` a fresh owner of each
+  // range as `staging` says (write, discard claim or sourced transfer).
+  Status ShipWorkingSet(std::size_t node,
+                        const std::vector<WorkingRange>& ranges,
+                        const Staging& staging);
   // Evicts least-recently-launched buffers from `node` until ~`needed`
   // bytes are freed; returns the bytes actually freed.
   std::uint64_t EvictFromNode(std::size_t node, std::uint64_t needed);
@@ -753,7 +760,8 @@ class ClusterRuntime {
   // runs with a single transfer source — adjacent missing regions whose
   // owner sets share a source coalesce into one wire transfer — invokes
   // `transfer(source, run_begin, run_end)` per run, and, with
-  // `record_owner`, records `dst` as a fresh owner of what arrived.
+  // `record_owner`, records `dst` as a fresh owner of each run as it
+  // arrives (a later run's failure leaves the landed ones recorded).
   // `pick_source` chooses a region's source (node index, or nodes_.size()
   // for the host shadow) whenever the previous run's source no longer
   // covers it.

@@ -90,7 +90,8 @@ Status MemoryPool::Reserve(std::uint64_t buffer, std::uint64_t begin,
   return ReserveAll({{buffer, begin, end}});
 }
 
-Status MemoryPool::ReserveAll(const std::vector<BufferRange>& ranges) {
+Status MemoryPool::ReserveAll(const std::vector<BufferRange>& ranges,
+                              std::vector<BufferRange>* charged) {
   std::lock_guard<std::mutex> lock(mutex_);
   // First pass: cost the transaction without mutating. Overlap between the
   // requested ranges themselves must not double-count, so cost against a
@@ -105,7 +106,23 @@ Status MemoryPool::ReserveAll(const std::vector<BufferRange>& ranges) {
                       std::to_string(capacity_) + " resident)");
   }
   for (auto& [buffer, intervals] : scratch) {
-    buffers_[buffer] = std::move(intervals);
+    IntervalMap& held = buffers_[buffer];
+    if (charged != nullptr) {
+      // The would-be set covers the held one: the gaps between held
+      // intervals inside each would-be interval are what this call charges.
+      for (const auto& [begin, end] : intervals) {
+        std::uint64_t cursor = begin;
+        for (auto it = held.lower_bound(begin);
+             it != held.end() && it->first < end; ++it) {
+          if (it->first > cursor) {
+            charged->push_back({buffer, cursor, it->first});
+          }
+          cursor = it->second;
+        }
+        if (cursor < end) charged->push_back({buffer, cursor, end});
+      }
+    }
+    held = std::move(intervals);
   }
   resident_ += needed;
   return Status::Ok();

@@ -6,9 +6,12 @@
 // silicon until it is evicted. Both sides of the wire share this one
 // reservation API: the host runtime keeps a pool per node (the
 // authoritative ledger its eviction policy and the scheduler's
-// mem_free_bytes read), and each DeviceSession keeps its own (fed by the
-// transfers it observes plus explicit reservation/eviction notices), so
-// the two ledgers never disagree by construction.
+// mem_free_bytes read), and each DeviceSession charges its node's shared
+// ledger (fed by the transfers it observes plus explicit
+// reservation/eviction notices). The node's ledger also enforces tenant
+// quotas and other sessions' residency, which the host cannot see, so it
+// may refuse bytes the host admitted; the host then hands back what its
+// reservation newly charged (ClusterRuntime::StageWorkingSet).
 //
 // Reservations are all-or-nothing against the capacity: Reserve charges
 // only the bytes not already resident and fails without side effects when
@@ -52,8 +55,10 @@ class MemoryPool {
 
   // Transactional multi-range reserve: either every range is charged or
   // none is. Ranges may overlap each other and existing residency; each
-  // byte is charged at most once.
-  Status ReserveAll(const std::vector<BufferRange>& ranges);
+  // byte is charged at most once. On success, `charged` (when given)
+  // receives the disjoint spans this call newly charged.
+  Status ReserveAll(const std::vector<BufferRange>& ranges,
+                    std::vector<BufferRange>* charged = nullptr);
 
   // Releases the resident bytes of [begin, end) (no-op where nothing is
   // resident). Returns the number of bytes actually freed.

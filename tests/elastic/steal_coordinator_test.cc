@@ -1,5 +1,5 @@
 // StealCoordinator unit tests against a scripted mock executor: virtual-time
-// dispatch, straggler stealing, transient-vs-fatal failure triage,
+// dispatch, straggler stealing, liveness-vs-fatal failure triage,
 // mid-launch death recovery, and the all-dead terminal case.
 #include "elastic/steal_coordinator.h"
 
@@ -41,6 +41,7 @@ class MockExecutor : public ChunkExecutor {
 
   Expected<ChunkOutcome> Execute(const Chunk& chunk,
                                  std::size_t node) override {
+    ++calls_on_[node];
     auto transient = fail_times_.find(node);
     if (transient != fail_times_.end() && transient->second > 0) {
       --transient->second;
@@ -96,14 +97,15 @@ class MockExecutor : public ChunkExecutor {
   std::map<std::size_t, std::pair<std::uint64_t, std::uint64_t>> resident_;
   // Node -> fail every Execute once `executed_on_` reaches this count.
   std::map<std::size_t, std::uint64_t> fail_after_;
-  // Node -> fail the next N Executes, then recover (transient faults).
+  // Node -> fail the next N Executes, then recover.
   std::map<std::size_t, std::uint64_t> fail_times_;
   ErrorCode fail_code_ = ErrorCode::kNodeLost;
   std::set<std::size_t> dead_to_probe_;
   std::map<std::size_t, std::vector<ChunkLedger::RowSpan>> lost_rows_;
 
   std::vector<Exec> executions_;
-  std::map<std::size_t, std::uint64_t> executed_on_;
+  std::map<std::size_t, std::uint64_t> executed_on_;  // Successful runs.
+  std::map<std::size_t, std::uint64_t> calls_on_;     // Every Execute call.
   std::set<std::size_t> dead_declared_;
 };
 
@@ -218,20 +220,27 @@ TEST(StealCoordinatorTest, LocalityBreaksVictimTies) {
   EXPECT_GE(first->offset, 32u);
 }
 
-TEST(StealCoordinatorTest, TransientErrorRetriesWithoutFailOver) {
+TEST(StealCoordinatorTest, NetworkErrorFailsOverEvenWhenProbeAnswers) {
   ChunkLedger ledger;
   ASSERT_TRUE(ledger.Init(PlanFor({{0, 32}, {1, 32}}), 1, 16).ok());
   MockExecutor exec({0.001, 0.001});
   // Node 0's first two Executes fail with a network error, but the node
-  // still answers probes: transient, chunk re-queued, node stays alive and
-  // finishes its share after the retries.
+  // still answers probes. The timed-out request could still run there, so
+  // a retry on node 0 might run beside it: the node fails over at its
+  // first failure and never gets another chunk.
   exec.fail_times_[0] = 2;
   exec.fail_code_ = ErrorCode::kNetworkError;
   StealCoordinator coordinator(&ledger, &exec, {0, 1}, {});
   const CoordinatorReport report = coordinator.Run();
   ASSERT_TRUE(report.status.ok()) << report.status.ToString();
-  EXPECT_TRUE(report.dead_nodes.empty());
-  EXPECT_GT(exec.executed_on_[0], 0u);
+  EXPECT_EQ(report.dead_nodes, std::vector<std::size_t>{0});
+  EXPECT_EQ(exec.dead_declared_.count(0), 1u);
+  EXPECT_EQ(exec.calls_on_[0], 1u);
+  EXPECT_EQ(exec.executed_on_[0], 0u);
+  EXPECT_EQ(exec.executed_on_[1], 4u);
+  for (const MockExecutor::Exec& run : exec.executions_) {
+    EXPECT_EQ(run.node, 1u) << "chunk " << run.chunk_id;
+  }
   EXPECT_TRUE(ledger.AllDone());
 }
 

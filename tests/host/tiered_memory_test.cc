@@ -132,6 +132,103 @@ TEST(TieredMemoryTest, NodeQueueWriteLargerThanTheTierLandsInTheShadow) {
   expect_reads_back();
 }
 
+// The node's ledger can refuse bytes the host's per-node ledger admitted:
+// it also enforces tenant quotas and the other sessions' residency, which
+// the host does not see. A refused transfer must hand back the host-side
+// charge, or the two ledgers drift apart for good.
+TEST(TieredMemoryTest, QuotaRefusedNodeWriteReleasesTheHostCharge) {
+  RuntimeOptions options;
+  options.tenant_mem_quota_bytes = 4096;
+  auto cluster = MakeCluster({.gpu_nodes = 2}, {}, options);
+  ASSERT_NE(cluster, nullptr);
+  auto& runtime = cluster->runtime();
+  auto program = runtime.BuildProgram(kDoublerSource);
+  ASSERT_TRUE(program.ok());
+  auto buffer = runtime.CreateBuffer(8192);
+  ASSERT_TRUE(buffer.ok());
+  std::vector<std::int32_t> values(2048);
+  for (int i = 0; i < 2048; ++i) values[i] = 5 * i - 9;
+
+  // The 8 KiB write fits the device but not the 4 KiB quota: the node
+  // refuses it and the write lands in the shadow.
+  auto write = runtime.SubmitWrite(*buffer, 0, values.data(), 8192, 0);
+  ASSERT_TRUE(write.ok());
+  ASSERT_TRUE(runtime.Wait(*write).ok());
+  ASSERT_TRUE(runtime.ReleaseCommand(*write).ok());
+  ASSERT_TRUE(runtime.Finish().ok());
+  auto snapshot = runtime.DirectorySnapshotOf(*buffer);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_TRUE(snapshot->HostOwns(0, 8192));
+  EXPECT_EQ(cluster->server(0).bytes_resident(), 0u);
+  EXPECT_EQ(runtime.NodeMemoryStatsOf(0)->resident_bytes,
+            cluster->server(0).bytes_resident());
+
+  // A launch over the whole buffer on node 0 is refused in its prologue
+  // transfer, as before, and leaves the ledgers equal too.
+  auto launch = LaunchDoubler(runtime, *program, *buffer, 2048, 0);
+  ASSERT_FALSE(launch.ok());
+  EXPECT_EQ(launch.status().code(), ErrorCode::kMemObjectAllocationFailure);
+  ASSERT_TRUE(runtime.Finish().ok());
+  EXPECT_EQ(runtime.NodeMemoryStatsOf(0)->resident_bytes,
+            cluster->server(0).bytes_resident());
+
+  std::vector<std::int32_t> got(2048);
+  ASSERT_TRUE(runtime.ReadBuffer(*buffer, 0, got.data(), 8192).ok());
+  EXPECT_EQ(got, values);
+}
+
+TEST(TieredMemoryTest, NodeFullOfAnotherSessionReleasesTheHostCharge) {
+  RuntimeOptions options;
+  options.session_id = 1;
+  options.tenant_name = "alpha";
+  auto cluster =
+      MakeCluster({.gpu_nodes = 2}, {16384, 16384}, std::move(options));
+  ASSERT_NE(cluster, nullptr);
+  auto& runtime = cluster->runtime();
+  RuntimeOptions other_options;
+  other_options.session_id = 2;
+  other_options.tenant_name = "beta";
+  auto other = cluster->ConnectSecondSession(other_options);
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+
+  // The other session fills node 0's 16 KiB.
+  std::vector<std::int32_t> fill(4096, 1);
+  auto full = (*other)->CreateBuffer(16384);
+  ASSERT_TRUE(full.ok());
+  auto filled = (*other)->SubmitWrite(*full, 0, fill.data(), 16384, 0);
+  ASSERT_TRUE(filled.ok());
+  ASSERT_TRUE((*other)->Wait(*filled).ok());
+  ASSERT_TRUE((*other)->Finish().ok());
+  ASSERT_EQ(cluster->server(0).bytes_resident(), 16384u);
+
+  // This session's own view of node 0 is empty, so its ledger admits the
+  // 8 KiB; the node refuses it and the write lands in the shadow.
+  std::vector<std::int32_t> values(2048, 3);
+  auto buffer = runtime.CreateBuffer(8192);
+  ASSERT_TRUE(buffer.ok());
+  auto write = runtime.SubmitWrite(*buffer, 0, values.data(), 8192, 0);
+  ASSERT_TRUE(write.ok());
+  ASSERT_TRUE(runtime.Wait(*write).ok());
+  ASSERT_TRUE(runtime.ReleaseCommand(*write).ok());
+  ASSERT_TRUE(runtime.Finish().ok());
+  auto snapshot = runtime.DirectorySnapshotOf(*buffer);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_TRUE(snapshot->HostOwns(0, 8192));
+
+  auto broker = runtime.QueryBrokerStats(0);
+  ASSERT_TRUE(broker.ok()) << broker.status().ToString();
+  std::uint64_t own_resident = ~0ull;
+  for (const net::BrokerTenantEntry& tenant : broker->tenants) {
+    if (tenant.session == 1) own_resident = tenant.resident_bytes;
+  }
+  EXPECT_EQ(own_resident, 0u);
+  auto stats = runtime.NodeMemoryStatsOf(0);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->resident_bytes, own_resident);
+  EXPECT_EQ(stats->free_bytes, 16384u);
+  (*other)->Disconnect();
+}
+
 TEST(TieredMemoryTest, LaunchReservesWorkingSetInBothLedgers) {
   auto cluster = MakeCluster({.gpu_nodes = 1}, {8192});
   ASSERT_NE(cluster, nullptr);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace haocl::runtime {
 namespace {
 
@@ -48,6 +50,34 @@ TEST(MemoryPoolTest, ReserveAllIsTransactional) {
   EXPECT_EQ(pool.ResidentOf(2), 0u);
   EXPECT_EQ(pool.ResidentOf(3), 0u);
   EXPECT_EQ(pool.resident_bytes(), 60u);
+}
+
+TEST(MemoryPoolTest, ReserveAllReportsTheSpansItCharged) {
+  MemoryPool pool(1000);
+  ASSERT_TRUE(pool.ReserveAll({{1, 0, 10}, {1, 20, 30}}).ok());
+  // Overlapping requests over held bytes: only the gaps are new, each once.
+  std::vector<MemoryPool::BufferRange> charged;
+  ASSERT_TRUE(
+      pool.ReserveAll({{1, 0, 40}, {1, 35, 50}, {2, 5, 15}}, &charged).ok());
+  ASSERT_EQ(charged.size(), 3u);
+  EXPECT_EQ(charged[0].buffer, 1u);
+  EXPECT_EQ(charged[0].begin, 10u);
+  EXPECT_EQ(charged[0].end, 20u);
+  EXPECT_EQ(charged[1].begin, 30u);
+  EXPECT_EQ(charged[1].end, 50u);
+  EXPECT_EQ(charged[2].buffer, 2u);
+  EXPECT_EQ(charged[2].begin, 5u);
+  EXPECT_EQ(charged[2].end, 15u);
+  EXPECT_EQ(pool.resident_bytes(), 60u);
+  // Releasing exactly those spans restores the earlier residency.
+  for (const MemoryPool::BufferRange& span : charged) {
+    pool.Release(span.buffer, span.begin, span.end);
+  }
+  EXPECT_EQ(pool.resident_bytes(), 20u);
+  // Nothing new: nothing charged.
+  charged.clear();
+  ASSERT_TRUE(pool.ReserveAll({{1, 0, 10}}, &charged).ok());
+  EXPECT_TRUE(charged.empty());
 }
 
 TEST(MemoryPoolTest, ReleaseSplitsIntervals) {

@@ -1,7 +1,9 @@
 #include "host/cluster_runtime.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <limits>
 
 #include "common/log.h"
@@ -84,19 +86,22 @@ class ClusterRuntime::WorkingSetPin {
   ~WorkingSetPin() { Release(); }
 
   void Pin(const BufferPtr& buffer, std::size_t node, std::uint64_t epoch) {
-    {
-      // The pin must be mutex-synchronized with the eviction policy's
-      // pinned check (which holds the victim's mutex across the whole
-      // eviction): a pin either lands before the check and excludes the
-      // buffer, or blocks until the eviction finishes — after which the
-      // pinner's reservation re-charges and its transfers re-ship. A
-      // lock-free pin could slip between the check and the pool release,
-      // letting the evictor release bytes the pinner just reserved and
-      // desynchronizing the host and node ledgers.
-      std::lock_guard<std::mutex> lock(buffer->mutex);
-      buffer->pinned_on[node].fetch_add(1, std::memory_order_relaxed);
-      buffer->last_use_epoch[node].store(epoch, std::memory_order_relaxed);
-    }
+    // The pin must be mutex-synchronized with the eviction policy's
+    // pinned check (which holds the victim's mutex across the whole
+    // eviction): a pin either lands before the check and excludes the
+    // buffer, or blocks until the eviction finishes — after which the
+    // pinner's reservation re-charges and its transfers re-ship. A
+    // lock-free pin could slip between the check and the pool release,
+    // letting the evictor release bytes the pinner just reserved and
+    // desynchronizing the host and node ledgers.
+    std::lock_guard<std::mutex> lock(buffer->mutex);
+    PinLocked(buffer, node, epoch);
+  }
+  // Pin with buffer->mutex already held.
+  void PinLocked(const BufferPtr& buffer, std::size_t node,
+                 std::uint64_t epoch) {
+    buffer->pinned_on[node].fetch_add(1, std::memory_order_relaxed);
+    buffer->last_use_epoch[node].store(epoch, std::memory_order_relaxed);
     pinned_.emplace_back(buffer, node);
   }
   void Release() {
@@ -108,6 +113,34 @@ class ClusterRuntime::WorkingSetPin {
 
  private:
   std::vector<std::pair<BufferPtr, std::size_t>> pinned_;
+};
+
+// One command's place in its node's issue order: the frame it sends and
+// what it holds on the node from submit until its body ends.
+struct ClusterRuntime::IssuedFrame {
+  std::size_t node = 0;
+  std::uint64_t seq = 0;        // Reserved at submit.
+  std::uint64_t after_seq = 0;  // The first in-flight predecessor's seq.
+  CommandId cmd = kNullCommand;  // Guarded by state_mutex_.
+  std::vector<WorkingRange> ranges;  // Pinned (and reserved) on the node.
+  std::vector<WorkingRange> writes;  // What the command writes there.
+  net::MsgType type = net::MsgType::kStatusReply;
+  std::vector<std::uint8_t> payload;
+  std::span<const std::uint8_t> tail;  // A write's bytes.
+  std::span<std::uint8_t> reply_into;  // A read's destination.
+  bool sent = false;  // Guarded by the node's IssueOrder mutex.
+  net::RpcClient::ReplyFuture reply;
+  // Ledger spans the reservation at submit added.
+  std::vector<runtime::MemoryPool::BufferRange> charged;
+  WorkingSetPin pins;
+  std::unique_ptr<InFlightGuard> in_flight;
+};
+
+struct ClusterRuntime::IssueOrder {
+  std::mutex mutex;
+  std::condition_variable changed;  // A frame left, or a sender stopped.
+  std::deque<FramePtr> unsent;      // In issue order.
+  bool sending = false;             // A thread is sending from the head.
 };
 
 ClusterRuntime::ClusterRuntime(Options options)
@@ -184,6 +217,9 @@ Expected<std::unique_ptr<ClusterRuntime>> ClusterRuntime::Connect(
   runtime->rate_table_ =
       std::make_unique<sched::KernelRateTable>(runtime->nodes_.size());
   runtime->in_flight_.assign(runtime->nodes_.size(), 0);
+  for (std::size_t i = 0; i < runtime->nodes_.size(); ++i) {
+    runtime->issue_orders_.push_back(std::make_unique<IssueOrder>());
+  }
 
   // Register this session's tenant identity with every node's broker, and
   // seed the rate table from the rates the broker already learned from
@@ -245,6 +281,244 @@ Expected<Message> ClusterRuntime::CallNode(std::size_t node, MsgType type,
   InFlightGuard in_flight(this, node);
   return nodes_[node]->Call(type, options_.session_id, std::move(payload),
                             options_.rpc_timeout, tail, reply_into);
+}
+
+// ------------------------------------------------------------ Issue-ahead
+
+namespace {
+
+// [begin, end) minus everything in `cut`, as sorted disjoint spans.
+std::vector<RegionDirectory::Span> Uncovered(
+    std::uint64_t begin, std::uint64_t end,
+    const std::vector<RegionDirectory::Span>& cut) {
+  std::vector<RegionDirectory::Span> rest{{begin, end}};
+  for (const RegionDirectory::Span& c : cut) {
+    std::vector<RegionDirectory::Span> next;
+    for (const RegionDirectory::Span& r : rest) {
+      if (c.end <= r.begin || c.begin >= r.end) {
+        next.push_back(r);
+        continue;
+      }
+      if (r.begin < c.begin) next.push_back({r.begin, c.begin});
+      if (c.end < r.end) next.push_back({c.end, r.end});
+    }
+    rest = std::move(next);
+  }
+  return rest;
+}
+
+}  // namespace
+
+ClusterRuntime::FramePtr ClusterRuntime::TakeIssuePlaceLocked(
+    const IssueRequest& request, const std::vector<CommandId>& deps,
+    const std::vector<CommandId>& preds) {
+  const std::size_t node = request.node;
+  if (!deps.empty() || !NodeAlive(node)) return nullptr;
+  // Every unretired predecessor already holds a place in this node's
+  // order (queue order and buffer hazards alike).
+  std::vector<const IssuedFrame*> ahead;
+  for (CommandId pred : preds) {
+    auto it = issued_.find(pred);
+    auto state = graph_->QueryState(pred);
+    if (!state.ok() || IsTerminal(*state)) {
+      if (it != issued_.end()) issued_.erase(it);  // Its body is done.
+      continue;
+    }
+    if (it == issued_.end() || it->second->node != node) return nullptr;
+    if (std::find(ahead.begin(), ahead.end(), it->second.get()) ==
+        ahead.end()) {
+      ahead.push_back(it->second.get());
+    }
+  }
+  // A classic command holds its buffer's mutex across node calls, so a
+  // buffer one is using stays classic.
+  for (const WorkingRange& range : request.ranges) {
+    const LogicalBuffer& buffer = *range.buffer;
+    for (const auto* hazards : {&buffer.writers, &buffer.readers}) {
+      for (const LogicalBuffer::RangeHazard& hazard : *hazards) {
+        if (issued_.count(hazard.cmd) != 0) continue;
+        auto state = graph_->QueryState(hazard.cmd);
+        if (state.ok() && !IsTerminal(*state)) return nullptr;
+      }
+    }
+  }
+  // Frames leave in issue order, and this command's body waits for its
+  // own: every frame still unsent must be a predecessor's, which retires
+  // (and so has left) before the body runs.
+  IssueOrder& order = *issue_orders_[node];
+  {
+    std::lock_guard<std::mutex> lock(order.mutex);
+    for (const FramePtr& frame : order.unsent) {
+      if (std::find(ahead.begin(), ahead.end(), frame.get()) == ahead.end()) {
+        return nullptr;
+      }
+    }
+  }
+  if (request.program != nullptr) {
+    std::unique_lock<std::mutex> lock(request.program->mutex,
+                                      std::try_to_lock);
+    if (!lock.owns_lock() || !request.program->built_on[node]) return nullptr;
+  }
+
+  auto frame = std::make_shared<IssuedFrame>();
+  frame->node = node;
+  frame->ranges = request.ranges;
+  frame->writes = request.writes;
+  const auto owner = static_cast<RegionDirectory::Owner>(node);
+  const std::uint64_t epoch =
+      request.kind == IssueKind::kRead
+          ? 0
+          : launch_epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
+  for (const WorkingRange& range : request.ranges) {
+    LogicalBuffer& buffer = *range.buffer;
+    // try_lock, never block under state_mutex_: an eviction holds its
+    // victim's mutex across node calls. A busy buffer runs classic.
+    std::unique_lock<std::mutex> lock(buffer.mutex, std::try_to_lock);
+    if (!lock.owns_lock() || !buffer.allocated_on[node]) return nullptr;
+    if (request.kind != IssueKind::kWrite) {
+      // The bytes an in-flight predecessor writes here are fresh by the
+      // time this frame runs; the rest must be so in the directory now.
+      std::vector<RegionDirectory::Span> written;
+      for (const IssuedFrame* pred : ahead) {
+        for (const WorkingRange& w : pred->writes) {
+          if (w.buffer == range.buffer) written.push_back({w.begin, w.end});
+        }
+      }
+      for (const RegionDirectory::Span& span :
+           Uncovered(range.begin, range.end, written)) {
+        for (const RegionDirectory::Region& region :
+             buffer.dir.Query(span.begin, span.end)) {
+          const auto& owners = region.owners;
+          // A read must find its bytes where the classic read would
+          // source them: on this node, not in the shadow.
+          const bool fresh =
+              request.kind == IssueKind::kRead
+                  ? !owners.empty() && owners.front() == owner &&
+                        !std::binary_search(owners.begin(), owners.end(),
+                                            HostOwner())
+                  : std::binary_search(owners.begin(), owners.end(), owner);
+          if (!fresh) return nullptr;
+        }
+      }
+    }
+    frame->pins.PinLocked(
+        range.buffer, node,
+        epoch != 0 ? epoch
+                   : buffer.last_use_epoch[node].load(
+                         std::memory_order_relaxed));
+  }
+  if (request.kind != IssueKind::kRead) {
+    std::vector<runtime::MemoryPool::BufferRange> reservation;
+    for (const WorkingRange& range : request.ranges) {
+      reservation.push_back({range.id, range.begin, range.end});
+    }
+    if (!node_pools_[node]->ReserveAll(reservation, &frame->charged).ok()) {
+      return nullptr;  // Would need eviction: the classic body does that.
+    }
+  }
+  frame->seq = nodes_[node]->ReserveSeq();
+  for (const IssuedFrame* pred : ahead) {
+    frame->after_seq = frame->after_seq == 0
+                           ? pred->seq
+                           : std::min(frame->after_seq, pred->seq);
+  }
+  frame->in_flight = std::make_unique<InFlightGuard>(this, node);
+  return frame;
+}
+
+void ClusterRuntime::EnqueueFrameLocked(const FramePtr& frame) {
+  IssueOrder& order = *issue_orders_[frame->node];
+  std::lock_guard<std::mutex> lock(order.mutex);
+  order.unsent.push_back(frame);
+}
+
+void ClusterRuntime::RegisterIssuedLocked(const FramePtr& frame,
+                                          CommandId cmd) {
+  frame->cmd = cmd;
+  issued_.emplace(cmd, frame);
+}
+
+void ClusterRuntime::SendIssued(std::size_t node,
+                                const IssuedFrame* own_write) {
+  IssueOrder& order = *issue_orders_[node];
+  std::unique_lock<std::mutex> lock(order.mutex);
+  if (own_write != nullptr) {
+    // Take over from a sender that stops at this write.
+    order.changed.wait(lock, [&order] { return !order.sending; });
+  } else if (order.sending) {
+    return;  // The thread sending sends what this one queued.
+  }
+  order.sending = true;
+  while (!order.unsent.empty()) {
+    FramePtr frame = order.unsent.front();
+    // A write's bytes leave only from its own worker, never from the
+    // thread that enqueued something behind it.
+    if (frame->type == MsgType::kWriteBuffer && frame.get() != own_write) {
+      break;
+    }
+    order.unsent.pop_front();
+    lock.unlock();
+    auto reply = nodes_[node]->CallAsync(
+        frame->type, options_.session_id, std::move(frame->payload),
+        frame->tail, frame->reply_into, frame->seq);
+    lock.lock();
+    frame->reply = std::move(reply);
+    frame->sent = true;
+    order.changed.notify_all();
+  }
+  order.sending = false;
+  lock.unlock();
+  order.changed.notify_all();
+}
+
+Expected<Message> ClusterRuntime::AwaitIssued(IssuedFrame& frame) {
+  IssueOrder& order = *issue_orders_[frame.node];
+  SendIssued(frame.node,
+             frame.type == MsgType::kWriteBuffer ? &frame : nullptr);
+  {
+    std::unique_lock<std::mutex> lock(order.mutex);
+    order.changed.wait(lock, [&frame] { return frame.sent; });
+  }
+  return nodes_[frame.node]->Await(frame.seq, frame.reply,
+                                   options_.rpc_timeout);
+}
+
+template <class Rerun, class Complete>
+Status ClusterRuntime::RunIssued(IssuedFrame& frame, Rerun rerun,
+                                 Complete complete) {
+  const Expected<Message> reply = AwaitIssued(frame);
+  Status done;
+  if (reply.ok() && reply->type == MsgType::kStatusReply &&
+      CheckReply(reply, MsgType::kStatusReply).code() ==
+          ErrorCode::kDependencyFailed) {
+    // Skipped behind a failure: the predecessors have retired, so the
+    // classic body sees the directory they left.
+    ReleaseUnheldCharges(frame.node, frame.ranges, frame.charged);
+    done = rerun();
+  } else {
+    done = complete(reply);
+  }
+  frame.pins.Release();
+  frame.in_flight.reset();
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  issued_.erase(frame.cmd);
+  return done;
+}
+
+void ClusterRuntime::ReleaseUnheldCharges(
+    std::size_t node, const std::vector<WorkingRange>& ranges,
+    const std::vector<runtime::MemoryPool::BufferRange>& charged) {
+  const auto owner = static_cast<RegionDirectory::Owner>(node);
+  for (const runtime::MemoryPool::BufferRange& span : charged) {
+    const WorkingRange& range = *std::find_if(
+        ranges.begin(), ranges.end(),
+        [&](const WorkingRange& r) { return r.id == span.buffer; });
+    std::lock_guard<std::mutex> lock(range.buffer->mutex);
+    for (const RegionDirectory::Span& missing :
+         range.buffer->dir.MissingFor(owner, span.begin, span.end)) {
+      node_pools_[node]->Release(span.buffer, missing.begin, missing.end);
+    }
+  }
 }
 
 // ---------------------------------------------------------- Hazard helpers
@@ -410,12 +684,55 @@ Expected<CommandHandle> ClusterRuntime::SubmitWrite(
   AddWriteHazardLocked(*buffer, offset, offset + size, &hazards);
   const std::span<const std::uint8_t> src(
       static_cast<const std::uint8_t*>(data), size);
-  const CommandId cmd = graph_->Submit(
-      [this, id, buffer, offset, src, node](CommandGraph::Execution&) {
-        return ExecWrite(id, buffer, offset, src, node);
-      },
-      std::move(dep_ids), "write:buf" + std::to_string(id),
-      std::move(hazards));
+  FramePtr frame;
+  if (node != kClusterDevice) {
+    const WorkingRange range{id, buffer, offset, offset + size};
+    frame = TakeIssuePlaceLocked({.kind = IssueKind::kWrite,
+                                  .node = static_cast<std::size_t>(node),
+                                  .ranges = {range},
+                                  .writes = {range},
+                                  .program = nullptr},
+                                 dep_ids, hazards);
+  }
+  CommandGraph::Body body;
+  if (frame != nullptr) {
+    // The bytes still leave only from the graph worker that runs this
+    // write, never from the caller's thread.
+    frame->type = MsgType::kWriteBuffer;
+    frame->payload = net::Encode(
+        net::WriteBufferRequest{id, offset, frame->after_seq, src});
+    frame->tail = src;
+    EnqueueFrameLocked(frame);
+    body = [this, id, buffer, offset, src, frame](CommandGraph::Execution&) {
+      return RunIssued(
+          *frame,
+          [&] {
+            return ExecWrite(id, buffer, offset, src,
+                             static_cast<int>(frame->node));
+          },
+          [&](const Expected<Message>& reply) {
+            // A tier that cannot hold the range takes the write in the
+            // shadow, as ExecWrite does.
+            if (CheckReply(reply, MsgType::kStatusReply).code() ==
+                ErrorCode::kMemObjectAllocationFailure) {
+              ReleaseUnheldCharges(frame->node, frame->ranges,
+                                   frame->charged);
+              return WriteToShadow(buffer, offset, src);
+            }
+            std::lock_guard<std::mutex> lock(buffer->mutex);
+            return LandWriteLocked(*buffer, frame->node, offset, src.size(),
+                                   reply);
+          });
+    };
+  } else {
+    body = [this, id, buffer, offset, src, node](CommandGraph::Execution&) {
+      return ExecWrite(id, buffer, offset, src, node);
+    };
+  }
+  const CommandId cmd =
+      graph_->Submit(std::move(body), std::move(dep_ids),
+                     "write:buf" + std::to_string(id), std::move(hazards));
+  if (frame != nullptr) RegisterIssuedLocked(frame, cmd);
   RecordWriteLocked(*buffer, offset, offset + size, cmd);
   return CommandHandle{cmd};
 }
@@ -423,7 +740,7 @@ Expected<CommandHandle> ClusterRuntime::SubmitWrite(
 Expected<CommandHandle> ClusterRuntime::SubmitRead(
     BufferId id, std::uint64_t offset, void* data, std::uint64_t size,
     std::vector<CommandHandle> deps, std::vector<CommandHandle> order_after) {
-  std::lock_guard<std::mutex> lock(state_mutex_);
+  std::unique_lock<std::mutex> lock(state_mutex_);
   if (disconnected_) {
     return Status(ErrorCode::kInvalidOperation, "runtime disconnected");
   }
@@ -441,13 +758,60 @@ Expected<CommandHandle> ClusterRuntime::SubmitRead(
   CollectDepIds(order_after, &hazards);
   AddReadHazardLocked(*buffer, offset, offset + size, &hazards);
   const std::span<std::uint8_t> dst(static_cast<std::uint8_t*>(data), size);
-  const CommandId cmd = graph_->Submit(
-      [this, id, buffer, offset, dst](CommandGraph::Execution&) {
-        return ExecRead(id, buffer, offset, dst);
-      },
-      std::move(dep_ids), "read:buf" + std::to_string(id),
-      std::move(hazards));
+  // A read all of whose bytes come from one node is one frame there: the
+  // node of its in-flight predecessors, or else of the range's first
+  // owner (TakeIssuePlaceLocked checks every byte).
+  FramePtr frame;
+  std::size_t source = nodes_.size();
+  for (CommandId pred : hazards) {
+    auto it = issued_.find(pred);
+    if (it != issued_.end()) source = it->second->node;
+  }
+  if (source == nodes_.size()) {
+    // try_lock: a classic command may hold the mutex across node calls.
+    std::unique_lock<std::mutex> buffer_lock(buffer->mutex, std::try_to_lock);
+    if (buffer_lock.owns_lock()) {
+      const auto regions = buffer->dir.Query(offset, offset + size);
+      if (!regions.empty() && !regions.front().owners.empty()) {
+        source = regions.front().owners.front();
+      }
+    }
+  }
+  if (source < nodes_.size()) {
+    frame = TakeIssuePlaceLocked({.kind = IssueKind::kRead,
+                                  .node = source,
+                                  .ranges = {{id, buffer, offset,
+                                              offset + size}},
+                                  .writes = {}},
+                                 dep_ids, hazards);
+  }
+  CommandGraph::Body body;
+  if (frame != nullptr) {
+    frame->type = MsgType::kReadBuffer;
+    frame->payload = net::Encode(
+        net::ReadBufferRequest{id, offset, size, frame->after_seq});
+    frame->reply_into = dst;
+    EnqueueFrameLocked(frame);
+    body = [this, id, buffer, offset, dst, frame](CommandGraph::Execution&) {
+      return RunIssued(
+          *frame, [&] { return ExecRead(id, buffer, offset, dst); },
+          [&](const Expected<Message>& reply) {
+            std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
+            return ReceivedFromNodeLocked(*buffer, frame->node, dst, reply);
+          });
+    };
+  } else {
+    body = [this, id, buffer, offset, dst](CommandGraph::Execution&) {
+      return ExecRead(id, buffer, offset, dst);
+    };
+  }
+  const CommandId cmd =
+      graph_->Submit(std::move(body), std::move(dep_ids),
+                     "read:buf" + std::to_string(id), std::move(hazards));
+  if (frame != nullptr) RegisterIssuedLocked(frame, cmd);
   RecordReadLocked(*buffer, offset, offset + size, cmd);
+  lock.unlock();
+  if (frame != nullptr) SendIssued(frame->node, nullptr);
   return CommandHandle{cmd};
 }
 
@@ -509,12 +873,40 @@ Status ClusterRuntime::ExecWrite(BufferId id, const BufferPtr& buffer,
       return staged;
     }
   }
+  return WriteToShadow(buffer, offset, data);
+}
+
+Status ClusterRuntime::WriteToShadow(const BufferPtr& buffer,
+                                     std::uint64_t offset,
+                                     std::span<const std::uint8_t> data) {
   std::lock_guard<std::mutex> lock(buffer->mutex);
   // Region-granular: only the written range changes owner. The rest of the
   // buffer keeps its current owners — a partial write to a remote-owned
   // buffer no longer forces a full gather.
   std::copy(data.begin(), data.end(), buffer->shadow.begin() + offset);
-  buffer->dir.MarkWritten(offset, end, HostOwner());
+  buffer->dir.MarkWritten(offset, offset + data.size(), HostOwner());
+  return Status::Ok();
+}
+
+Status ClusterRuntime::LandWriteLocked(LogicalBuffer& buffer,
+                                       std::size_t node, std::uint64_t begin,
+                                       std::uint64_t size,
+                                       const Expected<Message>& reply) {
+  HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kStatusReply));
+  AccountTransfer(buffer, &TransferStats::host_bytes_out, size);
+  timeline_->RecordTransferToNode(node, size);
+  // The write replaced the range wholesale: the node is its only owner.
+  buffer.dir.MarkWritten(begin, begin + size,
+                         static_cast<RegionDirectory::Owner>(node));
+  return Status::Ok();
+}
+
+Status ClusterRuntime::ReceivedFromNodeLocked(
+    LogicalBuffer& buffer, std::size_t node, std::span<std::uint8_t> into,
+    const Expected<Message>& reply) {
+  HAOCL_RETURN_IF_ERROR(net::ReceiveReadReply(reply, into));
+  AccountTransfer(buffer, &TransferStats::host_bytes_in, into.size());
+  timeline_->RecordTransferFromNode(node, into.size());
   return Status::Ok();
 }
 
@@ -629,7 +1021,7 @@ Status ClusterRuntime::ReadFromNodeLocked(BufferId id, std::size_t node,
                                           std::span<std::uint8_t> into) {
   // The bytes of `into` are unspecified unless the call succeeds; callers
   // record ownership only after it does.
-  const net::ReadBufferRequest request{id, begin, into.size()};
+  const net::ReadBufferRequest request{id, begin, into.size(), 0};
   return net::ReceiveReadReply(
       CallNode(node, MsgType::kReadBuffer, net::Encode(request), {}, into),
       into);
@@ -649,13 +1041,12 @@ Status ClusterRuntime::ReceiveMissingRunsLocked(BufferId id,
       },
       [&](std::size_t source, std::uint64_t run_begin,
           std::uint64_t run_end) -> Status {
-        HAOCL_RETURN_IF_ERROR(ReadFromNodeLocked(
-            id, source, run_begin,
-            into.subspan(run_begin - begin, run_end - run_begin)));
-        AccountTransfer(buffer, &TransferStats::host_bytes_in,
-                        run_end - run_begin);
-        timeline_->RecordTransferFromNode(source, run_end - run_begin);
-        return Status::Ok();
+        const auto run = into.subspan(run_begin - begin, run_end - run_begin);
+        const net::ReadBufferRequest request{id, run_begin, run.size(), 0};
+        return ReceivedFromNodeLocked(
+            buffer, source, run,
+            CallNode(source, MsgType::kReadBuffer, net::Encode(request), {},
+                     run));
       },
       record_owner);
 }
@@ -831,10 +1222,10 @@ Status ClusterRuntime::SpillSoleRangesToHostLocked(BufferId id,
   return flush();
 }
 
-void ClusterRuntime::NotifyMemory(
+Status ClusterRuntime::NotifyMemory(
     std::size_t node, BufferId id, bool reserve,
     const std::vector<runtime::MemoryPool::Span>& spans) {
-  if (spans.empty()) return;
+  if (spans.empty()) return Status::Ok();
   net::MemoryNoticeRequest notice;
   notice.buffer_id = id;
   notice.reserve = reserve;
@@ -842,12 +1233,9 @@ void ClusterRuntime::NotifyMemory(
   for (const runtime::MemoryPool::Span& span : spans) {
     notice.regions.push_back({span.begin, span.end - span.begin});
   }
-  auto reply = CallNode(node, MsgType::kMemoryNotice, net::Encode(notice));
-  Status status = CheckReply(reply, MsgType::kStatusReply);
-  if (!status.ok()) {
-    HAOCL_WARN << "memory notice for buffer " << id << " on node " << node
-               << " failed: " << status.ToString();
-  }
+  return CheckReply(
+      CallNode(node, MsgType::kMemoryNotice, net::Encode(notice)),
+      MsgType::kStatusReply);
 }
 
 Status ClusterRuntime::EvictRangeFromNodeLocked(BufferId id,
@@ -882,7 +1270,11 @@ Status ClusterRuntime::EvictRangeFromNodeLocked(BufferId id,
     released += node_pools_[node]->Release(id, span.begin, span.end);
   }
   AccountTransfer(buffer, &TransferStats::evicted_bytes, released);
-  NotifyMemory(node, id, /*reserve=*/false, victims);
+  const Status notified = NotifyMemory(node, id, /*reserve=*/false, victims);
+  if (!notified.ok()) {
+    HAOCL_WARN << "memory notice for buffer " << id << " on node " << node
+               << " failed: " << notified.ToString();
+  }
   return Status::Ok();
 }
 
@@ -990,17 +1382,7 @@ Status ClusterRuntime::StageWorkingSet(
     // tenant quotas and other sessions' residency). Hand back what this
     // reservation newly charged and no transfer landed on the node; what
     // did land stays charged on both sides.
-    const auto owner = static_cast<RegionDirectory::Owner>(node);
-    for (const runtime::MemoryPool::BufferRange& span : charged) {
-      const WorkingRange& range = *std::find_if(
-          ranges.begin(), ranges.end(),
-          [&](const WorkingRange& r) { return r.id == span.buffer; });
-      std::lock_guard<std::mutex> lock(range.buffer->mutex);
-      for (const RegionDirectory::Span& missing :
-           range.buffer->dir.MissingFor(owner, span.begin, span.end)) {
-        node_pools_[node]->Release(span.buffer, missing.begin, missing.end);
-      }
-    }
+    ReleaseUnheldCharges(node, ranges, charged);
   }
   return shipped;
 }
@@ -1017,21 +1399,24 @@ Status ClusterRuntime::ShipWorkingSet(std::size_t node,
       // prologue counts a host-owned run that no node holds.
       HAOCL_RETURN_IF_ERROR(
           AllocateOnNodeLocked(range.id, *range.buffer, node));
-      HAOCL_RETURN_IF_ERROR(SendToNodeLocked(range.id, *range.buffer, node,
-                                             range.begin, staging.write));
-      timeline_->RecordTransferToNode(node, staging.write.size());
-      range.buffer->dir.MarkWritten(range.begin, range.end, owner);
+      HAOCL_RETURN_IF_ERROR(LandWriteLocked(
+          *range.buffer, node, range.begin, staging.write.size(),
+          CallNode(node, MsgType::kWriteBuffer,
+                   net::Encode(net::WriteBufferRequest{
+                       range.id, range.begin, 0, staging.write}),
+                   staging.write)));
     } else if (staging.discard_contents) {
       // No bytes move: the node becomes the exclusive owner of whatever
       // its allocation holds (contents undefined, per
       // CL_MIGRATE_MEM_OBJECT_CONTENT_UNDEFINED). No payload makes this
       // residency change visible to the node, so an explicit reservation
-      // notice keeps its ledger in step.
+      // notice keeps its ledger in step, and the node owns the range only
+      // once its ledger took it.
       HAOCL_RETURN_IF_ERROR(
           AllocateOnNodeLocked(range.id, *range.buffer, node));
+      HAOCL_RETURN_IF_ERROR(NotifyMemory(node, range.id, /*reserve=*/true,
+                                         {{range.begin, range.end}}));
       range.buffer->dir.MarkWritten(range.begin, range.end, owner);
-      NotifyMemory(node, range.id, /*reserve=*/true,
-                   {{range.begin, range.end}});
     } else {
       HAOCL_RETURN_IF_ERROR(EnsureRangeOnNodeLocked(
           range.id, *range.buffer, node, range.begin, range.end,
@@ -1504,7 +1889,7 @@ Expected<ClusterRuntime::Placement> ClusterRuntime::PlanLaunchLocked(
 Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
     const LaunchSpec& spec, std::vector<CommandHandle> deps,
     std::vector<CommandHandle> order_after) {
-  std::lock_guard<std::mutex> lock(state_mutex_);
+  std::unique_lock<std::mutex> lock(state_mutex_);
   auto resolved = ResolveLaunchLocked(spec);
   if (!resolved.ok()) return resolved.status();
   const ResolvedLaunch& launch = *resolved;
@@ -1611,6 +1996,7 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
   CommandId prev_launch = kNullCommand;
   CommandId prev_prev_launch = kNullCommand;
   CommandId prev_prefetch = kNullCommand;
+  FramePtr issued;  // The place a one-frame launch took.
   std::uint32_t stage = 0;  // Index of `sub` within its shard's stages.
   for (std::size_t i = 0; i < launch_total; ++i) {
     const sched::ChunkSpan& sub = subs[i];
@@ -1702,16 +2088,47 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
     } else {
       launch_deps = dep_ids;
     }
+    // A one-shard, one-stage launch is one frame to its node.
+    if (launch_total == 1) {
+      IssueRequest issue{.kind = IssueKind::kLaunch,
+                         .node = shard.node,
+                         .ranges = LaunchWorkingSet(*work),
+                         .writes = {},
+                         .program = work->program.get()};
+      for (std::size_t b = 0; b < work->buffers.size(); ++b) {
+        if (work->buffers[b].written) issue.writes.push_back(issue.ranges[b]);
+      }
+      issued = TakeIssuePlaceLocked(issue, launch_deps, hazards);
+      if (issued != nullptr) {
+        issued->type = MsgType::kLaunchKernel;
+        issued->payload = net::Encode(
+            EncodeLaunch(*work, issued->ranges, issued->after_seq));
+        EnqueueFrameLocked(issued);
+      }
+    }
     // The body's closure is the sole owner of `work` (and thus of every
     // buffer/program pin); the graph drops the body on ANY retirement
     // path — completion, failure, dependency failure, shutdown — so pins
     // never outlive the command.
+    CommandGraph::Body body;
+    if (issued != nullptr) {
+      body = [this, work = std::move(work),
+              frame = issued](CommandGraph::Execution& e) {
+        return RunIssued(
+            *frame, [&] { return ExecLaunch(work, e); },
+            [&](const Expected<Message>& reply) {
+              return CompleteLaunch(work, reply, /*bytes_shipped=*/0, e);
+            });
+      };
+    } else {
+      body = [this, work = std::move(work)](CommandGraph::Execution& e) {
+        return ExecLaunch(work, e);
+      };
+    }
     const CommandId launch_cmd = graph_->Submit(
-        [this, work = std::move(work)](CommandGraph::Execution& e) {
-          return ExecLaunch(work, e);
-        },
-        std::move(launch_deps), label,
+        std::move(body), std::move(launch_deps), label,
         stage_total > 1 ? std::vector<CommandId>{} : hazards);
+    if (issued != nullptr) RegisterIssuedLocked(issued, launch_cmd);
     prev_launch = launch_cmd;
     shard_ids.push_back(launch_cmd);
   }
@@ -1848,18 +2265,27 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
   // live records, so failures still propagate); nobody queries prefetch
   // records, so drop their references now.
   for (CommandId prefetch : prefetch_ids) graph_->Release(prefetch);
+  lock.unlock();
+  if (issued != nullptr) SendIssued(issued->node, nullptr);
   return CommandHandle{cmd};
+}
+
+std::vector<ClusterRuntime::WorkingRange> ClusterRuntime::LaunchWorkingSet(
+    const LaunchWork& work) {
+  // This shard's dim-0 indices: [global_offset[0], global_offset[0] +
+  // global[0]). BufferArg::Window turns them into each arg's byte range.
+  std::vector<WorkingRange> working_set;
+  working_set.reserve(work.buffers.size());
+  for (const BufferArg& buffer_arg : work.buffers) {
+    const auto [begin, end] =
+        buffer_arg.Window(work.spec.global_offset[0], work.spec.global[0]);
+    working_set.push_back({buffer_arg.id, buffer_arg.buffer, begin, end});
+  }
+  return working_set;
 }
 
 Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
                                   CommandGraph::Execution& e) {
-  const LaunchSpec& spec = work->spec;
-  const std::size_t node = work->node;  // Placement decided at submit.
-  // This shard's dim-0 indices: [global_offset[0], global_offset[0] +
-  // global[0]). BufferArg::Window turns them into each arg's byte range.
-  const std::uint64_t slice_first = spec.global_offset[0];
-  const std::uint64_t slice_count = spec.global[0];
-
   // ---- Working set, program and data (tiered memory, per-object locks) ---
   // Partitioned args need only this shard's slice on the node (a
   // single-shard launch's "slice" is its whole partition window);
@@ -1868,25 +2294,31 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
   // launch's prefetch command already reserved and pinned (its StageLink
   // holds the pins); the compute side re-pins cheaply and skips the
   // reservation.
-  LaunchResult result;
-  result.node = node;
-  std::vector<WorkingRange> working_set;
-  working_set.reserve(work->buffers.size());
-  for (const BufferArg& buffer_arg : work->buffers) {
-    const auto [begin, end] = buffer_arg.Window(slice_first, slice_count);
-    working_set.push_back({buffer_arg.id, buffer_arg.buffer, begin, end});
-  }
+  const std::size_t node = work->node;  // Placement decided at submit.
+  const std::vector<WorkingRange> working_set = LaunchWorkingSet(*work);
+  std::uint64_t bytes_shipped = 0;
   WorkingSetPin pins;
   HAOCL_RETURN_IF_ERROR(
       StageWorkingSet(node, working_set, pins,
                       {.reserve = work->stage_link == nullptr,
                        .program_id = work->program_id,
                        .program = work->program.get(),
-                       .bytes_shipped = &result.bytes_shipped}));
+                       .bytes_shipped = &bytes_shipped}));
+  // ---- Execute (overlapped RPC: only this command's worker blocks) -------
+  return CompleteLaunch(
+      work,
+      CallNode(node, MsgType::kLaunchKernel,
+               net::Encode(EncodeLaunch(*work, working_set, 0))),
+      bytes_shipped, e);
+}
 
+net::LaunchKernelRequest ClusterRuntime::EncodeLaunch(
+    const LaunchWork& work, const std::vector<WorkingRange>& working_set,
+    std::uint64_t after_seq) const {
+  const LaunchSpec& spec = work.spec;
   const double compute_amp = timeline_->compute_amplification();
   net::LaunchKernelRequest request;
-  request.program_id = work->program_id;
+  request.program_id = work.program_id;
   request.kernel_name = spec.kernel_name;
   request.work_dim = spec.work_dim;
   for (int d = 0; d < 3; ++d) {
@@ -1895,6 +2327,7 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
     request.global_offset[d] = spec.global_offset[d];
   }
   request.local_specified = spec.local_specified;
+  request.after_seq = after_seq;
   if (spec.cost_hint.has_value()) {
     // Ship the analytic hint (shard-scaled at submit) so the node's
     // timing model profiles the work the scheduler accounts — the static
@@ -1908,14 +2341,14 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
     request.hint_irregular = spec.cost_hint->irregular;
   }
 
-  std::size_t next_buffer = 0;  // Buffer args in order: work->buffers.
+  std::size_t next_buffer = 0;  // Buffer args in order: work.buffers.
   for (std::size_t i = 0; i < spec.args.size(); ++i) {
     const KernelArgValue& arg = spec.args[i];
     net::WireKernelArg wire;
     switch (arg.kind) {
       case KernelArgValue::Kind::kBuffer: {
         const WorkingRange& range = working_set[next_buffer];
-        const bool written = work->buffers[next_buffer++].written;
+        const bool written = work.buffers[next_buffer++].written;
         wire.kind = net::WireKernelArg::Kind::kBuffer;
         wire.buffer_id = range.id;
         if (written) {
@@ -1937,9 +2370,21 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
     }
     request.args.push_back(std::move(wire));
   }
+  return request;
+}
 
-  // ---- Execute (overlapped RPC: only this command's worker blocks) -------
-  auto reply = CallNode(node, MsgType::kLaunchKernel, net::Encode(request));
+Status ClusterRuntime::CompleteLaunch(const std::shared_ptr<LaunchWork>& work,
+                                      const Expected<Message>& reply,
+                                      std::uint64_t bytes_shipped,
+                                      CommandGraph::Execution& e) {
+  const LaunchSpec& spec = work->spec;
+  const std::size_t node = work->node;
+  const std::uint64_t slice_first = spec.global_offset[0];
+  const std::uint64_t slice_count = spec.global[0];
+  const double compute_amp = timeline_->compute_amplification();
+  LaunchResult result;
+  result.node = node;
+  result.bytes_shipped = bytes_shipped;
   HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kLaunchReply));
   auto decoded = net::Decode<net::LaunchKernelReply>(reply->payload);
   if (!decoded.ok()) return decoded.status();

@@ -15,6 +15,18 @@
 // simultaneously. The classic blocking calls (WriteBuffer, ReadBuffer,
 // LaunchKernel) are submit-then-wait wrappers over the same graph.
 //
+// Issue-ahead: a write on a node's queue, a one-shard launch or a read
+// that is one frame to one node N, whose every unretired predecessor
+// already holds a place in N's issue order, takes a place there too at
+// submit. Its frame leaves as soon as the frames ahead of it have — a
+// launch or read from the submitting thread, a write's bytes only from
+// its own graph worker — naming the first of its in-flight predecessors
+// (after_seq), so the node skips it if one of them failed. Its graph body
+// only awaits the reply and runs the epilogue, in graph order; a skipped
+// command re-runs its classic body there. Every other command runs its
+// classic body (both halves back to back) on a graph worker
+// (docs/async_api.md).
+//
 // Buffer coherence: a region directory per logical buffer maps every byte
 // range to the set of participants holding a fresh copy (device nodes plus
 // the host shadow, which is just another peer) and the dirty epoch of the
@@ -592,24 +604,99 @@ class ClusterRuntime {
   };
   using ProgramPtr = std::shared_ptr<ProgramState>;
 
+  // One buffer range a node-bound command needs on its node.
+  struct WorkingRange {
+    BufferId id = 0;
+    BufferPtr buffer;
+    std::uint64_t begin = 0;
+    std::uint64_t end = 0;
+  };
+
   // RAII in-flight accounting around a node RPC (feeds the scheduler).
   class InFlightGuard;
 
   // Sends `payload` (and the borrowed `tail` after it, see
   // net::Message::tail) and awaits the reply with the configured timeout,
   // counting the command against `node`'s depth. A read reply may land in
-  // `reply_into` (see net::RpcClient::Call).
+  // `reply_into` (see net::RpcClient::CallAsync).
   Expected<net::Message> CallNode(std::size_t node, net::MsgType type,
                                   std::vector<std::uint8_t> payload,
                                   std::span<const std::uint8_t> tail = {},
                                   std::span<std::uint8_t> reply_into = {});
 
+  // ---- Issue-ahead (see the file comment) ---------------------------------
+  struct IssuedFrame;  // One command's place in its node's issue order.
+  using FramePtr = std::shared_ptr<IssuedFrame>;
+  struct IssueOrder;   // One node's frames not yet sent.
+  // What a command that asks for a place needs on its node.
+  enum class IssueKind { kWrite, kLaunch, kRead };
+  struct IssueRequest {
+    IssueKind kind = IssueKind::kRead;
+    std::size_t node = 0;
+    // Ranges that must be allocated on the node and stay pinned there. A
+    // launch needs each byte fresh on the node, a read needs each byte to
+    // come from it (as the classic read would source it); a write needs
+    // only the allocation.
+    std::vector<WorkingRange> ranges;
+    // What the command writes on the node.
+    std::vector<WorkingRange> writes;
+    // A launch's program, which must already be built on the node.
+    ProgramState* program = nullptr;
+  };
+  // The place `request` takes in its node's issue order, or nullptr when
+  // the command must run classic: it has strong deps, an unretired
+  // predecessor (`preds`) without a place in that order, a frame ahead of
+  // it that is not a predecessor's, a buffer a classic command is using,
+  // a range the node lacks, or a working set the host ledger cannot take
+  // without eviction. Pins and reserves; the caller encodes the frame and
+  // calls EnqueueFrameLocked. Requires state_mutex_ held.
+  FramePtr TakeIssuePlaceLocked(const IssueRequest& request,
+                                const std::vector<CommandId>& deps,
+                                const std::vector<CommandId>& preds);
+  // Appends the encoded `frame` to its node's unsent frames, before its
+  // command is submitted to the graph, whose body may start at once.
+  // Requires state_mutex_ held.
+  void EnqueueFrameLocked(const FramePtr& frame);
+  // Registers the submitted command `cmd` as holding `frame`'s place.
+  // Requires state_mutex_ held.
+  void RegisterIssuedLocked(const FramePtr& frame, CommandId cmd);
+  // Sends `node`'s frames from the head of its issue order: launches and
+  // reads from any thread, a write only from its own worker (`own_write`),
+  // so the sender stops at any other write. Never waits for a reply. Call
+  // without state_mutex_ or any buffer mutex held.
+  void SendIssued(std::size_t node, const IssuedFrame* own_write);
+  // The reply to `frame`, awaited with the configured timeout once its
+  // frame has left (a write's worker sends it first).
+  Expected<net::Message> AwaitIssued(IssuedFrame& frame);
+  // The body of a command holding `frame`'s place: runs `complete` on the
+  // awaited reply or, when the node skipped the request
+  // (kDependencyFailed), hands back the submit-time charges and runs the
+  // classic body `rerun`. Then unpins and leaves the order.
+  template <class Rerun, class Complete>
+  Status RunIssued(IssuedFrame& frame, Rerun rerun, Complete complete);
+  // Hands back the ledger spans `charged` added over `ranges` that the
+  // directory does not show on `node` (the node refused or skipped them).
+  void ReleaseUnheldCharges(
+      std::size_t node, const std::vector<WorkingRange>& ranges,
+      const std::vector<runtime::MemoryPool::BufferRange>& charged);
+
   // Command bodies (run on graph workers). *Locked variants require the
   // buffer's own mutex held.
   Status ExecWrite(BufferId id, const BufferPtr& buffer, std::uint64_t offset,
                    std::span<const std::uint8_t> data, int node);
+  // The write's fallback: the bytes land in the host shadow.
+  Status WriteToShadow(const BufferPtr& buffer, std::uint64_t offset,
+                       std::span<const std::uint8_t> data);
   Status ExecRead(BufferId id, const BufferPtr& buffer, std::uint64_t offset,
                   std::span<std::uint8_t> out);
+  // Complete halves of a node write and a node read: the epilogue once the
+  // reply to the frame is in.
+  Status LandWriteLocked(LogicalBuffer& buffer, std::size_t node,
+                         std::uint64_t begin, std::uint64_t size,
+                         const Expected<net::Message>& reply);
+  Status ReceivedFromNodeLocked(LogicalBuffer& buffer, std::size_t node,
+                                std::span<std::uint8_t> into,
+                                const Expected<net::Message>& reply);
   Status ExecCopy(BufferId src_id, const BufferPtr& src,
                   std::uint64_t src_offset, BufferId dst_id,
                   const BufferPtr& dst, std::uint64_t dst_offset,
@@ -664,14 +751,18 @@ class ClusterRuntime {
   class WorkingSetPin;       // RAII eviction exclusion for a working set.
   Status ExecLaunch(const std::shared_ptr<LaunchWork>& work,
                     CommandGraph::Execution& e);
+  // A launch's working set on its node, in buffer-argument order.
+  static std::vector<WorkingRange> LaunchWorkingSet(const LaunchWork& work);
+  // The launch frame for `working_set`, issued behind `after_seq`.
+  net::LaunchKernelRequest EncodeLaunch(
+      const LaunchWork& work, const std::vector<WorkingRange>& working_set,
+      std::uint64_t after_seq) const;
+  // The launch's complete half: the epilogue once its reply is in.
+  Status CompleteLaunch(const std::shared_ptr<LaunchWork>& work,
+                        const Expected<net::Message>& reply,
+                        std::uint64_t bytes_shipped,
+                        CommandGraph::Execution& e);
   Status ExecStagePrefetch(const std::shared_ptr<StagePrefetchWork>& work);
-  // One buffer range a node-bound command needs on its node.
-  struct WorkingRange {
-    BufferId id = 0;
-    BufferPtr buffer;
-    std::uint64_t begin = 0;
-    std::uint64_t end = 0;
-  };
   // Subtracts a shard's submit-time backlog charge from the node's
   // estimate (clamped at zero). Called from the launch epilogue on
   // success and from ~LaunchWork for every other retirement path.
@@ -746,9 +837,10 @@ class ClusterRuntime {
   Status SpillSoleRangesToHostLocked(BufferId id, LogicalBuffer& buffer,
                                      std::size_t node, std::uint64_t begin,
                                      std::uint64_t end);
-  // Best-effort reservation/eviction notice to the node's session pool.
-  void NotifyMemory(std::size_t node, BufferId id, bool reserve,
-                    const std::vector<runtime::MemoryPool::Span>& spans);
+  // Reservation/eviction notice to the node's session pool; returns the
+  // node's answer.
+  Status NotifyMemory(std::size_t node, BufferId id, bool reserve,
+                      const std::vector<runtime::MemoryPool::Span>& spans);
 
   // ---- Region-directory transfer engine (require buffer.mutex held) ------
   // The host's owner index in a buffer's directory.
@@ -884,6 +976,11 @@ class ClusterRuntime {
   // Observed per-(node, kernel) rates (internally synchronized).
   std::unique_ptr<sched::KernelRateTable> rate_table_;
   std::vector<std::uint32_t> in_flight_;  // RPCs outstanding per node.
+  // Issue-ahead: per node, the frames not yet sent; per command holding a
+  // place, its frame (guarded by state_mutex_; an entry leaves when the
+  // command's body ends).
+  std::vector<std::unique_ptr<IssueOrder>> issue_orders_;
+  std::unordered_map<CommandId, FramePtr> issued_;
   // Runtime-wide coherence movement totals (guarded by stats_mutex_, a
   // leaf lock taken briefly under buffer mutexes).
   mutable std::mutex stats_mutex_;

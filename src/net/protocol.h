@@ -22,7 +22,7 @@ namespace haocl::net {
 // Sent by both ends in the handshake; each refuses a peer speaking another
 // version. The bytes of every message are pinned by golden rows
 // (tests/net/protocol_fuzz_test.cc): changing one bumps this.
-inline constexpr std::uint32_t kProtocolVersion = 3;
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 // True for a message whose decoded form views the payload bytes (a span
 // field), so it must not be decoded from a temporary.
@@ -79,14 +79,21 @@ struct CreateBufferRequest {
 // without a copy. Decode() returns `data` as a view into `bytes`, valid
 // while `bytes` lives; the length prefix must cover exactly the bytes that
 // follow it.
+//
+// `after_seq` (here and in ReadBufferRequest and LaunchKernelRequest): the
+// seq of the earliest request on this connection the host issued this one
+// behind, or 0. The node answers kDependencyFailed, without running it,
+// when it has answered a request of that seq or later with a failure or a
+// skip (docs/wire_protocol.md).
 struct WriteBufferRequest {
   static constexpr MsgType kType = MsgType::kWriteBuffer;
   std::uint64_t buffer_id = 0;
   std::uint64_t offset = 0;
+  std::uint64_t after_seq = 0;
   std::span<const std::uint8_t> data;
 
   template <class Ar>
-  void Fields(Ar& ar) { ar(buffer_id, offset, data); }
+  void Fields(Ar& ar) { ar(buffer_id, offset, after_seq, data); }
 };
 template <>
 inline constexpr bool kViewsPayload<WriteBufferRequest> = true;
@@ -96,9 +103,10 @@ struct ReadBufferRequest {
   std::uint64_t buffer_id = 0;
   std::uint64_t offset = 0;
   std::uint64_t size = 0;
+  std::uint64_t after_seq = 0;
 
   template <class Ar>
-  void Fields(Ar& ar) { ar(buffer_id, offset, size); }
+  void Fields(Ar& ar) { ar(buffer_id, offset, size, after_seq); }
 };
 
 struct ReleaseBufferRequest {
@@ -234,11 +242,12 @@ struct LaunchKernelRequest {
   double hint_bytes = 0.0;
   std::uint64_t hint_work_items = 0;
   bool hint_irregular = false;
+  std::uint64_t after_seq = 0;  // See WriteBufferRequest.
 
   template <class Ar>
   void Fields(Ar& ar) {
     ar(program_id, kernel_name, args, work_dim, global, local, global_offset,
-       local_specified, has_cost_hint);
+       local_specified, after_seq, has_cost_hint);
     if (has_cost_hint) {
       ar(hint_flops, hint_bytes, hint_work_items, hint_irregular);
     }
@@ -427,7 +436,7 @@ Expected<T> Decode(std::vector<std::uint8_t>&& bytes) = delete;
 Status CheckReply(const Expected<Message>& reply, MsgType expected_type);
 
 // Checks `reply` as the kReadReply to a call whose reply_into was `into`
-// (see RpcClient::Call) and leaves the read bytes there: a reply that
+// (see RpcClient::CallAsync) and leaves the read bytes there: a reply that
 // landed in place is done, one that arrived in its payload is copied in,
 // and one of any other size is a short read (kProtocolError).
 Status ReceiveReadReply(const Expected<Message>& reply,

@@ -19,26 +19,20 @@ RpcClient::RpcClient(ConnectionPtr connection)
 
 RpcClient::~RpcClient() { Close(); }
 
-RpcClient::ReplyFuture RpcClient::CallAsync(MsgType type,
-                                            std::uint64_t session,
-                                            std::vector<std::uint8_t> payload,
-                                            std::span<const std::uint8_t> tail) {
-  return SendRequest(type, session, std::move(payload), tail, {}).second;
-}
-
-std::pair<std::uint64_t, RpcClient::ReplyFuture> RpcClient::SendRequest(
+RpcClient::ReplyFuture RpcClient::CallAsync(
     MsgType type, std::uint64_t session, std::vector<std::uint8_t> payload,
-    std::span<const std::uint8_t> tail, std::span<std::uint8_t> reply_into) {
+    std::span<const std::uint8_t> tail, std::span<std::uint8_t> reply_into,
+    std::uint64_t seq) {
   auto future = std::make_shared<Promise<Expected<Message>>>();
   Message msg;
   msg.type = type;
   msg.session = session;
-  msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+  msg.seq = seq != 0 ? seq : ReserveSeq();
   msg.payload = std::move(payload);
   msg.tail = tail;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    pending_[msg.seq] = PendingCall{future, reply_into};
+    pending_[msg.seq] = PendingCall{future, type, reply_into};
   }
   Status sent = connection_->Send(msg);
   if (!sent.ok()) {
@@ -48,7 +42,28 @@ std::pair<std::uint64_t, RpcClient::ReplyFuture> RpcClient::SendRequest(
     }
     future->Set(Expected<Message>(sent));
   }
-  return {msg.seq, future};
+  return future;
+}
+
+Expected<Message> RpcClient::Await(std::uint64_t seq,
+                                   const ReplyFuture& future,
+                                   std::chrono::milliseconds timeout) {
+  if (auto reply = future->TakeFor(timeout)) return *std::move(reply);
+  // Withdraw the call, first waiting out a reply that is landing in
+  // reply_into: the caller may reuse it as soon as this returns.
+  std::unique_lock<std::mutex> lock(mutex_);
+  auto it = pending_.find(seq);
+  if (it == pending_.end()) {
+    // The reply (or the connection's failure) beat the withdrawal; the
+    // future is being set.
+    lock.unlock();
+    return future->Wait();
+  }
+  const MsgType type = it->second.type;
+  landed_cv_.wait(lock, [this, seq] { return landing_seq_ != seq; });
+  pending_.erase(seq);
+  return Status(ErrorCode::kNetworkError,
+                std::string("RPC timeout for ") + MsgTypeName(type));
 }
 
 Expected<Message> RpcClient::Call(MsgType type, std::uint64_t session,
@@ -56,19 +71,11 @@ Expected<Message> RpcClient::Call(MsgType type, std::uint64_t session,
                                   std::chrono::milliseconds timeout,
                                   std::span<const std::uint8_t> tail,
                                   std::span<std::uint8_t> reply_into) {
-  auto [seq, future] =
-      SendRequest(type, session, std::move(payload), tail, reply_into);
-  auto reply = future->TakeFor(timeout);
-  if (!reply.has_value()) {
-    // Withdraw the call, first waiting out a reply that is landing in
-    // reply_into: the caller may reuse it as soon as this returns.
-    std::unique_lock<std::mutex> lock(mutex_);
-    landed_cv_.wait(lock, [this, id = seq] { return landing_seq_ != id; });
-    pending_.erase(seq);
-    return Status(ErrorCode::kNetworkError,
-                  std::string("RPC timeout for ") + MsgTypeName(type));
-  }
-  return *std::move(reply);
+  const std::uint64_t seq = ReserveSeq();
+  return Await(seq,
+               CallAsync(type, session, std::move(payload), tail, reply_into,
+                         seq),
+               timeout);
 }
 
 Status RpcClient::Notify(MsgType type, std::uint64_t session,

@@ -3,8 +3,8 @@
 // The paper's host process "sends a message through the message listener,
 // [then] waits for the response message and takes the next action" — a
 // synchronous RPC. Device-node listeners are asynchronous. RpcClient gives
-// the host both styles: Call() blocks, CallAsync() pipelines (the ablation
-// benchmark measures the difference).
+// the host both styles: CallAsync() sends and Await() waits, so a caller
+// can keep several requests in flight; Call() is the two back to back.
 #pragma once
 
 #include <atomic>
@@ -30,27 +30,41 @@ class RpcClient {
 
   using ReplyFuture = std::shared_ptr<Promise<Expected<Message>>>;
 
-  // Sends a request and returns a future the caller can Wait() on. The
-  // future fails when the connection drops or the client closes; it has
-  // no deadline of its own (Call's timeout is the one deadline). `tail` is
-  // sent after `payload` in the same frame (see Message::tail); it is
-  // borrowed only until CallAsync returns.
-  ReplyFuture CallAsync(MsgType type, std::uint64_t session,
-                        std::vector<std::uint8_t> payload,
-                        std::span<const std::uint8_t> tail = {});
+  // Takes the seq of a request that is sent later: a caller that must name
+  // a request before it leaves (the host's issue-ahead frames name the
+  // request they follow) reserves it here and passes it to CallAsync.
+  std::uint64_t ReserveSeq() {
+    return next_seq_.fetch_add(1, std::memory_order_relaxed);
+  }
 
-  static constexpr std::chrono::milliseconds kDefaultCallTimeout{30000};
-
-  // Synchronous convenience: send and wait. A call unanswered after
-  // `timeout` is withdrawn and fails with kNetworkError naming its message
-  // type. The reply is moved out of the future, not copied. `tail` as for
-  // CallAsync.
+  // Sends a request under `seq` (0 takes the next one) and returns the
+  // future its reply arrives on. The future fails when the connection
+  // drops or the client closes; it has no deadline of its own (Await's
+  // timeout is the one deadline). `tail` is sent after `payload` in the
+  // same frame (see Message::tail); it is borrowed only until CallAsync
+  // returns.
   //
   // A kReadReply of exactly reply_into.size() bytes is received straight
   // into `reply_into` and arrives with `tail` viewing it; any other reply
   // arrives in `payload` as usual. The bytes of `reply_into` are
-  // unspecified unless the call succeeds, and Call never returns while
-  // the reader can still write into them (timeout and Close included).
+  // unspecified unless the call succeeds.
+  ReplyFuture CallAsync(MsgType type, std::uint64_t session,
+                        std::vector<std::uint8_t> payload,
+                        std::span<const std::uint8_t> tail = {},
+                        std::span<std::uint8_t> reply_into = {},
+                        std::uint64_t seq = 0);
+
+  static constexpr std::chrono::milliseconds kDefaultCallTimeout{30000};
+
+  // Waits for the reply to the request sent as `seq`. A request unanswered
+  // after `timeout` is withdrawn and fails with kNetworkError naming its
+  // message type. The reply is moved out of the future, not copied. Await
+  // never returns while the reader can still write into the call's
+  // reply_into (timeout and Close included).
+  Expected<Message> Await(std::uint64_t seq, const ReplyFuture& future,
+                          std::chrono::milliseconds timeout);
+
+  // CallAsync, then Await.
   Expected<Message> Call(MsgType type, std::uint64_t session,
                          std::vector<std::uint8_t> payload,
                          std::chrono::milliseconds timeout =
@@ -74,13 +88,10 @@ class RpcClient {
  private:
   struct PendingCall {
     ReplyFuture future;
-    std::span<std::uint8_t> reply_into;  // Call's reply destination.
+    MsgType type;                        // For Await's timeout diagnostic.
+    std::span<std::uint8_t> reply_into;  // Where a read reply lands.
   };
 
-  // Registers and sends one request; returns its seq and future.
-  std::pair<std::uint64_t, ReplyFuture> SendRequest(
-      MsgType type, std::uint64_t session, std::vector<std::uint8_t> payload,
-      std::span<const std::uint8_t> tail, std::span<std::uint8_t> reply_into);
   // The connection's FrameSink: lands a matching kReadReply in its call's
   // reply_into, and fails the call if the connection drops mid-reply.
   Landing ClaimReply(const Message::Header& header);

@@ -23,10 +23,10 @@ namespace haocl::net {
 using MessageHandler = std::function<void(Message)>;
 
 // Payload bytes a FrameSink sees before it places the rest of a frame:
-// kWriteBuffer's buffer_id, offset and the u64 length prefix of its data;
-// none for any other type.
+// kWriteBuffer's buffer_id, offset, after_seq and the u64 length prefix of
+// its data; none for any other type.
 constexpr std::size_t LandingPrefixSize(MsgType type) noexcept {
-  return type == MsgType::kWriteBuffer ? 3 * sizeof(std::uint64_t) : 0;
+  return type == MsgType::kWriteBuffer ? 4 * sizeof(std::uint64_t) : 0;
 }
 
 // Where a claimed frame's remaining payload bytes land. An empty `bytes`

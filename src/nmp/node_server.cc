@@ -22,9 +22,9 @@ struct RequestOf<void (Lambda::*)(const Request&) const> {
 
 // The node's one decode: parses the request payload as the type `handle`
 // takes and runs `handle` on it, or answers a malformed payload with its
-// kProtocolError status.
+// kProtocolError status and returns false.
 template <class Handler>
-void DecodeAndHandle(const std::string& node, const Message& request,
+bool DecodeAndHandle(const std::string& node, const Message& request,
                      Message& reply, Handler handle) {
   auto decoded =
       net::Decode<typename RequestOf<Handler>::type>(request.payload);
@@ -33,9 +33,10 @@ void DecodeAndHandle(const std::string& node, const Message& request,
     reply.type = MsgType::kStatusReply;
     reply.payload =
         net::Encode(net::StatusReply::FromStatus(decoded.status()));
-    return;
+    return false;
   }
   handle(*decoded);
+  return true;
 }
 
 }  // namespace
@@ -48,6 +49,10 @@ struct NodeServer::Channel {
   // Requests queued, running or awaiting their reply's send. Raised by
   // the receive path, lowered by the worker once the reply is out.
   std::atomic<std::uint32_t> unanswered{0};
+  // The highest seq this connection answered with a failure or a skip: a
+  // request issued behind one at or below it (after_seq) is skipped.
+  // Written by the worker before it lowers `unanswered`.
+  std::atomic<std::uint64_t> failed_through{0};
 };
 
 Expected<std::unique_ptr<NodeServer>> NodeServer::Create(std::string name,
@@ -127,7 +132,7 @@ void NodeServer::WorkerLoop(Channel* channel) {
       broker_.UnregisterTenant(msg->session);
       break;
     }
-    Message reply = HandleMessage(*msg);
+    Message reply = HandleMessage(*msg, *channel);
     reply.seq = msg->seq;
     reply.session = msg->session;
     // One-way messages (seq 0) want no reply.
@@ -154,12 +159,15 @@ net::Landing NodeServer::LandWrite(Channel& channel,
   }
   std::uint64_t buffer_id = 0;
   std::uint64_t offset = 0;
+  std::uint64_t after_seq = 0;
   std::uint64_t size = 0;
   WireReader reader(prefix.data(), prefix.size());
-  reader(buffer_id, offset, size);
+  reader(buffer_id, offset, after_seq, size);
   if (!reader.status().ok() || size != header.payload_size - prefix.size()) {
     return {};
   }
+  // A write the copy path will skip must not land.
+  if (Skips(channel, after_seq)) return {};
   // A failed check fails again on the copy path, which answers it.
   auto range = SessionFor(header.session).ClaimWrite(buffer_id, offset, size);
   if (!range.ok()) return {};
@@ -217,20 +225,38 @@ Message NodeServer::HandleControlMessage(const Message& request) {
   return reply;
 }
 
-Message NodeServer::HandleMessage(const Message& request) {
+bool NodeServer::Skips(const Channel& channel, std::uint64_t after_seq) {
+  return after_seq != 0 &&
+         after_seq <= channel.failed_through.load(std::memory_order_relaxed);
+}
+
+Message NodeServer::HandleMessage(const Message& request, Channel& channel) {
   Message reply;
   reply.type = MsgType::kStatusReply;
+  // Whether the reply reports a failure, for the channel's skip rule.
+  bool failed = false;
 
-  auto status_reply = [&reply](const Status& status) {
+  auto status_reply = [&](const Status& status) {
     reply.type = MsgType::kStatusReply;
     reply.payload = net::Encode(net::StatusReply::FromStatus(status));
+    failed = !status.ok();
   };
   auto protocol_error = [&](const Status& status) {
     HAOCL_WARN << "NMP " << name_ << ": " << status.ToString();
     status_reply(status);
   };
   auto on = [&](auto handle) {
-    DecodeAndHandle(name_, request, reply, handle);
+    if (!DecodeAndHandle(name_, request, reply, handle)) failed = true;
+  };
+  // A request issued behind one this connection failed or skipped runs
+  // nothing and touches no state.
+  auto skipped = [&](std::uint64_t after_seq) {
+    if (!Skips(channel, after_seq)) return false;
+    status_reply(Status(ErrorCode::kDependencyFailed,
+                        "request seq " + std::to_string(request.seq) +
+                            " follows failed request seq " +
+                            std::to_string(after_seq) + " or later"));
+    return true;
   };
 
   runtime::DeviceSession& session = SessionFor(request.session);
@@ -269,12 +295,14 @@ Message NodeServer::HandleMessage(const Message& request) {
       break;
     case MsgType::kWriteBuffer:
       on([&](const net::WriteBufferRequest& decoded) {
+        if (skipped(decoded.after_seq)) return;
         status_reply(session.WriteBuffer(decoded.buffer_id, decoded.offset,
                                          decoded.data));
       });
       break;
     case MsgType::kReadBuffer:
       on([&](const net::ReadBufferRequest& decoded) {
+        if (skipped(decoded.after_seq)) return;
         auto range = session.ReadBuffer(decoded.buffer_id, decoded.offset,
                                         decoded.size);
         if (!range.ok()) {
@@ -326,9 +354,11 @@ Message NodeServer::HandleMessage(const Message& request) {
       break;
     case MsgType::kBuildProgram:
       on([&](const net::BuildProgramRequest& decoded) {
+        const net::BuildProgramReply built =
+            session.BuildProgram(decoded.program_id, decoded.source);
+        failed = built.status_code != 0;
         reply.type = MsgType::kBuildReply;
-        reply.payload = net::Encode(
-            session.BuildProgram(decoded.program_id, decoded.source));
+        reply.payload = net::Encode(built);
       });
       break;
     case MsgType::kReleaseProgram:
@@ -338,6 +368,7 @@ Message NodeServer::HandleMessage(const Message& request) {
       break;
     case MsgType::kLaunchKernel:
       on([&](const net::LaunchKernelRequest& decoded) {
+        if (skipped(decoded.after_seq)) return;
         // Every launch passes through the broker gate: admission control
         // may reject it (kBackpressure travels back as an ordinary launch
         // reply), and weighted fair queuing decides when an admitted
@@ -367,6 +398,7 @@ Message NodeServer::HandleMessage(const Message& request) {
         }
         launch.node_backlog_seconds = broker_.backlog_seconds();
         launch.active_weight = broker_.active_weight();
+        failed = launch.status_code != 0;
         reply.type = MsgType::kLaunchReply;
         reply.payload = net::Encode(launch);
       });
@@ -448,6 +480,10 @@ Message NodeServer::HandleMessage(const Message& request) {
               std::to_string(static_cast<unsigned>(request.type)) + " (" +
               net::MsgTypeName(request.type) + ")"));
       break;
+  }
+  if (failed && request.seq >
+                    channel.failed_through.load(std::memory_order_relaxed)) {
+    channel.failed_through.store(request.seq, std::memory_order_relaxed);
   }
   return reply;
 }

@@ -11,7 +11,10 @@
 // Commands within a connection are serviced in arrival order by one worker
 // thread — the in-order command-queue semantics a device gives OpenCL —
 // while the message listener stays asynchronous, mirroring the paper's
-// acceptor design.
+// acceptor design. A write, launch or read the host issued behind earlier
+// requests names the first of them (after_seq); the connection remembers
+// the highest seq it answered with a failure or a skip and answers such a
+// request at or below it kDependencyFailed without running it.
 #pragma once
 
 #include <atomic>
@@ -84,7 +87,11 @@ class NodeServer {
   // passes DeviceSession::ClaimWrite; any other frame is declined.
   net::Landing LandWrite(Channel& channel, const net::Message::Header& header,
                          std::span<const std::uint8_t> prefix);
-  net::Message HandleMessage(const net::Message& request);
+  // Runs one request of `channel` and builds its reply; a failure raises
+  // the channel's failed_through.
+  net::Message HandleMessage(const net::Message& request, Channel& channel);
+  // True when a request issued behind `after_seq` must be skipped.
+  static bool Skips(const Channel& channel, std::uint64_t after_seq);
   // Messages answered on the receive path, ahead of the per-connection
   // inbox: kHeartbeat, so it gets through while the worker is busy, and
   // the kWriteBuffer that LandWrite already received into the replica.

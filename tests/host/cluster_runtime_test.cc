@@ -8,13 +8,19 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <fstream>
+#include <mutex>
 #include <numeric>
 #include <random>
 
+#include "driver/device_driver.h"
 #include "host/sim_cluster.h"
 #include "net/sim_transport.h"
+#include "nmp/node_server.h"
 #include "workloads/workload.h"
 
 namespace haocl::host {
@@ -706,21 +712,87 @@ TEST_F(ClusterRuntimeTest, CoexecutionBeatsBestSingleNodePlacement) {
   EXPECT_LT(split_completion, best_single);
 }
 
+// Meeting point of the two shards' launches: each waits in its node's
+// driver until both have entered (bounded), so the overlap the test checks
+// does not depend on the OS running both graph workers at once.
+class LaunchRendezvous {
+ public:
+  // True when the other launch arrived within the bound.
+  bool Arrive() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    ++arrived_;
+    cv_.notify_all();
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [this] { return arrived_ >= 2; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  int arrived_ = 0;
+};
+
+class RendezvousDriver final : public driver::DeviceDriver {
+ public:
+  RendezvousDriver(std::unique_ptr<driver::DeviceDriver> inner,
+                   LaunchRendezvous* rendezvous)
+      : inner_(std::move(inner)), rendezvous_(rendezvous) {}
+  const sim::DeviceSpec& spec() const override { return inner_->spec(); }
+  Expected<std::shared_ptr<const oclc::Module>> Build(
+      const std::string& source, std::string* build_log) override {
+    return inner_->Build(source, build_log);
+  }
+  Status Launch(const oclc::Module& module, const std::string& kernel_name,
+                const std::vector<oclc::ArgBinding>& args,
+                const oclc::NDRange& range, driver::LaunchProfile* profile,
+                const sim::KernelCost* cost_hint) override {
+    saw_other = rendezvous_->Arrive();
+    return inner_->Launch(module, kernel_name, args, range, profile,
+                          cost_hint);
+  }
+
+  std::atomic<bool> saw_other{false};
+
+ private:
+  std::unique_ptr<driver::DeviceDriver> inner_;
+  LaunchRendezvous* rendezvous_;
+};
+
 TEST_F(ClusterRuntimeTest, ShardsOfOneLaunchOverlapAcrossNodes) {
   // The co-execution acceptance: shards of ONE launch are in flight on
   // distinct nodes concurrently — overlapping modeled spans and at least
-  // two graph workers running at once.
-  ASSERT_TRUE(runtime().SetScheduler("hetero_split").ok());
-  auto program = runtime().BuildProgram(MatmulSource());
+  // two graph workers running at once. Two GPU nodes of its own, whose
+  // drivers hold each shard until the other has arrived too.
+  LaunchRendezvous rendezvous;
+  std::vector<RendezvousDriver*> drivers;
+  std::vector<std::unique_ptr<nmp::NodeServer>> servers;
+  std::vector<net::ConnectionPtr> hosts;
+  for (int i = 0; i < 2; ++i) {
+    auto driver = std::make_unique<RendezvousDriver>(
+        driver::MakeSimulatedDriver(sim::SpecForType(NodeType::kGpu)),
+        &rendezvous);
+    drivers.push_back(driver.get());
+    servers.push_back(std::make_unique<nmp::NodeServer>(
+        "gpu" + std::to_string(i), NodeType::kGpu, std::move(driver)));
+    auto [host_end, node_end] = net::CreateSimChannel();
+    servers.back()->Serve(std::move(node_end));
+    hosts.push_back(std::move(host_end));
+  }
+  auto connected = ClusterRuntime::Connect(std::move(hosts), {});
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  ClusterRuntime& rt = **connected;
+
+  ASSERT_TRUE(rt.SetScheduler("hetero_split").ok());
+  auto program = rt.BuildProgram(MatmulSource());
   ASSERT_TRUE(program.ok());
   const int n = 64;
   std::vector<float> a(static_cast<std::size_t>(n) * n, 1.0f);
-  auto a_buf = runtime().CreateBuffer(a.size() * 4);
-  auto b_buf = runtime().CreateBuffer(a.size() * 4);
-  auto c_buf = runtime().CreateBuffer(a.size() * 4);
+  auto a_buf = rt.CreateBuffer(a.size() * 4);
+  auto b_buf = rt.CreateBuffer(a.size() * 4);
+  auto c_buf = rt.CreateBuffer(a.size() * 4);
   ASSERT_TRUE(a_buf.ok() && b_buf.ok() && c_buf.ok());
-  ASSERT_TRUE(runtime().WriteBuffer(*a_buf, 0, a.data(), a.size() * 4).ok());
-  ASSERT_TRUE(runtime().WriteBuffer(*b_buf, 0, a.data(), a.size() * 4).ok());
+  ASSERT_TRUE(rt.WriteBuffer(*a_buf, 0, a.data(), a.size() * 4).ok());
+  ASSERT_TRUE(rt.WriteBuffer(*b_buf, 0, a.data(), a.size() * 4).ok());
 
   ClusterRuntime::LaunchSpec spec =
       MatmulSpec(*program, n, *a_buf, *b_buf, *c_buf);
@@ -729,18 +801,22 @@ TEST_F(ClusterRuntimeTest, ShardsOfOneLaunchOverlapAcrossNodes) {
   cost.bytes = 4e10;
   cost.work_items = static_cast<std::uint64_t>(n) * n;
   spec.cost_hint = cost;
-  auto handle = runtime().SubmitLaunch(spec);
+  auto handle = rt.SubmitLaunch(spec);
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-  ASSERT_TRUE(runtime().Wait(*handle).ok());
+  ASSERT_TRUE(rt.Wait(*handle).ok());
 
-  auto shards = runtime().LaunchShardsOf(*handle);
+  auto shards = rt.LaunchShardsOf(*handle);
   ASSERT_TRUE(shards.ok());
   ASSERT_GE(shards->size(), 2u);
-  EXPECT_GE(runtime().graph().PeakRunning(), 2u);
+  EXPECT_GE(rt.graph().PeakRunning(), 2u);
+  // Each shard's launch found the other one in flight.
+  for (const RendezvousDriver* driver : drivers) {
+    EXPECT_TRUE(driver->saw_other.load());
+  }
   std::vector<LaunchResult> results;
   std::set<std::size_t> nodes_used;
   for (const CommandHandle& shard : *shards) {
-    auto result = runtime().LaunchResultOf(shard);
+    auto result = rt.LaunchResultOf(shard);
     ASSERT_TRUE(result.ok());
     nodes_used.insert(result->node);
     results.push_back(*result);
@@ -757,7 +833,9 @@ TEST_F(ClusterRuntimeTest, ShardsOfOneLaunchOverlapAcrossNodes) {
       EXPECT_LT(start_j, results[i].virtual_completion);
     }
   }
-  ASSERT_TRUE(runtime().ReleaseCommand(*handle).ok());
+  ASSERT_TRUE(rt.ReleaseCommand(*handle).ok());
+  rt.Disconnect();
+  for (auto& server : servers) server->Shutdown();
 }
 
 TEST_F(ClusterRuntimeTest, RangeQueryingKernelsAreNeverSplit) {
@@ -1383,9 +1461,13 @@ TEST_F(ClusterRuntimeTest, MigrateDiscardTransfersNothingAndValidates) {
   EXPECT_EQ(snapshot->stats.p2p_bytes, 0u);
 }
 
-// Satellite property test: randomized writes (on the cluster device's or a
-// node's queue) / copies / partitioned launches / migrations / reads,
-// checked bit-identical against a host-only oracle after every read.
+// Property test: randomized writes (on the cluster device's or a node's
+// queue) / copies / partitioned launches / migrations / reads, checked
+// bit-identical against a host-only oracle after every read. The first
+// pass waits for every op; the second submits the same op stream in queue
+// order (each op ordered after the one before, as an in-order queue does)
+// and waits only at reads, so commands queued behind in-flight work on the
+// same node issue ahead.
 TEST_F(ClusterRuntimeTest, RandomizedOpsMatchHostOnlyOracle) {
   constexpr char kBump[] = R"(
     __kernel void bump(__global int* data, int n) {
@@ -1398,119 +1480,143 @@ TEST_F(ClusterRuntimeTest, RandomizedOpsMatchHostOnlyOracle) {
   constexpr std::size_t kBuffers = 3;
   constexpr std::uint64_t kBytes = 1024;  // 256 ints each.
   constexpr std::uint64_t kInts = kBytes / 4;
-  std::vector<BufferId> ids;
-  std::vector<std::vector<std::uint8_t>> oracle(
-      kBuffers, std::vector<std::uint8_t>(kBytes, 0));
-  for (std::size_t b = 0; b < kBuffers; ++b) {
-    auto id = runtime().CreateBuffer(kBytes);
-    ASSERT_TRUE(id.ok());
-    ids.push_back(*id);
-  }
-
-  std::mt19937 rng(0xD17EC70);
-  std::mt19937 device_rng(0xDE71CE);
-  auto range_in = [&rng](std::uint64_t limit) {
-    return std::uniform_int_distribution<std::uint64_t>(0, limit)(rng);
-  };
   const char* policies[] = {"user", "hetero_split"};
-  for (int op = 0; op < 250; ++op) {
-    const std::size_t b = range_in(kBuffers - 1);
-    switch (range_in(5)) {
-      case 0: case 1: {  // Byte-granular write, on a random device's queue.
-        const std::uint64_t offset = range_in(kBytes - 1);
-        const std::uint64_t size = 1 + range_in(kBytes - offset - 1);
-        std::vector<std::uint8_t> data(size);
-        for (auto& byte : data) byte = static_cast<std::uint8_t>(rng());
-        // Its own stream, so the ops drawn above are the same as without
-        // node-targeted writes.
-        const int device = std::uniform_int_distribution<int>(
-            ClusterRuntime::kClusterDevice,
-            static_cast<int>(runtime().devices().size()) - 1)(device_rng);
-        auto write = runtime().SubmitWrite(ids[b], offset, data.data(), size,
-                                           device);
-        ASSERT_TRUE(write.ok());
-        ASSERT_TRUE(runtime().Wait(*write).ok());
-        ASSERT_TRUE(runtime().ReleaseCommand(*write).ok());
-        std::copy(data.begin(), data.end(), oracle[b].begin() + offset);
-        break;
+
+  auto run_pass = [&](bool pipelined) {
+    SCOPED_TRACE(pipelined ? "pipelined" : "waited");
+    std::vector<BufferId> ids;
+    std::vector<std::vector<std::uint8_t>> oracle(
+        kBuffers, std::vector<std::uint8_t>(kBytes, 0));
+    for (std::size_t b = 0; b < kBuffers; ++b) {
+      auto id = runtime().CreateBuffer(kBytes);
+      ASSERT_TRUE(id.ok());
+      ids.push_back(*id);
+    }
+    // Write sources stay valid until their commands complete.
+    std::vector<std::vector<std::uint8_t>> sources;
+    sources.reserve(250);
+    CommandHandle tail;
+    // Waits for the op (waited pass) or just chains the next one after it.
+    auto settle = [&](const Expected<CommandHandle>& handle) {
+      ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+      if (pipelined) {
+        if (tail.valid()) ASSERT_TRUE(runtime().ReleaseCommand(tail).ok());
+        tail = *handle;
+        return;
       }
-      case 2: {  // Copy between (possibly identical) buffers.
-        const std::size_t b2 = range_in(kBuffers - 1);
-        const std::uint64_t src = range_in(kBytes - 1);
-        const std::uint64_t dst = range_in(kBytes - 1);
-        const std::uint64_t size =
-            1 + range_in(std::min(kBytes - src, kBytes - dst) - 1);
-        auto copy = runtime().SubmitCopy(ids[b], src, ids[b2], dst, size);
-        ASSERT_TRUE(copy.ok());
-        ASSERT_TRUE(runtime().Wait(*copy).ok());
-        ASSERT_TRUE(runtime().ReleaseCommand(*copy).ok());
-        std::vector<std::uint8_t> staged(
-            oracle[b].begin() + src, oracle[b].begin() + src + size);
-        std::copy(staged.begin(), staged.end(), oracle[b2].begin() + dst);
-        break;
-      }
-      case 3: {  // Partitioned launch over a random index window.
-        const std::uint64_t start = range_in(kInts - 2);
-        const std::uint64_t count = 1 + range_in(kInts - start - 1);
-        ASSERT_TRUE(runtime().SetScheduler(policies[range_in(1)]).ok());
-        ClusterRuntime::LaunchSpec spec;
-        spec.program = *program;
-        spec.kernel_name = "bump";
-        spec.args = {
-            KernelArgValue::PartitionedBuffer(ids[b], 4),
-            KernelArgValue::Scalar<std::int32_t>(
-                static_cast<std::int32_t>(start + count))};
-        spec.global[0] = count;
-        spec.global_offset[0] = start;
-        // FPGA nodes run only pre-built kernels; user-directed launches of
-        // this source kernel stick to the GPU nodes.
-        spec.preferred_node =
-            runtime().scheduler_name() == "user"
-                ? static_cast<int>(range_in(1))
-                : -1;
-        auto result = runtime().LaunchKernel(spec);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        for (std::uint64_t i = start; i < start + count; ++i) {
-          std::int32_t v;
-          std::memcpy(&v, oracle[b].data() + i * 4, 4);
-          v += 1;
-          std::memcpy(oracle[b].data() + i * 4, &v, 4);
+      ASSERT_TRUE(runtime().Wait(*handle).ok());
+      ASSERT_TRUE(runtime().ReleaseCommand(*handle).ok());
+    };
+    auto after = [&]() {
+      return tail.valid() ? std::vector<CommandHandle>{tail}
+                          : std::vector<CommandHandle>{};
+    };
+
+    std::mt19937 rng(0xD17EC70);
+    std::mt19937 device_rng(0xDE71CE);
+    auto range_in = [&rng](std::uint64_t limit) {
+      return std::uniform_int_distribution<std::uint64_t>(0, limit)(rng);
+    };
+    for (int op = 0; op < 250; ++op) {
+      const std::size_t b = range_in(kBuffers - 1);
+      switch (range_in(5)) {
+        case 0: case 1: {  // Byte-granular write, on a random device's queue.
+          const std::uint64_t offset = range_in(kBytes - 1);
+          const std::uint64_t size = 1 + range_in(kBytes - offset - 1);
+          sources.emplace_back(size);
+          std::vector<std::uint8_t>& data = sources.back();
+          for (auto& byte : data) byte = static_cast<std::uint8_t>(rng());
+          // Its own stream, so the ops drawn above are the same as without
+          // node-targeted writes.
+          const int device = std::uniform_int_distribution<int>(
+              ClusterRuntime::kClusterDevice,
+              static_cast<int>(runtime().devices().size()) - 1)(device_rng);
+          ASSERT_NO_FATAL_FAILURE(settle(runtime().SubmitWrite(
+              ids[b], offset, data.data(), size, device, {}, after())));
+          std::copy(data.begin(), data.end(), oracle[b].begin() + offset);
+          break;
         }
-        break;
-      }
-      case 4: {  // Content-preserving migration (oracle unchanged).
-        const std::uint64_t offset = range_in(kBytes - 1);
-        const std::uint64_t size = 1 + range_in(kBytes - offset - 1);
-        const int target =
-            range_in(runtime().devices().size()) == 0
-                ? ClusterRuntime::kMigrateToHost
-                : static_cast<int>(range_in(runtime().devices().size() - 1));
-        auto migrate =
-            runtime().SubmitMigrate(ids[b], {{offset, size}}, target);
-        ASSERT_TRUE(migrate.ok());
-        ASSERT_TRUE(runtime().Wait(*migrate).ok());
-        ASSERT_TRUE(runtime().ReleaseCommand(*migrate).ok());
-        break;
-      }
-      case 5: {  // Read-back a window and compare against the oracle.
-        const std::uint64_t offset = range_in(kBytes - 1);
-        const std::uint64_t size = 1 + range_in(kBytes - offset - 1);
-        std::vector<std::uint8_t> got(size);
-        ASSERT_TRUE(
-            runtime().ReadBuffer(ids[b], offset, got.data(), size).ok());
-        ASSERT_EQ(std::memcmp(got.data(), oracle[b].data() + offset, size),
-                  0)
-            << "divergence at op " << op;
-        break;
+        case 2: {  // Copy between (possibly identical) buffers.
+          const std::size_t b2 = range_in(kBuffers - 1);
+          const std::uint64_t src = range_in(kBytes - 1);
+          const std::uint64_t dst = range_in(kBytes - 1);
+          const std::uint64_t size =
+              1 + range_in(std::min(kBytes - src, kBytes - dst) - 1);
+          ASSERT_NO_FATAL_FAILURE(settle(runtime().SubmitCopy(
+              ids[b], src, ids[b2], dst, size, {}, after())));
+          std::vector<std::uint8_t> staged(
+              oracle[b].begin() + src, oracle[b].begin() + src + size);
+          std::copy(staged.begin(), staged.end(), oracle[b2].begin() + dst);
+          break;
+        }
+        case 3: {  // Partitioned launch over a random index window.
+          const std::uint64_t start = range_in(kInts - 2);
+          const std::uint64_t count = 1 + range_in(kInts - start - 1);
+          ASSERT_TRUE(runtime().SetScheduler(policies[range_in(1)]).ok());
+          ClusterRuntime::LaunchSpec spec;
+          spec.program = *program;
+          spec.kernel_name = "bump";
+          spec.args = {
+              KernelArgValue::PartitionedBuffer(ids[b], 4),
+              KernelArgValue::Scalar<std::int32_t>(
+                  static_cast<std::int32_t>(start + count))};
+          spec.global[0] = count;
+          spec.global_offset[0] = start;
+          // FPGA nodes run only pre-built kernels; user-directed launches
+          // of this source kernel stick to the GPU nodes.
+          spec.preferred_node =
+              runtime().scheduler_name() == "user"
+                  ? static_cast<int>(range_in(1))
+                  : -1;
+          ASSERT_NO_FATAL_FAILURE(
+              settle(runtime().SubmitLaunch(spec, {}, after())));
+          for (std::uint64_t i = start; i < start + count; ++i) {
+            std::int32_t v;
+            std::memcpy(&v, oracle[b].data() + i * 4, 4);
+            v += 1;
+            std::memcpy(oracle[b].data() + i * 4, &v, 4);
+          }
+          break;
+        }
+        case 4: {  // Content-preserving migration (oracle unchanged).
+          const std::uint64_t offset = range_in(kBytes - 1);
+          const std::uint64_t size = 1 + range_in(kBytes - offset - 1);
+          const int target =
+              range_in(runtime().devices().size()) == 0
+                  ? ClusterRuntime::kMigrateToHost
+                  : static_cast<int>(
+                        range_in(runtime().devices().size() - 1));
+          ASSERT_NO_FATAL_FAILURE(settle(runtime().SubmitMigrate(
+              ids[b], {{offset, size}}, target, false, {}, after())));
+          break;
+        }
+        case 5: {  // Read-back a window and compare against the oracle.
+          const std::uint64_t offset = range_in(kBytes - 1);
+          const std::uint64_t size = 1 + range_in(kBytes - offset - 1);
+          std::vector<std::uint8_t> got(size);
+          auto read = runtime().SubmitRead(ids[b], offset, got.data(), size,
+                                           {}, after());
+          ASSERT_TRUE(read.ok());
+          ASSERT_TRUE(runtime().Wait(*read).ok()) << "op " << op;
+          ASSERT_NO_FATAL_FAILURE(settle(read));
+          ASSERT_EQ(std::memcmp(got.data(), oracle[b].data() + offset, size),
+                    0)
+              << "divergence at op " << op;
+          break;
+        }
       }
     }
-  }
-  // Final full sweep: every buffer bit-identical to the oracle.
-  for (std::size_t b = 0; b < kBuffers; ++b) {
-    std::vector<std::uint8_t> got(kBytes);
-    ASSERT_TRUE(runtime().ReadBuffer(ids[b], 0, got.data(), kBytes).ok());
-    ASSERT_EQ(got, oracle[b]) << "buffer " << b;
-  }
+    ASSERT_TRUE(runtime().Finish().ok());
+    if (tail.valid()) ASSERT_TRUE(runtime().ReleaseCommand(tail).ok());
+    // Final full sweep: every buffer bit-identical to the oracle.
+    for (std::size_t b = 0; b < kBuffers; ++b) {
+      std::vector<std::uint8_t> got(kBytes);
+      ASSERT_TRUE(runtime().ReadBuffer(ids[b], 0, got.data(), kBytes).ok());
+      ASSERT_EQ(got, oracle[b]) << "buffer " << b;
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(run_pass(/*pipelined=*/false));
+  ASSERT_NO_FATAL_FAILURE(run_pass(/*pipelined=*/true));
 }
 
 // ---- Scheduler feedback loop ---------------------------------------------

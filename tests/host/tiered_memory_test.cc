@@ -177,6 +177,36 @@ TEST(TieredMemoryTest, QuotaRefusedNodeWriteReleasesTheHostCharge) {
   EXPECT_EQ(got, values);
 }
 
+// A discard migration moves no bytes, so only its reservation notice tells
+// the node; a node that refuses the notice must not become the owner, and
+// the host charge goes back.
+TEST(TieredMemoryTest, RefusedDiscardMigrationReleasesTheHostCharge) {
+  RuntimeOptions options;
+  options.tenant_mem_quota_bytes = 4096;
+  auto cluster = MakeCluster({.gpu_nodes = 2}, {}, options);
+  ASSERT_NE(cluster, nullptr);
+  auto& runtime = cluster->runtime();
+  auto buffer = runtime.CreateBuffer(8192);
+  ASSERT_TRUE(buffer.ok());
+  std::vector<std::int32_t> values(2048);
+  for (int i = 0; i < 2048; ++i) values[i] = 7 * i + 3;
+  ASSERT_TRUE(runtime.WriteBuffer(*buffer, 0, values.data(), 8192).ok());
+
+  auto migrate = runtime.SubmitMigrate(*buffer, {}, 0,
+                                       /*discard_contents=*/true);
+  ASSERT_TRUE(migrate.ok());
+  EXPECT_EQ(runtime.Wait(*migrate).code(),
+            ErrorCode::kMemObjectAllocationFailure);
+  ASSERT_TRUE(runtime.ReleaseCommand(*migrate).ok());
+  ASSERT_TRUE(runtime.Finish().ok());
+  EXPECT_EQ(cluster->server(0).bytes_resident(), 0u);
+  EXPECT_EQ(runtime.NodeMemoryStatsOf(0)->resident_bytes,
+            cluster->server(0).bytes_resident());
+  std::vector<std::int32_t> got(2048);
+  ASSERT_TRUE(runtime.ReadBuffer(*buffer, 0, got.data(), 8192).ok());
+  EXPECT_EQ(got, values);
+}
+
 TEST(TieredMemoryTest, NodeFullOfAnotherSessionReleasesTheHostCharge) {
   RuntimeOptions options;
   options.session_id = 1;

@@ -164,9 +164,10 @@ TEST(ProtocolTest, WriteBufferLengthMustMatchRemainingBytes) {
   long_frame.push_back(5);
   EXPECT_EQ(Decode<WriteBufferRequest>(long_frame).code(),
             ErrorCode::kProtocolError);
-  // A length near 2^64 must not wrap the bounds check.
+  // A length near 2^64 must not wrap the bounds check (the u64 prefix
+  // follows buffer_id, offset and after_seq).
   std::vector<std::uint8_t> hostile = exact;
-  for (std::size_t i = 16; i < 24; ++i) hostile[i] = 0xFF;
+  for (std::size_t i = 24; i < 32; ++i) hostile[i] = 0xFF;
   EXPECT_EQ(Decode<WriteBufferRequest>(hostile).code(),
             ErrorCode::kProtocolError);
 }

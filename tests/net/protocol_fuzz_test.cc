@@ -21,7 +21,8 @@ using Bytes = std::vector<std::uint8_t>;
 
 // One sample message and its payload in hex. The rows were captured from
 // the hand-written Encode functions the Fields() schema replaced; a change
-// to any row changes the wire format and bumps kProtocolVersion.
+// to any row changes the wire format and bumps kProtocolVersion. Version 4
+// added `after_seq` to the WriteBuffer, ReadBuffer and LaunchKernel rows.
 template <class T>
 struct GoldenRow {
   T message;
@@ -37,7 +38,7 @@ template <>
 std::vector<GoldenRow<HelloRequest>> GoldenRows() {
   HelloRequest m;
   m.host_name = "host-A";
-  return {{m, "06000000686f73742d4103000000"}};
+  return {{m, "06000000686f73742d4104000000"}};
 }
 
 template <>
@@ -52,7 +53,7 @@ std::vector<GoldenRow<HelloReply>> GoldenRows() {
   m.simd_width = 32;
   return {{m,
            "040000006770753301080000005465736c6120503400000000807cb54000000000"
-           "0008684000000000020000002000000003000000"}};
+           "0008684000000000020000002000000004000000"}};
 }
 
 template <>
@@ -65,13 +66,18 @@ std::vector<GoldenRow<WriteBufferRequest>> GoldenRows() {
   WriteBufferRequest m;
   m.buffer_id = 12;
   m.offset = 128;
+  m.after_seq = 7;
   m.data = kWriteBytes;
-  return {{m, "0c0000000000000080000000000000000300000000000000090807"}};
+  return {{m,
+           "0c00000000000000800000000000000007000000000000000300000000000000"
+           "090807"}};
 }
 
 template <>
 std::vector<GoldenRow<ReadBufferRequest>> GoldenRows() {
-  return {{{13, 64, 256}, "0d0000000000000040000000000000000001000000000000"}};
+  return {{{13, 64, 256, 9},
+           "0d000000000000004000000000000000000100000000000009000000000000"
+           "00"}};
 }
 
 template <>
@@ -143,6 +149,7 @@ LaunchKernelRequest SampleLaunch() {
   m.local[1] = 8;
   m.global_offset[0] = 64;
   m.local_specified = true;
+  m.after_seq = 5;
   return m;
 }
 
@@ -159,14 +166,14 @@ std::vector<GoldenRow<LaunchKernelRequest>> GoldenRows() {
            "000080020000000000000104000000000000000001000002000400000000000002"
            "000000000100000000000080000000000000000100000000000000100000000000"
            "000008000000000000000100000000000000400000000000000000000000000000"
-           "0000000000000000000100"},
+           "00000000000000000001050000000000000000"},
           {hinted,
            "0300000000000000020000006d6d03000000001100000000000000800000000000"
            "000080020000000000000104000000000000000001000002000400000000000002"
            "000000000100000000000080000000000000000100000000000000100000000000"
            "000008000000000000000100000000000000400000000000000000000000000000"
-           "0000000000000000000101000000205fa0e2410000000080842e41000100000000"
-           "000001"}};
+           "00000000000000000001050000000000000001000000205fa0e241000000008084"
+           "2e41000100000000000001"}};
 }
 
 template <>

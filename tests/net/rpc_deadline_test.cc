@@ -1,8 +1,8 @@
 // RPC call deadlines: a call to a peer that never answers fails with
-// kNetworkError once Call's own timeout expires — the error on which the
-// elastic coordinator probes the node before declaring it lost. Neither
-// the timeout nor Close returns a call while its reply is still landing in
-// the caller's destination.
+// kNetworkError once its timeout expires — Call's, or Await's for a call
+// sent with CallAsync — the error on which the elastic coordinator fails
+// the node over. Neither the timeout nor Close returns a call while its
+// reply is still landing in the caller's destination.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,6 +32,25 @@ TEST(RpcDeadlineTest, UnansweredCallFailsAtItsTimeout) {
             std::string::npos)
       << reply.status().message();
   // It fired on the call's timeout, not on the 30 s default.
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+}
+
+TEST(RpcDeadlineTest, UnansweredAsyncCallFailsAtAwaitsTimeout) {
+  auto [host_end, node_end] = CreateSimChannel();
+  RpcClient client(std::move(host_end));
+  // Sent now under a reserved seq, awaited later: the deadline runs from
+  // the Await.
+  const std::uint64_t seq = client.ReserveSeq();
+  auto future = client.CallAsync(MsgType::kLaunchKernel, 1, {}, {}, {}, seq);
+  const auto start = std::chrono::steady_clock::now();
+  auto reply = client.Await(seq, future, std::chrono::milliseconds(50));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), ErrorCode::kNetworkError);
+  EXPECT_NE(reply.status().message().find(MsgTypeName(MsgType::kLaunchKernel)),
+            std::string::npos)
+      << reply.status().message();
+  EXPECT_GE(elapsed, std::chrono::milliseconds(50));
   EXPECT_LT(elapsed, std::chrono::seconds(5));
 }
 
@@ -108,10 +127,18 @@ struct LandingCall {
   bool stopped_first = false;
   std::thread thread;
 
+  // `async`: CallAsync, then Await, instead of Call.
   void Start(RpcClient& client, StallingConnection& fake,
-             std::chrono::milliseconds timeout) {
-    thread = std::thread([this, &client, &fake, timeout] {
-      reply = client.Call(MsgType::kReadBuffer, 1, {}, timeout, {}, dest);
+             std::chrono::milliseconds timeout, bool async = false) {
+    thread = std::thread([this, &client, &fake, timeout, async] {
+      if (async) {
+        const std::uint64_t seq = client.ReserveSeq();
+        auto future =
+            client.CallAsync(MsgType::kReadBuffer, 1, {}, {}, dest, seq);
+        reply = client.Await(seq, future, timeout);
+      } else {
+        reply = client.Call(MsgType::kReadBuffer, 1, {}, timeout, {}, dest);
+      }
       stopped_first = fake.stopped.load();
       returned = true;
     });
@@ -126,6 +153,22 @@ TEST(RpcDeadlineTest, CallTimeoutWaitsOutALandingReply) {
   call.Start(client, fake, std::chrono::milliseconds(20));
   ASSERT_TRUE(fake.half_landed.Wait());
   // Far past the call's own timeout: it still must not return.
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  EXPECT_FALSE(call.returned.load());
+  fake.resume.Set(true);
+  call.thread.join();
+  EXPECT_TRUE(call.stopped_first);
+  EXPECT_EQ(call.reply.code(), ErrorCode::kNetworkError);
+  client.Close();
+}
+
+TEST(RpcDeadlineTest, AwaitTimeoutWaitsOutALandingReply) {
+  auto connection = std::make_unique<StallingConnection>();
+  StallingConnection& fake = *connection;
+  RpcClient client(std::move(connection));
+  LandingCall call;
+  call.Start(client, fake, std::chrono::milliseconds(20), /*async=*/true);
+  ASSERT_TRUE(fake.half_landed.Wait());
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   EXPECT_FALSE(call.returned.load());
   fake.resume.Set(true);

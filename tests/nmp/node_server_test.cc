@@ -186,7 +186,8 @@ TEST_F(NodeServerTest, HostileElementCountRejectedWithoutCrash) {
 }
 
 TEST_F(NodeServerTest, HelloWithOtherProtocolVersionRejected) {
-  // An older peer (one that still sends elastic tags) and a newer one.
+  // An older peer (version 3, whose requests carry no after_seq) and a
+  // newer one.
   for (std::uint32_t version :
        {net::kProtocolVersion - 1, net::kProtocolVersion + 1}) {
     SCOPED_TRACE(version);
@@ -371,6 +372,97 @@ struct TcpPeerPair {
     }
   }
 };
+
+constexpr char kSaxpySource[] = R"(
+  __kernel void soak_saxpy(__global float* y, __global const float* x,
+                           float a) {
+    int i = get_global_id(0);
+    y[i] = a * x[i] + y[i];
+  })";
+
+// perfbench's launch_small triple on node 0's queue, submitted as the
+// OpenCL shim does: a non-blocking write, a launch ordered after it and a
+// read ordered after the launch, then a wait on the read. Every 100th
+// iteration of `gated` runs behind a user event.
+void SoakLaunchSmall(host::ClusterRuntime& runtime, int iterations,
+                     bool gated) {
+  using host::CommandHandle;
+  constexpr std::size_t kItems = 1024;
+  constexpr std::size_t kBytes = kItems * sizeof(float);
+  constexpr float kA = 0.5f;
+  constexpr int kPool = 4;
+  auto program = runtime.BuildProgram(kSaxpySource);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  auto x = runtime.CreateBuffer(kBytes);
+  auto y = runtime.CreateBuffer(kBytes);
+  ASSERT_TRUE(x.ok() && y.ok());
+  std::vector<float> x_in(kItems);
+  std::vector<std::vector<float>> y_in(kPool, std::vector<float>(kItems));
+  std::vector<std::vector<float>> expected(kPool, std::vector<float>(kItems));
+  for (std::size_t i = 0; i < kItems; ++i) x_in[i] = 0.125f * i;
+  for (int p = 0; p < kPool; ++p) {
+    for (std::size_t i = 0; i < kItems; ++i) {
+      y_in[p][i] = static_cast<float>(p) - 0.25f * i;
+      expected[p][i] = kA * x_in[i] + y_in[p][i];
+    }
+  }
+  auto wrote_x = runtime.SubmitWrite(*x, 0, x_in.data(), kBytes, 0);
+  ASSERT_TRUE(wrote_x.ok());
+  ASSERT_TRUE(runtime.Wait(*wrote_x).ok());
+  host::ClusterRuntime::LaunchSpec spec;
+  spec.program = *program;
+  spec.kernel_name = "soak_saxpy";
+  spec.args = {host::KernelArgValue::Buffer(*y),
+               host::KernelArgValue::Buffer(*x),
+               host::KernelArgValue::Scalar<float>(kA)};
+  spec.global[0] = kItems;
+  spec.local[0] = 64;
+  spec.local_specified = true;
+  spec.preferred_node = 0;
+  CommandHandle tail = *wrote_x;
+  std::vector<float> out(kItems);
+  for (int i = 0; i < iterations; ++i) {
+    const int p = i % kPool;
+    CommandHandle gate;
+    std::vector<CommandHandle> deps;
+    if (gated && i % 100 == 0) {
+      auto marker = runtime.SubmitMarker();
+      ASSERT_TRUE(marker.ok());
+      gate = *marker;
+      deps.push_back(gate);
+    }
+    auto write = runtime.SubmitWrite(*y, 0, y_in[p].data(), kBytes, 0, deps,
+                                     {tail});
+    ASSERT_TRUE(write.ok());
+    auto launch = runtime.SubmitLaunch(spec, {}, {*write});
+    ASSERT_TRUE(launch.ok());
+    auto read = runtime.SubmitRead(*y, 0, out.data(), kBytes, {}, {*launch});
+    ASSERT_TRUE(read.ok());
+    if (gate.valid()) {
+      ASSERT_TRUE(runtime.CompleteMarker(gate).ok());
+      ASSERT_TRUE(runtime.ReleaseCommand(gate).ok());
+    }
+    ASSERT_TRUE(runtime.Wait(*read).ok()) << "iteration " << i;
+    ASSERT_EQ(out, expected[p]) << "iteration " << i;
+    for (const CommandHandle& done : {tail, *write, *launch}) {
+      ASSERT_TRUE(runtime.ReleaseCommand(done).ok());
+    }
+    tail = *read;
+  }
+  ASSERT_TRUE(runtime.ReleaseCommand(tail).ok());
+  ASSERT_TRUE(runtime.Finish().ok());
+}
+
+// The issue-ahead chain over real sockets, long enough to catch a lost
+// wakeup: ctest's TIMEOUT fails a hang instead of stalling the job.
+TEST(NodeServerTcpTest, LaunchSmallTripleSoaksOverRealSockets) {
+  TcpPeerPair pair;
+  ASSERT_NO_FATAL_FAILURE(pair.Start());
+  ASSERT_NO_FATAL_FAILURE(
+      SoakLaunchSmall(*pair.runtime, 10000, /*gated=*/false));
+  ASSERT_NO_FATAL_FAILURE(
+      SoakLaunchSmall(*pair.runtime, 10000, /*gated=*/true));
+}
 
 constexpr char kBumpSource[] = R"(
   __kernel void bump(__global int* data, int n) {
@@ -578,14 +670,24 @@ class NodeServerLandingTest : public ::testing::TestWithParam<bool> {
   }
 
   // A kWriteBuffer frame whose length prefix claims `claimed` bytes while
-  // `data` follows it.
+  // `data` follows it, issued behind `after_seq`.
   Status Write(std::uint64_t id, std::uint64_t offset, std::uint64_t claimed,
-               const Bytes& data) {
+               const Bytes& data, std::uint64_t after_seq = 0) {
     WireWriter prefix;
     prefix.WriteU64(id);
     prefix.WriteU64(offset);
+    prefix.WriteU64(after_seq);
     prefix.WriteU64(claimed);
     return Call(MsgType::kWriteBuffer, prefix.bytes(), data);
+  }
+
+  // Sends `payload` and returns the reply with the seq it went out as.
+  std::pair<std::uint64_t, Expected<Message>> Numbered(MsgType type,
+                                                       const Bytes& payload) {
+    const std::uint64_t seq = client_->ReserveSeq();
+    auto future = client_->CallAsync(type, kSession, payload, {}, {}, seq);
+    return {seq,
+            client_->Await(seq, future, net::RpcClient::kDefaultCallTimeout)};
   }
 
   Bytes Read(std::uint64_t id, std::uint64_t size) {
@@ -753,6 +855,59 @@ TEST_P(NodeServerLandingTest, PeerSliceLandsInTheReplicaAndAShortOneFails) {
   EXPECT_EQ(Read(1, 64), expected);
   EXPECT_TRUE(Call(MsgType::kHeartbeat, {}).ok());
   peer_end->Close();
+}
+
+TEST_P(NodeServerLandingTest, RequestsBehindAFailureAreSkippedUntouched) {
+  const net::CreateBufferRequest create{1, 64};
+  ASSERT_TRUE(Call(MsgType::kCreateBuffer, net::Encode(create)).ok());
+  const Bytes before(64, 0x11);
+  ASSERT_TRUE(Write(1, 0, 64, before).ok());
+
+  // A read past the end fails, as request `failed`.
+  const net::ReadBufferRequest past_end{1, 60, 16, 0};
+  const auto [failed, refused] =
+      Numbered(MsgType::kReadBuffer, net::Encode(past_end));
+  ASSERT_EQ(net::CheckReply(refused, MsgType::kReadReply).code(),
+            ErrorCode::kInvalidValue);
+
+  // Requests issued behind it, or behind an earlier one, are answered
+  // kDependencyFailed and run nothing: the write (which would land in the
+  // replica, heading an idle connection) leaves the bytes as they were,
+  // and the launch never reaches the session, which would have refused
+  // its unknown program.
+  const Bytes after(64, 0x22);
+  for (std::uint64_t after_seq : {failed, failed - 1}) {
+    SCOPED_TRACE(after_seq);
+    EXPECT_EQ(Write(1, 0, 64, after, after_seq).code(),
+              ErrorCode::kDependencyFailed);
+    net::LaunchKernelRequest launch;
+    launch.program_id = 99;
+    launch.kernel_name = "missing";
+    launch.after_seq = after_seq;
+    EXPECT_EQ(net::CheckReply(client_->Call(MsgType::kLaunchKernel, kSession,
+                                            net::Encode(launch)),
+                              MsgType::kLaunchReply)
+                  .code(),
+              ErrorCode::kDependencyFailed);
+    const net::ReadBufferRequest read{1, 0, 64, after_seq};
+    EXPECT_EQ(net::CheckReply(client_->Call(MsgType::kReadBuffer, kSession,
+                                            net::Encode(read)),
+                              MsgType::kReadReply)
+                  .code(),
+              ErrorCode::kDependencyFailed);
+  }
+  EXPECT_EQ(Read(1, 64), before);
+  EXPECT_EQ(server_->kernels_executed(), 0u);
+
+  // Behind a request newer than every failure and skip, they run.
+  const auto [fine, answered] = Numbered(
+      MsgType::kReadBuffer, net::Encode(net::ReadBufferRequest{1, 0, 64, 0}));
+  ASSERT_TRUE(net::CheckReply(answered, MsgType::kReadReply).ok());
+  EXPECT_TRUE(Write(1, 0, 64, after, fine).ok());
+  const net::ReadBufferRequest read{1, 0, 64, fine};
+  auto got = client_->Call(MsgType::kReadBuffer, kSession, net::Encode(read));
+  ASSERT_TRUE(net::CheckReply(got, MsgType::kReadReply).ok());
+  EXPECT_EQ(got->payload, after);
 }
 
 INSTANTIATE_TEST_SUITE_P(Links, NodeServerLandingTest, ::testing::Bool(),

@@ -197,16 +197,17 @@ void ChooseLocalSize(NDRange& range, const CompiledFunction* kernel) noexcept {
   while (size < cap && range.global[0] % (size * 2) == 0) size *= 2;
   if (wide && size < cap) {
     // Odd dim-0 extents still deserve wide batches: largest divisor <= cap,
-    // preferring a SIMD-width multiple so the vector tier runs full chunks
-    // instead of scalar tails (e.g. 500 -> 100, not 250).
+    // preferring a vector-width multiple so the vector tier runs full
+    // chunks instead of scalar tails (e.g. 500 -> 100, not 250). Every
+    // backend runs the same 4-lane chunks, so every host picks the same
+    // shape: get_local_size() never depends on the host ISA.
     std::uint64_t best = size;
     std::uint64_t best_vec = 0;
     for (std::uint64_t d = std::min<std::uint64_t>(cap, range.global[0]);
          d > size; --d) {
       if (range.global[0] % d != 0) continue;
       if (best == size) best = d;  // Largest divisor of any alignment.
-      if (simd::kEnabled &&
-          d % static_cast<std::uint64_t>(simd::kWidth) == 0) {
+      if (d % static_cast<std::uint64_t>(simd::kWidth) == 0) {
         best_vec = d;  // Largest vector-width-multiple divisor.
         break;
       }

@@ -8,10 +8,12 @@
 //  - kBatched (default): the whole group runs in lockstep as one lane
 //    batch — each instruction is dispatched once and applied to every
 //    work-item through a contiguous-lane inner loop over SoA operand
-//    stacks; hot loops run on simd.h's 4-lane vectors (its scalar backend
-//    when the build forces one). barrier() is just the end of a batch
-//    step. When a branch condition diverges across lanes the engine masks
-//    a short guard or bails out to the interpreter. See docs/vm.md.
+//    stacks; hot loops and the fused superops run on simd.h's 4-lane
+//    vectors (its scalar backend when the build forces one), and a fused
+//    op whose vector body cannot run steps its instructions instead.
+//    barrier() is just the end of a batch step. When a branch condition
+//    diverges across lanes the engine masks a short guard or bails out to
+//    the interpreter. See docs/vm.md.
 //  - kInterpreter: the original one-work-item-at-a-time interpreter; each
 //    item runs until it finishes or reaches a barrier(), where its machine
 //    state (pc, operand stack, locals, frames) is suspended until the whole
@@ -127,7 +129,9 @@ struct VmStats {
   std::uint64_t instructions = 0;  // Work-item instructions executed.
   std::uint64_t batch_steps = 0;   // Batched dispatches (1 per instruction
                                    // per GROUP, not per item).
-  std::uint64_t fused_steps = 0;   // Batched dispatches through a fused op.
+  std::uint64_t fused_steps = 0;   // Batched dispatches through a fused op
+                                   // (subset of simd_steps: every fused
+                                   // dispatch runs a vector body).
   std::uint64_t simd_steps = 0;    // Batched dispatches that took a vector
                                    // path (subset of batch_steps).
   std::uint64_t masked_steps = 0;  // Instructions executed under a partial

@@ -15,7 +15,9 @@
 // lanes % 4 in scalar transcription, so any group width takes the same path.
 // Conversions, work-item queries and memory ops run as typed rows: the
 // shared helper instantiated with compile-time types, its switch hoisted
-// out of the lane loop.
+// out of the lane loop. A fused superop is a vector body or nothing: where
+// its body cannot prove every lane exact, the engine steps the op's
+// instructions, so StepOp is the engine's one scalar implementation.
 //
 // When a branch condition disagrees across lanes (or a callee lacks batch
 // metadata) the engine bails out: it materializes one legacy ItemState per
@@ -624,41 +626,6 @@ Status BuiltinRow(LaneBatch& b, GroupContext& grp, const Instruction& instr,
   return Status::Ok();
 }
 
-// One lane of an IndexedLoad: recomputes exactly what the replaced
-// bytecode would have — i32 wrap arithmetic for the two-term index, the
-// sign-extending convert, kPtrAdd's offset masking — then resolves and
-// loads. Everything reads locals; nothing touches the operand stack.
-inline Expected<Value> IndexedLoadLane(LaneBatch& b, GroupContext& grp,
-                                       const IndexedLoad& ld,
-                                       std::uint32_t lane) {
-  auto local_at = [&](std::int32_t slot) {
-    return LocalRow(b, b.base + slot)[lane];
-  };
-  Value iv;
-  if (ld.s2 >= 0) {
-    // locals[s1]*locals[s2]+locals[s3], i32 with wrap (as kMul/kAdd).
-    const std::int32_t m = static_cast<std::int32_t>(
-        static_cast<std::uint32_t>(local_at(ld.s1).i) *
-        static_cast<std::uint32_t>(local_at(ld.s2).i));
-    Value idx32;
-    idx32.i = static_cast<std::int32_t>(
-        static_cast<std::uint32_t>(m) +
-        static_cast<std::uint32_t>(local_at(ld.s3).i));
-    iv = ConvertValue(idx32, ld.idx, ScalarType::kI64);
-  } else {
-    iv = ConvertValue(local_at(ld.s1), ld.idx, ScalarType::kI64);
-  }
-  const std::uint64_t base = local_at(ld.base).u;
-  const std::uint64_t offset =
-      PointerOffset(base) +
-      static_cast<std::uint64_t>(iv.i) * static_cast<std::uint64_t>(ld.esize);
-  const std::uint64_t addr =
-      (base & ~kPtrOffsetMask) | (offset & kPtrOffsetMask);
-  auto mem = ResolveLanePtr(addr, ScalarSize(ld.elem), lane, b, grp);
-  if (!mem.ok()) return mem.status();
-  return LoadScalar(*mem, ld.elem);
-}
-
 // A dispatch-uniform global base for an IndexedLoad. The base pointer is
 // normally a broadcast kernel parameter, identical in every lane — then the
 // region resolves ONCE and the lane loop is offset + bounds check + load,
@@ -753,7 +720,7 @@ inline std::int32_t LaneIndex(const IndexRows& rows, std::uint32_t l) {
 // Computes the lane element indices, prechecks the whole chunk against the
 // buffer bounds, and classifies the layout. A failed precheck — any index
 // that could trap or wrap through kPtrAdd's offset mask — returns !ok and
-// the caller falls back to the exact per-lane slow path. On success the
+// the engine steps the bytecode instead. On success the
 // precheck guarantees base_off + idx*esize stays within [0, size - esize]
 // and below kPtrOffsetMask for every lane, so the masked pointer arithmetic
 // is the identity and loads cannot trap.
@@ -768,10 +735,6 @@ inline std::int32_t LaneIndex(const IndexRows& rows, std::uint32_t l) {
 LanePlan ClassifyLaneIndices(LaneBatch& b, const IndexedLoad& ld,
                              const UniformBase& ub, std::int32_t* scratch) {
   LanePlan plan;
-  if (ld.idx != ScalarType::kI32 ||
-      ld.esize != static_cast<std::int32_t>(ScalarSize(ld.elem))) {
-    return plan;  // Only the i32-index shape is classified.
-  }
   const std::uint32_t lanes = b.lanes;
   const IndexRows rows = RowsFor(b, ld);
   const std::uint64_t esize = static_cast<std::uint64_t>(ld.esize);
@@ -908,8 +871,8 @@ inline simd::VecF64 LoadF64Lanes(const std::uint8_t* base, const LanePlan& p,
 }
 
 // Vector path for a fused kIndexedLoad: classify the lane offsets once,
-// then load whole chunks. Falls back (returns false) when classification
-// fails — unusual index type, possible trap, non-global base.
+// then load whole chunks. Returns false, having written nothing, when
+// classification fails (an index that could trap or wrap).
 bool SimdIndexedLoad(LaneBatch& b, const IndexedLoad& ld,
                      const UniformBase& ub, Value* out) {
   const LanePlan plan =
@@ -983,7 +946,8 @@ bool SimdIndexedLoad(LaneBatch& b, const IndexedLoad& ld,
 
 // Vector path for the fused MAC superop (acc += a[i]*b[j], f32/f64).
 // MAC stays mul-then-add — two roundings, never an FMA — so results are
-// byte-identical to the interpreter's kMul/kAdd pair.
+// byte-identical to the interpreter's kMul/kAdd pair. Returns false,
+// having written nothing, when either load's classification fails.
 bool SimdMac(LaneBatch& b, const FusedOp& op, const UniformBase& uba,
              const UniformBase& ubb, Value* acc) {
   const LanePlan pa =
@@ -1024,30 +988,27 @@ bool SimdMac(LaneBatch& b, const FusedOp& op, const UniformBase& uba,
     }
     return true;
   }
-  if (op.type == ScalarType::kF64) {
-    const simd::VecF64 ba =
-        bca ? LoadF64Lanes(abase, pa, 0) : simd::VecF64::Broadcast(0.0);
-    const simd::VecF64 bb =
-        bcb ? LoadF64Lanes(bbase, pb, 0) : simd::VecF64::Broadcast(0.0);
-    for (std::uint32_t c = 0; c < vec; c += 4) {
-      const simd::VecF64 xa = bca ? ba : LoadF64Lanes(abase, pa, c);
-      const simd::VecF64 xb = bcb ? bb : LoadF64Lanes(bbase, pb, c);
-      const simd::VecF64 m = simd::Mul(xa, xb);
-      const simd::VecF64 r = simd::Add(simd::VecF64::Load(&acc[c].f), m);
-      r.Store(&acc[c].f);
-    }
-    for (std::uint32_t l = vec; l < lanes; ++l) {
-      double xa;
-      double xb;
-      std::memcpy(&xa, abase + static_cast<std::int64_t>(pa.idx[l]) * 8, 8);
-      std::memcpy(&xb, bbase + static_cast<std::int64_t>(pb.idx[l]) * 8, 8);
-      const double m = xa * xb;
-      const double r = acc[l].f + m;
-      acc[l].f = r;
-    }
-    return true;
+  const simd::VecF64 ba =
+      bca ? LoadF64Lanes(abase, pa, 0) : simd::VecF64::Broadcast(0.0);
+  const simd::VecF64 bb =
+      bcb ? LoadF64Lanes(bbase, pb, 0) : simd::VecF64::Broadcast(0.0);
+  for (std::uint32_t c = 0; c < vec; c += 4) {
+    const simd::VecF64 xa = bca ? ba : LoadF64Lanes(abase, pa, c);
+    const simd::VecF64 xb = bcb ? bb : LoadF64Lanes(bbase, pb, c);
+    const simd::VecF64 m = simd::Mul(xa, xb);
+    const simd::VecF64 r = simd::Add(simd::VecF64::Load(&acc[c].f), m);
+    r.Store(&acc[c].f);
   }
-  return false;
+  for (std::uint32_t l = vec; l < lanes; ++l) {
+    double xa;
+    double xb;
+    std::memcpy(&xa, abase + static_cast<std::int64_t>(pa.idx[l]) * 8, 8);
+    std::memcpy(&xb, bbase + static_cast<std::int64_t>(pb.idx[l]) * 8, 8);
+    const double m = xa * xb;
+    const double r = acc[l].f + m;
+    acc[l].f = r;
+  }
+  return true;
 }
 
 // ------------------------------------------------- Counted-loop superop
@@ -1079,10 +1040,7 @@ bool PlanTripLoad(LaneBatch& b, GroupContext& grp, const FusedOp& mac,
                   std::int64_t c, TripLoad* out) {
   const IndexedLoad& ld = mac.ld[which];
   const UniformBase ub = ResolveUniformBase(b, grp, ld.base, ld.base_uniform);
-  if (ld.elem != mac.type || !ub.ok ||
-      (ld.s1 == k) + (ld.s2 == k) + (ld.s3 == k) > 1) {
-    return false;
-  }
+  if (!ub.ok || (ld.s1 == k) + (ld.s2 == k) + (ld.s3 == k) > 1) return false;
   std::int32_t m = 0;  // Elements per unit of k.
   if (ld.s3 == k || (ld.s1 == k && ld.s2 < 0)) {
     m = 1;
@@ -1237,187 +1195,56 @@ bool TryCountedLoop(LaneBatch& b, GroupContext& grp, const BatchPlan& plan,
   return true;
 }
 
-// Executes one fused superop over all lanes. The caller already charged the
-// budget and verified the pattern applies at b.pc.
-Status RunFused(LaneBatch& b, GroupContext& grp, const FusedOp& op,
-                BatchGroupStats& stats) {
+// Runs one fused superop's vector body over all lanes. Returns false having
+// changed nothing when the body cannot prove every lane exact (a base that
+// is not one global buffer, an index that could trap or wrap); the caller
+// then steps the op's instructions.
+bool TryFused(LaneBatch& b, GroupContext& grp, const FusedOp& op) {
   const std::uint32_t lanes = b.lanes;
   switch (op.kind) {
-    case FusedOp::Kind::kLoadLocalPair: {
-      std::memcpy(Row(b, b.sp), LocalRow(b, b.base + op.a),
-                  sizeof(Value) * lanes);
-      std::memcpy(Row(b, b.sp + 1), LocalRow(b, b.base + op.b),
-                  sizeof(Value) * lanes);
-      b.sp += 2;
-      return Status::Ok();
-    }
-    case FusedOp::Kind::kMulAdd: {
-      Value* acc = Row(b, b.sp - 3);
-      const Value* x = Row(b, b.sp - 2);
-      const Value* y = Row(b, b.sp - 1);
-      if (op.type == ScalarType::kF32) {
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          // Two separate float roundings, exactly as kMul then kAdd.
-          const float m = static_cast<float>(x[l].f) *
-                          static_cast<float>(y[l].f);
-          const float r = static_cast<float>(acc[l].f) + m;
-          acc[l].f = r;
-        }
-      } else if (op.type == ScalarType::kF64) {
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          const double m = x[l].f * y[l].f;
-          const double r = acc[l].f + m;
-          acc[l].f = r;
-        }
-      } else {
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          Value m;
-          Status s = EvalBinary(Opcode::kMul, op.type, x[l], y[l], &m);
-          if (s.ok()) s = EvalBinary(Opcode::kAdd, op.type, acc[l], m, &acc[l]);
-          if (!s.ok()) return s;  // Unreachable: int mul/add never trap.
-        }
-      }
-      b.sp -= 2;
-      return Status::Ok();
-    }
-    case FusedOp::Kind::kConvertPtrAddLoad:
-    case FusedOp::Kind::kPtrAddLoad: {
-      // The three (or two) replaced instructions, row after row.
-      Value* ptr = Row(b, b.sp - 2);
-      Value* idx = Row(b, --b.sp);
-      if (op.kind == FusedOp::Kind::kConvertPtrAddLoad) {
-        ConvertRow(idx, op.idx_type, ScalarType::kI64, lanes);
-      }
-      PtrAddRow(ptr, idx, op.a, nullptr, lanes);
-      return MemRow(b, grp, op.type, ptr, nullptr, nullptr);
-    }
-    case FusedOp::Kind::kLocalAddConst: {
-      Value* row = LocalRow(b, b.base + op.a);
-      // i32 +/- const (the classic k++): exact EvalBinary wrap math, no
-      // per-lane call.
-      if (op.type == ScalarType::kI32 &&
-          (op.op == Opcode::kAdd || op.op == Opcode::kSub)) {
-        const std::uint32_t c = static_cast<std::uint32_t>(op.constant.i);
-        const simd::VecI32 vc =
-            simd::VecI32::Broadcast(static_cast<std::int32_t>(c));
-        const std::uint32_t vec = lanes & ~3u;
-        std::uint32_t l = 0;
-        if (op.op == Opcode::kAdd) {
-          for (; l < vec; l += 4) {
-            simd::Add(simd::VecI32::LoadLow64(row + l), vc)
-                .StoreSignExt64(row + l);
-          }
-        } else {
-          for (; l < vec; l += 4) {
-            simd::Sub(simd::VecI32::LoadLow64(row + l), vc)
-                .StoreSignExt64(row + l);
-          }
-        }
-        ++stats.simd_steps;
-        if (op.op == Opcode::kAdd) {
-          for (; l < lanes; ++l) {
-            row[l].i = static_cast<std::int32_t>(
-                static_cast<std::uint32_t>(row[l].i) + c);
-          }
-        } else {
-          for (; l < lanes; ++l) {
-            row[l].i = static_cast<std::int32_t>(
-                static_cast<std::uint32_t>(row[l].i) - c);
-          }
-        }
-        return Status::Ok();
-      }
-      for (std::uint32_t l = 0; l < lanes; ++l) {
-        Status s = EvalBinary(op.op, op.type, row[l], op.constant, &row[l]);
-        if (!s.ok()) return s;  // Unreachable: add/sub never trap.
-      }
-      return Status::Ok();
-    }
     case FusedOp::Kind::kIndexedLoad: {
       const IndexedLoad& ld = op.ld[0];
-      Value* out = Row(b, b.sp++);
       const UniformBase ub =
           ResolveUniformBase(b, grp, ld.base, ld.base_uniform);
-      if (ub.ok && SimdIndexedLoad(b, ld, ub, out)) {
-        ++stats.simd_steps;
-        return Status::Ok();
-      }
-      for (std::uint32_t l = 0; l < lanes; ++l) {
-        auto v = IndexedLoadLane(b, grp, ld, l);
-        if (!v.ok()) return v.status();
-        out[l] = *v;
-      }
-      return Status::Ok();
+      if (!ub.ok || !SimdIndexedLoad(b, ld, ub, Row(b, b.sp))) return false;
+      ++b.sp;
+      return true;
     }
     case FusedOp::Kind::kMacLocal: {
       // locals[a] += load(ld[0]) * load(ld[1]) — the entire MAC loop body
-      // in one per-lane pass, no operand-stack traffic at all.
-      Value* acc = LocalRow(b, b.base + op.a);
+      // in one pass, no operand-stack traffic at all.
       const IndexedLoad& lda = op.ld[0];
       const IndexedLoad& ldb = op.ld[1];
-      if (op.type == ScalarType::kF32 || op.type == ScalarType::kF64) {
-        const UniformBase sa =
-            ResolveUniformBase(b, grp, lda.base, lda.base_uniform);
-        const UniformBase sb =
-            ResolveUniformBase(b, grp, ldb.base, ldb.base_uniform);
-        if (sa.ok && sb.ok && SimdMac(b, op, sa, sb, acc)) {
-          ++stats.simd_steps;
-          return Status::Ok();
-        }
-      }
-      if (op.type == ScalarType::kF32) {
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          auto x = IndexedLoadLane(b, grp, op.ld[0], l);
-          if (!x.ok()) return x.status();
-          auto y = IndexedLoadLane(b, grp, op.ld[1], l);
-          if (!y.ok()) return y.status();
-          // Two separate float roundings, exactly as kMul then kAdd.
-          const float m = static_cast<float>(x->f) * static_cast<float>(y->f);
-          const float r = static_cast<float>(acc[l].f) + m;
-          acc[l].f = r;
-        }
-      } else if (op.type == ScalarType::kF64) {
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          auto x = IndexedLoadLane(b, grp, op.ld[0], l);
-          if (!x.ok()) return x.status();
-          auto y = IndexedLoadLane(b, grp, op.ld[1], l);
-          if (!y.ok()) return y.status();
-          const double m = x->f * y->f;
-          const double r = acc[l].f + m;
-          acc[l].f = r;
-        }
-      } else {
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          auto x = IndexedLoadLane(b, grp, op.ld[0], l);
-          if (!x.ok()) return x.status();
-          auto y = IndexedLoadLane(b, grp, op.ld[1], l);
-          if (!y.ok()) return y.status();
-          Value m;
-          Status s = EvalBinary(Opcode::kMul, op.type, *x, *y, &m);
-          if (s.ok()) s = EvalBinary(Opcode::kAdd, op.type, acc[l], m, &acc[l]);
-          if (!s.ok()) return s;  // Unreachable: int mul/add never trap.
-        }
-      }
-      return Status::Ok();
+      const UniformBase sa =
+          ResolveUniformBase(b, grp, lda.base, lda.base_uniform);
+      const UniformBase sb =
+          ResolveUniformBase(b, grp, ldb.base, ldb.base_uniform);
+      return sa.ok && sb.ok &&
+             SimdMac(b, op, sa, sb, LocalRow(b, b.base + op.a));
     }
-    case FusedOp::Kind::kCompareLocals: {
-      const Value* lhs = LocalRow(b, b.base + op.a);
-      const Value* rhs = LocalRow(b, b.base + op.b);
-      Value* out = Row(b, b.sp++);
-      if (op.type == ScalarType::kI32) {
-        SimdCompareI32Rows(op.op, lhs, rhs, out, lanes);
-        ++stats.simd_steps;
-        return Status::Ok();
+    case FusedOp::Kind::kCompareLocals:
+      SimdCompareI32Rows(op.op, LocalRow(b, b.base + op.a),
+                         LocalRow(b, b.base + op.b), Row(b, b.sp++), lanes);
+      return true;
+    case FusedOp::Kind::kLocalAddConst: {
+      // The classic k++: EvalBinary's exact i32 wrap, no per-lane call.
+      Value* row = LocalRow(b, b.base + op.a);
+      const auto c = static_cast<std::uint32_t>(op.constant.i);
+      const simd::VecI32 vc =
+          simd::VecI32::Broadcast(static_cast<std::int32_t>(c));
+      const std::uint32_t vec = lanes & ~3u;
+      for (std::uint32_t l = 0; l < vec; l += 4) {
+        simd::Add(simd::VecI32::LoadLow64(row + l), vc)
+            .StoreSignExt64(row + l);
       }
-      for (std::uint32_t l = 0; l < lanes; ++l) {
-        Value v;
-        v.i = EvalCompare(op.op, op.type, lhs[l], rhs[l]) ? 1 : 0;
-        out[l] = v;
+      for (std::uint32_t l = vec; l < lanes; ++l) {
+        row[l].i = static_cast<std::int32_t>(
+            static_cast<std::uint32_t>(row[l].i) + c);
       }
-      return Status::Ok();
+      return true;
     }
   }
-  return Status(ErrorCode::kInternal, "bad fused op");
+  return false;
 }
 
 // Executes one maskable instruction (IsMaskableOp) over every lane, or,
@@ -1638,22 +1465,22 @@ Status RunBatch(LaneBatch& b, GroupContext& grp, const BatchPlan& plan,
   const std::uint32_t lanes = b.lanes;
 
   while (true) {
-    // Trace-fused superop at this pc? One dispatch covers `length`
-    // instructions; fall through to single-step near budget exhaustion so
-    // the trap point matches the interpreter exactly.
+    // Trace-fused superop at this pc? One vector dispatch covers `length`
+    // instructions. Where its body cannot run, and near budget exhaustion
+    // (so the trap point matches the interpreter exactly), the
+    // instructions single-step instead.
     if (b.pc < plan.fused_at.size() && plan.fused_at[b.pc] >= 0) {
       const FusedOp& fop = plan.ops[plan.fused_at[b.pc]];
       if (fop.loop >= 0 && TryCountedLoop(b, grp, plan, fop, stats)) {
         continue;
       }
-      if (b.budget >= fop.length) {
+      if (b.budget >= fop.length && TryFused(b, grp, fop)) {
         b.budget -= fop.length;
+        b.pc += fop.length;
         ++stats.batch_steps;
         ++stats.fused_steps;
+        ++stats.simd_steps;
         stats.instructions += static_cast<std::uint64_t>(fop.length) * lanes;
-        Status s = RunFused(b, grp, fop, stats);
-        if (!s.ok()) return s;
-        b.pc += fop.length;
         continue;
       }
     }
@@ -1813,66 +1640,58 @@ BatchPlan BuildBatchPlan(const Module& module) {
     return true;
   };
 
-  // Indexed load fed entirely from locals: either
+  // Indexed load fed entirely from locals, with an i32 index and the
+  // loaded element's own size as the stride: either
   //   [load base][load s1][load s2][mul i32][load s3][add i32]
   //   [convert i32->i64][ptradd][loadmem]            (the a[row*n+k] shape)
   // or the single-index form
-  //   [load base][load s1][convert ->i64][ptradd][loadmem].
+  //   [load base][load s1][convert i32->i64][ptradd][loadmem].
+  auto load_tail = [&](std::size_t p) {  // The last three, at p.
+    return code[p].op == Opcode::kConvert &&
+           code[p].type == ScalarType::kI32 &&
+           static_cast<ScalarType>(code[p].a) == ScalarType::kI64 &&
+           code[p + 1].op == Opcode::kPtrAdd &&
+           code[p + 2].op == Opcode::kLoadMem &&
+           code[p + 1].a ==
+               static_cast<std::int32_t>(ScalarSize(code[p + 2].type));
+  };
   auto match_indexed_load = [&](std::size_t p, IndexedLoad* out) {
-    if (straight(p, 9) && code[p].op == Opcode::kLoadLocal &&
-        code[p + 1].op == Opcode::kLoadLocal &&
-        code[p + 2].op == Opcode::kLoadLocal &&
+    if (!straight(p, 5) || code[p].op != Opcode::kLoadLocal ||
+        code[p + 1].op != Opcode::kLoadLocal) {
+      return false;
+    }
+    const bool two_term =
+        straight(p, 9) && code[p + 2].op == Opcode::kLoadLocal &&
         code[p + 3].op == Opcode::kMul &&
         code[p + 3].type == ScalarType::kI32 &&
         code[p + 4].op == Opcode::kLoadLocal &&
         code[p + 5].op == Opcode::kAdd &&
-        code[p + 5].type == ScalarType::kI32 &&
-        code[p + 6].op == Opcode::kConvert &&
-        code[p + 6].type == ScalarType::kI32 &&
-        static_cast<ScalarType>(code[p + 6].a) == ScalarType::kI64 &&
-        code[p + 7].op == Opcode::kPtrAdd &&
-        code[p + 8].op == Opcode::kLoadMem) {
-      out->base = code[p].a;
-      out->s1 = code[p + 1].a;
-      out->s2 = code[p + 2].a;
-      out->s3 = code[p + 4].a;
-      out->idx = ScalarType::kI32;
-      out->esize = code[p + 7].a;
-      out->elem = code[p + 8].type;
-      out->length = 9;
-      // s1*s2+s3 is affine in the lane id iff the product has at most one
-      // lane-affine factor (the other uniform) and the addend is affine.
-      const std::uint8_t f1 = code[p + 1].flags;
-      const std::uint8_t f2 = code[p + 2].flags;
-      const std::uint8_t f3 = code[p + 4].flags;
-      const bool prod_affine =
-          ((f1 & kInstrFlagLaneAffine) != 0 &&
-           (f2 & kInstrFlagLaneUniform) != 0) ||
-          ((f1 & kInstrFlagLaneUniform) != 0 &&
-           (f2 & kInstrFlagLaneAffine) != 0);
-      out->affine = prod_affine && (f3 & kInstrFlagLaneAffine) != 0;
-      out->base_uniform = (code[p].flags & kInstrFlagLaneUniform) != 0;
+        code[p + 5].type == ScalarType::kI32 && load_tail(p + 6);
+    if (!two_term && !load_tail(p + 2)) return false;
+    out->length = two_term ? 9 : 5;
+    out->base = code[p].a;
+    out->s1 = code[p + 1].a;
+    out->s2 = two_term ? code[p + 2].a : -1;
+    out->s3 = two_term ? code[p + 4].a : -1;
+    out->esize = code[p + out->length - 2].a;
+    out->elem = code[p + out->length - 1].type;
+    out->base_uniform = (code[p].flags & kInstrFlagLaneUniform) != 0;
+    const std::uint8_t f1 = code[p + 1].flags;
+    if (!two_term) {
+      out->affine = (f1 & kInstrFlagLaneAffine) != 0;
       return true;
     }
-    if (straight(p, 5) && code[p].op == Opcode::kLoadLocal &&
-        code[p + 1].op == Opcode::kLoadLocal &&
-        code[p + 2].op == Opcode::kConvert &&
-        static_cast<ScalarType>(code[p + 2].a) == ScalarType::kI64 &&
-        code[p + 3].op == Opcode::kPtrAdd &&
-        code[p + 4].op == Opcode::kLoadMem) {
-      out->base = code[p].a;
-      out->s1 = code[p + 1].a;
-      out->s2 = -1;
-      out->s3 = -1;
-      out->idx = code[p + 2].type;
-      out->esize = code[p + 3].a;
-      out->elem = code[p + 4].type;
-      out->length = 5;
-      out->affine = (code[p + 1].flags & kInstrFlagLaneAffine) != 0;
-      out->base_uniform = (code[p].flags & kInstrFlagLaneUniform) != 0;
-      return true;
-    }
-    return false;
+    // s1*s2+s3 is affine in the lane id iff the product has at most one
+    // lane-affine factor (the other uniform) and the addend is affine.
+    const std::uint8_t f2 = code[p + 2].flags;
+    const bool prod_affine =
+        ((f1 & kInstrFlagLaneAffine) != 0 &&
+         (f2 & kInstrFlagLaneUniform) != 0) ||
+        ((f1 & kInstrFlagLaneUniform) != 0 &&
+         (f2 & kInstrFlagLaneAffine) != 0);
+    out->affine =
+        prod_affine && (code[p + 4].flags & kInstrFlagLaneAffine) != 0;
+    return true;
   };
 
   std::size_t i = 0;
@@ -1880,15 +1699,17 @@ BatchPlan BuildBatchPlan(const Module& module) {
     FusedOp op;
     bool matched = false;
 
-    // The full MAC body — locals[acc] += A-load * B-load — in one superop
-    // (up to 24 instructions: matmul's `acc += a[row*n+k] * b[k*n+col]`).
+    // The full MAC body — locals[acc] += A-load * B-load, f32 or f64 with
+    // loads of that type — in one superop (up to 24 instructions:
+    // matmul's `acc += a[row*n+k] * b[k*n+col]`).
     if (code[i].op == Opcode::kLoadLocal &&
         match_indexed_load(i + 1, &op.ld[0]) &&
         match_indexed_load(i + 1 + op.ld[0].length, &op.ld[1])) {
       const std::size_t j = i + 1 + op.ld[0].length + op.ld[1].length;
       const std::uint32_t total =
           1 + op.ld[0].length + op.ld[1].length + 3;
-      if (straight(i, total) && j + 2 < code.size() &&
+      if (straight(i, total) && IsFloat(code[j].type) &&
+          op.ld[0].elem == code[j].type && op.ld[1].elem == code[j].type &&
           code[j].op == Opcode::kMul && code[j + 1].op == Opcode::kAdd &&
           code[j + 1].type == code[j].type &&
           code[j + 2].op == Opcode::kStoreLocal &&
@@ -1907,93 +1728,46 @@ BatchPlan BuildBatchPlan(const Module& module) {
       matched = true;
     }
 
-    // locals[s] = locals[s] +/- const  (loop counter steps; length 5 with
-    // an intervening convert, 4 without).
-    if (!matched && straight(i, 5) && code[i].op == Opcode::kLoadLocal &&
-        code[i + 1].op == Opcode::kPushConst &&
-        code[i + 2].op == Opcode::kConvert &&
-        code[i + 2].type == code[i + 1].type &&
-        (code[i + 3].op == Opcode::kAdd || code[i + 3].op == Opcode::kSub) &&
-        code[i + 3].type == static_cast<ScalarType>(code[i + 2].a) &&
-        code[i + 4].op == Opcode::kStoreLocal &&
-        code[i + 4].a == code[i].a) {
-      op.kind = FusedOp::Kind::kLocalAddConst;
-      op.op = code[i + 3].op;
-      op.type = code[i + 3].type;
-      op.a = code[i].a;
-      op.constant = ConvertValue(literals[code[i + 1].a], code[i + 2].type,
-                                 op.type);
-      op.length = 5;
-      matched = true;
-    }
-    // Without the convert the literal keeps its i64 tag (`k += 2` on an
-    // int): a 32- or 64-bit integer add reads only bits ConvertValue keeps.
-    auto literal_feeds_add = [](ScalarType lit, ScalarType add) {
-      return lit == add || (IsInteger(lit) && IsInteger(add) &&
-                            ScalarSize(add) >= 4);
-    };
+    // locals[s] = locals[s] +/- const on i32 (loop counter steps), with or
+    // without a convert of the literal. Without one the literal keeps
+    // codegen's i64 tag (`k += 2` on an int): an i32 add reads only the
+    // low 32 bits, which ConvertValue keeps. A subtraction adds the
+    // negated constant, the same i32 wrap.
     if (!matched && straight(i, 4) && code[i].op == Opcode::kLoadLocal &&
-        code[i + 1].op == Opcode::kPushConst &&
-        (code[i + 2].op == Opcode::kAdd || code[i + 2].op == Opcode::kSub) &&
-        literal_feeds_add(code[i + 1].type, code[i + 2].type) &&
-        code[i + 3].op == Opcode::kStoreLocal &&
-        code[i + 3].a == code[i].a) {
-      op.kind = FusedOp::Kind::kLocalAddConst;
-      op.op = code[i + 2].op;
-      op.type = code[i + 2].type;
-      op.a = code[i].a;
-      op.constant =
-          ConvertValue(literals[code[i + 1].a], code[i + 1].type, op.type);
-      op.length = 4;
-      matched = true;
+        code[i + 1].op == Opcode::kPushConst) {
+      const ScalarType lit = code[i + 1].type;
+      const bool cvt = code[i + 2].op == Opcode::kConvert &&
+                       code[i + 2].type == lit &&
+                       static_cast<ScalarType>(code[i + 2].a) ==
+                           ScalarType::kI32;
+      const std::size_t add = i + (cvt ? 3 : 2);
+      if ((cvt || IsInteger(lit)) && straight(i, add + 2 - i) &&
+          (code[add].op == Opcode::kAdd || code[add].op == Opcode::kSub) &&
+          code[add].type == ScalarType::kI32 &&
+          code[add + 1].op == Opcode::kStoreLocal &&
+          code[add + 1].a == code[i].a) {
+        op.kind = FusedOp::Kind::kLocalAddConst;
+        op.a = code[i].a;
+        op.constant =
+            ConvertValue(literals[code[i + 1].a], lit, ScalarType::kI32);
+        if (code[add].op == Opcode::kSub) {
+          op.constant.i = static_cast<std::int32_t>(
+              0u - static_cast<std::uint32_t>(op.constant.i));
+        }
+        op.length = static_cast<std::uint32_t>(add + 2 - i);
+        matched = true;
+      }
     }
-    // locals[a] <cmp> locals[b]  (loop conditions: k < n).
+    // locals[a] <cmp> locals[b] on i32 (loop conditions: k < n).
     if (!matched && straight(i, 3) && code[i].op == Opcode::kLoadLocal &&
         code[i + 1].op == Opcode::kLoadLocal &&
-        code[i + 2].op >= Opcode::kEq && code[i + 2].op <= Opcode::kGe) {
+        code[i + 2].op >= Opcode::kEq && code[i + 2].op <= Opcode::kGe &&
+        code[i + 2].type == ScalarType::kI32) {
       op.kind = FusedOp::Kind::kCompareLocals;
       op.op = code[i + 2].op;
-      op.type = code[i + 2].type;
       op.a = code[i].a;
       op.b = code[i + 1].a;
       op.length = 3;
-      matched = true;
-    }
-    // load(ptr + convert(idx) * esize)  (array subscript reads).
-    if (!matched && straight(i, 3) && code[i].op == Opcode::kConvert &&
-        static_cast<ScalarType>(code[i].a) == ScalarType::kI64 &&
-        code[i + 1].op == Opcode::kPtrAdd &&
-        code[i + 2].op == Opcode::kLoadMem) {
-      op.kind = FusedOp::Kind::kConvertPtrAddLoad;
-      op.idx_type = code[i].type;
-      op.a = code[i + 1].a;
-      op.type = code[i + 2].type;
-      op.length = 3;
-      matched = true;
-    }
-    // acc, x, y -> acc + x*y  (MAC pairs).
-    if (!matched && straight(i, 2) && code[i].op == Opcode::kMul &&
-        code[i + 1].op == Opcode::kAdd &&
-        code[i + 1].type == code[i].type) {
-      op.kind = FusedOp::Kind::kMulAdd;
-      op.type = code[i].type;
-      op.length = 2;
-      matched = true;
-    }
-    if (!matched && straight(i, 2) && code[i].op == Opcode::kPtrAdd &&
-        code[i + 1].op == Opcode::kLoadMem) {
-      op.kind = FusedOp::Kind::kPtrAddLoad;
-      op.a = code[i].a;
-      op.type = code[i + 1].type;
-      op.length = 2;
-      matched = true;
-    }
-    if (!matched && straight(i, 2) && code[i].op == Opcode::kLoadLocal &&
-        code[i + 1].op == Opcode::kLoadLocal) {
-      op.kind = FusedOp::Kind::kLoadLocalPair;
-      op.a = code[i].a;
-      op.b = code[i + 1].a;
-      op.length = 2;
       matched = true;
     }
 
@@ -2017,15 +1791,13 @@ BatchPlan BuildBatchPlan(const Module& module) {
     const std::size_t jif = h + 3;  // kCompareLocals replaces 3.
     const FusedOp* mac = op_at(jif + 1, FusedOp::Kind::kMacLocal);
     if (cmp == nullptr || mac == nullptr || cmp->op != Opcode::kLt ||
-        cmp->type != ScalarType::kI32 || !IsFloat(mac->type) ||
         code[jif].op != Opcode::kJumpIfFalse) {
       continue;
     }
     const std::size_t step_pc = jif + 1 + mac->length;
     const FusedOp* step = op_at(step_pc, FusedOp::Kind::kLocalAddConst);
     const std::size_t back = step_pc + (step != nullptr ? step->length : 0);
-    if (step == nullptr || step->op != Opcode::kAdd ||
-        step->type != ScalarType::kI32 || step->a != cmp->a ||
+    if (step == nullptr || step->a != cmp->a ||
         static_cast<std::int32_t>(step->constant.i) <= 0 ||
         back >= code.size() || code[back].op != Opcode::kJump ||
         code[back].a != static_cast<std::int32_t>(h) ||

@@ -1069,7 +1069,7 @@ inline void InitItem(ItemState& st, const CompiledFunction& kernel,
 struct BatchGroupStats {
   std::uint64_t instructions = 0;
   std::uint64_t batch_steps = 0;
-  std::uint64_t fused_steps = 0;
+  std::uint64_t fused_steps = 0;   // Fused dispatches (all vector ones).
   std::uint64_t simd_steps = 0;    // Dispatches that took a vector path.
   std::uint64_t masked_steps = 0;  // Instructions run under a partial mask.
   bool bailed_out = false;
@@ -1077,10 +1077,13 @@ struct BatchGroupStats {
 
 // Fusion plan over a module's code array (see vm_batch.cc). Built once per
 // module by Compile (Module::batch_plan), shared read-only by every launch.
-// One indexed global/local/private load taken entirely from locals:
-// load(locals[base] + convert(idx)*esize) where idx is either locals[s1]
+// Every fused op has a vector body; where it cannot run, the engine steps
+// the op's instructions instead.
+// One indexed load taken entirely from locals:
+// load(locals[base] + convert(idx)*esize) where idx is the i32 locals[s1]
 // (length 5: load, load, convert, ptradd, loadmem) or the i32 expression
-// locals[s1]*locals[s2]+locals[s3] (length 9 — the `a[row*n+k]` shape).
+// locals[s1]*locals[s2]+locals[s3] (length 9 — the `a[row*n+k]` shape),
+// and esize is the loaded element's size.
 struct IndexedLoad {
   std::int32_t base = -1;  // Pointer-holding local slot.
   std::int32_t s1 = -1;
@@ -1088,7 +1091,6 @@ struct IndexedLoad {
   std::int32_t s3 = -1;
   std::int32_t esize = 0;            // kPtrAdd element size.
   ScalarType elem = ScalarType::kVoid;  // Loaded element type.
-  ScalarType idx = ScalarType::kVoid;   // Convert source type.
   std::uint32_t length = 0;
   // Codegen proved the index expression affine in the lane id (stride may
   // be 0): the engine may classify the lane offsets as
@@ -1102,34 +1104,28 @@ struct IndexedLoad {
 
 struct FusedOp {
   enum class Kind : std::uint8_t {
-    kLoadLocalPair,      // push locals[a], locals[b]
-    kMulAdd,             // [acc, x, y] -> acc + x*y (two roundings, as-if)
-    kConvertPtrAddLoad,  // [ptr, idx] -> load(ptr + convert(idx)*esize)
-    kPtrAddLoad,         // [ptr, idx(i64)] -> load(ptr + idx*esize)
-    kLocalAddConst,      // locals[a] = locals[a] +/- const
-    kIndexedLoad,        // push load described by ld[0] (no stack traffic)
-    kMacLocal,           // locals[a] += ld[0]-load * ld[1]-load — the whole
-                         // matmul MAC body in one dispatch
-    kCompareLocals,      // push locals[a] <op> locals[b]
+    kIndexedLoad,    // push load described by ld[0] (no stack traffic)
+    kMacLocal,       // locals[a] += ld[0]-load * ld[1]-load, f32/f64 — the
+                     // whole matmul MAC body in one dispatch
+    kCompareLocals,  // push locals[a] <op> locals[b], i32
+    kLocalAddConst,  // locals[a] = locals[a] + const, i32
   };
-  Kind kind = Kind::kLoadLocalPair;
-  ScalarType type = ScalarType::kVoid;       // Arithmetic / load type.
-  ScalarType idx_type = ScalarType::kVoid;   // kConvertPtrAddLoad source.
-  std::int32_t a = 0;                        // Slot / element size.
-  std::int32_t b = 0;                        // Second slot.
-  Opcode op = Opcode::kAdd;                  // kLocalAddConst: kAdd or kSub;
-                                             // kCompareLocals: the compare.
-  Value constant{};                          // kLocalAddConst, pre-converted.
-  IndexedLoad ld[2];                         // kIndexedLoad / kMacLocal.
-  std::uint32_t length = 0;                  // Instructions replaced.
+  Kind kind = Kind::kIndexedLoad;
+  ScalarType type = ScalarType::kVoid;  // kMacLocal's arithmetic type.
+  std::int32_t a = 0;                   // Slot.
+  std::int32_t b = 0;                   // Second slot.
+  Opcode op = Opcode::kLt;              // kCompareLocals: the compare.
+  Value constant{};                     // kLocalAddConst, pre-converted.
+  IndexedLoad ld[2];                    // kIndexedLoad / kMacLocal.
+  std::uint32_t length = 0;             // Instructions replaced.
   std::int32_t loop = -1;  // kCompareLocals: its BatchPlan::loops entry.
 };
 
-// A counted MAC loop read off the plan's fused ops: kCompareLocals(k < n,
-// i32), kJumpIfFalse exit_pc, kMacLocal(acc, f32/f64), kLocalAddConst(k +=
-// c, i32, c > 0), kJump back (exit_pc is the pc after it), with acc none of
-// k, n and the slots either load reads. The batch engine may run all of
-// its trips in one dispatch (docs/vm.md, "Counted loops").
+// A counted MAC loop read off the plan's fused ops: kCompareLocals(k < n),
+// kJumpIfFalse exit_pc, kMacLocal(acc), kLocalAddConst(k += c, c > 0),
+// kJump back (exit_pc is the pc after it), with acc none of k, n and the
+// slots either load reads. The batch engine may run all of its trips in
+// one dispatch (docs/vm.md, "Counted loops").
 struct CountedLoop {
   std::int32_t mac = -1;           // ops index of the body's kMacLocal.
   std::int32_t step = -1;          // ops index of the k += c step.

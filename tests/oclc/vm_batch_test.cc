@@ -1,9 +1,10 @@
 // Lane-batch engine specifics: dispatch amortization visible in VmStats,
 // trace fusion firing on MAC loops, divergence bail-out to the
 // interpreter, budget-trap parity between the engines, the counted-loop
-// superop and the shapes it must leave to stepping, the kernel-aware
-// ChooseLocalSize widening, the compute-unit -> pool-width mapping, and the
-// shared exec pool under concurrent and trapping launches.
+// superop and the shapes it must leave to stepping, which loads fuse and
+// which step, the kernel-aware ChooseLocalSize widening, the compute-unit
+// -> pool-width mapping, and the shared exec pool under concurrent and
+// trapping launches.
 // Bit-identity of results is covered exhaustively by vm_differential_test.
 #include <gtest/gtest.h>
 
@@ -15,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/simd.h"
 #include "oclc/program.h"
 #include "oclc/vm.h"
 #include "sim/device_model.h"
@@ -325,18 +325,14 @@ TEST(VmBatchTest, ChooseLocalSizeWidensBarrierFreeKernels) {
   ChooseLocalSize(odd, mac);
   EXPECT_EQ(odd.local[0], 231u);
 
-  // Vector-width alignment: 500's largest divisor <= 256 is 250, but SIMD
-  // builds prefer 100 — the largest multiple of the vector width — so no
-  // group runs a permanent scalar tail.
+  // Vector-width alignment: 500's largest divisor <= 256 is 250, but every
+  // build prefers 100 — the largest multiple of the vector width — so no
+  // group runs a permanent scalar tail, and get_local_size() is the same
+  // on every host ISA.
   NDRange vec;
   vec.global[0] = 500;
   ChooseLocalSize(vec, mac);
-  if (simd::kEnabled) {
-    EXPECT_EQ(vec.local[0], 100u);
-    EXPECT_EQ(vec.local[0] % static_cast<std::uint64_t>(simd::kWidth), 0u);
-  } else {
-    EXPECT_EQ(vec.local[0], 250u);
-  }
+  EXPECT_EQ(vec.local[0], 100u);
 
   // Kernel-less (legacy callers) and barrier kernels keep the 64 cap.
   NDRange legacy;
@@ -557,7 +553,8 @@ EngineRun RunOn(VmEngine engine, const Module& module,
 
 // Runs both engines and demands the interpreter's status (the whole
 // message), output bytes and retired instruction count from the batched
-// one. Returns the batched engine's stats.
+// one, whose every fused dispatch is a vector one. Returns the batched
+// engine's stats.
 VmStats ExpectEnginesAgree(
     const Module& module, const std::string& kernel,
     const std::vector<std::vector<std::uint8_t>>& buffers,
@@ -569,6 +566,7 @@ VmStats ExpectEnginesAgree(
                               scalars, range, budget);
   EXPECT_EQ(run.status.ToString(), oracle.status.ToString())
       << kernel << ", budget " << budget;
+  EXPECT_LE(run.stats.fused_steps, run.stats.simd_steps) << kernel;
   // A trap leaves engine-specific partial writes: items run one after
   // another in the interpreter, all at once in a lane batch.
   if (oracle.status.ok()) {
@@ -900,6 +898,51 @@ TEST(VmBatchTest, PointerWithOffsetBaseReadsFromItsOffset) {
   ExpectEnginesAgree(*module, "shifted",
                      {bytes, std::vector<std::uint8_t>(64 * 4)}, {},
                      Range1D(64, 64));
+}
+
+// ------------------------------------------------------ Fused loads
+
+TEST(VmBatchTest, SaxpyLoadsBothOperandsThroughTheVectorIndexedLoad) {
+  // y[i] = a * x[i] + y[i] (perfbench's saxpy): both subscripts fuse as
+  // kIndexedLoad's contiguous vector load. A 256-lane group takes 16
+  // dispatches, 2 of them fused and 4 through the vector tier (the two
+  // loads, the multiply and the add).
+  auto module = MustCompile(R"(
+    __kernel void saxpy(__global float* y, __global const float* x,
+                        float a) {
+      int i = get_global_id(0);
+      y[i] = a * x[i] + y[i];
+    })");
+  ASSERT_NE(module, nullptr);
+  const VmStats batched = ExpectEnginesAgree(
+      *module, "saxpy", {RandomBytes(256, 18), RandomBytes(256, 19)},
+      {ArgBinding::Float(1.5f)}, Range1D(256, 256));
+  EXPECT_EQ(batched.groups, 1u);
+  EXPECT_EQ(batched.batch_steps, 16u);
+  EXPECT_EQ(batched.fused_steps, 2u);
+  EXPECT_EQ(batched.simd_steps, 4u);
+}
+
+TEST(VmBatchTest, WideIndexLoadStepsAndTrapsLikeInterpreter) {
+  // A ulong subscript is no i32 index, so its load steps: reading only the
+  // index's low word would load in[i] for in[i + 2^32] and succeed where
+  // the interpreter traps out of bounds.
+  auto module = MustCompile(R"(
+    __kernel void wide(__global float* out, __global const float* in,
+                       ulong off) {
+      int i = get_global_id(0);
+      ulong j = (ulong)i + off;
+      out[i] = in[j];
+    })");
+  ASSERT_NE(module, nullptr);
+  for (std::uint64_t off : {0ull, 1ull << 32}) {
+    Value v;
+    v.u = off;
+    ExpectEnginesAgree(*module, "wide",
+                       {std::vector<std::uint8_t>(64 * 4), RandomBytes(64, 20)},
+                       {ArgBinding::Scalar(v, ScalarType::kU64)},
+                       Range1D(64, 64));
+  }
 }
 
 }  // namespace

@@ -213,7 +213,6 @@ Expected<std::unique_ptr<ClusterRuntime>> ClusterRuntime::Connect(
   runtime->node_busy_ahead_.assign(runtime->nodes_.size(), 0.0);
   runtime->node_dead_.assign(runtime->nodes_.size(), false);
   runtime->node_broker_backlog_.assign(runtime->nodes_.size(), 0.0);
-  runtime->node_active_weight_.assign(runtime->nodes_.size(), 0.0);
   runtime->rate_table_ =
       std::make_unique<sched::KernelRateTable>(runtime->nodes_.size());
   runtime->in_flight_.assign(runtime->nodes_.size(), 0);
@@ -253,7 +252,6 @@ Expected<std::unique_ptr<ClusterRuntime>> ClusterRuntime::Connect(
                                  rate.samples);
     }
     runtime->node_broker_backlog_[i] = decoded->node_backlog_seconds;
-    runtime->node_active_weight_[i] = decoded->active_weight;
   }
 
   CommandGraph::Options graph_options;
@@ -1150,24 +1148,19 @@ Status ClusterRuntime::EnsureRangeOnNodeLocked(BufferId id,
         if (source == nodes_.size()) {
           HAOCL_RETURN_IF_ERROR(ship_from_host(run_begin, run_end));
         } else {
-          Status peer(ErrorCode::kPeerUnreachable, "peer transfers disabled");
-          if (options_.peer_transfers) {
-            const net::PullSliceRequest pull{
-                id, run_begin, len, static_cast<std::uint32_t>(source)};
-            peer = CheckReply(
-                CallNode(node, MsgType::kPullSlice, net::Encode(pull)),
-                MsgType::kStatusReply);
-          }
+          const net::PullSliceRequest pull{
+              id, run_begin, len, static_cast<std::uint32_t>(source)};
+          const Status peer =
+              CheckReply(CallNode(node, MsgType::kPullSlice, net::Encode(pull)),
+                         MsgType::kStatusReply);
           if (peer.ok()) {
             AccountTransfer(buffer, &TransferStats::p2p_transfers, 1);
             AccountTransfer(buffer, &TransferStats::p2p_bytes, len);
             note_arrival(timeline_->RecordTransferBetween(source, node, len));
           } else {
-            if (options_.peer_transfers) {
-              HAOCL_WARN << "peer transfer buf" << id << " node " << source
-                         << "->" << node << " failed (" << peer.ToString()
-                         << "); relaying through host";
-            }
+            HAOCL_WARN << "peer transfer buf" << id << " node " << source
+                       << "->" << node << " failed (" << peer.ToString()
+                       << "); relaying through host";
             HAOCL_RETURN_IF_ERROR(
                 EnsureHostRangeLocked(id, buffer, run_begin, run_end));
             HAOCL_RETURN_IF_ERROR(ship_from_host(run_begin, run_end));
@@ -1369,9 +1362,7 @@ Status ClusterRuntime::StageWorkingSet(
   // device memory too, and failing before any transfer beats failing with
   // half a working set shipped.
   std::vector<runtime::MemoryPool::BufferRange> charged;
-  if (staging.reserve) {
-    HAOCL_RETURN_IF_ERROR(ReserveWorkingSet(node, reservation, &charged));
-  }
+  HAOCL_RETURN_IF_ERROR(ReserveWorkingSet(node, reservation, &charged));
   if (staging.program != nullptr) {
     HAOCL_RETURN_IF_ERROR(
         EnsureProgramOnNode(staging.program_id, *staging.program, node));
@@ -1604,13 +1595,12 @@ struct ClusterRuntime::LaunchWork {
   std::vector<BufferArg> buffers;
   std::size_t node = 0;  // Placement decided at submit.
   std::shared_ptr<LaunchPlan> plan;
-  // Staged out-of-core execution: non-null when this command is one stage
-  // of an oversubscribed shard. The prefetch command reserved and pinned
-  // the stage's working set and recorded its slice's DMA arrival here; the
-  // compute gates its virtual start on that arrival (pipelined mode) and
-  // drains/evicts its slices in the epilogue.
-  std::shared_ptr<StageLink> stage_link;
-  bool stage_pipelined = true;
+  // Staged out-of-core execution, when this command is one stage of an
+  // oversubscribed shard: the chain its prologue ships the stage's slices
+  // on, and the dim-0 windows {first, count} whose partitioned slices its
+  // epilogue drains — the previous stage's, and the last stage's own.
+  TransferTiming timing = TransferTiming::kDemand;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> drain;
   // Scheduler backlog charged for this shard at submit; consumed exactly
   // once. The destructor refund covers every retirement path where the
   // epilogue never ran (shard failure, dependency failure, shutdown) —
@@ -1630,41 +1620,6 @@ void ClusterRuntime::RefundBacklogCharge(std::size_t node, double seconds) {
   if (seconds <= 0.0) return;
   std::lock_guard<std::mutex> lock(sched_mutex_);
   node_busy_ahead_[node] = std::max(0.0, node_busy_ahead_[node] - seconds);
-}
-
-// Prefetch -> compute handoff of one out-of-core stage. Owned jointly by
-// the stage's two command closures; the pins release when the last one is
-// dropped (any retirement path), so a stage whose compute never runs does
-// not leave its buffers eviction-exempt forever.
-struct ClusterRuntime::StageLink {
-  std::mutex mutex;
-  sim::SimTime ready_at = 0.0;          // DMA arrival of the stage slices.
-  std::uint64_t prefetched_bytes = 0;
-  WorkingSetPin pins;
-};
-
-// Captures of one stage's prefetch command.
-struct ClusterRuntime::StagePrefetchWork {
-  std::size_t node = 0;
-  std::vector<WorkingRange> ranges;  // Stage slices + replicated args.
-  bool pipelined = true;
-  std::shared_ptr<StageLink> link;
-};
-
-Status ClusterRuntime::ExecStagePrefetch(
-    const std::shared_ptr<StagePrefetchWork>& work) {
-  sim::SimTime ready = 0.0;
-  std::uint64_t shipped = 0;
-  HAOCL_RETURN_IF_ERROR(StageWorkingSet(
-      work->node, work->ranges, work->link->pins,
-      {.timing = work->pipelined ? TransferTiming::kPrefetch
-                                 : TransferTiming::kDemand,
-       .bytes_shipped = &shipped,
-       .ready_at = &ready}));
-  std::lock_guard<std::mutex> link_lock(work->link->mutex);
-  work->link->ready_at = ready;
-  work->link->prefetched_bytes = shipped;
-  return Status::Ok();
 }
 
 Expected<ClusterRuntime::ResolvedLaunch> ClusterRuntime::ResolveLaunchLocked(
@@ -1810,9 +1765,6 @@ sched::ClusterView ClusterRuntime::ClusterViewLocked(
     node.kernel_rate_samples = rate.samples;
     node.mem_capacity_bytes = node_pools_[i]->capacity();
     node.mem_free_bytes = node_pools_[i]->free_bytes();
-    node.node_backlog_seconds = node_broker_backlog_[i];
-    node.tenant_weight = options_.tenant_weight;
-    node.active_weight = node_active_weight_[i];
     node.alive = !node_dead_[i];
     view.nodes.push_back(std::move(node));
   }
@@ -1902,9 +1854,9 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
   // Decompose oversubscribed shards into out-of-core stages: a shard
   // whose working set exceeds its node's device capacity runs as a
   // serial chain of sub-range launches with a double-buffered stage
-  // budget, so two stages fit at once and stage k+1's slice prefetch can
-  // overlap stage k's compute (libhclooc's staging pattern, expressed as
-  // command-graph edges below). In-core shards get budget 0: one stage.
+  // budget, so two stages fit at once and stage k+1's slice transfer can
+  // overlap stage k's compute (libhclooc's staging pattern). In-core
+  // shards get budget 0: one stage.
   const std::uint64_t stage_align =
       std::max<std::uint64_t>(1, task.dim0_align);
   std::vector<std::uint64_t> stage_rows(shard_total, 0);
@@ -1979,32 +1931,27 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
     }
   }
 
-  // Fan out the sub-launch commands. Shards are mutually independent (the
-  // plan guarantees disjoint slices) and order after the same hazards; a
-  // staged shard's stages chain serially on its node, fronted by prefetch
-  // commands wired so stage k+1's transfer overlaps stage k's compute
-  // (with a one-stage lookahead, matching the double-buffered budget).
-  std::vector<CommandId> shard_ids;   // One COMPUTE command per sub-launch.
+  // Fan out the sub-launch commands, one per sub-launch. Shards are
+  // mutually independent (the plan guarantees disjoint slices) and order
+  // after the same hazards; a staged shard's stages chain serially on its
+  // node. Stage k's prologue ships its slices while stage k-1's are still
+  // resident, and its epilogue drains stage k-1's — so at most two stages
+  // are resident, and with stage_pipeline the DMA chain carries stage k's
+  // slices ahead of stage k-1's writeback, as a double buffer does.
+  std::vector<CommandId> shard_ids;  // One command per sub-launch.
   std::vector<std::shared_ptr<LaunchPlan>> shard_plans;
   std::vector<std::uint32_t> group_of;  // Plan-shard index per command.
-  std::vector<CommandId> prefetch_ids;  // Released once dependents exist.
   shard_ids.reserve(launch_total);
   shard_plans.reserve(launch_total);
   group_of.reserve(launch_total);
   const double extent = static_cast<double>(std::max<std::uint64_t>(
       1, spec.global[0]));
-  CommandId prev_launch = kNullCommand;
-  CommandId prev_prev_launch = kNullCommand;
-  CommandId prev_prefetch = kNullCommand;
   FramePtr issued;  // The place a one-frame launch took.
   std::uint32_t stage = 0;  // Index of `sub` within its shard's stages.
   for (std::size_t i = 0; i < launch_total; ++i) {
     const sched::ChunkSpan& sub = subs[i];
     const std::uint32_t stage_total = stages_of[sub.shard];
     stage = i > 0 && subs[i - 1].shard == sub.shard ? stage + 1 : 0;
-    if (stage == 0) {
-      prev_launch = prev_prev_launch = prev_prefetch = kNullCommand;
-    }
     const sched::PlacementShard& shard = placement.shards[sub.shard];
     auto work = std::make_shared<LaunchWork>();
     work->spec = spec;
@@ -2033,60 +1980,21 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
       label += "[" + std::to_string(sub.shard + 1) + "/" +
                std::to_string(shard_total) + "]";
     }
-    std::vector<CommandId> launch_deps;
+    // Stage k > 0 orders after stage k-1 on its node, and through it
+    // after the launch's dependencies and hazards.
+    std::vector<CommandId> launch_deps =
+        stage == 0 ? dep_ids : std::vector<CommandId>{shard_ids.back()};
     if (stage_total > 1) {
       label += ":stage" + std::to_string(stage + 1) + "/" +
                std::to_string(stage_total);
-      // Prefetch command: reserves + pins the stage's working set and
-      // ships its slices ahead of the compute. Pipelined wiring lets
-      // prefetch k+1 run while compute k is still in flight, gated on
-      // compute k-1 so at most two stages are ever resident; the serial
-      // baseline chains each prefetch behind the previous compute.
-      auto link = std::make_shared<StageLink>();
-      auto prefetch = std::make_shared<StagePrefetchWork>();
-      prefetch->node = shard.node;
-      prefetch->pipelined = options_.stage_pipeline;
-      prefetch->link = link;
-      for (const BufferArg& buffer_arg : launch.buffers) {
-        const auto [begin, end] =
-            buffer_arg.Window(work->spec.global_offset[0], sub.count);
-        prefetch->ranges.push_back(
-            {buffer_arg.id, buffer_arg.buffer, begin, end});
+      if (options_.stage_pipeline) work->timing = TransferTiming::kPrefetch;
+      if (stage > 0) {
+        work->drain.emplace_back(spec.global_offset[0] + subs[i - 1].offset,
+                                 subs[i - 1].count);
       }
-      std::vector<CommandId> prefetch_deps;
-      if (stage == 0) {
-        prefetch_deps = dep_ids;
-      } else if (options_.stage_pipeline) {
-        prefetch_deps.push_back(prev_prefetch);
-        if (prev_prev_launch != kNullCommand) {
-          prefetch_deps.push_back(prev_prev_launch);
-        }
-      } else {
-        prefetch_deps.push_back(prev_launch);
+      if (stage + 1 == stage_total) {
+        work->drain.emplace_back(work->spec.global_offset[0], sub.count);
       }
-      const CommandId prefetch_cmd = graph_->Submit(
-          [this, prefetch](CommandGraph::Execution&) {
-            return ExecStagePrefetch(prefetch);
-          },
-          std::move(prefetch_deps), label + ":prefetch", hazards);
-      // Later writers of the fetched ranges must not overtake the
-      // prefetch. Its record reference is dropped only after EVERY
-      // dependent is submitted (end of this function): a fast-failing
-      // prefetch reclaimed before its compute's Submit would resolve the
-      // dependency edge as "already retired OK" and swallow the failure.
-      for (const WorkingRange& range : prefetch->ranges) {
-        RecordReadLocked(*range.buffer, range.begin, range.end,
-                         prefetch_cmd);
-      }
-      prefetch_ids.push_back(prefetch_cmd);
-      work->stage_link = link;
-      work->stage_pipelined = options_.stage_pipeline;
-      launch_deps.push_back(prefetch_cmd);
-      if (prev_launch != kNullCommand) launch_deps.push_back(prev_launch);
-      prev_prev_launch = prev_launch;
-      prev_prefetch = prefetch_cmd;
-    } else {
-      launch_deps = dep_ids;
     }
     // A one-shard, one-stage launch is one frame to its node.
     if (launch_total == 1) {
@@ -2117,7 +2025,8 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
         return RunIssued(
             *frame, [&] { return ExecLaunch(work, e); },
             [&](const Expected<Message>& reply) {
-              return CompleteLaunch(work, reply, /*bytes_shipped=*/0, e);
+              return CompleteLaunch(work, reply, /*bytes_shipped=*/0,
+                                    /*ready_at=*/0.0, e);
             });
       };
     } else {
@@ -2127,9 +2036,8 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
     }
     const CommandId launch_cmd = graph_->Submit(
         std::move(body), std::move(launch_deps), label,
-        stage_total > 1 ? std::vector<CommandId>{} : hazards);
+        stage == 0 ? hazards : std::vector<CommandId>{});
     if (issued != nullptr) RegisterIssuedLocked(issued, launch_cmd);
-    prev_launch = launch_cmd;
     shard_ids.push_back(launch_cmd);
   }
 
@@ -2236,13 +2144,17 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
     record(spec.global_offset[0], spec.global[0], cmd);
     if (region_mode) {
       // Each sub-launch registers over its own slice of partitioned args
-      // (its full range for replicated ones) — as a WRITER where it
-      // writes — so a later conflicting command cannot overtake a
+      // (its full range for replicated ones), a stage also over the
+      // previous stage's slice, which its epilogue drains — as a WRITER
+      // where it writes — so a later conflicting command cannot overtake a
       // still-running shard or stage even after a failed sibling made the
       // join terminal early (reads collect only writers, and terminal
       // commands impose no order).
       for (std::size_t s = 0; s < shard_ids.size(); ++s) {
-        record(spec.global_offset[0] + subs[s].offset, subs[s].count,
+        const std::size_t from =
+            s > 0 && subs[s - 1].shard == subs[s].shard ? s - 1 : s;
+        record(spec.global_offset[0] + subs[from].offset,
+               subs[s].offset + subs[s].count - subs[from].offset,
                shard_ids[s]);
       }
     }
@@ -2261,10 +2173,6 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
     uses.insert(uses.end(), shard_ids.begin(), shard_ids.end());
   }
   uses.push_back(cmd);
-  // Every dependent of the prefetches is submitted (edges registered on
-  // live records, so failures still propagate); nobody queries prefetch
-  // records, so drop their references now.
-  for (CommandId prefetch : prefetch_ids) graph_->Release(prefetch);
   lock.unlock();
   if (issued != nullptr) SendIssued(issued->node, nullptr);
   return CommandHandle{cmd};
@@ -2290,26 +2198,26 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
   // Partitioned args need only this shard's slice on the node (a
   // single-shard launch's "slice" is its whole partition window);
   // replicated args need the full buffer. The directory ships just the
-  // stale sub-ranges, sourcing peers directly where possible. A staged
-  // launch's prefetch command already reserved and pinned (its StageLink
-  // holds the pins); the compute side re-pins cheaply and skips the
-  // reservation.
+  // stale sub-ranges, sourcing peers directly where possible; a pipelined
+  // stage ships on the node's DMA chain.
   const std::size_t node = work->node;  // Placement decided at submit.
   const std::vector<WorkingRange> working_set = LaunchWorkingSet(*work);
   std::uint64_t bytes_shipped = 0;
+  sim::SimTime ready_at = 0.0;
   WorkingSetPin pins;
   HAOCL_RETURN_IF_ERROR(
       StageWorkingSet(node, working_set, pins,
-                      {.reserve = work->stage_link == nullptr,
-                       .program_id = work->program_id,
+                      {.program_id = work->program_id,
                        .program = work->program.get(),
-                       .bytes_shipped = &bytes_shipped}));
+                       .timing = work->timing,
+                       .bytes_shipped = &bytes_shipped,
+                       .ready_at = &ready_at}));
   // ---- Execute (overlapped RPC: only this command's worker blocks) -------
   return CompleteLaunch(
       work,
       CallNode(node, MsgType::kLaunchKernel,
                net::Encode(EncodeLaunch(*work, working_set, 0))),
-      bytes_shipped, e);
+      bytes_shipped, ready_at, e);
 }
 
 net::LaunchKernelRequest ClusterRuntime::EncodeLaunch(
@@ -2376,6 +2284,7 @@ net::LaunchKernelRequest ClusterRuntime::EncodeLaunch(
 Status ClusterRuntime::CompleteLaunch(const std::shared_ptr<LaunchWork>& work,
                                       const Expected<Message>& reply,
                                       std::uint64_t bytes_shipped,
+                                      sim::SimTime ready_at,
                                       CommandGraph::Execution& e) {
   const LaunchSpec& spec = work->spec;
   const std::size_t node = work->node;
@@ -2394,7 +2303,6 @@ Status ClusterRuntime::CompleteLaunch(const std::shared_ptr<LaunchWork>& work,
   {
     std::lock_guard<std::mutex> sched_lock(sched_mutex_);
     node_broker_backlog_[node] = decoded->node_backlog_seconds;
-    node_active_weight_[node] = decoded->active_weight;
   }
   if (decoded->status_code != 0) {
     return Status(static_cast<ErrorCode>(decoded->status_code),
@@ -2428,31 +2336,25 @@ Status ClusterRuntime::CompleteLaunch(const std::shared_ptr<LaunchWork>& work,
     result.modeled_seconds *= compute_amp;
     result.modeled_joules *= compute_amp;
   }
-  // A pipelined stage's compute gates on its slice's DMA arrival instead
-  // of the transfer chaining ahead of the accelerator — this is where the
+  // A pipelined stage's kernel gates on its slices' DMA arrival instead of
+  // the transfer chaining ahead of the accelerator — this is where the
   // staged pipeline's overlap materializes in virtual time.
-  sim::SimTime stage_ready = 0.0;
-  if (work->stage_link != nullptr) {
-    std::lock_guard<std::mutex> link_lock(work->stage_link->mutex);
-    stage_ready = work->stage_link->ready_at;
-    result.bytes_shipped += work->stage_link->prefetched_bytes;
-  }
   result.virtual_completion =
-      work->stage_link != nullptr && work->stage_pipelined
+      work->timing == TransferTiming::kPrefetch
           ? timeline_->RecordKernelAfter(node, result.modeled_seconds,
-                                         stage_ready)
+                                         ready_at)
           : timeline_->RecordKernel(node, result.modeled_seconds);
   e.SetSpan(result.virtual_completion - result.modeled_seconds,
             result.virtual_completion);
-  // Staged launches drain and evict their stage slices immediately: the
-  // written slice's only fresh copy is this node, so eviction spills it
-  // to the host shadow (the out-of-core writeback, spill-bucketed), and
-  // input slices just drop ownership — at most two stages stay resident.
-  if (work->stage_link != nullptr) {
+  // A stage drains and evicts the previous stage's slices (the last stage
+  // its own too): a written slice's only fresh copy is this node, so
+  // eviction spills it to the host shadow (the out-of-core writeback,
+  // spill-bucketed), and input slices just drop ownership.
+  for (const auto& [first, count] : work->drain) {
     for (const BufferArg& buffer_arg : work->buffers) {
       if (!buffer_arg.partitioned) continue;
       std::lock_guard<std::mutex> lock(buffer_arg.buffer->mutex);
-      const auto [begin, end] = buffer_arg.Window(slice_first, slice_count);
+      const auto [begin, end] = buffer_arg.Window(first, count);
       HAOCL_RETURN_IF_ERROR(EvictRangeFromNodeLocked(
           buffer_arg.id, *buffer_arg.buffer, node, begin, end));
     }
@@ -2822,7 +2724,6 @@ Expected<sched::ClusterView> ClusterRuntime::QueryClusterView() {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (!loads[i].has_value()) continue;
     node_broker_backlog_[i] = loads[i]->node_backlog_seconds;
-    node_active_weight_[i] = loads[i]->active_weight;
   }
   sched::ClusterView view = ClusterViewLocked(/*kernel_name=*/"");
   for (std::size_t i = 0; i < nodes_.size(); ++i) {

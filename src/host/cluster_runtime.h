@@ -182,17 +182,11 @@ struct LaunchResult {
 
 struct RuntimeOptions {
   std::string scheduler = "user";   // Policy name (sched registry).
-  // Node-to-node slice exchange: when true (default), launch prologues and
-  // migrations have the destination pull peer-owned ranges (kPullSlice)
-  // and only relay through the host when a node link is missing or fails.
-  // False forces the classic gather-through-host star (the bench
-  // baseline).
-  bool peer_transfers = true;
-  // Out-of-core staging: when true (default), an oversubscribed shard's
-  // stage k+1 slice transfer is expressed as a DMA prefetch overlapping
-  // stage k's compute (libhclooc's pipeline, as command-graph edges).
-  // False serializes each stage's transfer behind the previous stage's
-  // compute — the naive-staging baseline BENCH_ooc.json compares against.
+  // Out-of-core staging: which chain a stage's slice transfers ride. True
+  // (default) ships them on the node's DMA chain, so stage k+1's slices
+  // land while stage k computes (libhclooc's pipeline); false puts them on
+  // the node's command chain behind the previous stage's compute — the
+  // naive-staging baseline BENCH_ooc.json compares against.
   bool stage_pipeline = true;
   sim::LinkSpec link = sim::GigabitEthernet();
   std::uint64_t session_id = 1;
@@ -746,9 +740,7 @@ class ClusterRuntime {
 
   struct LaunchPlan;  // Queryable residue (LaunchResult) per launch.
   struct LaunchWork;  // Heavy captures owned by the command body.
-  struct StageLink;   // Prefetch -> compute handoff of one OOC stage.
-  struct StagePrefetchWork;  // Captures of a stage's prefetch command.
-  class WorkingSetPin;       // RAII eviction exclusion for a working set.
+  class WorkingSetPin;  // RAII eviction exclusion for a working set.
   Status ExecLaunch(const std::shared_ptr<LaunchWork>& work,
                     CommandGraph::Execution& e);
   // A launch's working set on its node, in buffer-argument order.
@@ -757,12 +749,13 @@ class ClusterRuntime {
   net::LaunchKernelRequest EncodeLaunch(
       const LaunchWork& work, const std::vector<WorkingRange>& working_set,
       std::uint64_t after_seq) const;
-  // The launch's complete half: the epilogue once its reply is in.
+  // The launch's complete half: the epilogue once its reply is in. A
+  // pipelined stage's kernel starts no earlier than `ready_at`, its
+  // prologue's last slice arrival; a stage then drains `work->drain`.
   Status CompleteLaunch(const std::shared_ptr<LaunchWork>& work,
                         const Expected<net::Message>& reply,
-                        std::uint64_t bytes_shipped,
+                        std::uint64_t bytes_shipped, sim::SimTime ready_at,
                         CommandGraph::Execution& e);
-  Status ExecStagePrefetch(const std::shared_ptr<StagePrefetchWork>& work);
   // Subtracts a shard's submit-time backlog charge from the node's
   // estimate (clamped at zero). Called from the launch epilogue on
   // success and from ~LaunchWork for every other retirement path.
@@ -782,14 +775,12 @@ class ClusterRuntime {
       const std::vector<runtime::MemoryPool::BufferRange>& ranges,
       std::vector<runtime::MemoryPool::BufferRange>* charged);
   // How a transfer charges virtual time: kDemand chains on the node's
-  // command order (the classic prologue transfer); kPrefetch rides the
-  // DMA chain so it overlaps the node's compute — the staged pipeline's
-  // stage-(k+1)-transfer-during-stage-k-compute edge.
+  // command order (every prologue transfer but a pipelined stage's);
+  // kPrefetch rides the node's DMA chain, so a stage's slices land while
+  // the previous stage computes and its kernel gates on their arrival.
   enum class TransferTiming { kDemand, kPrefetch };
   // How a command runs the working-set prologue (StageWorkingSet).
   struct Staging {
-    // False for a staged launch: its prefetch command already reserved.
-    bool reserve = true;
     // A launch's program, built after the reservation and its spills and
     // before the transfers (the virtual-timeline order).
     ProgramId program_id = 0;
@@ -804,8 +795,8 @@ class ClusterRuntime {
     std::uint64_t* bytes_shipped = nullptr;  // See EnsureRangeOnNodeLocked.
     sim::SimTime* ready_at = nullptr;
   };
-  // The working-set prologue of every node-bound command (launch, stage
-  // prefetch, migration, node-queue write): pins and LRU-stamps each
+  // The working-set prologue of every node-bound command (launch,
+  // migration, node-queue write): pins and LRU-stamps each
   // range's buffer on `node` into `pins`, reserves the ranges in the
   // node's ledger (evicting colder buffers), builds the program, then
   // makes `node` a fresh owner of each range. When the node refuses a
@@ -968,11 +959,10 @@ class ClusterRuntime {
   // sched_mutex_; read into NodeView.alive at planning time).
   std::vector<bool> node_dead_;
   // Last broker snapshot per node (guarded by sched_mutex_): total
-  // admitted backlog across ALL sessions and the active fair-share
-  // weight, piggybacked on every launch reply and refreshed by load
-  // queries — how this session's scheduler sees its neighbours.
+  // admitted backlog across ALL sessions, piggybacked on every launch
+  // reply and refreshed by load queries — how the elastic coordinator
+  // sees this session's neighbours.
   std::vector<double> node_broker_backlog_;
-  std::vector<double> node_active_weight_;
   // Observed per-(node, kernel) rates (internally synchronized).
   std::unique_ptr<sched::KernelRateTable> rate_table_;
   std::vector<std::uint32_t> in_flight_;  // RPCs outstanding per node.

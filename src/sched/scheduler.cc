@@ -309,59 +309,6 @@ class AdaptiveSplitPolicy : public HeterogeneityAwareSplitPolicy {
   }
 };
 
-// Multi-tenant wrapper ("fair_share"): plans exactly like the wrapped
-// policy, but over a view whose per-node wait estimate accounts for the
-// OTHER tenants sharing each node. The broker serves this session
-// share = weight / active_weight of the node's throughput under
-// contention, so this session's own backlog drains in own/share wall
-// seconds — but never slower than serving everything in line
-// (own + others), since foreign backlog ahead of us is also bounded by
-// FIFO order. busy_seconds_ahead becomes min(own / share, own + others):
-// on an uncontended node this is exactly `own` (the single-tenant view),
-// and under contention a node crowded by a hog looks proportionally
-// slower, steering shards toward nodes where this tenant's share is
-// better.
-class FairSharePolicy : public SchedulingPolicy {
- public:
-  explicit FairSharePolicy(std::unique_ptr<SchedulingPolicy> inner)
-      : inner_(std::move(inner)) {}
-
-  [[nodiscard]] std::string name() const override {
-    return "fair_share(" + inner_->name() + ")";
-  }
-
-  Expected<std::size_t> SelectNode(const TaskInfo& task,
-                                   const ClusterView& cluster) override {
-    return inner_->SelectNode(task, AdjustedView(cluster));
-  }
-
-  Expected<PlacementPlan> PlanLaunch(const TaskInfo& task,
-                                     const ClusterView& cluster) override {
-    return inner_->PlanLaunch(task, AdjustedView(cluster));
-  }
-
- private:
-  static ClusterView AdjustedView(const ClusterView& cluster) {
-    ClusterView adjusted = cluster;
-    for (NodeView& node : adjusted.nodes) {
-      const double own = node.busy_seconds_ahead;
-      const double others =
-          std::max(0.0, node.node_backlog_seconds - own);
-      if (others <= 0.0) continue;  // Uncontended: keep the plain view.
-      const double share =
-          node.tenant_weight /
-          std::max(node.active_weight, std::max(node.tenant_weight, 1e-9));
-      node.busy_seconds_ahead =
-          std::min(share > 0.0 ? own / share
-                               : std::numeric_limits<double>::infinity(),
-                   own + others);
-    }
-    return adjusted;
-  }
-
-  std::unique_ptr<SchedulingPolicy> inner_;
-};
-
 class PowerAwarePolicy : public SchedulingPolicy {
  public:
   explicit PowerAwarePolicy(double max_slowdown)
@@ -415,7 +362,6 @@ PolicyRegistry& Registry() {
     registry->factories["hetero_split"] = MakeHeterogeneityAwareSplitPolicy;
     registry->factories["adaptive_split"] = MakeAdaptiveSplitPolicy;
     registry->factories["power"] = [] { return MakePowerAwarePolicy(); };
-    registry->factories["fair_share"] = [] { return MakeFairSharePolicy(); };
   });
   return *registry;
 }
@@ -584,11 +530,6 @@ std::unique_ptr<SchedulingPolicy> MakeHeterogeneityAwareSplitPolicy() {
 }
 std::unique_ptr<SchedulingPolicy> MakeAdaptiveSplitPolicy() {
   return std::make_unique<AdaptiveSplitPolicy>();
-}
-std::unique_ptr<SchedulingPolicy> MakeFairSharePolicy(
-    std::unique_ptr<SchedulingPolicy> inner) {
-  if (inner == nullptr) inner = MakeAdaptiveSplitPolicy();
-  return std::make_unique<FairSharePolicy>(std::move(inner));
 }
 
 void RegisterPolicy(const std::string& name, PolicyFactory factory) {

@@ -117,19 +117,6 @@ struct NodeView {
   // at least one shard here — the signal `adaptive_split` re-plans from.
   double kernel_seconds_per_flop = 0.0;
   std::uint64_t kernel_rate_samples = 0;
-  // ---- Multi-tenant serving view (node broker) ----
-  // The node's admitted-but-unfinished modeled seconds across ALL
-  // sessions sharing it (this session's busy_seconds_ahead is a subset).
-  // 0 until the node reported broker state.
-  double node_backlog_seconds = 0.0;
-  // This session's registered fair-share weight on the node.
-  double tenant_weight = 1.0;
-  // Sum of weights over tenants with a non-zero backlog there (0 = the
-  // node is idle or predates broker reporting). tenant_weight /
-  // active_weight is the service fraction the broker's weighted fair
-  // queuing grants this session under contention — what `fair_share`
-  // scales foreign backlog by.
-  double active_weight = 0.0;
 };
 
 struct ClusterView {
@@ -261,15 +248,6 @@ std::unique_ptr<SchedulingPolicy> MakeHeterogeneityAwareSplitPolicy();
 // within a few chained launches. Re-splits stay aligned and
 // residency-ordered, so the region directory re-ships minimal bytes.
 std::unique_ptr<SchedulingPolicy> MakeAdaptiveSplitPolicy();
-// Multi-tenant fair-share wrapper ("fair_share"): plans like `inner`
-// (adaptive_split when null) but over a view whose per-node wait
-// estimate folds in the OTHER tenants' broker backlog scaled by this
-// session's fair share — so under contention shards steer toward nodes
-// where this tenant is served a better fraction. Uses the
-// NodeView broker fields (node_backlog_seconds / tenant_weight /
-// active_weight); with those unset it degenerates to `inner` exactly.
-std::unique_ptr<SchedulingPolicy> MakeFairSharePolicy(
-    std::unique_ptr<SchedulingPolicy> inner = nullptr);
 
 // Policy registry: user-defined schedulers plug in by name (the paper's
 // "designers can design and illustrate their own scheduling algorithms and

@@ -351,17 +351,60 @@ TEST(OocLaunchTest, OversubscribedDoublerRunsStagedAndBitIdentical) {
     values[i] = static_cast<std::int32_t>(i);
   }
   ASSERT_TRUE(runtime.WriteBuffer(*buffer, 0, values.data(), 4096).ok());
+  ASSERT_TRUE(runtime.Finish().ok());
+  const std::uint64_t retired_before = runtime.graph().CommandsRetired();
   auto result = LaunchDoubler(runtime, *program, *buffer, 1024, 0);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->shard_count, 1u);
   EXPECT_EQ(result->stage_count, 8u);  // 1024 / 128.
+  // One command per stage plus the join.
+  EXPECT_EQ(runtime.graph().CommandsRetired() - retired_before, 9u);
   auto stats = runtime.NodeMemoryStatsOf(0);
   ASSERT_TRUE(stats.ok());
   EXPECT_LE(stats->resident_bytes, 1024u);
+  EXPECT_EQ(stats->resident_bytes, cluster->server(0).bytes_resident());
   std::vector<std::int32_t> readback(1024);
   ASSERT_TRUE(runtime.ReadBuffer(*buffer, 0, readback.data(), 4096).ok());
   for (std::size_t i = 0; i < readback.size(); ++i) {
     ASSERT_EQ(readback[i], values[i] * 2) << "element " << i;
+  }
+}
+
+// A stage the node refuses fails the launch with its own error. Node 0's
+// 1 KiB tier stages the 4 KiB doubler 512 bytes at a time, but a 768-byte
+// tenant quota cannot hold stage 2's slice beside stage 1's (the double
+// buffer): the node refuses stage 2's prologue, and the caller sees that
+// refusal, not a failed dependency.
+TEST(OocLaunchTest, QuotaRefusedStageReportsItsOwnError) {
+  RuntimeOptions options;
+  options.tenant_mem_quota_bytes = 768;
+  auto cluster = MakeCluster({.gpu_nodes = 1, .cpu_nodes = 1},
+                             {1024, 1 << 20}, options);
+  ASSERT_NE(cluster, nullptr);
+  auto& runtime = cluster->runtime();
+  auto program = runtime.BuildProgram(kDoublerSource);
+  ASSERT_TRUE(program.ok());
+  auto buffer = runtime.CreateBuffer(4096);
+  ASSERT_TRUE(buffer.ok());
+  std::vector<std::int32_t> values(1024);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<std::int32_t>(3 * i + 1);
+  }
+  ASSERT_TRUE(runtime.WriteBuffer(*buffer, 0, values.data(), 4096).ok());
+
+  auto launch = LaunchDoubler(runtime, *program, *buffer, 1024, 0);
+  ASSERT_FALSE(launch.ok());
+  EXPECT_EQ(launch.status().code(), ErrorCode::kMemObjectAllocationFailure)
+      << launch.status().ToString();
+  ASSERT_TRUE(runtime.Finish().ok());
+  EXPECT_EQ(runtime.NodeMemoryStatsOf(0)->resident_bytes,
+            cluster->server(0).bytes_resident());
+
+  // Stage 1 (elements 0-127) ran; nothing after it did.
+  std::vector<std::int32_t> got(1024);
+  ASSERT_TRUE(runtime.ReadBuffer(*buffer, 0, got.data(), 4096).ok());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], i < 128 ? values[i] * 2 : values[i]) << "element " << i;
   }
 }
 
@@ -484,10 +527,10 @@ TEST(OocLaunchTest, StagedPipelineBeatsSerialStaging) {
   const double pipelined = RowSumMakespan(true);
   EXPECT_GT(serial, 0.0);
   EXPECT_GT(pipelined, 0.0);
-  // The acceptance bar is 1.3x in the bench's regime; assert a slightly
-  // softer bound here to stay robust to worker-interleaving jitter in the
-  // virtual-time recording order.
-  EXPECT_GT(serial / pipelined, 1.2);
+  // Each stage is one command chained after its predecessor, so its
+  // transfers and drains charge the virtual timeline in a fixed order and
+  // the ratio is a function of the program: the bench's bar applies as is.
+  EXPECT_GT(serial / pipelined, 1.4);
 }
 
 TEST(TieredMemoryTest, RandomizedLaunchesAndEvictionsKeepLedgersConsistent) {

@@ -77,7 +77,7 @@ void BM_SimChannelRoundTrip(benchmark::State& state) {
   haocl::BlockingQueue<Message> replies;
   a->Start([&replies](Message m) { replies.Push(std::move(m)); });
   Message msg;
-  msg.type = MsgType::kQueryLoad;
+  msg.type = MsgType::kHeartbeat;
   for (auto _ : state) {
     msg.seq++;
     (void)a->Send(msg);
@@ -110,7 +110,7 @@ void BM_TcpLoopbackRoundTrip(benchmark::State& state) {
   haocl::BlockingQueue<Message> replies;
   (*client)->Start([&replies](Message m) { replies.Push(std::move(m)); });
   Message msg;
-  msg.type = MsgType::kQueryLoad;
+  msg.type = MsgType::kHeartbeat;
   msg.payload.resize(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     msg.seq++;
@@ -137,7 +137,7 @@ void BM_RpcSequentialCalls(benchmark::State& state) {
   haocl::net::RpcClient client(std::move(host_end));
   for (auto _ : state) {
     for (int i = 0; i < 16; ++i) {
-      benchmark::DoNotOptimize(client.Call(MsgType::kQueryLoad, 1, {}));
+      benchmark::DoNotOptimize(client.Call(MsgType::kHeartbeat, 1, {}));
     }
   }
   client.Close();
@@ -159,7 +159,7 @@ void BM_RpcPipelinedCalls(benchmark::State& state) {
     std::vector<haocl::net::RpcClient::ReplyFuture> futures;
     futures.reserve(16);
     for (int i = 0; i < 16; ++i) {
-      futures.push_back(client.CallAsync(MsgType::kQueryLoad, 1, {}));
+      futures.push_back(client.CallAsync(MsgType::kHeartbeat, 1, {}));
     }
     for (auto& future : futures) {
       benchmark::DoNotOptimize(future->Wait());

@@ -34,9 +34,6 @@ class NodeBroker::SessionLedger final : public runtime::MemoryLedger {
   [[nodiscard]] std::uint64_t resident_bytes() const override {
     return broker_->resident_bytes_of(session_);
   }
-  [[nodiscard]] std::uint64_t capacity() const override {
-    return broker_->capacity();
-  }
 
   // Unbounded: the broker is the budget, the pool is the bookkeeping.
   [[nodiscard]] runtime::MemoryPool& pool() { return pool_; }
@@ -301,17 +298,6 @@ double NodeBroker::backlog_seconds_of(std::uint64_t session) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = tenants_.find(session);
   return it == tenants_.end() ? 0.0 : it->second.backlog_seconds;
-}
-
-double NodeBroker::active_weight() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  double active = 0.0;
-  for (const auto& [id, tenant] : tenants_) {
-    if (tenant.backlog_seconds > 0.0) {
-      active += std::max(tenant.config.weight, kMinWeight);
-    }
-  }
-  return active;
 }
 
 std::uint64_t NodeBroker::kernels_completed() const {

@@ -20,9 +20,9 @@
 //    next launch tags near virtual_now — so it waits at most for the
 //    kernel in service, never for the hog's whole backlog.
 //  - Rates: completed launches from ALL sessions fold into one shared
-//    per-kernel seconds-per-flop table, shipped to hosts in LoadReply so
-//    a new session's first adaptive launch plans from rates its
-//    neighbours already observed.
+//    per-kernel seconds-per-flop table, shipped to hosts in
+//    BrokerStatsReply so a new session's first adaptive launch plans from
+//    rates its neighbours already observed.
 //
 // Admission control is OFF by default (BrokerLimits.max_backlog_seconds
 // == 0): a saturated node then backpressures only through queuing. With a
@@ -145,8 +145,6 @@ class NodeBroker {
   // Total admitted-but-unfinished modeled seconds (all tenants).
   [[nodiscard]] double backlog_seconds() const;
   [[nodiscard]] double backlog_seconds_of(std::uint64_t session) const;
-  // Sum of weights over tenants with a non-zero backlog.
-  [[nodiscard]] double active_weight() const;
   [[nodiscard]] std::uint64_t kernels_completed() const;
   [[nodiscard]] TenantStats StatsFor(std::uint64_t session) const;
   [[nodiscard]] std::vector<TenantStats> AllTenants() const;

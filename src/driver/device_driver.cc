@@ -133,7 +133,6 @@ class SimulatedDriver : public DeviceDriver {
       profile->modeled_seconds = sim::ModelKernelTime(spec_, cost);
       profile->modeled_joules = profile->modeled_seconds * spec_.power_watts;
       profile->flops = static_cast<std::uint64_t>(cost.flops);
-      profile->bytes_accessed = static_cast<std::uint64_t>(cost.bytes);
       profile->used_native_binary = used_native;
       profile->vm_instructions = vm_stats.instructions;
       profile->vm_batch_steps = vm_stats.batch_steps;

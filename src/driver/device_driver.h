@@ -23,7 +23,6 @@ struct LaunchProfile {
   double modeled_seconds = 0.0;
   double modeled_joules = 0.0;
   std::uint64_t flops = 0;
-  std::uint64_t bytes_accessed = 0;
   bool used_native_binary = false;
   // VM execution counters (zero when the launch ran a native binary).
   // `vm_instructions` is the exact retired work-item instruction count —

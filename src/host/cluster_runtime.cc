@@ -197,9 +197,7 @@ Expected<std::unique_ptr<ClusterRuntime>> ClusterRuntime::Connect(
     info.type = decoded->device_type;
     info.model = decoded->device_model;
     info.compute_gflops = decoded->compute_gflops;
-    info.mem_bandwidth_gbps = decoded->mem_bandwidth_gbps;
     info.mem_capacity_bytes = decoded->mem_capacity_bytes;
-    info.simd_width = decoded->simd_width > 0 ? decoded->simd_width : 1;
     runtime->devices_.push_back(std::move(info));
     // One memory-pool ledger per node, budgeting the capacity the node
     // reported (0 = unbounded for nodes predating capacity reporting).
@@ -209,7 +207,7 @@ Expected<std::unique_ptr<ClusterRuntime>> ClusterRuntime::Connect(
                                   "sim", 0});
   }
   runtime->timeline_ = std::make_unique<VirtualTimeline>(
-      sim::ClusterTopology::FromConfig(topo_config, runtime->options_.link));
+      sim::ClusterTopology::FromConfig(topo_config));
   runtime->node_busy_ahead_.assign(runtime->nodes_.size(), 0.0);
   runtime->node_dead_.assign(runtime->nodes_.size(), false);
   runtime->node_broker_backlog_.assign(runtime->nodes_.size(), 0.0);
@@ -241,17 +239,17 @@ Expected<std::unique_ptr<ClusterRuntime>> ClusterRuntime::Connect(
                     "tenant registration with node " + std::to_string(i) +
                         " failed: " + configured.status().message());
     }
-    auto load = runtime->nodes_[i]->Call(MsgType::kQueryLoad,
-                                         runtime->options_.session_id, {},
-                                         runtime->options_.rpc_timeout);
-    if (!load.ok() || load->type != MsgType::kLoadReply) continue;
-    auto decoded = net::Decode<net::LoadReply>(load->payload);
+    auto report = runtime->nodes_[i]->Call(MsgType::kQueryBroker,
+                                           runtime->options_.session_id, {},
+                                           runtime->options_.rpc_timeout);
+    if (!report.ok() || report->type != MsgType::kBrokerReply) continue;
+    auto decoded = net::Decode<net::BrokerStatsReply>(report->payload);
     if (!decoded.ok()) continue;
     for (const net::WireKernelRate& rate : decoded->kernel_rates) {
       runtime->rate_table_->Seed(i, rate.kernel, rate.seconds_per_flop,
                                  rate.samples);
     }
-    runtime->node_broker_backlog_[i] = decoded->node_backlog_seconds;
+    runtime->node_broker_backlog_[i] = decoded->backlog_seconds;
   }
 
   CommandGraph::Options graph_options;
@@ -1755,7 +1753,6 @@ sched::ClusterView ClusterRuntime::ClusterViewLocked(
     node.name = devices_[i].name;
     node.type = devices_[i].type;
     node.spec = sim::SpecForType(devices_[i].type);
-    node.link = options_.link;
     node.queue_depth = in_flight_[i];
     node.busy_seconds_ahead = node_busy_ahead_[i];
     node.observed_seconds_per_flop = rate_table_->NodeAverage(i);
@@ -2702,37 +2699,41 @@ Expected<sched::ClusterView> ClusterRuntime::QueryClusterView() {
   std::vector<net::RpcClient::ReplyFuture> futures;
   futures.reserve(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    futures.push_back(nodes_[i]->CallAsync(MsgType::kQueryLoad,
+    futures.push_back(nodes_[i]->CallAsync(MsgType::kQueryBroker,
                                            options_.session_id, {}));
   }
-  std::vector<std::optional<net::LoadReply>> loads(nodes_.size());
+  std::vector<std::optional<net::BrokerStatsReply>> reports(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const auto* reply = futures[i]->WaitFor(options_.rpc_timeout);
-    if (reply == nullptr || !CheckReply(*reply, MsgType::kLoadReply).ok()) {
+    if (reply == nullptr || !CheckReply(*reply, MsgType::kBrokerReply).ok()) {
       continue;
     }
-    auto load = net::Decode<net::LoadReply>((*reply)->payload);
-    if (!load.ok()) continue;
+    auto report = net::Decode<net::BrokerStatsReply>((*reply)->payload);
+    if (!report.ok()) continue;
     // Fold the broker's shared rates in first (only seeds kernels this
     // session has no local samples for) so the view below reflects them.
-    for (const net::WireKernelRate& rate : load->kernel_rates) {
+    for (const net::WireKernelRate& rate : report->kernel_rates) {
       rate_table_->Seed(i, rate.kernel, rate.seconds_per_flop, rate.samples);
     }
-    loads[i] = *std::move(load);
+    reports[i] = *std::move(report);
   }
   std::lock_guard<std::mutex> lock(sched_mutex_);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!loads[i].has_value()) continue;
-    node_broker_backlog_[i] = loads[i]->node_backlog_seconds;
+    if (!reports[i].has_value()) continue;
+    node_broker_backlog_[i] = reports[i]->backlog_seconds;
   }
   sched::ClusterView view = ClusterViewLocked(/*kernel_name=*/"");
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!loads[i].has_value()) {
+    if (!reports[i].has_value()) {
       view.nodes[i].alive = false;  // Silent or garbled: not schedulable.
       continue;
     }
-    view.nodes[i].queue_depth += loads[i]->queue_depth;
-    view.nodes[i].kernels_executed = loads[i]->kernels_executed;
+    view.nodes[i].queue_depth += reports[i]->queue_depth;
+    for (const net::BrokerTenantEntry& tenant : reports[i]->tenants) {
+      if (tenant.session == options_.session_id) {
+        view.nodes[i].kernels_executed = tenant.kernels_completed;
+      }
+    }
   }
   return view;
 }

@@ -101,12 +101,9 @@ struct DeviceInfo {
   NodeType type = NodeType::kCpu;
   std::string model;
   double compute_gflops = 0.0;
-  double mem_bandwidth_gbps = 0.0;
   // Device memory capacity from the handshake (0 = unbounded): the budget
   // the node's memory tier is managed against.
   std::uint64_t mem_capacity_bytes = 0;
-  // Native SIMD/SIMT width in 32-bit lanes from the handshake (1 = scalar).
-  std::uint32_t simd_width = 1;
 };
 
 // One kernel argument as the application binds it (clSetKernelArg).
@@ -188,7 +185,6 @@ struct RuntimeOptions {
   // the node's command chain behind the previous stage's compute — the
   // naive-staging baseline BENCH_ooc.json compares against.
   bool stage_pipeline = true;
-  sim::LinkSpec link = sim::GigabitEthernet();
   std::uint64_t session_id = 1;
   std::string host_name = "haocl-host";
   // Per-RPC deadline: a call a node leaves unanswered this long fails with
@@ -500,7 +496,8 @@ class ClusterRuntime {
   [[nodiscard]] const std::string& scheduler_name() const {
     return scheduler_name_;
   }
-  // Polls every node's load counters (the runtime resource monitor) and
+  // Polls every node's report (the runtime resource monitor: queue depth,
+  // backlog, shared kernel rates and this session's completed kernels) and
   // merges the host-side in-flight depth per node.
   Expected<sched::ClusterView> QueryClusterView();
   // Modeled seconds of launch work submitted to `node` and not yet
@@ -515,9 +512,9 @@ class ClusterRuntime {
   // shard boundaries from between chained launches.
   [[nodiscard]] sched::KernelRateTable::Rate ObservedKernelRate(
       std::size_t node, const std::string& kernel_name) const;
-  // Snapshot of `node`'s broker: the shared ledger, every tenant's
-  // serving stats (all sessions, not just this one), and the shared
-  // kernel-rate table. One RPC.
+  // Snapshot of `node`'s report: its queue depth, the broker's shared
+  // ledger, every tenant's serving stats (all sessions, not just this
+  // one), and the shared kernel-rate table. One RPC.
   Expected<net::BrokerStatsReply> QueryBrokerStats(std::size_t node);
 
   // ---- Virtual time ------------------------------------------------------
@@ -529,7 +526,8 @@ class ClusterRuntime {
   // ---- Tiered memory introspection ---------------------------------------
   // The host-side ledger of one node's memory tier. The node keeps its own
   // pool fed by the transfers it observes plus explicit notices; the two
-  // agree whenever the runtime is drained (LoadReply.bytes_resident).
+  // agree whenever the runtime is drained (the broker tenant's
+  // resident_bytes in QueryBrokerStats).
   [[nodiscard]] Expected<NodeMemoryStats> NodeMemoryStatsOf(
       std::size_t node) const;
 

@@ -95,10 +95,8 @@ const char* MsgTypeName(MsgType type) noexcept {
     case MsgType::kBuildProgram: return "BuildProgram";
     case MsgType::kReleaseProgram: return "ReleaseProgram";
     case MsgType::kLaunchKernel: return "LaunchKernel";
-    case MsgType::kQueryLoad: return "QueryLoad";
     case MsgType::kQueryBroker: return "QueryBroker";
     case MsgType::kHeartbeat: return "Heartbeat";
-    case MsgType::kOpenSession: return "OpenSession";
     case MsgType::kCloseSession: return "CloseSession";
     case MsgType::kShutdown: return "Shutdown";
     case MsgType::kConfigureSession: return "ConfigureSession";
@@ -106,7 +104,6 @@ const char* MsgTypeName(MsgType type) noexcept {
     case MsgType::kReadReply: return "ReadReply";
     case MsgType::kBuildReply: return "BuildReply";
     case MsgType::kLaunchReply: return "LaunchReply";
-    case MsgType::kLoadReply: return "LoadReply";
     case MsgType::kBrokerReply: return "BrokerReply";
   }
   return "?";

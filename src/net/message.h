@@ -28,9 +28,10 @@ enum class MsgType : std::uint16_t {
   kReadBuffer = 12,
   kReleaseBuffer = 13,
   // Node-to-node slice exchange (region directory): the host instructs a
-  // node to pull a byte range from a peer. 14, 16 and 23 are retired
-  // numbers (protocol version 1's node-side copy and peer push, version
-  // 2's chunk revocation): never reuse them.
+  // node to pull a byte range from a peer. 14, 16, 23, 30, 40 and 105 are
+  // retired numbers (protocol version 1's node-side copy and peer push,
+  // version 2's chunk revocation, version 4's load query, session open and
+  // load reply): never reuse them.
   kPullSlice = 15,
   // Tiered-memory reservation/eviction notice: keeps the node's memory
   // pool in lock-step with the host's per-node ledger for residency
@@ -41,10 +42,9 @@ enum class MsgType : std::uint16_t {
   kBuildProgram = 20,
   kReleaseProgram = 21,
   kLaunchKernel = 22,
-  // Monitoring (scheduler's runtime information).
-  kQueryLoad = 30,
-  // Broker introspection: the node's shared ledger, per-tenant serving
-  // stats, and shared kernel rates (multi-tenant fairness surface).
+  // Monitoring (scheduler's runtime information): the node's one report —
+  // its queue depth, shared ledger, per-tenant serving stats and shared
+  // kernel rates.
   kQueryBroker = 31,
   // Liveness probe: answered immediately on the node's receive path (never
   // queued behind data-plane work), so a timely reply means the node is
@@ -52,7 +52,6 @@ enum class MsgType : std::uint16_t {
   // node dead (kNodeLost).
   kHeartbeat = 32,
   // Session control.
-  kOpenSession = 40,
   kCloseSession = 41,
   kShutdown = 42,
   // Tenant registration at session connect: fair-share weight and memory
@@ -63,8 +62,7 @@ enum class MsgType : std::uint16_t {
   kReadReply = 102,    // status + bytes
   kBuildReply = 103,   // status + build log + kernel names
   kLaunchReply = 104,  // status + modeled timing
-  kLoadReply = 105,    // monitor counters
-  kBrokerReply = 106,  // broker ledger + tenant stats + shared rates
+  kBrokerReply = 106,  // queue depth + broker ledger, tenants and rates
 };
 
 struct Message {

@@ -22,7 +22,7 @@ namespace haocl::net {
 // Sent by both ends in the handshake; each refuses a peer speaking another
 // version. The bytes of every message are pinned by golden rows
 // (tests/net/protocol_fuzz_test.cc): changing one bumps this.
-inline constexpr std::uint32_t kProtocolVersion = 4;
+inline constexpr std::uint32_t kProtocolVersion = 5;
 
 // True for a message whose decoded form views the payload bytes (a span
 // field), so it must not be decoded from a temporary.
@@ -46,19 +46,15 @@ struct HelloReply {
   NodeType device_type = NodeType::kCpu;
   std::string device_model;
   double compute_gflops = 0.0;
-  double mem_bandwidth_gbps = 0.0;
   // Device memory capacity; the host budget for resident regions on this
   // node (0 = unbounded).
   std::uint64_t mem_capacity_bytes = 0;
-  // Native SIMD/SIMT width in 32-bit lanes (1 = scalar); schedulers prefer
-  // vector-width-multiple partition sizes.
-  std::uint32_t simd_width = 1;
   std::uint32_t protocol_version = kProtocolVersion;
 
   template <class Ar>
   void Fields(Ar& ar) {
     ar(node_name, device_type, device_model, compute_gflops,
-       mem_bandwidth_gbps, mem_capacity_bytes, simd_width, protocol_version);
+       mem_capacity_bytes, protocol_version);
   }
 };
 
@@ -260,18 +256,16 @@ struct LaunchKernelReply {
   std::string error_message;
   double modeled_seconds = 0.0;   // Device-model execution time.
   double modeled_joules = 0.0;    // Energy for the scheduler's power policy.
-  std::uint64_t flops = 0;        // Profiled work (heterogeneity-aware
-  std::uint64_t bytes_accessed = 0;  // scheduling feeds on these).
+  std::uint64_t flops = 0;        // Profiled work the rate table feeds on.
   // Broker snapshot piggybacked on every launch reply so the host's
   // fair-share view of the node (ALL tenants' backlog, not just its own)
   // stays fresh without extra monitoring round-trips.
   double node_backlog_seconds = 0.0;  // Admitted-but-unfinished, all tenants.
-  double active_weight = 0.0;         // Σ weights of backlogged tenants.
 
   template <class Ar>
   void Fields(Ar& ar) {
     ar(status_code, error_message, modeled_seconds, modeled_joules, flops,
-       bytes_accessed, node_backlog_seconds, active_weight);
+       node_backlog_seconds);
   }
 };
 
@@ -288,34 +282,6 @@ struct WireKernelRate {
 
   template <class Ar>
   void Fields(Ar& ar) { ar(kernel, seconds_per_flop, samples); }
-};
-
-struct LoadReply {
-  static constexpr MsgType kType = MsgType::kLoadReply;
-  std::uint32_t queue_depth = 0;       // Commands waiting on the node.
-  std::uint64_t buffers_held = 0;
-  std::uint64_t bytes_allocated = 0;
-  // Memory-pool ledger: bytes of buffer regions THIS session has
-  // materialized in device memory, and the capacity they budget against
-  // (0 = unbounded).
-  std::uint64_t bytes_resident = 0;
-  std::uint64_t mem_capacity_bytes = 0;
-  double busy_seconds_total = 0.0;     // Modeled device busy time.
-  std::uint64_t kernels_executed = 0;
-  // ---- Node-broker fields (node-wide, across ALL sessions) ----
-  std::uint64_t node_resident_bytes = 0;   // Shared-ledger resident total.
-  double node_backlog_seconds = 0.0;       // All tenants' admitted backlog.
-  double tenant_backlog_seconds = 0.0;     // The querying session's share.
-  double active_weight = 0.0;              // Σ weights, backlogged tenants.
-  std::vector<WireKernelRate> kernel_rates;  // Shared observed rates.
-
-  template <class Ar>
-  void Fields(Ar& ar) {
-    ar(queue_depth, buffers_held, bytes_allocated, bytes_resident,
-       mem_capacity_bytes, busy_seconds_total, kernels_executed,
-       node_resident_bytes, node_backlog_seconds, tenant_backlog_seconds,
-       active_weight, kernel_rates);
-  }
 };
 
 // ------------------------------------------------------------ Multi-tenancy
@@ -354,21 +320,22 @@ struct BrokerTenantEntry {
   }
 };
 
-// Reply to kQueryBroker: the node's shared ledger, admission state,
-// per-tenant serving stats, and the shared kernel-rate table.
+// Reply to kQueryBroker, the node's one report: its queue depth, shared
+// ledger, admission state, per-tenant serving stats, and the shared
+// kernel-rate table.
 struct BrokerStatsReply {
   static constexpr MsgType kType = MsgType::kBrokerReply;
+  std::uint32_t queue_depth = 0;       // Requests waiting on the node.
   std::uint64_t mem_capacity_bytes = 0;
   std::uint64_t resident_bytes = 0;    // All sessions.
   double backlog_seconds = 0.0;        // All tenants.
-  double active_weight = 0.0;
   double max_backlog_seconds = 0.0;    // Admission limit (0 = off).
   std::vector<BrokerTenantEntry> tenants;
   std::vector<WireKernelRate> kernel_rates;
 
   template <class Ar>
   void Fields(Ar& ar) {
-    ar(mem_capacity_bytes, resident_bytes, backlog_seconds, active_weight,
+    ar(queue_depth, mem_capacity_bytes, resident_bytes, backlog_seconds,
        max_backlog_seconds, tenants, kernel_rates);
   }
 };

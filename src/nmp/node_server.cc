@@ -278,12 +278,7 @@ Message NodeServer::HandleMessage(const Message& request, Channel& channel) {
         hello.device_type = type_;
         hello.device_model = driver_->spec().model_name;
         hello.compute_gflops = driver_->spec().compute_gflops;
-        hello.mem_bandwidth_gbps = driver_->spec().mem_bandwidth_gbps;
         hello.mem_capacity_bytes = driver_->spec().mem_capacity_bytes;
-        hello.simd_width = driver_->spec().simd_width > 0
-                               ? static_cast<std::uint32_t>(
-                                     driver_->spec().simd_width)
-                               : 1;
         reply.type = MsgType::kHelloReply;
         reply.payload = net::Encode(hello);
       });
@@ -397,28 +392,11 @@ Message NodeServer::HandleMessage(const Message& request, Channel& channel) {
                                  sample_flops);
         }
         launch.node_backlog_seconds = broker_.backlog_seconds();
-        launch.active_weight = broker_.active_weight();
         failed = launch.status_code != 0;
         reply.type = MsgType::kLaunchReply;
         reply.payload = net::Encode(launch);
       });
       break;
-    case MsgType::kQueryLoad: {
-      net::LoadReply load = session.Load();
-      load.queue_depth = queue_depth_.load(std::memory_order_relaxed);
-      load.node_resident_bytes = broker_.resident_bytes();
-      load.node_backlog_seconds = broker_.backlog_seconds();
-      load.tenant_backlog_seconds =
-          broker_.backlog_seconds_of(request.session);
-      load.active_weight = broker_.active_weight();
-      for (const broker::BrokerKernelRate& rate : broker_.KernelRates()) {
-        load.kernel_rates.push_back(
-            {rate.kernel, rate.seconds_per_flop, rate.samples});
-      }
-      reply.type = MsgType::kLoadReply;
-      reply.payload = net::Encode(load);
-      break;
-    }
     case MsgType::kConfigureSession:
       on([&](const net::ConfigureSessionRequest& decoded) {
         broker::TenantConfig config;
@@ -431,10 +409,10 @@ Message NodeServer::HandleMessage(const Message& request, Channel& channel) {
       break;
     case MsgType::kQueryBroker: {
       net::BrokerStatsReply stats;
+      stats.queue_depth = queue_depth_.load(std::memory_order_relaxed);
       stats.mem_capacity_bytes = broker_.capacity();
       stats.resident_bytes = broker_.resident_bytes();
       stats.backlog_seconds = broker_.backlog_seconds();
-      stats.active_weight = broker_.active_weight();
       stats.max_backlog_seconds = broker_.limits().max_backlog_seconds;
       for (const broker::TenantStats& t : broker_.AllTenants()) {
         net::BrokerTenantEntry entry;
@@ -458,18 +436,15 @@ Message NodeServer::HandleMessage(const Message& request, Channel& channel) {
       reply.payload = net::Encode(stats);
       break;
     }
-    case MsgType::kOpenSession:
     case MsgType::kCloseSession: {
-      if (request.type == MsgType::kCloseSession) {
-        {
-          std::lock_guard<std::mutex> lock(sessions_mutex_);
-          sessions_.erase(request.session);
-        }
-        // After the session (and its ledger view) is gone: its resident
-        // bytes leave the node ledger so the capacity frees up for the
-        // remaining tenants.
-        broker_.UnregisterTenant(request.session);
+      {
+        std::lock_guard<std::mutex> lock(sessions_mutex_);
+        sessions_.erase(request.session);
       }
+      // After the session (and its ledger view) is gone: its resident
+      // bytes leave the node ledger so the capacity frees up for the
+      // remaining tenants.
+      broker_.UnregisterTenant(request.session);
       status_reply(Status::Ok());
       break;
     }
@@ -489,13 +464,7 @@ Message NodeServer::HandleMessage(const Message& request, Channel& channel) {
 }
 
 std::uint64_t NodeServer::kernels_executed() const {
-  std::uint64_t total = 0;
-  std::lock_guard<std::mutex> lock(
-      const_cast<std::mutex&>(sessions_mutex_));
-  for (const auto& [id, session] : sessions_) {
-    total += session->Load().kernels_executed;
-  }
-  return total;
+  return broker_.kernels_completed();
 }
 
 std::uint64_t NodeServer::bytes_resident() const {

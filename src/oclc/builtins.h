@@ -36,6 +36,14 @@ enum class BuiltinId : std::int32_t {
   kCount,
 };
 
+inline bool IsWorkItemBuiltin(BuiltinId id) {
+  return id >= BuiltinId::kGetGlobalId && id <= BuiltinId::kGetWorkDim;
+}
+
+inline bool IsAtomicBuiltin(BuiltinId id) {
+  return id >= BuiltinId::kAtomicAdd && id <= BuiltinId::kAtomicCmpxchg;
+}
+
 struct BuiltinSignature {
   BuiltinId id;
   Type result;                 // Resolved result type.

@@ -30,7 +30,6 @@ class FunctionGen {
     }
     next_slot_ = fn_.local_slot_count;
 
-    AnalyzeUniformity();
     AnalyzeLaneDep();
     CollectArrays(*fn_.body, out.arrays);
     HAOCL_RETURN_IF_ERROR(EmitStmt(*fn_.body));
@@ -46,37 +45,6 @@ class FunctionGen {
  private:
   // ------------------------------------------------ Batchability analyses
 
-  // Group-uniformity of local slots, computed to a fixpoint before emission.
-  // A slot is uniform when every write to it stores a group-uniform value;
-  // the lane-batch engine then reads a uniform branch condition from lane 0
-  // alone. Conservative: memory loads, get_global_id/get_local_id, atomics,
-  // and user calls are non-uniform. Flags are a pure optimization — the
-  // engine scans every lane when a branch is unflagged.
-  void AnalyzeUniformity() {
-    slot_uniform_.assign(fn_.local_slot_count, true);
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      ScanStmtUniform(*fn_.body, changed);
-    }
-  }
-
-  [[nodiscard]] bool SlotUniform(int slot) const {
-    // Scratch slots (allocated during emission, beyond the analyzed range)
-    // hold addresses/memory values: non-uniform.
-    return slot >= 0 &&
-           static_cast<std::size_t>(slot) < slot_uniform_.size() &&
-           slot_uniform_[slot];
-  }
-
-  void Demote(int slot, bool& changed) {
-    if (slot >= 0 && static_cast<std::size_t>(slot) < slot_uniform_.size() &&
-        slot_uniform_[slot]) {
-      slot_uniform_[slot] = false;
-      changed = true;
-    }
-  }
-
   [[nodiscard]] static bool IsIncDec(const Expr& e) {
     return e.kind == ExprKind::kUnary &&
            (e.unary_op == UnaryOp::kPreInc || e.unary_op == UnaryOp::kPreDec ||
@@ -84,104 +52,21 @@ class FunctionGen {
             e.unary_op == UnaryOp::kPostDec);
   }
 
-  [[nodiscard]] bool ExprUniform(const Expr& e) const {
-    switch (e.kind) {
-      case ExprKind::kIntLiteral:
-      case ExprKind::kFloatLiteral:
-      case ExprKind::kBoolLiteral:
-        return true;
-      case ExprKind::kVarRef:
-        // Array decay pushes a constant encoded pointer: uniform.
-        return e.symbol_slot < 0 || SlotUniform(e.symbol_slot);
-      case ExprKind::kBinary:
-        return ExprUniform(*e.children[0]) && ExprUniform(*e.children[1]);
-      case ExprKind::kUnary:
-        if (IsIncDec(e)) {
-          const Expr& operand = *e.children[0];
-          return operand.kind == ExprKind::kVarRef &&
-                 SlotUniform(operand.symbol_slot);
-        }
-        return ExprUniform(*e.children[0]);
-      case ExprKind::kAssign: {
-        bool uniform = ExprUniform(*e.children[1]);
-        if (e.compound) {
-          const Expr& lhs = *e.children[0];
-          uniform = uniform && lhs.kind == ExprKind::kVarRef &&
-                    SlotUniform(lhs.symbol_slot);
-        }
-        return uniform;
-      }
-      case ExprKind::kCall: {
-        if (e.builtin_id == -2) return true;  // barrier(): void.
-        if (e.builtin_id < 0) return false;   // User calls: conservative.
-        const auto id = static_cast<BuiltinId>(e.builtin_id);
-        if (id == BuiltinId::kGetGlobalId || id == BuiltinId::kGetLocalId ||
-            IsAtomic(id)) {
-          return false;
-        }
-        // Group ids/sizes/offsets and pure math: uniform in uniform args.
-        for (const ExprPtr& arg : e.children) {
-          if (!ExprUniform(*arg)) return false;
-        }
-        return true;
-      }
-      case ExprKind::kSubscript:
-        return false;  // Memory another work-item may have written.
-      case ExprKind::kCast:
-        return ExprUniform(*e.children[0]);
-      case ExprKind::kTernary:
-        return ExprUniform(*e.children[0]) && ExprUniform(*e.children[1]) &&
-               ExprUniform(*e.children[2]);
-    }
-    return false;
-  }
-
-  void ScanExprUniform(const Expr& e, bool& changed) {
-    for (const ExprPtr& child : e.children) {
-      if (child != nullptr) ScanExprUniform(*child, changed);
-    }
-    if (e.kind == ExprKind::kAssign) {
-      const Expr& lhs = *e.children[0];
-      if (lhs.kind == ExprKind::kVarRef && lhs.symbol_slot >= 0 &&
-          !ExprUniform(e)) {
-        Demote(lhs.symbol_slot, changed);
-      }
-    }
-    // ++/-- preserves the slot's uniformity (old value +/- a literal).
-  }
-
-  void ScanStmtUniform(const Stmt& stmt, bool& changed) {
-    if (stmt.kind == StmtKind::kDecl) {
-      for (const Declarator& decl : stmt.declarators) {
-        if (decl.array_size != nullptr || decl.init == nullptr) continue;
-        if (!ExprUniform(*decl.init)) Demote(decl.slot, changed);
-      }
-    }
-    if (stmt.expr != nullptr) ScanExprUniform(*stmt.expr, changed);
-    if (stmt.cond != nullptr) ScanExprUniform(*stmt.cond, changed);
-    if (stmt.step != nullptr) ScanExprUniform(*stmt.step, changed);
-    for (const StmtPtr& child : stmt.body) {
-      if (child != nullptr) ScanStmtUniform(*child, changed);
-    }
-  }
-
-  // Tags a just-emitted conditional jump whose condition is group-uniform.
-  void FlagIfUniform(std::size_t at, const Expr& cond) {
-    if (ExprUniform(cond)) {
-      module_.code[at].flags |= kInstrFlagUniformBranch;
-    }
-  }
-
-  // Lane dependence of local slots: a three-point lattice refining the
-  // uniformity analysis. kUniform = same value in every lane, kAffine =
-  // value is `base + stride * lane_id` for group-uniform base/stride
-  // (get_global_id(0)/get_local_id(0) are the generators; closed under
-  // +/- affine and * uniform), kVarying = anything else. The batch engine
-  // uses the affine hint to turn uniform-base indexed loads into
-  // contiguous/strided vector loads with one whole-chunk bounds precheck;
-  // it still verifies the actual lane stride at dispatch time, so the
-  // analysis only has to be conservative about *uniformity*, never about
-  // the exact stride (i32 wrap included).
+  // Lane dependence of local slots, computed to a fixpoint before
+  // emission: a three-point lattice. kUniform = same value in every lane of
+  // the group, kAffine = value is `base + stride * lane_id` for
+  // group-uniform base/stride (get_global_id(0)/get_local_id(0) are the
+  // generators; closed under +/- affine and * uniform), kVarying =
+  // anything else. A slot is only as good as the worst value any write
+  // stores to it. Conservative: memory loads, atomics and user calls are
+  // varying.
+  //
+  // The lane-batch engine reads a kUniform branch condition from lane 0
+  // alone (FlagIfUniform), and uses the affine hint to turn uniform-base
+  // indexed loads into contiguous/strided vector loads with one
+  // whole-chunk bounds precheck; it still verifies the actual lane stride
+  // at dispatch time, so the analysis only has to be conservative about
+  // *uniformity*, never about the exact stride (i32 wrap included).
   enum class LaneDep : std::uint8_t { kUniform = 0, kAffine = 1, kVarying = 2 };
 
   static LaneDep JoinLane(LaneDep a, LaneDep b) { return a > b ? a : b; }
@@ -282,7 +167,7 @@ class FunctionGen {
                             e.children[0]->int_value == 0;
           return dim0 ? LaneDep::kAffine : LaneDep::kVarying;
         }
-        if (IsAtomic(id)) return LaneDep::kVarying;
+        if (IsAtomicBuiltin(id)) return LaneDep::kVarying;
         for (const ExprPtr& arg : e.children) {
           if (ExprLane(*arg) != LaneDep::kUniform) return LaneDep::kVarying;
         }
@@ -331,6 +216,15 @@ class FunctionGen {
     if (stmt.step != nullptr) ScanExprLane(*stmt.step, changed);
     for (const StmtPtr& child : stmt.body) {
       if (child != nullptr) ScanStmtLane(*child, changed);
+    }
+  }
+
+  // Tags a just-emitted conditional jump whose condition is group-uniform.
+  // Flags are a pure optimization: the engine scans every lane when a
+  // branch is unflagged.
+  void FlagIfUniform(std::size_t at, const Expr& cond) {
+    if (ExprLane(cond) == LaneDep::kUniform) {
+      module_.code[at].flags |= kInstrFlagUniformBranch;
     }
   }
 
@@ -1096,11 +990,11 @@ class FunctionGen {
           // their own type. The VM re-reads types from the instruction
           // stream, so convert numeric args to the builtin result type
           // except for atomics (operand matches pointee type).
-          if (IsAtomic(id)) {
+          if (IsAtomicBuiltin(id)) {
             Convert(arg->type.scalar, expr.type.scalar);
           } else if (IsFloat(expr.type.scalar)) {
             Convert(arg->type.scalar, expr.type.scalar);
-          } else if (IsWorkItemFn(id)) {
+          } else if (IsWorkItemBuiltin(id)) {
             Convert(arg->type.scalar, ScalarType::kU32);
           } else {
             Convert(arg->type.scalar, expr.type.scalar);
@@ -1133,13 +1027,6 @@ class FunctionGen {
     return Status::Ok();
   }
 
-  static bool IsAtomic(BuiltinId id) {
-    return id >= BuiltinId::kAtomicAdd && id <= BuiltinId::kAtomicCmpxchg;
-  }
-  static bool IsWorkItemFn(BuiltinId id) {
-    return id >= BuiltinId::kGetGlobalId && id <= BuiltinId::kGetWorkDim;
-  }
-
   struct LoopContext {
     std::vector<std::size_t> breaks;
     std::vector<std::size_t> continues;
@@ -1150,7 +1037,6 @@ class FunctionGen {
   Module& module_;
   std::unordered_map<std::uint64_t, std::int32_t> literal_index_;
   std::vector<LoopContext> loops_;
-  std::vector<bool> slot_uniform_;  // See AnalyzeUniformity().
   std::vector<LaneDep> slot_lane_;  // See AnalyzeLaneDep().
   int next_slot_ = 0;
 };

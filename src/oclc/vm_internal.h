@@ -511,14 +511,6 @@ inline float MathUnaryF(BuiltinId id, float x) {
   }
 }
 
-inline bool IsAtomicBuiltin(BuiltinId id) {
-  return id >= BuiltinId::kAtomicAdd && id <= BuiltinId::kAtomicCmpxchg;
-}
-
-inline bool IsWorkItemBuiltin(BuiltinId id) {
-  return id >= BuiltinId::kGetGlobalId && id <= BuiltinId::kGetWorkDim;
-}
-
 // Atomics on already-resolved memory (the caller bounds-checks the 4-byte
 // access for its own address space). Shared by both engines so the RMW
 // sequences are identical.

@@ -33,7 +33,6 @@ Status DeviceSession::CreateBuffer(std::uint64_t buffer_id,
     return Status(ErrorCode::kMemObjectAllocationFailure,
                   "cannot allocate " + std::to_string(size) + " bytes");
   }
-  bytes_allocated_ += size;
   return Status::Ok();
 }
 
@@ -84,7 +83,6 @@ Status DeviceSession::ReleaseBuffer(std::uint64_t buffer_id) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = buffers_.find(buffer_id);
   if (it == buffers_.end()) return NoSuchBuffer(buffer_id);
-  bytes_allocated_ -= it->second->size();
   ledger_->ReleaseBuffer(buffer_id);
   buffers_.erase(it);
   return Status::Ok();
@@ -305,9 +303,6 @@ net::LaunchKernelReply DeviceSession::LaunchKernel(
   reply.modeled_seconds = profile.modeled_seconds;
   reply.modeled_joules = profile.modeled_joules;
   reply.flops = profile.flops;
-  reply.bytes_accessed = profile.bytes_accessed;
-  ++kernels_executed_;
-  busy_seconds_total_ += profile.modeled_seconds;
   return reply;
 }
 
@@ -323,19 +318,6 @@ Status DeviceSession::PullSlice(const net::PullSliceRequest& request,
   // peer's ReadBuffer, which needs that lock — a distributed deadlock.
   return fetch(request.source_node, request.buffer_id, request.offset,
                range->bytes);
-}
-
-net::LoadReply DeviceSession::Load() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  net::LoadReply reply;
-  reply.queue_depth = 0;  // Filled by the NMP, which owns the queue.
-  reply.buffers_held = buffers_.size();
-  reply.bytes_allocated = bytes_allocated_;
-  reply.bytes_resident = ledger_->resident_bytes();
-  reply.mem_capacity_bytes = ledger_->capacity();
-  reply.busy_seconds_total = busy_seconds_total_;
-  reply.kernels_executed = kernels_executed_;
-  return reply;
 }
 
 }  // namespace haocl::runtime

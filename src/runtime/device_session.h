@@ -105,7 +105,6 @@ class DeviceSession {
   Status MemoryNotice(const net::MemoryNoticeRequest& request);
 
   // ---- Introspection ----------------------------------------------------
-  [[nodiscard]] net::LoadReply Load() const;
   [[nodiscard]] const sim::DeviceSpec& spec() const { return driver_->spec(); }
   [[nodiscard]] std::size_t buffer_count() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -116,7 +115,7 @@ class DeviceSession {
     return programs_.size();
   }
   // Bytes of buffer regions THIS session materialized in device memory
-  // per its ledger (what LoadReply.bytes_resident reports).
+  // per its ledger (its broker tenant's resident_bytes).
   [[nodiscard]] std::uint64_t resident_bytes() const {
     return ledger_->resident_bytes();
   }
@@ -148,11 +147,6 @@ class DeviceSession {
   // are lazily zeroed: only the ranges that bytes land in become resident.
   std::unordered_map<std::uint64_t, std::shared_ptr<ZeroedBytes>> buffers_;
   std::unordered_map<std::uint64_t, ProgramEntry> programs_;
-
-  // Monitor counters the scheduler's resource monitor reads.
-  std::uint64_t bytes_allocated_ = 0;
-  std::uint64_t kernels_executed_ = 0;
-  double busy_seconds_total_ = 0.0;
 };
 
 }  // namespace haocl::runtime

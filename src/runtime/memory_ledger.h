@@ -36,8 +36,6 @@ class MemoryLedger {
 
   // Bytes THIS session has resident.
   [[nodiscard]] virtual std::uint64_t resident_bytes() const = 0;
-  // The device capacity the ledger budgets against (0 = unbounded).
-  [[nodiscard]] virtual std::uint64_t capacity() const = 0;
 };
 
 // Private single-session ledger over one MemoryPool: the pre-broker
@@ -59,9 +57,6 @@ class PoolLedger final : public MemoryLedger {
   }
   [[nodiscard]] std::uint64_t resident_bytes() const override {
     return pool_.resident_bytes();
-  }
-  [[nodiscard]] std::uint64_t capacity() const override {
-    return pool_.capacity();
   }
 
  private:

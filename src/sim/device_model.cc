@@ -38,7 +38,6 @@ DeviceSpec XeonE52686() {
   spec.launch_overhead_s = 5e-6;
   spec.power_watts = 145.0;
   spec.irregular_efficiency = 0.55;  // OoO cores tolerate divergence well.
-  spec.simd_width = 8;               // AVX2: 8 FP32 lanes.
   spec.mem_capacity_bytes = 64ull << 30;  // Host DRAM share.
   return spec;
 }
@@ -53,7 +52,6 @@ DeviceSpec TeslaP4() {
   spec.launch_overhead_s = 10e-6;
   spec.power_watts = 75.0;
   spec.irregular_efficiency = 0.12;  // Divergence + uncoalesced access hurt.
-  spec.simd_width = 32;              // SIMT warp width.
   spec.mem_capacity_bytes = 8ull << 30;  // 8 GB GDDR5.
   return spec;
 }
@@ -70,9 +68,7 @@ DeviceSpec XilinxVU9P() {
   spec.launch_overhead_s = 20e-6;
   spec.power_watts = 45.0;
   spec.irregular_efficiency = 0.85;  // Streaming pipelines mask irregularity.
-  spec.simd_width = 16;              // Unrolled dataflow pipeline width.
   spec.pipeline_fill_s = 50e-6;
-  spec.reconfigure_s = 0.8;          // Partial reconfiguration of a region.
   spec.mem_capacity_bytes = 16ull << 30;  // 4x DDR4 channels on the shell.
   return spec;
 }

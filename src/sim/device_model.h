@@ -6,10 +6,10 @@
 //
 // The FPGA is modelled as the paper describes it: "a streaming processor
 // with different performance characteristics from CPU or GPU" whose tasks
-// are "pre-built as executable binaries with the bitstreams". A kernel
-// whose bitstream is not resident pays a reconfiguration penalty; resident
-// kernels stream with a pipeline-fill latency and high sustained
-// efficiency.
+// are "pre-built as executable binaries with the bitstreams". Every
+// kernel's bitstream is taken as resident (no reconfiguration time is
+// charged): kernels stream with a pipeline-fill latency and high
+// sustained efficiency.
 #pragma once
 
 #include <cstdint>
@@ -46,15 +46,8 @@ struct DeviceSpec {
   // full; CPUs sit in between.
   double irregular_efficiency = 1.0;
 
-  // Native SIMD/SIMT width in 32-bit lanes (CPU vector lanes, GPU warp
-  // size, FPGA pipeline replication). Reported to the host in HelloReply /
-  // DeviceInfo so schedulers can prefer vector-width-multiple partitions.
-  // 1 = scalar (and the legacy default for specs that predate it).
-  int simd_width = 1;
-
-  // FPGA-only streaming parameters (ignored for CPU/GPU).
+  // FPGA-only streaming parameter (ignored for CPU/GPU).
   double pipeline_fill_s = 0.0;    // Latency to fill the pipeline once.
-  double reconfigure_s = 0.0;      // Full/partial reconfiguration penalty.
 };
 
 // Per-invocation cost summary produced by the workload layer (or measured
@@ -75,8 +68,7 @@ struct KernelCost {
   }
 };
 
-// Virtual seconds for `cost` on `spec`, excluding reconfiguration (the
-// driver charges that separately, once per bitstream swap).
+// Virtual seconds for `cost` on `spec`.
 SimTime ModelKernelTime(const DeviceSpec& spec, const KernelCost& cost) noexcept;
 
 // Work-group thread-pool width for executing on `spec`: one host thread

@@ -80,19 +80,6 @@ SimTime ClusterTopology::NodeToNode(std::size_t from, std::size_t to,
   return dst.nic.Acquire(sent - wire, wire);
 }
 
-SimTime ClusterTopology::RunKernel(std::size_t node_index,
-                                   const KernelCost& cost, SimTime now,
-                                   const std::string& bitstream) {
-  SimNode& node = nodes_.at(node_index);
-  SimTime duration = ModelKernelTime(node.device, cost);
-  if (node.device.type == NodeType::kFpga && !bitstream.empty() &&
-      node.loaded_bitstream != bitstream) {
-    duration += node.device.reconfigure_s;
-    node.loaded_bitstream = bitstream;
-  }
-  return node.compute.Acquire(now, duration);
-}
-
 double ClusterTopology::TotalEnergyJoules() const {
   double joules = 0.0;
   for (const SimNode& node : nodes_) {
@@ -106,7 +93,6 @@ void ClusterTopology::ResetTime() {
   for (SimNode& node : nodes_) {
     node.nic.Reset();
     node.compute.Reset();
-    node.loaded_bitstream.clear();
   }
 }
 

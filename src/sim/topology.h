@@ -23,7 +23,6 @@ struct SimNode {
   LinkSpec link;             // Link between this node and the switch.
   SerialResource nic;        // The node's NIC (serial).
   SerialResource compute;    // The node's accelerator (serial).
-  std::string loaded_bitstream;  // FPGA: currently resident kernel binary.
 };
 
 // The whole virtual cluster. Nodes are identified by dense indices; the
@@ -66,11 +65,6 @@ class ClusterTopology {
   // Node -> node transfer (inter-node data exchange, e.g. BFS frontiers).
   SimTime NodeToNode(std::size_t from, std::size_t to, std::uint64_t bytes,
                      SimTime now);
-
-  // Run a kernel of `cost` on node `node_index` starting at `now`. Charges
-  // FPGA reconfiguration when `bitstream` differs from the resident one.
-  SimTime RunKernel(std::size_t node_index, const KernelCost& cost,
-                    SimTime now, const std::string& bitstream = "");
 
   // Total energy in joules across all device nodes (busy time x power).
   [[nodiscard]] double TotalEnergyJoules() const;

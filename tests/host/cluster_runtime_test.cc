@@ -240,6 +240,40 @@ TEST_F(ClusterRuntimeTest, MonitorReportsPerNodeCounters) {
   EXPECT_TRUE(view->nodes[2].alive);
 }
 
+TEST_F(ClusterRuntimeTest, MonitorCountsEachSessionsOwnKernels) {
+  // Two sessions on the same nodes: each one's view counts only the
+  // kernels that session ran there.
+  RuntimeOptions options;
+  options.session_id = 2;
+  auto second = cluster_->ConnectSecondSession(options);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  auto launch_on_node0 = [](ClusterRuntime& session, int times) {
+    auto program = session.BuildProgram(kDoubler);
+    auto buffer = session.CreateBuffer(16);
+    ASSERT_TRUE(program.ok() && buffer.ok());
+    ClusterRuntime::LaunchSpec spec;
+    spec.program = *program;
+    spec.kernel_name = "doubler";
+    spec.args = {KernelArgValue::Buffer(*buffer),
+                 KernelArgValue::Scalar<std::int32_t>(4)};
+    spec.global[0] = 4;
+    spec.preferred_node = 0;
+    for (int i = 0; i < times; ++i) {
+      ASSERT_TRUE(session.LaunchKernel(spec).ok());
+    }
+  };
+  launch_on_node0(runtime(), 2);
+  launch_on_node0(**second, 1);
+
+  auto view_a = runtime().QueryClusterView();
+  auto view_b = (*second)->QueryClusterView();
+  ASSERT_TRUE(view_a.ok() && view_b.ok());
+  EXPECT_EQ(view_a->nodes[0].kernels_executed, 2u);
+  EXPECT_EQ(view_b->nodes[0].kernels_executed, 1u);
+  EXPECT_EQ(view_a->nodes[1].kernels_executed, 0u);
+  (*second)->Disconnect();
+}
+
 TEST_F(ClusterRuntimeTest, MultiUserSessionsAreIsolated) {
   // Second host session against the same NMPs: same buffer ids in two
   // sessions must not collide (the paper's multi-user requirement).

@@ -44,7 +44,7 @@ TEST(MessageTest, TailIsPartOfThePayload) {
 
 TEST(MessageTest, EmptyPayload) {
   Message msg;
-  msg.type = MsgType::kQueryLoad;
+  msg.type = MsgType::kQueryBroker;
   auto frame = msg.Serialize();
   EXPECT_EQ(frame.size(), Message::kHeaderSize);
   auto parsed = Message::Deserialize(frame.data(), frame.size());
@@ -102,18 +102,13 @@ TEST(ProtocolTest, HelloRoundTrip) {
   reply.device_type = NodeType::kGpu;
   reply.device_model = "Tesla P4";
   reply.compute_gflops = 5500;
-  reply.simd_width = 32;
   auto r = Decode<HelloReply>(Encode(reply));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->node_name, "gpu3");
   EXPECT_EQ(r->device_type, NodeType::kGpu);
+  EXPECT_EQ(r->device_model, "Tesla P4");
   EXPECT_DOUBLE_EQ(r->compute_gflops, 5500);
-  EXPECT_EQ(r->simd_width, 32u);
-
-  HelloReply scalar_reply;  // Default: scalar device, width 1.
-  auto sr = Decode<HelloReply>(Encode(scalar_reply));
-  ASSERT_TRUE(sr.ok());
-  EXPECT_EQ(sr->simd_width, 1u);
+  EXPECT_EQ(r->protocol_version, kProtocolVersion);
 }
 
 TEST(ProtocolTest, BufferRequestsRoundTrip) {
@@ -255,13 +250,13 @@ TEST(ProtocolTest, HelloAndLoadCarryMemoryCapacity) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->mem_capacity_bytes, 8ull << 30);
 
-  LoadReply load;
-  load.bytes_resident = 12345;
-  load.mem_capacity_bytes = 65536;
-  auto load_decoded = Decode<LoadReply>(Encode(load));
-  ASSERT_TRUE(load_decoded.ok());
-  EXPECT_EQ(load_decoded->bytes_resident, 12345u);
-  EXPECT_EQ(load_decoded->mem_capacity_bytes, 65536u);
+  BrokerStatsReply report;
+  report.resident_bytes = 12345;
+  report.mem_capacity_bytes = 65536;
+  auto report_decoded = Decode<BrokerStatsReply>(Encode(report));
+  ASSERT_TRUE(report_decoded.ok());
+  EXPECT_EQ(report_decoded->resident_bytes, 12345u);
+  EXPECT_EQ(report_decoded->mem_capacity_bytes, 65536u);
 }
 
 TEST(ProtocolTest, TruncatedPayloadsRejected) {
@@ -288,13 +283,10 @@ TEST(ProtocolTest, HostileElementCountsRejected) {
     for (std::size_t i = at; i < at + 4; ++i) bytes[i] = 0xFF;
     return bytes;
   };
-  const std::vector<std::uint8_t> load = Encode(LoadReply{});
-  EXPECT_EQ(Decode<LoadReply>(with_count_at(load, load.size() - 4)).code(),
-            ErrorCode::kProtocolError);
-
   const std::vector<std::uint8_t> broker = Encode(BrokerStatsReply{});
-  // Tenants count after two u64 and three f64 fields; rates count last.
-  EXPECT_EQ(Decode<BrokerStatsReply>(with_count_at(broker, 40)).code(),
+  // Tenants count after a u32, two u64 and two f64 fields; rates count
+  // last.
+  EXPECT_EQ(Decode<BrokerStatsReply>(with_count_at(broker, 36)).code(),
             ErrorCode::kProtocolError);
   EXPECT_EQ(
       Decode<BrokerStatsReply>(with_count_at(broker, broker.size() - 4))

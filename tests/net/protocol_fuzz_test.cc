@@ -23,6 +23,10 @@ using Bytes = std::vector<std::uint8_t>;
 // the hand-written Encode functions the Fields() schema replaced; a change
 // to any row changes the wire format and bumps kProtocolVersion. Version 4
 // added `after_seq` to the WriteBuffer, ReadBuffer and LaunchKernel rows.
+// Version 5 dropped HelloReply's bandwidth and SIMD width, LaunchReply's
+// bytes accessed and active weight, and BrokerReply's active weight, and
+// gave BrokerReply the node's queue depth; the LoadReply row went with
+// its message.
 template <class T>
 struct GoldenRow {
   T message;
@@ -38,7 +42,7 @@ template <>
 std::vector<GoldenRow<HelloRequest>> GoldenRows() {
   HelloRequest m;
   m.host_name = "host-A";
-  return {{m, "06000000686f73742d4104000000"}};
+  return {{m, "06000000686f73742d4105000000"}};
 }
 
 template <>
@@ -48,12 +52,10 @@ std::vector<GoldenRow<HelloReply>> GoldenRows() {
   m.device_type = NodeType::kGpu;
   m.device_model = "Tesla P4";
   m.compute_gflops = 5500.5;
-  m.mem_bandwidth_gbps = 192.25;
   m.mem_capacity_bytes = 8ull << 30;
-  m.simd_width = 32;
   return {{m,
            "040000006770753301080000005465736c6120503400000000807cb54000000000"
-           "0008684000000000020000002000000004000000"}};
+           "0200000005000000"}};
 }
 
 template <>
@@ -184,34 +186,10 @@ std::vector<GoldenRow<LaunchKernelReply>> GoldenRows() {
   m.modeled_seconds = 0.125;
   m.modeled_joules = 3.5;
   m.flops = 1000;
-  m.bytes_accessed = 2000;
   m.node_backlog_seconds = 0.75;
-  m.active_weight = 2.0;
   return {{m,
            "fbffffff040000006f6f7073000000000000c03f0000000000000c40e803000000"
-           "000000d007000000000000000000000000e83f0000000000000040"}};
-}
-
-template <>
-std::vector<GoldenRow<LoadReply>> GoldenRows() {
-  LoadReply m;
-  m.queue_depth = 2;
-  m.buffers_held = 3;
-  m.bytes_allocated = 4096;
-  m.bytes_resident = 2048;
-  m.mem_capacity_bytes = 65536;
-  m.busy_seconds_total = 1.5;
-  m.kernels_executed = 9;
-  m.node_resident_bytes = 8192;
-  m.node_backlog_seconds = 0.25;
-  m.tenant_backlog_seconds = 0.125;
-  m.active_weight = 3.0;
-  m.kernel_rates = {{"saxpy", 1e-9, 4}};
-  return {{m,
-           "020000000300000000000000001000000000000000080000000000000000010000"
-           "000000000000000000f83f09000000000000000020000000000000000000000000"
-           "d03f000000000000c03f00000000000008400100000005000000736178707995d6"
-           "26e80b2e113e0400000000000000"}};
+           "000000000000000000e83f"}};
 }
 
 template <>
@@ -226,10 +204,10 @@ std::vector<GoldenRow<ConfigureSessionRequest>> GoldenRows() {
 template <>
 std::vector<GoldenRow<BrokerStatsReply>> GoldenRows() {
   BrokerStatsReply m;
+  m.queue_depth = 3;
   m.mem_capacity_bytes = 1ull << 30;
   m.resident_bytes = 4096;
   m.backlog_seconds = 0.5;
-  m.active_weight = 3.0;
   m.max_backlog_seconds = 10.0;
   BrokerTenantEntry t;
   t.session = 5;
@@ -245,11 +223,11 @@ std::vector<GoldenRow<BrokerStatsReply>> GoldenRows() {
   m.tenants = {t};
   m.kernel_rates = {{"mm", 2e-10, 12}};
   return {{m,
-           "00000040000000000010000000000000000000000000e03f000000000000084000"
-           "00000000002440010000000500000000000000020000007431000000000000f83f"
-           "00001000000000000008000000000000000000000000d03f000000000000fc3f06"
-           "000000000000000100000000000000050000000000000001000000020000006d6d"
-           "bbbdd7d9df7ceb3d0c00000000000000"}};
+           "0300000000000040000000000010000000000000000000000000e03f0000000000"
+           "002440010000000500000000000000020000007431000000000000f83f00001000"
+           "000000000008000000000000000000000000d03f000000000000fc3f0600000000"
+           "0000000100000000000000050000000000000001000000020000006d6dbbbdd7d9"
+           "df7ceb3d0c00000000000000"}};
 }
 
 template <>
@@ -373,7 +351,7 @@ using PayloadTypes = ::testing::Types<
     ReadBufferRequest, ReleaseBufferRequest, PullSliceRequest,
     MemoryNoticeRequest,
     BuildProgramRequest, BuildProgramReply, ReleaseProgramRequest,
-    LaunchKernelRequest, LaunchKernelReply, LoadReply,
+    LaunchKernelRequest, LaunchKernelReply,
     ConfigureSessionRequest, BrokerStatsReply, StatusReply>;
 // Names each case after its message type, e.g. ProtocolFuzzTest/LaunchKernel.
 struct MessageName {

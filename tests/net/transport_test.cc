@@ -37,7 +37,7 @@ TEST(SimTransportTest, BidirectionalOrdering) {
   a->Start([&](Message m) { got_a.Push(m.seq); });
   b->Start([&](Message m) { got_b.Push(m.seq); });
   for (std::uint64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(a->Send(Make(MsgType::kQueryLoad, i)).ok());
+    ASSERT_TRUE(a->Send(Make(MsgType::kHeartbeat, i)).ok());
     ASSERT_TRUE(b->Send(Make(MsgType::kStatusReply, 1000 + i)).ok());
   }
   for (std::uint64_t i = 0; i < 100; ++i) {
@@ -53,7 +53,7 @@ TEST(SimTransportTest, SendAfterPeerCloseFails) {
   a->Start([](Message) {});
   b->Start([](Message) {});
   b->Close();
-  Status s = a->Send(Make(MsgType::kQueryLoad, 1));
+  Status s = a->Send(Make(MsgType::kHeartbeat, 1));
   EXPECT_FALSE(s.ok());
   a->Close();
 }
@@ -252,7 +252,7 @@ TEST_F(TcpTransportTest, ManyMessagesStayOrdered) {
   (*client)->Start([](Message) {});
   for (std::uint64_t i = 0; i < 500; ++i) {
     ASSERT_TRUE((*client)
-                    ->Send(Make(MsgType::kQueryLoad, i,
+                    ->Send(Make(MsgType::kHeartbeat, i,
                                 std::vector<std::uint8_t>(i % 97, 1)))
                     .ok());
   }
@@ -290,9 +290,9 @@ TEST(RpcTest, CallMatchesReplyBySeq) {
   RpcClient client(std::move(host_end));
 
   // Issue out-of-order async calls; all must resolve.
-  auto f1 = client.CallAsync(MsgType::kQueryLoad, 1, {1});
-  auto f2 = client.CallAsync(MsgType::kQueryLoad, 1, {2});
-  auto f3 = client.CallAsync(MsgType::kQueryLoad, 1, {3});
+  auto f1 = client.CallAsync(MsgType::kHeartbeat, 1, {1});
+  auto f2 = client.CallAsync(MsgType::kHeartbeat, 1, {2});
+  auto f3 = client.CallAsync(MsgType::kHeartbeat, 1, {3});
   EXPECT_EQ(f3->Wait().value().payload, (std::vector<std::uint8_t>{3}));
   EXPECT_EQ(f1->Wait().value().payload, (std::vector<std::uint8_t>{1}));
   EXPECT_EQ(f2->Wait().value().payload, (std::vector<std::uint8_t>{2}));
@@ -304,7 +304,7 @@ TEST(RpcTest, TimeoutWhenNodeSilent) {
   auto [host_end, node_end] = CreateSimChannel();
   node_end->Start([](Message) { /* never reply */ });
   RpcClient client(std::move(host_end));
-  auto reply = client.Call(MsgType::kQueryLoad, 1, {},
+  auto reply = client.Call(MsgType::kHeartbeat, 1, {},
                            std::chrono::milliseconds(50));
   EXPECT_FALSE(reply.ok());
   EXPECT_EQ(reply.code(), ErrorCode::kNetworkError);
@@ -413,7 +413,7 @@ TEST(RpcTest, CloseFailsPendingCalls) {
   auto [host_end, node_end] = CreateSimChannel();
   node_end->Start([](Message) {});
   RpcClient client(std::move(host_end));
-  auto pending = client.CallAsync(MsgType::kQueryLoad, 1, {});
+  auto pending = client.CallAsync(MsgType::kHeartbeat, 1, {});
   client.Close();
   EXPECT_FALSE(pending->Wait().ok());
   node_end->Close();

@@ -75,10 +75,11 @@ TEST_F(NodeServerTest, MalformedPayloadGetsProtocolError) {
 
 TEST_F(NodeServerTest, UnknownMessageTypeRejected) {
   // 14 and 16 are the retired node-side copy and peer push of protocol
-  // version 1, 23 the chunk revocation of version 2: a well-formed old
-  // payload gets the same answer as garbage.
+  // version 1, 23 the chunk revocation of version 2, 30 and 40 the load
+  // query and session open of version 4: a well-formed old payload gets
+  // the same answer as garbage.
   const std::vector<std::uint8_t> old_payload(40, 0);
-  for (std::uint16_t type : {14, 16, 23, 999}) {
+  for (std::uint16_t type : {14, 16, 23, 30, 40, 999}) {
     SCOPED_TRACE(type);
     auto reply =
         client_->Call(static_cast<MsgType>(type), 1, old_payload);
@@ -238,33 +239,71 @@ TEST_F(NodeServerTest, InvalidWorkDimensionRejected) {
             static_cast<std::int32_t>(ErrorCode::kInvalidWorkDimension));
 }
 
-TEST_F(NodeServerTest, QueryLoadCounters) {
-  auto reply = client_->Call(MsgType::kQueryLoad, 1, {});
-  ASSERT_TRUE(reply.ok());
-  ASSERT_EQ(reply->type, MsgType::kLoadReply);
-  auto load = net::Decode<net::LoadReply>(reply->payload);
-  ASSERT_TRUE(load.ok());
-  EXPECT_EQ(load->kernels_executed, 0u);
+TEST_F(NodeServerTest, QueryBrokerReportsServingCounters) {
+  // The node's one report: the broker counts each tenant's completed
+  // kernels, and an idle node has nothing queued.
+  auto query = [&]() -> Expected<net::BrokerStatsReply> {
+    auto reply = client_->Call(MsgType::kQueryBroker, 1, {});
+    HAOCL_RETURN_IF_ERROR(net::CheckReply(reply, MsgType::kBrokerReply));
+    return net::Decode<net::BrokerStatsReply>(reply->payload);
+  };
+  auto kernels_of_session_1 = [](const net::BrokerStatsReply& report) {
+    for (const net::BrokerTenantEntry& tenant : report.tenants) {
+      if (tenant.session == 1) return tenant.kernels_completed;
+    }
+    return std::uint64_t{0};
+  };
+  auto before = query();
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(kernels_of_session_1(*before), 0u);
 
   net::CreateBufferRequest create;
   create.buffer_id = 1;
-  create.size = 4096;
-  ASSERT_TRUE(
-      client_->Call(MsgType::kCreateBuffer, 1, net::Encode(create)).ok());
-  reply = client_->Call(MsgType::kQueryLoad, 1, {});
-  load = net::Decode<net::LoadReply>(reply->payload);
-  ASSERT_TRUE(load.ok());
-  EXPECT_EQ(load->buffers_held, 1u);
-  EXPECT_EQ(load->bytes_allocated, 4096u);
+  create.size = 64 * 4;
+  ASSERT_TRUE(net::CheckReply(client_->Call(MsgType::kCreateBuffer, 1,
+                                            net::Encode(create)),
+                              MsgType::kStatusReply)
+                  .ok());
+  net::BuildProgramRequest build;
+  build.program_id = 1;
+  build.source = R"(
+    __kernel void bump(__global int* data) {
+      data[get_global_id(0)] += 1;
+    })";
+  auto built = client_->Call(MsgType::kBuildProgram, 1, net::Encode(build));
+  ASSERT_TRUE(net::CheckReply(built, MsgType::kBuildReply).ok());
+  ASSERT_EQ(net::Decode<net::BuildProgramReply>(built->payload)->status_code,
+            0);
+  net::LaunchKernelRequest launch;
+  launch.program_id = 1;
+  launch.kernel_name = "bump";
+  net::WireKernelArg arg;
+  arg.kind = net::WireKernelArg::Kind::kBuffer;
+  arg.buffer_id = 1;
+  arg.written_end = 64 * 4;
+  launch.args = {arg};
+  launch.work_dim = 1;
+  launch.global[0] = 64;
+  auto launched =
+      client_->Call(MsgType::kLaunchKernel, 1, net::Encode(launch));
+  ASSERT_TRUE(net::CheckReply(launched, MsgType::kLaunchReply).ok());
+  ASSERT_EQ(net::Decode<net::LaunchKernelReply>(launched->payload)->status_code,
+            0);
+
+  auto after = query();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(kernels_of_session_1(*after), 1u);
+  EXPECT_EQ(after->queue_depth, 0u);
+  EXPECT_EQ(server_->kernels_executed(), 1u);
 }
 
 TEST_F(NodeServerTest, OneWayMessagesGetNoReply) {
   // Notify (seq 0) must not generate a reply that would confuse the RPC
   // matcher; a subsequent call still works.
-  ASSERT_TRUE(client_->Notify(MsgType::kOpenSession, 3, {}).ok());
-  auto reply = client_->Call(MsgType::kQueryLoad, 3, {});
+  ASSERT_TRUE(client_->Notify(MsgType::kCloseSession, 3, {}).ok());
+  auto reply = client_->Call(MsgType::kQueryBroker, 3, {});
   ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(reply->type, MsgType::kLoadReply);
+  EXPECT_EQ(reply->type, MsgType::kBrokerReply);
 }
 
 TEST(NodeServerTcpTest, FullProtocolOverRealSockets) {

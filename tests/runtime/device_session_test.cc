@@ -154,8 +154,6 @@ TEST_F(DeviceSessionTest, BuildAndLaunch) {
   ASSERT_TRUE(read.ok());
   std::memcpy(values.data(), read->bytes.data(), read->bytes.size());
   for (int i = 0; i < n; ++i) ASSERT_EQ(values[i], 2 * i);
-
-  EXPECT_EQ(session_->Load().kernels_executed, 1u);
 }
 
 TEST_F(DeviceSessionTest, BuildFailureCarriesLog) {
@@ -265,8 +263,6 @@ TEST(DeviceSessionMemoryTest, PoolTracksResidencyAndEnforcesCapacity) {
   EXPECT_EQ(session.WriteBuffer(1, 1024, chunk).code(),
             ErrorCode::kMemObjectAllocationFailure);
   EXPECT_EQ(session.resident_bytes(), 1024u);
-  EXPECT_EQ(session.Load().bytes_resident, 1024u);
-  EXPECT_EQ(session.Load().mem_capacity_bytes, 1024u);
 
   // A host eviction notice releases the accounted bytes; a reservation
   // notice charges them back (discard migrations).

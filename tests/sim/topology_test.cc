@@ -5,6 +5,15 @@
 namespace haocl::sim {
 namespace {
 
+// Charges `cost` to node `i` the way the runtime charges a kernel
+// (host::VirtualTimeline::RecordKernel): the node's serial compute
+// resource for the device model's time.
+SimTime RunOn(ClusterTopology& topo, std::size_t i, const KernelCost& cost,
+              SimTime now) {
+  SimNode& node = topo.node(i);
+  return node.compute.Acquire(now, ModelKernelTime(node.device, cost));
+}
+
 TEST(SerialResourceTest, SerializesOverlappingRequests) {
   SerialResource r;
   EXPECT_DOUBLE_EQ(r.Acquire(0.0, 1.0), 1.0);
@@ -72,8 +81,8 @@ TEST(TopologyTest, KernelsOnDistinctNodesRunConcurrently) {
   auto topo = ClusterTopology::Make(2, 0);
   KernelCost cost;
   cost.flops = 5.5e12;  // ~1 s on a P4.
-  const SimTime t0 = topo.RunKernel(0, cost, 0.0);
-  const SimTime t1 = topo.RunKernel(1, cost, 0.0);
+  const SimTime t0 = RunOn(topo, 0, cost, 0.0);
+  const SimTime t1 = RunOn(topo, 1, cost, 0.0);
   EXPECT_NEAR(t0, 1.0, 0.05);
   EXPECT_NEAR(t1, 1.0, 0.05);  // Parallel, not 2.0.
 }
@@ -82,31 +91,16 @@ TEST(TopologyTest, SameNodeKernelsSerialize) {
   auto topo = ClusterTopology::Make(1, 0);
   KernelCost cost;
   cost.flops = 5.5e12;
-  topo.RunKernel(0, cost, 0.0);
-  const SimTime t = topo.RunKernel(0, cost, 0.0);
+  RunOn(topo, 0, cost, 0.0);
+  const SimTime t = RunOn(topo, 0, cost, 0.0);
   EXPECT_NEAR(t, 2.0, 0.1);
-}
-
-TEST(TopologyTest, FpgaReconfigurationChargedOnBitstreamSwap) {
-  auto topo = ClusterTopology::Make(0, 1);
-  KernelCost cost;
-  cost.flops = 1e6;
-  const SimTime first = topo.RunKernel(0, cost, 0.0, "matmul.xclbin");
-  // Same bitstream: no reconfiguration.
-  const SimTime second = topo.RunKernel(0, cost, first, "matmul.xclbin");
-  // Different bitstream: pays the reconfigure penalty.
-  const SimTime third = topo.RunKernel(0, cost, second, "spmv.xclbin");
-  const double reconf = XilinxVU9P().reconfigure_s;
-  EXPECT_GT(first, reconf);
-  EXPECT_LT(second - first, reconf);
-  EXPECT_GT(third - second, reconf * 0.99);
 }
 
 TEST(TopologyTest, EnergyAccounting) {
   auto topo = ClusterTopology::Make(1, 1);
   KernelCost cost;
   cost.flops = 5.5e12;
-  topo.RunKernel(0, cost, 0.0);  // ~1 s on GPU at 75 W.
+  RunOn(topo, 0, cost, 0.0);  // ~1 s on GPU at 75 W.
   const double joules = topo.TotalEnergyJoules();
   EXPECT_NEAR(joules, 75.0, 5.0);
 }
@@ -115,7 +109,7 @@ TEST(TopologyTest, ResetTimeClearsEverything) {
   auto topo = ClusterTopology::Make(1, 1);
   KernelCost cost;
   cost.flops = 1e9;
-  topo.RunKernel(0, cost, 0.0);
+  RunOn(topo, 0, cost, 0.0);
   topo.HostToNode(0, 1000, 0.0);
   topo.ResetTime();
   EXPECT_DOUBLE_EQ(topo.host_nic().busy_total(), 0.0);

@@ -167,15 +167,14 @@ Expected<std::unique_ptr<ClusterRuntime>> ClusterRuntime::Connect(
   ClusterConfig topo_config;
   for (auto& connection : connections) {
     runtime->nodes_.push_back(
-        std::make_unique<net::RpcClient>(std::move(connection)));
+        std::make_unique<net::LaneSet>(std::move(connection)));
   }
   for (std::size_t i = 0; i < runtime->nodes_.size(); ++i) {
     net::HelloRequest hello;
     hello.host_name = runtime->options_.host_name;
-    auto reply = runtime->nodes_[i]->Call(MsgType::kHelloRequest,
-                                          runtime->options_.session_id,
-                                          net::Encode(hello),
-                                          runtime->options_.rpc_timeout);
+    auto reply = runtime->nodes_[i]->main().Call(
+        MsgType::kHelloRequest, runtime->options_.session_id,
+        net::Encode(hello), runtime->options_.rpc_timeout);
     if (!reply.ok()) {
       return Status(ErrorCode::kNodeUnreachable,
                     "handshake with node " + std::to_string(i) +
@@ -231,7 +230,7 @@ Expected<std::unique_ptr<ClusterRuntime>> ClusterRuntime::Connect(
   tenant.weight = runtime->options_.tenant_weight;
   tenant.mem_quota_bytes = runtime->options_.tenant_mem_quota_bytes;
   for (std::size_t i = 0; i < runtime->nodes_.size(); ++i) {
-    auto configured = runtime->nodes_[i]->Call(
+    auto configured = runtime->nodes_[i]->main().Call(
         MsgType::kConfigureSession, runtime->options_.session_id,
         net::Encode(tenant), runtime->options_.rpc_timeout);
     if (!configured.ok()) {
@@ -239,9 +238,9 @@ Expected<std::unique_ptr<ClusterRuntime>> ClusterRuntime::Connect(
                     "tenant registration with node " + std::to_string(i) +
                         " failed: " + configured.status().message());
     }
-    auto report = runtime->nodes_[i]->Call(MsgType::kQueryBroker,
-                                           runtime->options_.session_id, {},
-                                           runtime->options_.rpc_timeout);
+    auto report = runtime->nodes_[i]->main().Call(
+        MsgType::kQueryBroker, runtime->options_.session_id, {},
+        runtime->options_.rpc_timeout);
     if (!report.ok() || report->type != MsgType::kBrokerReply) continue;
     auto decoded = net::Decode<net::BrokerStatsReply>(report->payload);
     if (!decoded.ok()) continue;
@@ -271,12 +270,10 @@ std::vector<std::size_t> ClusterRuntime::DevicesOfType(NodeType type) const {
 }
 
 Expected<Message> ClusterRuntime::CallNode(std::size_t node, MsgType type,
-                                           std::vector<std::uint8_t> payload,
-                                           std::span<const std::uint8_t> tail,
-                                           std::span<std::uint8_t> reply_into) {
+                                           std::vector<std::uint8_t> payload) {
   InFlightGuard in_flight(this, node);
-  return nodes_[node]->Call(type, options_.session_id, std::move(payload),
-                            options_.rpc_timeout, tail, reply_into);
+  return nodes_[node]->main().Call(type, options_.session_id,
+                                   std::move(payload), options_.rpc_timeout);
 }
 
 // ------------------------------------------------------------ Issue-ahead
@@ -310,6 +307,13 @@ ClusterRuntime::FramePtr ClusterRuntime::TakeIssuePlaceLocked(
     const std::vector<CommandId>& preds) {
   const std::size_t node = request.node;
   if (!deps.empty() || !NodeAlive(node)) return nullptr;
+  // A transfer that stripes leaves as several frames on the node's lanes,
+  // outside this order.
+  if (request.kind != IssueKind::kLaunch &&
+      nodes_[node]->ChunksFor(request.ranges.front().end -
+                              request.ranges.front().begin) > 1) {
+    return nullptr;
+  }
   // Every unretired predecessor already holds a place in this node's
   // order (queue order and buffer hazards alike).
   std::vector<const IssuedFrame*> ahead;
@@ -412,7 +416,7 @@ ClusterRuntime::FramePtr ClusterRuntime::TakeIssuePlaceLocked(
       return nullptr;  // Would need eviction: the classic body does that.
     }
   }
-  frame->seq = nodes_[node]->ReserveSeq();
+  frame->seq = nodes_[node]->main().ReserveSeq();
   for (const IssuedFrame* pred : ahead) {
     frame->after_seq = frame->after_seq == 0
                            ? pred->seq
@@ -454,7 +458,7 @@ void ClusterRuntime::SendIssued(std::size_t node,
     }
     order.unsent.pop_front();
     lock.unlock();
-    auto reply = nodes_[node]->CallAsync(
+    auto reply = nodes_[node]->main().CallAsync(
         frame->type, options_.session_id, std::move(frame->payload),
         frame->tail, frame->reply_into, frame->seq);
     lock.lock();
@@ -475,8 +479,8 @@ Expected<Message> ClusterRuntime::AwaitIssued(IssuedFrame& frame) {
     std::unique_lock<std::mutex> lock(order.mutex);
     order.changed.wait(lock, [&frame] { return frame.sent; });
   }
-  return nodes_[frame.node]->Await(frame.seq, frame.reply,
-                                   options_.rpc_timeout);
+  return nodes_[frame.node]->main().Await(frame.seq, frame.reply,
+                                          options_.rpc_timeout);
 }
 
 template <class Rerun, class Complete>
@@ -793,7 +797,8 @@ Expected<CommandHandle> ClusterRuntime::SubmitRead(
           *frame, [&] { return ExecRead(id, buffer, offset, dst); },
           [&](const Expected<Message>& reply) {
             std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-            return ReceivedFromNodeLocked(*buffer, frame->node, dst, reply);
+            return ReceivedFromNodeLocked(*buffer, frame->node, dst.size(),
+                                          net::ReceiveReadReply(reply, dst));
           });
     };
   } else {
@@ -897,12 +902,13 @@ Status ClusterRuntime::LandWriteLocked(LogicalBuffer& buffer,
   return Status::Ok();
 }
 
-Status ClusterRuntime::ReceivedFromNodeLocked(
-    LogicalBuffer& buffer, std::size_t node, std::span<std::uint8_t> into,
-    const Expected<Message>& reply) {
-  HAOCL_RETURN_IF_ERROR(net::ReceiveReadReply(reply, into));
-  AccountTransfer(buffer, &TransferStats::host_bytes_in, into.size());
-  timeline_->RecordTransferFromNode(node, into.size());
+Status ClusterRuntime::ReceivedFromNodeLocked(LogicalBuffer& buffer,
+                                              std::size_t node,
+                                              std::uint64_t size,
+                                              const Status& received) {
+  HAOCL_RETURN_IF_ERROR(received);
+  AccountTransfer(buffer, &TransferStats::host_bytes_in, size);
+  timeline_->RecordTransferFromNode(node, size);
   return Status::Ok();
 }
 
@@ -1015,12 +1021,11 @@ Status ClusterRuntime::TransferMissingRunsLocked(
 Status ClusterRuntime::ReadFromNodeLocked(BufferId id, std::size_t node,
                                           std::uint64_t begin,
                                           std::span<std::uint8_t> into) {
-  // The bytes of `into` are unspecified unless the call succeeds; callers
+  // The bytes of `into` are unspecified unless the read succeeds; callers
   // record ownership only after it does.
-  const net::ReadBufferRequest request{id, begin, into.size(), 0};
-  return net::ReceiveReadReply(
-      CallNode(node, MsgType::kReadBuffer, net::Encode(request), {}, into),
-      into);
+  InFlightGuard in_flight(this, node);
+  return nodes_[node]->Read(options_.session_id, id, begin, into,
+                            options_.rpc_timeout);
 }
 
 Status ClusterRuntime::ReceiveMissingRunsLocked(BufferId id,
@@ -1038,11 +1043,9 @@ Status ClusterRuntime::ReceiveMissingRunsLocked(BufferId id,
       [&](std::size_t source, std::uint64_t run_begin,
           std::uint64_t run_end) -> Status {
         const auto run = into.subspan(run_begin - begin, run_end - run_begin);
-        const net::ReadBufferRequest request{id, run_begin, run.size(), 0};
         return ReceivedFromNodeLocked(
-            buffer, source, run,
-            CallNode(source, MsgType::kReadBuffer, net::Encode(request), {},
-                     run));
+            buffer, source, run.size(),
+            ReadFromNodeLocked(id, source, run_begin, run));
       },
       record_owner);
 }
@@ -1056,18 +1059,43 @@ Status ClusterRuntime::EnsureHostRangeLocked(BufferId id,
       /*record_owner=*/true);
 }
 
-Status ClusterRuntime::SendToNodeLocked(BufferId id, LogicalBuffer& buffer,
-                                        std::size_t node, std::uint64_t begin,
-                                        std::span<const std::uint8_t> bytes) {
-  net::WriteBufferRequest request;
-  request.buffer_id = id;
-  request.offset = begin;
-  request.data = bytes;
-  auto reply = CallNode(node, MsgType::kWriteBuffer, net::Encode(request),
-                        request.data);
-  HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kStatusReply));
-  AccountTransfer(buffer, &TransferStats::host_bytes_out, bytes.size());
-  return Status::Ok();
+Expected<std::uint64_t> ClusterRuntime::SendToNodeLocked(
+    BufferId id, LogicalBuffer& buffer, std::size_t node, std::uint64_t begin,
+    std::span<const std::uint8_t> bytes, bool replace) {
+  std::vector<net::LaneSet::Chunk> chunks;
+  {
+    InFlightGuard in_flight(this, node);
+    chunks = nodes_[node]->Write(options_.session_id, id, begin, bytes,
+                                 options_.rpc_timeout);
+  }
+  const auto owner = static_cast<RegionDirectory::Owner>(node);
+  std::uint64_t landed = 0;
+  Status failed;
+  for (const net::LaneSet::Chunk& chunk : chunks) {
+    const std::uint64_t end = chunk.offset + chunk.size;
+    if (chunk.status.ok()) {
+      landed += chunk.size;
+      if (replace) {
+        buffer.dir.MarkWritten(chunk.offset, end, owner);
+      } else {
+        buffer.dir.AddOwner(chunk.offset, end, owner);
+      }
+    } else if (replace && chunk.status.code() ==
+                              ErrorCode::kMemObjectAllocationFailure) {
+      // The node's tier cannot hold this chunk of the write: it lands in
+      // the shadow.
+      std::copy_n(bytes.begin() + (chunk.offset - begin), chunk.size,
+                  buffer.shadow.begin() + chunk.offset);
+      buffer.dir.MarkWritten(chunk.offset, end, HostOwner());
+    } else if (failed.ok()) {
+      failed = chunk.status;
+    }
+  }
+  if (landed != 0) {
+    AccountTransfer(buffer, &TransferStats::host_bytes_out, landed);
+  }
+  HAOCL_RETURN_IF_ERROR(failed);
+  return landed;
 }
 
 Status ClusterRuntime::AllocateOnNodeLocked(BufferId id,
@@ -1101,19 +1129,10 @@ Status ClusterRuntime::EnsureRangeOnNodeLocked(BufferId id,
   auto ship_from_host = [&](std::uint64_t run_begin,
                             std::uint64_t run_end) -> Status {
     const std::uint64_t len = run_end - run_begin;
-    HAOCL_RETURN_IF_ERROR(
-        SendToNodeLocked(id, buffer, node, run_begin,
-                         std::span(buffer.shadow).subspan(run_begin, len)));
-    if (timing == TransferTiming::kPrefetch) {
-      // Staged-pipeline DMA: lands while the node computes the previous
-      // stage; the consuming stage gates on the arrival, not the NIC on
-      // the accelerator.
-      note_arrival(timeline_->RecordPrefetchToNode(node, len));
-      return Status::Ok();
-    }
     // Nodes already co-owning the run can relay replicas peer-to-peer, so
     // broadcasts build a multicast tree instead of serializing on the
-    // host uplink (modeled; the functional bytes took this wire).
+    // host uplink (modeled; the functional bytes took this wire). Read
+    // before the send, which makes `node` an owner too.
     std::vector<std::size_t> co_owners;
     for (const RegionDirectory::Region& r :
          buffer.dir.Query(run_begin, run_end)) {
@@ -1124,6 +1143,18 @@ Status ClusterRuntime::EnsureRangeOnNodeLocked(BufferId id,
           co_owners.push_back(o);
         }
       }
+    }
+    HAOCL_RETURN_IF_ERROR(
+        SendToNodeLocked(id, buffer, node, run_begin,
+                         std::span(buffer.shadow).subspan(run_begin, len),
+                         /*replace=*/false)
+            .status());
+    if (timing == TransferTiming::kPrefetch) {
+      // Staged-pipeline DMA: lands while the node computes the previous
+      // stage; the consuming stage gates on the arrival, not the NIC on
+      // the accelerator.
+      note_arrival(timeline_->RecordPrefetchToNode(node, len));
+      return Status::Ok();
     }
     if (co_owners.empty()) {
       note_arrival(timeline_->RecordTransferToNode(node, len));
@@ -1366,9 +1397,11 @@ Status ClusterRuntime::StageWorkingSet(
         EnsureProgramOnNode(staging.program_id, *staging.program, node));
   }
   const Status shipped = ShipWorkingSet(node, ranges, staging);
-  if (shipped.code() == ErrorCode::kMemObjectAllocationFailure) {
+  if (shipped.code() == ErrorCode::kMemObjectAllocationFailure ||
+      (shipped.ok() && !staging.write.empty())) {
     // The node's ledger refused bytes this one admitted (it also enforces
-    // tenant quotas and other sessions' residency). Hand back what this
+    // tenant quotas and other sessions' residency): a transfer failed, or
+    // a write's refused chunks landed in the shadow. Hand back what this
     // reservation newly charged and no transfer landed on the node; what
     // did land stays charged on both sides.
     ReleaseUnheldCharges(node, ranges, charged);
@@ -1384,16 +1417,16 @@ Status ClusterRuntime::ShipWorkingSet(std::size_t node,
     std::lock_guard<std::mutex> lock(range.buffer->mutex);
     if (!staging.write.empty()) {
       // The write's bytes replace the range wholesale: nothing is sourced
-      // from its owners, and the node is left the only one. Counted as the
+      // from its owners, and the node is left the only one of what it
+      // took (a chunk it refuses lands in the shadow). Counted as the
       // prologue counts a host-owned run that no node holds.
       HAOCL_RETURN_IF_ERROR(
           AllocateOnNodeLocked(range.id, *range.buffer, node));
-      HAOCL_RETURN_IF_ERROR(LandWriteLocked(
-          *range.buffer, node, range.begin, staging.write.size(),
-          CallNode(node, MsgType::kWriteBuffer,
-                   net::Encode(net::WriteBufferRequest{
-                       range.id, range.begin, 0, staging.write}),
-                   staging.write)));
+      auto landed = SendToNodeLocked(range.id, *range.buffer, node,
+                                     range.begin, staging.write,
+                                     /*replace=*/true);
+      HAOCL_RETURN_IF_ERROR(landed.status());
+      if (*landed != 0) timeline_->RecordTransferToNode(node, *landed);
     } else if (staging.discard_contents) {
       // No bytes move: the node becomes the exclusive owner of whatever
       // its allocation holds (contents undefined, per
@@ -2699,8 +2732,8 @@ Expected<sched::ClusterView> ClusterRuntime::QueryClusterView() {
   std::vector<net::RpcClient::ReplyFuture> futures;
   futures.reserve(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    futures.push_back(nodes_[i]->CallAsync(MsgType::kQueryBroker,
-                                           options_.session_id, {}));
+    futures.push_back(nodes_[i]->main().CallAsync(MsgType::kQueryBroker,
+                                                  options_.session_id, {}));
   }
   std::vector<std::optional<net::BrokerStatsReply>> reports(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -2765,6 +2798,10 @@ std::uint64_t ClusterRuntime::TotalBytesSent() const {
   return total;
 }
 
+std::size_t ClusterRuntime::LaneCount(std::size_t node) const {
+  return node < nodes_.size() ? nodes_[node]->lane_count() : 0;
+}
+
 Status ClusterRuntime::ProbeNode(std::size_t node) {
   if (node >= nodes_.size()) {
     return Status(ErrorCode::kInvalidValue,
@@ -2804,8 +2841,8 @@ Expected<std::vector<ClusterRuntime::LostRange>> ClusterRuntime::MarkNodeLost(
     // Its backlog will never drain; zero it so planners stop seeing it.
     node_busy_ahead_[node] = 0.0;
   }
-  // Sever the wire: every in-flight RPC to the node fails fast instead of
-  // waiting out its timeout, and nothing new can be sent.
+  // Sever the wire, lanes included: every in-flight RPC to the node fails
+  // fast instead of waiting out its timeout, and nothing new can be sent.
   nodes_[node]->Close();
 
   // Directory fail-over. For every buffer region whose owner set contains
@@ -2862,9 +2899,10 @@ void ClusterRuntime::Disconnect() {
     // short-lived sessions) must not leak node-side state. kShutdown then
     // only stops the worker; its handler cleans up again idempotently as a
     // belt-and-braces for clients predating this ordering.
-    (void)node->Notify(MsgType::kCloseSession, options_.session_id, {});
-    (void)node->Notify(MsgType::kShutdown, options_.session_id, {});
-    node->Close();
+    (void)node->main().Notify(MsgType::kCloseSession, options_.session_id,
+                              {});
+    (void)node->main().Notify(MsgType::kShutdown, options_.session_id, {});
+    node->Close();  // The main link and every lane.
   }
 }
 

@@ -16,16 +16,17 @@
 // LaunchKernel) are submit-then-wait wrappers over the same graph.
 //
 // Issue-ahead: a write on a node's queue, a one-shard launch or a read
-// that is one frame to one node N, whose every unretired predecessor
-// already holds a place in N's issue order, takes a place there too at
-// submit. Its frame leaves as soon as the frames ahead of it have — a
-// launch or read from the submitting thread, a write's bytes only from
-// its own graph worker — naming the first of its in-flight predecessors
-// (after_seq), so the node skips it if one of them failed. Its graph body
-// only awaits the reply and runs the epilogue, in graph order; a skipped
-// command re-runs its classic body there. Every other command runs its
-// classic body (both halves back to back) on a graph worker
-// (docs/async_api.md).
+// that is one frame to one node N (a transfer large enough to stripe over
+// N's lanes is several frames, see net::LaneSet), whose every unretired
+// predecessor already holds a place in N's issue order, takes a place
+// there too at submit. Its frame leaves as soon as the frames ahead of it
+// have — a launch or read from the submitting thread, a write's bytes
+// only from its own graph worker — naming the first of its in-flight
+// predecessors (after_seq), so the node skips it if one of them failed.
+// Its graph body only awaits the reply and runs the epilogue, in graph
+// order; a skipped command re-runs its classic body there. Every other
+// command runs its classic body (both halves back to back) on a graph
+// worker (docs/async_api.md).
 //
 // Buffer coherence: a region directory per logical buffer maps every byte
 // range to the set of participants holding a fresh copy (device nodes plus
@@ -83,6 +84,7 @@
 #include "host/command_graph.h"
 #include "host/region_directory.h"
 #include "host/virtual_timeline.h"
+#include "net/lanes.h"
 #include "net/protocol.h"
 #include "net/rpc.h"
 #include "oclc/program.h"
@@ -520,8 +522,12 @@ class ClusterRuntime {
   // ---- Virtual time ------------------------------------------------------
   [[nodiscard]] VirtualTimeline& timeline() { return *timeline_; }
 
-  // Total bytes sent over all channels (functional, not modeled).
+  // Total bytes sent over all channels, every lane of every node
+  // (functional, not modeled).
   [[nodiscard]] std::uint64_t TotalBytesSent() const;
+  // Connections open to `node`: its main link plus the lanes a striped
+  // transfer dialed (net::LaneSet).
+  [[nodiscard]] std::size_t LaneCount(std::size_t node) const;
 
   // ---- Tiered memory introspection ---------------------------------------
   // The host-side ledger of one node's memory tier. The node keeps its own
@@ -607,14 +613,11 @@ class ClusterRuntime {
   // RAII in-flight accounting around a node RPC (feeds the scheduler).
   class InFlightGuard;
 
-  // Sends `payload` (and the borrowed `tail` after it, see
-  // net::Message::tail) and awaits the reply with the configured timeout,
-  // counting the command against `node`'s depth. A read reply may land in
-  // `reply_into` (see net::RpcClient::CallAsync).
+  // Sends `payload` on `node`'s main link and awaits the reply with the
+  // configured timeout, counting the command against `node`'s depth. Bulk
+  // bytes go through SendToNodeLocked and ReadFromNodeLocked instead.
   Expected<net::Message> CallNode(std::size_t node, net::MsgType type,
-                                  std::vector<std::uint8_t> payload,
-                                  std::span<const std::uint8_t> tail = {},
-                                  std::span<std::uint8_t> reply_into = {});
+                                  std::vector<std::uint8_t> payload);
 
   // ---- Issue-ahead (see the file comment) ---------------------------------
   struct IssuedFrame;  // One command's place in its node's issue order.
@@ -636,11 +639,12 @@ class ClusterRuntime {
     ProgramState* program = nullptr;
   };
   // The place `request` takes in its node's issue order, or nullptr when
-  // the command must run classic: it has strong deps, an unretired
-  // predecessor (`preds`) without a place in that order, a frame ahead of
-  // it that is not a predecessor's, a buffer a classic command is using,
-  // a range the node lacks, or a working set the host ledger cannot take
-  // without eviction. Pins and reserves; the caller encodes the frame and
+  // the command must run classic: it has strong deps, it is a transfer
+  // that stripes over the node's lanes, an unretired predecessor
+  // (`preds`) without a place in that order, a frame ahead of it that is
+  // not a predecessor's, a buffer a classic command is using, a range the
+  // node lacks, or a working set the host ledger cannot take without
+  // eviction. Pins and reserves; the caller encodes the frame and
   // calls EnqueueFrameLocked. Requires state_mutex_ held.
   FramePtr TakeIssuePlaceLocked(const IssueRequest& request,
                                 const std::vector<CommandId>& deps,
@@ -686,9 +690,9 @@ class ClusterRuntime {
   Status LandWriteLocked(LogicalBuffer& buffer, std::size_t node,
                          std::uint64_t begin, std::uint64_t size,
                          const Expected<net::Message>& reply);
+  // `received` is how the `size` bytes read from `node` arrived.
   Status ReceivedFromNodeLocked(LogicalBuffer& buffer, std::size_t node,
-                                std::span<std::uint8_t> into,
-                                const Expected<net::Message>& reply);
+                                std::uint64_t size, const Status& received);
   Status ExecCopy(BufferId src_id, const BufferPtr& src,
                   std::uint64_t src_offset, BufferId dst_id,
                   const BufferPtr& dst, std::uint64_t dst_offset,
@@ -868,18 +872,27 @@ class ClusterRuntime {
   Status EnsureHostRangeLocked(BufferId id, LogicalBuffer& buffer,
                                std::uint64_t begin, std::uint64_t end);
   // Reads [begin, begin + into.size()) of `node`'s replica into `into`
-  // (the reply lands there in place when the transport can place it): the
-  // one node->host byte path. Spills and gathers pass a shadow range,
-  // reads the caller's memory; each accounts its own bucket.
+  // (replies land there in place when the transport can place them),
+  // striped over the node's lanes when it is large (net::LaneSet): the one
+  // node->host byte path. Spills and gathers pass a shadow range, reads
+  // the caller's memory; each accounts its own bucket.
   Status ReadFromNodeLocked(BufferId id, std::size_t node,
                             std::uint64_t begin, std::span<std::uint8_t> into);
-  // Sends `bytes` to [begin, begin + bytes.size()) of `node`'s replica as
-  // one kWriteBuffer whose tail borrows them, counted as host payload out.
-  // The caller holds buffer.mutex across it, so the bytes cannot change
-  // before Send returns.
-  Status SendToNodeLocked(BufferId id, LogicalBuffer& buffer,
-                          std::size_t node, std::uint64_t begin,
-                          std::span<const std::uint8_t> bytes);
+  // Sends `bytes` to [begin, begin + bytes.size()) of `node`'s replica:
+  // the one host->node byte path, as one kWriteBuffer whose tail borrows
+  // them or striped over the node's lanes. Each chunk counts as a write of
+  // its own range: one that lands makes the node an owner of it (with
+  // `replace`, its only owner), and with `replace` a chunk the node
+  // refuses for memory (kMemObjectAllocationFailure) lands in the shadow.
+  // Returns the bytes that landed on the node, counted once as host
+  // payload out; fails with the first chunk's failure, a refusal included
+  // unless `replace`. The caller holds buffer.mutex across it, so the
+  // bytes cannot change before the chunks leave.
+  Expected<std::uint64_t> SendToNodeLocked(BufferId id, LogicalBuffer& buffer,
+                                           std::size_t node,
+                                           std::uint64_t begin,
+                                           std::span<const std::uint8_t> bytes,
+                                           bool replace);
   // Allocates the full buffer on `node` unless it already holds one.
   Status AllocateOnNodeLocked(BufferId id, LogicalBuffer& buffer,
                               std::size_t node);
@@ -918,7 +931,8 @@ class ClusterRuntime {
                          std::uint64_t end, CommandId cmd);
 
   Options options_;
-  std::vector<std::unique_ptr<net::RpcClient>> nodes_;
+  // Per node: its main RPC link and the lanes bulk payloads stripe over.
+  std::vector<std::unique_ptr<net::LaneSet>> nodes_;
   std::vector<DeviceInfo> devices_;
   std::unique_ptr<sched::SchedulingPolicy> policy_;
   std::string scheduler_name_;

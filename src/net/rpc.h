@@ -76,6 +76,9 @@ class RpcClient {
   Status Notify(MsgType type, std::uint64_t session,
                 std::vector<std::uint8_t> payload);
 
+  // Opens another connection to the same peer (Connection::Dial).
+  Expected<ConnectionPtr> Dial() { return connection_->Dial(); }
+
   void Close();
 
   [[nodiscard]] std::uint64_t bytes_sent() const {

@@ -40,12 +40,18 @@ class SimConnection : public Connection {
 
   void SetSink(FrameSink sink) override { sink_ = std::move(sink); }
 
+  void SetEndHandler(std::function<void()> ended) override {
+    ended_ = std::move(ended);
+  }
+
   void Start(MessageHandler handler) override {
-    dispatcher_ = std::thread([this, handler = std::move(handler)] {
+    dispatcher_ = std::thread([this, handler = std::move(handler),
+                               ended = std::move(ended_)] {
       while (auto msg = rx_->queue.Pop()) {
         Land(*msg);
         handler(*std::move(msg));
       }
+      if (ended) ended();
     });
   }
 
@@ -94,6 +100,7 @@ class SimConnection : public Connection {
   std::shared_ptr<Pipe> tx_;
   std::shared_ptr<Pipe> rx_;
   FrameSink sink_;  // Set before Start; read by the dispatcher only.
+  std::function<void()> ended_;  // Set before Start; moved to the dispatcher.
   std::thread dispatcher_;
   std::atomic<bool> closed_{false};
   std::atomic<std::uint64_t> bytes_sent_{0};

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstring>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "common/log.h"
@@ -39,7 +40,8 @@ bool ReadAll(int fd, void* buffer, std::size_t size) {
 
 // Writes every byte of the `count` iovecs, resuming after partial writes
 // (the kernel takes a large frame in socket-buffer-sized pieces); false on
-// error. Advances the iovecs in place.
+// error, a peer that closed included (no SIGPIPE). Advances the iovecs in
+// place.
 bool WriteAll(int fd, iovec* iov, int count) {
   for (;;) {
     while (count > 0 && iov->iov_len == 0) {
@@ -47,7 +49,10 @@ bool WriteAll(int fd, iovec* iov, int count) {
       --count;
     }
     if (count == 0) return true;
-    const ssize_t n = ::writev(fd, iov, count);
+    msghdr message{};
+    message.msg_iov = iov;
+    message.msg_iovlen = static_cast<std::size_t>(count);
+    const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return false;
@@ -68,7 +73,10 @@ bool WriteAll(int fd, iovec* iov, int count) {
 
 class TcpConnection : public Connection {
  public:
-  explicit TcpConnection(int fd) : fd_(fd) {
+  // `port` 0: an accepted connection, which cannot dial its peer.
+  explicit TcpConnection(int fd, std::string address = {},
+                         std::uint16_t port = 0)
+      : fd_(fd), address_(std::move(address)), port_(port) {
     const int one = 1;
     ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   }
@@ -99,8 +107,19 @@ class TcpConnection : public Connection {
 
   void SetSink(FrameSink sink) override { sink_ = std::move(sink); }
 
+  void SetEndHandler(std::function<void()> ended) override {
+    ended_ = std::move(ended);
+  }
+
+  // Re-dials the address this connection dialed.
+  Expected<ConnectionPtr> Dial() override {
+    if (port_ == 0) return Connection::Dial();
+    return TcpConnect(address_, port_);
+  }
+
   void Start(MessageHandler handler) override {
-    reader_ = std::thread([this, handler = std::move(handler)] {
+    reader_ = std::thread([this, handler = std::move(handler),
+                           ended = std::move(ended_)] {
       std::uint8_t header[Message::kHeaderSize];
       while (!closed_.load(std::memory_order_acquire)) {
         if (!ReadAll(fd_, header, sizeof(header))) break;
@@ -140,6 +159,7 @@ class TcpConnection : public Connection {
         }
         handler(std::move(msg));
       }
+      if (ended) ended();
     });
   }
 
@@ -155,8 +175,13 @@ class TcpConnection : public Connection {
         reader_.join();
       }
     }
-    // Close the fd exactly once, after the reader is done with it.
-    int fd = fd_.exchange(-1);
+    // Close the fd exactly once, after the reader and any sender are done
+    // with it (the shutdown above fails a send in progress).
+    int fd = -1;
+    {
+      std::lock_guard<std::mutex> lock(write_mutex_);
+      fd = fd_.exchange(-1);
+    }
     if (fd >= 0) ::close(fd);
   }
 
@@ -169,9 +194,12 @@ class TcpConnection : public Connection {
 
  private:
   std::atomic<int> fd_;
+  const std::string address_;  // What Dial re-dials.
+  const std::uint16_t port_;
   std::mutex write_mutex_;
   std::thread reader_;
   FrameSink sink_;  // Set before Start; read by the reader only.
+  std::function<void()> ended_;  // Set before Start; moved to the reader.
   std::atomic<bool> closed_{false};
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<std::uint64_t> messages_sent_{0};
@@ -195,7 +223,7 @@ Expected<ConnectionPtr> TcpConnect(const std::string& address,
     ::close(fd);
     return s;
   }
-  return ConnectionPtr(std::make_unique<TcpConnection>(fd));
+  return ConnectionPtr(std::make_unique<TcpConnection>(fd, address, port));
 }
 
 struct TcpListener::Impl {

@@ -9,6 +9,11 @@
 //    standing in for the cloud deployment we cannot spawn here);
 //  - TcpTransport (tcp_transport.h): real POSIX sockets with the same frame
 //    format, used for genuine multi-process deployments.
+// The host's channel to a node is its main connection plus, over TCP,
+// lanes: further connections of the same session that Connection::Dial
+// opens to the same node, over which net::LaneSet (lanes.h) stripes a
+// multi-MiB payload as ordinary frames. The node serves each lane as one
+// more connection.
 #pragma once
 
 #include <functional>
@@ -74,6 +79,20 @@ class Connection {
   // ignores it, so every frame arrives in `payload` (decorators that do
   // not forward the sink take that copy path).
   virtual void SetSink(FrameSink sink) { (void)sink; }
+
+  // Registers what runs once the connection stops receiving (the peer
+  // closed, a read failed or Close ran), on the dispatcher thread after
+  // its last message; call before Start. The default ignores it, so a
+  // decorator that does not forward it never reports an end.
+  virtual void SetEndHandler(std::function<void()> ended) { (void)ended; }
+
+  // Opens another connection to the same peer, not yet started: one more
+  // lane of the channel (see net::LaneSet). Only a connection that dialed
+  // its peer can; the default, an accepted connection and a decorator
+  // that does not forward it answer kUnimplemented.
+  virtual Expected<std::unique_ptr<Connection>> Dial() {
+    return Status(ErrorCode::kUnimplemented, "connection cannot dial");
+  }
 
   // Closes the channel; pending sends are dropped, the dispatcher drains.
   virtual void Close() = 0;

@@ -1,5 +1,7 @@
 #include "nmp/node_server.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 #include "driver/icd.h"
 #include "net/protocol.h"
@@ -44,8 +46,11 @@ bool DecodeAndHandle(const std::string& node, const Message& request,
 // One served connection: its queue and worker thread.
 struct NodeServer::Channel {
   net::ConnectionPtr connection;
-  BlockingQueue<Message> inbox;
+  BlockingQueue<Message> inbox;  // Closed once the connection ends.
   std::thread worker;
+  // The worker stopped before Serve published the channel (guarded by
+  // channels_mutex_): Serve tears it down instead.
+  bool ended = false;
   // Requests queued, running or awaiting their reply's send. Raised by
   // the receive path, lowered by the worker once the reply is out.
   std::atomic<std::uint32_t> unanswered{0};
@@ -73,6 +78,12 @@ NodeServer::NodeServer(std::string name, NodeType type,
 NodeServer::~NodeServer() { Shutdown(); }
 
 void NodeServer::Serve(net::ConnectionPtr connection) {
+  std::vector<std::unique_ptr<Channel>> reaped;
+  {
+    std::lock_guard<std::mutex> lock(channels_mutex_);
+    reaped.swap(reaped_);
+  }
+  for (auto& done : reaped) done->worker.join();
   auto channel = std::make_unique<Channel>();
   channel->connection = std::move(connection);
   Channel* raw = channel.get();
@@ -85,6 +96,8 @@ void NodeServer::Serve(net::ConnectionPtr connection) {
        // unspecified; the host never marks this node an owner of a range
        // whose write call failed.
        [](const Message::Header&) {}});
+  // The worker drains what arrived, then reaps the channel.
+  raw->connection->SetEndHandler([raw] { raw->inbox.Close(); });
   // Asynchronous listener: enqueue and return to listening, exactly the
   // paper's accept-then-listen-again loop. A heartbeat is handled right
   // here on the receive path, BEFORE the inbox, so it gets answered even
@@ -103,13 +116,17 @@ void NodeServer::Serve(net::ConnectionPtr connection) {
     raw->unanswered.fetch_add(1, std::memory_order_relaxed);
     raw->inbox.Push(std::move(msg));
   });
-  raw->worker = std::thread([this, raw] { WorkerLoop(raw); });
+  raw->worker = std::thread([this, raw] {
+    WorkerLoop(raw);
+    Reap(raw);
+  });
   // Publish only the fully-initialized channel: Shutdown swaps the list
   // out and touches `worker`, so the thread must be assigned before the
   // channel is reachable. If shutdown already swapped, nobody will ever
-  // join this channel — tear it down here instead of publishing.
+  // join this channel, and if its worker already stopped, nobody will
+  // reap it — tear it down here instead of publishing.
   std::unique_lock<std::mutex> lock(channels_mutex_);
-  if (shutting_down_.load()) {
+  if (shutting_down_.load() || raw->ended) {
     lock.unlock();
     raw->inbox.Close();
     raw->connection->Close();
@@ -145,6 +162,25 @@ void NodeServer::WorkerLoop(Channel* channel) {
       break;
     }
   }
+}
+
+void NodeServer::Reap(Channel* channel) {
+  {
+    std::lock_guard<std::mutex> lock(channels_mutex_);
+    auto it = std::find_if(
+        channels_.begin(), channels_.end(),
+        [channel](const std::unique_ptr<Channel>& c) {
+          return c.get() == channel;
+        });
+    if (it == channels_.end()) {
+      channel->ended = true;
+      return;
+    }
+    reaped_.push_back(std::move(*it));
+    channels_.erase(it);
+  }
+  channel->inbox.Close();
+  channel->connection->Close();
 }
 
 net::Landing NodeServer::LandWrite(Channel& channel,
@@ -259,7 +295,12 @@ Message NodeServer::HandleMessage(const Message& request, Channel& channel) {
     return true;
   };
 
-  runtime::DeviceSession& session = SessionFor(request.session);
+  // Only a request that acts on the session creates it (and its broker
+  // tenant): a monitoring query or a close from a session this node never
+  // saw leaves no trace.
+  auto session = [&]() -> runtime::DeviceSession& {
+    return SessionFor(request.session);
+  };
 
   switch (request.type) {
     case MsgType::kHelloRequest:
@@ -285,21 +326,21 @@ Message NodeServer::HandleMessage(const Message& request, Channel& channel) {
       break;
     case MsgType::kCreateBuffer:
       on([&](const net::CreateBufferRequest& decoded) {
-        status_reply(session.CreateBuffer(decoded.buffer_id, decoded.size));
+        status_reply(session().CreateBuffer(decoded.buffer_id, decoded.size));
       });
       break;
     case MsgType::kWriteBuffer:
       on([&](const net::WriteBufferRequest& decoded) {
         if (skipped(decoded.after_seq)) return;
-        status_reply(session.WriteBuffer(decoded.buffer_id, decoded.offset,
-                                         decoded.data));
+        status_reply(session().WriteBuffer(decoded.buffer_id,
+                                           decoded.offset, decoded.data));
       });
       break;
     case MsgType::kReadBuffer:
       on([&](const net::ReadBufferRequest& decoded) {
         if (skipped(decoded.after_seq)) return;
-        auto range = session.ReadBuffer(decoded.buffer_id, decoded.offset,
-                                        decoded.size);
+        auto range = session().ReadBuffer(decoded.buffer_id,
+                                          decoded.offset, decoded.size);
         if (!range.ok()) {
           status_reply(range.status());
           return;
@@ -334,23 +375,23 @@ Message NodeServer::HandleMessage(const Message& request, Channel& channel) {
                            net::RpcClient::kDefaultCallTimeout, {}, into),
               into);
         };
-        status_reply(session.PullSlice(decoded, fetch));
+        status_reply(session().PullSlice(decoded, fetch));
       });
       break;
     case MsgType::kMemoryNotice:
       on([&](const net::MemoryNoticeRequest& decoded) {
-        status_reply(session.MemoryNotice(decoded));
+        status_reply(session().MemoryNotice(decoded));
       });
       break;
     case MsgType::kReleaseBuffer:
       on([&](const net::ReleaseBufferRequest& decoded) {
-        status_reply(session.ReleaseBuffer(decoded.buffer_id));
+        status_reply(session().ReleaseBuffer(decoded.buffer_id));
       });
       break;
     case MsgType::kBuildProgram:
       on([&](const net::BuildProgramRequest& decoded) {
         const net::BuildProgramReply built =
-            session.BuildProgram(decoded.program_id, decoded.source);
+            session().BuildProgram(decoded.program_id, decoded.source);
         failed = built.status_code != 0;
         reply.type = MsgType::kBuildReply;
         reply.payload = net::Encode(built);
@@ -358,7 +399,7 @@ Message NodeServer::HandleMessage(const Message& request, Channel& channel) {
       break;
     case MsgType::kReleaseProgram:
       on([&](const net::ReleaseProgramRequest& decoded) {
-        status_reply(session.ReleaseProgram(decoded.program_id));
+        status_reply(session().ReleaseProgram(decoded.program_id));
       });
       break;
     case MsgType::kLaunchKernel:
@@ -382,7 +423,7 @@ Message NodeServer::HandleMessage(const Message& request, Channel& channel) {
               static_cast<std::int32_t>(grant.status().code());
           launch.error_message = grant.status().message();
         } else {
-          launch = session.LaunchKernel(decoded);
+          launch = session().LaunchKernel(decoded);
           const double sample_flops =
               decoded.has_cost_hint ? static_cast<double>(decoded.hint_flops)
                                     : static_cast<double>(launch.flops);
@@ -467,6 +508,11 @@ std::uint64_t NodeServer::kernels_executed() const {
   return broker_.kernels_completed();
 }
 
+std::size_t NodeServer::channels() const {
+  std::lock_guard<std::mutex> lock(channels_mutex_);
+  return channels_.size();
+}
+
 std::uint64_t NodeServer::bytes_resident() const {
   std::uint64_t total = 0;
   std::lock_guard<std::mutex> lock(
@@ -517,15 +563,18 @@ void NodeServer::Shutdown() {
     for (auto& [index, client] : peers_) client->Close();
   }
   std::vector<std::unique_ptr<Channel>> channels;
+  std::vector<std::unique_ptr<Channel>> reaped;
   {
     std::lock_guard<std::mutex> lock(channels_mutex_);
     channels.swap(channels_);
+    reaped.swap(reaped_);
   }
   for (auto& channel : channels) {
     channel->inbox.Close();
     channel->connection->Close();
     if (channel->worker.joinable()) channel->worker.join();
   }
+  for (auto& channel : reaped) channel->worker.join();
 }
 
 }  // namespace haocl::nmp

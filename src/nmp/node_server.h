@@ -11,10 +11,13 @@
 // Commands within a connection are serviced in arrival order by one worker
 // thread — the in-order command-queue semantics a device gives OpenCL —
 // while the message listener stays asynchronous, mirroring the paper's
-// acceptor design. A write, launch or read the host issued behind earlier
-// requests names the first of them (after_seq); the connection remembers
-// the highest seq it answered with a failure or a skip and answers such a
-// request at or below it kDependencyFailed without running it.
+// acceptor design. A session may arrive on several connections (a host's
+// lanes, see net::LaneSet); a connection whose peer goes away is reaped,
+// while its session stays for the others. A write, launch or read the
+// host issued behind earlier requests names the first of them
+// (after_seq); the connection remembers the highest seq it answered with
+// a failure or a skip and answers such a request at or below it
+// kDependencyFailed without running it.
 #pragma once
 
 #include <atomic>
@@ -49,7 +52,11 @@ class NodeServer {
 
   // Attaches a transport connection and starts servicing it. The server
   // owns the connection. May be called for multiple connections (multiple
-  // hosts sharing the node: the "shared device" flag in the paper).
+  // hosts sharing the node: the "shared device" flag in the paper, or one
+  // host's lanes). Once the connection stops receiving, or its worker
+  // stops (kShutdown, a failed reply), the channel is reaped: its worker
+  // ends and the connection closes. Reaping erases no session; other
+  // connections may still serve it.
   void Serve(net::ConnectionPtr connection);
 
   // Registers a direct link to peer node `peer_index` (the host's node
@@ -68,6 +75,8 @@ class NodeServer {
 
   // Test hook: total kernels run across all sessions.
   [[nodiscard]] std::uint64_t kernels_executed() const;
+  // Test hook: connections served and not yet reaped.
+  [[nodiscard]] std::size_t channels() const;
   // Test hook: bytes resident across all sessions' ledger views.
   [[nodiscard]] std::uint64_t bytes_resident() const;
 
@@ -82,6 +91,11 @@ class NodeServer {
   struct Channel;  // One served connection.
 
   void WorkerLoop(Channel* channel);
+  // Runs on `channel`'s worker once it stops: unless Shutdown, or a Serve
+  // that has not published the channel, owns it, takes the channel out of
+  // the served ones and closes its connection. Its worker thread is joined
+  // by the next Serve or by Shutdown.
+  void Reap(Channel* channel);
   // `channel`'s FrameSink: a kWriteBuffer lands straight in the replica
   // when it is the next thing the connection would run and its range
   // passes DeviceSession::ClaimWrite; any other frame is declined.
@@ -111,8 +125,9 @@ class NodeServer {
   std::unordered_map<std::uint64_t, std::unique_ptr<runtime::DeviceSession>>
       sessions_;
 
-  std::mutex channels_mutex_;
+  mutable std::mutex channels_mutex_;
   std::vector<std::unique_ptr<Channel>> channels_;
+  std::vector<std::unique_ptr<Channel>> reaped_;  // Workers to join.
   std::mutex peers_mutex_;
   std::unordered_map<std::size_t, std::unique_ptr<net::RpcClient>> peers_;
   std::atomic<bool> shutting_down_{false};

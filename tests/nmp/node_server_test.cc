@@ -10,7 +10,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstring>
+#include <functional>
+#include <memory>
 #include <thread>
 
 #include "common/sync.h"
@@ -297,6 +301,20 @@ TEST_F(NodeServerTest, QueryBrokerReportsServingCounters) {
   EXPECT_EQ(server_->kernels_executed(), 1u);
 }
 
+TEST_F(NodeServerTest, MonitoringRegistersNoTenant) {
+  // Only a request that acts on a session creates it: a report, a close
+  // or an unknown type from sessions the node never saw leaves no tenant.
+  for (std::uint64_t session : {7, 8, 9}) {
+    (void)client_->Call(MsgType::kCloseSession, session, {});
+    (void)client_->Call(static_cast<MsgType>(999), session, {});
+    auto reply = client_->Call(MsgType::kQueryBroker, session, {});
+    ASSERT_TRUE(net::CheckReply(reply, MsgType::kBrokerReply).ok());
+    auto report = net::Decode<net::BrokerStatsReply>(reply->payload);
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->tenants.size(), 0u) << "after session " << session;
+  }
+}
+
 TEST_F(NodeServerTest, OneWayMessagesGetNoReply) {
   // Notify (seq 0) must not generate a reply that would confuse the RPC
   // matcher; a subsequent call still works.
@@ -362,16 +380,75 @@ TEST(NodeServerTcpTest, FullProtocolOverRealSockets) {
   listener.Stop();
 }
 
+TEST(NodeServerTcpTest, ConnectionEndingWithoutShutdownIsReaped) {
+  // Two connections of one session; the first goes away without
+  // kShutdown. The node reaps its channel — worker joined, socket closed —
+  // and the session it served stays for the second.
+  auto server = NodeServer::Create("gpu0", NodeType::kGpu);
+  ASSERT_TRUE(server.ok());
+  net::TcpListener listener(0);
+  ASSERT_TRUE(listener
+                  .Start([&](net::ConnectionPtr c) {
+                    (*server)->Serve(std::move(c));
+                  })
+                  .ok());
+  auto dial = [&]() {
+    auto connection = net::TcpConnect("127.0.0.1", listener.port());
+    EXPECT_TRUE(connection.ok());
+    return std::make_unique<net::RpcClient>(*std::move(connection));
+  };
+  auto wait_for_channels = [&](std::size_t count) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((*server)->channels() != count &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return (*server)->channels();
+  };
+  auto first = dial();
+  auto second = dial();
+  net::CreateBufferRequest create;
+  create.buffer_id = 1;
+  create.size = 64;
+  ASSERT_TRUE(net::CheckReply(first->Call(MsgType::kCreateBuffer, 5,
+                                          net::Encode(create)),
+                              MsgType::kStatusReply)
+                  .ok());
+  ASSERT_TRUE(
+      net::CheckReply(second->Call(MsgType::kHeartbeat, 5, {}),
+                      MsgType::kStatusReply)
+          .ok());
+  ASSERT_EQ(wait_for_channels(2), 2u);
+
+  first->Close();
+  EXPECT_EQ(wait_for_channels(1), 1u);
+  net::ReadBufferRequest read;
+  read.buffer_id = 1;
+  read.size = 64;
+  auto got = second->Call(MsgType::kReadBuffer, 5, net::Encode(read));
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->type, MsgType::kReadReply);
+
+  second->Close();
+  EXPECT_EQ(wait_for_channels(0), 0u);
+  (*server)->Shutdown();
+  listener.Stop();
+}
+
 // Two NMP daemons on real TCP sockets that dial each other from the
 // cluster configuration (the multi-machine deployment path), and a host
-// runtime connected to both over TCP.
+// runtime connected to both over TCP. `wrap_node0` decorates the host's
+// link to node 0.
 struct TcpPeerPair {
   std::unique_ptr<NodeServer> servers[2];
   std::unique_ptr<net::TcpListener> listeners[2];
   ClusterConfig config;
   std::unique_ptr<host::ClusterRuntime> runtime;
 
-  void Start() {
+  void Start(host::RuntimeOptions options = {},
+             const std::function<net::ConnectionPtr(net::ConnectionPtr)>&
+                 wrap_node0 = nullptr) {
     auto s0 = NodeServer::Create("gpu0", NodeType::kGpu);
     auto s1 = NodeServer::Create("cpu0", NodeType::kCpu);
     ASSERT_TRUE(s0.ok() && s1.ok());
@@ -396,7 +473,9 @@ struct TcpPeerPair {
       ASSERT_TRUE(connection.ok());
       connections.push_back(*std::move(connection));
     }
-    auto connected = host::ClusterRuntime::Connect(std::move(connections), {});
+    if (wrap_node0) connections[0] = wrap_node0(std::move(connections[0]));
+    auto connected =
+        host::ClusterRuntime::Connect(std::move(connections), options);
     ASSERT_TRUE(connected.ok()) << connected.status().ToString();
     runtime = *std::move(connected);
   }
@@ -548,11 +627,20 @@ TEST(NodeServerTcpTest, PeersDialedFromClusterConfigExchangeSlices) {
   EXPECT_EQ(stats.relay_transfers, 0u);
 }
 
+// Lanes a striped transfer of `bytes` opens: one per hardware thread, each
+// chunk at least net::kLaneChunkFloor.
+std::size_t LanesFor(std::uint64_t bytes) {
+  const std::uint64_t hw = std::max(1u, std::thread::hardware_concurrency());
+  return static_cast<std::size_t>(
+      std::max<std::uint64_t>(1, std::min(hw, bytes / net::kLaneChunkFloor)));
+}
+
 TEST(NodeServerTcpTest, BulkBytesMoveBetweenCallerAndNodesInPlace) {
   // Multi-MiB payloads over real sockets, end to end: a write on node 0's
   // queue leaves from the caller's pointer and lands in node 0's replica,
-  // a read lands in the caller's buffer, and node 1's launch pulls its
-  // slice from node 0 straight into its own replica.
+  // a read lands in the caller's buffer, both striped over node 0's lanes,
+  // and node 1's launch pulls its slice from node 0 straight into its own
+  // replica.
   TcpPeerPair pair;
   ASSERT_NO_FATAL_FAILURE(pair.Start());
   host::ClusterRuntime& runtime = *pair.runtime;
@@ -601,6 +689,194 @@ TEST(NodeServerTcpTest, BulkBytesMoveBetweenCallerAndNodesInPlace) {
   EXPECT_EQ(stats.host_bytes_in, kBytes + kCount * 4);
   EXPECT_EQ(stats.p2p_bytes, kCount * 4);
   EXPECT_EQ(stats.relay_bytes, 0u);
+  EXPECT_EQ(runtime.LaneCount(0), LanesFor(kBytes));
+}
+
+// The host ledger of node 0 and the node's own agree.
+void ExpectLedgersEqual(TcpPeerPair& pair) {
+  auto host_view = pair.runtime->NodeMemoryStatsOf(0);
+  ASSERT_TRUE(host_view.ok());
+  EXPECT_EQ(host_view->resident_bytes, pair.servers[0]->bytes_resident());
+}
+
+std::vector<std::uint8_t> Pattern(std::uint64_t bytes, std::uint8_t salt) {
+  std::vector<std::uint8_t> out(bytes);
+  for (std::uint64_t i = 0; i < bytes; ++i) {
+    out[i] = static_cast<std::uint8_t>((i * 131) ^ (i >> 12) ^ salt);
+  }
+  return out;
+}
+
+TEST(NodeServerTcpTest, BulkTransfersStripeOverLanes) {
+  // An 8 MiB write on node 0's queue and a blocking read of it: each is
+  // one chunk per lane, and every count reads as for one frame.
+  TcpPeerPair pair;
+  ASSERT_NO_FATAL_FAILURE(pair.Start());
+  host::ClusterRuntime& runtime = *pair.runtime;
+  constexpr std::uint64_t kBytes = 8u << 20;
+  auto buffer = runtime.CreateBuffer(kBytes);
+  ASSERT_TRUE(buffer.ok());
+  const std::vector<std::uint8_t> bytes = Pattern(kBytes, 7);
+  auto write = runtime.SubmitWrite(*buffer, 0, bytes.data(), kBytes, 0);
+  ASSERT_TRUE(write.ok());
+  ASSERT_TRUE(runtime.Wait(*write).ok());
+  std::vector<std::uint8_t> back(kBytes);
+  ASSERT_TRUE(runtime.ReadBuffer(*buffer, 0, back.data(), kBytes).ok());
+  EXPECT_EQ(back, bytes);
+
+  const host::TransferStats stats = runtime.transfer_stats();
+  EXPECT_EQ(stats.host_bytes_out, kBytes);
+  EXPECT_EQ(stats.host_bytes_in, kBytes);
+  ExpectLedgersEqual(pair);
+  auto snapshot = runtime.DirectorySnapshotOf(*buffer);
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_EQ(snapshot->regions.size(), 1u);
+  EXPECT_EQ(snapshot->regions[0].owners, std::vector<std::int32_t>{0});
+  const std::size_t lanes = LanesFor(kBytes);
+  EXPECT_EQ(runtime.LaneCount(0), lanes);
+  EXPECT_EQ(runtime.LaneCount(1), 1u);
+  // Node 0 serves the host's lanes plus node 1's peer link.
+  EXPECT_EQ(pair.servers[0]->channels(), lanes + 1);
+  // Every lane's bytes count on the wire: both 8 MiB legs' requests and
+  // the write's payload, at least.
+  EXPECT_GT(runtime.TotalBytesSent(), kBytes);
+}
+
+TEST(NodeServerTcpTest, QuotaRefusesPartOfAStripedWrite) {
+  // A tenant quota below the write: the node takes the chunks that fit
+  // and refuses the rest, which land in the shadow. Both ledgers count
+  // exactly what the node holds, and the read-back is the write.
+  constexpr std::uint64_t kBytes = 8u << 20;
+  constexpr std::uint64_t kQuota = 5u << 20;
+  host::RuntimeOptions options;
+  options.tenant_mem_quota_bytes = kQuota;
+  TcpPeerPair pair;
+  ASSERT_NO_FATAL_FAILURE(pair.Start(options));
+  host::ClusterRuntime& runtime = *pair.runtime;
+  auto buffer = runtime.CreateBuffer(kBytes);
+  ASSERT_TRUE(buffer.ok());
+  const std::vector<std::uint8_t> bytes = Pattern(kBytes, 3);
+  auto write = runtime.SubmitWrite(*buffer, 0, bytes.data(), kBytes, 0);
+  ASSERT_TRUE(write.ok());
+  ASSERT_TRUE(runtime.Wait(*write).ok());
+
+  auto snapshot = runtime.DirectorySnapshotOf(*buffer);
+  ASSERT_TRUE(snapshot.ok());
+  std::uint64_t on_node = 0;
+  std::uint64_t in_shadow = 0;
+  for (const auto& region : snapshot->regions) {
+    ASSERT_EQ(region.owners.size(), 1u);
+    (region.owners[0] == 0 ? on_node : in_shadow) += region.end - region.begin;
+  }
+  EXPECT_EQ(on_node + in_shadow, kBytes);
+  EXPECT_LE(on_node, kQuota);
+  if (LanesFor(kBytes) > 1) {
+    EXPECT_GT(on_node, 0u);  // The first chunk to arrive always fits.
+  }
+  EXPECT_EQ(pair.servers[0]->bytes_resident(), on_node);
+  ExpectLedgersEqual(pair);
+  EXPECT_EQ(runtime.transfer_stats().host_bytes_out, on_node);
+
+  std::vector<std::uint8_t> back(kBytes);
+  ASSERT_TRUE(runtime.ReadBuffer(*buffer, 0, back.data(), kBytes).ok());
+  EXPECT_EQ(back, bytes);
+}
+
+// Host end of a node link whose lanes a test can cut: forwards everything,
+// Dial included. Once armed, the next request a dialed lane sends is lost
+// with the lane: the lane closes before the frame reaches the node.
+class CuttableConnection : public net::Connection {
+ public:
+  CuttableConnection(net::ConnectionPtr inner,
+                     std::shared_ptr<std::atomic<bool>> armed, bool lane)
+      : inner_(std::move(inner)), armed_(std::move(armed)), lane_(lane) {}
+
+  Status Send(const Message& message) override {
+    if (lane_ && armed_->exchange(false)) {
+      inner_->Close();
+      return Status::Ok();
+    }
+    return inner_->Send(message);
+  }
+  void Start(net::MessageHandler handler) override {
+    inner_->Start(std::move(handler));
+  }
+  void SetSink(net::FrameSink sink) override {
+    inner_->SetSink(std::move(sink));
+  }
+  Expected<net::ConnectionPtr> Dial() override {
+    auto dialed = inner_->Dial();
+    if (!dialed.ok()) return dialed.status();
+    return net::ConnectionPtr(std::make_unique<CuttableConnection>(
+        *std::move(dialed), armed_, /*lane=*/true));
+  }
+  void Close() override { inner_->Close(); }
+  [[nodiscard]] std::uint64_t bytes_sent() const override {
+    return inner_->bytes_sent();
+  }
+  [[nodiscard]] std::uint64_t messages_sent() const override {
+    return inner_->messages_sent();
+  }
+
+ private:
+  net::ConnectionPtr inner_;
+  std::shared_ptr<std::atomic<bool>> armed_;
+  bool lane_;
+};
+
+TEST(NodeServerTcpTest, LaneClosedMidTransferFailsOnlyThatCommand) {
+  constexpr std::uint64_t kBytes = 8u << 20;
+  if (LanesFor(kBytes) < 2) GTEST_SKIP() << "one hardware thread: no lanes";
+  host::RuntimeOptions options;
+  options.rpc_timeout = std::chrono::milliseconds(2000);
+  auto armed = std::make_shared<std::atomic<bool>>(false);
+  TcpPeerPair pair;
+  ASSERT_NO_FATAL_FAILURE(
+      pair.Start(options, [armed](net::ConnectionPtr connection) {
+        return net::ConnectionPtr(std::make_unique<CuttableConnection>(
+            std::move(connection), armed, /*lane=*/false));
+      }));
+  host::ClusterRuntime& runtime = *pair.runtime;
+  auto program = runtime.BuildProgram(kBumpSource);
+  ASSERT_TRUE(program.ok());
+  auto buffer = runtime.CreateBuffer(kBytes);
+  ASSERT_TRUE(buffer.ok());
+  const std::vector<std::uint8_t> bytes = Pattern(kBytes, 11);
+  auto write = runtime.SubmitWrite(*buffer, 0, bytes.data(), kBytes, 0);
+  ASSERT_TRUE(write.ok());
+  ASSERT_TRUE(runtime.Wait(*write).ok());
+  ASSERT_EQ(runtime.LaneCount(0), LanesFor(kBytes));
+
+  // One lane goes away with its read request: the read fails once the
+  // deadline withdraws that chunk, and no later.
+  armed->store(true);
+  std::vector<std::uint8_t> back(kBytes);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(runtime.ReadBuffer(*buffer, 0, back.data(), kBytes).ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            options.rpc_timeout + std::chrono::seconds(3));
+  EXPECT_FALSE(armed->load());
+  EXPECT_EQ(runtime.LaneCount(0), LanesFor(kBytes) - 1);
+
+  // The main link still runs a launch, and the next read dials a fresh
+  // lane and moves every byte.
+  host::ClusterRuntime::LaunchSpec spec;
+  spec.program = *program;
+  spec.kernel_name = "bump";
+  spec.args = {host::KernelArgValue::Buffer(*buffer),
+               host::KernelArgValue::Scalar<std::int32_t>(1)};
+  spec.global[0] = 1;
+  spec.preferred_node = 0;
+  auto launched = runtime.LaunchKernel(spec);
+  ASSERT_TRUE(launched.ok()) << launched.status().ToString();
+  ASSERT_TRUE(runtime.ReadBuffer(*buffer, 0, back.data(), kBytes).ok());
+  std::vector<std::uint8_t> expected = bytes;
+  std::int32_t first = 0;
+  std::memcpy(&first, expected.data(), sizeof(first));
+  ++first;
+  std::memcpy(expected.data(), &first, sizeof(first));
+  EXPECT_EQ(back, expected);
+  EXPECT_EQ(runtime.LaneCount(0), LanesFor(kBytes));
 }
 
 TEST(NodeServerReleaseTest, ReleaseMidLaunchKeepsReplicaAlive) {

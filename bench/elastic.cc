@@ -101,7 +101,9 @@ struct Harness {
     return h;
   }
 
-  ClusterRuntime::LaunchSpec Spec(std::uint64_t rows) const {
+  // An elastic launch of the doubler over `rows`.
+  ClusterRuntime::LaunchSpec Spec(
+      std::uint64_t rows, const ClusterRuntime::ElasticOptions& options) const {
     ClusterRuntime::LaunchSpec spec;
     spec.program = program;
     spec.kernel_name = "doubler";
@@ -109,6 +111,7 @@ struct Harness {
                  KernelArgValue::Scalar<std::int32_t>(
                      static_cast<std::int32_t>(rows))};
     spec.global[0] = rows;
+    spec.elastic = options;
     return spec;
   }
 
@@ -172,14 +175,14 @@ int main() {
     oracle = static_cast<double>(kRows) / inverse_sum;
     ClusterRuntime::ElasticOptions options;
     options.chunk_rows = kChunkRows;
-    auto result = h.cluster->runtime().LaunchElastic(h.Spec(kRows), options);
+    auto result = h.cluster->runtime().LaunchKernel(h.Spec(kRows, options));
     gates.Check(result.ok() && h.Doubled(kRows, 2),
                 "straggler steal run completes bit-identical");
     if (result.ok()) {
-      with_steal = result->makespan_seconds;
-      stolen = result->chunks_stolen;
-      straggler_reexecuted = result->chunks_reexecuted;
-      straggler_bytes = result->launch.bytes_shipped;
+      with_steal = result->elastic->makespan_seconds;
+      stolen = result->elastic->chunks_stolen;
+      straggler_reexecuted = result->elastic->chunks_reexecuted;
+      straggler_bytes = result->bytes_shipped;
     }
   }
   double no_steal = 0.0;
@@ -188,10 +191,10 @@ int main() {
     ClusterRuntime::ElasticOptions options;
     options.chunk_rows = kChunkRows;
     options.stealing = false;
-    auto result = h.cluster->runtime().LaunchElastic(h.Spec(kRows), options);
+    auto result = h.cluster->runtime().LaunchKernel(h.Spec(kRows, options));
     gates.Check(result.ok() && h.Doubled(kRows, 2),
                 "straggler static run completes bit-identical");
-    if (result.ok()) no_steal = result->makespan_seconds;
+    if (result.ok()) no_steal = result->elastic->makespan_seconds;
   }
   const double steal_ratio = with_steal / oracle;
   const double static_ratio = no_steal / oracle;
@@ -221,10 +224,10 @@ int main() {
     options.chunk_rows = kKillRows / 16;
     options.fault_injector = &faults;
     auto result =
-        h.cluster->runtime().LaunchElastic(h.Spec(kKillRows), options);
-    kill_completed = result.ok() && result->dead_nodes.size() == 1;
+        h.cluster->runtime().LaunchKernel(h.Spec(kKillRows, options));
+    kill_completed = result.ok() && result->elastic->dead_nodes.size() == 1;
     bit_identical = kill_completed && h.Doubled(kKillRows, 2);
-    if (result.ok()) reexecuted = result->chunks_reexecuted;
+    if (result.ok()) reexecuted = result->elastic->chunks_reexecuted;
   }
   std::printf("Elastic: node killed after 2 chunks\n");
   std::printf("  completed: %s, bit-identical: %s, re-executed chunks: %llu\n",

@@ -169,30 +169,28 @@ CoordinatorReport StealCoordinator::Run() {
           continue;  // Re-dispatch; the thief now owns pending work.
         }
       }
-      // Nothing to steal: everything left is running or owned by busier
-      // nodes. Park this node at the max clock so we spin on the others.
+      // Nothing to steal. When no live node holds pending work either,
+      // the chunks left belong to no live node (none is running: Execute
+      // returns before the next dispatch), so bail instead of spinning.
+      bool any_pending = false;
+      for (const NodeState& node : nodes_) {
+        if (node.alive && ledger_->PendingRowsOf(node.index) > 0) {
+          any_pending = true;
+          break;
+        }
+      }
+      if (!any_pending) {
+        report_.status = Status(ErrorCode::kInternal,
+                                "elastic dispatch stalled with " +
+                                    std::to_string(ledger_->RemainingChunks()) +
+                                    " chunks not done");
+        break;
+      }
+      // Everything left is owned by busier nodes. Park this node at the
+      // max clock so dispatch moves on to the others.
       double max_clock = next->clock;
       for (const NodeState& node : nodes_) {
         if (node.alive) max_clock = std::max(max_clock, node.clock);
-      }
-      if (next->clock >= max_clock) {
-        // This node IS the max and still has nothing: if no live node has
-        // pending work the remaining chunks are running-but-orphaned
-        // (should not happen single-threaded) — bail to avoid spinning.
-        bool any_pending = false;
-        for (const NodeState& node : nodes_) {
-          if (node.alive && ledger_->PendingRowsOf(node.index) > 0) {
-            any_pending = true;
-            break;
-          }
-        }
-        if (!any_pending && !ledger_->AllDone()) {
-          report_.status = Status(ErrorCode::kInternal,
-                                  "elastic dispatch stalled with " +
-                                      std::to_string(ledger_->RemainingChunks()) +
-                                      " chunks not done");
-          break;
-        }
       }
       next->clock = std::max(next->clock, max_clock) + 1e-9;
       continue;

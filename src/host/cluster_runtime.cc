@@ -1604,17 +1604,6 @@ Status ClusterRuntime::EnsureProgramOnNode(ProgramId id,
 
 // --------------------------------------------------------------- Launch
 
-// The queryable residue of a launch command. Everything heavy (buffer
-// pins, program module, arg payloads) lives in LaunchWork, which only the
-// command body owns — so it is freed when the command retires through ANY
-// path, including dependency failure where the body never runs.
-struct ClusterRuntime::LaunchPlan {
-  // Written by the command body before retirement; readable once the
-  // command is terminal (the graph's retirement is the synchronization).
-  LaunchResult result;
-  bool has_result = false;
-};
-
 // Everything one shard of a launch needs, resolved and validated at submit
 // time so the graph worker never touches the object tables for lookups.
 // Owned solely by the command body's closure.
@@ -1843,8 +1832,7 @@ Expected<ClusterRuntime::Placement> ClusterRuntime::PlanLaunchLocked(
     placement.view.nodes[i].resident_dim0_begin = resident_begin[i];
   }
   if (spec.force_node >= 0) {
-    // Elastic chunk sub-launch: placement was decided chunk-by-chunk by
-    // the coordinator, so bypass the policy — one shard, that node.
+    // A pinned launch bypasses the policy: one shard, that node.
     const auto forced = static_cast<std::size_t>(spec.force_node);
     if (forced >= placement.view.nodes.size()) {
       return Status(ErrorCode::kInvalidValue,
@@ -1853,8 +1841,7 @@ Expected<ClusterRuntime::Placement> ClusterRuntime::PlanLaunchLocked(
     }
     if (!placement.view.nodes[forced].alive) {
       return Status(ErrorCode::kNodeLost,
-                    "node " + std::to_string(forced) +
-                        " is marked dead; chunk must be re-queued");
+                    "node " + std::to_string(forced) + " is marked dead");
     }
     placement.plan =
         sched::PlacementPlan::SingleNode(forced, launch.task.dim0_extent);
@@ -1871,48 +1858,81 @@ Expected<ClusterRuntime::Placement> ClusterRuntime::PlanLaunchLocked(
 Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
     const LaunchSpec& spec, std::vector<CommandHandle> deps,
     std::vector<CommandHandle> order_after) {
+  if (spec.elastic.has_value() && spec.force_node >= 0) {
+    return Status(ErrorCode::kInvalidValue,
+                  "an elastic launch places its own chunks: no force_node");
+  }
   std::unique_lock<std::mutex> lock(state_mutex_);
   auto resolved = ResolveLaunchLocked(spec);
   if (!resolved.ok()) return resolved.status();
   const ResolvedLaunch& launch = *resolved;
   const sched::TaskInfo& task = launch.task;
+  if (spec.elastic.has_value() && !task.splittable) {
+    return Status(ErrorCode::kInvalidOperation,
+                  "kernel '" + spec.kernel_name +
+                      "' is not splittable, and an elastic launch re-targets "
+                      "its chunks freely");
+  }
   auto placed = PlanLaunchLocked(spec, launch);
   if (!placed.ok()) return placed.status();
   const sched::PlacementPlan& placement = placed->plan;
   const std::size_t shard_total = placement.shards.size();
 
+  // Shared dependency context for every command of the launch. Hazard
+  // ranges are region-granular: a partitioned arg conflicts only on the
+  // launch's partition window, so launches over disjoint windows of one
+  // buffer pipeline freely.
+  std::vector<CommandId> dep_ids;
+  std::vector<CommandId> hazards;
+  CollectDepIds(deps, &dep_ids);
+  CollectDepIds(order_after, &hazards);
+  for (const BufferArg& buffer_arg : launch.buffers) {
+    const auto [begin, end] =
+        buffer_arg.Window(spec.global_offset[0], spec.global[0]);
+    if (buffer_arg.written) {
+      AddWriteHazardLocked(*buffer_arg.buffer, begin, end, &hazards);
+    } else {
+      AddReadHazardLocked(*buffer_arg.buffer, begin, end, &hazards);
+    }
+  }
+
+  if (spec.elastic.has_value()) {
+    // One command runs every chunk of the plan (ExecElastic). Chunks
+    // carry the full launch's analytic cost scaled to their rows: a
+    // re-chunked device-side estimate would charge every chunk a cold
+    // pass over the node's whole resident allocation, drowning the real
+    // per-row rates the steal loop needs to see. No backlog is charged:
+    // each chunk completes before the coordinator places the next.
+    LaunchSpec whole = spec;
+    if (!whole.cost_hint.has_value()) whole.cost_hint = task.cost;
+    auto result = std::make_shared<LaunchPlan>();
+    const CommandId cmd = graph_->Submit(
+        [this, whole = std::move(whole), launch, plan = placement,
+         result](CommandGraph::Execution& e) {
+          return ExecElastic(whole, launch, plan, *result, e);
+        },
+        std::move(dep_ids), "launch:" + spec.kernel_name + ":elastic",
+        std::move(hazards));
+    launch_plans_.emplace(cmd, std::move(result));
+    RecordLaunchLocked(launch, spec.global_offset[0], spec.global[0], cmd);
+    return CommandHandle{cmd};
+  }
+
   // Decompose oversubscribed shards into out-of-core stages: a shard
   // whose working set exceeds its node's device capacity runs as a
-  // serial chain of sub-range launches with a double-buffered stage
-  // budget, so two stages fit at once and stage k+1's slice transfer can
-  // overlap stage k's compute (libhclooc's staging pattern). In-core
-  // shards get budget 0: one stage.
+  // serial chain of sub-range launches of the stage rule's rows
+  // (sched::StageRows), so two stages fit at once and stage k+1's slice
+  // transfer can overlap stage k's compute (libhclooc's staging pattern).
+  // In-core shards get 0 rows: one stage. ValidatePlan admitted every
+  // shard, so each one has a rule.
   const std::uint64_t stage_align =
       std::max<std::uint64_t>(1, task.dim0_align);
-  std::vector<std::uint64_t> stage_rows(shard_total, 0);
-  for (std::size_t s = 0; s < shard_total; ++s) {
-    const sched::PlacementShard& shard = placement.shards[s];
-    const std::uint64_t capacity = node_pools_[shard.node]->capacity();
-    if (capacity != 0 && task.splittable && task.bytes_per_index > 0) {
-      const std::uint64_t working_set =
-          task.replicated_bytes + shard.global_count * task.bytes_per_index;
-      if (working_set > capacity) {
-        const std::uint64_t budget =
-            capacity > task.replicated_bytes
-                ? (capacity - task.replicated_bytes) / 2
-                : 0;
-        stage_rows[s] =
-            budget / task.bytes_per_index / stage_align * stage_align;
-        if (stage_rows[s] == 0) {
-          // ValidatePlan admits only stageable shards, but a policy could
-          // hand us a hand-built plan through a custom registry entry.
-          return Status(ErrorCode::kMemObjectAllocationFailure,
-                        "kernel '" + spec.kernel_name +
-                            "': no double-buffered stage fits node " +
-                            std::to_string(shard.node) + "'s capacity");
-        }
-      }
-    }
+  std::vector<std::uint64_t> stage_rows;
+  for (const sched::PlacementShard& shard : placement.shards) {
+    stage_rows.push_back(
+        sched::StageRows(task, node_pools_[shard.node]->capacity(),
+                         shard.global_count)
+            .value_or(0));
   }
   const std::vector<sched::ChunkSpan> subs =
       sched::ChunkifyPlan(placement, stage_align, stage_rows);
@@ -1924,8 +1944,7 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
   // Charge each shard's predicted compute seconds against its node's
   // backlog estimate NOW, so load-aware policies see work that is
   // submitted but not yet complete; the shard refunds the same amount
-  // when it retires. Charged only once staging cannot fail any more:
-  // LaunchWork's destructor refunds only what a submitted shard holds.
+  // when it retires (LaunchWork's destructor, on every other path).
   std::vector<double> shard_charges;
   shard_charges.reserve(shard_total);
   {
@@ -1943,24 +1962,6 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
     }
   }
 
-  // Shared dependency context for every shard. Hazard ranges are
-  // region-granular: a partitioned arg conflicts only on the launch's
-  // partition window, so launches over disjoint windows of one buffer
-  // pipeline freely.
-  std::vector<CommandId> dep_ids;
-  std::vector<CommandId> hazards;
-  CollectDepIds(deps, &dep_ids);
-  CollectDepIds(order_after, &hazards);
-  for (const BufferArg& buffer_arg : launch.buffers) {
-    const auto [begin, end] =
-        buffer_arg.Window(spec.global_offset[0], spec.global[0]);
-    if (buffer_arg.written) {
-      AddWriteHazardLocked(*buffer_arg.buffer, begin, end, &hazards);
-    } else {
-      AddReadHazardLocked(*buffer_arg.buffer, begin, end, &hazards);
-    }
-  }
-
   // Fan out the sub-launch commands, one per sub-launch. Shards are
   // mutually independent (the plan guarantees disjoint slices) and order
   // after the same hazards; a staged shard's stages chain serially on its
@@ -1974,8 +1975,6 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
   shard_ids.reserve(launch_total);
   shard_plans.reserve(launch_total);
   group_of.reserve(launch_total);
-  const double extent = static_cast<double>(std::max<std::uint64_t>(
-      1, spec.global[0]));
   FramePtr issued;  // The place a one-frame launch took.
   std::uint32_t stage = 0;  // Index of `sub` within its shard's stages.
   for (std::size_t i = 0; i < launch_total; ++i) {
@@ -1983,25 +1982,12 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
     const std::uint32_t stage_total = stages_of[sub.shard];
     stage = i > 0 && subs[i - 1].shard == sub.shard ? stage + 1 : 0;
     const sched::PlacementShard& shard = placement.shards[sub.shard];
-    auto work = std::make_shared<LaunchWork>();
-    work->spec = spec;
-    work->spec.global[0] = sub.count;
-    work->spec.global_offset[0] = spec.global_offset[0] + sub.offset;
-    if (spec.cost_hint.has_value()) {
-      // Scale the analytic hint to the sub-launch's share of the range.
-      work->spec.cost_hint = spec.cost_hint->Scaled(
-          static_cast<double>(sub.count) / extent);
-    }
-    work->program_id = spec.program;
-    work->program = launch.program;
-    work->buffers = launch.buffers;
-    work->node = shard.node;
+    auto work = MakeLaunchWork(spec, launch, sub.offset, sub.count, shard.node);
     work->owner = this;
     work->backlog_charge =
         shard_charges[sub.shard] *
         (static_cast<double>(sub.count) /
          static_cast<double>(shard.global_count));
-    work->plan = std::make_shared<LaunchPlan>();
     shard_plans.push_back(work->plan);
     group_of.push_back(static_cast<std::uint32_t>(sub.shard));
 
@@ -2053,15 +2039,16 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
       body = [this, work = std::move(work),
               frame = issued](CommandGraph::Execution& e) {
         return RunIssued(
-            *frame, [&] { return ExecLaunch(work, e); },
+            *frame, [&] { return ExecLaunch(work, e).status(); },
             [&](const Expected<Message>& reply) {
               return CompleteLaunch(work, reply, /*bytes_shipped=*/0,
-                                    /*ready_at=*/0.0, e);
+                                    /*ready_at=*/0.0, e)
+                  .status();
             });
       };
     } else {
       body = [this, work = std::move(work)](CommandGraph::Execution& e) {
-        return ExecLaunch(work, e);
+        return ExecLaunch(work, e).status();
       };
     }
     const CommandId launch_cmd = graph_->Submit(
@@ -2101,7 +2088,7 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
           // handle may have reclaimed shard records already.
           Status failure = Status::Ok();
           for (std::size_t i = 0; i < plans.size(); ++i) {
-            if (plans[i]->has_result) continue;  // Sub-launch completed.
+            if (plans[i]->has_value()) continue;  // Sub-launch completed.
             // Reclaimed records (unknown to QueryState) lost their
             // status; live records report their genuine failure, whatever
             // its code.
@@ -2129,7 +2116,7 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
           // sum within a shard and the slowest shard bounds the launch.
           std::vector<double> shard_seconds(shard_count, 0.0);
           for (std::size_t i = 0; i < plans.size(); ++i) {
-            const LaunchResult& r = plans[i]->result;
+            const LaunchResult& r = **plans[i];
             shard_seconds[groups[i]] += r.modeled_seconds;
             agg.modeled_joules += r.modeled_joules;
             agg.bytes_shipped += r.bytes_shipped;
@@ -2142,8 +2129,7 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
             agg.modeled_seconds = std::max(agg.modeled_seconds, seconds);
           }
           e.SetSpan(span_start, agg.virtual_completion);
-          join_plan->result = agg;
-          join_plan->has_result = true;
+          *join_plan = agg;
           return Status::Ok();
         },
         {}, "launch:" + spec.kernel_name + ":join", shard_ids);
@@ -2161,32 +2147,37 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
   // shards also register individually — a failed sibling makes the join
   // terminal while other shards still run, and teardown/write hazards
   // must not overtake them.
+  RecordLaunchLocked(launch, spec.global_offset[0], spec.global[0], cmd);
+  if (region_mode) {
+    // Each sub-launch registers over its own slice of partitioned args
+    // (its full range for replicated ones), a stage also over the
+    // previous stage's slice, which its epilogue drains — as a WRITER
+    // where it writes — so a later conflicting command cannot overtake a
+    // still-running shard or stage even after a failed sibling made the
+    // join terminal early (reads collect only writers, and terminal
+    // commands impose no order).
+    for (std::size_t s = 0; s < shard_ids.size(); ++s) {
+      const std::size_t from =
+          s > 0 && subs[s - 1].shard == subs[s].shard ? s - 1 : s;
+      RecordLaunchLocked(launch, spec.global_offset[0] + subs[from].offset,
+                         subs[s].offset + subs[s].count - subs[from].offset,
+                         shard_ids[s]);
+    }
+  }
+  lock.unlock();
+  if (issued != nullptr) SendIssued(issued->node, nullptr);
+  return CommandHandle{cmd};
+}
+
+void ClusterRuntime::RecordLaunchLocked(const ResolvedLaunch& launch,
+                                        std::uint64_t first,
+                                        std::uint64_t count, CommandId cmd) {
   for (const BufferArg& buffer_arg : launch.buffers) {
-    const auto record = [&](std::uint64_t first, std::uint64_t count,
-                            CommandId id) {
-      const auto [begin, end] = buffer_arg.Window(first, count);
-      if (buffer_arg.written) {
-        RecordWriteLocked(*buffer_arg.buffer, begin, end, id);
-      } else {
-        RecordReadLocked(*buffer_arg.buffer, begin, end, id);
-      }
-    };
-    record(spec.global_offset[0], spec.global[0], cmd);
-    if (region_mode) {
-      // Each sub-launch registers over its own slice of partitioned args
-      // (its full range for replicated ones), a stage also over the
-      // previous stage's slice, which its epilogue drains — as a WRITER
-      // where it writes — so a later conflicting command cannot overtake a
-      // still-running shard or stage even after a failed sibling made the
-      // join terminal early (reads collect only writers, and terminal
-      // commands impose no order).
-      for (std::size_t s = 0; s < shard_ids.size(); ++s) {
-        const std::size_t from =
-            s > 0 && subs[s - 1].shard == subs[s].shard ? s - 1 : s;
-        record(spec.global_offset[0] + subs[from].offset,
-               subs[s].offset + subs[s].count - subs[from].offset,
-               shard_ids[s]);
-      }
+    const auto [begin, end] = buffer_arg.Window(first, count);
+    if (buffer_arg.written) {
+      RecordWriteLocked(*buffer_arg.buffer, begin, end, cmd);
+    } else {
+      RecordReadLocked(*buffer_arg.buffer, begin, end, cmd);
     }
   }
   // Prune retired launches so long-lived programs do not accumulate one
@@ -2199,13 +2190,27 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
                               return !state.ok() || IsTerminal(*state);
                             }),
              uses.end());
-  if (region_mode) {
-    uses.insert(uses.end(), shard_ids.begin(), shard_ids.end());
-  }
   uses.push_back(cmd);
-  lock.unlock();
-  if (issued != nullptr) SendIssued(issued->node, nullptr);
-  return CommandHandle{cmd};
+}
+
+std::shared_ptr<ClusterRuntime::LaunchWork> ClusterRuntime::MakeLaunchWork(
+    const LaunchSpec& spec, const ResolvedLaunch& launch, std::uint64_t offset,
+    std::uint64_t count, std::size_t node) {
+  auto work = std::make_shared<LaunchWork>();
+  work->spec = spec;
+  work->spec.global[0] = count;
+  work->spec.global_offset[0] = spec.global_offset[0] + offset;
+  if (spec.cost_hint.has_value()) {
+    work->spec.cost_hint = spec.cost_hint->Scaled(
+        static_cast<double>(count) /
+        static_cast<double>(std::max<std::uint64_t>(1, spec.global[0])));
+  }
+  work->program_id = spec.program;
+  work->program = launch.program;
+  work->buffers = launch.buffers;
+  work->node = node;
+  work->plan = std::make_shared<LaunchPlan>();
+  return work;
 }
 
 std::vector<ClusterRuntime::WorkingRange> ClusterRuntime::LaunchWorkingSet(
@@ -2222,8 +2227,8 @@ std::vector<ClusterRuntime::WorkingRange> ClusterRuntime::LaunchWorkingSet(
   return working_set;
 }
 
-Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
-                                  CommandGraph::Execution& e) {
+Expected<LaunchResult> ClusterRuntime::ExecLaunch(
+    const std::shared_ptr<LaunchWork>& work, CommandGraph::Execution& e) {
   // ---- Working set, program and data (tiered memory, per-object locks) ---
   // Partitioned args need only this shard's slice on the node (a
   // single-shard launch's "slice" is its whole partition window);
@@ -2311,11 +2316,10 @@ net::LaunchKernelRequest ClusterRuntime::EncodeLaunch(
   return request;
 }
 
-Status ClusterRuntime::CompleteLaunch(const std::shared_ptr<LaunchWork>& work,
-                                      const Expected<Message>& reply,
-                                      std::uint64_t bytes_shipped,
-                                      sim::SimTime ready_at,
-                                      CommandGraph::Execution& e) {
+Expected<LaunchResult> ClusterRuntime::CompleteLaunch(
+    const std::shared_ptr<LaunchWork>& work, const Expected<Message>& reply,
+    std::uint64_t bytes_shipped, sim::SimTime ready_at,
+    CommandGraph::Execution& e) {
   const LaunchSpec& spec = work->spec;
   const std::size_t node = work->node;
   const std::uint64_t slice_first = spec.global_offset[0];
@@ -2411,9 +2415,8 @@ Status ClusterRuntime::CompleteLaunch(const std::shared_ptr<LaunchWork>& work,
   // completion also observes the drained estimate).
   RefundBacklogCharge(node, work->backlog_charge);
   work->backlog_charge = 0.0;
-  work->plan->result = result;
-  work->plan->has_result = true;
-  return Status::Ok();
+  *work->plan = result;
+  return result;
 }
 
 // -------------------------------------------------------------- Migration
@@ -2604,12 +2607,12 @@ Expected<LaunchResult> ClusterRuntime::LaunchResultOf(
   }
   auto state = graph_->QueryState(handle.id);  // Synchronizes with retire.
   if (!state.ok()) return state.status();
-  if (*state != CommandState::kComplete || !plan->has_result) {
+  if (*state != CommandState::kComplete || !plan->has_value()) {
     return Status(ErrorCode::kInvalidOperation,
                   "launch " + std::to_string(handle.id) +
                       " has not completed");
   }
-  return plan->result;
+  return **plan;
 }
 
 Expected<std::vector<CommandHandle>> ClusterRuntime::LaunchShardsOf(
@@ -2852,7 +2855,7 @@ Expected<std::vector<ClusterRuntime::LostRange>> ClusterRuntime::MarkNodeLost(
   //   - sole-owner regions are lost. They keep the dead owner, so whatever
   //     needs them next fails on the dead node rather than reading the
   //     shadow, which holds fresh bytes there only where a caller knows it
-  //     does (LaunchElastic's pre-image).
+  //     does (an elastic launch's pre-image).
   std::vector<std::pair<BufferId, BufferPtr>> snapshot;
   {
     std::lock_guard<std::mutex> lock(state_mutex_);

@@ -56,11 +56,12 @@
 // one kernel co-executes across heterogeneous nodes bit-identically to
 // the single-node run.
 //
-// One launch front end: SubmitLaunch and LaunchElastic both resolve the
-// spec (ResolveLaunchLocked), build the scheduler's view (ClusterViewLocked)
-// and plan (PlanLaunchLocked) through the same private steps, and both cut
-// their plan with sched::ChunkifyPlan — into out-of-core stages for
-// SubmitLaunch, into steal-able chunks for LaunchElastic.
+// One launch front end: every launch resolves the spec
+// (ResolveLaunchLocked), builds the scheduler's view (ClusterViewLocked)
+// and plans (PlanLaunchLocked), then cuts its plan with
+// sched::ChunkifyPlan — into out-of-core stages for an oversubscribed
+// shard, into steal-able chunks for an elastic launch (LaunchSpec::elastic,
+// one command that runs its chunks itself: host/elastic_launch.cc).
 #pragma once
 
 #include <atomic>
@@ -173,10 +174,13 @@ struct LaunchResult {
   std::uint64_t bytes_shipped = 0; // Input data moved for this launch.
   sim::SimTime virtual_completion = 0.0;  // Aggregate: last shard done.
   std::uint32_t shard_count = 1;   // Placement-plan shards (1 = classic).
-  // Total sub-launch commands executed: == shard_count when every shard
-  // ran in-core, larger when oversubscribed shards were decomposed into
-  // pipelined out-of-core stages.
+  // Total sub-launches executed: == shard_count when every shard ran
+  // in-core, larger when oversubscribed shards were decomposed into
+  // pipelined out-of-core stages; an elastic launch's chunk count.
   std::uint32_t stage_count = 1;
+  // An elastic launch's coordinator report (chunk counts, modeled
+  // makespan, dead nodes); empty for every other launch.
+  std::optional<elastic::CoordinatorReport> elastic;
 };
 
 struct RuntimeOptions {
@@ -235,12 +239,10 @@ struct TransferStats {
   std::uint64_t spill_bytes = 0;
   std::uint64_t spill_transfers = 0;
   std::uint64_t evicted_bytes = 0;
-  // Elastic-execution buckets: bytes shipped for chunk RE-executions (a
-  // chunk that ran before, on a node that died or in a failed attempt —
-  // movement a fault-free run would not have paid), and chunks that
-  // changed owner via the steal or recovery path.
+  // Elastic execution: bytes shipped for chunk RE-executions (a chunk
+  // that ran before, on a node that died or in a failed attempt —
+  // movement a fault-free run would not have paid).
   std::uint64_t reexec_bytes = 0;
-  std::uint64_t stolen_chunks = 0;
   [[nodiscard]] std::uint64_t host_payload_bytes() const {
     return host_bytes_out + host_bytes_in;
   }
@@ -317,6 +319,22 @@ class ClusterRuntime {
   Status ReleaseProgram(ProgramId id);  // Deferred past in-flight launches.
 
   // ---- Kernel dispatch ---------------------------------------------------
+  // Elastic execution (src/elastic): a spec with `elastic` set runs one
+  // splittable launch as one command that cuts the plan's shards into
+  // chunks and drains them with a StealCoordinator: drained nodes steal
+  // tail chunks from the slowest peer, and a node that dies mid-launch has
+  // its chunks re-queued onto survivors from directory state — the launch
+  // completes bit-identical either way. The options are the coordinator's
+  // plus how the launch is cut into chunks.
+  struct ElasticOptions : elastic::CoordinatorOptions {
+    // Dim-0 indices per chunk (aligned up to the launch's dim0_align);
+    // 0 = cut each shard into kDefaultChunksPerShard chunks. Capped so a
+    // chunk fits double-buffered on every node (sched::StageRows).
+    std::uint64_t chunk_rows = 0;
+    static constexpr std::uint64_t kDefaultChunksPerShard = 4;
+    // Deterministic scripted faults (tests/bench); not owned, may be null.
+    elastic::FaultInjector* fault_injector = nullptr;
+  };
   struct LaunchSpec {
     ProgramId program = 0;
     std::string kernel_name;
@@ -330,9 +348,10 @@ class ClusterRuntime {
     bool local_specified = false;
     int preferred_node = -1;  // User instruction; -1 lets the policy pick.
     // force_node >= 0 bypasses the policy entirely: the whole range runs
-    // on that node as one shard. An elastic chunk runs this way (the
-    // coordinator already decided placement chunk by chunk).
+    // on that node as one shard. An elastic launch refuses it: its
+    // coordinator places every chunk.
     int force_node = -1;
+    std::optional<ElasticOptions> elastic;  // Set: an elastic launch.
     // Analytic work estimate. The driver's static estimator cannot see
     // data-dependent loop trip counts (e.g. the N-iteration dot product in
     // naive matmul), so workloads that know their exact flop/byte counts
@@ -380,7 +399,8 @@ class ClusterRuntime {
                                      std::vector<CommandHandle> order_after = {});
   // Asks the scheduling policy for a PlacementPlan and fans out one
   // sub-launch command per shard (plus an aggregating join for multi-shard
-  // plans). The returned handle always behaves like one launch: Wait()
+  // plans); an elastic launch is one command that runs the plan's chunks
+  // itself. The returned handle always behaves like one launch: Wait()
   // blocks until every shard finished, LaunchResultOf() reports the
   // aggregate, and buffer hazards order later commands after the whole
   // fan-out. Per-shard commands are queryable via LaunchShardsOf.
@@ -445,33 +465,6 @@ class ClusterRuntime {
                     std::uint64_t size);
   Expected<LaunchResult> LaunchKernel(const LaunchSpec& spec);
 
-  // ---- Elastic execution (src/elastic) -----------------------------------
-  // LaunchElastic runs one splittable kernel launch as a ledger of
-  // steal-able chunks driven by a StealCoordinator: the plan's shards are
-  // cut into chunks, each chunk runs as a force_node sub-launch, drained
-  // nodes steal tail chunks from the slowest peer, and a node that dies
-  // mid-launch has its chunks re-queued onto survivors from directory
-  // state — the launch completes bit-identical either way.
-  //
-  // The coordinator's options (stealing, heartbeat, ...) plus how the
-  // launch is cut into chunks.
-  struct ElasticOptions : elastic::CoordinatorOptions {
-    // Dim-0 indices per chunk (aligned up to the launch's dim0_align);
-    // 0 = cut each shard into kDefaultChunksPerShard chunks.
-    std::uint64_t chunk_rows = 0;
-    static constexpr std::uint64_t kDefaultChunksPerShard = 4;
-    // Deterministic scripted faults (tests/bench); not owned, may be null.
-    elastic::FaultInjector* fault_injector = nullptr;
-  };
-  // The coordinator's report (chunk counts, makespan, dead nodes; the
-  // status is always ok) plus the aggregate launch result.
-  struct ElasticResult : elastic::CoordinatorReport {
-    LaunchResult launch;  // Aggregate, same meaning as LaunchKernel's.
-  };
-  Expected<ElasticResult> LaunchElastic(const LaunchSpec& spec,
-                                        const ElasticOptions& options);
-  Expected<ElasticResult> LaunchElastic(const LaunchSpec& spec);
-
   // ---- Node liveness ------------------------------------------------------
   // One heartbeat round-trip to `node`; Ok = alive. A node already marked
   // dead fails immediately with kNodeLost.
@@ -482,7 +475,7 @@ class ClusterRuntime {
   // ONLY fresh copy lived there keeps the dead node as its owner, so a
   // later read or launch that needs it fails instead of returning stale
   // shadow bytes. Returns those sole-owner regions — the data that was
-  // actually lost. LaunchElastic's recovery hands the ones inside its
+  // actually lost. An elastic launch's recovery hands the ones inside its
   // buffer args' windows to the host (the shadow holds its pre-image
   // there) and re-executes exactly the chunks that produced them.
   struct LostRange {
@@ -697,7 +690,7 @@ class ClusterRuntime {
                   std::uint64_t src_offset, BufferId dst_id,
                   const BufferPtr& dst, std::uint64_t dst_offset,
                   std::uint64_t size);
-  // ---- Launch front end (SubmitLaunch and LaunchElastic) ------------------
+  // ---- Launch front end (SubmitLaunch) -------------------------------------
   // One buffer argument of a launch, resolved at submit; every shard,
   // stage and chunk of the launch shares it.
   struct BufferArg {
@@ -739,12 +732,34 @@ class ClusterRuntime {
   };
   Expected<Placement> PlanLaunchLocked(const LaunchSpec& spec,
                                        const ResolvedLaunch& launch);
+  // Registers launch command `cmd` over dim-0 indices [first, first +
+  // count) in the launch's buffer hazard chains and as a use of its
+  // program. Requires state_mutex_ held.
+  void RecordLaunchLocked(const ResolvedLaunch& launch, std::uint64_t first,
+                          std::uint64_t count, CommandId cmd);
 
-  struct LaunchPlan;  // Queryable residue (LaunchResult) per launch.
+  // The queryable residue of a launch command: its result, written by the
+  // body before retirement and readable once the command is terminal.
+  // Everything heavy lives in LaunchWork, which only the body owns.
+  using LaunchPlan = std::optional<LaunchResult>;
   struct LaunchWork;  // Heavy captures owned by the command body.
   class WorkingSetPin;  // RAII eviction exclusion for a working set.
-  Status ExecLaunch(const std::shared_ptr<LaunchWork>& work,
-                    CommandGraph::Execution& e);
+  // Every shard, stage and chunk: plan-relative dim-0 indices [offset,
+  // offset + count) of `spec` on `node`, with the cost hint scaled.
+  static std::shared_ptr<LaunchWork> MakeLaunchWork(
+      const LaunchSpec& spec, const ResolvedLaunch& launch,
+      std::uint64_t offset, std::uint64_t count, std::size_t node);
+  // Runs `work` on its node in the calling command and returns the result
+  // it also leaves in work->plan.
+  Expected<LaunchResult> ExecLaunch(const std::shared_ptr<LaunchWork>& work,
+                                    CommandGraph::Execution& e);
+  // The body of an elastic launch command (host/elastic_launch.cc):
+  // gathers the pre-image, cuts `plan` into a ChunkLedger and drains it
+  // with a StealCoordinator, each chunk an ExecLaunch on its node, then
+  // writes the aggregate into `result`.
+  Status ExecElastic(const LaunchSpec& spec, const ResolvedLaunch& launch,
+                     const sched::PlacementPlan& plan, LaunchPlan& result,
+                     CommandGraph::Execution& e);
   // A launch's working set on its node, in buffer-argument order.
   static std::vector<WorkingRange> LaunchWorkingSet(const LaunchWork& work);
   // The launch frame for `working_set`, issued behind `after_seq`.
@@ -754,10 +769,10 @@ class ClusterRuntime {
   // The launch's complete half: the epilogue once its reply is in. A
   // pipelined stage's kernel starts no earlier than `ready_at`, its
   // prologue's last slice arrival; a stage then drains `work->drain`.
-  Status CompleteLaunch(const std::shared_ptr<LaunchWork>& work,
-                        const Expected<net::Message>& reply,
-                        std::uint64_t bytes_shipped, sim::SimTime ready_at,
-                        CommandGraph::Execution& e);
+  Expected<LaunchResult> CompleteLaunch(
+      const std::shared_ptr<LaunchWork>& work,
+      const Expected<net::Message>& reply, std::uint64_t bytes_shipped,
+      sim::SimTime ready_at, CommandGraph::Execution& e);
   // Subtracts a shard's submit-time backlog charge from the node's
   // estimate (clamped at zero). Called from the launch epilogue on
   // success and from ~LaunchWork for every other retirement path.

@@ -1,16 +1,15 @@
-// Elastic launch: ClusterRuntime::LaunchElastic and the adapter that
-// bridges the StealCoordinator's ChunkExecutor interface onto the runtime.
+// Elastic launch: the body of a launch command whose spec sets
+// LaunchSpec::elastic, and the adapter that bridges the StealCoordinator's
+// ChunkExecutor interface onto the runtime.
 //
-// The flow: SubmitLaunch's own front end resolves the spec (program,
-// kernel, args, every partition window) and plans the initial shard
-// split, so nothing runs that an ordinary launch would reject; the
-// ChunkLedger cuts the plan into steal-able chunks (sched::ChunkifyPlan,
-// the cutter out-of-core stages use too); the StealCoordinator drains the
-// ledger, running each chunk as an ordinary force_node sub-launch through
-// the full coherence machinery (slice prologue, directory epilogue, rate
-// feedback). Work stealing and failure recovery are entirely ledger-side
-// re-targeting — the chunk sub-launch path is oblivious to both, which is
-// what keeps the result bit-identical to the single-node run.
+// SubmitLaunch's own front end has resolved, checked and planned the
+// launch and recorded its hazards. The body gathers the pre-image, cuts
+// the plan into a ChunkLedger (sched::ChunkifyPlan, the cutter out-of-core
+// stages use too) and lets the StealCoordinator drain it, each chunk an
+// ExecLaunch on its node through the full coherence machinery. Work
+// stealing and failure recovery only re-target ledger entries; the chunk
+// path is oblivious to both, which keeps the result bit-identical to the
+// single-node run.
 #include <algorithm>
 #include <limits>
 #include <string>
@@ -21,26 +20,30 @@
 
 namespace haocl::host {
 
-// The coordinator's window onto this runtime. All state it touches is
-// either public API or read under the runtime's own locks (friend).
+// The coordinator's window onto this runtime, called from the elastic
+// command's graph worker only. It reads runtime state under the runtime's
+// own locks (friend).
 class RuntimeChunkExecutor : public elastic::ChunkExecutor {
  public:
-  // `buffers` are the launch's resolved buffer args: their windows bound
-  // the lost bytes the host takes over, the partitioned ones drive
-  // locality ranking, the written partitioned ones lost-row conversion.
+  // `spec` is the whole launch, its cost hint the full launch's.
+  // `launch`'s buffer args bound the lost bytes the host takes over; the
+  // partitioned ones drive locality ranking, the written partitioned ones
+  // lost-row conversion.
   RuntimeChunkExecutor(ClusterRuntime* runtime,
                        const ClusterRuntime::LaunchSpec& spec,
-                       double flops_total,
-                       std::vector<ClusterRuntime::BufferArg> buffers,
-                       elastic::FaultInjector* faults)
+                       const ClusterRuntime::ResolvedLaunch& launch,
+                       CommandGraph::Execution& e)
       : runtime_(runtime),
         spec_(spec),
-        faults_(faults),
-        buffers_(std::move(buffers)),
-        flops_total_(flops_total),
-        rows_total_(static_cast<double>(
-            std::max<std::uint64_t>(1, spec.global[0]))),
+        launch_(launch),
+        e_(e),
+        faults_(spec.elastic->fault_injector),
         seconds_per_row_(runtime->devices_.size(), 0.0) {}
+
+  // Over the chunk runs that completed: summed modeled joules and the
+  // last kernel's end (virtual_completion), and the first one's start.
+  LaunchResult total;
+  double span_start = std::numeric_limits<double>::infinity();
 
   Expected<elastic::ChunkOutcome> Execute(const elastic::Chunk& chunk,
                                           std::size_t node) override {
@@ -48,32 +51,29 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
       Status scripted = faults_->BeforeExecute(node);
       if (!scripted.ok()) return scripted;
     }
-    ClusterRuntime::LaunchSpec sub = spec_;
-    sub.global[0] = chunk.count;
-    sub.global_offset[0] = spec_.global_offset[0] + chunk.offset;
-    sub.preferred_node = -1;
-    sub.force_node = static_cast<int>(node);
-    if (spec_.cost_hint.has_value()) {
-      sub.cost_hint = spec_.cost_hint->Scaled(
-          static_cast<double>(chunk.count) / rows_total_);
-    }
-    auto result = runtime_->LaunchKernel(sub);
-    if (!result.ok()) return result.status();
-    double seconds = result->modeled_seconds;
+    auto ran = runtime_->ExecLaunch(
+        ClusterRuntime::MakeLaunchWork(spec_, launch_, chunk.offset,
+                                       chunk.count, node),
+        e_);
+    if (!ran.ok()) return ran.status();
+    const LaunchResult& result = *ran;
+    total.modeled_joules += result.modeled_joules;
+    total.virtual_completion =
+        std::max(total.virtual_completion, result.virtual_completion);
+    span_start = std::min(span_start,
+                          result.virtual_completion - result.modeled_seconds);
+    double seconds = result.modeled_seconds;
     if (faults_ != nullptr) seconds += faults_->AfterExecute(node);
-    {
-      // Learn the node's per-row rate from its own completed chunks (EWMA
-      // 0.5): the mis-calibration a straggler hides from the static model
-      // shows up here after its first chunk.
-      std::lock_guard<std::mutex> lock(mutex_);
-      const double per_row =
-          seconds / static_cast<double>(std::max<std::uint64_t>(1, chunk.count));
-      double& slot = seconds_per_row_[node];
-      slot = slot == 0.0 ? per_row : 0.5 * slot + 0.5 * per_row;
-    }
+    // Learn the node's per-row rate from its own completed chunks (EWMA
+    // 0.5): the mis-calibration a straggler hides from the static model
+    // shows up here after its first chunk.
+    const double per_row =
+        seconds / static_cast<double>(std::max<std::uint64_t>(1, chunk.count));
+    double& slot = seconds_per_row_[node];
+    slot = slot == 0.0 ? per_row : 0.5 * slot + 0.5 * per_row;
     elastic::ChunkOutcome outcome;
     outcome.modeled_seconds = seconds;
-    outcome.bytes_shipped = result->bytes_shipped;
+    outcome.bytes_shipped = result.bytes_shipped;
     if (chunk.attempts > 1) {
       // The chunk ran before, so its inputs already shipped once: movement
       // a fault-free run would not have paid. A stolen chunk's first run
@@ -89,18 +89,17 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
   }
 
   double SecondsPerRow(std::size_t node) override {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (node < seconds_per_row_.size() && seconds_per_row_[node] > 0.0) {
-        return seconds_per_row_[node];
-      }
+    if (node < seconds_per_row_.size() && seconds_per_row_[node] > 0.0) {
+      return seconds_per_row_[node];
     }
     // Cold start: the cross-launch learned rate table, scaled to rows.
     const sched::KernelRateTable::Rate rate =
         runtime_->ObservedKernelRate(node, spec_.kernel_name);
-    if (rate.samples > 0 && rate.seconds_per_flop > 0.0 &&
-        flops_total_ > 0.0) {
-      return rate.seconds_per_flop * (flops_total_ / rows_total_);
+    const double flops_total = launch_.task.cost.flops;
+    if (rate.samples > 0 && rate.seconds_per_flop > 0.0 && flops_total > 0.0) {
+      return rate.seconds_per_flop *
+             (flops_total /
+              static_cast<double>(std::max<std::uint64_t>(1, spec_.global[0])));
     }
     return 0.0;
   }
@@ -115,7 +114,7 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
   std::uint64_t ResidentRowsOn(std::size_t node, std::uint64_t offset,
                                std::uint64_t count) override {
     // The first partitioned arg stands in for the chunk's input locality.
-    for (const ClusterRuntime::BufferArg& arg : buffers_) {
+    for (const ClusterRuntime::BufferArg& arg : launch_.buffers) {
       if (!arg.partitioned) continue;
       const auto [begin, end] =
           arg.Window(spec_.global_offset[0] + offset, count);
@@ -150,7 +149,7 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
     // the chunk that produced it must re-run.
     std::vector<elastic::ChunkLedger::RowSpan> spans;
     for (const ClusterRuntime::LostRange& range : *lost) {
-      for (const ClusterRuntime::BufferArg& arg : buffers_) {
+      for (const ClusterRuntime::BufferArg& arg : launch_.buffers) {
         if (arg.id != range.buffer) continue;
         const auto [window_begin, window_end] = arg.Window(first, extent);
         const std::uint64_t begin = std::max(range.begin, window_begin);
@@ -171,52 +170,37 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
 
  private:
   ClusterRuntime* runtime_;
-  const ClusterRuntime::LaunchSpec spec_;
+  const ClusterRuntime::LaunchSpec& spec_;
+  const ClusterRuntime::ResolvedLaunch& launch_;
+  CommandGraph::Execution& e_;
   elastic::FaultInjector* faults_;
-  const std::vector<ClusterRuntime::BufferArg> buffers_;
-  const double flops_total_;
-  const double rows_total_;
-  std::mutex mutex_;
   std::vector<double> seconds_per_row_;  // Learned this launch, per node.
 };
 
-Expected<ClusterRuntime::ElasticResult> ClusterRuntime::LaunchElastic(
-    const LaunchSpec& spec) {
-  return LaunchElastic(spec, ElasticOptions{});
-}
+Status ClusterRuntime::ExecElastic(const LaunchSpec& spec,
+                                   const ResolvedLaunch& launch,
+                                   const sched::PlacementPlan& plan,
+                                   LaunchPlan& result,
+                                   CommandGraph::Execution& e) {
+  const ElasticOptions& options = *spec.elastic;
+  const sched::TaskInfo& task = launch.task;
 
-Expected<ClusterRuntime::ElasticResult> ClusterRuntime::LaunchElastic(
-    const LaunchSpec& spec, const ElasticOptions& options) {
-  if (spec.force_node >= 0) {
-    return Status(ErrorCode::kInvalidValue,
-                  "LaunchElastic drives its own chunk placement; do not set "
-                  "force_node on the spec");
+  // Every live node participates — idle nodes outside the plan start with
+  // zero chunks and immediately steal, which is the point of elasticity —
+  // except one that cannot hold even a stage of the launch. A chunk runs
+  // in-core wherever it lands: where the whole range would stage, chunks
+  // are no larger than its stages (the stage rule, sched::StageRows). With
+  // no participant, the coordinator fails the launch with kNodeLost.
+  std::vector<std::size_t> participants;
+  std::uint64_t max_rows = std::numeric_limits<std::uint64_t>::max();
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    if (!NodeAlive(i)) continue;
+    const std::optional<std::uint64_t> rows =
+        sched::StageRows(task, node_pools_[i]->capacity(), spec.global[0]);
+    if (!rows.has_value()) continue;
+    if (*rows > 0) max_rows = std::min(max_rows, *rows);
+    participants.push_back(i);
   }
-  // SubmitLaunch's front end, minus the fan-out: nothing is charged or
-  // submitted, and a spec an ordinary launch would reject fails here
-  // before any chunk runs.
-  ResolvedLaunch launch;
-  sched::PlacementPlan plan;
-  {
-    std::lock_guard<std::mutex> state_lock(state_mutex_);
-    auto resolved = ResolveLaunchLocked(spec);
-    if (!resolved.ok()) return resolved.status();
-    if (!resolved->task.splittable) {
-      // Elastic execution re-targets chunks freely, which only a
-      // splittable launch tolerates.
-      return Status(
-          ErrorCode::kInvalidOperation,
-          "kernel '" + spec.kernel_name +
-              "' is not splittable (elastic execution re-targets chunks "
-              "freely: the kernel must be range-free and every written "
-              "buffer annotated kPartitionedDim0)");
-    }
-    auto placed = PlanLaunchLocked(spec, *resolved);
-    if (!placed.ok()) return placed.status();
-    launch = *std::move(resolved);
-    plan = std::move(placed->plan);
-  }
-  const std::uint64_t align = launch.task.dim0_align;
 
   // Chunk granularity: explicit rows, or cut the largest shard into
   // kDefaultChunksPerShard pieces so even a one-node plan yields work the
@@ -228,82 +212,55 @@ Expected<ClusterRuntime::ElasticResult> ClusterRuntime::LaunchElastic(
       max_shard = std::max(max_shard, shard.global_count);
     }
     chunk_rows = std::max<std::uint64_t>(
-        align, (max_shard + ElasticOptions::kDefaultChunksPerShard - 1) /
-                   ElasticOptions::kDefaultChunksPerShard);
+        task.dim0_align,
+        (max_shard + ElasticOptions::kDefaultChunksPerShard - 1) /
+            ElasticOptions::kDefaultChunksPerShard);
   }
-
   elastic::ChunkLedger ledger;
-  HAOCL_RETURN_IF_ERROR(ledger.Init(plan, align, chunk_rows));
+  HAOCL_RETURN_IF_ERROR(
+      ledger.Init(plan, task.dim0_align, std::min(chunk_rows, max_rows)));
+  // A plan node that died since submit hands its chunks to the others.
+  for (const sched::PlacementShard& shard : plan.shards) {
+    if (std::find(participants.begin(), participants.end(), shard.node) ==
+        participants.end()) {
+      (void)ledger.ReassignLost(shard.node, participants, {});
+    }
+  }
 
   // The pre-image recovery falls back to: the host becomes a fresh owner
   // of every buffer arg's window before the first chunk runs, so a node
   // that dies holding the only copy of a range leaves the launch's input
-  // bytes in the shadow (OnNodeDead). Ordered after the args' earlier
-  // writers like any host-bound migration; a host-written buffer moves
-  // nothing.
+  // bytes in the shadow (OnNodeDead). The command's hazards order it after
+  // the args' earlier writers; a host-written buffer moves nothing.
   for (const BufferArg& arg : launch.buffers) {
     const auto [begin, end] = arg.Window(spec.global_offset[0], spec.global[0]);
-    auto gathered = SubmitMigrate(arg.id, {{begin, end - begin}},
-                                  kMigrateToHost);
-    if (!gathered.ok()) return gathered.status();
-    const Status status = Wait(*gathered);
-    (void)ReleaseCommand(*gathered);
-    HAOCL_RETURN_IF_ERROR(status);
+    std::lock_guard<std::mutex> lock(arg.buffer->mutex);
+    HAOCL_RETURN_IF_ERROR(EnsureHostRangeLocked(arg.id, *arg.buffer, begin, end));
   }
 
-  // Chunks carry the full launch's analytic cost scaled to their rows: a
-  // re-chunked device-side estimate would re-charge every chunk a cold
-  // pass over the node's whole resident allocation, billing ~N chunks at
-  // full-buffer memory time and drowning the real per-row rates the
-  // steal loop needs to see.
-  ClusterRuntime::LaunchSpec chunk_spec = spec;
-  if (!chunk_spec.cost_hint.has_value()) {
-    chunk_spec.cost_hint = launch.task.cost;
-  }
-  RuntimeChunkExecutor executor(this, chunk_spec, launch.task.cost.flops,
-                                std::move(launch.buffers),
-                                options.fault_injector);
-
-  // Every live node participates — idle nodes outside the plan start with
-  // zero chunks and immediately steal, which is the point of elasticity.
-  std::vector<std::size_t> participants;
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    if (NodeAlive(i)) participants.push_back(i);
-  }
-  if (participants.empty()) {
-    return Status(ErrorCode::kNodeLost, "no live nodes for elastic launch");
-  }
-
+  RuntimeChunkExecutor executor(this, spec, launch, e);
   elastic::StealCoordinator coordinator(&ledger, &executor, participants,
                                         options);
-  ElasticResult result;
-  static_cast<elastic::CoordinatorReport&>(result) = coordinator.Run();
-  HAOCL_RETURN_IF_ERROR(result.status);
+  elastic::CoordinatorReport report = coordinator.Run();
+  HAOCL_RETURN_IF_ERROR(report.status);
 
-  if (result.chunks_stolen > 0) {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    stats_.stolen_chunks += result.chunks_stolen;
-  }
-
-  result.launch.modeled_seconds = result.makespan_seconds;
-  result.launch.bytes_shipped = result.bytes_shipped;
-  result.launch.shard_count =
-      static_cast<std::uint32_t>(plan.shards.size());
-  result.launch.stage_count = static_cast<std::uint32_t>(result.chunks_total);
+  LaunchResult aggregate = executor.total;
+  aggregate.modeled_seconds = report.makespan_seconds;
+  aggregate.bytes_shipped = report.bytes_shipped;
+  aggregate.shard_count = static_cast<std::uint32_t>(plan.shards.size());
+  aggregate.stage_count = static_cast<std::uint32_t>(report.chunks_total);
   // Report the busiest node as "the" node, like a multi-shard aggregate.
-  double busiest = -1.0;
-  for (std::size_t i = 0; i < participants.size(); ++i) {
-    if (i < result.node_busy_seconds.size() &&
-        result.node_busy_seconds[i] > busiest) {
-      busiest = result.node_busy_seconds[i];
-      result.launch.node = participants[i];
-    }
-  }
+  const std::vector<double>& busy = report.node_busy_seconds;
+  aggregate.node =
+      participants[std::max_element(busy.begin(), busy.end()) - busy.begin()];
+  e.SetSpan(executor.span_start, aggregate.virtual_completion);
   HAOCL_DEBUG << "elastic launch of " << spec.kernel_name << ": "
-              << result.chunks_total << " chunks, " << result.chunks_stolen
-              << " stolen, " << result.chunks_reexecuted << " re-executed, "
-              << result.dead_nodes.size() << " nodes lost";
-  return result;
+              << report.chunks_total << " chunks, " << report.chunks_stolen
+              << " stolen, " << report.chunks_reexecuted << " re-executed, "
+              << report.dead_nodes.size() << " nodes lost";
+  aggregate.elastic = std::move(report);
+  result = std::move(aggregate);
+  return Status::Ok();
 }
 
 }  // namespace haocl::host

@@ -40,6 +40,12 @@ std::vector<LaneSet::Lane> LaneSet::LanesFor(std::size_t chunks) {
   std::vector<Lane> lanes{main_};
   if (chunks < 2) return lanes;
   std::lock_guard<std::mutex> lock(mutex_);
+  std::erase_if(extra_, [this](const Lane& lane) {
+    if (!lane->ended()) return false;
+    lane->Close();
+    dropped_bytes_ += lane->bytes_sent();
+    return true;
+  });
   while (!closed_ && extra_.size() + 1 < chunks) {
     auto dialed = main_->Dial();
     if (!dialed.ok()) {

@@ -94,8 +94,9 @@ class LaneSet {
   };
 
   // The lanes for a transfer of `chunks` chunks, the main one first,
-  // dialing those the set lacks. A failed dial caps the set at the lanes
-  // it has.
+  // dialing those the set lacks. An extra lane whose connection ended
+  // while it idled is dropped and dialed afresh; a failed dial caps the
+  // set at the lanes it has.
   std::vector<Lane> LanesFor(std::size_t chunks);
   // Awaits every call against one deadline (a reply still missing when it
   // passes is withdrawn), then closes and drops each extra lane whose call

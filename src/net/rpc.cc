@@ -14,6 +14,9 @@ RpcClient::RpcClient(ConnectionPtr connection)
          return ClaimReply(header);
        },
        [this](const Message::Header& header) { AbandonReply(header); }});
+  connection_->SetEndHandler([this] {
+    FailAllPending(Status(ErrorCode::kNodeUnreachable, "connection ended"));
+  });
   connection_->Start([this](Message msg) { OnMessage(std::move(msg)); });
 }
 
@@ -34,7 +37,11 @@ RpcClient::ReplyFuture RpcClient::CallAsync(
     std::lock_guard<std::mutex> lock(mutex_);
     pending_[msg.seq] = PendingCall{future, type, reply_into};
   }
-  Status sent = connection_->Send(msg);
+  // Once the connection ended no reply can come, and its end handler may
+  // have run before this call was pending.
+  Status sent = ended()
+                    ? Status(ErrorCode::kNodeUnreachable, "connection ended")
+                    : connection_->Send(msg);
   if (!sent.ok()) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -145,6 +152,7 @@ void RpcClient::FailAllPending(const Status& status) {
   std::unordered_map<std::uint64_t, PendingCall> orphaned;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    ended_.store(true, std::memory_order_release);
     orphaned.swap(pending_);
   }
   for (auto& [seq, call] : orphaned) {

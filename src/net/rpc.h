@@ -21,7 +21,9 @@ namespace haocl::net {
 
 class RpcClient {
  public:
-  // Takes ownership of the connection and starts its dispatcher.
+  // Takes ownership of the connection and starts its dispatcher. When the
+  // connection stops receiving, every call still pending on it fails with
+  // kNodeUnreachable, and so does every call after.
   explicit RpcClient(ConnectionPtr connection);
   ~RpcClient();
 
@@ -39,7 +41,7 @@ class RpcClient {
 
   // Sends a request under `seq` (0 takes the next one) and returns the
   // future its reply arrives on. The future fails when the connection
-  // drops or the client closes; it has no deadline of its own (Await's
+  // ends or the client closes; it has no deadline of its own (Await's
   // timeout is the one deadline). `tail` is sent after `payload` in the
   // same frame (see Message::tail); it is borrowed only until CallAsync
   // returns.
@@ -81,6 +83,12 @@ class RpcClient {
 
   void Close();
 
+  // True once the connection stopped receiving (the peer closed, a read
+  // failed or Close ran): no call on it can succeed any more.
+  [[nodiscard]] bool ended() const {
+    return ended_.load(std::memory_order_acquire);
+  }
+
   [[nodiscard]] std::uint64_t bytes_sent() const {
     return connection_->bytes_sent();
   }
@@ -100,6 +108,7 @@ class RpcClient {
   Landing ClaimReply(const Message::Header& header);
   void AbandonReply(const Message::Header& header);
   void OnMessage(Message msg);
+  // Ends the client: fails every pending call with `status`.
   void FailAllPending(const Status& status);
 
   ConnectionPtr connection_;
@@ -111,6 +120,7 @@ class RpcClient {
   std::condition_variable landed_cv_;
   std::atomic<std::uint64_t> next_seq_{1};
   std::atomic<bool> closed_{false};
+  std::atomic<bool> ended_{false};  // Set under mutex_.
 };
 
 }  // namespace haocl::net

@@ -407,14 +407,13 @@ Status ValidatePlan(const PlacementPlan& plan, const TaskInfo& task,
     if (plan.shards.size() > 1 && shard.global_offset % align != 0) {
       return bad("shard offset not aligned to the work-group size");
     }
-    if (!ShardFitsOrStages(task, cluster.nodes[shard.node],
-                           shard.global_count)) {
+    const NodeView& node = cluster.nodes[shard.node];
+    if (!StageRows(task, node.mem_capacity_bytes, shard.global_count)
+             .has_value()) {
       return bad("shard of " + std::to_string(shard.global_count) +
-                 " indices cannot fit or stage on node '" +
-                 cluster.nodes[shard.node].name + "' (capacity " +
-                 std::to_string(cluster.nodes[shard.node].mem_capacity_bytes) +
-                 " bytes, minimal working set " +
-                 std::to_string(task.MinStageBytes()) + ")");
+                 " indices cannot fit or stage on node '" + node.name +
+                 "' (capacity " + std::to_string(node.mem_capacity_bytes) +
+                 " bytes)");
     }
     expected_offset = shard.global_offset + shard.global_count;
   }
@@ -425,17 +424,24 @@ Status ValidatePlan(const PlacementPlan& plan, const TaskInfo& task,
   return Status::Ok();
 }
 
-bool ShardFitsOrStages(const TaskInfo& task, const NodeView& node,
-                       std::uint64_t count) {
-  if (node.mem_capacity_bytes == 0) return true;  // Unbounded/unknown.
-  const std::uint64_t working_set =
-      task.replicated_bytes + count * task.bytes_per_index;
-  if (working_set <= node.mem_capacity_bytes) return true;
-  // Oversubscribed: the runtime can decompose the shard into pipelined
-  // sub-range stages only along the partitioned dimension, and only when
-  // one double-buffered minimal stage fits beside the replicated args.
-  if (!task.splittable || task.bytes_per_index == 0) return false;
-  return task.MinStageBytes() <= node.mem_capacity_bytes;
+std::optional<std::uint64_t> StageRows(const TaskInfo& task,
+                                       std::uint64_t capacity,
+                                       std::uint64_t count) {
+  if (capacity == 0 ||
+      task.replicated_bytes + count * task.bytes_per_index <= capacity) {
+    return 0;
+  }
+  // Oversubscribed: stages cut only the partitioned dimension, and two of
+  // them stay resident beside the replicated args.
+  if (!task.splittable || task.bytes_per_index == 0 ||
+      capacity <= task.replicated_bytes) {
+    return std::nullopt;
+  }
+  const std::uint64_t align = std::max<std::uint64_t>(1, task.dim0_align);
+  const std::uint64_t rows = (capacity - task.replicated_bytes) / 2 /
+                             task.bytes_per_index / align * align;
+  if (rows == 0) return std::nullopt;
+  return rows;
 }
 
 std::vector<ChunkSpan> ChunkifyPlan(const PlacementPlan& plan,

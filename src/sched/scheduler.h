@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -63,18 +64,6 @@ struct TaskInfo {
   // node's capacity a splittable task is staged out-of-core instead.
   std::uint64_t replicated_bytes = 0;
   std::uint64_t bytes_per_index = 0;
-
-  // Smallest working set any launch of this task can have on one node: a
-  // single double-buffered stage of one alignment unit (or the whole
-  // range when it cannot be staged). A shard on a node with less free
-  // capacity than this can NEVER run there.
-  [[nodiscard]] std::uint64_t MinStageBytes() const {
-    const std::uint64_t align = dim0_align == 0 ? 1 : dim0_align;
-    if (!splittable || bytes_per_index == 0) {
-      return replicated_bytes + dim0_extent * bytes_per_index;
-    }
-    return replicated_bytes + 2 * align * bytes_per_index;
-  }
 };
 
 // What the scheduler knows about one device node, refreshed by the
@@ -165,17 +154,22 @@ struct PlacementPlan {
 // aligned to task.dim0_align, target alive in-range nodes, and tile
 // [0, task.dim0_extent) in order with no gaps or overlaps. Multi-shard
 // plans additionally require task.splittable. A shard whose working set
-// exceeds its node's mem_capacity_bytes must be STAGEABLE there (the
-// task is splittable and a minimal double-buffered stage fits) — the
-// runtime then pipelines it out-of-core; otherwise the plan is rejected.
+// exceeds its node's mem_capacity_bytes must be STAGEABLE there
+// (StageRows) — the runtime then pipelines it out-of-core; otherwise the
+// plan is rejected.
 Status ValidatePlan(const PlacementPlan& plan, const TaskInfo& task,
                     const ClusterView& cluster);
 
-// True when a shard of `count` dim-0 indices can run on `node`: either
-// its whole working set fits the capacity, or the task can be staged
-// there. Capacity 0 (unknown) always fits.
-bool ShardFitsOrStages(const TaskInfo& task, const NodeView& node,
-                       std::uint64_t count);
+// The double-buffered stage rule for `count` dim-0 indices of `task` on
+// a node of `capacity` bytes (0 = unknown, always fits). 0 when their
+// whole working set fits in-core; otherwise the rows per out-of-core
+// stage: the most aligned rows of which two stages fit beside the
+// replicated args. nullopt when neither works: the task cannot be staged
+// (not splittable, or nothing partitioned) or not even two stages of one
+// alignment unit fit.
+std::optional<std::uint64_t> StageRows(const TaskInfo& task,
+                                       std::uint64_t capacity,
+                                       std::uint64_t count);
 
 // One steal-able chunk of a placement plan: `count` dim-0 indices starting
 // at plan-relative `offset`, initially owned by `plan.shards[shard].node`.

@@ -1,10 +1,13 @@
 // Elastic launches on a full SimCluster: chunked dispatch bit-identity,
 // straggler rescue by work stealing, scripted mid-launch node death with
-// directory-driven recovery, heartbeat sweeps, and the stats plumbing.
+// directory-driven recovery, heartbeat sweeps, the stats plumbing, and an
+// elastic launch as one command among others (markers, hazards, results).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "driver/native_registry.h"
@@ -62,8 +65,10 @@ struct Fixture {
                                       std::move(speed_factors));
     EXPECT_TRUE(cluster.ok()) << cluster.status().ToString();
     f.cluster = *std::move(cluster);
-    // LaunchElastic seeds its ledger from the session policy's plan; the
-    // default "user" policy refuses to place without an explicit device.
+    // An elastic launch seeds its ledger from the session policy's plan.
+    // Any policy that places works (a one-shard plan is cut into chunks
+    // that idle nodes steal), but the default "user" policy cannot place
+    // a launch that names no device.
     EXPECT_TRUE(f.cluster->runtime().SetScheduler("hetero_split").ok());
     auto program = f.cluster->runtime().BuildProgram(kDoubler);
     EXPECT_TRUE(program.ok()) << program.status().ToString();
@@ -88,6 +93,12 @@ struct Fixture {
     spec.global[0] = kN;
     return spec;
   }
+  ClusterRuntime::LaunchSpec ElasticSpec(
+      ClusterRuntime::ElasticOptions options = {}) const {
+    ClusterRuntime::LaunchSpec spec = Spec();
+    spec.elastic = options;
+    return spec;
+  }
 
   // Verifies every element equals the doubled input — what a single-node
   // run produces, bit for bit.
@@ -105,12 +116,12 @@ struct Fixture {
 
 TEST(ElasticLaunchTest, ChunkedLaunchMatchesSingleNodeResult) {
   Fixture f = Fixture::Make();
-  auto result = f.cluster->runtime().LaunchElastic(f.Spec());
+  auto result = f.cluster->runtime().LaunchKernel(f.ElasticSpec());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // 3 shards x kDefaultChunksPerShard chunks each (modulo rounding).
-  EXPECT_GE(result->chunks_total, 3u);
-  EXPECT_GT(result->makespan_seconds, 0.0);
-  EXPECT_EQ(result->dead_nodes.size(), 0u);
+  EXPECT_GE(result->elastic->chunks_total, 3u);
+  EXPECT_GT(result->elastic->makespan_seconds, 0.0);
+  EXPECT_EQ(result->elastic->dead_nodes.size(), 0u);
   f.ExpectDoubled();
 }
 
@@ -118,11 +129,11 @@ TEST(ElasticLaunchTest, ExplicitChunkRowsRespected) {
   Fixture f = Fixture::Make();
   ClusterRuntime::ElasticOptions options;
   options.chunk_rows = kN / 16;
-  auto result = f.cluster->runtime().LaunchElastic(f.Spec(), options);
+  auto result = f.cluster->runtime().LaunchKernel(f.ElasticSpec(options));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Chunks are cut per shard, so remainders add at most one chunk each.
-  EXPECT_GE(result->chunks_total, 16u);
-  EXPECT_LE(result->chunks_total, 16u + 3u);
+  EXPECT_GE(result->elastic->chunks_total, 16u);
+  EXPECT_LE(result->elastic->chunks_total, 16u + 3u);
   f.ExpectDoubled();
 }
 
@@ -135,23 +146,21 @@ TEST(ElasticLaunchTest, StealingRescuesStraggler) {
   std::uint64_t stolen = 0;
   {
     Fixture f = Fixture::Make(kStraggler);
-    auto result = f.cluster->runtime().LaunchElastic(f.Spec());
+    auto result = f.cluster->runtime().LaunchKernel(f.ElasticSpec());
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    makespan_steal = result->makespan_seconds;
-    stolen = result->chunks_stolen;
+    makespan_steal = result->elastic->makespan_seconds;
+    stolen = result->elastic->chunks_stolen;
     f.ExpectDoubled();
-    // The stolen-chunk count surfaces in the runtime-wide stats.
-    EXPECT_EQ(f.cluster->runtime().transfer_stats().stolen_chunks, stolen);
   }
   double makespan_static = 0.0;
   {
     Fixture f = Fixture::Make(kStraggler);
     ClusterRuntime::ElasticOptions options;
     options.stealing = false;
-    auto result = f.cluster->runtime().LaunchElastic(f.Spec(), options);
+    auto result = f.cluster->runtime().LaunchKernel(f.ElasticSpec(options));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    makespan_static = result->makespan_seconds;
-    EXPECT_EQ(result->chunks_stolen, 0u);
+    makespan_static = result->elastic->makespan_seconds;
+    EXPECT_EQ(result->elastic->chunks_stolen, 0u);
     f.ExpectDoubled();
   }
   EXPECT_GT(stolen, 0u);
@@ -166,11 +175,11 @@ TEST(ElasticLaunchTest, FaultFreeStragglerRunsEveryChunkOnceAndCountsEveryByte) 
   Fixture f = Fixture::Make({0.2, 1.0, 1.0});
   ClusterRuntime::ElasticOptions options;
   options.chunk_rows = kN / 32;
-  auto result = f.cluster->runtime().LaunchElastic(f.Spec(), options);
+  auto result = f.cluster->runtime().LaunchKernel(f.ElasticSpec(options));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(result->chunks_stolen, 0u);
-  EXPECT_EQ(result->chunks_reexecuted, 0u);
-  EXPECT_EQ(result->launch.bytes_shipped, std::uint64_t{kN} * 4);
+  EXPECT_GT(result->elastic->chunks_stolen, 0u);
+  EXPECT_EQ(result->elastic->chunks_reexecuted, 0u);
+  EXPECT_EQ(result->bytes_shipped, std::uint64_t{kN} * 4);
   EXPECT_EQ(f.cluster->runtime().transfer_stats().reexec_bytes, 0u);
   f.ExpectDoubled();
 }
@@ -182,15 +191,15 @@ TEST(ElasticLaunchTest, ScriptedKillCompletesBitIdentical) {
   ClusterRuntime::ElasticOptions options;
   options.chunk_rows = kN / 16;  // ~16 chunks: the kill lands mid-launch.
   options.fault_injector = &faults;
-  auto result = f.cluster->runtime().LaunchElastic(f.Spec(), options);
+  auto result = f.cluster->runtime().LaunchKernel(f.ElasticSpec(options));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->dead_nodes.size(), 1u);
-  EXPECT_EQ(result->dead_nodes[0], 1u);
+  ASSERT_EQ(result->elastic->dead_nodes.size(), 1u);
+  EXPECT_EQ(result->elastic->dead_nodes[0], 1u);
   EXPECT_FALSE(f.cluster->runtime().NodeAlive(1));
   // Node 1's finished chunks were in-place writes whose only fresh copy
   // died with it: they re-ran from the host shadow's pre-image. Exactly
   // once each — a double re-run would quadruple instead of double.
-  EXPECT_GE(result->chunks_reexecuted, 1u);
+  EXPECT_GE(result->elastic->chunks_reexecuted, 1u);
   f.ExpectDoubled();
   // Re-executions shipped their input rows again; the stats say so.
   EXPECT_GT(f.cluster->runtime().transfer_stats().reexec_bytes, 0u);
@@ -211,10 +220,10 @@ TEST(ElasticLaunchTest, KillAfterAnOrdinaryLaunchRecoversItsOutput) {
   faults.ScriptKill(/*node=*/1, /*after_chunks=*/2);
   ClusterRuntime::ElasticOptions options;
   options.fault_injector = &faults;
-  auto result = f.cluster->runtime().LaunchElastic(f.Spec(), options);
+  auto result = f.cluster->runtime().LaunchKernel(f.ElasticSpec(options));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->dead_nodes.size(), 1u);
-  EXPECT_EQ(result->dead_nodes[0], 1u);
+  ASSERT_EQ(result->elastic->dead_nodes.size(), 1u);
+  EXPECT_EQ(result->elastic->dead_nodes[0], 1u);
   f.ExpectScaledBy(4);
 }
 
@@ -224,9 +233,9 @@ TEST(ElasticLaunchTest, KillBeforeFirstChunkRecovers) {
   faults.ScriptKill(/*node=*/2, /*after_chunks=*/0);
   ClusterRuntime::ElasticOptions options;
   options.fault_injector = &faults;
-  auto result = f.cluster->runtime().LaunchElastic(f.Spec(), options);
+  auto result = f.cluster->runtime().LaunchKernel(f.ElasticSpec(options));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->dead_nodes.size(), 1u);
+  ASSERT_EQ(result->elastic->dead_nodes.size(), 1u);
   // Nothing completed there, so nothing re-executes — its chunks simply
   // run elsewhere for the first time.
   f.ExpectDoubled();
@@ -238,12 +247,12 @@ TEST(ElasticLaunchTest, DeadNodeExcludedFromLaterLaunches) {
   faults.ScriptKill(1, 0);
   ClusterRuntime::ElasticOptions options;
   options.fault_injector = &faults;
-  ASSERT_TRUE(f.cluster->runtime().LaunchElastic(f.Spec(), options).ok());
+  ASSERT_TRUE(f.cluster->runtime().LaunchKernel(f.ElasticSpec(options)).ok());
 
   // A second elastic launch (no injector) plans around the dead node.
-  auto again = f.cluster->runtime().LaunchElastic(f.Spec());
+  auto again = f.cluster->runtime().LaunchKernel(f.ElasticSpec());
   ASSERT_TRUE(again.ok()) << again.status().ToString();
-  EXPECT_TRUE(again->dead_nodes.empty());
+  EXPECT_TRUE(again->elastic->dead_nodes.empty());
   // A forced launch onto the corpse is refused.
   ClusterRuntime::LaunchSpec forced = f.Spec();
   forced.force_node = 1;
@@ -260,18 +269,18 @@ TEST(ElasticLaunchTest, HeartbeatSweepRunsCleanly) {
   ClusterRuntime::ElasticOptions options;
   options.heartbeat = true;
   options.heartbeat_interval = std::chrono::milliseconds(0);  // Every loop.
-  auto result = f.cluster->runtime().LaunchElastic(f.Spec(), options);
+  auto result = f.cluster->runtime().LaunchKernel(f.ElasticSpec(options));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result->dead_nodes.empty());
+  EXPECT_TRUE(result->elastic->dead_nodes.empty());
   f.ExpectDoubled();
 }
 
 TEST(ElasticLaunchTest, NonSplittableKernelRejected) {
   Fixture f = Fixture::Make();
-  ClusterRuntime::LaunchSpec spec = f.Spec();
+  ClusterRuntime::LaunchSpec spec = f.ElasticSpec();
   // Whole-buffer (replicated) written arg pins the launch to one node.
   spec.args[0] = KernelArgValue::Buffer(f.buffer);
-  auto result = f.cluster->runtime().LaunchElastic(spec);
+  auto result = f.cluster->runtime().LaunchKernel(spec);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kInvalidOperation);
 }
@@ -288,7 +297,8 @@ TEST(ElasticLaunchTest, FailedBuildProgramIdRejected) {
   auto launched = runtime.LaunchKernel(spec);
   ASSERT_FALSE(launched.ok());
   EXPECT_EQ(launched.status().code(), ErrorCode::kInvalidProgram);
-  auto elastic = runtime.LaunchElastic(spec);
+  spec.elastic.emplace();
+  auto elastic = runtime.LaunchKernel(spec);
   ASSERT_FALSE(elastic.ok());
   EXPECT_EQ(elastic.status().code(), ErrorCode::kInvalidProgram);
 }
@@ -302,10 +312,10 @@ TEST(ElasticLaunchTest, OutOfRangePartitionRejectedBeforeAnyChunk) {
   std::vector<std::int32_t> values(kRows);
   std::iota(values.begin(), values.end(), 1);
   ASSERT_TRUE(runtime.WriteBuffer(*buffer, 0, values.data(), kRows * 4).ok());
-  ClusterRuntime::LaunchSpec spec = f.Spec();
+  ClusterRuntime::LaunchSpec spec = f.ElasticSpec();
   spec.args[0] = KernelArgValue::PartitionedBuffer(*buffer, 4);
   spec.global[0] = 2 * kRows;  // The window runs past the buffer's end.
-  auto result = runtime.LaunchElastic(spec);
+  auto result = runtime.LaunchKernel(spec);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kInvalidValue);
   // Rejected up front, as LaunchKernel rejects it: no chunk ran.
@@ -316,9 +326,122 @@ TEST(ElasticLaunchTest, OutOfRangePartitionRejectedBeforeAnyChunk) {
 
 TEST(ElasticLaunchTest, ElasticTagsOnSpecRejected) {
   Fixture f = Fixture::Make();
-  ClusterRuntime::LaunchSpec spec = f.Spec();
+  ClusterRuntime::LaunchSpec spec = f.ElasticSpec();
   spec.force_node = 0;
-  EXPECT_FALSE(f.cluster->runtime().LaunchElastic(spec).ok());
+  EXPECT_FALSE(f.cluster->runtime().LaunchKernel(spec).ok());
+  // Refused at submit, before anything is queued.
+  EXPECT_EQ(f.cluster->runtime().SubmitLaunch(spec).status().code(),
+            ErrorCode::kInvalidValue);
+}
+
+TEST(ElasticLaunchTest, WaitsBehindAMarkerAndOrdersALaterRead) {
+  // An elastic launch is one command: behind an unresolved marker it runs
+  // no kernel, and a read submitted right after it, without a wait,
+  // orders after it through the buffer's hazards.
+  Fixture f = Fixture::Make();
+  ClusterRuntime& runtime = f.cluster->runtime();
+  auto marker = runtime.SubmitMarker();
+  ASSERT_TRUE(marker.ok());
+  auto launch = runtime.SubmitLaunch(f.ElasticSpec(), {*marker});
+  ASSERT_TRUE(launch.ok()) << launch.status().ToString();
+  std::vector<std::int32_t> got(kN);
+  auto read = runtime.SubmitRead(f.buffer, 0, got.data(), kN * 4);
+  ASSERT_TRUE(read.ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(*runtime.CommandStateOf(*launch), CommandState::kQueued);
+  EXPECT_EQ(*runtime.CommandStateOf(*read), CommandState::kQueued);
+  for (std::size_t node = 0; node < runtime.devices().size(); ++node) {
+    EXPECT_EQ(runtime.ObservedKernelRate(node, "doubler").samples, 0u)
+        << "node " << node << " ran a kernel behind the marker";
+  }
+  ASSERT_TRUE(runtime.CompleteMarker(*marker).ok());
+  ASSERT_TRUE(runtime.Wait(*read).ok());
+  for (int i = 0; i < kN; ++i) ASSERT_EQ(got[i], 2 * (i + 1)) << i;
+  EXPECT_EQ(*runtime.CommandStateOf(*launch), CommandState::kComplete);
+  for (CommandHandle handle : {*marker, *launch, *read}) {
+    ASSERT_TRUE(runtime.ReleaseCommand(handle).ok());
+  }
+}
+
+TEST(ElasticLaunchTest, PlanNodeThatDiesBeforeTheCommandRunsHandsOverItsChunks) {
+  // The launch is planned over all three GPUs at submit; node 1 dies
+  // while the command still waits on its marker. Its chunks go to the
+  // live nodes before the first dispatch.
+  Fixture f = Fixture::Make();
+  ClusterRuntime& runtime = f.cluster->runtime();
+  auto marker = runtime.SubmitMarker();
+  ASSERT_TRUE(marker.ok());
+  auto launch = runtime.SubmitLaunch(f.ElasticSpec(), {*marker});
+  ASSERT_TRUE(launch.ok()) << launch.status().ToString();
+  ASSERT_TRUE(runtime.MarkNodeLost(1).ok());
+  ASSERT_TRUE(runtime.CompleteMarker(*marker).ok());
+  ASSERT_TRUE(runtime.Wait(*launch).ok());
+  auto result = runtime.LaunchResultOf(*launch);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->shard_count, 3u);
+  EXPECT_TRUE(result->elastic->dead_nodes.empty());
+  EXPECT_EQ(runtime.ObservedKernelRate(1, "doubler").samples, 0u);
+  f.ExpectDoubled();
+}
+
+TEST(ElasticLaunchTest, LaunchResultOfCarriesTheReport) {
+  Fixture f = Fixture::Make();
+  ClusterRuntime& runtime = f.cluster->runtime();
+  auto launch = runtime.SubmitLaunch(f.ElasticSpec());
+  ASSERT_TRUE(launch.ok()) << launch.status().ToString();
+  ASSERT_TRUE(runtime.Wait(*launch).ok());
+  auto result = runtime.LaunchResultOf(*launch);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result->elastic.has_value());
+  EXPECT_EQ(result->stage_count, result->elastic->chunks_total);
+  EXPECT_EQ(result->modeled_seconds, result->elastic->makespan_seconds);
+  EXPECT_EQ(result->bytes_shipped, std::uint64_t{kN} * 4);
+  EXPECT_GT(result->virtual_completion, 0.0);
+  // One command: its own handle is its only shard.
+  auto shards = runtime.LaunchShardsOf(*launch);
+  ASSERT_TRUE(shards.ok());
+  ASSERT_EQ(shards->size(), 1u);
+  EXPECT_EQ((*shards)[0].id, launch->id);
+  ASSERT_TRUE(runtime.ReleaseCommand(*launch).ok());
+  f.ExpectDoubled();
+  // An ordinary launch carries no report.
+  auto ordinary = runtime.LaunchKernel(f.Spec());
+  ASSERT_TRUE(ordinary.ok()) << ordinary.status().ToString();
+  EXPECT_FALSE(ordinary->elastic.has_value());
+  f.ExpectScaledBy(4);
+}
+
+TEST(ElasticLaunchTest, OneShardPlanIsCutAndStolen) {
+  // "hetero" places the whole launch on one GPU. The elastic launch cuts
+  // that one shard into chunks, and the idle GPUs steal some of them.
+  Fixture f = Fixture::Make();
+  ClusterRuntime& runtime = f.cluster->runtime();
+  ASSERT_TRUE(runtime.SetScheduler("hetero").ok());
+  auto result = runtime.LaunchKernel(f.ElasticSpec());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->shard_count, 1u);
+  EXPECT_EQ(result->elastic->chunks_total,
+            ClusterRuntime::ElasticOptions::kDefaultChunksPerShard);
+  EXPECT_GT(result->elastic->chunks_stolen, 0u);
+  std::size_t ran = 0;
+  for (std::size_t node = 0; node < runtime.devices().size(); ++node) {
+    ran += runtime.ObservedKernelRate(node, "doubler").samples > 0 ? 1 : 0;
+  }
+  EXPECT_GE(ran, 2u);
+  f.ExpectDoubled();
+}
+
+TEST(ElasticLaunchTest, PolicyThatCannotPlaceFails) {
+  // The default "user" policy with no preferred device places nothing, so
+  // there is no plan to cut.
+  Fixture f = Fixture::Make();
+  ClusterRuntime& runtime = f.cluster->runtime();
+  ASSERT_TRUE(runtime.SetScheduler("user").ok());
+  auto result = runtime.LaunchKernel(f.ElasticSpec());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), ErrorCode::kSchedulerError);
+  ASSERT_TRUE(runtime.SetScheduler("hetero_split").ok());
+  f.ExpectScaledBy(1);
 }
 
 }  // namespace

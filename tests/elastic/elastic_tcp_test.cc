@@ -105,10 +105,11 @@ TEST(ElasticTcpTest, ChunkedLaunchOverRealSockets) {
   ClusterRuntime::ElasticOptions options;
   options.heartbeat = true;  // Heartbeats ride the real control plane too.
   options.heartbeat_interval = std::chrono::milliseconds(0);
-  auto result = c.runtime->LaunchElastic(spec, options);
+  spec.elastic = options;
+  auto result = c.runtime->LaunchKernel(spec);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GE(result->chunks_total, 3u);
-  EXPECT_TRUE(result->dead_nodes.empty());
+  EXPECT_GE(result->elastic->chunks_total, 3u);
+  EXPECT_TRUE(result->elastic->dead_nodes.empty());
 
   std::vector<std::int32_t> got(kN);
   ASSERT_TRUE(c.runtime->ReadBuffer(*buffer, 0, got.data(), kN * 4).ok());
@@ -142,10 +143,11 @@ TEST(ElasticTcpTest, ScriptedKillOfRealDaemonCompletesBitIdentical) {
   ClusterRuntime::ElasticOptions options;
   options.chunk_rows = kN / 16;
   options.fault_injector = &faults;
-  auto result = c.runtime->LaunchElastic(spec, options);
+  spec.elastic = options;
+  auto result = c.runtime->LaunchKernel(spec);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->dead_nodes.size(), 1u);
-  EXPECT_EQ(result->dead_nodes[0], 1u);
+  ASSERT_EQ(result->elastic->dead_nodes.size(), 1u);
+  EXPECT_EQ(result->elastic->dead_nodes[0], 1u);
   EXPECT_FALSE(c.runtime->NodeAlive(1));
 
   // Bit-identical to the no-failure run: every element doubled exactly
@@ -154,7 +156,8 @@ TEST(ElasticTcpTest, ScriptedKillOfRealDaemonCompletesBitIdentical) {
   ASSERT_TRUE(c.runtime->ReadBuffer(*buffer, 0, got.data(), kN * 4).ok());
   for (int i = 0; i < kN; ++i) ASSERT_EQ(got[i], 2 * (i + 1));
   // Later work plans around the corpse.
-  auto again = c.runtime->LaunchElastic(spec);
+  spec.elastic.emplace();
+  auto again = c.runtime->LaunchKernel(spec);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   ASSERT_TRUE(c.runtime->ReadBuffer(*buffer, 0, got.data(), kN * 4).ok());
   for (int i = 0; i < kN; ++i) ASSERT_EQ(got[i], 4 * (i + 1));

@@ -316,6 +316,20 @@ TEST(StealCoordinatorTest, AllNodesDeadReportsNodeLost) {
   EXPECT_EQ(report.dead_nodes.size(), 2u);
 }
 
+TEST(StealCoordinatorTest, ChunksNoLiveNodeOwnsEndTheLaunch) {
+  // Node 5 is no participant, so no node can run or steal its chunks.
+  // Once node 1 has stolen node 0's tail their clocks differ, and the
+  // launch must end as stalled instead of parking them in turn forever.
+  ChunkLedger ledger;
+  ASSERT_TRUE(ledger.Init(PlanFor({{0, 32}, {5, 32}}), 1, 16).ok());
+  MockExecutor exec({0.001, 0.002});
+  StealCoordinator coordinator(&ledger, &exec, {0, 1}, {});
+  const CoordinatorReport report = coordinator.Run();
+  EXPECT_EQ(report.status.code(), ErrorCode::kInternal);
+  EXPECT_EQ(exec.executions_.size(), 2u);  // Node 0's two chunks.
+  EXPECT_EQ(ledger.RemainingChunks(), 2u);
+}
+
 TEST(StealCoordinatorTest, RefusedCompletionEndsTheLaunch) {
   // An executor that re-targets the chunk it is running breaks the rule
   // the coordinator relies on; the ledger refuses the stale completion and

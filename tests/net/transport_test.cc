@@ -409,6 +409,39 @@ INSTANTIATE_TEST_SUITE_P(Links, RpcLandingTest, ::testing::Bool(),
                            return info.param ? "Tcp" : "Sim";
                          });
 
+TEST(RpcTest, PeerClosingFailsPendingCallsOverTcp) {
+  // The peer closes while a call with a long deadline is pending: the
+  // call fails as soon as the connection ends, and so does every later
+  // one.
+  BlockingQueue<ConnectionPtr> accepted;  // Outlives the accept thread.
+  TcpListener listener(0);
+  ASSERT_TRUE(
+      listener.Start([&](ConnectionPtr c) { accepted.Push(std::move(c)); })
+          .ok());
+  auto dialed = TcpConnect("127.0.0.1", listener.port());
+  ASSERT_TRUE(dialed.ok());
+  auto peer = accepted.Pop();
+  ASSERT_TRUE(peer.has_value());
+  BlockingQueue<bool> requested;
+  (*peer)->Start([&](Message) { requested.Push(true); });
+  RpcClient client(*std::move(dialed));
+  std::thread closer([&] {
+    requested.Pop();
+    (*peer)->Close();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  auto reply = client.Call(MsgType::kHeartbeat, 1, {}, std::chrono::seconds(10));
+  closer.join();
+  EXPECT_EQ(reply.code(), ErrorCode::kNodeUnreachable);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_TRUE(client.ended());
+  EXPECT_EQ(
+      client.Call(MsgType::kHeartbeat, 1, {}, std::chrono::seconds(10)).code(),
+      ErrorCode::kNodeUnreachable);
+  client.Close();
+  listener.Stop();
+}
+
 TEST(RpcTest, CloseFailsPendingCalls) {
   auto [host_end, node_end] = CreateSimChannel();
   node_end->Start([](Message) {});

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "common/sync.h"
@@ -782,17 +783,32 @@ TEST(NodeServerTcpTest, QuotaRefusesPartOfAStripedWrite) {
   EXPECT_EQ(back, bytes);
 }
 
+// What a test does to the lanes of a node link (CuttableConnection).
+struct LaneCuts {
+  // Once set, the next request a dialed lane sends is lost with the lane:
+  // the lane closes before the frame reaches the node.
+  std::atomic<bool> armed{false};
+  std::atomic<int> ended{0};  // Lanes whose reader has stopped.
+  std::mutex mutex;
+  std::vector<std::weak_ptr<net::Connection>> lanes;  // In dial order.
+
+  // Closes dialed lane `i` (joining its reader) while it idles.
+  void CloseLane(std::size_t i) {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (auto lane = lanes.at(i).lock()) lane->Close();
+  }
+};
+
 // Host end of a node link whose lanes a test can cut: forwards everything,
-// Dial included. Once armed, the next request a dialed lane sends is lost
-// with the lane: the lane closes before the frame reaches the node.
+// Dial and the end handler included.
 class CuttableConnection : public net::Connection {
  public:
-  CuttableConnection(net::ConnectionPtr inner,
-                     std::shared_ptr<std::atomic<bool>> armed, bool lane)
-      : inner_(std::move(inner)), armed_(std::move(armed)), lane_(lane) {}
+  CuttableConnection(std::shared_ptr<net::Connection> inner,
+                     std::shared_ptr<LaneCuts> cuts, bool lane)
+      : inner_(std::move(inner)), cuts_(std::move(cuts)), lane_(lane) {}
 
   Status Send(const Message& message) override {
-    if (lane_ && armed_->exchange(false)) {
+    if (lane_ && cuts_->armed.exchange(false)) {
       inner_->Close();
       return Status::Ok();
     }
@@ -804,11 +820,23 @@ class CuttableConnection : public net::Connection {
   void SetSink(net::FrameSink sink) override {
     inner_->SetSink(std::move(sink));
   }
+  void SetEndHandler(std::function<void()> ended) override {
+    inner_->SetEndHandler(
+        [ended = std::move(ended), cuts = cuts_, lane = lane_] {
+          ended();
+          if (lane) ++cuts->ended;
+        });
+  }
   Expected<net::ConnectionPtr> Dial() override {
     auto dialed = inner_->Dial();
     if (!dialed.ok()) return dialed.status();
-    return net::ConnectionPtr(std::make_unique<CuttableConnection>(
-        *std::move(dialed), armed_, /*lane=*/true));
+    std::shared_ptr<net::Connection> lane = *std::move(dialed);
+    {
+      std::lock_guard<std::mutex> lock(cuts_->mutex);
+      cuts_->lanes.push_back(lane);
+    }
+    return net::ConnectionPtr(
+        std::make_unique<CuttableConnection>(lane, cuts_, /*lane=*/true));
   }
   void Close() override { inner_->Close(); }
   [[nodiscard]] std::uint64_t bytes_sent() const override {
@@ -819,23 +847,28 @@ class CuttableConnection : public net::Connection {
   }
 
  private:
-  net::ConnectionPtr inner_;
-  std::shared_ptr<std::atomic<bool>> armed_;
+  std::shared_ptr<net::Connection> inner_;
+  std::shared_ptr<LaneCuts> cuts_;
   bool lane_;
 };
+
+// A TcpPeerPair whose link to node 0 is a CuttableConnection over `cuts`.
+void StartCuttable(TcpPeerPair& pair, host::RuntimeOptions options,
+                   const std::shared_ptr<LaneCuts>& cuts) {
+  pair.Start(options, [cuts](net::ConnectionPtr connection) {
+    return net::ConnectionPtr(std::make_unique<CuttableConnection>(
+        std::move(connection), cuts, /*lane=*/false));
+  });
+}
 
 TEST(NodeServerTcpTest, LaneClosedMidTransferFailsOnlyThatCommand) {
   constexpr std::uint64_t kBytes = 8u << 20;
   if (LanesFor(kBytes) < 2) GTEST_SKIP() << "one hardware thread: no lanes";
   host::RuntimeOptions options;
   options.rpc_timeout = std::chrono::milliseconds(2000);
-  auto armed = std::make_shared<std::atomic<bool>>(false);
+  auto cuts = std::make_shared<LaneCuts>();
   TcpPeerPair pair;
-  ASSERT_NO_FATAL_FAILURE(
-      pair.Start(options, [armed](net::ConnectionPtr connection) {
-        return net::ConnectionPtr(std::make_unique<CuttableConnection>(
-            std::move(connection), armed, /*lane=*/false));
-      }));
+  ASSERT_NO_FATAL_FAILURE(StartCuttable(pair, options, cuts));
   host::ClusterRuntime& runtime = *pair.runtime;
   auto program = runtime.BuildProgram(kBumpSource);
   ASSERT_TRUE(program.ok());
@@ -847,15 +880,15 @@ TEST(NodeServerTcpTest, LaneClosedMidTransferFailsOnlyThatCommand) {
   ASSERT_TRUE(runtime.Wait(*write).ok());
   ASSERT_EQ(runtime.LaneCount(0), LanesFor(kBytes));
 
-  // One lane goes away with its read request: the read fails once the
-  // deadline withdraws that chunk, and no later.
-  armed->store(true);
+  // One lane goes away with its read request: the read fails as soon as
+  // the lane's connection ends, without waiting out the deadline.
+  cuts->armed.store(true);
   std::vector<std::uint8_t> back(kBytes);
   const auto start = std::chrono::steady_clock::now();
   EXPECT_FALSE(runtime.ReadBuffer(*buffer, 0, back.data(), kBytes).ok());
-  EXPECT_LT(std::chrono::steady_clock::now() - start,
-            options.rpc_timeout + std::chrono::seconds(3));
-  EXPECT_FALSE(armed->load());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, options.rpc_timeout);
+  EXPECT_FALSE(cuts->armed.load());
+  EXPECT_EQ(cuts->ended.load(), 1);
   EXPECT_EQ(runtime.LaneCount(0), LanesFor(kBytes) - 1);
 
   // The main link still runs a launch, and the next read dials a fresh
@@ -876,6 +909,32 @@ TEST(NodeServerTcpTest, LaneClosedMidTransferFailsOnlyThatCommand) {
   ++first;
   std::memcpy(expected.data(), &first, sizeof(first));
   EXPECT_EQ(back, expected);
+  EXPECT_EQ(runtime.LaneCount(0), LanesFor(kBytes));
+}
+
+TEST(NodeServerTcpTest, LaneThatEndedWhileIdleIsDialedAfresh) {
+  // A lane closes between two striped transfers. The next transfer drops
+  // it and dials a replacement instead of failing on it.
+  constexpr std::uint64_t kBytes = 8u << 20;
+  if (LanesFor(kBytes) < 2) GTEST_SKIP() << "one hardware thread: no lanes";
+  auto cuts = std::make_shared<LaneCuts>();
+  TcpPeerPair pair;
+  ASSERT_NO_FATAL_FAILURE(StartCuttable(pair, {}, cuts));
+  host::ClusterRuntime& runtime = *pair.runtime;
+  auto buffer = runtime.CreateBuffer(kBytes);
+  ASSERT_TRUE(buffer.ok());
+  const std::vector<std::uint8_t> bytes = Pattern(kBytes, 5);
+  auto write = runtime.SubmitWrite(*buffer, 0, bytes.data(), kBytes, 0);
+  ASSERT_TRUE(write.ok());
+  ASSERT_TRUE(runtime.Wait(*write).ok());
+  ASSERT_EQ(runtime.LaneCount(0), LanesFor(kBytes));
+
+  // Closing the idle lane joins its reader, which reports the end.
+  cuts->CloseLane(0);
+  ASSERT_EQ(cuts->ended.load(), 1);
+  std::vector<std::uint8_t> back(kBytes);
+  ASSERT_TRUE(runtime.ReadBuffer(*buffer, 0, back.data(), kBytes).ok());
+  EXPECT_EQ(back, bytes);
   EXPECT_EQ(runtime.LaneCount(0), LanesFor(kBytes));
 }
 

@@ -596,20 +596,22 @@ TaskInfo MemoryBoundTask() {
   return task;
 }
 
-TEST(PlanValidationTest, ShardFitsOrStagesHonorsCapacity) {
+TEST(PlanValidationTest, StageRowsHonorsCapacity) {
   TaskInfo task = MemoryBoundTask();
-  NodeView node = MakeNode("gpu0", NodeType::kGpu);
-  node.mem_capacity_bytes = 0;  // Unknown: everything fits.
-  EXPECT_TRUE(ShardFitsOrStages(task, node, 1000));
-  node.mem_capacity_bytes = 1 << 20;  // Holds the whole shard.
-  EXPECT_TRUE(ShardFitsOrStages(task, node, 1000));
-  node.mem_capacity_bytes = 64 << 10;  // Oversubscribed but stageable.
-  EXPECT_TRUE(ShardFitsOrStages(task, node, 1000));
+  // Unknown capacity: everything fits in-core.
+  EXPECT_EQ(StageRows(task, 0, 1000), std::optional<std::uint64_t>(0));
+  // Holds the whole shard.
+  EXPECT_EQ(StageRows(task, 1 << 20, 1000), std::optional<std::uint64_t>(0));
+  // Oversubscribed but stageable: two 32-row stages fill 64 KiB.
+  EXPECT_EQ(StageRows(task, 64 << 10, 1000), std::optional<std::uint64_t>(32));
+  task.dim0_align = 24;  // Stages stay whole alignment units.
+  EXPECT_EQ(StageRows(task, 64 << 10, 1000), std::optional<std::uint64_t>(24));
+  task.dim0_align = 1;
   task.splittable = false;  // Cannot stage: must fit whole.
-  EXPECT_FALSE(ShardFitsOrStages(task, node, 1000));
+  EXPECT_FALSE(StageRows(task, 64 << 10, 1000).has_value());
   task.splittable = true;
   task.replicated_bytes = 63 << 10;  // Replicated args crowd out stages.
-  EXPECT_FALSE(ShardFitsOrStages(task, node, 1000));
+  EXPECT_FALSE(StageRows(task, 64 << 10, 1000).has_value());
 }
 
 TEST(PlanValidationTest, RejectsShardsThatCannotStage) {

@@ -246,14 +246,10 @@ int main() {
     }
 
     // Max per-node modeled load = the makespan driver.
-    double max_load = 0.0;
-    const auto& topo = runtime.timeline().topology();
-    for (std::size_t i = 0; i < topo.size(); ++i) {
-      max_load = std::max(max_load, topo.node(i).compute.busy_total());
-    }
     std::printf("%-14s %14.3f %12.0f %16.3f\n", policy,
                 runtime.timeline().Makespan(),
-                runtime.timeline().TotalEnergyJoules(), max_load);
+                runtime.timeline().TotalEnergyJoules(),
+                runtime.timeline().MaxNodeComputeSeconds());
   }
 
   std::printf(

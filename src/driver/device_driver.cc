@@ -131,7 +131,6 @@ class SimulatedDriver : public DeviceDriver {
                                : EstimateKernelCost(module, *kernel, args,
                                                     range);
       profile->modeled_seconds = sim::ModelKernelTime(spec_, cost);
-      profile->modeled_joules = profile->modeled_seconds * spec_.power_watts;
       profile->flops = static_cast<std::uint64_t>(cost.flops);
       profile->used_native_binary = used_native;
       profile->vm_instructions = vm_stats.instructions;

@@ -3,9 +3,10 @@
 // A driver owns functional execution (really running the kernel over real
 // bytes) and timing (the calibrated device model that stands in for the
 // silicon we don't have). Launch returns both: mutated buffers plus a
-// LaunchProfile with modeled seconds/joules that flow back to the host
+// LaunchProfile with the modeled seconds that flow back to the host
 // scheduler as "runtime information of the kernel on the nodes" (paper
-// §III-B).
+// §III-B). Energy is the host's to model: busy time x power
+// (host::VirtualTimeline::TotalEnergyJoules).
 #pragma once
 
 #include <memory>
@@ -21,7 +22,6 @@ namespace haocl::driver {
 
 struct LaunchProfile {
   double modeled_seconds = 0.0;
-  double modeled_joules = 0.0;
   std::uint64_t flops = 0;
   bool used_native_binary = false;
   // VM execution counters (zero when the launch ran a native binary).

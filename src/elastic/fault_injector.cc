@@ -12,15 +12,6 @@ void FaultInjector::ScriptKill(std::size_t node, std::uint64_t after_chunks) {
   script.kill_after = after_chunks;
 }
 
-void FaultInjector::ScriptDelay(std::size_t node, std::uint64_t after_chunks,
-                                double seconds) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  NodeScript& script = scripts_[node];
-  script.has_delay = true;
-  script.delay_after = after_chunks;
-  script.delay_seconds = seconds;
-}
-
 void FaultInjector::SetKillHook(std::function<void(std::size_t)> hook) {
   std::lock_guard<std::mutex> lock(mutex_);
   kill_hook_ = std::move(hook);
@@ -55,18 +46,13 @@ Status FaultInjector::BeforeExecute(std::size_t node) {
   return Status::Ok();
 }
 
-double FaultInjector::AfterExecute(std::size_t node) {
+void FaultInjector::AfterExecute(std::size_t node) {
   std::unique_lock<std::mutex> lock(mutex_);
   NodeScript& script = scripts_[node];
   ++script.completed;
-  double delay = 0.0;
-  if (script.has_delay && script.completed > script.delay_after) {
-    delay = script.delay_seconds;
-  }
   if (script.has_kill && script.completed >= script.kill_after) {
     TripKillLocked(node, script, lock);
   }
-  return delay;
 }
 
 bool FaultInjector::IsDead(std::size_t node) const {

@@ -1,9 +1,9 @@
 // FaultInjector: deterministic, scripted faults for elastic launches.
 //
 // Tests and benchmarks script faults ahead of time — "kill node 1 after
-// it finishes 3 chunks", "delay node 2's 5th chunk by 40 modeled ms" —
-// and the injector fires them off per-node chunk counters, so a given
-// script always faults at exactly the same point in the dispatch order.
+// it finishes 3 chunks" — and the injector fires them off per-node chunk
+// counters, so a given script always faults at exactly the same point in
+// the dispatch order.
 // No clocks, no randomness: re-running the same launch with the same
 // script reproduces the same failure bit-for-bit.
 //
@@ -33,11 +33,6 @@ class FaultInjector {
   // kNodeLost. after_chunks == 0 kills it before it runs anything.
   void ScriptKill(std::size_t node, std::uint64_t after_chunks);
 
-  // Adds `seconds` of modeled delay to every chunk `node` executes from
-  // its `after_chunks`-th completion onward (straggler onset mid-launch).
-  void ScriptDelay(std::size_t node, std::uint64_t after_chunks,
-                   double seconds);
-
   // Invoked exactly once, when a scripted kill trips. The harness uses it
   // to physically sever the node (close connection / stop server) so the
   // failure is real, not just simulated.
@@ -47,10 +42,9 @@ class FaultInjector {
   // the node is (or just became) dead.
   Status BeforeExecute(std::size_t node);
 
-  // Called after `node` completes a chunk. Returns extra modeled delay
-  // seconds to charge, and trips a scripted kill when the completion
-  // count reaches it.
-  double AfterExecute(std::size_t node);
+  // Called after `node` completes a chunk. Trips a scripted kill when the
+  // completion count reaches it.
+  void AfterExecute(std::size_t node);
 
   [[nodiscard]] bool IsDead(std::size_t node) const;
   [[nodiscard]] std::uint64_t CompletedChunks(std::size_t node) const;
@@ -60,9 +54,6 @@ class FaultInjector {
     bool has_kill = false;
     std::uint64_t kill_after = 0;
     bool killed = false;
-    bool has_delay = false;
-    std::uint64_t delay_after = 0;
-    double delay_seconds = 0.0;
     std::uint64_t completed = 0;
   };
 

@@ -162,9 +162,9 @@ Expected<std::unique_ptr<ClusterRuntime>> ClusterRuntime::Connect(
   runtime->scheduler_name_ = runtime->options_.scheduler;
 
   // Handshake: one hello per node; replies populate the device table and
-  // the virtual topology ("the backbone obtains the device's id of each
+  // the modeled cluster ("the backbone obtains the device's id of each
   // compute node and records this mapping").
-  ClusterConfig topo_config;
+  std::vector<NodeType> node_types;
   for (auto& connection : connections) {
     runtime->nodes_.push_back(
         std::make_unique<net::LaneSet>(std::move(connection)));
@@ -202,11 +202,9 @@ Expected<std::unique_ptr<ClusterRuntime>> ClusterRuntime::Connect(
     // reported (0 = unbounded for nodes predating capacity reporting).
     runtime->node_pools_.push_back(
         std::make_unique<runtime::MemoryPool>(decoded->mem_capacity_bytes));
-    topo_config.AddNode(NodeEntry{decoded->node_name, decoded->device_type,
-                                  "sim", 0});
+    node_types.push_back(decoded->device_type);
   }
-  runtime->timeline_ = std::make_unique<VirtualTimeline>(
-      sim::ClusterTopology::FromConfig(topo_config));
+  runtime->timeline_ = std::make_unique<VirtualTimeline>(node_types);
   runtime->node_busy_ahead_.assign(runtime->nodes_.size(), 0.0);
   runtime->node_dead_.assign(runtime->nodes_.size(), false);
   runtime->node_broker_backlog_.assign(runtime->nodes_.size(), 0.0);
@@ -386,18 +384,19 @@ ClusterRuntime::FramePtr ClusterRuntime::TakeIssuePlaceLocked(
       }
       for (const RegionDirectory::Span& span :
            Uncovered(range.begin, range.end, written)) {
+        if (request.kind == IssueKind::kLaunch) {
+          if (!buffer.dir.Covers(owner, span.begin, span.end)) return nullptr;
+          continue;
+        }
+        // A read must find its bytes where the classic read would source
+        // them: on this node, not in the shadow.
         for (const RegionDirectory::Region& region :
              buffer.dir.Query(span.begin, span.end)) {
           const auto& owners = region.owners;
-          // A read must find its bytes where the classic read would
-          // source them: on this node, not in the shadow.
-          const bool fresh =
-              request.kind == IssueKind::kRead
-                  ? !owners.empty() && owners.front() == owner &&
-                        !std::binary_search(owners.begin(), owners.end(),
-                                            HostOwner())
-                  : std::binary_search(owners.begin(), owners.end(), owner);
-          if (!fresh) return nullptr;
+          if (owners.empty() || owners.front() != owner ||
+              std::binary_search(owners.begin(), owners.end(), HostOwner())) {
+            return nullptr;
+          }
         }
       }
     }
@@ -1156,11 +1155,7 @@ Status ClusterRuntime::EnsureRangeOnNodeLocked(BufferId id,
       note_arrival(timeline_->RecordPrefetchToNode(node, len));
       return Status::Ok();
     }
-    if (co_owners.empty()) {
-      note_arrival(timeline_->RecordTransferToNode(node, len));
-    } else {
-      note_arrival(timeline_->RecordReplicationToNode(node, len, co_owners));
-    }
+    note_arrival(timeline_->RecordReplicationToNode(node, len, co_owners));
     return Status::Ok();
   };
   return TransferMissingRunsLocked(
@@ -1183,7 +1178,6 @@ Status ClusterRuntime::EnsureRangeOnNodeLocked(BufferId id,
               CheckReply(CallNode(node, MsgType::kPullSlice, net::Encode(pull)),
                          MsgType::kStatusReply);
           if (peer.ok()) {
-            AccountTransfer(buffer, &TransferStats::p2p_transfers, 1);
             AccountTransfer(buffer, &TransferStats::p2p_bytes, len);
             note_arrival(timeline_->RecordTransferBetween(source, node, len));
           } else {
@@ -1491,15 +1485,6 @@ Status ClusterRuntime::ReleaseBuffer(BufferId id) {
   return Status::Ok();
 }
 
-Expected<std::uint64_t> ClusterRuntime::BufferSize(BufferId id) const {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  auto it = buffers_.find(id);
-  if (it == buffers_.end()) {
-    return Status(ErrorCode::kInvalidMemObject, "no such buffer");
-  }
-  return it->second->size;
-}
-
 // -------------------------------------------------------------- Programs
 
 Expected<ProgramId> ClusterRuntime::BuildProgram(const std::string& source) {
@@ -1670,7 +1655,6 @@ Expected<ClusterRuntime::ResolvedLaunch> ClusterRuntime::ResolveLaunchLocked(
   std::vector<oclc::ArgBinding> fake_bindings;
   sched::TaskInfo& task = launch.task;
   task.kernel_name = spec.kernel_name;
-  task.user_id = options_.session_id;
   task.preferred_node = spec.preferred_node;
   task.fpga_binary_available =
       driver::NativeKernelRegistry::Instance().Contains(spec.kernel_name);
@@ -2118,7 +2102,6 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
           for (std::size_t i = 0; i < plans.size(); ++i) {
             const LaunchResult& r = **plans[i];
             shard_seconds[groups[i]] += r.modeled_seconds;
-            agg.modeled_joules += r.modeled_joules;
             agg.bytes_shipped += r.bytes_shipped;
             agg.virtual_completion = std::max(agg.virtual_completion,
                                               r.virtual_completion);
@@ -2365,10 +2348,8 @@ Expected<LaunchResult> ClusterRuntime::CompleteLaunch(
   // feedback measures. Without one, the node modeled the unamplified
   // static estimate: approximate paper scale by scaling the modeled time.
   result.modeled_seconds = decoded->modeled_seconds;
-  result.modeled_joules = decoded->modeled_joules;
   if (!spec.cost_hint.has_value() && compute_amp != 1.0) {
     result.modeled_seconds *= compute_amp;
-    result.modeled_joules *= compute_amp;
   }
   // A pipelined stage's kernel gates on its slices' DMA arrival instead of
   // the transfer chaining ahead of the accelerator — this is where the

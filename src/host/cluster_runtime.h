@@ -170,7 +170,6 @@ struct LaunchResult {
   double modeled_seconds = 0.0;    // Device-model kernel time (aggregate:
                                    // slowest shard — shards run in
                                    // parallel; a shard's serial stages sum).
-  double modeled_joules = 0.0;     // Aggregate: summed over shards.
   std::uint64_t bytes_shipped = 0; // Input data moved for this launch.
   sim::SimTime virtual_completion = 0.0;  // Aggregate: last shard done.
   std::uint32_t shard_count = 1;   // Placement-plan shards (1 = classic).
@@ -228,7 +227,6 @@ struct TransferStats {
   std::uint64_t host_bytes_in = 0;   // Node -> host (reads, gathers).
   std::uint64_t p2p_bytes = 0;       // Node -> node direct (pulls).
   std::uint64_t relay_bytes = 0;     // Peer miss relayed through the host.
-  std::uint64_t p2p_transfers = 0;
   std::uint64_t relay_transfers = 0;
   // Tiered-memory traffic, counted apart from the coherence buckets above
   // so capacity pressure does not pollute the host-payload metric the P2P
@@ -307,7 +305,6 @@ class ClusterRuntime {
   // after the buffer's in-flight users (never blocks the caller, so a
   // release while commands are gated on an unresolved marker is safe).
   Status ReleaseBuffer(BufferId id);
-  [[nodiscard]] Expected<std::uint64_t> BufferSize(BufferId id) const;
 
   // ---- Programs ----------------------------------------------------------
   // Compiles locally (for kernel metadata and immediate diagnostics, a

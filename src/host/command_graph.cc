@@ -13,17 +13,6 @@ namespace {
 constexpr double kStampEpsilon = 1e-9;
 }  // namespace
 
-const char* CommandStateName(CommandState state) noexcept {
-  switch (state) {
-    case CommandState::kQueued: return "QUEUED";
-    case CommandState::kSubmitted: return "SUBMITTED";
-    case CommandState::kRunning: return "RUNNING";
-    case CommandState::kComplete: return "COMPLETE";
-    case CommandState::kFailed: return "FAILED";
-  }
-  return "UNKNOWN";
-}
-
 CommandGraph::CommandGraph() : CommandGraph(Options{}) {}
 
 CommandGraph::CommandGraph(Options options) : options_(std::move(options)) {

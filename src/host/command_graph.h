@@ -60,7 +60,6 @@ enum class CommandState : std::uint8_t {
   kFailed = 4,     // Body returned an error, a dependency failed, or the
                    // graph shut down underneath the command.
 };
-const char* CommandStateName(CommandState state) noexcept;
 [[nodiscard]] constexpr bool IsTerminal(CommandState state) {
   return state == CommandState::kComplete || state == CommandState::kFailed;
 }

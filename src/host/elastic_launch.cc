@@ -40,10 +40,10 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
         faults_(spec.elastic->fault_injector),
         seconds_per_row_(runtime->devices_.size(), 0.0) {}
 
-  // Over the chunk runs that completed: summed modeled joules and the
-  // last kernel's end (virtual_completion), and the first one's start.
-  LaunchResult total;
+  // Over the chunk runs that completed: the first kernel's start and the
+  // last one's end.
   double span_start = std::numeric_limits<double>::infinity();
+  double span_end = 0.0;
 
   Expected<elastic::ChunkOutcome> Execute(const elastic::Chunk& chunk,
                                           std::size_t node) override {
@@ -57,22 +57,20 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
         e_);
     if (!ran.ok()) return ran.status();
     const LaunchResult& result = *ran;
-    total.modeled_joules += result.modeled_joules;
-    total.virtual_completion =
-        std::max(total.virtual_completion, result.virtual_completion);
     span_start = std::min(span_start,
                           result.virtual_completion - result.modeled_seconds);
-    double seconds = result.modeled_seconds;
-    if (faults_ != nullptr) seconds += faults_->AfterExecute(node);
+    span_end = std::max(span_end, result.virtual_completion);
+    if (faults_ != nullptr) faults_->AfterExecute(node);
     // Learn the node's per-row rate from its own completed chunks (EWMA
     // 0.5): the mis-calibration a straggler hides from the static model
     // shows up here after its first chunk.
     const double per_row =
-        seconds / static_cast<double>(std::max<std::uint64_t>(1, chunk.count));
+        result.modeled_seconds /
+        static_cast<double>(std::max<std::uint64_t>(1, chunk.count));
     double& slot = seconds_per_row_[node];
     slot = slot == 0.0 ? per_row : 0.5 * slot + 0.5 * per_row;
     elastic::ChunkOutcome outcome;
-    outcome.modeled_seconds = seconds;
+    outcome.modeled_seconds = result.modeled_seconds;
     outcome.bytes_shipped = result.bytes_shipped;
     if (chunk.attempts > 1) {
       // The chunk ran before, so its inputs already shipped once: movement
@@ -122,14 +120,9 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
       std::unique_lock<std::mutex> buffer_lock(arg.buffer->mutex,
                                                std::try_to_lock);
       if (!buffer_lock.owns_lock()) return 0;
-      std::uint64_t bytes = 0;
-      for (const RegionDirectory::Region& region :
-           arg.buffer->dir.Query(begin, end)) {
-        for (RegionDirectory::Owner owner : region.owners) {
-          if (owner == node) bytes += region.end - region.begin;
-        }
-      }
-      return bytes / arg.stride;
+      return arg.buffer->dir.BytesOwnedBy(
+                 static_cast<RegionDirectory::Owner>(node), begin, end) /
+             arg.stride;
     }
     return 0;
   }
@@ -244,8 +237,9 @@ Status ClusterRuntime::ExecElastic(const LaunchSpec& spec,
   elastic::CoordinatorReport report = coordinator.Run();
   HAOCL_RETURN_IF_ERROR(report.status);
 
-  LaunchResult aggregate = executor.total;
+  LaunchResult aggregate;
   aggregate.modeled_seconds = report.makespan_seconds;
+  aggregate.virtual_completion = executor.span_end;
   aggregate.bytes_shipped = report.bytes_shipped;
   aggregate.shard_count = static_cast<std::uint32_t>(plan.shards.size());
   aggregate.stage_count = static_cast<std::uint32_t>(report.chunks_total);
@@ -253,7 +247,7 @@ Status ClusterRuntime::ExecElastic(const LaunchSpec& spec,
   const std::vector<double>& busy = report.node_busy_seconds;
   aggregate.node =
       participants[std::max_element(busy.begin(), busy.end()) - busy.begin()];
-  e.SetSpan(executor.span_start, aggregate.virtual_completion);
+  e.SetSpan(executor.span_start, executor.span_end);
   HAOCL_DEBUG << "elastic launch of " << spec.kernel_name << ": "
               << report.chunks_total << " chunks, " << report.chunks_stolen
               << " stolen, " << report.chunks_reexecuted << " re-executed, "

@@ -155,12 +155,16 @@ std::vector<RegionDirectory::Region> RegionDirectory::Query(
   return out;
 }
 
-std::uint64_t RegionDirectory::BytesOwnedBy(Owner owner) const {
+std::uint64_t RegionDirectory::BytesOwnedBy(Owner owner, std::uint64_t begin,
+                                             std::uint64_t end) const {
   std::uint64_t total = 0;
-  for (const Region& region : regions_) {
+  if (begin >= end) return total;
+  for (std::size_t i = RegionAt(begin);
+       i < regions_.size() && regions_[i].begin < end; ++i) {
+    const Region& region = regions_[i];
     if (std::binary_search(region.owners.begin(), region.owners.end(),
                            owner)) {
-      total += region.end - region.begin;
+      total += std::min(end, region.end) - std::max(begin, region.begin);
     }
   }
   return total;

@@ -85,8 +85,9 @@ class RegionDirectory {
   // The whole tiling, in order (snapshot/tests).
   [[nodiscard]] const std::vector<Region>& regions() const { return regions_; }
 
-  // Total bytes with a fresh copy at `owner`.
-  [[nodiscard]] std::uint64_t BytesOwnedBy(Owner owner) const;
+  // Bytes of [begin, end) with a fresh copy at `owner`.
+  [[nodiscard]] std::uint64_t BytesOwnedBy(Owner owner, std::uint64_t begin,
+                                           std::uint64_t end) const;
 
  private:
   // Index of the region containing byte `pos`.

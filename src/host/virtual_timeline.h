@@ -1,20 +1,23 @@
 // Virtual-time accounting on the host side.
 //
 // Wall-clock time in this repository measures a laptop, not the paper's
-// 20-node cluster; virtual time measures the modeled cluster. The host
-// runtime reports every transfer and kernel launch here; the timeline
-// drives the sim::ClusterTopology resources (host NIC, node NICs, node
-// accelerators) and buckets durations into the paper's Fig. 3 phases:
-// DataCreate / DataTransfer / ComputeTime (+ Init, which the paper notes
-// is negligible and omits).
+// 20-node cluster; virtual time measures the modeled cluster, and this
+// class is that cluster: it owns the host NIC, each node's NIC and
+// accelerator (sim::SerialResource) and the one link every NIC sends over.
+// The host runtime reports every transfer and kernel launch here; the
+// timeline charges those resources and buckets durations into the
+// paper's Fig. 3 phases: DataCreate / DataTransfer / ComputeTime (+ Init,
+// which the paper notes is negligible and omits).
 #pragma once
 
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/config.h"
 #include "common/stopwatch.h"
-#include "sim/topology.h"
+#include "sim/network_model.h"
+#include "sim/virtual_time.h"
 
 namespace haocl::host {
 
@@ -25,18 +28,16 @@ inline constexpr const char* kPhaseInit = "Init";
 
 class VirtualTimeline {
  public:
-  explicit VirtualTimeline(sim::ClusterTopology topology)
-      : topo_(std::move(topology)),
-        node_ready_(topo_.size(), 0.0),
-        dma_ready_(topo_.size(), 0.0),
-        host_ready_(0.0) {}
+  // One modeled node per entry of `node_types`, in node order, each drawing
+  // its type's power (sim::SpecForType) while its accelerator is busy.
+  explicit VirtualTimeline(const std::vector<NodeType>& node_types);
 
   // Paper-scale projection: the functional run uses laptop-scale inputs,
   // but the *modeled* experiment can amplify every transferred byte and
   // every kernel-second so virtual times reflect the paper's input sizes
   // (e.g. MatrixMul N=10000 while executing N=256: transfer x (10000/256)^2,
-  // compute x (10000/256)^3). Survives Reset(); EXPERIMENTS.md documents
-  // the factors per figure.
+  // compute x (10000/256)^3). Survives Reset(); bench::PaperScale
+  // (bench/bench_util.h) derives the factors per figure.
   void SetAmplification(double transfer_factor, double compute_factor) {
     std::lock_guard<std::mutex> lock(mutex_);
     transfer_amp_ = transfer_factor;
@@ -63,7 +64,8 @@ class VirtualTimeline {
   // relays from whichever replica's NIC frees up first (host included), so
   // broadcasting to k nodes builds a multicast tree instead of serializing
   // k transfers on the host uplink — one of the paper's "complex
-  // inter-node data transfer schemes in the OpenCL API".
+  // inter-node data transfer schemes in the OpenCL API". With no other
+  // holder it charges exactly what RecordTransferToNode does.
   sim::SimTime RecordReplicationToNode(
       std::size_t node, std::uint64_t bytes,
       const std::vector<std::size_t>& replica_holders);
@@ -80,10 +82,10 @@ class VirtualTimeline {
 
   // ---- Staged out-of-core pipelining -------------------------------------
   // A prefetch rides the NICs as DMA, overlapping the node's compute: it
-  // chains on the node's DMA engine, NOT on node_ready_. Returns the
-  // arrival time; the consuming stage passes it to RecordKernelAfter so
-  // compute starts only once its slice has landed — libhclooc's
-  // transfer/compute overlap, expressed in virtual time.
+  // chains on the node's DMA engine, NOT on the node's command chain.
+  // Returns the arrival time; the consuming stage passes it to
+  // RecordKernelAfter so compute starts only once its slice has landed —
+  // libhclooc's transfer/compute overlap, expressed in virtual time.
   sim::SimTime RecordPrefetchToNode(std::size_t node, std::uint64_t bytes);
   // Stage writeback / eviction spill node -> host shadow: DMA out,
   // overlapping the next stage's compute (same DMA chain).
@@ -105,30 +107,49 @@ class VirtualTimeline {
   // The reference accessors are not internally synchronized: drain the
   // runtime (Finish / clFinish) before reading them.
   [[nodiscard]] const PhaseAccumulator& phases() const { return phases_; }
-  [[nodiscard]] double TotalEnergyJoules() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return topo_.TotalEnergyJoules();
-  }
-  [[nodiscard]] const sim::ClusterTopology& topology() const { return topo_; }
+  // Each accelerator's busy time x its node type's power, summed in node
+  // order: the one modeled energy total.
+  [[nodiscard]] double TotalEnergyJoules() const;
+  // The largest busy time of any one node's accelerator.
+  [[nodiscard]] sim::SimTime MaxNodeComputeSeconds() const;
 
   void Reset();
 
  private:
+  // One modeled device node.
+  struct Node {
+    double power_watts = 0.0;
+    sim::SerialResource nic;
+    sim::SerialResource accelerator;
+    sim::SimTime ready = 0.0;      // In-order command chain.
+    sim::SimTime dma_ready = 0.0;  // Prefetch/spill DMA chain.
+  };
+
   // Recording happens from command-graph workers concurrently with host
   // threads reading Makespan(); every mutating/scalar entry point locks.
   sim::SimTime RecordTransferToNodeLocked(std::size_t node,
                                           std::uint64_t bytes);
+  // Wire transfers of `bytes` starting at `now`, each returning the
+  // arrival. The sending NIC serializes concurrent sends (the host uplink
+  // serializes a scatter); the receiving NIC then completes the transfer.
+  // Wire time is charged on both NICs.
+  sim::SimTime HostToNode(std::size_t node, std::uint64_t bytes,
+                          sim::SimTime now);
+  sim::SimTime NodeToHost(std::size_t node, std::uint64_t bytes,
+                          sim::SimTime now);
+  sim::SimTime NodeToNode(std::size_t from, std::size_t to,
+                          std::uint64_t bytes, sim::SimTime now);
   [[nodiscard]] std::uint64_t AmpBytes(std::uint64_t bytes) const {
     return static_cast<std::uint64_t>(static_cast<double>(bytes) *
                                       transfer_amp_);
   }
 
   mutable std::mutex mutex_;
-  sim::ClusterTopology topo_;
+  const sim::LinkSpec link_ = sim::GigabitEthernet();
+  std::vector<Node> nodes_;
+  sim::SerialResource host_nic_;
+  sim::SimTime host_ready_ = 0.0;
   PhaseAccumulator phases_;
-  std::vector<sim::SimTime> node_ready_;  // In-order chain per node.
-  std::vector<sim::SimTime> dma_ready_;   // Prefetch/spill DMA chain.
-  sim::SimTime host_ready_;
   double transfer_amp_ = 1.0;
   double compute_amp_ = 1.0;
 };

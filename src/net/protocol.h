@@ -22,7 +22,7 @@ namespace haocl::net {
 // Sent by both ends in the handshake; each refuses a peer speaking another
 // version. The bytes of every message are pinned by golden rows
 // (tests/net/protocol_fuzz_test.cc): changing one bumps this.
-inline constexpr std::uint32_t kProtocolVersion = 5;
+inline constexpr std::uint32_t kProtocolVersion = 6;
 
 // True for a message whose decoded form views the payload bytes (a span
 // field), so it must not be decoded from a temporary.
@@ -250,12 +250,14 @@ struct LaunchKernelRequest {
   }
 };
 
+// A launch's outcome. It carries modeled seconds and no energy: the host
+// charges the seconds to its modeled cluster, whose busy time x power is
+// the one energy total (host::VirtualTimeline::TotalEnergyJoules).
 struct LaunchKernelReply {
   static constexpr MsgType kType = MsgType::kLaunchReply;
   std::int32_t status_code = 0;
   std::string error_message;
   double modeled_seconds = 0.0;   // Device-model execution time.
-  double modeled_joules = 0.0;    // Energy for the scheduler's power policy.
   std::uint64_t flops = 0;        // Profiled work the rate table feeds on.
   // Broker snapshot piggybacked on every launch reply so the host's
   // fair-share view of the node (ALL tenants' backlog, not just its own)
@@ -264,7 +266,7 @@ struct LaunchKernelReply {
 
   template <class Ar>
   void Fields(Ar& ar) {
-    ar(status_code, error_message, modeled_seconds, modeled_joules, flops,
+    ar(status_code, error_message, modeled_seconds, flops,
        node_backlog_seconds);
   }
 };

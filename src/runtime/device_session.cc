@@ -301,7 +301,6 @@ net::LaunchKernelReply DeviceSession::LaunchKernel(
   if (!launched.ok()) return fail(launched);
 
   reply.modeled_seconds = profile.modeled_seconds;
-  reply.modeled_joules = profile.modeled_joules;
   reply.flops = profile.flops;
   return reply;
 }

@@ -43,7 +43,6 @@ namespace haocl::sched {
 // What the scheduler knows about one pending kernel task.
 struct TaskInfo {
   std::string kernel_name;
-  std::uint64_t user_id = 0;
   sim::KernelCost cost;              // Estimated (or profiled) work.
   std::uint64_t input_bytes = 0;     // Bytes that must reach the node.
   std::uint64_t output_bytes = 0;    // Bytes coming back.

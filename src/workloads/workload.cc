@@ -1,6 +1,5 @@
 #include "workloads/workload.h"
 
-#include <algorithm>
 #include <mutex>
 
 namespace haocl::workloads {
@@ -43,11 +42,7 @@ RunReport ReportFromTimeline(host::ClusterRuntime& runtime,
   report.data_create_seconds = phases.Get(host::kPhaseDataCreate);
   report.data_transfer_seconds = phases.Get(host::kPhaseDataTransfer);
   report.compute_seconds = phases.Get(host::kPhaseCompute);
-  const sim::ClusterTopology& topo = runtime.timeline().topology();
-  for (std::size_t i = 0; i < topo.size(); ++i) {
-    report.compute_parallel_seconds = std::max(
-        report.compute_parallel_seconds, topo.node(i).compute.busy_total());
-  }
+  report.compute_parallel_seconds = runtime.timeline().MaxNodeComputeSeconds();
   report.energy_joules = runtime.timeline().TotalEnergyJoules();
   report.wire_bytes = runtime.TotalBytesSent();
   return report;

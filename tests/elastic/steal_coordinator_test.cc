@@ -376,14 +376,5 @@ TEST(FaultInjectorTest, ScriptedKillTripsAfterNChunks) {
   EXPECT_TRUE(faults.BeforeExecute(1).ok());
 }
 
-TEST(FaultInjectorTest, ScriptedDelaySlowsLaterChunks) {
-  FaultInjector faults;
-  faults.ScriptDelay(1, /*after_chunks=*/1, /*seconds=*/0.25);
-  EXPECT_TRUE(faults.BeforeExecute(1).ok());
-  EXPECT_EQ(faults.AfterExecute(1), 0.0);   // Chunk 1: no delay yet.
-  EXPECT_EQ(faults.AfterExecute(1), 0.25);  // Chunk 2 onward: delayed.
-  EXPECT_EQ(faults.AfterExecute(1), 0.25);
-}
-
 }  // namespace
 }  // namespace haocl::elastic

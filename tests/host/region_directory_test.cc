@@ -36,7 +36,8 @@ TEST(RegionDirectoryTest, StartsWithInitialOwnerEverywhere) {
   EXPECT_EQ(dir.region_count(), 1u);
   EXPECT_TRUE(dir.Covers(kHost, 0, 1000));
   EXPECT_FALSE(dir.Covers(kN0, 0, 1));
-  EXPECT_EQ(dir.BytesOwnedBy(kHost), 1000u);
+  EXPECT_EQ(dir.BytesOwnedBy(kHost, 0, 1000), 1000u);
+  EXPECT_EQ(dir.BytesOwnedBy(kN0, 0, 1000), 0u);
   EXPECT_EQ(dir.epoch(), 0u);
   CheckInvariants(dir);
 }
@@ -49,8 +50,12 @@ TEST(RegionDirectoryTest, MarkWrittenReplacesOwnersAndBumpsEpoch) {
   EXPECT_FALSE(dir.Covers(kHost, 100, 300));
   EXPECT_TRUE(dir.Covers(kHost, 0, 100));
   EXPECT_TRUE(dir.Covers(kHost, 300, 1000));
-  EXPECT_EQ(dir.BytesOwnedBy(kN1), 200u);
-  EXPECT_EQ(dir.BytesOwnedBy(kHost), 800u);
+  EXPECT_EQ(dir.BytesOwnedBy(kN1, 0, 1000), 200u);
+  EXPECT_EQ(dir.BytesOwnedBy(kHost, 0, 1000), 800u);
+  // A window counts only its own bytes, clipping the regions it cuts.
+  EXPECT_EQ(dir.BytesOwnedBy(kN1, 250, 400), 50u);
+  EXPECT_EQ(dir.BytesOwnedBy(kHost, 50, 350), 100u);
+  EXPECT_EQ(dir.BytesOwnedBy(kN1, 150, 150), 0u);
   CheckInvariants(dir);
 }
 

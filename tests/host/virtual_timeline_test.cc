@@ -1,14 +1,19 @@
 // VirtualTimeline: phase accounting, resource serialization, paper-scale
-// amplification, and the peer-to-peer replication model.
+// amplification, the peer-to-peer replication model, and the modeled
+// cluster's NICs and accelerators the timeline owns.
 #include "host/virtual_timeline.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
+
+#include "sim/device_model.h"
 
 namespace haocl::host {
 namespace {
 
 VirtualTimeline MakeTimeline(std::size_t gpus) {
-  return VirtualTimeline(sim::ClusterTopology::Make(gpus, 0));
+  return VirtualTimeline(std::vector<NodeType>(gpus, NodeType::kGpu));
 }
 
 TEST(VirtualTimelineTest, PhasesAccumulate) {
@@ -80,10 +85,17 @@ TEST(VirtualTimelineTest, ReplicationBuildsMulticastTree) {
 }
 
 TEST(VirtualTimelineTest, ReplicationWithNoHoldersFallsBackToHost) {
-  VirtualTimeline timeline = MakeTimeline(2);
-  const sim::SimTime done = timeline.RecordReplicationToNode(1, 1000, {});
-  EXPECT_GT(done, 0.0);
-  EXPECT_GT(timeline.phases().Get(kPhaseDataTransfer), 0.0);
+  // With no other holder a replication is a host -> node transfer, bit
+  // for bit: the runtime's demand path always replicates.
+  VirtualTimeline replicated = MakeTimeline(2);
+  VirtualTimeline shipped = MakeTimeline(2);
+  EXPECT_EQ(replicated.RecordReplicationToNode(1, 1'000'000, {}),
+            shipped.RecordTransferToNode(1, 1'000'000));
+  EXPECT_EQ(replicated.phases().Get(kPhaseDataTransfer),
+            shipped.phases().Get(kPhaseDataTransfer));
+  EXPECT_EQ(replicated.phases().Total(), shipped.phases().Total());
+  EXPECT_EQ(replicated.Makespan(), shipped.Makespan());
+  EXPECT_GT(replicated.Makespan(), 0.0);
 }
 
 TEST(VirtualTimelineTest, ResetPreservesAmplification) {
@@ -111,6 +123,97 @@ TEST(VirtualTimelineTest, GatherSynchronizesHostClock) {
   // starts after the gather.
   timeline.RecordDataCreate(0.5);
   EXPECT_GT(timeline.Makespan(), 3.5);
+}
+
+// The modeled cluster's topology as the timeline charges it: one host
+// uplink, and a NIC and an accelerator per node.
+
+TEST(TopologyTest, HostUplinkSerializesScatter) {
+  // Scattering the same bytes to N nodes serializes on the host NIC, so
+  // the finish time grows ~linearly with N — the Fig. 3 transfer shape.
+  VirtualTimeline timeline = MakeTimeline(4);
+  const std::uint64_t chunk = 10'000'000;  // 10 MB each.
+  sim::SimTime last = 0.0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    last = std::max(last, timeline.RecordTransferToNode(i, chunk));
+  }
+  const sim::SimTime one = sim::GigabitEthernet().TransferTime(chunk);
+  EXPECT_GT(last, 3.9 * one);
+  EXPECT_LT(last, 4.5 * one);
+}
+
+TEST(TopologyTest, GatherSerializesOnHostNic) {
+  VirtualTimeline timeline = MakeTimeline(4);
+  const std::uint64_t chunk = 10'000'000;
+  sim::SimTime last = 0.0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    last = std::max(last, timeline.RecordTransferFromNode(i, chunk));
+  }
+  const sim::SimTime one = sim::GigabitEthernet().TransferTime(chunk);
+  EXPECT_GT(last, 3.9 * one);
+  EXPECT_LT(last, 4.5 * one);
+}
+
+TEST(TopologyTest, NodeToNodeDoesNotTouchHostNic) {
+  VirtualTimeline timeline = MakeTimeline(4);
+  const std::uint64_t bytes = 1'000'000;
+  timeline.RecordTransferBetween(0, 1, bytes);
+  // The host uplink is still free: a host -> node 2 transfer right after
+  // arrives in one transfer time.
+  EXPECT_DOUBLE_EQ(timeline.RecordTransferToNode(2, bytes),
+                   sim::GigabitEthernet().TransferTime(bytes));
+}
+
+// The modeled seconds of a kernel of `flops` on a GPU node, as the driver
+// reports them for `RecordKernel`.
+double GpuKernelSeconds(double flops) {
+  sim::KernelCost cost;
+  cost.flops = flops;
+  return sim::ModelKernelTime(sim::SpecForType(NodeType::kGpu), cost);
+}
+
+TEST(TopologyTest, KernelsOnDistinctNodesRunConcurrently) {
+  VirtualTimeline timeline = MakeTimeline(2);
+  const double seconds = GpuKernelSeconds(5.5e12);  // ~1 s on a P4.
+  const sim::SimTime t0 = timeline.RecordKernel(0, seconds);
+  const sim::SimTime t1 = timeline.RecordKernel(1, seconds);
+  EXPECT_NEAR(t0, 1.0, 0.05);
+  EXPECT_NEAR(t1, 1.0, 0.05);  // Parallel, not 2.0.
+}
+
+TEST(TopologyTest, SameNodeKernelsSerialize) {
+  VirtualTimeline timeline = MakeTimeline(1);
+  const double seconds = GpuKernelSeconds(5.5e12);
+  timeline.RecordKernel(0, seconds);
+  const sim::SimTime t = timeline.RecordKernel(0, seconds);
+  EXPECT_NEAR(t, 2.0, 0.1);
+}
+
+TEST(TopologyTest, EnergyAccounting) {
+  // Each accelerator draws its own node type's power while busy.
+  VirtualTimeline timeline({NodeType::kGpu, NodeType::kFpga});
+  timeline.RecordKernel(0, 1.0);
+  timeline.RecordKernel(1, 2.0);
+  EXPECT_DOUBLE_EQ(
+      timeline.TotalEnergyJoules(),
+      1.0 * sim::SpecForType(NodeType::kGpu).power_watts +
+          2.0 * sim::SpecForType(NodeType::kFpga).power_watts);
+  EXPECT_DOUBLE_EQ(timeline.MaxNodeComputeSeconds(), 2.0);
+}
+
+TEST(TopologyTest, ResetTimeClearsEverything) {
+  VirtualTimeline timeline({NodeType::kGpu, NodeType::kFpga});
+  const std::uint64_t bytes = 1'000'000;
+  timeline.RecordTransferToNode(1, bytes);  // Host NIC, node 1's NIC.
+  timeline.RecordKernel(0, 1.0);            // Node 0's accelerator.
+  timeline.Reset();
+  EXPECT_DOUBLE_EQ(timeline.TotalEnergyJoules(), 0.0);
+  EXPECT_DOUBLE_EQ(timeline.MaxNodeComputeSeconds(), 0.0);
+  // Every resource is free from time 0 again: node 0's accelerator, then
+  // node 1's NIC and the host NIC.
+  EXPECT_DOUBLE_EQ(timeline.RecordKernel(0, 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(timeline.RecordTransferFromNode(1, bytes),
+                   sim::GigabitEthernet().TransferTime(bytes));
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ using Bytes = std::vector<std::uint8_t>;
 // Version 5 dropped HelloReply's bandwidth and SIMD width, LaunchReply's
 // bytes accessed and active weight, and BrokerReply's active weight, and
 // gave BrokerReply the node's queue depth; the LoadReply row went with
-// its message.
+// its message. Version 6 dropped LaunchReply's modeled joules (8 bytes).
 template <class T>
 struct GoldenRow {
   T message;
@@ -42,7 +42,7 @@ template <>
 std::vector<GoldenRow<HelloRequest>> GoldenRows() {
   HelloRequest m;
   m.host_name = "host-A";
-  return {{m, "06000000686f73742d4105000000"}};
+  return {{m, "06000000686f73742d4106000000"}};
 }
 
 template <>
@@ -55,7 +55,7 @@ std::vector<GoldenRow<HelloReply>> GoldenRows() {
   m.mem_capacity_bytes = 8ull << 30;
   return {{m,
            "040000006770753301080000005465736c6120503400000000807cb54000000000"
-           "0200000005000000"}};
+           "0200000006000000"}};
 }
 
 template <>
@@ -184,12 +184,11 @@ std::vector<GoldenRow<LaunchKernelReply>> GoldenRows() {
   m.status_code = -5;
   m.error_message = "oops";
   m.modeled_seconds = 0.125;
-  m.modeled_joules = 3.5;
   m.flops = 1000;
   m.node_backlog_seconds = 0.75;
   return {{m,
-           "fbffffff040000006f6f7073000000000000c03f0000000000000c40e803000000"
-           "000000000000000000e83f"}};
+           "fbffffff040000006f6f7073000000000000c03fe803000000000000000000"
+           "000000e83f"}};
 }
 
 template <>

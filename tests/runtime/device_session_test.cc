@@ -148,7 +148,6 @@ TEST_F(DeviceSessionTest, BuildAndLaunch) {
   auto reply = session_->LaunchKernel(launch);
   ASSERT_EQ(reply.status_code, 0) << reply.error_message;
   EXPECT_GT(reply.modeled_seconds, 0.0);
-  EXPECT_GT(reply.modeled_joules, 0.0);
 
   auto read = session_->ReadBuffer(1, 0, n * 4);
   ASSERT_TRUE(read.ok());
